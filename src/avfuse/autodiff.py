@@ -5,6 +5,11 @@ graph eagerly: the output tensor keeps references to its inputs and a closure
 that routes the output gradient to them. ``backward`` walks that graph once,
 in reverse topological order, and accumulates gradients into ``.grad``.
 Gradients are never cleared implicitly; call sites reset them between steps.
+Inside ``no_grad()`` no graph is recorded at all.
+
+Ops take either one sample, ``(N, D)``, or a batch with a leading axis,
+``(B, N, D)``; weights, biases and latents stay unbatched, broadcast over
+the batch, and get their gradients summed over it.
 
 Also here: the deterministic counter-based RNG used for every weight draw and
 data draw in the package, the finite-difference gradient oracle, and the
@@ -62,6 +67,9 @@ class MacCounter:
 
 _MAC_STACK: list[MacCounter] = []
 
+# False inside no_grad(): new nodes then record no parents and no closure.
+_grad_enabled = True
+
 
 @contextmanager
 def count_macs():
@@ -76,6 +84,20 @@ def count_macs():
         yield counter
     finally:
         _MAC_STACK.pop()
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording the tape: outputs inside get
+    ``requires_grad=False``, no parents and no backward closure. The previous
+    state is restored on exit, also when the body raises."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 def _tally_macs(n: int) -> None:
@@ -117,7 +139,7 @@ class Tensor:
     def _node(data: np.ndarray, parents: Sequence["Tensor"]) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = data
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
         out.grad = None
         out._parents = tuple(parents) if out.requires_grad else ()
         out._backward = None
@@ -173,14 +195,17 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand's shape."""
+    """Sum a gradient over the leading axes its operand was broadcast along."""
     if g.shape == shape:
         return g
-    if shape == ():
-        return np.asarray(g.sum())
-    if len(shape) == 1 and g.ndim == 2 and g.shape[1] == shape[0]:
-        return g.sum(axis=0)
-    raise ShapeError(f"cannot reduce gradient of shape {g.shape} to {shape}")
+    lead = g.ndim - len(shape)
+    if lead < 0 or g.shape[lead:] != shape:
+        raise ShapeError(f"cannot reduce gradient of shape {g.shape} to {shape}")
+    return g.sum(axis=tuple(range(lead)))
+
+
+def _is_suffix(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
+    return len(small) <= len(big) and big[len(big) - len(small):] == small
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +214,12 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    """Elementwise sum. Accepts equal shapes, a 1-D bias against the last
-    axis of a 2-D operand, or a scalar against anything."""
+    """Elementwise sum of operands where one shape ends the other: equal
+    shapes, a bias against the last axis, an unbatched operand against a
+    batch, or a scalar against anything."""
     a = _as_tensor(a)
     b = _as_tensor(b)
-    ok = (
-        a.shape == b.shape
-        or (b.ndim == 1 and a.ndim == 2 and a.shape[1] == b.shape[0])
-        or (a.ndim == 1 and b.ndim == 2 and b.shape[1] == a.shape[0])
-        or a.ndim == 0
-        or b.ndim == 0
-    )
-    if not ok:
+    if not (_is_suffix(a.shape, b.shape) or _is_suffix(b.shape, a.shape)):
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor._node(a.data + b.data, (a, b))
     if out.requires_grad:
@@ -243,20 +262,35 @@ def scale(x, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """``(..., P, Q) @ (Q, R)``: a 2-D right operand applied to every matrix
+    of a batched left one, its gradient summed over the batch."""
     a = _as_tensor(a)
     b = _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    p, q = a.shape
-    r = b.shape[1]
-    _tally_macs(p * q * r)
+    q, r = b.shape
+    _tally_macs(a.size * r)
     out = Tensor._node(a.data @ b.data, (a, b))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
             if a.requires_grad:
                 _accum(a, g @ b.data.T)
             if b.requires_grad:
-                _accum(b, a.data.T @ g)
+                _accum(b, a.data.reshape(-1, q).T @ g.reshape(-1, r))
+        out._backward = _bw
+    return out
+
+
+def reshape(x, shape: tuple[int, ...]) -> Tensor:
+    """The same values in a new shape of equal size."""
+    x = _as_tensor(x)
+    shape = tuple(shape)
+    if int(np.prod(shape)) != x.size:
+        raise ShapeError(f"reshape: cannot reshape {x.shape} to {shape}")
+    out = Tensor._node(x.data.reshape(shape), (x,))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            _accum(x, g.reshape(x.shape))
         out._backward = _bw
     return out
 
@@ -291,47 +325,48 @@ def cols(x, start: int, stop: int) -> Tensor:
 
 
 def _concat(parts: Iterable, axis: int) -> Tensor:
+    """Join tensors of one rank (2 or more) along ``axis``, -2 for rows or
+    -1 for columns; every other axis must agree."""
     ts = [_as_tensor(p) for p in parts]
     if not ts:
         raise ShapeError("concat: need at least one tensor")
+    rank = ts[0].ndim
     for t in ts:
-        if t.ndim != 2:
-            raise ShapeError(f"concat: need 2-D tensors, got shape {t.shape}")
-    other = 1 - axis
-    width = ts[0].shape[other]
+        if t.ndim < 2 or t.ndim != rank:
+            raise ShapeError(f"concat: need tensors of one rank >= 2, got shape {t.shape}")
+    other = [i for i in range(rank) if i != rank + axis]
     for t in ts[1:]:
-        if t.shape[other] != width:
-            raise ShapeError(f"concat: shapes {ts[0].shape} and {t.shape} disagree on axis {other}")
+        if any(t.shape[i] != ts[0].shape[i] for i in other):
+            raise ShapeError(f"concat: shapes {ts[0].shape} and {t.shape} disagree off axis {axis}")
     out = Tensor._node(np.concatenate([t.data for t in ts], axis=axis), ts)
     if out.requires_grad:
-        sizes = [t.shape[axis] for t in ts]
-        offsets = np.cumsum([0] + sizes)
+        offsets = np.cumsum([t.shape[axis] for t in ts])[:-1]
         def _bw(g: np.ndarray) -> None:
-            for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
+            for t, piece in zip(ts, np.split(g, offsets, axis=axis)):
                 if t.requires_grad:
-                    piece = g[lo:hi, :] if axis == 0 else g[:, lo:hi]
                     _accum(t, np.ascontiguousarray(piece))
         out._backward = _bw
     return out
 
 
 def concat_rows(parts) -> Tensor:
-    """Stack 2-D tensors along axis 0."""
-    return _concat(parts, axis=0)
+    """Stack tensors along their row axis (-2)."""
+    return _concat(parts, axis=-2)
 
 
 def concat_cols(parts) -> Tensor:
-    """Stack 2-D tensors along axis 1."""
-    return _concat(parts, axis=1)
+    """Stack tensors along their column axis (-1)."""
+    return _concat(parts, axis=-1)
 
 
 def mean_rows(x) -> Tensor:
-    """Mean over axis 0 of a 2-D tensor, kept as a 1-row matrix."""
+    """Mean over the row axis (-2), kept as one row: ``(..., N, D)`` gives
+    ``(..., 1, D)``."""
     x = _as_tensor(x)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ShapeError(f"mean_rows: need a non-empty 2-D tensor, got shape {x.shape}")
-    p = x.shape[0]
-    out = Tensor._node(x.data.mean(axis=0, keepdims=True), (x,))
+    if x.ndim < 2 or x.shape[-2] < 1:
+        raise ShapeError(f"mean_rows: need a tensor with at least one row, got shape {x.shape}")
+    p = x.shape[-2]
+    out = Tensor._node(x.data.mean(axis=-2, keepdims=True), (x,))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
             _accum(x, np.broadcast_to(g / p, x.shape).copy())
@@ -387,22 +422,22 @@ def gelu(x) -> Tensor:
 
 
 def layer_norm(x, gain, shift) -> Tensor:
-    """Normalize each row of a 2-D tensor to zero mean / unit variance over
-    the last axis (biased variance, eps inside the sqrt), then apply the
-    1-D ``gain`` and ``shift``."""
+    """Normalize each row of a 2-D or batched tensor to zero mean / unit
+    variance over the last axis (biased variance, eps inside the sqrt), then
+    apply the 1-D ``gain`` and ``shift``."""
     x = _as_tensor(x)
     gain = _as_tensor(gain)
     shift = _as_tensor(shift)
-    if x.ndim != 2:
-        raise ShapeError(f"layer_norm: need a 2-D tensor, got shape {x.shape}")
-    d = x.shape[1]
+    if x.ndim < 2:
+        raise ShapeError(f"layer_norm: need a 2-D or batched tensor, got shape {x.shape}")
+    d = x.shape[-1]
     if gain.shape != (d,) or shift.shape != (d,):
         raise ShapeError(
             f"layer_norm: gain/shift shapes {gain.shape}/{shift.shape} do not match width {d}"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
-    var = (xc ** 2).mean(axis=1, keepdims=True)
+    var = (xc ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out = Tensor._node(xhat * gain.data + shift.data, (x, gain, shift))
@@ -410,13 +445,13 @@ def layer_norm(x, gain, shift) -> Tensor:
         def _bw(g: np.ndarray) -> None:
             if x.requires_grad:
                 dxhat = g * gain.data
-                m1 = dxhat.mean(axis=1, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+                m1 = dxhat.mean(axis=-1, keepdims=True)
+                m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
                 _accum(x, inv * (dxhat - m1 - xhat * m2))
             if gain.requires_grad:
-                _accum(gain, (g * xhat).sum(axis=0))
+                _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
             if shift.requires_grad:
-                _accum(shift, g.sum(axis=0))
+                _accum(shift, g.reshape(-1, d).sum(axis=0))
         out._backward = _bw
     return out
 
@@ -441,29 +476,90 @@ def softmax_rows(x) -> Tensor:
     return out
 
 
+def attention(q, k, v, heads: int = 1, scale: float | None = None) -> Tensor:
+    """Multi-head dot-product attention as one op.
+
+    ``q`` is (..., Nq, D), ``k`` is (..., Nk, D) and ``v`` is (..., Nk, Dv);
+    leading axes broadcast, so a 2-D query can serve a batch of keys. The
+    columns split into ``heads`` equal groups; head h computes
+    softmax(q_h k_h^T * scale) v_h with per-row max subtraction, and the head
+    outputs are merged back in column order into (..., Nq, Dv). ``scale``
+    defaults to 1/sqrt(D/heads). The backward pass reuses the saved softmax
+    output. MACs and softmax elements are tallied as per-head matmuls and
+    row softmaxes would be.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
+        raise ShapeError(f"attention: need 2-D or batched operands, got {q.shape}, {k.shape}, {v.shape}")
+    if q.shape[-1] != k.shape[-1] or k.shape[:-1] != v.shape[:-1]:
+        raise ShapeError(f"attention: incompatible query/key/value shapes {q.shape}, {k.shape}, {v.shape}")
+    d, dv = k.shape[-1], v.shape[-1]
+    if heads < 1 or d % heads or dv % heads:
+        raise ShapeError(f"attention: {heads} heads do not divide widths {d} and {dv}")
+    try:
+        batch = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
+    except ValueError:
+        raise ShapeError(f"attention: batch axes of {q.shape} and {k.shape} do not broadcast") from None
+    if scale is None:
+        scale = 1.0 / np.sqrt(d // heads)
+
+    def split(x: np.ndarray) -> np.ndarray:  # (..., N, H*w) -> (..., H, N, w)
+        return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-2, -3)
+
+    def merge(x: np.ndarray) -> np.ndarray:  # (..., H, N, w) -> (..., N, H*w)
+        return x.swapaxes(-2, -3).reshape(x.shape[:-3] + (x.shape[-2], heads * x.shape[-1]))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
+    if not np.isfinite(scores).all():
+        raise ValueError("attention: scores contain non-finite values")
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    nq, nk = q.shape[-2], k.shape[-2]
+    _tally_macs(int(np.prod(batch)) * nq * nk * (d + dv))
+    _tally_softmax(probs.size)
+    out = Tensor._node(merge(np.matmul(probs, vh)), (q, k, v))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            gh = split(g)
+            if v.requires_grad:
+                _accum(v, _reduce_to(merge(np.matmul(probs.swapaxes(-1, -2), gh)), v.shape))
+            if q.requires_grad or k.requires_grad:
+                dp = np.matmul(gh, vh.swapaxes(-1, -2))
+                ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True)) * scale
+                if q.requires_grad:
+                    _accum(q, _reduce_to(merge(np.matmul(ds, kh)), q.shape))
+                if k.requires_grad:
+                    _accum(k, _reduce_to(merge(np.matmul(ds.swapaxes(-1, -2), qh)), k.shape))
+        out._backward = _bw
+    return out
+
+
 def grouped_linear(x, weight, bias=None) -> Tensor:
     """Block-diagonal linear map.
 
     ``weight`` has shape (G, d_in/G, d_out/G); input column group g feeds
     output column group g and nothing else. Equivalent to a dense matmul with
-    a block-diagonal matrix, at 1/G of the weights and MACs.
+    a block-diagonal matrix, at 1/G of the weights and MACs. ``x`` is 2-D or
+    batched; every row maps the same way.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight)
-    if x.ndim != 2 or weight.ndim != 3:
-        raise ShapeError(f"grouped_linear: need 2-D input and 3-D weight, got {x.shape} and {weight.shape}")
+    if x.ndim < 2 or weight.ndim != 3:
+        raise ShapeError(f"grouped_linear: need 2-D or batched input and 3-D weight, got {x.shape} and {weight.shape}")
     groups, gin, gout = weight.shape
-    if x.shape[1] != groups * gin:
+    if x.shape[-1] != groups * gin:
         raise ShapeError(
             f"grouped_linear: input shape {x.shape} does not match weight shape {weight.shape}"
         )
-    p = x.shape[0]
+    lead = x.shape[:-1]
+    p = x.size // x.shape[-1]
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (groups * gout,):
             raise ShapeError(f"grouped_linear: bias shape {bias.shape} does not match output width {groups * gout}")
     x3 = x.data.reshape(p, groups, gin)
-    y = np.einsum("pgi,gio->pgo", x3, weight.data).reshape(p, groups * gout)
+    y = np.einsum("pgi,gio->pgo", x3, weight.data).reshape(lead + (groups * gout,))
     _tally_macs(p * groups * gin * gout)
     if bias is not None:
         y = y + bias.data
@@ -475,11 +571,11 @@ def grouped_linear(x, weight, bias=None) -> Tensor:
         def _bw(g: np.ndarray) -> None:
             g3 = g.reshape(p, groups, gout)
             if x.requires_grad:
-                _accum(x, np.einsum("pgo,gio->pgi", g3, weight.data).reshape(p, groups * gin))
+                _accum(x, np.einsum("pgo,gio->pgi", g3, weight.data).reshape(x.shape))
             if weight.requires_grad:
                 _accum(weight, np.einsum("pgi,pgo->gio", x3, g3))
             if bias is not None and bias.requires_grad:
-                _accum(bias, g.sum(axis=0))
+                _accum(bias, g.reshape(p, groups * gout).sum(axis=0))
         out._backward = _bw
     return out
 

@@ -2,7 +2,9 @@
 
 One set of layer weights serves both streams: images and spectrograms are cut
 into patch tokens of the same width and pushed through the same pre-norm
-attention/MLP blocks. Everything here is frozen at construction; the only
+attention/MLP blocks. A list of inputs is tokenized as one stacked batch, and
+every block runs on ``(B, N, D)`` token batches as well as on one sample's
+``(N, D)`` tokens. Everything here is frozen at construction; the only
 trainable state in the package lives in the adapter sites and the task head.
 """
 from __future__ import annotations
@@ -17,15 +19,11 @@ from .autodiff import (
     ShapeError,
     Tensor,
     add,
-    cols,
-    concat_cols,
+    attention,
     gelu,
     layer_norm,
     matmul,
     relu,
-    scale,
-    softmax_rows,
-    transpose,
 )
 
 AUDIO = "audio"
@@ -71,7 +69,8 @@ class SpectrogramInput:
 
 @dataclass
 class TokenSet:
-    """Tokens of one modality at one layer depth: a (count, width) tensor."""
+    """Tokens of one modality at one layer depth: a (count, width) tensor for
+    one sample, or (batch, count, width) for a batch."""
 
     modality: str
     tokens: Tensor
@@ -80,16 +79,18 @@ class TokenSet:
     def __post_init__(self) -> None:
         if self.modality not in (AUDIO, VISUAL):
             raise ValueError(f"TokenSet: unknown modality {self.modality!r}")
-        if self.tokens.ndim != 2 or self.tokens.shape[0] < 1:
-            raise ShapeError(f"TokenSet: need a non-empty (count, width) tensor, got shape {self.tokens.shape}")
+        if self.tokens.ndim not in (2, 3) or self.tokens.shape[-2] < 1:
+            raise ShapeError(
+                f"TokenSet: need a non-empty ([batch,] count, width) tensor, got shape {self.tokens.shape}"
+            )
 
     @property
     def count(self) -> int:
-        return self.tokens.shape[0]
+        return self.tokens.shape[-2]
 
     @property
     def width(self) -> int:
-        return self.tokens.shape[1]
+        return self.tokens.shape[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -98,60 +99,63 @@ class TokenSet:
 
 
 def unfold_patches(grid: np.ndarray, patch: int) -> np.ndarray:
-    """Cut an (H, W, C) array into flattened non-overlapping patches.
+    """Cut an (H, W, C) array, or a stack of them, into flattened
+    non-overlapping patches.
 
     Rows come out in row-major grid order; within a patch the layout is
     (rows, columns, channels), also row-major. H and W must divide by patch.
     """
-    h, w, c = grid.shape
+    *lead, h, w, c = grid.shape
     if h % patch or w % patch:
         raise ShapeError(f"unfold_patches: grid {h}x{w} not divisible by patch {patch}")
     hp, wp = h // patch, w // patch
-    tiles = grid.reshape(hp, patch, wp, patch, c).transpose(0, 2, 1, 3, 4)
-    return np.ascontiguousarray(tiles.reshape(hp * wp, patch * patch * c))
+    n = len(lead)
+    tiles = grid.reshape(*lead, hp, patch, wp, patch, c).transpose(*range(n), n, n + 2, n + 1, n + 3, n + 4)
+    return np.ascontiguousarray(tiles.reshape(*lead, hp * wp, patch * patch * c))
 
 
-def patch_embed(image: ImageInput, patch: int, proj: Tensor, pos: Tensor | None = None) -> TokenSet:
+def patch_embed(image, patch: int, proj: Tensor, pos: Tensor | None = None) -> TokenSet:
     """Project image patches to backbone width and add positional rows.
 
-    ``proj`` is (patch*patch*3, width) and carries no bias, so a zero image
-    with a zero positional table maps to all-zero tokens.
+    ``image`` is one ImageInput, giving (N, width) tokens, or a list of them,
+    tokenized as one (B, N, width) batch. ``proj`` is (patch*patch*3, width)
+    and carries no bias, so a zero image with a zero positional table maps to
+    all-zero tokens.
     """
-    h, w, _ = image.pixels.shape
-    flat = unfold_patches(image.pixels, patch)
-    tokens = matmul(Tensor(flat), proj)
+    pixels = image.pixels if isinstance(image, ImageInput) else np.stack([im.pixels for im in image])
+    tokens = matmul(Tensor(unfold_patches(pixels, patch)), proj)
     if pos is not None:
-        if pos.shape != tokens.shape:
+        if pos.shape != tokens.shape[-2:]:
             raise ShapeError(f"patch_embed: positional table shape {pos.shape} does not match tokens {tokens.shape}")
         tokens = add(tokens, pos)
     return TokenSet(VISUAL, tokens, layer=0)
 
 
 def pad_to_multiple(values: np.ndarray, patch: int) -> np.ndarray:
-    """Zero-pad a 2-D array on the bottom/right up to multiples of patch."""
-    m, c = values.shape
+    """Zero-pad the last two axes on the bottom/right up to multiples of
+    patch."""
+    m, c = values.shape[-2:]
     mp = (-m) % patch
     cp = (-c) % patch
     if mp == 0 and cp == 0:
         return values
-    return np.pad(values, ((0, mp), (0, cp)), mode="constant")
+    return np.pad(values, [(0, 0)] * (values.ndim - 2) + [(0, mp), (0, cp)], mode="constant")
 
 
-def spectrogram_embed(
-    spec: SpectrogramInput, patch: int, proj: Tensor, pos: Tensor | None = None
-) -> TokenSet:
+def spectrogram_embed(spec, patch: int, proj: Tensor, pos: Tensor | None = None) -> TokenSet:
     """Tokenize a spectrogram with the image projection.
 
-    The single channel is replicated to three so the shared ``proj`` applies;
-    the time/freq grid is zero-padded up to patch multiples first, giving
-    ceil(time/patch) * ceil(freq/patch) tokens.
+    ``spec`` is one SpectrogramInput or a list of them, as in
+    ``patch_embed``. The single channel is replicated to three so the shared
+    ``proj`` applies; the time/freq grid is zero-padded up to patch multiples
+    first, giving ceil(time/patch) * ceil(freq/patch) tokens.
     """
-    padded = pad_to_multiple(spec.values, patch)
-    three = np.repeat(padded[:, :, None], 3, axis=2)
-    flat = unfold_patches(three, patch)
-    tokens = matmul(Tensor(flat), proj)
+    values = spec.values if isinstance(spec, SpectrogramInput) else np.stack([s.values for s in spec])
+    padded = pad_to_multiple(values, patch)
+    three = np.repeat(padded[..., None], 3, axis=-1)
+    tokens = matmul(Tensor(unfold_patches(three, patch)), proj)
     if pos is not None:
-        if pos.shape != tokens.shape:
+        if pos.shape != tokens.shape[-2:]:
             raise ShapeError(
                 f"spectrogram_embed: positional table shape {pos.shape} does not match tokens {tokens.shape}"
             )
@@ -276,18 +280,8 @@ def mha(x: TokenSet, w: FrozenLayerWeights, pre_norm: bool = True) -> Tensor:
     if width % w.heads:
         raise ShapeError(f"mha: head count {w.heads} does not divide width {width}")
     t = layer_norm(x.tokens, w.ln1_gain, w.ln1_shift) if pre_norm else x.tokens
-    q = matmul(t, w.wq)
-    k = matmul(t, w.wk)
-    v = matmul(t, w.wv)
-    dh = width // w.heads
-    outs = []
-    for i in range(w.heads):
-        lo, hi = i * dh, (i + 1) * dh
-        qi, ki, vi = cols(q, lo, hi), cols(k, lo, hi), cols(v, lo, hi)
-        scores = scale(matmul(qi, transpose(ki)), 1.0 / np.sqrt(dh))
-        outs.append(matmul(softmax_rows(scores), vi))
-    joined = outs[0] if len(outs) == 1 else concat_cols(outs)
-    return matmul(joined, w.wo)
+    heads = attention(matmul(t, w.wq), matmul(t, w.wk), matmul(t, w.wv), w.heads)
+    return matmul(heads, w.wo)
 
 
 def mlp(x: TokenSet, w: FrozenLayerWeights, pre_norm: bool = True) -> Tensor:

@@ -13,6 +13,9 @@ slowly, while the up-projection already guarantees the no-op.
 Setting ``use_latents=False`` on a site keeps the same bottleneck but lets
 the target attend to the other stream's tokens directly; that is the
 quadratic-cost variant the ablations compare against.
+
+Token sets may carry a leading batch axis; latent tokens never do, and serve
+every sample of a batch.
 """
 from __future__ import annotations
 
@@ -25,12 +28,9 @@ from .autodiff import (
     ShapeError,
     Tensor,
     add,
-    matmul,
-    mul,
-    scale,
-    softmax_rows,
-    transpose,
+    attention,
     grouped_linear,
+    mul,
 )
 from .backbone import (
     AUDIO,
@@ -74,22 +74,20 @@ def cma(query: Tensor, key: Tensor, value: Tensor, gate: Tensor, scaled: bool = 
 
     The gate is a trainable scalar; at gate == 0 the op returns the query
     exactly. There are no key/value projections. ``scaled=False`` drops the
-    1/sqrt(width) score scaling.
+    1/sqrt(width) score scaling. Operands are 2-D or batched; a 2-D query
+    (latent tokens) serves every sample of a batched key/value.
     """
-    if query.ndim != 2 or key.ndim != 2 or value.ndim != 2:
+    if query.ndim not in (2, 3) or key.ndim not in (2, 3) or value.ndim not in (2, 3):
         raise ShapeError(
-            f"cma: need 2-D operands, got shapes {query.shape}, {key.shape}, {value.shape}"
+            f"cma: need 2-D or batched operands, got shapes {query.shape}, {key.shape}, {value.shape}"
         )
-    if query.shape[1] != key.shape[1]:
+    if query.shape[-1] != key.shape[-1]:
         raise ShapeError(f"cma: query width {query.shape} does not match key width {key.shape}")
-    if key.shape[0] != value.shape[0]:
+    if key.shape[:-1] != value.shape[:-1]:
         raise ShapeError(f"cma: key rows {key.shape} do not match value rows {value.shape}")
     if gate.shape != ():
         raise ShapeError(f"cma: gate must be a scalar, got shape {gate.shape}")
-    scores = matmul(query, transpose(key))
-    if scaled:
-        scores = scale(scores, 1.0 / np.sqrt(query.shape[1]))
-    attended = matmul(softmax_rows(scores), value)
+    attended = attention(query, key, value, 1, 1.0 / np.sqrt(query.shape[-1]) if scaled else 1.0)
     return add(query, mul(attended, gate))
 
 
@@ -199,7 +197,7 @@ def init_bottleneck(
 
 def bottleneck(x: Tensor, params: BottleneckParams) -> Tensor:
     """Apply up(act(down(x))). Shape is preserved."""
-    if x.ndim != 2 or x.shape[1] != params.width:
+    if x.ndim not in (2, 3) or x.shape[-1] != params.width:
         raise ShapeError(f"bottleneck: input shape {x.shape} does not match width {params.width}")
     act = _activation(params.act)
     narrow = act(grouped_linear(x, params.down_w, params.down_b))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Rng, ShapeError, Tensor, add, concat_cols, matmul, mean_rows
+from .autodiff import Rng, ShapeError, Tensor, add, concat_cols, matmul, mean_rows, reshape
 from .backbone import (
     AUDIO,
     VISUAL,
@@ -22,7 +22,6 @@ from .backbone import (
     TokenSet,
     init_layer_weights,
     patch_embed,
-    pad_to_multiple,
     resize_pos_table,
     spectrogram_embed,
 )
@@ -95,13 +94,22 @@ class ModelConfig:
 
 
 def event_head(xa: TokenSet, xv: TokenSet, weight: Tensor, bias: Tensor) -> Tensor:
-    """Mean-pool each stream, concatenate, and map linearly to two logits."""
+    """Mean-pool each stream, concatenate, and map linearly to two logits:
+    (1, 2) for one sample, (B, 2) for a batch.
+
+    A batch keeps its pooled rows as (B, 1, 2*width) through the head matmul,
+    so each sample's logits come from the same one-row product as when it is
+    scored alone, bit for bit.
+    """
     if xa.width != xv.width:
         raise ShapeError(f"event_head: stream widths differ: {xa.width} vs {xv.width}")
     pooled = concat_cols([mean_rows(xa.tokens), mean_rows(xv.tokens)])
     if weight.shape != (2 * xa.width, 2):
         raise ShapeError(f"event_head: weight shape {weight.shape} does not match pooled width {2 * xa.width}")
-    return add(matmul(pooled, weight), bias)
+    logits = matmul(pooled, weight)
+    if logits.ndim == 3:
+        logits = reshape(logits, (logits.shape[0], 2))
+    return add(logits, bias)
 
 
 class TwoStreamModel:
@@ -185,19 +193,26 @@ class TwoStreamModel:
 
     # -- forward ------------------------------------------------------------
 
-    def tokenize(self, image: ImageInput, spec: SpectrogramInput) -> tuple[TokenSet, TokenSet]:
+    def tokenize(self, image, spec) -> tuple[TokenSet, TokenSet]:
+        """Token sets of one (image, spectrogram) pair, or of equal-length
+        lists of them as one (B, N, width) batch."""
         cfg = self.cfg
-        if image.pixels.shape[:2] != tuple(cfg.image_hw):
-            raise ShapeError(f"image shape {image.pixels.shape[:2]} does not match config {cfg.image_hw}")
-        padded = pad_to_multiple(spec.values, cfg.patch)
-        want = (cfg.audio_grid[0] * cfg.patch, cfg.audio_grid[1] * cfg.patch)
-        if padded.shape != want:
-            raise ShapeError(f"spectrogram shape {spec.values.shape} does not match config {cfg.spec_hw}")
+        images = [image] if isinstance(image, ImageInput) else image
+        specs = [spec] if isinstance(spec, SpectrogramInput) else spec
+        if len(images) != len(specs) or not images:
+            raise ShapeError(f"tokenize: need equal non-empty input lists, got {len(images)} and {len(specs)}")
+        for img in images:
+            if img.pixels.shape[:2] != tuple(cfg.image_hw):
+                raise ShapeError(f"image shape {img.pixels.shape[:2]} does not match config {cfg.image_hw}")
+        for sp in specs:
+            if tuple(-(-n // cfg.patch) for n in sp.values.shape) != cfg.audio_grid:
+                raise ShapeError(f"spectrogram shape {sp.values.shape} does not match config {cfg.spec_hw}")
         xv = patch_embed(image, cfg.patch, self.patch_proj, self.pos_visual)
         xa = spectrogram_embed(spec, cfg.patch, self.patch_proj, self._pos_audio)
         return xa, xv
 
-    def forward(self, image: ImageInput, spec: SpectrogramInput) -> tuple[TokenSet, TokenSet]:
+    def forward(self, image, spec) -> tuple[TokenSet, TokenSet]:
+        """Both streams after the last layer; inputs as in ``tokenize``."""
         xa, xv = self.tokenize(image, spec)
         for w, sites in zip(self.layers, self.sites):
             xa, xv = dual_layer_forward(xa, xv, w, sites, self.cfg.mode)
@@ -210,11 +225,12 @@ class TwoStreamModel:
         return event_head(xa, xv, self.head_weight, self.head_bias)
 
     def logits_batch(self, pairs) -> Tensor:
-        """Stack per-sample logits rows for a list of (image, spectrogram)."""
-        from .autodiff import concat_rows
-
-        rows = [self.logits(img, spec) for img, spec in pairs]
-        return rows[0] if len(rows) == 1 else concat_rows(rows)
+        """(B, 2) logits of a list of (image, spectrogram) pairs from one
+        batched forward; row i equals ``logits(*pairs[i])`` bit for bit."""
+        if self.head_weight is None:
+            raise ValueError("model was built without a head")
+        xa, xv = self.forward([img for img, _ in pairs], [spec for _, spec in pairs])
+        return event_head(xa, xv, self.head_weight, self.head_bias)
 
     # -- persistence --------------------------------------------------------
 

@@ -2,7 +2,9 @@
 
 Everything here recomputes expected values by a route independent of the
 library code under test: explicit scalar loops, math.exp/tanh on python
-floats, and central finite differences.
+floats, central finite differences, and the model's forward as it ran before
+it was batched (one graph per sample and one matmul chain per attention
+head), kept as the oracle for the batched engine.
 """
 from __future__ import annotations
 
@@ -10,7 +12,24 @@ import math
 
 import numpy as np
 
-from avfuse.autodiff import Tensor, backward
+from avfuse.autodiff import (
+    Tensor,
+    add,
+    backward,
+    cols,
+    concat_cols,
+    concat_rows,
+    gelu,
+    grouped_linear,
+    layer_norm,
+    matmul,
+    mean_rows,
+    mul,
+    relu,
+    scale,
+    softmax_rows,
+    transpose,
+)
 
 
 def loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,3 +148,97 @@ def check_gradients(make_loss, params: list[Tensor], h: float = 1e-5, rtol: floa
             else:
                 assert abs(a - fd) < atol, f"abs err {abs(a - fd)} at coord {i}"
     return worst
+
+
+# ---------------------------------------------------------------------------
+# per-sample, per-head forward oracle
+# ---------------------------------------------------------------------------
+
+
+def _act(tag: str):
+    return {"gelu": gelu, "relu": relu}[tag]
+
+
+def _unfold(grid: np.ndarray, patch: int) -> np.ndarray:
+    h, w, c = grid.shape
+    tiles = grid.reshape(h // patch, patch, w // patch, patch, c).transpose(0, 2, 1, 3, 4)
+    return np.ascontiguousarray(tiles.reshape(-1, patch * patch * c))
+
+
+def oracle_mha(x: Tensor, w) -> Tensor:
+    """Pre-norm self-attention with one cols/transpose/softmax chain per head."""
+    t = layer_norm(x, w.ln1_gain, w.ln1_shift)
+    q, k, v = matmul(t, w.wq), matmul(t, w.wk), matmul(t, w.wv)
+    dh = w.width // w.heads
+    outs = []
+    for i in range(w.heads):
+        lo, hi = i * dh, (i + 1) * dh
+        scores = scale(matmul(cols(q, lo, hi), transpose(cols(k, lo, hi))), 1.0 / np.sqrt(dh))
+        outs.append(matmul(softmax_rows(scores), cols(v, lo, hi)))
+    joined = outs[0] if len(outs) == 1 else concat_cols(outs)
+    return matmul(joined, w.wo)
+
+
+def oracle_mlp(x: Tensor, w) -> Tensor:
+    t = layer_norm(x, w.ln2_gain, w.ln2_shift)
+    hidden = _act(w.mlp_act)(add(matmul(t, w.mlp_w1), w.mlp_b1))
+    return add(matmul(hidden, w.mlp_w2), w.mlp_b2)
+
+
+def oracle_cma(query: Tensor, key: Tensor, value: Tensor, gate: Tensor) -> Tensor:
+    scores = scale(matmul(query, transpose(key)), 1.0 / np.sqrt(query.shape[1]))
+    return add(query, mul(matmul(softmax_rows(scores), value), gate))
+
+
+def oracle_adapter(source: Tensor, target: Tensor, site) -> Tensor:
+    if site.use_latents:
+        summary = oracle_cma(site.latents.tokens, source, source, site.gate_compress)
+        fused = oracle_cma(target, summary, summary, site.gate_fuse)
+    else:
+        fused = oracle_cma(target, source, source, site.gate_fuse)
+    neck = site.neck
+    narrow = _act(neck.act)(grouped_linear(fused, neck.down_w, neck.down_b))
+    return grouped_linear(narrow, neck.up_w, neck.up_b)
+
+
+def oracle_layer(xa: Tensor, xv: Tensor, w, sites, mode: str) -> tuple[Tensor, Tensor]:
+    a2v = mode in ("a2v", "bidirectional")
+    v2a = mode in ("v2a", "bidirectional")
+    cross_v = oracle_adapter(xa, xv, sites.a2v_mha) if a2v else None
+    cross_a = oracle_adapter(xv, xa, sites.v2a_mha) if v2a else None
+    ya = add(xa, oracle_mha(xa, w))
+    yv = add(xv, oracle_mha(xv, w))
+    if cross_a is not None:
+        ya = add(ya, cross_a)
+    if cross_v is not None:
+        yv = add(yv, cross_v)
+    cross_v2 = oracle_adapter(ya, yv, sites.a2v_mlp) if a2v else None
+    cross_a2 = oracle_adapter(yv, ya, sites.v2a_mlp) if v2a else None
+    za = add(ya, oracle_mlp(ya, w))
+    zv = add(yv, oracle_mlp(yv, w))
+    if cross_a2 is not None:
+        za = add(za, cross_a2)
+    if cross_v2 is not None:
+        zv = add(zv, cross_v2)
+    return za, zv
+
+
+def oracle_logits(model, image, spec) -> Tensor:
+    """(1, 2) logits of one sample through its own graph."""
+    cfg = model.cfg
+    xv = add(matmul(Tensor(_unfold(image.pixels, cfg.patch)), model.patch_proj), model.pos_visual)
+    t, f = spec.values.shape
+    padded = np.pad(spec.values, ((0, (-t) % cfg.patch), (0, (-f) % cfg.patch)))
+    xa = matmul(Tensor(_unfold(np.repeat(padded[:, :, None], 3, axis=2), cfg.patch)), model.patch_proj)
+    if model._pos_audio is not None:
+        xa = add(xa, model._pos_audio)
+    for w, sites in zip(model.layers, model.sites):
+        xa, xv = oracle_layer(xa, xv, w, sites, cfg.mode)
+    pooled = concat_cols([mean_rows(xa), mean_rows(xv)])
+    return add(matmul(pooled, model.head_weight), model.head_bias)
+
+
+def oracle_logits_batch(model, pairs) -> Tensor:
+    """Per-sample logits rows stacked into (B, 2)."""
+    rows = [oracle_logits(model, img, spec) for img, spec in pairs]
+    return rows[0] if len(rows) == 1 else concat_rows(rows)

@@ -14,6 +14,7 @@ from avfuse.autodiff import (
 )
 from avfuse.autodiff import (
     add,
+    attention,
     concat_cols,
     concat_rows,
     cols,
@@ -25,7 +26,9 @@ from avfuse.autodiff import (
     mean_all,
     mean_rows,
     mul,
+    no_grad,
     relu,
+    reshape,
     scale,
     softmax_rows,
     sum_all,
@@ -261,6 +264,147 @@ class TestBackward:
 
         g = finite_diff_grad(f, x)
         np.testing.assert_allclose(g.data, 2 * x.data, rtol=1e-8)
+
+
+class TestAttention:
+    @staticmethod
+    def per_head(q, k, v, heads, scale_=None):
+        """Scalar-loop attention, one head at a time, heads joined by column."""
+        dh = q.shape[1] // heads
+        dv = v.shape[1] // heads
+        c = 1.0 / np.sqrt(dh) if scale_ is None else scale_
+        outs = []
+        for h in range(heads):
+            scores = loop_matmul(q[:, h * dh:(h + 1) * dh], k[:, h * dh:(h + 1) * dh].T) * c
+            outs.append(loop_matmul(scalar_softmax_rows(scores), v[:, h * dv:(h + 1) * dv]))
+        return np.hstack(outs)
+
+    def test_matches_per_head_oracle(self):
+        q, k, v = rng_arr(300, 4, 6), rng_arr(301, 5, 6), rng_arr(302, 5, 6)
+        for heads in (1, 2, 3):
+            got = attention(Tensor(q), Tensor(k), Tensor(v), heads).data
+            np.testing.assert_allclose(got, self.per_head(q, k, v, heads), rtol=1e-12)
+        got = attention(Tensor(q), Tensor(k), Tensor(v), 2, scale=1.0).data
+        np.testing.assert_allclose(got, self.per_head(q, k, v, 2, 1.0), rtol=1e-12)
+
+    def test_batch_rows_match_single_samples(self):
+        # a 2-D query broadcasts over a batch of keys and values
+        q, k, v = rng_arr(303, 3, 4), rng_arr(304, 5, 2, 4), rng_arr(305, 5, 2, 4)
+        got = attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+        assert got.shape == (5, 3, 4)
+        for b in range(5):
+            one = attention(Tensor(q), Tensor(k[b]), Tensor(v[b]), 2).data
+            np.testing.assert_array_equal(got[b], one)
+
+    def test_macs_and_softmax_match_per_head_ops(self):
+        # per head: (nq x dh)(dh x nk) + (nq x nk)(nk x dh), softmax nq*nk
+        with count_macs() as c:
+            attention(Tensor(np.ones((3, 8))), Tensor(np.ones((4, 5, 8))), Tensor(np.ones((4, 5, 8))), 2)
+        assert c.macs == 4 * 2 * (3 * 4 * 5 + 3 * 5 * 4)
+        assert c.softmax_elems == 4 * 2 * 3 * 5
+
+    def test_gradients_with_broadcast_query(self):
+        r = np.random.default_rng(306)
+        q = Tensor(r.standard_normal((3, 4)), requires_grad=True)
+        k = Tensor(r.standard_normal((2, 5, 4)), requires_grad=True)
+        v = Tensor(r.standard_normal((2, 5, 6)), requires_grad=True)
+
+        def make_loss():
+            out = attention(q, k, v, 2)
+            return mean_all(mul(out, out))
+
+        check_gradients(make_loss, [q, k, v], rtol=1e-6)
+
+    def test_rejects_bad_shapes_and_non_finite_scores(self):
+        x = Tensor(np.zeros((2, 4)))
+        with pytest.raises(ShapeError):
+            attention(x, Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 6))))
+        with pytest.raises(ShapeError):
+            attention(x, Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4))))
+        with pytest.raises(ShapeError):
+            attention(x, x, x, heads=3)
+        with pytest.raises(ShapeError):
+            attention(Tensor(np.zeros((2, 2, 4))), Tensor(np.zeros((3, 2, 4))), Tensor(np.zeros((3, 2, 4))))
+        with pytest.raises(ValueError, match="non-finite"):
+            ones = Tensor(np.ones((2, 4)))
+            attention(Tensor(np.full((2, 4), np.inf)), ones, ones)
+
+
+class TestBatchedOps:
+    def test_forward_matches_per_sample(self):
+        x = rng_arr(310, 3, 4, 6)
+        w, b = rng_arr(311, 6, 5), rng_arr(312, 5)
+        gw = rng_arr(313, 2, 3, 2)
+        gain, shift = rng_arr(314, 6), rng_arr(315, 6)
+        lat = rng_arr(316, 4, 6)
+        for i in range(3):
+            one = Tensor(x[i])
+            np.testing.assert_array_equal(matmul(Tensor(x), Tensor(w)).data[i], matmul(one, Tensor(w)).data)
+            np.testing.assert_array_equal(layer_norm(Tensor(x), Tensor(gain), Tensor(shift)).data[i],
+                                          layer_norm(one, Tensor(gain), Tensor(shift)).data)
+            np.testing.assert_array_equal(grouped_linear(Tensor(x), Tensor(gw), Tensor(b[:4])).data[i],
+                                          grouped_linear(one, Tensor(gw), Tensor(b[:4])).data)
+            np.testing.assert_array_equal(mean_rows(Tensor(x)).data[i], mean_rows(one).data)
+            np.testing.assert_array_equal(add(Tensor(lat), Tensor(x)).data[i], lat + x[i])
+
+    def test_shared_parameter_gradients_sum_over_batch(self):
+        r = np.random.default_rng(317)
+        x = Tensor(r.standard_normal((2, 3, 4)), requires_grad=True)
+        lat = Tensor(r.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(r.standard_normal((4, 4)), requires_grad=True)
+        gw = Tensor(r.standard_normal((2, 2, 2)), requires_grad=True)
+        bias = Tensor(r.standard_normal(4), requires_grad=True)
+        gain = Tensor(r.standard_normal(4), requires_grad=True)
+        shift = Tensor(r.standard_normal(4), requires_grad=True)
+        head = Tensor(r.standard_normal((8, 2)), requires_grad=True)
+
+        def make_loss():
+            h = layer_norm(add(x, lat), gain, shift)
+            h = gelu(add(matmul(h, w), bias))
+            h = grouped_linear(h, gw, bias)
+            pooled = concat_cols([mean_rows(h), mean_rows(x)])
+            logits = reshape(matmul(pooled, head), (2, 2))
+            return cross_entropy_logits(logits, np.array([0, 1]))
+
+        check_gradients(make_loss, [x, lat, w, gw, bias, gain, shift, head], rtol=1e-6)
+
+    def test_batched_matmul_macs(self):
+        with count_macs() as c:
+            matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 5))))
+        assert c.macs == 2 * 3 * 4 * 5
+
+    def test_batched_shape_errors(self):
+        with pytest.raises(ShapeError):
+            add(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4))))
+        with pytest.raises(ShapeError):
+            matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 5))))
+        with pytest.raises(ShapeError):
+            concat_cols([Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4)))])
+        with pytest.raises(ShapeError):
+            reshape(Tensor(np.ones((2, 3))), (4, 2))
+
+
+class TestNoGrad:
+    def test_records_no_graph(self):
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        with no_grad():
+            out = gelu(matmul(Tensor(np.ones((2, 3))), w))
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+        np.testing.assert_allclose(out.data, scalar_gelu(3.0))
+        assert matmul(Tensor(np.ones((2, 3))), w).requires_grad
+
+    def test_state_restored_after_exception_and_nesting(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside")
+        assert mul(w, w).requires_grad
+        with no_grad():
+            with no_grad():
+                pass
+            assert not mul(w, w).requires_grad
+        assert mul(w, w).requires_grad
 
 
 class TestMacCounter:

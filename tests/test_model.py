@@ -4,6 +4,7 @@ import pytest
 
 from avfuse.autodiff import Rng, ShapeError, Tensor
 from avfuse.backbone import ImageInput, SpectrogramInput
+from avfuse.fusion import MODES
 from avfuse.model import ModelConfig, TwoStreamModel, event_head, frozen_twin
 
 
@@ -62,6 +63,24 @@ class TestWiring:
             model.tokenize(ImageInput(np.zeros((4, 8, 3))), SpectrogramInput(np.zeros((8, 8))))
         with pytest.raises(ShapeError):
             model.tokenize(ImageInput(np.zeros((8, 8, 3))), SpectrogramInput(np.zeros((16, 8))))
+
+    def test_batched_tokens_and_guards(self):
+        cfg = ModelConfig()
+        model = TwoStreamModel(cfg, seed=0)
+        r = Rng.for_name(4, "wiring")
+        pairs = [rand_inputs(r, cfg) for _ in range(3)]
+        images, specs = [p[0] for p in pairs], [p[1] for p in pairs]
+        xa, xv = model.tokenize(images, specs)
+        assert xv.tokens.shape == (3, cfg.n_visual_tokens, cfg.width)
+        assert xa.tokens.shape == (3, cfg.n_audio_tokens, cfg.width)
+        single_a, _ = model.tokenize(images[1], specs[1])
+        np.testing.assert_array_equal(xa.tokens.data[1], single_a.tokens.data)
+        with pytest.raises(ShapeError):
+            model.tokenize(images, specs[:2])
+        with pytest.raises(ShapeError):
+            model.tokenize([], [])
+        with pytest.raises(ShapeError):
+            model.tokenize(images, specs[:2] + [SpectrogramInput(np.zeros((16, 8)))])
 
     def test_headless_model_refuses_logits(self):
         model = TwoStreamModel(ModelConfig(include_head=False), seed=0)
@@ -151,10 +170,18 @@ class TestPersistence:
         assert model.frozen_hash() != h0
 
     def test_logits_batch_matches_singles(self):
-        cfg = ModelConfig()
-        model = TwoStreamModel(cfg, seed=0)
-        r = Rng.for_name(45, "batch")
-        pairs = [rand_inputs(r, cfg) for _ in range(3)]
-        batch = model.logits_batch(pairs).data
-        for i, (img, spec) in enumerate(pairs):
-            np.testing.assert_array_equal(batch[i : i + 1], model.logits(img, spec).data)
+        # a sample's logits do not depend on the batch it rides in, bit for
+        # bit, with every adapter site moved off its init and live
+        for mode in MODES:
+            for use_latents in (True, False):
+                cfg = ModelConfig(mode=mode, use_latents=use_latents)
+                model = TwoStreamModel(cfg, seed=0)
+                noise = np.random.default_rng(45)
+                for _, t in model.registry.trainable():
+                    t.data = t.data + 0.3 * noise.standard_normal(t.shape)
+                r = Rng.for_name(45, "batch")
+                pairs = [rand_inputs(r, cfg) for _ in range(8)]
+                batch = model.logits_batch(pairs).data
+                assert batch.shape == (8, 2)
+                for i, (img, spec) in enumerate(pairs):
+                    np.testing.assert_array_equal(batch[i : i + 1], model.logits(img, spec).data)

@@ -273,6 +273,36 @@ class TestTrainLoop:
         assert 0.0 <= acc <= 1.0
         assert acc * 4 == int(acc * 4)
 
+    def test_evaluate_hits_match_chunks_and_single_samples(self):
+        # the whole set in one call, 16-sample requests and per-sample argmax
+        # all count the same hits
+        model = TwoStreamModel(ModelConfig(**SMALL_MODEL), seed=0)
+        noise = np.random.default_rng(3)
+        for _, t in model.registry.trainable():
+            t.data = t.data + 0.5 * noise.standard_normal(t.shape)
+        data = generate_dataset(3, 40, 0.3)
+        whole = round(evaluate(model, data) * len(data))
+        chunks = sum(round(evaluate(model, data[i : i + 16]) * len(data[i : i + 16])) for i in range(0, 40, 16))
+        singles = sum(int(np.argmax(model.logits(s.image, s.spectrogram).data[0]) == s.label) for s in data)
+        assert whole == chunks == singles
+        assert 0 < whole < len(data)
+
+    def test_evaluate_records_no_graph(self, monkeypatch):
+        model = TwoStreamModel(ModelConfig(**SMALL_MODEL), seed=0)
+        seen = []
+        real = model.logits_batch
+
+        def spy(pairs):
+            out = real(pairs)
+            seen.append((len(pairs), out.requires_grad))
+            return out
+
+        monkeypatch.setattr(model, "logits_batch", spy)
+        evaluate(model, generate_dataset(4, 20, 0.1))
+        assert seen == [(16, False), (4, False)]
+        assert model.logits_batch(
+            [(s.image, s.spectrogram) for s in generate_dataset(5, 4, 0.1)]).requires_grad
+
 
 class TestMetricsCsv:
     def test_header_and_layout(self):
