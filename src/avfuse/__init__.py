@@ -8,7 +8,6 @@ from .autodiff import (
     Tensor,
     backward,
     count_macs,
-    finite_diff_grad,
 )
 
 __version__ = "0.1.0"
@@ -21,6 +20,5 @@ __all__ = [
     "Tensor",
     "backward",
     "count_macs",
-    "finite_diff_grad",
     "__version__",
 ]

@@ -12,8 +12,8 @@ Ops take either one sample, ``(N, D)``, or a batch with a leading axis,
 the batch, and get their gradients summed over it.
 
 Also here: the deterministic counter-based RNG used for every weight draw and
-data draw in the package, the finite-difference gradient oracle, and the
-multiply-accumulate counter used by the cost-accounting instrumentation.
+data draw in the package, and the multiply-accumulate counter used by the
+cost-accounting instrumentation.
 """
 from __future__ import annotations
 
@@ -189,9 +189,16 @@ def _as_tensor(x) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
+    if t.grad is not None:
+        t.grad += g
+    elif g.shape == t.shape:
+        # g + 0.0 equals 0.0 + g bit for bit, signed zeros included, so this
+        # matches zeros-then-add without the memset pass; out= keeps a 0-d
+        # gradient an array rather than a numpy scalar
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad += g
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -410,13 +417,14 @@ def gelu(x) -> Tensor:
     """tanh-form GELU with the module-level constants."""
     x = _as_tensor(x)
     v = x.data
-    inner = GELU_C0 * (v + GELU_C1 * v ** 3)
+    # a product, not np.power: power has no fast path for a cube
+    inner = GELU_C0 * (v + GELU_C1 * (v * v * v))
     t = np.tanh(inner)
     out = Tensor._node(0.5 * v * (1.0 + t), (x,))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
-            dinner = GELU_C0 * (1.0 + 3.0 * GELU_C1 * v ** 2)
-            _accum(x, g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t ** 2) * dinner))
+            dinner = GELU_C0 * (1.0 + 3.0 * GELU_C1 * (v * v))
+            _accum(x, g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner))
         out._backward = _bw
     return out
 
@@ -558,22 +566,31 @@ def grouped_linear(x, weight, bias=None) -> Tensor:
         bias = _as_tensor(bias)
         if bias.shape != (groups * gout,):
             raise ShapeError(f"grouped_linear: bias shape {bias.shape} does not match output width {groups * gout}")
-    x3 = x.data.reshape(p, groups, gin)
-    y = np.einsum("pgi,gio->pgo", x3, weight.data).reshape(lead + (groups * gout,))
+
+    def split(a: np.ndarray, w: int) -> np.ndarray:  # (..., N, G*w) -> (..., G, N, w)
+        return a.reshape(a.shape[:-1] + (groups, w)).swapaxes(-2, -3)
+
+    def merge(a: np.ndarray) -> np.ndarray:  # (..., G, N, w) -> (..., N, G*w)
+        return a.swapaxes(-2, -3).reshape(lead + (-1,))
+
+    # one GEMM per sample and group, so each sample's rows come out the same
+    # as when it is mapped alone
+    y = merge(np.matmul(split(x.data, gin), weight.data))
     _tally_macs(p * groups * gin * gout)
     if bias is not None:
-        y = y + bias.data
+        y += bias.data
         parents = (x, weight, bias)
     else:
         parents = (x, weight)
-    out = Tensor._node(np.ascontiguousarray(y), parents)
+    out = Tensor._node(y, parents)
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
-            g3 = g.reshape(p, groups, gout)
             if x.requires_grad:
-                _accum(x, np.einsum("pgo,gio->pgi", g3, weight.data).reshape(x.shape))
+                _accum(x, merge(np.matmul(split(g, gout), weight.data.swapaxes(-1, -2))))
             if weight.requires_grad:
-                _accum(weight, np.einsum("pgi,pgo->gio", x3, g3))
+                # (G, gin, p) @ (G, p, gout): one GEMM per group over every row
+                xs = x.data.reshape(p, groups, gin).transpose(1, 2, 0)
+                _accum(weight, np.matmul(xs, g.reshape(p, groups, gout).transpose(1, 0, 2)))
             if bias is not None and bias.requires_grad:
                 _accum(bias, g.reshape(p, groups * gout).sum(axis=0))
         out._backward = _bw
@@ -654,31 +671,6 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-
-
-def finite_diff_grad(f: Callable[[Tensor], "Tensor | float"], x: Tensor, h: float = 1e-5) -> Tensor:
-    """Central-difference estimate of d f / d x, evaluated coordinate by
-    coordinate. ``f`` must be deterministic; it is re-run 2*size times."""
-    if h <= 0.0:
-        raise ValueError(f"finite_diff_grad: step must be positive, got {h}")
-    flat = x.data.reshape(-1)
-    out = np.zeros_like(x.data)
-    oflat = out.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = _scalar_value(f(x))
-        flat[i] = orig - h
-        fm = _scalar_value(f(x))
-        flat[i] = orig
-        oflat[i] = (fp - fm) / (2.0 * h)
-    return Tensor(out)
-
-
-def _scalar_value(v) -> float:
-    if isinstance(v, Tensor):
-        return v.item()
-    return float(v)
 
 
 # ---------------------------------------------------------------------------

@@ -259,12 +259,13 @@ def init_layer_weights(width: int, heads: int, seed: int, name: str, mlp_act: st
     )
 
 
+ACTIVATIONS = {"gelu": gelu, "relu": relu}
+
+
 def _activation(tag: str):
-    if tag == "gelu":
-        return gelu
-    if tag == "relu":
-        return relu
-    raise ValueError(f"unknown activation {tag!r}")
+    if tag not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {tag!r}")
+    return ACTIVATIONS[tag]
 
 
 def mha(x: TokenSet, w: FrozenLayerWeights, pre_norm: bool = True) -> Tensor:

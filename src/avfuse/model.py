@@ -13,6 +13,7 @@ import numpy as np
 
 from .autodiff import Rng, ShapeError, Tensor, add, concat_cols, matmul, mean_rows, reshape
 from .backbone import (
+    ACTIVATIONS,
     AUDIO,
     VISUAL,
     FreezeRegistry,
@@ -71,6 +72,10 @@ class ModelConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.audio_pos not in ("resize", "none"):
             raise ValueError(f"audio_pos must be 'resize' or 'none', got {self.audio_pos!r}")
+        for name in ("bottleneck_act", "mlp_act"):
+            act = getattr(self, name)
+            if act not in ACTIVATIONS:
+                raise ValueError(f"{name} must be one of {tuple(ACTIVATIONS)}, got {act!r}")
 
     @property
     def visual_grid(self) -> tuple[int, int]:

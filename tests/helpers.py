@@ -2,9 +2,11 @@
 
 Everything here recomputes expected values by a route independent of the
 library code under test: explicit scalar loops, math.exp/tanh on python
-floats, central finite differences, and the model's forward as it ran before
+floats, central finite differences, the model's forward as it ran before
 it was batched (one graph per sample and one matmul chain per attention
-head), kept as the oracle for the batched engine.
+head), kept as the oracle for the batched engine, and the ``np.einsum`` and
+``np.power`` kernels that ``grouped_linear`` and ``gelu`` ran before they
+moved to ``np.matmul`` and plain products.
 """
 from __future__ import annotations
 
@@ -13,6 +15,8 @@ import math
 import numpy as np
 
 from avfuse.autodiff import (
+    GELU_C0,
+    GELU_C1,
     Tensor,
     add,
     backward,
@@ -148,6 +152,35 @@ def check_gradients(make_loss, params: list[Tensor], h: float = 1e-5, rtol: floa
             else:
                 assert abs(a - fd) < atol, f"abs err {abs(a - fd)} at coord {i}"
     return worst
+
+
+# ---------------------------------------------------------------------------
+# kernels as they ran before the fast numpy paths
+# ---------------------------------------------------------------------------
+
+
+def einsum_grouped_linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, g: np.ndarray):
+    """``grouped_linear``'s einsum kernel: the output for input ``x``, grouped
+    weight ``w`` and bias ``b`` (or None), and the gradients of x, w and b
+    (None without a bias) under the upstream gradient ``g``."""
+    groups, gin, gout = w.shape
+    p = x.size // x.shape[-1]
+    x3 = x.reshape(p, groups, gin)
+    g3 = g.reshape(p, groups, gout)
+    y = np.einsum("pgi,gio->pgo", x3, w).reshape(x.shape[:-1] + (groups * gout,))
+    dx = np.einsum("pgo,gio->pgi", g3, w).reshape(x.shape)
+    dw = np.einsum("pgi,pgo->gio", x3, g3)
+    if b is None:
+        return y, dx, dw, None
+    return y + b, dx, dw, g.reshape(p, groups * gout).sum(axis=0)
+
+
+def power_gelu(v: np.ndarray, g: np.ndarray):
+    """``gelu``'s np.power kernel: the output for ``v`` and its gradient under
+    the upstream gradient ``g``."""
+    t = np.tanh(GELU_C0 * (v + GELU_C1 * v ** 3))
+    dinner = GELU_C0 * (1.0 + 3.0 * GELU_C1 * v ** 2)
+    return 0.5 * v * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t ** 2) * dinner)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the tape, its ops, and the gradient checker."""
+"""Tests for the tape and its ops."""
 import numpy as np
 import pytest
 
@@ -10,7 +10,6 @@ from avfuse.autodiff import (
     Tensor,
     backward,
     count_macs,
-    finite_diff_grad,
 )
 from avfuse.autodiff import (
     add,
@@ -255,15 +254,6 @@ class TestBackward:
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(GraphError):
             backward(mul(x, x))
-
-    def test_finite_diff_helper(self):
-        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-
-        def f(a):
-            return float((a.data**2).sum())
-
-        g = finite_diff_grad(f, x)
-        np.testing.assert_allclose(g.data, 2 * x.data, rtol=1e-8)
 
 
 class TestAttention:

@@ -103,6 +103,12 @@ class TestExitCodes:
         assert code == 2
         assert "width" in capsys.readouterr().err
 
+    def test_unknown_activation_two(self, tmp_path, capsys):
+        p = write_config(tmp_path, {"bottleneck_act": "tanh"})
+        code = run_cli(["train", "--config", p, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "bottleneck_act" in capsys.readouterr().err
+
     def test_runtime_failure_three(self, tmp_path, capsys, monkeypatch):
         import avfuse.cli as cli_mod
 

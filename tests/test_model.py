@@ -28,6 +28,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig(mode="both").validate()
 
+    @pytest.mark.parametrize("field_name", ["bottleneck_act", "mlp_act"])
+    def test_rejects_unknown_activation(self, field_name):
+        with pytest.raises(ValueError, match=field_name):
+            ModelConfig(**{field_name: "tanh"}).validate()
+
     def test_audio_grid_ceils(self):
         cfg = ModelConfig(spec_hw=(9, 6), patch=4)
         assert cfg.audio_grid == (3, 2)
