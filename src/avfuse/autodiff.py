@@ -4,8 +4,15 @@ Array storage and arithmetic are backed by numpy. Every op below builds the
 graph eagerly: the output tensor keeps references to its inputs and a closure
 that routes the output gradient to them. ``backward`` walks that graph once,
 in reverse topological order, and accumulates gradients into ``.grad``.
-Gradients are never cleared implicitly; call sites reset them between steps.
-Inside ``no_grad()`` no graph is recorded at all.
+Leaf gradients are never cleared implicitly; call sites reset them between
+steps. Interior state is released by ``backward``: once a node's closure has
+run, its gradient and the arrays the closure saved are dropped. Inside
+``no_grad()`` no graph is recorded at all.
+
+Memory: an interior node adopts the gradient array it is handed instead of
+copying it, and never writes into it; a leaf owns its gradient. Kernels that
+compute in place do so only into arrays they allocated themselves, never into
+an input's ``.data``, a saved array or the incoming gradient.
 
 Ops take either one sample, ``(N, D)``, or a batch with a leading axis,
 ``(B, N, D)``; weights, biases and latents stay unbatched, broadcast over
@@ -33,6 +40,11 @@ GELU_C1 = 0.044715
 
 LAYER_NORM_EPS = 1e-5
 
+# Elementwise kernels with many passes (GELU) run over flat blocks of this
+# many values, 128 KiB per float64 array, so a block's temporaries stay in
+# the core's cache from one pass to the next.
+_BLOCK = 16384
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible for an op."""
@@ -40,6 +52,11 @@ class ShapeError(ValueError):
 
 class GraphError(RuntimeError):
     """Raised on invalid use of the backward pass."""
+
+
+class NonFiniteError(ValueError):
+    """Raised when an op meets values it cannot use, such as infinite or NaN
+    attention scores."""
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +206,16 @@ def _as_tensor(x) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is not None:
+    """Add ``g`` into ``t.grad``.
+
+    An interior node (one with parents) adopts ``g`` itself and adds later
+    contributions out of place, so an array that another node may also hold
+    is never written. A leaf owns its gradient: the first write copies, later
+    ones add in place.
+    """
+    if t._parents:
+        t.grad = g if t.grad is None else t.grad + g
+    elif t.grad is not None:
         t.grad += g
     elif g.shape == t.shape:
         # g + 0.0 equals 0.0 + g bit for bit, signed zeros included, so this
@@ -268,22 +294,35 @@ def scale(x, c: float) -> Tensor:
     return out
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
     """``(..., P, Q) @ (Q, R)``: a 2-D right operand applied to every matrix
-    of a batched left one, its gradient summed over the batch."""
+    of a batched left one, its gradient summed over the batch. An optional
+    ``(R,)`` bias is added in place into the fresh product; its gradient is
+    summed over every row."""
     a = _as_tensor(a)
     b = _as_tensor(b)
     if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     q, r = b.shape
     _tally_macs(a.size * r)
-    out = Tensor._node(a.data @ b.data, (a, b))
+    y = a.data @ b.data
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != (r,):
+            raise ShapeError(f"matmul: bias shape {bias.shape} does not match output width {r}")
+        y += bias.data
+        parents = (a, b, bias)
+    else:
+        parents = (a, b)
+    out = Tensor._node(y, parents)
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
             if a.requires_grad:
                 _accum(a, g @ b.data.T)
             if b.requires_grad:
                 _accum(b, a.data.reshape(-1, q).T @ g.reshape(-1, r))
+            if bias is not None and bias.requires_grad:
+                _accum(bias, _reduce_to(g, bias.shape))
         out._backward = _bw
     return out
 
@@ -298,35 +337,6 @@ def reshape(x, shape: tuple[int, ...]) -> Tensor:
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
             _accum(x, g.reshape(x.shape))
-        out._backward = _bw
-    return out
-
-
-def transpose(x) -> Tensor:
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"transpose: need a 2-D tensor, got shape {x.shape}")
-    out = Tensor._node(np.ascontiguousarray(x.data.T), (x,))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            _accum(x, np.ascontiguousarray(g.T))
-        out._backward = _bw
-    return out
-
-
-def cols(x, start: int, stop: int) -> Tensor:
-    """Column slice [start, stop) of a 2-D tensor."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"cols: need a 2-D tensor, got shape {x.shape}")
-    if not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError(f"cols: slice [{start}, {stop}) out of range for shape {x.shape}")
-    out = Tensor._node(np.ascontiguousarray(x.data[:, start:stop]), (x,))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            full = np.zeros_like(x.data)
-            full[:, start:stop] = g
-            _accum(x, full)
         out._backward = _bw
     return out
 
@@ -354,11 +364,6 @@ def _concat(parts: Iterable, axis: int) -> Tensor:
                     _accum(t, np.ascontiguousarray(piece))
         out._backward = _bw
     return out
-
-
-def concat_rows(parts) -> Tensor:
-    """Stack tensors along their row axis (-2)."""
-    return _concat(parts, axis=-2)
 
 
 def concat_cols(parts) -> Tensor:
@@ -413,18 +418,59 @@ def relu(x) -> Tensor:
     return out
 
 
+def _blocks(*arrays: np.ndarray):
+    """Matching flat slices of equal-size arrays, ``_BLOCK`` values at a time.
+    Arrays that are written must be C-contiguous, so their slices are views."""
+    flats = [a.reshape(-1) for a in arrays]
+    n = flats[0].size
+    if n <= _BLOCK:
+        return (flats,)
+    return ([f[lo:lo + _BLOCK] for f in flats] for lo in range(0, n, _BLOCK))
+
+
 def gelu(x) -> Tensor:
     """tanh-form GELU with the module-level constants."""
     x = _as_tensor(x)
     v = x.data
-    # a product, not np.power: power has no fast path for a cube
-    inner = GELU_C0 * (v + GELU_C1 * (v * v * v))
-    t = np.tanh(inner)
-    out = Tensor._node(0.5 * v * (1.0 + t), (x,))
+    # In place, block by block, in the order of
+    # 0.5*v*(1 + tanh(C0*(v + C1*(v*v*v)))), so every value is bitwise that
+    # of the plain expression. A cube is a product, not np.power: power has
+    # no fast path for it.
+    t, y = np.empty(v.shape), np.empty(v.shape)
+    block = min(v.size, _BLOCK)
+    s = np.empty(block)
+    for vb, tb, yb in _blocks(v, t, y):
+        np.multiply(vb, vb, out=tb)
+        tb *= vb
+        tb *= GELU_C1
+        tb += vb
+        tb *= GELU_C0
+        np.tanh(tb, out=tb)
+        np.multiply(vb, 0.5, out=yb)
+        yb *= np.add(tb, 1.0, out=s[:vb.size])
+    out = Tensor._node(y, (x,))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
-            dinner = GELU_C0 * (1.0 + 3.0 * GELU_C1 * (v * v))
-            _accum(x, g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner))
+            # g * (0.5*(1 + t) + 0.5*v*(1 - t*t)*dinner) with
+            # dinner = C0*(1 + 3*C1*(v*v)), in that order
+            dx = np.empty(v.shape)
+            d, u = np.empty(block), np.empty(block)
+            for vb, tb, gb, xb in _blocks(v, t, g, dx):
+                db, ub = d[:vb.size], u[:vb.size]
+                np.multiply(vb, vb, out=db)
+                db *= 3.0 * GELU_C1
+                db += 1.0
+                db *= GELU_C0
+                np.multiply(vb, 0.5, out=xb)
+                np.multiply(tb, tb, out=ub)
+                np.subtract(1.0, ub, out=ub)
+                xb *= ub
+                xb *= db
+                np.add(tb, 1.0, out=ub)
+                ub *= 0.5
+                xb += ub
+                xb *= gb
+            _accum(x, dx)
         out._backward = _bw
     return out
 
@@ -443,43 +489,33 @@ def layer_norm(x, gain, shift) -> Tensor:
         raise ShapeError(
             f"layer_norm: gain/shift shapes {gain.shape}/{shift.shape} do not match width {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc * inv
-    out = Tensor._node(xhat * gain.data + shift.data, (x, gain, shift))
+    # two full-size buffers: xhat (saved) and the output, which first holds
+    # the squared deviations
+    xhat = np.subtract(x.data, x.data.mean(axis=-1, keepdims=True))
+    y = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=y)
+    y += shift.data
+    out = Tensor._node(y, (x, gain, shift))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
+            scratch = None
             if x.requires_grad:
-                dxhat = g * gain.data
-                m1 = dxhat.mean(axis=-1, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-                _accum(x, inv * (dxhat - m1 - xhat * m2))
+                # inv * (dxhat - m1 - xhat*m2), dxhat = g*gain
+                dx = np.multiply(g, gain.data)
+                m1 = dx.mean(axis=-1, keepdims=True)
+                scratch = np.multiply(dx, xhat)
+                m2 = scratch.mean(axis=-1, keepdims=True)
+                dx -= m1
+                dx -= np.multiply(xhat, m2, out=scratch)
+                dx *= inv
+                _accum(x, dx)
             if gain.requires_grad:
-                _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+                scratch = np.multiply(g, xhat, out=scratch)
+                _accum(gain, scratch.reshape(-1, d).sum(axis=0))
             if shift.requires_grad:
                 _accum(shift, g.reshape(-1, d).sum(axis=0))
-        out._backward = _bw
-    return out
-
-
-def softmax_rows(x) -> Tensor:
-    """Row-wise softmax of a 2-D tensor with per-row max subtraction."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"softmax_rows: need a 2-D tensor, got shape {x.shape}")
-    if not np.isfinite(x.data).all():
-        raise ValueError("softmax_rows: input contains non-finite values")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
-    _tally_softmax(y.size)
-    out = Tensor._node(y, (x,))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            dot = (g * y).sum(axis=1, keepdims=True)
-            _accum(x, y * (g - dot))
         out._backward = _bw
     return out
 
@@ -518,11 +554,15 @@ def attention(q, k, v, heads: int = 1, scale: float | None = None) -> Tensor:
         return x.swapaxes(-2, -3).reshape(x.shape[:-3] + (x.shape[-2], heads * x.shape[-1]))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
-    if not np.isfinite(scores).all():
-        raise ValueError("attention: scores contain non-finite values")
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
+    # the scores buffer becomes the softmax in place: subtract the row max,
+    # exponentiate, divide by the row sum
+    probs = np.matmul(qh, kh.swapaxes(-1, -2))
+    probs *= scale
+    if not np.isfinite(probs).all():
+        raise NonFiniteError("attention: scores contain non-finite values")
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
     nq, nk = q.shape[-2], k.shape[-2]
     _tally_macs(int(np.prod(batch)) * nq * nk * (d + dv))
     _tally_softmax(probs.size)
@@ -533,8 +573,11 @@ def attention(q, k, v, heads: int = 1, scale: float | None = None) -> Tensor:
             if v.requires_grad:
                 _accum(v, _reduce_to(merge(np.matmul(probs.swapaxes(-1, -2), gh)), v.shape))
             if q.requires_grad or k.requires_grad:
-                dp = np.matmul(gh, vh.swapaxes(-1, -2))
-                ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True)) * scale
+                # ds = probs * (dp - rowsum(dp * probs)) * scale, in dp's buffer
+                ds = np.matmul(gh, vh.swapaxes(-1, -2))
+                ds -= np.multiply(ds, probs).sum(axis=-1, keepdims=True)
+                ds *= probs
+                ds *= scale
                 if q.requires_grad:
                     _accum(q, _reduce_to(merge(np.matmul(ds, kh)), q.shape))
                 if k.requires_grad:
@@ -640,8 +683,10 @@ def cross_entropy_logits(logits, labels) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Run one reverse pass from a scalar ``loss``, accumulating into .grad.
 
-    A second call on the same loss node raises; gradients must be reset and
-    the graph rebuilt (a fresh forward pass) between passes.
+    Leaves keep their gradients. Each interior node's gradient and closure
+    are released as soon as its closure has run, which frees the arrays the
+    closure saved. A second call on the same loss node raises; gradients must
+    be reset and the graph rebuilt (a fresh forward pass) between passes.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward: loss must be a Tensor")
@@ -671,6 +716,9 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if node._parents:
+            node.grad = None
+            node._backward = None
 
 
 # ---------------------------------------------------------------------------

@@ -292,8 +292,8 @@ def mlp(x: TokenSet, w: FrozenLayerWeights, pre_norm: bool = True) -> Tensor:
         raise ShapeError(f"mlp: token width {x.width} does not match layer width {w.width}")
     t = layer_norm(x.tokens, w.ln2_gain, w.ln2_shift) if pre_norm else x.tokens
     act = _activation(w.mlp_act)
-    hidden = act(add(matmul(t, w.mlp_w1), w.mlp_b1))
-    return add(matmul(hidden, w.mlp_w2), w.mlp_b2)
+    hidden = act(matmul(t, w.mlp_w1, w.mlp_b1))
+    return matmul(hidden, w.mlp_w2, w.mlp_b2)
 
 
 # ---------------------------------------------------------------------------

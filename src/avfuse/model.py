@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Rng, ShapeError, Tensor, add, concat_cols, matmul, mean_rows, reshape
+from .autodiff import Rng, ShapeError, Tensor, concat_cols, matmul, mean_rows, reshape
 from .backbone import (
     ACTIVATIONS,
     AUDIO,
@@ -111,10 +111,10 @@ def event_head(xa: TokenSet, xv: TokenSet, weight: Tensor, bias: Tensor) -> Tens
     pooled = concat_cols([mean_rows(xa.tokens), mean_rows(xv.tokens)])
     if weight.shape != (2 * xa.width, 2):
         raise ShapeError(f"event_head: weight shape {weight.shape} does not match pooled width {2 * xa.width}")
-    logits = matmul(pooled, weight)
+    logits = matmul(pooled, weight, bias)
     if logits.ndim == 3:
         logits = reshape(logits, (logits.shape[0], 2))
-    return add(logits, bias)
+    return logits
 
 
 class TwoStreamModel:

@@ -71,7 +71,12 @@ def save_tensors(base: str | Path, entries, extra: dict | None = None) -> None:
 
 
 def load_tensors(base: str | Path) -> tuple[list[ContainerEntry], dict]:
-    """Read a container back; returns (entries in manifest order, extra)."""
+    """Read a container back; returns (entries in manifest order, extra).
+
+    The entries must tile the blob exactly, in manifest order: the first
+    starts at byte 0, each next one where the previous one ends, and the last
+    one ends at the blob's end. Non-finite payloads are refused.
+    """
     base = Path(base)
     with open(base.with_suffix(".json"), "r", encoding="utf-8") as f:
         manifest = json.load(f)
@@ -79,18 +84,26 @@ def load_tensors(base: str | Path) -> tuple[list[ContainerEntry], dict]:
         raise ValueError(f"unrecognized container format: {manifest.get('format')!r}")
     blob = base.with_suffix(".bin").read_bytes()
     entries = []
+    lo = 0
     for rec in manifest["tensors"]:
+        name = rec["name"]
         shape = tuple(int(s) for s in rec["shape"])
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = count * _ITEMSIZE
         if rec["nbytes"] != nbytes:
-            raise ValueError(f"container entry {rec['name']!r}: byte count {rec['nbytes']} does not match shape {shape}")
-        lo = int(rec["offset"])
+            raise ValueError(f"container entry {name!r}: byte count {rec['nbytes']} does not match shape {shape}")
+        if rec["offset"] != lo:
+            raise ValueError(f"container entry {name!r}: offset {rec['offset']} is not where the previous entry ends ({lo})")
         hi = lo + nbytes
         if hi > len(blob):
-            raise ValueError(f"container entry {rec['name']!r}: payload runs past end of blob")
+            raise ValueError(f"container entry {name!r}: payload runs past end of blob")
         arr = np.frombuffer(blob[lo:hi], dtype="<f8").astype(np.float64).reshape(shape)
-        entries.append(ContainerEntry(rec["name"], arr, bool(rec["frozen"])))
+        if not np.isfinite(arr).all():
+            raise ValueError(f"container entry {name!r}: payload holds non-finite values")
+        entries.append(ContainerEntry(name, arr, bool(rec["frozen"])))
+        lo = hi
+    if lo != len(blob):
+        raise ValueError(f"container blob holds {len(blob)} bytes but its entries cover {lo}")
     return entries, manifest.get("extra", {})
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Rng, Tensor, backward, cross_entropy_logits, derive_seed, no_grad
+from .autodiff import NonFiniteError, Rng, Tensor, backward, cross_entropy_logits, derive_seed, no_grad
 from .backbone import ImageInput, SpectrogramInput
 from .model import ModelConfig, TwoStreamModel
 from .serialization import ContainerEntry, format_float, load_tensors, save_tensors
@@ -31,8 +31,17 @@ METRICS_COLUMNS = ("step", "loss", "split", "accuracy", "mode", "m", "seed")
 EVAL_CHUNK = 16
 
 
+# Largest magnitude whose square is finite in float64: a weight past it
+# overflows any product with a value of its own size.
+SQUARE_SAFE = float(np.sqrt(np.finfo(np.float64).max))
+
+
 class FrozenGradientError(RuntimeError):
     """A backward pass deposited gradient into a frozen parameter."""
+
+
+class DivergenceError(RuntimeError):
+    """Training produced a non-finite loss or non-finite attention scores."""
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +264,22 @@ def make_optimizer(model: TwoStreamModel, cfg: TrainConfig) -> Adam:
     return Adam([(adapter, cfg.lr_adapter), (head, cfg.lr_head)])
 
 
+def _divergence(model: TwoStreamModel, step: int, what: str) -> DivergenceError:
+    """The error for a step that went non-finite. It names the first
+    trainable parameter, in registry order, whose value or gradient holds a
+    non-finite entry or one of magnitude past ``SQUARE_SAFE``."""
+    culprit = next(
+        (f"{name!r} ({kind}, max |x| = {np.abs(arr).max():.3g})"
+         for name, tensor in model.registry.trainable()
+         for kind, arr in (("value", tensor.data), ("gradient", tensor.grad))
+         if arr is not None and not (np.abs(arr) <= SQUARE_SAFE).all()),
+        None,
+    )
+    where = (f"first trainable parameter out of range: {culprit}" if culprit is not None
+             else f"every trainable parameter is finite and within {SQUARE_SAFE:.3g}")
+    return DivergenceError(f"training diverged at step {step}: {what}; {where}")
+
+
 def train(
     model: TwoStreamModel,
     train_samples: list[SyntheticAvSample],
@@ -265,8 +290,11 @@ def train(
 
     Each step draws a with-replacement batch from its own seeded stream,
     writes one loss row, and any gradient that lands on a frozen parameter
-    aborts the run. Test accuracy is recorded every ``eval_every`` steps and
-    always after the final step (for steps=0 that is the untouched model).
+    aborts the run. A non-finite loss or non-finite attention scores raise
+    ``DivergenceError`` naming the step and the first trainable parameter
+    that is out of range. Test accuracy is recorded every ``eval_every``
+    steps and always after the final step (for steps=0 that is the untouched
+    model).
     """
     cfg.validate()
     optimizer = make_optimizer(model, cfg)
@@ -290,9 +318,14 @@ def train(
     for step in range(1, cfg.steps + 1):
         idx = batch_rng.integers(cfg.batch_size, 0, len(train_samples))
         batch = [train_samples[int(i)] for i in idx]
-        logits = model.logits_batch([(s.image, s.spectrogram) for s in batch])
         labels = np.asarray([s.label for s in batch], dtype=np.int64)
+        try:
+            logits = model.logits_batch([(s.image, s.spectrogram) for s in batch])
+        except NonFiniteError as e:
+            raise _divergence(model, step, str(e)) from e
         loss = cross_entropy_logits(logits, labels)
+        if not np.isfinite(loss.data):
+            raise _divergence(model, step, f"loss is {loss.item()}")
         model.registry.zero_grad()
         backward(loss)
         for name, tensor in model.registry.frozen():

@@ -4,9 +4,15 @@ Everything here recomputes expected values by a route independent of the
 library code under test: explicit scalar loops, math.exp/tanh on python
 floats, central finite differences, the model's forward as it ran before
 it was batched (one graph per sample and one matmul chain per attention
-head), kept as the oracle for the batched engine, and the ``np.einsum`` and
+head), kept as the oracle for the batched engine, the ``np.einsum`` and
 ``np.power`` kernels that ``grouped_linear`` and ``gelu`` ran before they
-moved to ``np.matmul`` and plain products.
+moved to ``np.matmul`` and plain products, and the plain-expression
+``gelu``, ``layer_norm``, attention softmax and matmul-plus-bias kernels
+that ran before they computed in place.
+
+The oracle ops ``transpose``, ``cols``, ``concat_rows`` and
+``softmax_rows`` live here, not in the library: only the per-head oracle
+uses them.
 """
 from __future__ import annotations
 
@@ -17,12 +23,16 @@ import numpy as np
 from avfuse.autodiff import (
     GELU_C0,
     GELU_C1,
+    LAYER_NORM_EPS,
+    ShapeError,
     Tensor,
+    _accum,
+    _as_tensor,
+    _concat,
+    _tally_softmax,
     add,
     backward,
-    cols,
     concat_cols,
-    concat_rows,
     gelu,
     grouped_linear,
     layer_norm,
@@ -31,9 +41,66 @@ from avfuse.autodiff import (
     mul,
     relu,
     scale,
-    softmax_rows,
-    transpose,
 )
+
+
+# ---------------------------------------------------------------------------
+# oracle-only tape ops
+# ---------------------------------------------------------------------------
+
+
+def transpose(x) -> Tensor:
+    x = _as_tensor(x)
+    if x.ndim != 2:
+        raise ShapeError(f"transpose: need a 2-D tensor, got shape {x.shape}")
+    out = Tensor._node(np.ascontiguousarray(x.data.T), (x,))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            _accum(x, np.ascontiguousarray(g.T))
+        out._backward = _bw
+    return out
+
+
+def cols(x, start: int, stop: int) -> Tensor:
+    """Column slice [start, stop) of a 2-D tensor."""
+    x = _as_tensor(x)
+    if x.ndim != 2:
+        raise ShapeError(f"cols: need a 2-D tensor, got shape {x.shape}")
+    if not (0 <= start < stop <= x.shape[1]):
+        raise ShapeError(f"cols: slice [{start}, {stop}) out of range for shape {x.shape}")
+    out = Tensor._node(np.ascontiguousarray(x.data[:, start:stop]), (x,))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            full = np.zeros_like(x.data)
+            full[:, start:stop] = g
+            _accum(x, full)
+        out._backward = _bw
+    return out
+
+
+def concat_rows(parts) -> Tensor:
+    """Stack tensors along their row axis (-2)."""
+    return _concat(parts, axis=-2)
+
+
+def softmax_rows(x) -> Tensor:
+    """Row-wise softmax of a 2-D tensor with per-row max subtraction."""
+    x = _as_tensor(x)
+    if x.ndim != 2:
+        raise ShapeError(f"softmax_rows: need a 2-D tensor, got shape {x.shape}")
+    if not np.isfinite(x.data).all():
+        raise ValueError("softmax_rows: input contains non-finite values")
+    z = x.data - x.data.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=1, keepdims=True)
+    _tally_softmax(y.size)
+    out = Tensor._node(y, (x,))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            dot = (g * y).sum(axis=1, keepdims=True)
+            _accum(x, y * (g - dot))
+        out._backward = _bw
+    return out
 
 
 def loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -181,6 +248,81 @@ def power_gelu(v: np.ndarray, g: np.ndarray):
     t = np.tanh(GELU_C0 * (v + GELU_C1 * v ** 3))
     dinner = GELU_C0 * (1.0 + 3.0 * GELU_C1 * v ** 2)
     return 0.5 * v * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t ** 2) * dinner)
+
+
+# ---------------------------------------------------------------------------
+# kernels as they ran before they computed in place
+# ---------------------------------------------------------------------------
+
+
+def product_gelu(v: np.ndarray, g: np.ndarray):
+    """``gelu`` as plain expressions: the output for ``v`` and its gradient
+    under the upstream gradient ``g``."""
+    inner = GELU_C0 * (v + GELU_C1 * (v * v * v))
+    t = np.tanh(inner)
+    dinner = GELU_C0 * (1.0 + 3.0 * GELU_C1 * (v * v))
+    return 0.5 * v * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner)
+
+
+def expr_layer_norm(x: np.ndarray, gain: np.ndarray, shift: np.ndarray, g: np.ndarray):
+    """``layer_norm`` as plain expressions: the output and the gradients of
+    x, gain and shift under the upstream gradient ``g``."""
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = xc * inv
+    dxhat = g * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return (
+        xhat * gain + shift,
+        inv * (dxhat - m1 - xhat * m2),
+        (g * xhat).reshape(-1, d).sum(axis=0),
+        g.reshape(-1, d).sum(axis=0),
+    )
+
+
+def expr_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, g: np.ndarray):
+    """``attention`` with its softmax as plain expressions: the output and the
+    gradients of q, k and v (each summed down to its operand's shape) under
+    the upstream gradient ``g``."""
+    scale_ = 1.0 / np.sqrt(k.shape[-1] // heads)
+
+    def split(x):
+        return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-2, -3)
+
+    def merge(x):
+        return x.swapaxes(-2, -3).reshape(x.shape[:-3] + (x.shape[-2], heads * x.shape[-1]))
+
+    def reduce_to(a, shape):
+        return a if a.shape == shape else a.sum(axis=tuple(range(a.ndim - len(shape))))
+
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale_
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    dp = np.matmul(gh, vh.swapaxes(-1, -2))
+    ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True)) * scale_
+    return (
+        merge(np.matmul(probs, vh)),
+        reduce_to(merge(np.matmul(ds, kh)), q.shape),
+        reduce_to(merge(np.matmul(ds.swapaxes(-1, -2), qh)), k.shape),
+        reduce_to(merge(np.matmul(probs.swapaxes(-1, -2), gh)), v.shape),
+    )
+
+
+def matmul_add(a: np.ndarray, w: np.ndarray, b: np.ndarray, g: np.ndarray):
+    """A product and a separate bias add, as ``matmul`` then ``add`` ran them:
+    the output and the gradients of a, w and b under upstream ``g``."""
+    q, r = w.shape
+    return (
+        a @ w + b,
+        g @ w.T,
+        a.reshape(-1, q).T @ g.reshape(-1, r),
+        g.sum(axis=tuple(range(g.ndim - 1))),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ from avfuse.autodiff import (
     add,
     attention,
     concat_cols,
-    concat_rows,
-    cols,
     cross_entropy_logits,
     gelu,
     grouped_linear,
@@ -29,12 +27,14 @@ from avfuse.autodiff import (
     relu,
     reshape,
     scale,
-    softmax_rows,
     sum_all,
-    transpose,
 )
 
 from helpers import (
+    cols,
+    concat_rows,
+    softmax_rows,
+    transpose,
     loop_matmul,
     scalar_gelu,
     scalar_layer_norm,
@@ -247,6 +247,71 @@ class TestBackward:
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         loss = sum_all(mul(x, x))
         backward(loss)
+        with pytest.raises(GraphError):
+            backward(loss)
+
+    def test_gradients_never_alias(self):
+        # add(w, w) and mul(x, x) hand one leaf the same array twice; add(a, b)
+        # fans one upstream gradient out to two leaves; the interior sum h
+        # adopts a gradient it receives twice. Every leaf must own its .grad
+        # and no input's .data may change across forward and backward.
+        r = np.random.default_rng(210)
+        w, x, a, b = (Tensor(r.standard_normal((3, 4)), requires_grad=True) for _ in range(4))
+        leaves = [w, x, a, b]
+        before = [t.data.copy() for t in leaves]
+        h = add(add(w, w), mul(x, x))
+        fan = add(a, b)
+        loss = sum_all(mul(add(h, h), fan))
+        backward(loss)
+        for t, d in zip(leaves, before):
+            np.testing.assert_array_equal(t.data, d)
+        grads = [t.grad for t in leaves]
+        for i, gi in enumerate(grads):
+            assert gi is not None
+            for t in leaves:
+                assert not np.shares_memory(gi, t.data)
+            for gj in grads[i + 1:]:
+                assert not np.shares_memory(gi, gj)
+        f = 2.0 * (w.data + w.data + x.data * x.data)
+        np.testing.assert_allclose(w.grad, 4.0 * (a.data + b.data), rtol=1e-15)
+        np.testing.assert_allclose(x.grad, 4.0 * x.data * (a.data + b.data), rtol=1e-15)
+        np.testing.assert_array_equal(a.grad, f)
+        np.testing.assert_array_equal(b.grad, f)
+
+    def test_interior_nodes_sharing_a_gradient_stay_apart(self):
+        # add(p, q) hands the interior nodes p and q one array; the walk
+        # order then gives each a second contribution from mul(p, q) before
+        # either closure runs, so adding in place would leak one into the other
+        r = np.random.default_rng(212)
+        a, b = (Tensor(r.standard_normal((3, 4)), requires_grad=True) for _ in range(2))
+        c1, c2 = r.standard_normal((3, 4)), r.standard_normal((3, 4))
+        p, q = scale(a, 1.0), scale(b, 1.0)
+        backward(sum_all(add(mul(add(p, q), Tensor(c1)), mul(mul(p, q), Tensor(c2)))))
+        np.testing.assert_array_equal(a.grad, c1 + c2 * b.data)
+        np.testing.assert_array_equal(b.grad, c1 + c2 * a.data)
+
+    def test_backward_releases_interior_state(self):
+        r = np.random.default_rng(211)
+        x = Tensor(r.standard_normal((2, 3, 4)))
+        w = Tensor(r.standard_normal((4, 4)), requires_grad=True)
+        gain, shift = Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4), requires_grad=True)
+        h = gelu(layer_norm(matmul(x, w), gain, shift))
+        loss = mean_all(attention(h, h, h, heads=2))
+        interior, leaves, stack, seen = [], [], [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            (interior if node._parents else leaves).append(node)
+            stack.extend(node._parents)
+        assert len(interior) == 5 and all(n._backward is not None for n in interior)
+        backward(loss)
+        for node in interior:
+            assert node.grad is None and node._backward is None
+        assert {id(t) for t in leaves if t.requires_grad} == {id(w), id(gain), id(shift)}
+        for t in (w, gain, shift):
+            assert t.grad is not None and t.grad.shape == t.shape
         with pytest.raises(GraphError):
             backward(loss)
 

@@ -121,6 +121,14 @@ class TestExitCodes:
         assert "deliberate" in capsys.readouterr().err
 
 
+    def test_divergence_three_names_step_and_parameter(self, tmp_path, capsys):
+        p = write_config(tmp_path, {"lr_adapter": 1e300, "steps": 4})
+        code = run_cli(["train", "--config", p, "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "diverged at step 2" in err and "'adapter." in err
+
+
 class TestTrainCommand:
     def test_outputs_and_determinism(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,14 +1,38 @@
-"""Differential tests: ``grouped_linear`` and ``gelu`` against the einsum and
-np.power kernels they replaced (``helpers.einsum_grouped_linear`` and
-``helpers.power_gelu``), at the train-wide benchmark shapes and at odd ones."""
+"""Differential tests of the kernels against the code they replaced, at the
+train-wide benchmark shapes and at odd ones: ``grouped_linear`` and ``gelu``
+against the einsum and np.power kernels (``helpers.einsum_grouped_linear``
+and ``helpers.power_gelu``), to 1e-12; and the in-place ``gelu``,
+``layer_norm``, attention softmax and biased ``matmul`` against the plain
+expressions they ran before (``helpers.product_gelu``,
+``helpers.expr_layer_norm``, ``helpers.expr_attention`` and
+``helpers.matmul_add``), bit for bit."""
 import numpy as np
 import pytest
 
-from avfuse.autodiff import Tensor, gelu, grouped_linear
+from avfuse.autodiff import (
+    Tensor,
+    add,
+    attention,
+    backward,
+    gelu,
+    grouped_linear,
+    layer_norm,
+    matmul,
+    mul,
+    reshape,
+    sum_all,
+)
 from avfuse.backbone import ImageInput, SpectrogramInput
 from avfuse.model import ModelConfig, TwoStreamModel, frozen_twin
 
-from helpers import einsum_grouped_linear, power_gelu
+from helpers import (
+    einsum_grouped_linear,
+    expr_attention,
+    expr_layer_norm,
+    matmul_add,
+    power_gelu,
+    product_gelu,
+)
 
 # (input shape, grouped weight shape): the train-wide down and up
 # projections, then three groups of odd widths, batched and 2-D.
@@ -37,6 +61,11 @@ def run_op(op, arrays, g):
     out = op(*ts)
     out._backward(g)
     return out.data, [None if t is None else t.grad for t in ts]
+
+
+def assert_same(got, want):
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no-bias"])
@@ -90,3 +119,78 @@ def test_identity_at_init_stays_bitwise_at_width_128(use_latents):
              for _ in range(8)]
     got = TwoStreamModel(cfg, seed=0).logits_batch(pairs).data
     np.testing.assert_array_equal(got, frozen_twin(cfg, seed=0).logits_batch(pairs).data)
+
+
+# train-wide shapes (the MLP's hidden activations, the layer norms' inputs),
+# then odd ones, batched and 2-D; gelu's "odd-blocks" spans one full block
+# of autodiff._BLOCK values and a partial one
+IN_PLACE_GELU = {"wide": (8, 64, 512), "odd": (3, 7, 5), "odd-2d": (7, 5), "odd-blocks": (3, 7, 1001)}
+IN_PLACE_NORM = {"wide": (8, 64, 128), "wide-hidden": (8, 64, 512), "odd": (3, 7, 5), "odd-2d": (7, 5)}
+# (q, k, v shapes, heads): self-attention at train-wide width, whose scores
+# are (8, 4, 64, 64); a 2-D latent query broadcast over the batch, as in cma;
+# and odd widths with unequal query and key counts
+IN_PLACE_ATTENTION = {
+    "wide": ((8, 64, 128), (8, 64, 128), (8, 64, 128), 4),
+    "wide-latent": ((4, 128), (8, 64, 128), (8, 64, 128), 4),
+    "odd": ((3, 5, 6), (3, 7, 6), (3, 7, 9), 3),
+    "odd-2d": ((5, 6), (7, 6), (7, 9), 3),
+}
+# (input, weight): the MLP's two products at train-wide width, the head's
+# (B, 1, 2D) pooled rows, and odd shapes
+BIASED_MATMUL = {
+    "wide-up": ((8, 64, 128), (128, 512)),
+    "wide-down": ((8, 64, 512), (512, 128)),
+    "head": ((8, 1, 256), (256, 2)),
+    "odd": ((3, 5, 7), (7, 3)),
+    "odd-2d": ((5, 7), (7, 3)),
+}
+
+
+@pytest.mark.parametrize("name", IN_PLACE_GELU)
+def test_in_place_gelu_is_bitwise_the_expression(name):
+    v, g = 2.0 * arr(20, *IN_PLACE_GELU[name]), arr(21, *IN_PLACE_GELU[name])
+    y, (dv,) = run_op(gelu, [v], g)
+    assert_same((y, dv), product_gelu(v, g))
+
+
+@pytest.mark.parametrize("name", IN_PLACE_NORM)
+def test_in_place_layer_norm_is_bitwise_the_expression(name):
+    shape = IN_PLACE_NORM[name]
+    x, g = 3.0 * arr(22, *shape) + 0.5, arr(23, *shape)
+    gain, shift = 1.0 + 0.1 * arr(24, shape[-1]), 0.1 * arr(25, shape[-1])
+    y, grads = run_op(layer_norm, [x, gain, shift], g)
+    assert_same((y, *grads), expr_layer_norm(x, gain, shift, g))
+
+
+@pytest.mark.parametrize("name", IN_PLACE_ATTENTION)
+def test_in_place_attention_softmax_is_bitwise_the_expression(name):
+    qs, ks, vs, heads = IN_PLACE_ATTENTION[name]
+    q, k, v = 2.0 * arr(26, *qs), 2.0 * arr(27, *ks), arr(28, *vs)
+    g = arr(29, *ks[:-2], qs[-2], vs[-1])
+    y, grads = run_op(lambda *ts: attention(*ts, heads=heads), [q, k, v], g)
+    assert_same((y, *grads), expr_attention(q, k, v, heads, g))
+
+
+@pytest.mark.parametrize("name", BIASED_MATMUL)
+def test_biased_matmul_is_bitwise_matmul_then_add(name):
+    xs, ws = BIASED_MATMUL[name]
+    a, w, b = arr(30, *xs), arr(31, *ws), arr(32, ws[1])
+    g = arr(33, *xs[:-1], ws[1])
+    y, grads = run_op(matmul, [a, w, b], g)
+    assert_same((y, *grads), matmul_add(a, w, b, g))
+
+
+def test_biased_head_matches_the_reshape_then_add_chain():
+    # event_head adds its bias before the (B, 1, 2) -> (B, 2) reshape; the
+    # bias gradient must equal the old add-after-reshape one bit for bit
+    xs, ws = BIASED_MATMUL["head"]
+    p, w, b, g = arr(34, *xs), arr(35, *ws), arr(36, ws[1]), arr(37, xs[0], ws[1])
+    new = [Tensor(t, requires_grad=True) for t in (p, w, b)]
+    old = [Tensor(t, requires_grad=True) for t in (p, w, b)]
+    fused = reshape(matmul(*new), (xs[0], ws[1]))
+    chain = add(reshape(matmul(*old[:2]), (xs[0], ws[1])), old[2])
+    np.testing.assert_array_equal(fused.data, chain.data)
+    for out in (fused, chain):
+        backward(sum_all(mul(out, Tensor(g))))
+    for t_new, t_old in zip(new, old):
+        np.testing.assert_array_equal(t_new.grad, t_old.grad)

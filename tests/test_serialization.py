@@ -126,3 +126,41 @@ class TestFormatFloat:
         s = format_float(1.0 / 3.0)
         digits = s.replace("0.", "")
         assert len(digits) <= 17
+
+
+def _mutate(tmp_path, base, mutation, r):
+    """Apply one corruption to a saved container in place."""
+    man_path, bin_path = tmp_path / f"{base.name}.json", tmp_path / f"{base.name}.bin"
+    man = json.loads(man_path.read_text())
+    blob = bytearray(bin_path.read_bytes())
+    recs = man["tensors"]
+    i = int(r.integers(1, len(recs)))
+    if mutation == "shift-offset":
+        recs[i]["offset"] += 8 * int(r.choice([-1, 1]))
+    elif mutation == "overlap":
+        recs[i]["offset"] = recs[i - 1]["offset"]
+    elif mutation == "truncate":
+        del blob[-int(r.integers(1, 9)):]
+    elif mutation == "append":
+        blob += bytes(int(r.integers(1, 17)))
+    elif mutation in ("nan", "inf"):
+        at = 8 * int(r.integers(0, len(blob) // 8))
+        blob[at:at + 8] = struct.pack("<d", float(mutation))
+    man_path.write_text(json.dumps(man))
+    bin_path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mutation", ["shift-offset", "overlap", "truncate", "append", "nan", "inf"])
+def test_container_refuses_inconsistent_manifest_or_blob(tmp_path, mutation, seed):
+    # random containers of 2-5 entries, 0-d shapes included; the intact
+    # container loads, and each corruption of it is refused
+    r = np.random.default_rng(seed)
+    shapes = [tuple(int(n) for n in r.integers(1, 4, size=r.integers(0, 3))) for _ in range(r.integers(2, 6))]
+    entries = [(f"t{k}", r.standard_normal(shape), bool(k % 2)) for k, shape in enumerate(shapes)]
+    base = tmp_path / "c"
+    save_tensors(base, entries)
+    assert [e.name for e in load_tensors(base)[0]] == [name for name, _, _ in entries]
+    _mutate(tmp_path, base, mutation, r)
+    with pytest.raises(ValueError):
+        load_tensors(base)

@@ -1,0 +1,39 @@
+"""Cost guard: the tape nodes and ``count_macs`` tallies of one train step
+(batched forward, cross-entropy, backward) at the README config and at the
+train-wide benchmark config, pinned to exact numbers. A change that adds
+nodes or arithmetic to a step has to update a number here on purpose.
+Counts only, no timing."""
+import numpy as np
+import pytest
+
+from avfuse.autodiff import Tensor, backward, count_macs, cross_entropy_logits
+from avfuse.model import ModelConfig, TwoStreamModel
+from avfuse.tasks import generate_dataset
+
+# config overrides: (tape nodes, forward MACs, softmax elements) per step
+PINNED = {
+    "readme": ({}, 120, 1_836_032, 3_072),
+    "train-wide": (dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4), 120, 467_668_992, 557_056),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_train_step_cost_is_pinned(name, monkeypatch):
+    overrides, nodes, macs, softmax_elems = PINNED[name]
+    cfg = ModelConfig(**overrides)
+    model = TwoStreamModel(cfg, seed=0)
+    batch = generate_dataset(0, 8, 0.1, cfg.image_hw, cfg.spec_hw)
+    created = []
+    node = Tensor._node
+
+    def counted(data, parents):
+        out = node(data, parents)
+        if out.requires_grad:
+            created.append(1)
+        return out
+
+    monkeypatch.setattr(Tensor, "_node", staticmethod(counted))
+    with count_macs() as counter:
+        logits = model.logits_batch([(s.image, s.spectrogram) for s in batch])
+        backward(cross_entropy_logits(logits, np.array([s.label for s in batch])))
+    assert (len(created), counter.macs, counter.softmax_elems) == (nodes, macs, softmax_elems)

@@ -7,8 +7,10 @@ import pytest
 from avfuse.autodiff import Rng, Tensor, derive_seed
 from avfuse.model import ModelConfig, TwoStreamModel
 from avfuse.tasks import (
+    SQUARE_SAFE,
     Adam,
     DataConfig,
+    DivergenceError,
     TrainConfig,
     audio_template,
     evaluate,
@@ -227,6 +229,27 @@ class TestTrainLoop:
         model = TwoStreamModel(mc, seed)
         rows = train(model, tr, te, tc)
         return model, rows
+
+    def test_divergence_names_step_and_parameter(self):
+        # lr 1e300 throws the adapters to ~1e300 in step 1; step 2's forward
+        # then overflows into non-finite attention scores
+        model = TwoStreamModel(ModelConfig(**SMALL_MODEL), seed=0)
+        tc = TrainConfig(steps=5, batch_size=4, lr_adapter=1e300)
+        with pytest.raises(DivergenceError) as info:
+            train(model, generate_dataset(0, 8, 0.1), generate_dataset(1, 4, 0.1), tc)
+        msg = str(info.value)
+        assert "at step 2" in msg and "non-finite" in msg
+        # the named parameter is the first trainable one, in registry order,
+        # with a non-finite value or gradient, or one past SQUARE_SAFE
+        first = next(name for name, t in model.registry.trainable()
+                     if any(a is not None and not (np.abs(a) <= SQUARE_SAFE).all() for a in (t.data, t.grad)))
+        assert repr(first) in msg
+
+    def test_non_finite_loss_is_divergence(self):
+        model = TwoStreamModel(ModelConfig(**SMALL_MODEL), seed=0)
+        model.head_bias.data[0] = np.nan
+        with pytest.raises(DivergenceError, match=r"at step 1: loss is nan.*'head\.bias' \(value"):
+            train(model, generate_dataset(0, 8, 0.1), generate_dataset(1, 4, 0.1), TrainConfig(steps=2))
 
     def test_row_schema_and_final_eval(self):
         _, rows = self._tiny_run(steps=3)
