@@ -185,21 +185,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
@@ -386,27 +371,6 @@ def mean_rows(x) -> Tensor:
     return out
 
 
-def sum_all(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor._node(np.asarray(x.data.sum()), (x,))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            _accum(x, np.full_like(x.data, float(g)))
-        out._backward = _bw
-    return out
-
-
-def mean_all(x) -> Tensor:
-    x = _as_tensor(x)
-    n = x.size
-    out = Tensor._node(np.asarray(x.data.mean()), (x,))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            _accum(x, np.full_like(x.data, float(g) / n))
-        out._backward = _bw
-    return out
-
-
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     out = Tensor._node(np.maximum(x.data, 0.0), (x,))
@@ -556,8 +520,10 @@ def attention(q, k, v, heads: int = 1, scale: float | None = None) -> Tensor:
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     # the scores buffer becomes the softmax in place: subtract the row max,
     # exponentiate, divide by the row sum
-    probs = np.matmul(qh, kh.swapaxes(-1, -2))
-    probs *= scale
+    # overflow here is reported by the finiteness check, not by a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = np.matmul(qh, kh.swapaxes(-1, -2))
+        probs *= scale
     if not np.isfinite(probs).all():
         raise NonFiniteError("attention: scores contain non-finite values")
     probs -= probs.max(axis=-1, keepdims=True)

@@ -2,15 +2,16 @@
 
 One set of layer weights serves both streams: images and spectrograms are cut
 into patch tokens of the same width and pushed through the same pre-norm
-attention/MLP blocks. A list of inputs is tokenized as one stacked batch, and
-every block runs on ``(B, N, D)`` token batches as well as on one sample's
-``(N, D)`` tokens. Everything here is frozen at construction; the only
-trainable state in the package lives in the adapter sites and the task head.
+attention/MLP blocks; the MLP is GELU, as in ViT. A list of inputs is
+tokenized as one stacked batch, and every block runs on ``(B, N, D)`` token
+batches as well as on one sample's ``(N, D)`` tokens. Everything here is
+frozen at construction; the only trainable state in the package lives in the
+adapter sites and the task head.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,10 +86,6 @@ class TokenSet:
             )
 
     @property
-    def count(self) -> int:
-        return self.tokens.shape[-2]
-
-    @property
     def width(self) -> int:
         return self.tokens.shape[-1]
 
@@ -114,15 +111,14 @@ def unfold_patches(grid: np.ndarray, patch: int) -> np.ndarray:
     return np.ascontiguousarray(tiles.reshape(*lead, hp * wp, patch * patch * c))
 
 
-def patch_embed(image, patch: int, proj: Tensor, pos: Tensor | None = None) -> TokenSet:
+def patch_embed(images: list[ImageInput], patch: int, proj: Tensor, pos: Tensor | None = None) -> TokenSet:
     """Project image patches to backbone width and add positional rows.
 
-    ``image`` is one ImageInput, giving (N, width) tokens, or a list of them,
-    tokenized as one (B, N, width) batch. ``proj`` is (patch*patch*3, width)
-    and carries no bias, so a zero image with a zero positional table maps to
-    all-zero tokens.
+    The list of images is tokenized as one (B, N, width) batch. ``proj`` is
+    (patch*patch*3, width) and carries no bias, so a zero image with a zero
+    positional table maps to all-zero tokens.
     """
-    pixels = image.pixels if isinstance(image, ImageInput) else np.stack([im.pixels for im in image])
+    pixels = np.stack([im.pixels for im in images])
     tokens = matmul(Tensor(unfold_patches(pixels, patch)), proj)
     if pos is not None:
         if pos.shape != tokens.shape[-2:]:
@@ -142,15 +138,16 @@ def pad_to_multiple(values: np.ndarray, patch: int) -> np.ndarray:
     return np.pad(values, [(0, 0)] * (values.ndim - 2) + [(0, mp), (0, cp)], mode="constant")
 
 
-def spectrogram_embed(spec, patch: int, proj: Tensor, pos: Tensor | None = None) -> TokenSet:
-    """Tokenize a spectrogram with the image projection.
+def spectrogram_embed(
+    specs: list[SpectrogramInput], patch: int, proj: Tensor, pos: Tensor | None = None
+) -> TokenSet:
+    """Tokenize a list of spectrograms as one batch with the image projection.
 
-    ``spec`` is one SpectrogramInput or a list of them, as in
-    ``patch_embed``. The single channel is replicated to three so the shared
-    ``proj`` applies; the time/freq grid is zero-padded up to patch multiples
-    first, giving ceil(time/patch) * ceil(freq/patch) tokens.
+    The single channel is replicated to three so the shared ``proj``
+    applies; the time/freq grid is zero-padded up to patch multiples first,
+    giving ceil(time/patch) * ceil(freq/patch) tokens per spectrogram.
     """
-    values = spec.values if isinstance(spec, SpectrogramInput) else np.stack([s.values for s in spec])
+    values = np.stack([s.values for s in specs])
     padded = pad_to_multiple(values, patch)
     three = np.repeat(padded[..., None], 3, axis=-1)
     tokens = matmul(Tensor(unfold_patches(three, patch)), proj)
@@ -224,14 +221,13 @@ class FrozenLayerWeights:
     mlp_b1: Tensor
     mlp_w2: Tensor
     mlp_b2: Tensor
-    mlp_act: str = "gelu"
 
     @property
     def width(self) -> int:
         return self.wq.shape[0]
 
 
-def init_layer_weights(width: int, heads: int, seed: int, name: str, mlp_act: str = "gelu") -> FrozenLayerWeights:
+def init_layer_weights(width: int, heads: int, seed: int, name: str) -> FrozenLayerWeights:
     """Draw one layer's weights: matrices Gaussian(0, 0.02), biases zero,
     norm gains one. Each tensor uses its own named RNG stream."""
     if width % heads:
@@ -255,7 +251,6 @@ def init_layer_weights(width: int, heads: int, seed: int, name: str, mlp_act: st
         mlp_b1=Tensor(np.zeros(hidden)),
         mlp_w2=draw("mlp_w2", (hidden, width)),
         mlp_b2=Tensor(np.zeros(width)),
-        mlp_act=mlp_act,
     )
 
 
@@ -268,31 +263,29 @@ def _activation(tag: str):
     return ACTIVATIONS[tag]
 
 
-def mha(x: TokenSet, w: FrozenLayerWeights, pre_norm: bool = True) -> Tensor:
-    """Multi-head self-attention term for one token set.
+def mha(x: TokenSet, w: FrozenLayerWeights) -> Tensor:
+    """Pre-norm multi-head self-attention term for one token set.
 
     Returns only the attention output (the caller adds the residual). Scores
-    are scaled by 1/sqrt(width/heads). ``pre_norm=False`` skips the leading
-    layer norm; tests use that to pin down the attention arithmetic alone.
+    are scaled by 1/sqrt(width/heads).
     """
     width = w.width
     if x.width != width:
         raise ShapeError(f"mha: token width {x.width} does not match layer width {width}")
     if width % w.heads:
         raise ShapeError(f"mha: head count {w.heads} does not divide width {width}")
-    t = layer_norm(x.tokens, w.ln1_gain, w.ln1_shift) if pre_norm else x.tokens
+    t = layer_norm(x.tokens, w.ln1_gain, w.ln1_shift)
     heads = attention(matmul(t, w.wq), matmul(t, w.wk), matmul(t, w.wv), w.heads)
     return matmul(heads, w.wo)
 
 
-def mlp(x: TokenSet, w: FrozenLayerWeights, pre_norm: bool = True) -> Tensor:
-    """Position-wise MLP term (width -> 4*width -> width); caller adds the
-    residual."""
+def mlp(x: TokenSet, w: FrozenLayerWeights) -> Tensor:
+    """Pre-norm position-wise GELU MLP term (width -> 4*width -> width);
+    caller adds the residual."""
     if x.width != w.width:
         raise ShapeError(f"mlp: token width {x.width} does not match layer width {w.width}")
-    t = layer_norm(x.tokens, w.ln2_gain, w.ln2_shift) if pre_norm else x.tokens
-    act = _activation(w.mlp_act)
-    hidden = act(matmul(t, w.mlp_w1, w.mlp_b1))
+    t = layer_norm(x.tokens, w.ln2_gain, w.ln2_shift)
+    hidden = gelu(matmul(t, w.mlp_w1, w.mlp_b1))
     return matmul(hidden, w.mlp_w2, w.mlp_b2)
 
 
@@ -315,21 +308,6 @@ class FreezeRegistry:
         tensor.requires_grad = not frozen
         self._entries[name] = (tensor, frozen)
         return tensor
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def names(self) -> list[str]:
-        return list(self._entries)
-
-    def get(self, name: str) -> Tensor:
-        return self._entries[name][0]
-
-    def is_frozen(self, name: str) -> bool:
-        return self._entries[name][1]
 
     def items(self):
         for name, (tensor, frozen) in self._entries.items():

@@ -10,22 +10,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .costs import (
-    MacReport,
     count_params,
     fusion_macs_total,
     grouped_projection_params,
     mac_bottleneck,
     mac_fusion,
     reports_to_csv,
-    write_json,
 )
 from .model import ModelConfig, TwoStreamModel
-from .serialization import format_float
+from .serialization import format_float, write_atomic, write_json
 from .tasks import DataConfig, TrainConfig, metrics_to_csv, run_experiment
 
 TRAIN_COMMANDS = ("train", "ablation", "latent-sweep")
@@ -44,40 +44,51 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# Value ranges: the text names the range, the test admits a value.
+Range = tuple[str, Callable[[float], bool]]
+AT_LEAST_1: Range = (">= 1", lambda v: v >= 1)
+AT_LEAST_0: Range = (">= 0", lambda v: v >= 0)
+AT_LEAST_4: Range = (">= 4", lambda v: v >= 4)
+SEED_RANGE: Range = ("in [0, 2**64)", lambda v: 0 <= v < 2**64)
+POSITIVE_FINITE: Range = ("finite and > 0", lambda v: 0.0 < v < math.inf)
+UNIT_INTERVAL: Range = ("in [0, 1)", lambda v: 0.0 <= v < 1.0)
+
+
 @dataclass
 class Field:
     name: str
     kind: str  # int | float | bool | str | pair | int_list
     required_for: tuple[str, ...] = ()
     default: object = None
+    valid: Range | None = None  # for a pair or list: every entry
 
 
 FIELDS = [
-    Field("layers", "int", required_for=ALL_COMMANDS),
-    Field("width", "int", required_for=ALL_COMMANDS),
-    Field("heads", "int", required_for=ALL_COMMANDS),
-    Field("patch", "int", required_for=ALL_COMMANDS),
-    Field("latents", "int", required_for=ALL_COMMANDS),
-    Field("bottleneck_ratio", "int", required_for=ALL_COMMANDS),
-    Field("groups", "int", required_for=ALL_COMMANDS),
-    Field("image_hw", "pair", default=[8, 8]),
-    Field("spec_hw", "pair", default=[8, 8]),
+    Field("layers", "int", required_for=ALL_COMMANDS, valid=AT_LEAST_1),
+    Field("width", "int", required_for=ALL_COMMANDS, valid=AT_LEAST_1),
+    Field("heads", "int", required_for=ALL_COMMANDS, valid=AT_LEAST_1),
+    Field("patch", "int", required_for=ALL_COMMANDS, valid=AT_LEAST_1),
+    Field("latents", "int", required_for=ALL_COMMANDS, valid=AT_LEAST_1),
+    Field("bottleneck_ratio", "int", required_for=ALL_COMMANDS, valid=AT_LEAST_1),
+    Field("groups", "int", required_for=ALL_COMMANDS, valid=AT_LEAST_1),
+    Field("image_hw", "pair", default=[8, 8], valid=AT_LEAST_1),
+    Field("spec_hw", "pair", default=[8, 8], valid=AT_LEAST_1),
     Field("mode", "str", default="bidirectional"),
     Field("use_latents", "bool", default=True),
     Field("bottleneck_act", "str", default="gelu"),
     Field("bottleneck_bias", "bool", default=True),
     Field("audio_pos", "str", default="resize"),
-    Field("seed", "int", default=0),
-    Field("steps", "int", required_for=TRAIN_COMMANDS),
-    Field("batch_size", "int", required_for=TRAIN_COMMANDS),
-    Field("lr_adapter", "float", required_for=TRAIN_COMMANDS),
-    Field("lr_head", "float", required_for=TRAIN_COMMANDS),
-    Field("noise", "float", required_for=TRAIN_COMMANDS),
-    Field("train_count", "int", required_for=TRAIN_COMMANDS),
-    Field("test_count", "int", required_for=TRAIN_COMMANDS),
-    Field("eval_every", "int", default=0),
-    Field("seeds", "int_list", default=None),  # ablation; defaults to [seed]
-    Field("latents_sweep", "int_list", required_for=("latent-sweep",)),
+    Field("seed", "int", default=0, valid=SEED_RANGE),
+    Field("steps", "int", required_for=TRAIN_COMMANDS, valid=AT_LEAST_0),
+    Field("batch_size", "int", required_for=TRAIN_COMMANDS, valid=AT_LEAST_1),
+    Field("lr_adapter", "float", required_for=TRAIN_COMMANDS, valid=POSITIVE_FINITE),
+    Field("lr_head", "float", required_for=TRAIN_COMMANDS, valid=POSITIVE_FINITE),
+    Field("noise", "float", required_for=TRAIN_COMMANDS, valid=UNIT_INTERVAL),
+    Field("train_count", "int", required_for=TRAIN_COMMANDS, valid=AT_LEAST_4),
+    Field("test_count", "int", required_for=TRAIN_COMMANDS, valid=AT_LEAST_4),
+    Field("eval_every", "int", default=0, valid=AT_LEAST_0),
+    Field("seeds", "int_list", default=None, valid=SEED_RANGE),  # ablation; defaults to [seed]
+    Field("latents_sweep", "int_list", required_for=("latent-sweep",), valid=AT_LEAST_1),
 ]
 
 
@@ -150,6 +161,15 @@ def load_run_config(path: str, command: str, seed_override: int | None) -> dict:
     if resolved["seeds"] is None:
         resolved["seeds"] = [resolved["seed"]]
 
+    for field in FIELDS:
+        value = resolved[field.name]
+        if field.valid is None or value is None:
+            continue
+        text, ok = field.valid
+        if not all(ok(v) for v in (value if isinstance(value, list) else [value])):
+            entries = " entries" if isinstance(value, list) else ""
+            raise ConfigError(f"field '{field.name}'{entries} must be {text}, got {value!r}")
+
     # semantic checks, reported against their field
     try:
         build_model_cfg(resolved).validate()
@@ -160,12 +180,6 @@ def load_run_config(path: str, command: str, seed_override: int | None) -> dict:
             build_train_cfg(resolved).validate()
         except ValueError as e:
             raise ConfigError(f"invalid training configuration: {e}")
-        if resolved["train_count"] < 4 or resolved["test_count"] < 4:
-            raise ConfigError("field 'train_count'/'test_count' must be >= 4")
-        if not (0.0 <= resolved["noise"] < 1.0):
-            raise ConfigError("field 'noise' must lie in [0, 1)")
-    if command == "latent-sweep" and any(v < 1 for v in resolved["latents_sweep"]):
-        raise ConfigError("field 'latents_sweep' entries must be >= 1")
     return resolved
 
 
@@ -222,8 +236,7 @@ def _echo_config(resolved: dict, outdir: Path) -> None:
 
 
 def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+    write_atomic(path, text.encode("utf-8"))
 
 
 def cmd_train(resolved: dict, outdir: Path, quiet: bool) -> None:

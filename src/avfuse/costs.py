@@ -13,7 +13,6 @@ backbone width.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .backbone import FreezeRegistry
@@ -64,13 +63,6 @@ class ParamReport:
             "total": self.total,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ParamReport":
-        report = cls(title=d["title"])
-        for rec in d["entries"]:
-            report.entries.append(ParamEntry(rec["name"], int(rec["count"]), bool(rec["frozen"])))
-        return report
-
     def csv_rows(self) -> list[dict]:
         rows = []
         for e in self.entries:
@@ -117,13 +109,6 @@ class MacReport:
             "total_macs": self.total_macs,
             "total_softmax_elems": self.total_softmax_elems,
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MacReport":
-        report = cls(config=dict(d["config"]))
-        for name, rec in d["ops"].items():
-            report.ops[name] = MacEntry(int(rec["macs"]), int(rec["softmax_elems"]))
-        return report
 
     def csv_rows(self) -> list[dict]:
         label = self.config.get("variant", "fusion")
@@ -307,9 +292,3 @@ def scheme_param_report(spec: SchemeSpec) -> ParamReport:
 def scheme_table(specs: list[SchemeSpec]) -> list[ParamReport]:
     """One ParamReport per scheme descriptor, in the given order."""
     return [scheme_param_report(s) for s in specs]
-
-
-def write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -67,15 +67,15 @@ def direction_enables(mode: str, direction: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def cma(query: Tensor, key: Tensor, value: Tensor, gate: Tensor, scaled: bool = True) -> Tensor:
+def cma(query: Tensor, key: Tensor, value: Tensor, gate: Tensor) -> Tensor:
     """Gated single-head cross-attention with a residual on the query side:
 
         out = query + gate * softmax(query key^T / sqrt(width)) value
 
     The gate is a trainable scalar; at gate == 0 the op returns the query
-    exactly. There are no key/value projections. ``scaled=False`` drops the
-    1/sqrt(width) score scaling. Operands are 2-D or batched; a 2-D query
-    (latent tokens) serves every sample of a batched key/value.
+    exactly. There are no key/value projections. Operands are 2-D or
+    batched; a 2-D query (latent tokens) serves every sample of a batched
+    key/value.
     """
     if query.ndim not in (2, 3) or key.ndim not in (2, 3) or value.ndim not in (2, 3):
         raise ShapeError(
@@ -87,46 +87,21 @@ def cma(query: Tensor, key: Tensor, value: Tensor, gate: Tensor, scaled: bool = 
         raise ShapeError(f"cma: key rows {key.shape} do not match value rows {value.shape}")
     if gate.shape != ():
         raise ShapeError(f"cma: gate must be a scalar, got shape {gate.shape}")
-    attended = attention(query, key, value, 1, 1.0 / np.sqrt(query.shape[-1]) if scaled else 1.0)
+    attended = attention(query, key, value, 1)
     return add(query, mul(attended, gate))
 
 
-@dataclass
-class LatentTokens:
-    """Per-site trainable summary slots for one source modality at one
-    layer. Instances are never shared between sites."""
-
-    modality: str
-    layer: int
-    tokens: Tensor
-
-    def __post_init__(self) -> None:
-        if self.modality not in (AUDIO, VISUAL):
-            raise ValueError(f"LatentTokens: unknown modality {self.modality!r}")
-        if self.tokens.ndim != 2 or self.tokens.shape[0] < 1:
-            raise ShapeError(f"LatentTokens: need (count, width) with count >= 1, got {self.tokens.shape}")
-
-    @property
-    def count(self) -> int:
-        return self.tokens.shape[0]
+def compress_to_latents(latents: Tensor, source: TokenSet, gate: Tensor) -> Tensor:
+    """Summarize a token set into the (m, width) latent slots via gated
+    cross-attention. Output has one row per latent regardless of source
+    length."""
+    return cma(latents, source.tokens, source.tokens, gate)
 
 
-def compress_to_latents(latents: LatentTokens, source: TokenSet, gate: Tensor, scaled: bool = True) -> Tensor:
-    """Summarize a token set into the latent slots via gated cross-attention.
-    Output has one row per latent regardless of source length."""
-    if latents.modality != source.modality:
-        raise ValueError(
-            f"compress_to_latents: latents for {latents.modality!r} cannot summarize {source.modality!r} tokens"
-        )
-    if source.count < 1:
-        raise ShapeError("compress_to_latents: empty token set")
-    return cma(latents.tokens, source.tokens, source.tokens, gate, scaled=scaled)
-
-
-def fuse_with_latents(target: TokenSet, summary: Tensor, gate: Tensor, scaled: bool = True) -> Tensor:
+def fuse_with_latents(target: TokenSet, summary: Tensor, gate: Tensor) -> Tensor:
     """Let the target tokens attend to a compressed summary; row count and
     width of the target are preserved."""
-    return cma(target.tokens, summary, summary, gate, scaled=scaled)
+    return cma(target.tokens, summary, summary, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +187,15 @@ def bottleneck(x: Tensor, params: BottleneckParams) -> Tensor:
 @dataclass
 class AdapterSite:
     """One injection point: a direction (audio->visual or visual->audio),
-    an attachment (beside the attention or the MLP sub-step), its own latent
-    slots and gates, and a grouped bottleneck. No state is shared with any
-    other site."""
+    an attachment (beside the attention or the MLP sub-step), its own
+    (m, width) latent slots and gates, and a grouped bottleneck. No state is
+    shared with any other site."""
 
     direction: str
     attachment: str
     layer: int
     use_latents: bool
-    latents: LatentTokens | None
+    latents: Tensor | None
     gate_compress: Tensor | None
     gate_fuse: Tensor
     neck: BottleneckParams
@@ -255,22 +230,16 @@ def build_site(
     act: str = "gelu",
     bias: bool = True,
     registry: FreezeRegistry | None = None,
-    name_prefix: str = "adapter",
 ) -> AdapterSite:
     """Construct one site and (optionally) register its parameters as
-    trainable under ``<prefix>.layer<i>.<direction>_<attachment>.*``."""
+    trainable under ``adapter.layer<i>.<direction>_<attachment>.*``."""
     if latent_count < 1:
         raise ValueError(f"build_site: latent count must be >= 1, got {latent_count}")
-    base = f"{name_prefix}.layer{layer}.{direction}_{attachment}"
-    source = AUDIO if direction == "a2v" else VISUAL
+    base = f"adapter.layer{layer}.{direction}_{attachment}"
     latents = None
     gate_compress = None
     if use_latents:
-        latents = LatentTokens(
-            modality=source,
-            layer=layer,
-            tokens=Tensor(Rng.for_name(seed, f"{base}.latents").normal((latent_count, width), std=LATENT_INIT_STD)),
-        )
+        latents = Tensor(Rng.for_name(seed, f"{base}.latents").normal((latent_count, width), std=LATENT_INIT_STD))
         gate_compress = Tensor(np.full((), GATE_INIT))
     gate_fuse = Tensor(np.full((), GATE_INIT))
     neck = init_bottleneck(width, ratio, groups, seed, base, act=act, bias=bias)
@@ -286,7 +255,7 @@ def build_site(
     )
     if registry is not None:
         if use_latents:
-            registry.register(f"{base}.latents", latents.tokens, frozen=False)
+            registry.register(f"{base}.latents", latents, frozen=False)
             registry.register(f"{base}.gate_compress", gate_compress, frozen=False)
         registry.register(f"{base}.gate_fuse", gate_fuse, frozen=False)
         registry.register(f"{base}.down_w", neck.down_w, frozen=False)
@@ -298,7 +267,7 @@ def build_site(
     return site
 
 
-def adapter_forward(source: TokenSet, target: TokenSet, site: AdapterSite, scaled: bool = True) -> Tensor:
+def adapter_forward(source: TokenSet, target: TokenSet, site: AdapterSite) -> Tensor:
     """The additive cross-modal term injected next to one frozen sub-step.
 
     Latent sites run compress -> fuse -> bottleneck; direct sites attend to
@@ -313,10 +282,10 @@ def adapter_forward(source: TokenSet, target: TokenSet, site: AdapterSite, scale
     if source.width != target.width:
         raise ShapeError(f"adapter_forward: stream widths differ: {source.width} vs {target.width}")
     if site.use_latents:
-        summary = compress_to_latents(site.latents, source, site.gate_compress, scaled=scaled)
-        fused = fuse_with_latents(target, summary, site.gate_fuse, scaled=scaled)
+        summary = compress_to_latents(site.latents, source, site.gate_compress)
+        fused = fuse_with_latents(target, summary, site.gate_fuse)
     else:
-        fused = cma(target.tokens, source.tokens, source.tokens, site.gate_fuse, scaled=scaled)
+        fused = cma(target.tokens, source.tokens, source.tokens, site.gate_fuse)
     return bottleneck(fused, site.neck)
 
 

@@ -7,15 +7,13 @@ reproduce its frozen twin exactly at init.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import Rng, ShapeError, Tensor, concat_cols, matmul, mean_rows, reshape
 from .backbone import (
     ACTIVATIONS,
-    AUDIO,
-    VISUAL,
     FreezeRegistry,
     FrozenLayerWeights,
     ImageInput,
@@ -49,17 +47,20 @@ class ModelConfig:
     use_latents: bool = True
     bottleneck_act: str = "gelu"
     bottleneck_bias: bool = True
-    mlp_act: str = "gelu"
     audio_pos: str = "resize"  # "resize" | "none"
-    include_head: bool = True
 
     def validate(self) -> None:
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.width < 1 or self.width % self.heads:
             raise ValueError(f"heads {self.heads} must divide width {self.width}")
         if self.patch < 1:
             raise ValueError(f"patch must be >= 1, got {self.patch}")
+        for name in ("image_hw", "spec_hw"):
+            if min(getattr(self, name)) < 1:
+                raise ValueError(f"{name} entries must be >= 1, got {getattr(self, name)}")
         if self.image_hw[0] % self.patch or self.image_hw[1] % self.patch:
             raise ValueError(f"image size {self.image_hw} must divide by patch {self.patch}")
         if self.latent_count < 1:
@@ -72,10 +73,8 @@ class ModelConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.audio_pos not in ("resize", "none"):
             raise ValueError(f"audio_pos must be 'resize' or 'none', got {self.audio_pos!r}")
-        for name in ("bottleneck_act", "mlp_act"):
-            act = getattr(self, name)
-            if act not in ACTIVATIONS:
-                raise ValueError(f"{name} must be one of {tuple(ACTIVATIONS)}, got {act!r}")
+        if self.bottleneck_act not in ACTIVATIONS:
+            raise ValueError(f"bottleneck_act must be one of {tuple(ACTIVATIONS)}, got {self.bottleneck_act!r}")
 
     @property
     def visual_grid(self) -> tuple[int, int]:
@@ -99,12 +98,12 @@ class ModelConfig:
 
 
 def event_head(xa: TokenSet, xv: TokenSet, weight: Tensor, bias: Tensor) -> Tensor:
-    """Mean-pool each stream, concatenate, and map linearly to two logits:
-    (1, 2) for one sample, (B, 2) for a batch.
+    """Mean-pool each stream of a (B, N, width) batch, concatenate, and map
+    linearly to (B, 2) logits.
 
-    A batch keeps its pooled rows as (B, 1, 2*width) through the head matmul,
-    so each sample's logits come from the same one-row product as when it is
-    scored alone, bit for bit.
+    The pooled rows stay (B, 1, 2*width) through the head matmul, so each
+    sample's logits come from the same one-row product as when it is scored
+    alone, bit for bit.
     """
     if xa.width != xv.width:
         raise ShapeError(f"event_head: stream widths differ: {xa.width} vs {xv.width}")
@@ -112,9 +111,7 @@ def event_head(xa: TokenSet, xv: TokenSet, weight: Tensor, bias: Tensor) -> Tens
     if weight.shape != (2 * xa.width, 2):
         raise ShapeError(f"event_head: weight shape {weight.shape} does not match pooled width {2 * xa.width}")
     logits = matmul(pooled, weight, bias)
-    if logits.ndim == 3:
-        logits = reshape(logits, (logits.shape[0], 2))
-    return logits
+    return reshape(logits, (logits.shape[0], 2))
 
 
 class TwoStreamModel:
@@ -142,7 +139,7 @@ class TwoStreamModel:
 
         self.layers: list[FrozenLayerWeights] = []
         for i in range(cfg.layers):
-            w = init_layer_weights(width, cfg.heads, seed, f"backbone.layer{i}", mlp_act=cfg.mlp_act)
+            w = init_layer_weights(width, cfg.heads, seed, f"backbone.layer{i}")
             self.layers.append(w)
             base = f"backbone.layer{i}"
             for part, tensor in (
@@ -179,15 +176,12 @@ class TwoStreamModel:
                 )
             )
 
-        self.head_weight: Tensor | None = None
-        self.head_bias: Tensor | None = None
-        if cfg.include_head:
-            self.head_weight = self.registry.register(
-                "head.weight",
-                Tensor(Rng.for_name(seed, "head.weight").normal((2 * width, 2), std=INIT_STD)),
-                frozen=False,
-            )
-            self.head_bias = self.registry.register("head.bias", Tensor(np.zeros(2)), frozen=False)
+        self.head_weight = self.registry.register(
+            "head.weight",
+            Tensor(Rng.for_name(seed, "head.weight").normal((2 * width, 2), std=INIT_STD)),
+            frozen=False,
+        )
+        self.head_bias = self.registry.register("head.bias", Tensor(np.zeros(2)), frozen=False)
 
         if cfg.audio_pos == "resize":
             self._pos_audio = Tensor(
@@ -198,12 +192,10 @@ class TwoStreamModel:
 
     # -- forward ------------------------------------------------------------
 
-    def tokenize(self, image, spec) -> tuple[TokenSet, TokenSet]:
-        """Token sets of one (image, spectrogram) pair, or of equal-length
-        lists of them as one (B, N, width) batch."""
+    def tokenize(self, images: list[ImageInput], specs: list[SpectrogramInput]) -> tuple[TokenSet, TokenSet]:
+        """Token sets of equal-length lists of images and spectrograms as one
+        (B, N, width) batch."""
         cfg = self.cfg
-        images = [image] if isinstance(image, ImageInput) else image
-        specs = [spec] if isinstance(spec, SpectrogramInput) else spec
         if len(images) != len(specs) or not images:
             raise ShapeError(f"tokenize: need equal non-empty input lists, got {len(images)} and {len(specs)}")
         for img in images:
@@ -212,28 +204,24 @@ class TwoStreamModel:
         for sp in specs:
             if tuple(-(-n // cfg.patch) for n in sp.values.shape) != cfg.audio_grid:
                 raise ShapeError(f"spectrogram shape {sp.values.shape} does not match config {cfg.spec_hw}")
-        xv = patch_embed(image, cfg.patch, self.patch_proj, self.pos_visual)
-        xa = spectrogram_embed(spec, cfg.patch, self.patch_proj, self._pos_audio)
+        xv = patch_embed(images, cfg.patch, self.patch_proj, self.pos_visual)
+        xa = spectrogram_embed(specs, cfg.patch, self.patch_proj, self._pos_audio)
         return xa, xv
 
-    def forward(self, image, spec) -> tuple[TokenSet, TokenSet]:
+    def forward(self, images: list[ImageInput], specs: list[SpectrogramInput]) -> tuple[TokenSet, TokenSet]:
         """Both streams after the last layer; inputs as in ``tokenize``."""
-        xa, xv = self.tokenize(image, spec)
+        xa, xv = self.tokenize(images, specs)
         for w, sites in zip(self.layers, self.sites):
             xa, xv = dual_layer_forward(xa, xv, w, sites, self.cfg.mode)
         return xa, xv
 
     def logits(self, image: ImageInput, spec: SpectrogramInput) -> Tensor:
-        if self.head_weight is None:
-            raise ValueError("model was built without a head")
-        xa, xv = self.forward(image, spec)
-        return event_head(xa, xv, self.head_weight, self.head_bias)
+        """(1, 2) logits of one sample: a batch of one."""
+        return self.logits_batch([(image, spec)])
 
     def logits_batch(self, pairs) -> Tensor:
         """(B, 2) logits of a list of (image, spectrogram) pairs from one
         batched forward; row i equals ``logits(*pairs[i])`` bit for bit."""
-        if self.head_weight is None:
-            raise ValueError("model was built without a head")
         xa, xv = self.forward([img for img, _ in pairs], [spec for _, spec in pairs])
         return event_head(xa, xv, self.head_weight, self.head_bias)
 

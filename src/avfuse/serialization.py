@@ -1,21 +1,25 @@
-"""On-disk formats: named-tensor containers, raw arrays with sidecars, CSV.
+"""On-disk formats: named-tensor containers, JSON files, CSV floats.
 
 A tensor container is a pair of files sharing a base path: ``<base>.json``
 holds the manifest (entry order, names, shapes, frozen flags, byte offsets)
 and ``<base>.bin`` holds the concatenated row-major little-endian float64
-payloads in manifest order. The same container carries model weights and
-exported datasets; free-form metadata rides in the manifest's "extra" field.
+payloads in manifest order. It carries model weights; free-form metadata
+rides in the manifest's "extra" field.
+
+Every file is written whole or not at all: ``write_atomic`` writes the bytes
+to a temp file beside the target and renames it over the target, so a crash
+or a failed write leaves the previous file in place.
 """
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 CONTAINER_FORMAT = "avfuse-tensors-v1"
-ARRAY_FORMAT = "avfuse-array-v1"
 
 _ITEMSIZE = 8  # float64
 
@@ -62,12 +66,9 @@ def save_tensors(base: str | Path, entries, extra: dict | None = None) -> None:
         "extra": extra if extra is not None else {},
     }
     base.parent.mkdir(parents=True, exist_ok=True)
-    with open(base.with_suffix(".json"), "w", encoding="utf-8", newline="\n") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(base.with_suffix(".bin"), "wb") as f:
-        for raw in blobs:
-            f.write(raw)
+    # the payload first, so the manifest that describes it lands last
+    write_atomic(base.with_suffix(".bin"), b"".join(blobs))
+    write_json(base.with_suffix(".json"), manifest)
 
 
 def load_tensors(base: str | Path) -> tuple[list[ContainerEntry], dict]:
@@ -107,55 +108,27 @@ def load_tensors(base: str | Path) -> tuple[list[ContainerEntry], dict]:
     return entries, manifest.get("extra", {})
 
 
-def save_array(base: str | Path, array: np.ndarray) -> None:
-    """Write one raw array to <base>.bin with a <base>.json shape sidecar."""
-    base = Path(base)
-    arr = np.array(array, dtype=np.float64, order="C")
-    sidecar = {
-        "format": ARRAY_FORMAT,
-        "shape": list(arr.shape),
-        "dtype": "float64",
-        "byteorder": "little",
-        "order": "C",
-    }
-    base.parent.mkdir(parents=True, exist_ok=True)
-    with open(base.with_suffix(".json"), "w", encoding="utf-8", newline="\n") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(base.with_suffix(".bin"), "wb") as f:
-        f.write(arr.astype("<f8", copy=False).tobytes(order="C"))
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` whole: the bytes go to a temp file in
+    the same directory, flushed to disk, which ``os.replace`` then renames
+    over ``path``. On any failure the temp file is removed and ``path`` is
+    left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def load_array(base: str | Path) -> np.ndarray:
-    base = Path(base)
-    with open(base.with_suffix(".json"), "r", encoding="utf-8") as f:
-        sidecar = json.load(f)
-    if sidecar.get("format") != ARRAY_FORMAT:
-        raise ValueError(f"unrecognized array format: {sidecar.get('format')!r}")
-    shape = tuple(int(s) for s in sidecar["shape"])
-    raw = base.with_suffix(".bin").read_bytes()
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    if len(raw) != count * _ITEMSIZE:
-        raise ValueError(f"array payload of {len(raw)} bytes does not match shape {shape}")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-
-
-def load_array_csv(path: str | Path) -> np.ndarray:
-    """Small 2-D fixtures as comma-separated text, one row per line."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([float(cell) for cell in line.split(",")])
-    if not rows:
-        raise ValueError(f"empty CSV fixture: {path}")
-    width = len(rows[0])
-    for r in rows:
-        if len(r) != width:
-            raise ValueError(f"ragged CSV fixture: {path}")
-    return np.asarray(rows, dtype=np.float64)
+def write_json(path: str | Path, payload: dict) -> None:
+    """``payload`` as indented JSON with sorted keys and a final newline."""
+    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def format_float(x: float) -> str:

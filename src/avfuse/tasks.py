@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import NonFiniteError, Rng, Tensor, backward, cross_entropy_logits, derive_seed, no_grad
 from .backbone import ImageInput, SpectrogramInput
 from .model import ModelConfig, TwoStreamModel
-from .serialization import ContainerEntry, format_float, load_tensors, save_tensors
+from .serialization import format_float
 
 PAIR_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -56,7 +56,6 @@ class SyntheticAvSample:
     audio_class: int
     visual_class: int
     label: int
-    noise: float
 
 
 def visual_template(cls: int, hw: tuple[int, int]) -> np.ndarray:
@@ -121,52 +120,10 @@ def generate_dataset(
                 audio_class=a_cls,
                 visual_class=v_cls,
                 label=xnor_label(a_cls, v_cls),
-                noise=noise,
             )
         )
     order = Rng.for_name(seed, "order").permutation(count)
     return [samples[i] for i in order]
-
-
-def save_dataset(base, samples: list[SyntheticAvSample]) -> None:
-    """Export to the shared container format: two tensors per sample plus
-    class/label metadata in the manifest."""
-    def entries():
-        for i, s in enumerate(samples):
-            yield f"sample{i:05d}.image", s.image.pixels, False
-            yield f"sample{i:05d}.spectrogram", s.spectrogram.values, False
-
-    extra = {
-        "kind": "paired-av-dataset",
-        "count": len(samples),
-        "audio_classes": [s.audio_class for s in samples],
-        "visual_classes": [s.visual_class for s in samples],
-        "labels": [s.label for s in samples],
-        "noise": samples[0].noise if samples else 0.0,
-    }
-    save_tensors(base, entries(), extra=extra)
-
-
-def load_dataset(base) -> list[SyntheticAvSample]:
-    entries, extra = load_tensors(base)
-    if extra.get("kind") != "paired-av-dataset":
-        raise ValueError("container does not hold a paired dataset")
-    by_name: dict[str, ContainerEntry] = {e.name: e for e in entries}
-    out = []
-    for i in range(int(extra["count"])):
-        img = by_name[f"sample{i:05d}.image"].array
-        spec = by_name[f"sample{i:05d}.spectrogram"].array
-        out.append(
-            SyntheticAvSample(
-                image=ImageInput(img),
-                spectrogram=SpectrogramInput(spec),
-                audio_class=int(extra["audio_classes"][i]),
-                visual_class=int(extra["visual_classes"][i]),
-                label=int(extra["labels"][i]),
-                noise=float(extra["noise"]),
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +195,9 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.eval_every < 0:
             raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
+        for name in ("lr_adapter", "lr_head"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 def evaluate(model: TwoStreamModel, samples: list[SyntheticAvSample]) -> float:

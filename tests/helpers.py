@@ -12,7 +12,8 @@ that ran before they computed in place.
 
 The oracle ops ``transpose``, ``cols``, ``concat_rows`` and
 ``softmax_rows`` live here, not in the library: only the per-head oracle
-uses them.
+uses them. So do the scalar reducers ``sum_all`` and ``mean_all``, which
+only tests use to turn an output into a loss.
 """
 from __future__ import annotations
 
@@ -103,6 +104,27 @@ def softmax_rows(x) -> Tensor:
     return out
 
 
+def sum_all(x) -> Tensor:
+    x = _as_tensor(x)
+    out = Tensor._node(np.asarray(x.data.sum()), (x,))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            _accum(x, np.full_like(x.data, float(g)))
+        out._backward = _bw
+    return out
+
+
+def mean_all(x) -> Tensor:
+    x = _as_tensor(x)
+    n = x.size
+    out = Tensor._node(np.asarray(x.data.mean()), (x,))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            _accum(x, np.full_like(x.data, float(g) / n))
+        out._backward = _bw
+    return out
+
+
 def loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Triple-loop matrix product on python floats."""
     p, q = a.shape
@@ -149,11 +171,9 @@ def scalar_gelu(x: float) -> float:
     return 0.5 * x * (1.0 + math.tanh(c0 * (x + c1 * x**3)))
 
 
-def scalar_cma(q: np.ndarray, k: np.ndarray, v: np.ndarray, gate: float, scaled: bool = True) -> np.ndarray:
+def scalar_cma(q: np.ndarray, k: np.ndarray, v: np.ndarray, gate: float) -> np.ndarray:
     """Gated cross-attention with query residual, all in scalar loops."""
-    scores = loop_matmul(q, k.T)
-    if scaled:
-        scores = scores / math.sqrt(q.shape[1])
+    scores = loop_matmul(q, k.T) / math.sqrt(q.shape[1])
     attn = scalar_softmax_rows(scores)
     return q + gate * loop_matmul(attn, v)
 
@@ -356,7 +376,7 @@ def oracle_mha(x: Tensor, w) -> Tensor:
 
 def oracle_mlp(x: Tensor, w) -> Tensor:
     t = layer_norm(x, w.ln2_gain, w.ln2_shift)
-    hidden = _act(w.mlp_act)(add(matmul(t, w.mlp_w1), w.mlp_b1))
+    hidden = gelu(add(matmul(t, w.mlp_w1), w.mlp_b1))
     return add(matmul(hidden, w.mlp_w2), w.mlp_b2)
 
 
@@ -367,7 +387,7 @@ def oracle_cma(query: Tensor, key: Tensor, value: Tensor, gate: Tensor) -> Tenso
 
 def oracle_adapter(source: Tensor, target: Tensor, site) -> Tensor:
     if site.use_latents:
-        summary = oracle_cma(site.latents.tokens, source, source, site.gate_compress)
+        summary = oracle_cma(site.latents, source, source, site.gate_compress)
         fused = oracle_cma(target, summary, summary, site.gate_fuse)
     else:
         fused = oracle_cma(target, source, source, site.gate_fuse)

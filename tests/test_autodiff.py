@@ -20,19 +20,19 @@ from avfuse.autodiff import (
     grouped_linear,
     layer_norm,
     matmul,
-    mean_all,
     mean_rows,
     mul,
     no_grad,
     relu,
     reshape,
     scale,
-    sum_all,
 )
 
 from helpers import (
     cols,
     concat_rows,
+    mean_all,
+    sum_all,
     softmax_rows,
     transpose,
     loop_matmul,

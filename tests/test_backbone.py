@@ -22,7 +22,7 @@ from avfuse.backbone import (
     unfold_patches,
 )
 
-from helpers import loop_matmul, scalar_softmax_rows
+from helpers import expr_layer_norm, loop_matmul, scalar_layer_norm, scalar_softmax_rows
 
 
 class TestInputs:
@@ -80,40 +80,40 @@ class TestEmbedding:
         r = np.random.default_rng(1)
         img = ImageInput(r.uniform(size=(4, 4, 3)))
         proj = r.standard_normal((12, 5))
-        ts = patch_embed(img, 2, Tensor(proj))
+        ts = patch_embed([img], 2, Tensor(proj))
         assert ts.modality == VISUAL and ts.layer == 0
         want = loop_matmul(unfold_patches(img.pixels, 2), proj)
-        np.testing.assert_allclose(ts.tokens.data, want, rtol=1e-13)
+        np.testing.assert_allclose(ts.tokens.data[0], want, rtol=1e-13)
 
     def test_patch_embed_zero_image_zero_tokens(self):
         # bias-free projection: zero input must give exactly zero tokens
         img = ImageInput(np.zeros((4, 4, 3)))
         proj = Tensor(np.random.default_rng(2).standard_normal((12, 5)))
-        ts = patch_embed(img, 2, proj)
-        np.testing.assert_array_equal(ts.tokens.data, np.zeros((4, 5)))
+        ts = patch_embed([img], 2, proj)
+        np.testing.assert_array_equal(ts.tokens.data, np.zeros((1, 4, 5)))
 
     def test_patch_embed_adds_positions(self):
         r = np.random.default_rng(3)
         img = ImageInput(r.uniform(size=(4, 4, 3)))
         proj = Tensor(r.standard_normal((12, 5)))
         pos = r.standard_normal((4, 5))
-        without = patch_embed(img, 2, proj)
-        with_pos = patch_embed(img, 2, proj, Tensor(pos))
+        without = patch_embed([img], 2, proj)
+        with_pos = patch_embed([img], 2, proj, Tensor(pos))
         np.testing.assert_allclose(with_pos.tokens.data, without.tokens.data + pos, rtol=1e-14)
         with pytest.raises(ShapeError):
-            patch_embed(img, 2, proj, Tensor(np.zeros((3, 5))))
+            patch_embed([img], 2, proj, Tensor(np.zeros((3, 5))))
 
     def test_spectrogram_embed_replicates_channels_and_pads(self):
         r = np.random.default_rng(4)
         spec = SpectrogramInput(r.standard_normal((3, 5)))
         proj = r.standard_normal((12, 6))
-        ts = spectrogram_embed(spec, 2, Tensor(proj))
+        ts = spectrogram_embed([spec], 2, Tensor(proj))
         assert ts.modality == AUDIO
         padded = pad_to_multiple(spec.values, 2)
         three = np.repeat(padded[:, :, None], 3, axis=2)
         want = loop_matmul(unfold_patches(three, 2), proj)
-        assert ts.tokens.data.shape == (6, 6)  # ceil(3/2)*ceil(5/2) = 2*3
-        np.testing.assert_allclose(ts.tokens.data, want, rtol=1e-13)
+        assert ts.tokens.data.shape == (1, 6, 6)  # ceil(3/2)*ceil(5/2) = 2*3
+        np.testing.assert_allclose(ts.tokens.data[0], want, rtol=1e-13)
 
 
 class TestResizePos:
@@ -171,11 +171,12 @@ class TestLayerBlocks:
         r = np.random.default_rng(7)
         w = init_layer_weights(8, 2, 3, "oracle")
         x = TokenSet(VISUAL, Tensor(r.standard_normal((5, 8))), layer=0)
-        got = mha(x, w, pre_norm=False).data
+        got = mha(x, w).data
 
-        q = loop_matmul(x.tokens.data, w.wq.data)
-        k = loop_matmul(x.tokens.data, w.wk.data)
-        v = loop_matmul(x.tokens.data, w.wv.data)
+        t = scalar_layer_norm(x.tokens.data, w.ln1_gain.data, w.ln1_shift.data)
+        q = loop_matmul(t, w.wq.data)
+        k = loop_matmul(t, w.wk.data)
+        v = loop_matmul(t, w.wv.data)
         heads = []
         for i in range(2):
             sl = slice(i * 4, (i + 1) * 4)
@@ -189,39 +190,44 @@ class TestLayerBlocks:
         r = np.random.default_rng(8)
         w = init_layer_weights(6, 1, 4, "single")
         x = TokenSet(AUDIO, Tensor(r.standard_normal((4, 6))), layer=0)
-        got = mha(x, w, pre_norm=False).data
-        q = x.tokens.data @ w.wq.data
-        k = x.tokens.data @ w.wk.data
-        v = x.tokens.data @ w.wv.data
+        got = mha(x, w).data
+        t = scalar_layer_norm(x.tokens.data, w.ln1_gain.data, w.ln1_shift.data)
+        q = t @ w.wq.data
+        k = t @ w.wk.data
+        v = t @ w.wv.data
         attn = scalar_softmax_rows(q @ k.T / np.sqrt(6.0))
         np.testing.assert_allclose(got, attn @ v @ w.wo.data, rtol=1e-12)
 
     def test_mha_identity_weights_single_token(self):
-        # softmax over one key is 1, so identity projections pass the token through
+        # softmax over one key is 1, so identity projections pass the
+        # normalized token through
         w = init_layer_weights(4, 2, 0, "ident")
         for t in (w.wq, w.wk, w.wv, w.wo):
             t.data = np.eye(4)
         tok = np.array([[0.5, -1.25, 2.0, 3.75]])
-        got = mha(TokenSet(VISUAL, Tensor(tok), layer=0), w, pre_norm=False).data
-        np.testing.assert_array_equal(got, tok)
+        got = mha(TokenSet(VISUAL, Tensor(tok), layer=0), w).data
+        normed = expr_layer_norm(tok, w.ln1_gain.data, w.ln1_shift.data, np.zeros_like(tok))[0]
+        np.testing.assert_array_equal(got, normed)
 
     def test_mha_identity_weights_equal_tokens(self):
-        # equal keys give uniform attention, so the shared token is returned
+        # equal keys give uniform attention, so the shared normalized token
+        # is returned
         w = init_layer_weights(4, 2, 0, "ident2")
         for t in (w.wq, w.wk, w.wv, w.wo):
             t.data = np.eye(4)
-        tok = np.array([1.0, -2.0, 0.25, 4.0])
-        x = TokenSet(AUDIO, Tensor(np.stack([tok, tok])), layer=0)
-        got = mha(x, w, pre_norm=False).data
-        np.testing.assert_allclose(got, np.stack([tok, tok]), rtol=1e-15)
+        toks = np.stack([np.array([1.0, -2.0, 0.25, 4.0])] * 2)
+        x = TokenSet(AUDIO, Tensor(toks), layer=0)
+        got = mha(x, w).data
+        normed = expr_layer_norm(toks, w.ln1_gain.data, w.ln1_shift.data, np.zeros_like(toks))[0]
+        np.testing.assert_allclose(got, normed, rtol=1e-15)
 
     def test_mha_permutation_equivariance(self):
         r = np.random.default_rng(21)
         w = init_layer_weights(8, 2, 6, "perm")
         x = r.standard_normal((7, 8))
         perm = r.permutation(7)
-        base = mha(TokenSet(VISUAL, Tensor(x), layer=0), w, pre_norm=False).data
-        shuffled = mha(TokenSet(VISUAL, Tensor(x[perm]), layer=0), w, pre_norm=False).data
+        base = mha(TokenSet(VISUAL, Tensor(x), layer=0), w).data
+        shuffled = mha(TokenSet(VISUAL, Tensor(x[perm]), layer=0), w).data
         np.testing.assert_allclose(shuffled, base[perm], rtol=1e-12)
 
     def test_mlp_zero_weights_gives_zero(self):
@@ -229,7 +235,7 @@ class TestLayerBlocks:
         for t in (w.mlp_w1, w.mlp_b1, w.mlp_w2, w.mlp_b2):
             t.data = np.zeros_like(t.data)
         x = TokenSet(VISUAL, Tensor(np.random.default_rng(22).standard_normal((3, 4))), layer=0)
-        np.testing.assert_array_equal(mlp(x, w, pre_norm=False).data, np.zeros((3, 4)))
+        np.testing.assert_array_equal(mlp(x, w).data, np.zeros((3, 4)))
 
     def test_mlp_matches_scalar_path(self):
         from helpers import scalar_gelu
@@ -237,8 +243,9 @@ class TestLayerBlocks:
         r = np.random.default_rng(9)
         w = init_layer_weights(4, 2, 5, "mlp")
         x = TokenSet(VISUAL, Tensor(r.standard_normal((3, 4))), layer=0)
-        got = mlp(x, w, pre_norm=False).data
-        hidden = loop_matmul(x.tokens.data, w.mlp_w1.data) + w.mlp_b1.data
+        got = mlp(x, w).data
+        t = scalar_layer_norm(x.tokens.data, w.ln2_gain.data, w.ln2_shift.data)
+        hidden = loop_matmul(t, w.mlp_w1.data) + w.mlp_b1.data
         hidden = np.vectorize(scalar_gelu)(hidden)
         want = loop_matmul(hidden, w.mlp_w2.data) + w.mlp_b2.data
         np.testing.assert_allclose(got, want, rtol=1e-12)

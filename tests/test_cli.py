@@ -1,11 +1,12 @@
 """CLI tests: config validation, outputs, determinism, exit codes."""
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from avfuse.cli import ConfigError, load_run_config, main
+from avfuse.cli import FIELDS, ConfigError, load_run_config, main
 
 TINY = {
     "layers": 1,
@@ -120,6 +121,53 @@ class TestExitCodes:
         assert code == 3
         assert "deliberate" in capsys.readouterr().err
 
+    def test_out_of_range_values_two(self, tmp_path, capsys):
+        # one or more out-of-range values, as raw JSON, for every field that
+        # has a range or a fixed set of values; each fails at load, names its
+        # field, and no output directory is made
+        bad = {
+            "layers": ["0"],
+            "width": ["0"],
+            "heads": ["0", "-2"],
+            "patch": ["0"],
+            "latents": ["0"],
+            "bottleneck_ratio": ["0"],
+            "groups": ["0"],
+            "image_hw": ["[0, 0]", "[8, -4]"],
+            "spec_hw": ["[0, 0]", "[-8, 8]"],
+            "mode": ['"both"'],
+            "bottleneck_act": ['"tanh"'],
+            "audio_pos": ['"sideways"'],
+            "seed": ["-1", str(2**64)],
+            "steps": ["-1"],
+            "batch_size": ["0"],
+            "lr_adapter": ["1e400", "-1.0", "0.0"],
+            "lr_head": ["NaN", "-Infinity"],
+            "noise": ["1.0", "-0.5"],
+            "train_count": ["3"],
+            "test_count": ["3"],
+            "eval_every": ["-1"],
+            "seeds": ["[-1]", f"[0, {2**64}]"],
+            "latents_sweep": ["[0]"],
+        }
+        ranged = {f.name for f in FIELDS if f.valid is not None or f.kind == "str"}
+        assert ranged == set(bad)
+        for name, values in bad.items():
+            for raw in values:
+                cfg = {k: v for k, v in dict(TINY, latents_sweep=[2]).items() if k != name}
+                p = tmp_path / "c.json"
+                p.write_text(json.dumps(cfg)[:-1] + f', "{name}": {raw}}}')
+                out = tmp_path / "never"
+                code = run_cli(["latent-sweep", "--config", str(p), "--out", str(out), "--quiet"])
+                err = capsys.readouterr().err
+                assert code == 2, (name, raw, err)
+                assert re.search(rf"\b{name}\b", err), (name, raw, err)
+                assert not out.exists()
+
+    def test_seed_override_out_of_range_two(self, tmp_path, capsys):
+        code = run_cli(["train", "--config", write_config(tmp_path), "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_divergence_three_names_step_and_parameter(self, tmp_path, capsys):
         p = write_config(tmp_path, {"lr_adapter": 1e300, "steps": 4})

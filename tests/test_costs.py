@@ -10,8 +10,6 @@ import pytest
 from avfuse.autodiff import Tensor, count_macs
 from avfuse.backbone import AUDIO, VISUAL, FreezeRegistry, TokenSet
 from avfuse.costs import (
-    MacReport,
-    ParamReport,
     SchemeSpec,
     bottleneck_params,
     count_params,
@@ -60,8 +58,10 @@ class TestParamFormulas:
     def test_frozen_only_model_has_zero_trainable(self):
         from avfuse.model import ModelConfig, TwoStreamModel
 
-        model = TwoStreamModel(ModelConfig(mode="none", include_head=False), seed=0)
-        assert count_params(model.registry).trainable_total == 0
+        cfg = ModelConfig(mode="none")
+        model = TwoStreamModel(cfg, seed=0)
+        # the head's (2*width, 2) weight and 2 biases are all that trains
+        assert count_params(model.registry).trainable_total == 4 * cfg.width + 2
 
     def test_count_params_from_registry(self):
         reg = FreezeRegistry()
@@ -170,9 +170,10 @@ class TestSchemes:
     def test_latent_adapter_matches_built_model(self):
         from avfuse.model import ModelConfig, TwoStreamModel
 
-        cfg = ModelConfig(mode="bidirectional", include_head=False)
+        cfg = ModelConfig(mode="bidirectional")
         model = TwoStreamModel(cfg, seed=0)
         rep = count_params(model.registry)
+        head = 4 * cfg.width + 2
         spec = SchemeSpec(
             scheme="latent_adapter",
             width=cfg.width,
@@ -182,13 +183,14 @@ class TestSchemes:
             ratio=cfg.ratio,
             groups=cfg.groups,
         )
-        assert scheme_param_report(spec).trainable_total == rep.trainable_total
+        assert scheme_param_report(spec).trainable_total == rep.trainable_total - head
 
     def test_direct_adapter_matches_built_model(self):
         from avfuse.model import ModelConfig, TwoStreamModel
 
-        cfg = ModelConfig(mode="bidirectional", use_latents=False, include_head=False)
+        cfg = ModelConfig(mode="bidirectional", use_latents=False)
         model = TwoStreamModel(cfg, seed=0)
+        head = 4 * cfg.width + 2
         spec = SchemeSpec(
             scheme="direct_adapter",
             width=cfg.width,
@@ -196,7 +198,7 @@ class TestSchemes:
             ratio=cfg.ratio,
             groups=cfg.groups,
         )
-        assert scheme_param_report(spec).trainable_total == count_params(model.registry).trainable_total
+        assert scheme_param_report(spec).trainable_total == count_params(model.registry).trainable_total - head
 
     def test_lora_rank_zero_is_empty(self):
         spec = SchemeSpec(scheme="lora", width=32, layers=2, rank=0)
@@ -240,23 +242,6 @@ class TestSchemes:
 
 
 class TestReportFormats:
-    def test_param_report_json_round_trip(self):
-        from avfuse.costs import ParamEntry
-
-        rep = ParamReport(title="t")
-        rep.entries.append(ParamEntry("a", 5, True))
-        rep.entries.append(ParamEntry("b", 7, False))
-        back = ParamReport.from_json_dict(rep.to_json_dict())
-        assert back.title == "t"
-        assert back.entries[0].name == "a" and back.entries[0].count == 5 and back.entries[0].frozen
-        assert (back.frozen_total, back.trainable_total, back.total) == (5, 7, 12)
-
-    def test_mac_report_json_round_trip(self):
-        rep = mac_fusion(4, 3, 2, 8, "latent")
-        back = MacReport.from_json_dict(rep.to_json_dict())
-        assert back.total_macs == rep.total_macs
-        assert back.ops["compression"].softmax_elems == rep.ops["compression"].softmax_elems
-
     def test_csv_rendering(self):
         rep = mac_fusion(4, 3, 2, 8, "latent")
         text = reports_to_csv(rep.csv_rows())

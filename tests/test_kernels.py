@@ -20,7 +20,6 @@ from avfuse.autodiff import (
     matmul,
     mul,
     reshape,
-    sum_all,
 )
 from avfuse.backbone import ImageInput, SpectrogramInput
 from avfuse.model import ModelConfig, TwoStreamModel, frozen_twin
@@ -32,6 +31,7 @@ from helpers import (
     matmul_add,
     power_gelu,
     product_gelu,
+    sum_all,
 )
 
 # (input shape, grouped weight shape): the train-wide down and up

@@ -27,8 +27,14 @@ class TestConfig:
             ModelConfig(ratio=3).validate()  # 32 % (3*2) != 0
         with pytest.raises(ValueError):
             ModelConfig(mode="both").validate()
+        with pytest.raises(ValueError, match="heads"):
+            ModelConfig(heads=0).validate()  # no modulo by zero
+        with pytest.raises(ValueError, match="image_hw"):
+            ModelConfig(image_hw=(0, 0)).validate()
+        with pytest.raises(ValueError, match="spec_hw"):
+            ModelConfig(spec_hw=(-4, 8)).validate()
 
-    @pytest.mark.parametrize("field_name", ["bottleneck_act", "mlp_act"])
+    @pytest.mark.parametrize("field_name", ["bottleneck_act"])
     def test_rejects_unknown_activation(self, field_name):
         with pytest.raises(ValueError, match=field_name):
             ModelConfig(**{field_name: "tanh"}).validate()
@@ -44,15 +50,17 @@ class TestWiring:
         cfg = ModelConfig()
         model = TwoStreamModel(cfg, seed=0)
         r = Rng.for_name(0, "wiring")
-        xa, xv = model.tokenize(*rand_inputs(r, cfg))
-        assert xv.tokens.shape == (cfg.n_visual_tokens, cfg.width)
-        assert xa.tokens.shape == (cfg.n_audio_tokens, cfg.width)
+        img, spec = rand_inputs(r, cfg)
+        xa, xv = model.tokenize([img], [spec])
+        assert xv.tokens.shape == (1, cfg.n_visual_tokens, cfg.width)
+        assert xa.tokens.shape == (1, cfg.n_audio_tokens, cfg.width)
 
     def test_forward_advances_layers(self):
         cfg = ModelConfig()
         model = TwoStreamModel(cfg, seed=0)
         r = Rng.for_name(1, "wiring")
-        xa, xv = model.forward(*rand_inputs(r, cfg))
+        img, spec = rand_inputs(r, cfg)
+        xa, xv = model.forward([img], [spec])
         assert xa.layer == cfg.layers and xv.layer == cfg.layers
 
     def test_logits_shape(self):
@@ -65,9 +73,9 @@ class TestWiring:
     def test_input_shape_guards(self):
         model = TwoStreamModel(ModelConfig(), seed=0)
         with pytest.raises(ShapeError):
-            model.tokenize(ImageInput(np.zeros((4, 8, 3))), SpectrogramInput(np.zeros((8, 8))))
+            model.tokenize([ImageInput(np.zeros((4, 8, 3)))], [SpectrogramInput(np.zeros((8, 8)))])
         with pytest.raises(ShapeError):
-            model.tokenize(ImageInput(np.zeros((8, 8, 3))), SpectrogramInput(np.zeros((16, 8))))
+            model.tokenize([ImageInput(np.zeros((8, 8, 3)))], [SpectrogramInput(np.zeros((16, 8)))])
 
     def test_batched_tokens_and_guards(self):
         cfg = ModelConfig()
@@ -78,8 +86,8 @@ class TestWiring:
         xa, xv = model.tokenize(images, specs)
         assert xv.tokens.shape == (3, cfg.n_visual_tokens, cfg.width)
         assert xa.tokens.shape == (3, cfg.n_audio_tokens, cfg.width)
-        single_a, _ = model.tokenize(images[1], specs[1])
-        np.testing.assert_array_equal(xa.tokens.data[1], single_a.tokens.data)
+        single_a, _ = model.tokenize(images[1:2], specs[1:2])
+        np.testing.assert_array_equal(xa.tokens.data[1], single_a.tokens.data[0])
         with pytest.raises(ShapeError):
             model.tokenize(images, specs[:2])
         with pytest.raises(ShapeError):
@@ -87,17 +95,11 @@ class TestWiring:
         with pytest.raises(ShapeError):
             model.tokenize(images, specs[:2] + [SpectrogramInput(np.zeros((16, 8)))])
 
-    def test_headless_model_refuses_logits(self):
-        model = TwoStreamModel(ModelConfig(include_head=False), seed=0)
-        r = Rng.for_name(3, "wiring")
-        with pytest.raises(ValueError):
-            model.logits(*rand_inputs(r, ModelConfig()))
-
     def test_event_head_guard(self):
         from avfuse.backbone import AUDIO, VISUAL, TokenSet
 
-        xa = TokenSet(AUDIO, Tensor(np.zeros((3, 4))), 0)
-        xv = TokenSet(VISUAL, Tensor(np.zeros((5, 4))), 0)
+        xa = TokenSet(AUDIO, Tensor(np.zeros((1, 3, 4))), 0)
+        xv = TokenSet(VISUAL, Tensor(np.zeros((1, 5, 4))), 0)
         with pytest.raises(ShapeError):
             event_head(xa, xv, Tensor(np.zeros((6, 2))), Tensor(np.zeros(2)))
 

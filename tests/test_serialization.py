@@ -5,14 +5,13 @@ import struct
 import numpy as np
 import pytest
 
+from avfuse import serialization
 from avfuse.serialization import (
     ContainerEntry,
     format_float,
-    load_array,
-    load_array_csv,
     load_tensors,
-    save_array,
     save_tensors,
+    write_atomic,
 )
 
 
@@ -84,31 +83,45 @@ def test_container_deterministic_bytes(tmp_path):
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
-def test_array_round_trip(tmp_path):
-    arr = np.random.default_rng(1).standard_normal((5, 2, 3))
-    save_array(tmp_path / "arr", arr)
-    np.testing.assert_array_equal(load_array(tmp_path / "arr"), arr)
+class _FullDisk:
+    """A file that takes half of what it is asked to write, then fails."""
+
+    def __init__(self, path, mode):
+        self._f = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, data):
+        self._f.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
 
 
-def test_array_payload_length_checked(tmp_path):
-    save_array(tmp_path / "arr", np.ones((2, 2)))
-    with open(tmp_path / "arr.bin", "ab") as f:
-        f.write(b"\x00" * 8)
-    with pytest.raises(ValueError):
-        load_array(tmp_path / "arr")
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    target = tmp_path / "out.csv"
+    write_atomic(target, b"old,contents\n")
+    monkeypatch.setattr(serialization, "open", _FullDisk, raising=False)
+    with pytest.raises(OSError):
+        write_atomic(target, b"new,contents,that,are,longer\n")
+    assert target.read_bytes() == b"old,contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
-def test_csv_fixture_loader(tmp_path):
-    p = tmp_path / "fix.csv"
-    p.write_text("1.0,2.0\n3.5,-4.25\n\n")
-    got = load_array_csv(p)
-    np.testing.assert_array_equal(got, [[1.0, 2.0], [3.5, -4.25]])
-    p.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(ValueError):
-        load_array_csv(p)
-    p.write_text("")
-    with pytest.raises(ValueError):
-        load_array_csv(p)
+def test_failed_rename_keeps_previous_container(tmp_path, monkeypatch):
+    base = tmp_path / "w"
+    save_tensors(base, [("x", np.ones(3), False)])
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(serialization.os, "replace", refuse)
+    with pytest.raises(OSError):
+        save_tensors(base, [("x", np.zeros(3), False)])
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestFormatFloat:

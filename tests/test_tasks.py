@@ -16,11 +16,9 @@ from avfuse.tasks import (
     evaluate,
     final_test_accuracy,
     generate_dataset,
-    load_dataset,
     make_optimizer,
     metrics_to_csv,
     run_experiment,
-    save_dataset,
     train,
     visual_template,
     xnor_label,
@@ -102,16 +100,6 @@ class TestDataset:
             generate_dataset(0, 3, 0.1)
         with pytest.raises(ValueError):
             generate_dataset(0, 8, 1.5)
-
-    def test_save_load_round_trip(self, tmp_path):
-        data = generate_dataset(7, 8, 0.2)
-        save_dataset(tmp_path / "ds", data)
-        back = load_dataset(tmp_path / "ds")
-        assert len(back) == 8
-        for s, t in zip(data, back):
-            np.testing.assert_array_equal(s.image.pixels, t.image.pixels)
-            np.testing.assert_array_equal(s.spectrogram.values, t.spectrogram.values)
-            assert (s.audio_class, s.visual_class, s.label) == (t.audio_class, t.visual_class, t.label)
 
 
 class TestAdditiveHeadCeiling:
@@ -221,6 +209,13 @@ class TestAdam:
 
 
 class TestTrainLoop:
+    def test_config_rejects_bad_learning_rates(self):
+        # NaN, infinite, zero or negative rates would train a garbage model
+        for name in ("lr_adapter", "lr_head"):
+            for bad in (float("nan"), float("inf"), 0.0, -1.0):
+                with pytest.raises(ValueError, match=name):
+                    TrainConfig(**{name: bad}).validate()
+
     def _tiny_run(self, mode="bidirectional", steps=3, seed=0, eval_every=0):
         mc = ModelConfig(mode=mode, **SMALL_MODEL)
         tc = TrainConfig(steps=steps, batch_size=4, seed=seed, eval_every=eval_every)
