@@ -18,6 +18,23 @@ Ops take either one sample, ``(N, D)``, or a batch with a leading axis,
 ``(B, N, D)``; weights, biases and latents stay unbatched, broadcast over
 the batch, and get their gradients summed over it.
 
+Three layers:
+
+- tape ops (``add``, ``matmul``, ``reshape``, ``concat_cols``,
+  ``mean_rows``, ``cross_entropy_logits``) record one node each;
+- kernels (``linear_fwd``, ``layer_norm_fwd``/``_bwd``, ``gelu_fwd``/``_bwd``,
+  ``relu_fwd``/``_bwd``, ``attention_fwd``/``_bwd``,
+  ``grouped_linear_fwd``/``_bwd``) are plain numpy and record nothing;
+- block ops (``frozen_attention``, ``frozen_mlp``, ``gated_attention``,
+  ``grouped_bottleneck``) run a chain of kernels as one node whose closure
+  saves only what its gradients need. A frozen block returns only the input
+  gradient and refuses weights that require one.
+
+The single-op tape versions of layer norm, GELU, ReLU, attention, grouped
+linear, ``mul`` and ``scale`` have no caller here; they live in the tests'
+helpers, built on these kernels, as the oracle the block ops are checked
+against.
+
 Also here: the deterministic counter-based RNG used for every weight draw and
 data draw in the package, and the multiply-accumulate counter used by the
 cost-accounting instrumentation.
@@ -250,35 +267,6 @@ def add(a, b) -> Tensor:
     return out
 
 
-def mul(a, b) -> Tensor:
-    """Elementwise product of equal shapes, or scaling by a scalar tensor."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if not (a.shape == b.shape or a.ndim == 0 or b.ndim == 0):
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor._node(a.data * b.data, (a, b))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            if a.requires_grad:
-                _accum(a, _reduce_to(g * b.data, a.shape))
-            if b.requires_grad:
-                _accum(b, _reduce_to(g * a.data, b.shape))
-        out._backward = _bw
-    return out
-
-
-def scale(x, c: float) -> Tensor:
-    """Multiply by a python constant (not tracked as a parameter)."""
-    x = _as_tensor(x)
-    c = float(c)
-    out = Tensor._node(x.data * c, (x,))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            _accum(x, g * c)
-        out._backward = _bw
-    return out
-
-
 def matmul(a, b, bias=None) -> Tensor:
     """``(..., P, Q) @ (Q, R)``: a 2-D right operand applied to every matrix
     of a batched left one, its gradient summed over the batch. An optional
@@ -289,17 +277,12 @@ def matmul(a, b, bias=None) -> Tensor:
     if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     q, r = b.shape
-    _tally_macs(a.size * r)
-    y = a.data @ b.data
     if bias is not None:
         bias = _as_tensor(bias)
         if bias.shape != (r,):
             raise ShapeError(f"matmul: bias shape {bias.shape} does not match output width {r}")
-        y += bias.data
-        parents = (a, b, bias)
-    else:
-        parents = (a, b)
-    out = Tensor._node(y, parents)
+    parents = (a, b) if bias is None else (a, b, bias)
+    out = Tensor._node(linear_fwd(a.data, b.data, _data(bias)), parents)
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
             if a.requires_grad:
@@ -371,15 +354,65 @@ def mean_rows(x) -> Tensor:
     return out
 
 
-def relu(x) -> Tensor:
-    x = _as_tensor(x)
-    out = Tensor._node(np.maximum(x.data, 0.0), (x,))
-    if out.requires_grad:
-        mask = (x.data > 0.0).astype(np.float64)
-        def _bw(g: np.ndarray) -> None:
-            _accum(x, g * mask)
-        out._backward = _bw
-    return out
+# ---------------------------------------------------------------------------
+# kernels: plain-numpy forward/backward pairs
+# ---------------------------------------------------------------------------
+#
+# A forward kernel returns its output and whatever its backward kernel needs;
+# a backward kernel maps an output gradient to input gradients. Neither
+# touches the tape. Forward kernels tally MACs and softmax elements.
+
+
+def _split(x: np.ndarray, groups: int) -> np.ndarray:
+    """(..., N, G*w) -> (..., G, N, w), a view."""
+    return x.reshape(x.shape[:-1] + (groups, x.shape[-1] // groups)).swapaxes(-2, -3)
+
+
+def _merge(x: np.ndarray) -> np.ndarray:
+    """(..., G, N, w) -> (..., N, G*w)."""
+    return x.swapaxes(-2, -3).reshape(x.shape[:-3] + (x.shape[-2], x.shape[-3] * x.shape[-1]))
+
+
+def _data(t: Tensor | None) -> np.ndarray | None:
+    return None if t is None else t.data
+
+
+def linear_fwd(a: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """``a @ w`` for a 2-D ``w``, with ``b`` added in place into the fresh
+    product."""
+    _tally_macs(a.size * w.shape[1])
+    y = a @ w
+    if b is not None:
+        y += b
+    return y
+
+
+def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, shift: np.ndarray):
+    """Each row normalized over the last axis (biased variance, eps inside the
+    sqrt), times ``gain`` plus ``shift``. Returns the output, ``xhat`` and the
+    per-row ``inv`` = 1/std."""
+    # two full-size buffers: xhat and the output, which first holds the
+    # squared deviations
+    xhat = np.subtract(x, x.mean(axis=-1, keepdims=True))
+    y = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    xhat *= inv
+    np.multiply(xhat, gain, out=y)
+    y += shift
+    return y, xhat, inv
+
+
+def layer_norm_bwd(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The input gradient inv * (dxhat - m1 - xhat*m2), dxhat = g*gain, with
+    m1 and m2 the row means of dxhat and dxhat*xhat."""
+    dx = np.multiply(g, gain)
+    m1 = dx.mean(axis=-1, keepdims=True)
+    scratch = np.multiply(dx, xhat)
+    m2 = scratch.mean(axis=-1, keepdims=True)
+    dx -= m1
+    dx -= np.multiply(xhat, m2, out=scratch)
+    dx *= inv
+    return dx
 
 
 def _blocks(*arrays: np.ndarray):
@@ -392,17 +425,15 @@ def _blocks(*arrays: np.ndarray):
     return ([f[lo:lo + _BLOCK] for f in flats] for lo in range(0, n, _BLOCK))
 
 
-def gelu(x) -> Tensor:
-    """tanh-form GELU with the module-level constants."""
-    x = _as_tensor(x)
-    v = x.data
+def gelu_fwd(v: np.ndarray):
+    """tanh-form GELU with the module-level constants. Returns the output and
+    the tanh term."""
     # In place, block by block, in the order of
     # 0.5*v*(1 + tanh(C0*(v + C1*(v*v*v)))), so every value is bitwise that
     # of the plain expression. A cube is a product, not np.power: power has
     # no fast path for it.
     t, y = np.empty(v.shape), np.empty(v.shape)
-    block = min(v.size, _BLOCK)
-    s = np.empty(block)
+    s = np.empty(min(v.size, _BLOCK))
     for vb, tb, yb in _blocks(v, t, y):
         np.multiply(vb, vb, out=tb)
         tb *= vb
@@ -412,112 +443,59 @@ def gelu(x) -> Tensor:
         np.tanh(tb, out=tb)
         np.multiply(vb, 0.5, out=yb)
         yb *= np.add(tb, 1.0, out=s[:vb.size])
-    out = Tensor._node(y, (x,))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            # g * (0.5*(1 + t) + 0.5*v*(1 - t*t)*dinner) with
-            # dinner = C0*(1 + 3*C1*(v*v)), in that order
-            dx = np.empty(v.shape)
-            d, u = np.empty(block), np.empty(block)
-            for vb, tb, gb, xb in _blocks(v, t, g, dx):
-                db, ub = d[:vb.size], u[:vb.size]
-                np.multiply(vb, vb, out=db)
-                db *= 3.0 * GELU_C1
-                db += 1.0
-                db *= GELU_C0
-                np.multiply(vb, 0.5, out=xb)
-                np.multiply(tb, tb, out=ub)
-                np.subtract(1.0, ub, out=ub)
-                xb *= ub
-                xb *= db
-                np.add(tb, 1.0, out=ub)
-                ub *= 0.5
-                xb += ub
-                xb *= gb
-            _accum(x, dx)
-        out._backward = _bw
-    return out
+    return y, t
 
 
-def layer_norm(x, gain, shift) -> Tensor:
-    """Normalize each row of a 2-D or batched tensor to zero mean / unit
-    variance over the last axis (biased variance, eps inside the sqrt), then
-    apply the 1-D ``gain`` and ``shift``."""
-    x = _as_tensor(x)
-    gain = _as_tensor(gain)
-    shift = _as_tensor(shift)
-    if x.ndim < 2:
-        raise ShapeError(f"layer_norm: need a 2-D or batched tensor, got shape {x.shape}")
-    d = x.shape[-1]
-    if gain.shape != (d,) or shift.shape != (d,):
-        raise ShapeError(
-            f"layer_norm: gain/shift shapes {gain.shape}/{shift.shape} do not match width {d}"
-        )
-    # two full-size buffers: xhat (saved) and the output, which first holds
-    # the squared deviations
-    xhat = np.subtract(x.data, x.data.mean(axis=-1, keepdims=True))
-    y = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
-    xhat *= inv
-    np.multiply(xhat, gain.data, out=y)
-    y += shift.data
-    out = Tensor._node(y, (x, gain, shift))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            scratch = None
-            if x.requires_grad:
-                # inv * (dxhat - m1 - xhat*m2), dxhat = g*gain
-                dx = np.multiply(g, gain.data)
-                m1 = dx.mean(axis=-1, keepdims=True)
-                scratch = np.multiply(dx, xhat)
-                m2 = scratch.mean(axis=-1, keepdims=True)
-                dx -= m1
-                dx -= np.multiply(xhat, m2, out=scratch)
-                dx *= inv
-                _accum(x, dx)
-            if gain.requires_grad:
-                scratch = np.multiply(g, xhat, out=scratch)
-                _accum(gain, scratch.reshape(-1, d).sum(axis=0))
-            if shift.requires_grad:
-                _accum(shift, g.reshape(-1, d).sum(axis=0))
-        out._backward = _bw
-    return out
+def gelu_bwd(g: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The input gradient at ``v`` given the tanh term ``t``:
+    g * (0.5*(1 + t) + 0.5*v*(1 - t*t)*dinner), dinner = C0*(1 + 3*C1*(v*v)),
+    in that order."""
+    dx = np.empty(v.shape)
+    block = min(v.size, _BLOCK)
+    d, u = np.empty(block), np.empty(block)
+    for vb, tb, gb, xb in _blocks(v, t, g, dx):
+        db, ub = d[:vb.size], u[:vb.size]
+        np.multiply(vb, vb, out=db)
+        db *= 3.0 * GELU_C1
+        db += 1.0
+        db *= GELU_C0
+        np.multiply(vb, 0.5, out=xb)
+        np.multiply(tb, tb, out=ub)
+        np.subtract(1.0, ub, out=ub)
+        xb *= ub
+        xb *= db
+        np.add(tb, 1.0, out=ub)
+        ub *= 0.5
+        xb += ub
+        xb *= gb
+    return dx
 
 
-def attention(q, k, v, heads: int = 1, scale: float | None = None) -> Tensor:
-    """Multi-head dot-product attention as one op.
+def relu_fwd(v: np.ndarray):
+    """ReLU; returns the output and None, to match ``gelu_fwd``."""
+    return np.maximum(v, 0.0), None
 
-    ``q`` is (..., Nq, D), ``k`` is (..., Nk, D) and ``v`` is (..., Nk, Dv);
-    leading axes broadcast, so a 2-D query can serve a batch of keys. The
-    columns split into ``heads`` equal groups; head h computes
-    softmax(q_h k_h^T * scale) v_h with per-row max subtraction, and the head
-    outputs are merged back in column order into (..., Nq, Dv). ``scale``
-    defaults to 1/sqrt(D/heads). The backward pass reuses the saved softmax
-    output. MACs and softmax elements are tallied as per-head matmuls and
-    row softmaxes would be.
+
+def relu_bwd(g: np.ndarray, v: np.ndarray, _aux=None) -> np.ndarray:
+    return g * (v > 0.0).astype(np.float64)
+
+
+# activation tag -> (forward kernel, backward kernel)
+ACTIVATIONS = {"gelu": (gelu_fwd, gelu_bwd), "relu": (relu_fwd, relu_bwd)}
+
+
+def attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, scale: float):
+    """Multi-head dot-product attention.
+
+    ``q`` is (..., Nq, D), ``k`` is (..., Nk, D) and ``v`` is (..., Nk, Dv),
+    leading axes broadcast. The columns split into ``heads`` equal groups;
+    head h computes softmax(q_h k_h^T * scale) v_h with per-row max
+    subtraction, and the head outputs merge back in column order into
+    (..., Nq, Dv). Returns the output and ``(qh, kh, vh, probs)``, the
+    per-head operands and softmax ``attention_bwd`` takes. MACs and softmax
+    elements are tallied as per-head matmuls and row softmaxes would be.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
-        raise ShapeError(f"attention: need 2-D or batched operands, got {q.shape}, {k.shape}, {v.shape}")
-    if q.shape[-1] != k.shape[-1] or k.shape[:-1] != v.shape[:-1]:
-        raise ShapeError(f"attention: incompatible query/key/value shapes {q.shape}, {k.shape}, {v.shape}")
-    d, dv = k.shape[-1], v.shape[-1]
-    if heads < 1 or d % heads or dv % heads:
-        raise ShapeError(f"attention: {heads} heads do not divide widths {d} and {dv}")
-    try:
-        batch = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
-    except ValueError:
-        raise ShapeError(f"attention: batch axes of {q.shape} and {k.shape} do not broadcast") from None
-    if scale is None:
-        scale = 1.0 / np.sqrt(d // heads)
-
-    def split(x: np.ndarray) -> np.ndarray:  # (..., N, H*w) -> (..., H, N, w)
-        return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-2, -3)
-
-    def merge(x: np.ndarray) -> np.ndarray:  # (..., H, N, w) -> (..., N, H*w)
-        return x.swapaxes(-2, -3).reshape(x.shape[:-3] + (x.shape[-2], heads * x.shape[-1]))
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = _split(q, heads), _split(k, heads), _split(v, heads)
     # the scores buffer becomes the softmax in place: subtract the row max,
     # exponentiate, divide by the row sum
     # overflow here is reported by the finiteness check, not by a warning
@@ -529,79 +507,179 @@ def attention(q, k, v, heads: int = 1, scale: float | None = None) -> Tensor:
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    nq, nk = q.shape[-2], k.shape[-2]
-    _tally_macs(int(np.prod(batch)) * nq * nk * (d + dv))
+    _tally_macs(probs.size // heads * (k.shape[-1] + v.shape[-1]))
     _tally_softmax(probs.size)
-    out = Tensor._node(merge(np.matmul(probs, vh)), (q, k, v))
+    return _merge(np.matmul(probs, vh)), (qh, kh, vh, probs)
+
+
+def attention_bwd(g, qh, kh, vh, probs, scale: float, want=(True, True, True)):
+    """Gradients of q, k and v (None where ``want`` says no) under the output
+    gradient ``g``, in column layout but not yet summed over broadcast axes.
+    The softmax is the saved one."""
+    gh = _split(g, probs.shape[-3])
+    want_q, want_k, want_v = want
+    dq = dk = dv = None
+    if want_v:
+        dv = _merge(np.matmul(probs.swapaxes(-1, -2), gh))
+    if want_q or want_k:
+        # ds = probs * (dp - rowsum(dp * probs)) * scale, in dp's buffer
+        ds = np.matmul(gh, vh.swapaxes(-1, -2))
+        ds -= np.multiply(ds, probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        ds *= scale
+        if want_q:
+            dq = _merge(np.matmul(ds, kh))
+        if want_k:
+            dk = _merge(np.matmul(ds.swapaxes(-1, -2), qh))
+    return dq, dk, dv
+
+
+def grouped_linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Block-diagonal linear map: ``w`` is (G, d_in/G, d_out/G), and input
+    column group g feeds output column group g only; a dense matmul with a
+    block-diagonal matrix at 1/G of the weights and MACs."""
+    groups, gin, gout = w.shape
+    # one GEMM per sample and group, so each sample's rows come out the same
+    # as when it is mapped alone
+    y = _merge(np.matmul(_split(x, groups), w))
+    _tally_macs(x.size // x.shape[-1] * groups * gin * gout)
+    if b is not None:
+        y += b
+    return y
+
+
+def grouped_linear_bwd(g: np.ndarray, x: np.ndarray, w: np.ndarray, want=(True, True, True)):
+    """Gradients of x, w and the bias (None where ``want`` says no) under the
+    output gradient ``g``; w's and the bias's are summed over every row."""
+    groups, gin, gout = w.shape
+    p = x.size // x.shape[-1]
+    want_x, want_w, want_b = want
+    dx = dw = db = None
+    if want_x:
+        dx = _merge(np.matmul(_split(g, groups), w.swapaxes(-1, -2)))
+    if want_w:
+        # (G, gin, p) @ (G, p, gout): one GEMM per group over every row
+        xs = x.reshape(p, groups, gin).transpose(1, 2, 0)
+        dw = np.matmul(xs, g.reshape(p, groups, gout).transpose(1, 0, 2))
+    if want_b:
+        db = g.reshape(p, groups * gout).sum(axis=0)
+    return dx, dw, db
+
+
+# ---------------------------------------------------------------------------
+# block ops: one tape node per block
+# ---------------------------------------------------------------------------
+#
+# Each runs the kernels in the order the chain of single ops it replaces ran
+# them (tests/helpers.py keeps that chain as the oracle), so its output, its
+# gradients and its MAC/softmax tallies are bitwise the chain's. Its closure
+# saves only what its gradients need. Callers check shapes.
+
+
+def _check_frozen(op: str, **weights: Tensor) -> None:
+    for name, w in weights.items():
+        if w.requires_grad:
+            raise GraphError(f"{op}: weight {name} requires a gradient, but a frozen block passes one to its input only")
+
+
+def frozen_attention(x: Tensor, gain, shift, wq, wk, wv, wo, heads: int) -> Tensor:
+    """Pre-norm multi-head self-attention with frozen weights:
+    attention(t wq, t wk, t wv) wo for t = layer_norm(x), scores scaled by
+    1/sqrt(width/heads). The backward pass returns dx only, from the saved
+    xhat, inv, Q/K/V heads and softmax."""
+    _check_frozen("frozen_attention", gain=gain, shift=shift, wq=wq, wk=wk, wv=wv, wo=wo)
+    t, xhat, inv = layer_norm_fwd(x.data, gain.data, shift.data)
+    q, k, v = linear_fwd(t, wq.data), linear_fwd(t, wk.data), linear_fwd(t, wv.data)
+    del t
+    scale = 1.0 / np.sqrt(x.shape[-1] // heads)
+    merged, saved = attention_fwd(q, k, v, heads, scale)
+    out = Tensor._node(linear_fwd(merged, wo.data), (x,))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
-            gh = split(g)
-            if v.requires_grad:
-                _accum(v, _reduce_to(merge(np.matmul(probs.swapaxes(-1, -2), gh)), v.shape))
-            if q.requires_grad or k.requires_grad:
-                # ds = probs * (dp - rowsum(dp * probs)) * scale, in dp's buffer
-                ds = np.matmul(gh, vh.swapaxes(-1, -2))
-                ds -= np.multiply(ds, probs).sum(axis=-1, keepdims=True)
-                ds *= probs
-                ds *= scale
-                if q.requires_grad:
-                    _accum(q, _reduce_to(merge(np.matmul(ds, kh)), q.shape))
-                if k.requires_grad:
-                    _accum(k, _reduce_to(merge(np.matmul(ds.swapaxes(-1, -2), qh)), k.shape))
+            dq, dk, dv = attention_bwd(g @ wo.data.T, *saved, scale)
+            # the order the q, k and v products handed their gradients back
+            dt = dq @ wq.data.T
+            dt += dk @ wk.data.T
+            dt += dv @ wv.data.T
+            _accum(x, layer_norm_bwd(dt, gain.data, xhat, inv))
         out._backward = _bw
     return out
 
 
-def grouped_linear(x, weight, bias=None) -> Tensor:
-    """Block-diagonal linear map.
-
-    ``weight`` has shape (G, d_in/G, d_out/G); input column group g feeds
-    output column group g and nothing else. Equivalent to a dense matmul with
-    a block-diagonal matrix, at 1/G of the weights and MACs. ``x`` is 2-D or
-    batched; every row maps the same way.
-    """
-    x = _as_tensor(x)
-    weight = _as_tensor(weight)
-    if x.ndim < 2 or weight.ndim != 3:
-        raise ShapeError(f"grouped_linear: need 2-D or batched input and 3-D weight, got {x.shape} and {weight.shape}")
-    groups, gin, gout = weight.shape
-    if x.shape[-1] != groups * gin:
-        raise ShapeError(
-            f"grouped_linear: input shape {x.shape} does not match weight shape {weight.shape}"
-        )
-    lead = x.shape[:-1]
-    p = x.size // x.shape[-1]
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.shape != (groups * gout,):
-            raise ShapeError(f"grouped_linear: bias shape {bias.shape} does not match output width {groups * gout}")
-
-    def split(a: np.ndarray, w: int) -> np.ndarray:  # (..., N, G*w) -> (..., G, N, w)
-        return a.reshape(a.shape[:-1] + (groups, w)).swapaxes(-2, -3)
-
-    def merge(a: np.ndarray) -> np.ndarray:  # (..., G, N, w) -> (..., N, G*w)
-        return a.swapaxes(-2, -3).reshape(lead + (-1,))
-
-    # one GEMM per sample and group, so each sample's rows come out the same
-    # as when it is mapped alone
-    y = merge(np.matmul(split(x.data, gin), weight.data))
-    _tally_macs(p * groups * gin * gout)
-    if bias is not None:
-        y += bias.data
-        parents = (x, weight, bias)
-    else:
-        parents = (x, weight)
-    out = Tensor._node(y, parents)
+def frozen_mlp(x: Tensor, gain, shift, w1, b1, w2, b2) -> Tensor:
+    """Pre-norm GELU MLP with frozen weights: gelu(t w1 + b1) w2 + b2 for
+    t = layer_norm(x). The backward pass returns dx only, from the saved
+    xhat, inv, pre-activation and tanh term."""
+    _check_frozen("frozen_mlp", gain=gain, shift=shift, w1=w1, b1=b1, w2=w2, b2=b2)
+    t, xhat, inv = layer_norm_fwd(x.data, gain.data, shift.data)
+    pre = linear_fwd(t, w1.data, b1.data)
+    del t
+    hidden, tanh = gelu_fwd(pre)
+    out = Tensor._node(linear_fwd(hidden, w2.data, b2.data), (x,))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
-            if x.requires_grad:
-                _accum(x, merge(np.matmul(split(g, gout), weight.data.swapaxes(-1, -2))))
-            if weight.requires_grad:
-                # (G, gin, p) @ (G, p, gout): one GEMM per group over every row
-                xs = x.data.reshape(p, groups, gin).transpose(1, 2, 0)
-                _accum(weight, np.matmul(xs, g.reshape(p, groups, gout).transpose(1, 0, 2)))
-            if bias is not None and bias.requires_grad:
-                _accum(bias, g.reshape(p, groups * gout).sum(axis=0))
+            dt = gelu_bwd(g @ w2.data.T, pre, tanh) @ w1.data.T
+            _accum(x, layer_norm_bwd(dt, gain.data, xhat, inv))
+        out._backward = _bw
+    return out
+
+
+def gated_attention(q: Tensor, k: Tensor, v: Tensor, gate: Tensor) -> Tensor:
+    """q + gate * attention(q, k, v) for one head and a scalar ``gate``;
+    a 2-D ``q`` serves every sample of batched ``k`` and ``v``. The backward
+    pass keeps the softmax, and the attention output only if the gate needs a
+    gradient."""
+    scale = 1.0 / np.sqrt(k.shape[-1])
+    attended, saved = attention_fwd(q.data, k.data, v.data, 1, scale)
+    out = Tensor._node(q.data + attended * gate.data, (q, k, v, gate))
+    if out.requires_grad:
+        want = (q.requires_grad, k.requires_grad, v.requires_grad)
+        if not gate.requires_grad:
+            attended = None
+        if not any(want):
+            saved = None
+
+        def _bw(g: np.ndarray) -> None:
+            # the chain's order: the residual into q, the gate, then v, q, k
+            if q.requires_grad:
+                _accum(q, _reduce_to(g, q.shape))
+            if attended is not None:
+                _accum(gate, _reduce_to(g * attended, ()))
+            if saved is not None:
+                dq, dk, dv = attention_bwd(g * gate.data, *saved, scale, want)
+                if dv is not None:
+                    _accum(v, _reduce_to(dv, v.shape))
+                if dq is not None:
+                    _accum(q, _reduce_to(dq, q.shape))
+                if dk is not None:
+                    _accum(k, _reduce_to(dk, k.shape))
+        out._backward = _bw
+    return out
+
+
+def grouped_bottleneck(x: Tensor, down_w: Tensor, down_b, up_w: Tensor, up_b, act: str) -> Tensor:
+    """up(act(down(x))) for grouped down/up maps with optional biases and an
+    activation tag from ``ACTIVATIONS``. The backward pass gives x, both
+    weights and both biases their gradients from the saved pre-activation,
+    activation term and activation."""
+    fwd, bwd = ACTIVATIONS[act]
+    h = grouped_linear_fwd(x.data, down_w.data, _data(down_b))
+    a, aux = fwd(h)
+    y = grouped_linear_fwd(a, up_w.data, _data(up_b))
+    out = Tensor._node(y, [t for t in (x, down_w, down_b, up_w, up_b) if t is not None])
+    if out.requires_grad:
+        below = (x.requires_grad, down_w.requires_grad, down_b is not None and down_b.requires_grad)
+        above = (any(below), up_w.requires_grad, up_b is not None and up_b.requires_grad)
+
+        def _bw(g: np.ndarray) -> None:
+            da, dw, db = grouped_linear_bwd(g, a, up_w.data, above)
+            grads = [(up_w, dw), (up_b, db)]
+            if da is not None:
+                dx, dw, db = grouped_linear_bwd(bwd(da, h, aux), x.data, down_w.data, below)
+                grads += [(x, dx), (down_w, dw), (down_b, db)]
+            for t, d in grads:
+                if d is not None:
+                    _accum(t, d)
         out._backward = _bw
     return out
 

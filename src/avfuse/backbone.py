@@ -15,17 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Rng,
-    ShapeError,
-    Tensor,
-    add,
-    attention,
-    gelu,
-    layer_norm,
-    matmul,
-    relu,
-)
+from .autodiff import Rng, ShapeError, Tensor, add, frozen_attention, frozen_mlp, matmul
 
 AUDIO = "audio"
 VISUAL = "visual"
@@ -254,17 +244,9 @@ def init_layer_weights(width: int, heads: int, seed: int, name: str) -> FrozenLa
     )
 
 
-ACTIVATIONS = {"gelu": gelu, "relu": relu}
-
-
-def _activation(tag: str):
-    if tag not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {tag!r}")
-    return ACTIVATIONS[tag]
-
-
 def mha(x: TokenSet, w: FrozenLayerWeights) -> Tensor:
-    """Pre-norm multi-head self-attention term for one token set.
+    """Pre-norm multi-head self-attention term for one token set, as one
+    tape node that passes a gradient to the tokens only.
 
     Returns only the attention output (the caller adds the residual). Scores
     are scaled by 1/sqrt(width/heads).
@@ -274,19 +256,16 @@ def mha(x: TokenSet, w: FrozenLayerWeights) -> Tensor:
         raise ShapeError(f"mha: token width {x.width} does not match layer width {width}")
     if width % w.heads:
         raise ShapeError(f"mha: head count {w.heads} does not divide width {width}")
-    t = layer_norm(x.tokens, w.ln1_gain, w.ln1_shift)
-    heads = attention(matmul(t, w.wq), matmul(t, w.wk), matmul(t, w.wv), w.heads)
-    return matmul(heads, w.wo)
+    return frozen_attention(x.tokens, w.ln1_gain, w.ln1_shift, w.wq, w.wk, w.wv, w.wo, w.heads)
 
 
 def mlp(x: TokenSet, w: FrozenLayerWeights) -> Tensor:
-    """Pre-norm position-wise GELU MLP term (width -> 4*width -> width);
-    caller adds the residual."""
+    """Pre-norm position-wise GELU MLP term (width -> 4*width -> width), as
+    one tape node that passes a gradient to the tokens only; caller adds the
+    residual."""
     if x.width != w.width:
         raise ShapeError(f"mlp: token width {x.width} does not match layer width {w.width}")
-    t = layer_norm(x.tokens, w.ln2_gain, w.ln2_shift)
-    hidden = gelu(matmul(t, w.mlp_w1, w.mlp_b1))
-    return matmul(hidden, w.mlp_w2, w.mlp_b2)
+    return frozen_mlp(x.tokens, w.ln2_gain, w.ln2_shift, w.mlp_w1, w.mlp_b1, w.mlp_w2, w.mlp_b2)
 
 
 # ---------------------------------------------------------------------------

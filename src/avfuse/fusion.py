@@ -23,25 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Rng,
-    ShapeError,
-    Tensor,
-    add,
-    attention,
-    grouped_linear,
-    mul,
-)
-from .backbone import (
-    AUDIO,
-    VISUAL,
-    FreezeRegistry,
-    FrozenLayerWeights,
-    TokenSet,
-    _activation,
-    mha,
-    mlp,
-)
+from .autodiff import ACTIVATIONS, Rng, ShapeError, Tensor, add, gated_attention, grouped_bottleneck
+from .backbone import AUDIO, VISUAL, FreezeRegistry, FrozenLayerWeights, TokenSet, mha, mlp
 
 MODES = ("none", "a2v", "v2a", "bidirectional")
 DIRECTIONS = ("a2v", "v2a")
@@ -75,7 +58,7 @@ def cma(query: Tensor, key: Tensor, value: Tensor, gate: Tensor) -> Tensor:
     The gate is a trainable scalar; at gate == 0 the op returns the query
     exactly. There are no key/value projections. Operands are 2-D or
     batched; a 2-D query (latent tokens) serves every sample of a batched
-    key/value.
+    key/value. The whole expression is one tape node.
     """
     if query.ndim not in (2, 3) or key.ndim not in (2, 3) or value.ndim not in (2, 3):
         raise ShapeError(
@@ -85,10 +68,11 @@ def cma(query: Tensor, key: Tensor, value: Tensor, gate: Tensor) -> Tensor:
         raise ShapeError(f"cma: query width {query.shape} does not match key width {key.shape}")
     if key.shape[:-1] != value.shape[:-1]:
         raise ShapeError(f"cma: key rows {key.shape} do not match value rows {value.shape}")
+    if query.ndim == key.ndim == 3 and query.shape[0] != key.shape[0]:
+        raise ShapeError(f"cma: query batch {query.shape} does not match key batch {key.shape}")
     if gate.shape != ():
         raise ShapeError(f"cma: gate must be a scalar, got shape {gate.shape}")
-    attended = attention(query, key, value, 1)
-    return add(query, mul(attended, gate))
+    return gated_attention(query, key, value, gate)
 
 
 def compress_to_latents(latents: Tensor, source: TokenSet, gate: Tensor) -> Tensor:
@@ -171,12 +155,12 @@ def init_bottleneck(
 
 
 def bottleneck(x: Tensor, params: BottleneckParams) -> Tensor:
-    """Apply up(act(down(x))). Shape is preserved."""
+    """Apply up(act(down(x))) as one tape node. Shape is preserved."""
     if x.ndim not in (2, 3) or x.shape[-1] != params.width:
         raise ShapeError(f"bottleneck: input shape {x.shape} does not match width {params.width}")
-    act = _activation(params.act)
-    narrow = act(grouped_linear(x, params.down_w, params.down_b))
-    return grouped_linear(narrow, params.up_w, params.up_b)
+    if params.act not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {params.act!r}")
+    return grouped_bottleneck(x, params.down_w, params.down_b, params.up_w, params.up_b, params.act)
 
 
 # ---------------------------------------------------------------------------

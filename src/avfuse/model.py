@@ -11,9 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Rng, ShapeError, Tensor, concat_cols, matmul, mean_rows, reshape
+from .autodiff import ACTIVATIONS, Rng, ShapeError, Tensor, concat_cols, matmul, mean_rows, reshape
 from .backbone import (
-    ACTIVATIONS,
     FreezeRegistry,
     FrozenLayerWeights,
     ImageInput,

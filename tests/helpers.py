@@ -10,6 +10,14 @@ moved to ``np.matmul`` and plain products, and the plain-expression
 ``gelu``, ``layer_norm``, attention softmax and matmul-plus-bias kernels
 that ran before they computed in place.
 
+The single-op tape versions of ``layer_norm``, ``gelu``, ``relu``,
+``attention``, ``grouped_linear``, ``mul`` and ``scale`` live here: the
+library runs those kernels only inside its block ops. Built on the library's
+kernels, they are the unit under test of the kernel tests and, chained as
+the library chained them before (``chain_mha``, ``chain_mlp``,
+``chain_cma``, ``chain_bottleneck``), the oracle the block ops must match
+bit for bit.
+
 The oracle ops ``transpose``, ``cols``, ``concat_rows`` and
 ``softmax_rows`` live here, not in the library: only the per-head oracle
 uses them. So do the scalar reducers ``sum_all`` and ``mean_all``, which
@@ -30,19 +38,190 @@ from avfuse.autodiff import (
     _accum,
     _as_tensor,
     _concat,
+    _reduce_to,
     _tally_softmax,
     add,
+    attention_bwd,
+    attention_fwd,
     backward,
     concat_cols,
-    gelu,
-    grouped_linear,
-    layer_norm,
+    gelu_bwd,
+    gelu_fwd,
+    grouped_linear_bwd,
+    grouped_linear_fwd,
+    layer_norm_bwd,
+    layer_norm_fwd,
     matmul,
     mean_rows,
-    mul,
-    relu,
-    scale,
+    relu_bwd,
+    relu_fwd,
 )
+
+
+# ---------------------------------------------------------------------------
+# single-op tape versions of the library's kernels
+# ---------------------------------------------------------------------------
+
+
+def mul(a, b) -> Tensor:
+    """Elementwise product of equal shapes, or scaling by a scalar tensor."""
+    a = _as_tensor(a)
+    b = _as_tensor(b)
+    if not (a.shape == b.shape or a.ndim == 0 or b.ndim == 0):
+        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
+    out = Tensor._node(a.data * b.data, (a, b))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            if a.requires_grad:
+                _accum(a, _reduce_to(g * b.data, a.shape))
+            if b.requires_grad:
+                _accum(b, _reduce_to(g * a.data, b.shape))
+        out._backward = _bw
+    return out
+
+
+def scale(x, c: float) -> Tensor:
+    """Multiply by a python constant (not tracked as a parameter)."""
+    x = _as_tensor(x)
+    c = float(c)
+    out = Tensor._node(x.data * c, (x,))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            _accum(x, g * c)
+        out._backward = _bw
+    return out
+
+
+def relu(x) -> Tensor:
+    x = _as_tensor(x)
+    y, _ = relu_fwd(x.data)
+    out = Tensor._node(y, (x,))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            _accum(x, relu_bwd(g, x.data))
+        out._backward = _bw
+    return out
+
+
+def gelu(x) -> Tensor:
+    """tanh-form GELU with the library's constants."""
+    x = _as_tensor(x)
+    y, t = gelu_fwd(x.data)
+    out = Tensor._node(y, (x,))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            _accum(x, gelu_bwd(g, x.data, t))
+        out._backward = _bw
+    return out
+
+
+def layer_norm(x, gain, shift) -> Tensor:
+    """Row-wise layer norm of a 2-D or batched tensor, then the 1-D ``gain``
+    and ``shift``."""
+    x, gain, shift = _as_tensor(x), _as_tensor(gain), _as_tensor(shift)
+    if x.ndim < 2:
+        raise ShapeError(f"layer_norm: need a 2-D or batched tensor, got shape {x.shape}")
+    d = x.shape[-1]
+    if gain.shape != (d,) or shift.shape != (d,):
+        raise ShapeError(f"layer_norm: gain/shift shapes {gain.shape}/{shift.shape} do not match width {d}")
+    y, xhat, inv = layer_norm_fwd(x.data, gain.data, shift.data)
+    out = Tensor._node(y, (x, gain, shift))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            if x.requires_grad:
+                _accum(x, layer_norm_bwd(g, gain.data, xhat, inv))
+            if gain.requires_grad:
+                _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+            if shift.requires_grad:
+                _accum(shift, g.reshape(-1, d).sum(axis=0))
+        out._backward = _bw
+    return out
+
+
+def attention(q, k, v, heads: int = 1, scale: float | None = None) -> Tensor:
+    """Multi-head dot-product attention as one op; ``scale`` defaults to
+    1/sqrt(D/heads) and a 2-D query can serve a batch of keys."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
+        raise ShapeError(f"attention: need 2-D or batched operands, got {q.shape}, {k.shape}, {v.shape}")
+    if q.shape[-1] != k.shape[-1] or k.shape[:-1] != v.shape[:-1]:
+        raise ShapeError(f"attention: incompatible query/key/value shapes {q.shape}, {k.shape}, {v.shape}")
+    d, dv = k.shape[-1], v.shape[-1]
+    if heads < 1 or d % heads or dv % heads:
+        raise ShapeError(f"attention: {heads} heads do not divide widths {d} and {dv}")
+    try:
+        np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
+    except ValueError:
+        raise ShapeError(f"attention: batch axes of {q.shape} and {k.shape} do not broadcast") from None
+    if scale is None:
+        scale = 1.0 / np.sqrt(d // heads)
+    y, saved = attention_fwd(q.data, k.data, v.data, heads, scale)
+    out = Tensor._node(y, (q, k, v))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            want = (q.requires_grad, k.requires_grad, v.requires_grad)
+            dq, dk, dv_ = attention_bwd(g, *saved, scale, want)
+            for t, grad in ((v, dv_), (q, dq), (k, dk)):
+                if grad is not None:
+                    _accum(t, _reduce_to(grad, t.shape))
+        out._backward = _bw
+    return out
+
+
+def grouped_linear(x, weight, bias=None) -> Tensor:
+    """Block-diagonal linear map with a (G, d_in/G, d_out/G) weight."""
+    x, weight = _as_tensor(x), _as_tensor(weight)
+    if x.ndim < 2 or weight.ndim != 3:
+        raise ShapeError(f"grouped_linear: need 2-D or batched input and 3-D weight, got {x.shape} and {weight.shape}")
+    groups, gin, gout = weight.shape
+    if x.shape[-1] != groups * gin:
+        raise ShapeError(f"grouped_linear: input shape {x.shape} does not match weight shape {weight.shape}")
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != (groups * gout,):
+            raise ShapeError(f"grouped_linear: bias shape {bias.shape} does not match output width {groups * gout}")
+    y = grouped_linear_fwd(x.data, weight.data, None if bias is None else bias.data)
+    out = Tensor._node(y, (x, weight) if bias is None else (x, weight, bias))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            want = (x.requires_grad, weight.requires_grad, bias is not None and bias.requires_grad)
+            for t, grad in zip((x, weight, bias), grouped_linear_bwd(g, x.data, weight.data, want)):
+                if grad is not None:
+                    _accum(t, grad)
+        out._backward = _bw
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the chains the block ops replaced
+# ---------------------------------------------------------------------------
+
+
+def chain_mha(x: Tensor, w) -> Tensor:
+    """``backbone.mha`` as single ops: layer norm, three products, attention,
+    output product."""
+    t = layer_norm(x, w.ln1_gain, w.ln1_shift)
+    heads = attention(matmul(t, w.wq), matmul(t, w.wk), matmul(t, w.wv), w.heads)
+    return matmul(heads, w.wo)
+
+
+def chain_mlp(x: Tensor, w) -> Tensor:
+    """``backbone.mlp`` as single ops: layer norm, biased product, GELU,
+    biased product."""
+    t = layer_norm(x, w.ln2_gain, w.ln2_shift)
+    return matmul(gelu(matmul(t, w.mlp_w1, w.mlp_b1)), w.mlp_w2, w.mlp_b2)
+
+
+def chain_cma(query: Tensor, key: Tensor, value: Tensor, gate: Tensor) -> Tensor:
+    """``fusion.cma`` as single ops: attention, gate product, residual sum."""
+    return add(query, mul(attention(query, key, value, 1), gate))
+
+
+def chain_bottleneck(x: Tensor, params) -> Tensor:
+    """``fusion.bottleneck`` as single ops: grouped map, activation, grouped
+    map."""
+    narrow = _act(params.act)(grouped_linear(x, params.down_w, params.down_b))
+    return grouped_linear(narrow, params.up_w, params.up_b)
 
 
 # ---------------------------------------------------------------------------

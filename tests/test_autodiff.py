@@ -13,22 +13,22 @@ from avfuse.autodiff import (
 )
 from avfuse.autodiff import (
     add,
-    attention,
     concat_cols,
     cross_entropy_logits,
-    gelu,
-    grouped_linear,
-    layer_norm,
     matmul,
     mean_rows,
-    mul,
     no_grad,
-    relu,
     reshape,
-    scale,
 )
 
 from helpers import (
+    attention,
+    gelu,
+    grouped_linear,
+    layer_norm,
+    mul,
+    relu,
+    scale,
     cols,
     concat_rows,
     mean_all,

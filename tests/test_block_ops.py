@@ -1,0 +1,221 @@
+"""Differential tests of the block ops against the single-op chains they
+replaced (``helpers.chain_mha``, ``chain_mlp``, ``chain_cma`` and
+``chain_bottleneck``): output and every gradient bit for bit, at the README
+shapes, the train-wide benchmark shapes and odd ones (2 heads, unequal
+stream lengths, ReLU, no bias, a 2-D latent query broadcast over the
+batch), with partial ``requires_grad`` patterns; then one whole train step
+of the model against the same step run through the chains."""
+import numpy as np
+import pytest
+
+from avfuse import fusion
+from avfuse.autodiff import GraphError, Tensor, backward, count_macs, cross_entropy_logits, no_grad
+from avfuse.backbone import VISUAL, TokenSet, init_layer_weights, mha, mlp
+from avfuse.fusion import bottleneck, cma, init_bottleneck
+from avfuse.model import ModelConfig, TwoStreamModel
+from avfuse.tasks import generate_dataset
+
+from helpers import chain_bottleneck, chain_cma, chain_mha, chain_mlp, mul, sum_all
+
+# (batch, tokens, width, heads, latents): README, train-wide, odd
+SHAPES = {"readme": (8, 4, 32, 4, 2), "wide": (8, 64, 128, 4, 4), "odd": (3, 6, 16, 2, 1)}
+
+
+def arr(seed, *shape):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def grads_of(op, inputs, g):
+    """The op's output and the gradient of each input under upstream ``g``,
+    through a full ``backward``."""
+    out = op()
+    backward(sum_all(mul(out, Tensor(g))))
+    return out.data, [t.grad for t in inputs]
+
+
+def assert_same(op, chain, inputs, g):
+    """Run the block op and the chain on the same leaves; outputs and
+    gradients must agree bit for bit, and a leaf that needs no gradient must
+    get none."""
+    macs = []
+    results = []
+    for fn in (op, chain):
+        for t in inputs:
+            t.grad = None
+        with count_macs() as c:
+            results.append(grads_of(fn, inputs, g))
+        macs.append((c.macs, c.softmax_elems))
+    (y, grads), (want_y, want_grads) = results
+    np.testing.assert_array_equal(y, want_y)
+    for t, got, want in zip(inputs, grads, want_grads, strict=True):
+        if not t.requires_grad:
+            assert got is None and want is None
+        else:
+            np.testing.assert_array_equal(got, want)
+    assert macs[0] == macs[1]
+
+
+def layer(name):
+    """Frozen layer weights with non-trivial norm gains, shifts and biases."""
+    _, _, d, heads, _ = SHAPES[name]
+    w = init_layer_weights(d, heads, seed=3, name=f"test.{name}")
+    w.ln1_gain.data, w.ln1_shift.data = 1.0 + 0.1 * arr(1, d), 0.1 * arr(2, d)
+    w.ln2_gain.data, w.ln2_shift.data = 1.0 + 0.1 * arr(3, d), 0.1 * arr(4, d)
+    w.mlp_b1.data, w.mlp_b2.data = 0.1 * arr(5, 4 * d), 0.1 * arr(6, d)
+    return w
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_frozen_attention_matches_chain(name):
+    b, n, d, _, _ = SHAPES[name]
+    w = layer(name)
+    x = Tensor(arr(10, b, n, d), requires_grad=True)
+    assert_same(lambda: mha(TokenSet(VISUAL, x), w), lambda: chain_mha(x, w), [x], arr(11, b, n, d))
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_frozen_mlp_matches_chain(name):
+    b, n, d, _, _ = SHAPES[name]
+    w = layer(name)
+    x = Tensor(arr(12, b, n, d), requires_grad=True)
+    assert_same(lambda: mlp(TokenSet(VISUAL, x), w), lambda: chain_mlp(x, w), [x], arr(13, b, n, d))
+
+
+def cma_operands(name, site):
+    """(query, key, value) arrays of the three ways an adapter site calls
+    cma: compress (the 2-D latents over a batch of source tokens), fuse
+    (target tokens over the summary) and direct (target over source, whose
+    length differs from the target's)."""
+    b, n, d, _, m = SHAPES[name]
+    src, dst, summary = arr(20, b, n + 2, d), arr(21, b, n, d), arr(22, b, m, d)
+    return {"compress": (0.5 * arr(23, m, d), src, src),
+            "fuse": (dst, summary, summary),
+            "direct": (dst, src, src)}[site]
+
+
+# which of (query, key/value, gate) need a gradient: all of them; a query
+# that needs none, as at layer 0; the gate only
+GRAD_PATTERNS = {"all": (True, True, True), "no-query": (False, True, True), "gate-only": (False, False, True)}
+
+
+@pytest.mark.parametrize("pattern", GRAD_PATTERNS)
+@pytest.mark.parametrize("site", ["compress", "fuse", "direct"])
+@pytest.mark.parametrize("name", SHAPES)
+def test_gated_attention_matches_chain(name, site, pattern):
+    q_arr, k_arr, v_arr = cma_operands(name, site)
+    q_grad, kv_grad, gate_grad = GRAD_PATTERNS[pattern]
+    q = Tensor(q_arr, requires_grad=q_grad)
+    k = Tensor(k_arr, requires_grad=kv_grad)
+    # compress and direct pass one tensor as key and value, as the sites do
+    v = k if v_arr is k_arr else Tensor(v_arr, requires_grad=kv_grad)
+    gate = Tensor(0.7, requires_grad=gate_grad)
+    g = arr(24, *np.broadcast_shapes(q_arr.shape, k_arr.shape[:-2] + q_arr.shape[-2:]))
+    inputs = [q, k, gate] if v is k else [q, k, v, gate]
+    assert_same(lambda: cma(q, k, v, gate), lambda: chain_cma(q, k, v, gate), inputs, g)
+
+
+def test_gated_attention_with_distinct_key_and_value():
+    q, k, v = (Tensor(arr(s, 3, 5, 8), requires_grad=True) for s in (25, 26, 27))
+    gate = Tensor(-0.4, requires_grad=True)
+    assert_same(lambda: cma(q, k, v, gate), lambda: chain_cma(q, k, v, gate), [q, k, v, gate], arr(28, 3, 5, 8))
+
+
+@pytest.mark.parametrize("act,bias", [("gelu", True), ("relu", False), ("relu", True), ("gelu", False)])
+@pytest.mark.parametrize("name", SHAPES)
+def test_bottleneck_matches_chain(name, act, bias):
+    b, n, d, _, _ = SHAPES[name]
+    p = init_bottleneck(d, 4, 2, seed=7, name=f"test.{name}", act=act, bias=bias)
+    p.up_w.data = arr(30, *p.up_w.shape)
+    params = [p.down_w, p.up_w]
+    if bias:
+        p.down_b.data, p.up_b.data = arr(31, p.narrow), arr(32, d)
+        params += [p.down_b, p.up_b]
+    for t in params:
+        t.requires_grad = True
+    x = Tensor(arr(33, b, n, d), requires_grad=True)
+    assert_same(lambda: bottleneck(x, p), lambda: chain_bottleneck(x, p), [x] + params, arr(34, b, n, d))
+
+
+def test_bottleneck_with_frozen_input():
+    # the input needs no gradient, the weights still do
+    p = init_bottleneck(16, 4, 2, seed=8, name="test.frozen_x")
+    p.up_w.data = arr(35, *p.up_w.shape)
+    params = [p.down_w, p.up_w, p.down_b, p.up_b]
+    for t in params:
+        t.requires_grad = True
+    x = Tensor(arr(36, 3, 5, 16))
+    assert_same(lambda: bottleneck(x, p), lambda: chain_bottleneck(x, p), [x] + params, arr(37, 3, 5, 16))
+
+
+def test_no_grad_records_no_closure():
+    w = layer("odd")
+    x = Tensor(arr(40, 3, 6, 16), requires_grad=True)
+    gate = Tensor(0.5, requires_grad=True)
+    p = init_bottleneck(16, 4, 2, seed=9, name="test.no_grad")
+    for t in (p.down_w, p.up_w, p.down_b, p.up_b):
+        t.requires_grad = True
+    with no_grad():
+        outs = [mha(TokenSet(VISUAL, x), w), mlp(TokenSet(VISUAL, x), w), cma(x, x, x, gate), bottleneck(x, p)]
+    for out in outs:
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+
+
+@pytest.mark.parametrize("field", ["ln1_gain", "wq", "wk", "wv", "wo"])
+def test_frozen_attention_refuses_a_trainable_weight(field):
+    w = layer("odd")
+    getattr(w, field).requires_grad = True
+    x = TokenSet(VISUAL, Tensor(arr(41, 3, 6, 16), requires_grad=True))
+    with pytest.raises(GraphError, match=f"frozen_attention: weight {field.removeprefix('ln1_')} "):
+        mha(x, w)
+
+
+@pytest.mark.parametrize("field", ["ln2_shift", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"])
+def test_frozen_mlp_refuses_a_trainable_weight(field):
+    w = layer("odd")
+    getattr(w, field).requires_grad = True
+    x = TokenSet(VISUAL, Tensor(arr(42, 3, 6, 16), requires_grad=True))
+    name = field.removeprefix("ln2_").removeprefix("mlp_")
+    with pytest.raises(GraphError, match=f"frozen_mlp: weight {name} "):
+        mlp(x, w)
+
+
+# a train step of the whole model: README config, train-wide config, and an
+# odd one (2 heads, 6 audio against 4 visual tokens, ReLU, no bias; direct
+# and latent)
+STEP_CONFIGS = {
+    "readme": {},
+    "wide": dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4),
+    "odd-latent": dict(width=16, heads=2, latent_count=1, spec_hw=(9, 6), bottleneck_act="relu",
+                       bottleneck_bias=False),
+    "odd-direct": dict(width=16, heads=2, spec_hw=(9, 6), bottleneck_act="relu", bottleneck_bias=False,
+                       use_latents=False, mode="a2v"),
+}
+
+
+def train_step(model, batch):
+    model.registry.zero_grad()
+    logits = model.logits_batch([(s.image, s.spectrogram) for s in batch])
+    backward(cross_entropy_logits(logits, np.array([s.label for s in batch])))
+    return logits.data, {name: t.grad for name, t in model.registry.trainable()}
+
+
+@pytest.mark.parametrize("name", STEP_CONFIGS)
+def test_train_step_matches_chains_bitwise(name, monkeypatch):
+    cfg = ModelConfig(**STEP_CONFIGS[name])
+    model = TwoStreamModel(cfg, seed=0)
+    batch = generate_dataset(0, 8, 0.1, cfg.image_hw, cfg.spec_hw)
+    # move every site off its zero up-projection so every gradient is live
+    for sites in model.sites:
+        for site in sites.all_sites():
+            site.neck.up_w.data = 0.1 * arr(50, *site.neck.up_w.shape)
+    logits, grads = train_step(model, batch)
+    monkeypatch.setattr(fusion, "mha", lambda x, w: chain_mha(x.tokens, w))
+    monkeypatch.setattr(fusion, "mlp", lambda x, w: chain_mlp(x.tokens, w))
+    monkeypatch.setattr(fusion, "cma", chain_cma)
+    monkeypatch.setattr(fusion, "bottleneck", chain_bottleneck)
+    want_logits, want_grads = train_step(model, batch)
+    np.testing.assert_array_equal(logits, want_logits)
+    assert grads.keys() == want_grads.keys()
+    for key in grads:
+        np.testing.assert_array_equal(grads[key], want_grads[key], err_msg=key)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from avfuse.autodiff import Rng, ShapeError, Tensor, backward, mul
+from avfuse.autodiff import Rng, ShapeError, Tensor, backward
 from avfuse.backbone import AUDIO, VISUAL, FreezeRegistry, TokenSet, init_layer_weights
 from avfuse.fusion import (
     ATTACHMENTS,
@@ -23,7 +23,7 @@ from avfuse.fusion import (
     init_bottleneck,
 )
 
-from helpers import block_diag_from_grouped, loop_matmul, mean_all, scalar_cma, scalar_gelu
+from helpers import block_diag_from_grouped, loop_matmul, mean_all, mul, scalar_cma, scalar_gelu
 
 
 def tok(modality, arr, layer=0):
@@ -80,6 +80,9 @@ class TestCma:
             cma(q, Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), Tensor(0.0))
         with pytest.raises(ShapeError):
             cma(q, Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(1)))
+        with pytest.raises(ShapeError):
+            kv = Tensor(np.zeros((3, 2, 3)))
+            cma(Tensor(np.zeros((2, 2, 3))), kv, kv, Tensor(0.0))
 
 
 class TestLatents:

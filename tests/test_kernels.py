@@ -5,30 +5,27 @@ and ``helpers.power_gelu``), to 1e-12; and the in-place ``gelu``,
 ``layer_norm``, attention softmax and biased ``matmul`` against the plain
 expressions they ran before (``helpers.product_gelu``,
 ``helpers.expr_layer_norm``, ``helpers.expr_attention`` and
-``helpers.matmul_add``), bit for bit."""
+``helpers.matmul_add``), bit for bit. ``gelu``, ``layer_norm``,
+``attention`` and ``grouped_linear`` here are the single-op tape versions
+in ``helpers``, each a thin wrapper over the library's forward/backward
+kernel pair, so these tests check the kernels the block ops run."""
 import numpy as np
 import pytest
 
-from avfuse.autodiff import (
-    Tensor,
-    add,
-    attention,
-    backward,
-    gelu,
-    grouped_linear,
-    layer_norm,
-    matmul,
-    mul,
-    reshape,
-)
+from avfuse.autodiff import Tensor, add, backward, matmul, reshape
 from avfuse.backbone import ImageInput, SpectrogramInput
 from avfuse.model import ModelConfig, TwoStreamModel, frozen_twin
 
 from helpers import (
+    attention,
     einsum_grouped_linear,
     expr_attention,
     expr_layer_norm,
+    gelu,
+    grouped_linear,
+    layer_norm,
     matmul_add,
+    mul,
     power_gelu,
     product_gelu,
     sum_all,
