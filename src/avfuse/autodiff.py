@@ -1,7 +1,7 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Array storage and arithmetic are backed by numpy. Every op below builds the
-graph eagerly: the output tensor keeps references to its inputs and a closure
+Array storage and arithmetic are backed by numpy. Every tape op and block
+op below builds the graph eagerly: the output tensor keeps references to its inputs and a closure
 that routes the output gradient to them. ``backward`` walks that graph once,
 in reverse topological order, and accumulates gradients into ``.grad``.
 Leaf gradients are never cleared implicitly; call sites reset them between
