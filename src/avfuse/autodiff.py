@@ -6,7 +6,8 @@ that routes the output gradient to them. ``backward`` walks that graph once,
 in reverse topological order, and accumulates gradients into ``.grad``.
 Leaf gradients are never cleared implicitly; call sites reset them between
 steps. Interior state is released by ``backward``: once a node's closure has
-run, its gradient and the arrays the closure saved are dropped. Inside
+run, its gradient, the arrays the closure saved and its links to its inputs
+are dropped, so the graph is freed before ``backward`` returns. Inside
 ``no_grad()`` no graph is recorded at all.
 
 Memory: an interior node adopts the gradient array it is handed instead of
@@ -22,9 +23,10 @@ Three layers:
 
 - tape ops (``add``, ``matmul``, ``reshape``, ``concat_cols``,
   ``mean_rows``, ``cross_entropy_logits``) record one node each;
-- kernels (``linear_fwd``, ``layer_norm_fwd``/``_bwd``, ``gelu_fwd``/``_bwd``,
-  ``relu_fwd``/``_bwd``, ``attention_fwd``/``_bwd``,
-  ``grouped_linear_fwd``/``_bwd``) are plain numpy and record nothing;
+- kernels (``linear_fwd``, ``layer_norm_fwd``/``_bwd``, ``gelu_fwd``,
+  ``relu_fwd``, ``attention_fwd``/``_bwd``, ``grouped_linear_fwd``/``_bwd``)
+  are plain numpy and record nothing; an activation's forward returns its
+  derivative, so its backward is one product with the output gradient;
 - block ops (``frozen_attention``, ``frozen_mlp``, ``gated_attention``,
   ``grouped_bottleneck``) run a chain of kernels as one node whose closure
   saves only what its gradients need. A frozen block returns only the input
@@ -33,7 +35,8 @@ Three layers:
 The single-op tape versions of layer norm, GELU, ReLU, attention, grouped
 linear, ``mul`` and ``scale`` have no caller here; they live in the tests'
 helpers, built on these kernels, as the oracle the block ops are checked
-against.
+against, beside the GELU and ReLU backward kernels the activation forwards
+replaced.
 
 Also here: the deterministic counter-based RNG used for every weight draw and
 data draw in the package, and the multiply-accumulate counter used by the
@@ -157,7 +160,8 @@ class Tensor:
     pass deposits something into it.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_backward_done")
+    # __weakref__ lets a caller watch when a node is freed
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_backward_done", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         # np.array with order="C" keeps 0-d shapes intact, unlike
@@ -173,7 +177,7 @@ class Tensor:
     def _node(data: np.ndarray, parents: Sequence["Tensor"]) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = data
-        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+        out.requires_grad = _needs_grad(parents)
         out.grad = None
         out._parents = tuple(parents) if out.requires_grad else ()
         out._backward = None
@@ -203,6 +207,12 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+def _needs_grad(parents: Iterable[Tensor | None]) -> bool:
+    """Whether a node built from ``parents`` (None entries skipped) records
+    a closure: some parent requires a gradient and the tape is on."""
+    return _grad_enabled and any(p is not None and p.requires_grad for p in parents)
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
@@ -210,12 +220,13 @@ def _as_tensor(x) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray) -> None:
     """Add ``g`` into ``t.grad``.
 
-    An interior node (one with parents) adopts ``g`` itself and adds later
-    contributions out of place, so an array that another node may also hold
-    is never written. A leaf owns its gradient: the first write copies, later
-    ones add in place.
+    An interior node (one whose closure has not run yet) adopts ``g`` itself
+    and adds later contributions out of place, so an array that another node
+    may also hold is never written. A leaf owns its gradient: the first write
+    copies, later ones add in place. ``backward`` never hands a gradient to a
+    node it has released.
     """
-    if t._parents:
+    if t._backward is not None:
         t.grad = g if t.grad is None else t.grad + g
     elif t.grad is not None:
         t.grad += g
@@ -415,26 +426,33 @@ def layer_norm_bwd(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv: np.nd
     return dx
 
 
-def _blocks(*arrays: np.ndarray):
-    """Matching flat slices of equal-size arrays, ``_BLOCK`` values at a time.
-    Arrays that are written must be C-contiguous, so their slices are views."""
-    flats = [a.reshape(-1) for a in arrays]
+def _blocks(*arrays: np.ndarray | None):
+    """Matching flat slices of equal-size arrays, ``_BLOCK`` values at a time;
+    a None entry stays None. Arrays that are written must be C-contiguous, so
+    their slices are views."""
+    flats = [None if a is None else a.reshape(-1) for a in arrays]
     n = flats[0].size
     if n <= _BLOCK:
         return (flats,)
-    return ([f[lo:lo + _BLOCK] for f in flats] for lo in range(0, n, _BLOCK))
+    return ([None if f is None else f[lo:lo + _BLOCK] for f in flats] for lo in range(0, n, _BLOCK))
 
 
-def gelu_fwd(v: np.ndarray):
-    """tanh-form GELU with the module-level constants. Returns the output and
-    the tanh term."""
-    # In place, block by block, in the order of
-    # 0.5*v*(1 + tanh(C0*(v + C1*(v*v*v)))), so every value is bitwise that
-    # of the plain expression. A cube is a product, not np.power: power has
-    # no fast path for it.
-    t, y = np.empty(v.shape), np.empty(v.shape)
-    s = np.empty(min(v.size, _BLOCK))
-    for vb, tb, yb in _blocks(v, t, y):
+def gelu_fwd(v: np.ndarray, deriv: bool):
+    """tanh-form GELU with the module-level constants. Returns the output and,
+    if ``deriv``, its derivative at ``v`` (else None): the input gradient is
+    then ``g * d``."""
+    # In place, block by block. The output follows
+    # 0.5*v*(1 + tanh(C0*(v + C1*(v*v*v)))) and the derivative
+    # 0.5*v*(1 - t*t)*dinner + 0.5*(1 + t), dinner = C0*(1 + 3*C1*(v*v)),
+    # operation for operation, so g * d is bitwise the plain expression's
+    # gradient. A cube is a product, not np.power: power has no fast path
+    # for it.
+    y = np.empty(v.shape)
+    d = np.empty(v.shape) if deriv else None
+    block = min(v.size, _BLOCK)
+    t, s, u = np.empty(block), np.empty(block), np.empty(block)
+    for vb, yb, db in _blocks(v, y, d):
+        tb, sb, ub = t[:vb.size], s[:vb.size], u[:vb.size]
         np.multiply(vb, vb, out=tb)
         tb *= vb
         tb *= GELU_C1
@@ -442,46 +460,30 @@ def gelu_fwd(v: np.ndarray):
         tb *= GELU_C0
         np.tanh(tb, out=tb)
         np.multiply(vb, 0.5, out=yb)
-        yb *= np.add(tb, 1.0, out=s[:vb.size])
-    return y, t
+        if db is not None:
+            np.multiply(tb, tb, out=db)
+            np.subtract(1.0, db, out=db)
+            db *= yb
+            np.multiply(vb, vb, out=ub)
+            ub *= 3.0 * GELU_C1
+            ub += 1.0
+            ub *= GELU_C0
+            db *= ub
+        yb *= np.add(tb, 1.0, out=sb)
+        if db is not None:
+            sb *= 0.5
+            db += sb
+    return y, d
 
 
-def gelu_bwd(g: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The input gradient at ``v`` given the tanh term ``t``:
-    g * (0.5*(1 + t) + 0.5*v*(1 - t*t)*dinner), dinner = C0*(1 + 3*C1*(v*v)),
-    in that order."""
-    dx = np.empty(v.shape)
-    block = min(v.size, _BLOCK)
-    d, u = np.empty(block), np.empty(block)
-    for vb, tb, gb, xb in _blocks(v, t, g, dx):
-        db, ub = d[:vb.size], u[:vb.size]
-        np.multiply(vb, vb, out=db)
-        db *= 3.0 * GELU_C1
-        db += 1.0
-        db *= GELU_C0
-        np.multiply(vb, 0.5, out=xb)
-        np.multiply(tb, tb, out=ub)
-        np.subtract(1.0, ub, out=ub)
-        xb *= ub
-        xb *= db
-        np.add(tb, 1.0, out=ub)
-        ub *= 0.5
-        xb += ub
-        xb *= gb
-    return dx
+def relu_fwd(v: np.ndarray, deriv: bool):
+    """ReLU. Returns the output and, if ``deriv``, its derivative at ``v``
+    (1 where v > 0, else 0; None without ``deriv``)."""
+    return np.maximum(v, 0.0), (v > 0.0).astype(np.float64) if deriv else None
 
 
-def relu_fwd(v: np.ndarray):
-    """ReLU; returns the output and None, to match ``gelu_fwd``."""
-    return np.maximum(v, 0.0), None
-
-
-def relu_bwd(g: np.ndarray, v: np.ndarray, _aux=None) -> np.ndarray:
-    return g * (v > 0.0).astype(np.float64)
-
-
-# activation tag -> (forward kernel, backward kernel)
-ACTIVATIONS = {"gelu": (gelu_fwd, gelu_bwd), "relu": (relu_fwd, relu_bwd)}
+# activation tag -> forward kernel returning (output, derivative or None)
+ACTIVATIONS = {"gelu": gelu_fwd, "relu": relu_fwd}
 
 
 def attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, scale: float):
@@ -609,17 +611,19 @@ def frozen_attention(x: Tensor, gain, shift, wq, wk, wv, wo, heads: int) -> Tens
 def frozen_mlp(x: Tensor, gain, shift, w1, b1, w2, b2) -> Tensor:
     """Pre-norm GELU MLP with frozen weights: gelu(t w1 + b1) w2 + b2 for
     t = layer_norm(x). The backward pass returns dx only, from the saved
-    xhat, inv, pre-activation and tanh term."""
+    xhat, inv and GELU derivative."""
     _check_frozen("frozen_mlp", gain=gain, shift=shift, w1=w1, b1=b1, w2=w2, b2=b2)
     t, xhat, inv = layer_norm_fwd(x.data, gain.data, shift.data)
     pre = linear_fwd(t, w1.data, b1.data)
     del t
-    hidden, tanh = gelu_fwd(pre)
+    hidden, d = gelu_fwd(pre, _needs_grad((x,)))
+    del pre
     out = Tensor._node(linear_fwd(hidden, w2.data, b2.data), (x,))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
-            dt = gelu_bwd(g @ w2.data.T, pre, tanh) @ w1.data.T
-            _accum(x, layer_norm_bwd(dt, gain.data, xhat, inv))
+            dh = g @ w2.data.T
+            dh *= d
+            _accum(x, layer_norm_bwd(dh @ w1.data.T, gain.data, xhat, inv))
         out._backward = _bw
     return out
 
@@ -660,11 +664,11 @@ def gated_attention(q: Tensor, k: Tensor, v: Tensor, gate: Tensor) -> Tensor:
 def grouped_bottleneck(x: Tensor, down_w: Tensor, down_b, up_w: Tensor, up_b, act: str) -> Tensor:
     """up(act(down(x))) for grouped down/up maps with optional biases and an
     activation tag from ``ACTIVATIONS``. The backward pass gives x, both
-    weights and both biases their gradients from the saved pre-activation,
-    activation term and activation."""
-    fwd, bwd = ACTIVATIONS[act]
+    weights and both biases their gradients from the saved activation and
+    its derivative."""
     h = grouped_linear_fwd(x.data, down_w.data, _data(down_b))
-    a, aux = fwd(h)
+    a, d = ACTIVATIONS[act](h, _needs_grad((x, down_w, down_b)))
+    del h
     y = grouped_linear_fwd(a, up_w.data, _data(up_b))
     out = Tensor._node(y, [t for t in (x, down_w, down_b, up_w, up_b) if t is not None])
     if out.requires_grad:
@@ -675,11 +679,12 @@ def grouped_bottleneck(x: Tensor, down_w: Tensor, down_b, up_w: Tensor, up_b, ac
             da, dw, db = grouped_linear_bwd(g, a, up_w.data, above)
             grads = [(up_w, dw), (up_b, db)]
             if da is not None:
-                dx, dw, db = grouped_linear_bwd(bwd(da, h, aux), x.data, down_w.data, below)
+                da *= d
+                dx, dw, db = grouped_linear_bwd(da, x.data, down_w.data, below)
                 grads += [(x, dx), (down_w, dw), (down_b, db)]
-            for t, d in grads:
-                if d is not None:
-                    _accum(t, d)
+            for t, grad in grads:
+                if grad is not None:
+                    _accum(t, grad)
         out._backward = _bw
     return out
 
@@ -727,10 +732,13 @@ def cross_entropy_logits(logits, labels) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Run one reverse pass from a scalar ``loss``, accumulating into .grad.
 
-    Leaves keep their gradients. Each interior node's gradient and closure
-    are released as soon as its closure has run, which frees the arrays the
-    closure saved. A second call on the same loss node raises; gradients must
-    be reset and the graph rebuilt (a fresh forward pass) between passes.
+    Leaves keep their gradients. Each interior node is released as soon as
+    its closure has run: its gradient, its closure (with the arrays the
+    closure saved) and its links to its inputs are dropped, so the graph is
+    freed by the time this returns, but for tensors the caller still names.
+    A released graph cannot be walked again: a second call on the same loss,
+    or a walk that reaches a node an earlier pass released, raises; gradients
+    must be reset and the graph rebuilt (a fresh forward pass) between passes.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward: loss must be a Tensor")
@@ -754,15 +762,22 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
+            if parent._backward_done:
+                raise GraphError("backward: this graph reaches a node an earlier pass released; rebuild it")
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    # popping drops the walk's reference, so each node's output is freed as
+    # soon as it is released
+    while order:
+        node = order.pop()
+        if node._backward is None:
+            continue  # a leaf
+        if node.grad is not None:
             node._backward(node.grad)
-        if node._parents:
-            node.grad = None
-            node._backward = None
+        node.grad = node._backward = None
+        node._parents = ()
+        node._backward_done = True
 
 
 # ---------------------------------------------------------------------------

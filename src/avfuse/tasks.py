@@ -13,6 +13,7 @@ whether the cross-modal path works.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,6 +241,25 @@ def _divergence(model: TwoStreamModel, step: int, what: str) -> DivergenceError:
     return DivergenceError(f"training diverged at step {step}: {what}; {where}")
 
 
+def _keep_freed_pages() -> None:
+    """Ask glibc to keep this process's freed heap pages mapped.
+
+    ``backward`` frees each step's graph, tens of MiB at the benchmark's
+    train-wide shapes; with glibc's defaults the heap is trimmed after every
+    step and the next forward faults it back in. The setting acts on this
+    process only and is the same on every call; where the C library has no
+    ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: keep up to 256 MiB of freed heap
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks below 32 MiB, glibc's cap, come from the heap
+
+
 def train(
     model: TwoStreamModel,
     train_samples: list[SyntheticAvSample],
@@ -254,9 +274,10 @@ def train(
     ``DivergenceError`` naming the step and the first trainable parameter
     that is out of range. Test accuracy is recorded every ``eval_every``
     steps and always after the final step (for steps=0 that is the untouched
-    model).
+    model). ``backward`` frees each step's graph before the next forward.
     """
     cfg.validate()
+    _keep_freed_pages()
     optimizer = make_optimizer(model, cfg)
     batch_rng = Rng.for_name(cfg.seed, "train.batches")
     mode = model.cfg.mode
@@ -280,10 +301,9 @@ def train(
         batch = [train_samples[int(i)] for i in idx]
         labels = np.asarray([s.label for s in batch], dtype=np.int64)
         try:
-            logits = model.logits_batch([(s.image, s.spectrogram) for s in batch])
+            loss = cross_entropy_logits(model.logits_batch([(s.image, s.spectrogram) for s in batch]), labels)
         except NonFiniteError as e:
             raise _divergence(model, step, str(e)) from e
-        loss = cross_entropy_logits(logits, labels)
         if not np.isfinite(loss.data):
             raise _divergence(model, step, f"loss is {loss.item()}")
         model.registry.zero_grad()

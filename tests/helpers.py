@@ -8,7 +8,9 @@ head), kept as the oracle for the batched engine, the ``np.einsum`` and
 ``np.power`` kernels that ``grouped_linear`` and ``gelu`` ran before they
 moved to ``np.matmul`` and plain products, and the plain-expression
 ``gelu``, ``layer_norm``, attention softmax and matmul-plus-bias kernels
-that ran before they computed in place.
+that ran before they computed in place, and the GELU and ReLU backward
+kernels (with the GELU forward that saved its tanh term) that ran before
+the forward kernels returned the derivative.
 
 The single-op tape versions of ``layer_norm``, ``gelu``, ``relu``,
 ``attention``, ``grouped_linear``, ``mul`` and ``scale`` live here: the
@@ -35,9 +37,12 @@ from avfuse.autodiff import (
     LAYER_NORM_EPS,
     ShapeError,
     Tensor,
+    _BLOCK,
     _accum,
     _as_tensor,
+    _blocks,
     _concat,
+    _needs_grad,
     _reduce_to,
     _tally_softmax,
     add,
@@ -45,7 +50,6 @@ from avfuse.autodiff import (
     attention_fwd,
     backward,
     concat_cols,
-    gelu_bwd,
     gelu_fwd,
     grouped_linear_bwd,
     grouped_linear_fwd,
@@ -53,7 +57,6 @@ from avfuse.autodiff import (
     layer_norm_fwd,
     matmul,
     mean_rows,
-    relu_bwd,
     relu_fwd,
 )
 
@@ -92,27 +95,24 @@ def scale(x, c: float) -> Tensor:
     return out
 
 
-def relu(x) -> Tensor:
+def _activation(fwd, x) -> Tensor:
     x = _as_tensor(x)
-    y, _ = relu_fwd(x.data)
+    y, d = fwd(x.data, _needs_grad((x,)))
     out = Tensor._node(y, (x,))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
-            _accum(x, relu_bwd(g, x.data))
+            _accum(x, g * d)
         out._backward = _bw
     return out
+
+
+def relu(x) -> Tensor:
+    return _activation(relu_fwd, x)
 
 
 def gelu(x) -> Tensor:
     """tanh-form GELU with the library's constants."""
-    x = _as_tensor(x)
-    y, t = gelu_fwd(x.data)
-    out = Tensor._node(y, (x,))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            _accum(x, gelu_bwd(g, x.data, t))
-        out._backward = _bw
-    return out
+    return _activation(gelu_fwd, x)
 
 
 def layer_norm(x, gain, shift) -> Tensor:
@@ -522,6 +522,57 @@ def matmul_add(a: np.ndarray, w: np.ndarray, b: np.ndarray, g: np.ndarray):
         a.reshape(-1, q).T @ g.reshape(-1, r),
         g.sum(axis=tuple(range(g.ndim - 1))),
     )
+
+
+# ---------------------------------------------------------------------------
+# activation kernels as they ran before the forward saved the derivative
+# ---------------------------------------------------------------------------
+
+
+def tanh_gelu_fwd(v: np.ndarray):
+    """GELU in place, block by block: the output and the tanh term
+    ``gelu_bwd`` takes."""
+    t, y = np.empty(v.shape), np.empty(v.shape)
+    s = np.empty(min(v.size, _BLOCK))
+    for vb, tb, yb in _blocks(v, t, y):
+        np.multiply(vb, vb, out=tb)
+        tb *= vb
+        tb *= GELU_C1
+        tb += vb
+        tb *= GELU_C0
+        np.tanh(tb, out=tb)
+        np.multiply(vb, 0.5, out=yb)
+        yb *= np.add(tb, 1.0, out=s[:vb.size])
+    return y, t
+
+
+def gelu_bwd(g: np.ndarray, v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The input gradient at ``v`` given the tanh term ``t``:
+    g * (0.5*(1 + t) + 0.5*v*(1 - t*t)*dinner), dinner = C0*(1 + 3*C1*(v*v)),
+    in that order."""
+    dx = np.empty(v.shape)
+    block = min(v.size, _BLOCK)
+    d, u = np.empty(block), np.empty(block)
+    for vb, tb, gb, xb in _blocks(v, t, g, dx):
+        db, ub = d[:vb.size], u[:vb.size]
+        np.multiply(vb, vb, out=db)
+        db *= 3.0 * GELU_C1
+        db += 1.0
+        db *= GELU_C0
+        np.multiply(vb, 0.5, out=xb)
+        np.multiply(tb, tb, out=ub)
+        np.subtract(1.0, ub, out=ub)
+        xb *= ub
+        xb *= db
+        np.add(tb, 1.0, out=ub)
+        ub *= 0.5
+        xb += ub
+        xb *= gb
+    return dx
+
+
+def relu_bwd(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return g * (v > 0.0).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

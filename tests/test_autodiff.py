@@ -308,12 +308,24 @@ class TestBackward:
         assert len(interior) == 5 and all(n._backward is not None for n in interior)
         backward(loss)
         for node in interior:
-            assert node.grad is None and node._backward is None
+            # no node still links its inputs, so nothing the caller holds
+            # keeps the rest of the graph alive
+            assert node.grad is None and node._backward is None and node._parents == ()
         assert {id(t) for t in leaves if t.requires_grad} == {id(w), id(gain), id(shift)}
         for t in (w, gain, shift):
             assert t.grad is not None and t.grad.shape == t.shape
         with pytest.raises(GraphError):
             backward(loss)
+
+    def test_walk_into_a_released_node_raises(self):
+        # h is shared by two losses; the first pass releases it, so the
+        # second would drop w's gradient without a word if it walked on
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        h = scale(w, 2.0)
+        first, second = sum_all(mul(h, h)), sum_all(scale(h, 3.0))
+        backward(first)
+        with pytest.raises(GraphError, match="released"):
+            backward(second)
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

@@ -1,4 +1,5 @@
 """CLI tests: config validation, outputs, determinism, exit codes."""
+import ctypes
 import json
 import re
 from pathlib import Path
@@ -186,6 +187,23 @@ class TestTrainCommand:
         for name in ("config.json", "metrics.csv", "weights.json", "weights.bin"):
             assert (out1 / name).exists(), name
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_runs_without_mallopt(self, tmp_path, monkeypatch):
+        # a C library that cannot be opened leaves the heap at its defaults,
+        # which changes no output byte
+        cfg = write_config(tmp_path)
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        assert run_cli(["train", "--config", cfg, "--out", str(out1), "--quiet"]) == 0
+        opened = []
+
+        def no_libc(*args, **kwargs):
+            opened.append(args)
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        assert run_cli(["train", "--config", cfg, "--out", str(out2), "--quiet"]) == 0
+        assert opened
+        assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
     def test_metrics_layout(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -5,14 +5,17 @@ and ``helpers.power_gelu``), to 1e-12; and the in-place ``gelu``,
 ``layer_norm``, attention softmax and biased ``matmul`` against the plain
 expressions they ran before (``helpers.product_gelu``,
 ``helpers.expr_layer_norm``, ``helpers.expr_attention`` and
-``helpers.matmul_add``), bit for bit. ``gelu``, ``layer_norm``,
+``helpers.matmul_add``), bit for bit; and the GELU and ReLU forward
+kernels, whose derivative times the upstream gradient must be bitwise the
+backward kernels they replaced (``helpers.gelu_bwd``, ``helpers.relu_bwd``).
+``gelu``, ``layer_norm``,
 ``attention`` and ``grouped_linear`` here are the single-op tape versions
 in ``helpers``, each a thin wrapper over the library's forward/backward
 kernel pair, so these tests check the kernels the block ops run."""
 import numpy as np
 import pytest
 
-from avfuse.autodiff import Tensor, add, backward, matmul, reshape
+from avfuse.autodiff import Tensor, add, backward, gelu_fwd, matmul, relu_fwd, reshape
 from avfuse.backbone import ImageInput, SpectrogramInput
 from avfuse.model import ModelConfig, TwoStreamModel, frozen_twin
 
@@ -22,13 +25,16 @@ from helpers import (
     expr_attention,
     expr_layer_norm,
     gelu,
+    gelu_bwd,
     grouped_linear,
     layer_norm,
     matmul_add,
     mul,
     power_gelu,
     product_gelu,
+    relu_bwd,
     sum_all,
+    tanh_gelu_fwd,
 )
 
 # (input shape, grouped weight shape): the train-wide down and up
@@ -191,3 +197,32 @@ def test_biased_head_matches_the_reshape_then_add_chain():
         backward(sum_all(mul(out, Tensor(g))))
     for t_new, t_old in zip(new, old):
         np.testing.assert_array_equal(t_new.grad, t_old.grad)
+
+
+# the MLP's hidden activations at train-wide width, one full and one partial
+# block of autodiff._BLOCK values, and a small 2-D input
+DERIVATIVE = {"wide": (8, 64, 512), "odd-blocks": (3, 7, 1001), "odd-2d": (7, 5)}
+
+
+@pytest.mark.parametrize("name", DERIVATIVE)
+def test_gelu_derivative_times_gradient_is_the_backward_kernel(name):
+    v, g = 2.0 * arr(40, *DERIVATIVE[name]), arr(41, *DERIVATIVE[name])
+    y, d = gelu_fwd(v, True)
+    want_y, t = tanh_gelu_fwd(v)
+    np.testing.assert_array_equal(y, want_y)
+    np.testing.assert_array_equal(g * d, gelu_bwd(g, v, t))
+    y_only, none = gelu_fwd(v, False)
+    assert none is None
+    np.testing.assert_array_equal(y_only, want_y)
+
+
+@pytest.mark.parametrize("name", DERIVATIVE)
+def test_relu_derivative_times_gradient_is_the_backward_kernel(name):
+    v, g = arr(42, *DERIVATIVE[name]), arr(43, *DERIVATIVE[name])
+    v.reshape(-1)[:3] = 0.0  # the kink takes the zero side
+    y, d = relu_fwd(v, True)
+    np.testing.assert_array_equal(y, np.maximum(v, 0.0))
+    np.testing.assert_array_equal(g * d, relu_bwd(g, v))
+    y_only, none = relu_fwd(v, False)
+    assert none is None
+    np.testing.assert_array_equal(y_only, y)

@@ -1,11 +1,14 @@
 """Memory guard: the bytes one train step (batched forward, cross-entropy,
 backward) allocates, traced by ``tracemalloc``, at the README config and at
 the train-wide benchmark config. Bounds are on the traced peak and on what
-the step still holds after ``backward`` while its loss is alive (the graph's
-node outputs and the trainable gradients). Each bound sits under 5% above
-the figure measured when it was set (README: peak 1.071 MiB, held
-0.408 MiB; train-wide: peak 56.65 MiB, held 20.61 MiB), so a change that
-makes a step keep more activations has to move a number here on purpose."""
+the step still holds after ``backward`` while its loss is alive. ``backward``
+frees the graph, so that is the trainable gradients and the loss itself.
+Each bound sits under 5% above the figure measured when it was set (README:
+peak 0.890 MiB, held 0.044 MiB; train-wide: peak 45.94 MiB, held
+0.316 MiB), so a change that makes a step keep more activations has to move
+a number here on purpose. Before ``backward`` freed the graph and the GELU
+kernels saved their derivative, the figures were 1.071 / 0.408 and
+56.65 / 20.61 MiB."""
 import gc
 import tracemalloc
 
@@ -20,8 +23,8 @@ MIB = 2**20
 
 # config overrides: (peak bound, held bound) in MiB
 BOUNDS = {
-    "readme": ({}, 1.12, 0.425),
-    "train-wide": (dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4), 59.0, 21.5),
+    "readme": ({}, 0.93, 0.046),
+    "train-wide": (dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4), 48.0, 0.33),
 }
 
 

@@ -1,5 +1,6 @@
 """Synthetic task, optimizer, and training-loop tests."""
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -304,6 +305,23 @@ class TestTrainLoop:
         singles = sum(int(np.argmax(model.logits(s.image, s.spectrogram).data[0]) == s.label) for s in data)
         assert whole == chunks == singles
         assert 0 < whole < len(data)
+
+    def test_step_graph_is_freed_before_the_next_forward(self, monkeypatch):
+        # backward releases the graph and train names no node of it past the
+        # step, so each step's logits node is gone before the next forward
+        model = TwoStreamModel(ModelConfig(**SMALL_MODEL), seed=0)
+        real, refs = model.logits_batch, []
+
+        def spy(pairs):
+            assert [r() for r in refs] == [None] * len(refs)
+            out = real(pairs)
+            if out.requires_grad:
+                refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(model, "logits_batch", spy)
+        train(model, generate_dataset(0, 8, 0.1), generate_dataset(1, 4, 0.1), TrainConfig(steps=3, batch_size=4))
+        assert len(refs) == 3
 
     def test_evaluate_records_no_graph(self, monkeypatch):
         model = TwoStreamModel(ModelConfig(**SMALL_MODEL), seed=0)
