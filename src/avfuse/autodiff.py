@@ -453,8 +453,8 @@ def gelu_fwd(v: np.ndarray, deriv: bool):
     t, s, u = np.empty(block), np.empty(block), np.empty(block)
     for vb, yb, db in _blocks(v, y, d):
         tb, sb, ub = t[:vb.size], s[:vb.size], u[:vb.size]
-        np.multiply(vb, vb, out=tb)
-        tb *= vb
+        np.multiply(vb, vb, out=ub)  # v*v, for the cube and the derivative
+        np.multiply(ub, vb, out=tb)
         tb *= GELU_C1
         tb += vb
         tb *= GELU_C0
@@ -464,7 +464,6 @@ def gelu_fwd(v: np.ndarray, deriv: bool):
             np.multiply(tb, tb, out=db)
             np.subtract(1.0, db, out=db)
             db *= yb
-            np.multiply(vb, vb, out=ub)
             ub *= 3.0 * GELU_C1
             ub += 1.0
             ub *= GELU_C0

@@ -324,8 +324,8 @@ class FreezeRegistry:
             yield name, tensor.data, frozen
 
     def load_arrays(self, entries) -> None:
-        """Install values from (name, array, frozen) records; every name must
-        exist with a matching shape and flag."""
+        """Copy values from (name, array, frozen) records into the existing
+        arrays; every name must exist with a matching shape and flag."""
         loaded = set()
         for rec in entries:
             name, array, frozen = rec.name, rec.array, rec.frozen
@@ -338,8 +338,8 @@ class FreezeRegistry:
                 )
             if frozen != want_frozen:
                 raise ValueError(f"parameter {name!r}: frozen flag mismatch")
-            # np.array keeps 0-d gate shapes; ascontiguousarray would not
-            tensor.data = np.array(array, dtype=np.float64, order="C")
+            # copy into the existing array: an optimizer may hold views of it
+            np.copyto(tensor.data, array)
             loaded.add(name)
         missing = set(self._entries) - loaded
         if missing:

@@ -182,12 +182,16 @@ class TwoStreamModel:
         )
         self.head_bias = self.registry.register("head.bias", Tensor(np.zeros(2)), frozen=False)
 
-        if cfg.audio_pos == "resize":
-            self._pos_audio = Tensor(
-                resize_pos_table(self.pos_visual.data, cfg.visual_grid, cfg.audio_grid)
-            )
-        else:
-            self._pos_audio = None
+        self._resize_audio_pos()
+
+    def _resize_audio_pos(self) -> None:
+        """Derive the audio positional table from ``pos_visual``; rerun
+        whenever ``pos_visual`` changes."""
+        cfg = self.cfg
+        self._pos_audio = (
+            Tensor(resize_pos_table(self.pos_visual.data, cfg.visual_grid, cfg.audio_grid))
+            if cfg.audio_pos == "resize" else None
+        )
 
     # -- forward ------------------------------------------------------------
 
@@ -232,6 +236,7 @@ class TwoStreamModel:
     def load_weights(self, base) -> None:
         entries, _extra = load_tensors(base)
         self.registry.load_arrays(entries)
+        self._resize_audio_pos()
 
     def frozen_hash(self) -> str:
         return self.registry.state_hash(frozen_only=True)

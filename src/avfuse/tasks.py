@@ -135,10 +135,13 @@ def generate_dataset(
 class Adam:
     """Adam over named parameter groups, each with its own learning rate.
 
-    Only parameters handed in at construction are ever touched, and moment
-    state is created lazily on the first gradient, so parameters that never
-    receive one (and frozen parameters, which are never handed in) leave no
-    trace in ``state``.
+    The parameters' values live in one flat float64 vector, laid out in
+    group order: construction copies each value into its slice and rebinds
+    ``p.data`` to a view of that slice, so ``step`` updates every parameter
+    in place with the same few numpy calls, whatever their count. Only
+    parameters handed in at construction are touched (frozen ones never
+    are), ``state`` maps each name to views of its slices of the flat
+    moment vectors, and every parameter must carry a gradient at each step.
     """
 
     def __init__(
@@ -152,27 +155,54 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.state: dict[str, dict[str, np.ndarray]] = {}
         self.t = 0
+        named = [(name, p) for params, _ in self.groups for name, p in params]
+        self._names = [name for name, _ in named]
+        self._params = [p for _, p in named]
+        n = sum(p.data.size for p in self._params)
+        self.values, self.m, self.v = np.empty(n), np.zeros(n), np.zeros(n)
+        self._grad, self._tmp = np.empty(n), np.empty(n)
+        # one learning rate per value: lr * mhat elementwise is bitwise the
+        # group's scalar product
+        sizes = [sum(p.data.size for _, p in params) for params, _ in self.groups]
+        self._lr = np.repeat([lr for _, lr in self.groups], sizes).astype(np.float64)
+        self.state: dict[str, dict[str, np.ndarray]] = {}
+        lo = 0
+        for name, p in named:
+            shape, hi = p.data.shape, lo + p.data.size
+            self.values[lo:hi] = np.ravel(p.data)
+            p.data = self.values[lo:hi].reshape(shape)
+            self.state[name] = {"m": self.m[lo:hi].reshape(shape), "v": self.v[lo:hi].reshape(shape)}
+            lo = hi
 
     def step(self) -> None:
+        grads = [p.grad for p in self._params]
+        for name, g in zip(self._names, grads):
+            if g is None:
+                raise RuntimeError(f"trainable parameter {name!r} received no gradient")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        for params, lr in self.groups:
-            for name, p in params:
-                if p.grad is None:
-                    continue
-                st = self.state.get(name)
-                if st is None:
-                    st = {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
-                    self.state[name] = st
-                st["m"] = b1 * st["m"] + (1.0 - b1) * p.grad
-                st["v"] = b2 * st["v"] + (1.0 - b2) * p.grad**2
-                mhat = st["m"] / bias1
-                vhat = st["v"] / bias2
-                p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
+        g, tmp, m, v = self._grad, self._tmp, self.m, self.v
+        np.concatenate(grads, axis=None, out=g)
+        # the per-tensor expressions, in their operation order, in place:
+        # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+        # p = p - lr*(m/bias1) / (sqrt(v/bias2) + eps)
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=tmp)
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        v *= b2
+        v += tmp
+        np.divide(m, bias1, out=tmp)
+        tmp *= self._lr
+        np.divide(v, bias2, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        tmp /= g
+        self.values -= tmp
 
 
 # ---------------------------------------------------------------------------

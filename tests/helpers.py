@@ -20,6 +20,10 @@ the library chained them before (``chain_mha``, ``chain_mlp``,
 ``chain_cma``, ``chain_bottleneck``), the oracle the block ops must match
 bit for bit.
 
+``LoopAdam`` is the per-tensor Adam the optimizer ran before it kept every
+trainable value in one flat vector: the oracle the flat update must match
+bit for bit.
+
 The oracle ops ``transpose``, ``cols``, ``concat_rows`` and
 ``softmax_rows`` live here, not in the library: only the per-head oracle
 uses them. So do the scalar reducers ``sum_all`` and ``mean_all``, which
@@ -667,3 +671,41 @@ def oracle_logits_batch(model, pairs) -> Tensor:
     """Per-sample logits rows stacked into (B, 2)."""
     rows = [oracle_logits(model, img, spec) for img, spec in pairs]
     return rows[0] if len(rows) == 1 else concat_rows(rows)
+
+
+# ---------------------------------------------------------------------------
+# per-tensor Adam
+# ---------------------------------------------------------------------------
+
+
+class LoopAdam:
+    """Adam as one numpy expression chain per parameter, with moment state
+    created on a parameter's first gradient; parameters without a gradient
+    are skipped. Same constructor as ``tasks.Adam``."""
+
+    def __init__(self, groups, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.groups = [(list(params), float(lr)) for params, lr in groups]
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.state: dict[str, dict[str, np.ndarray]] = {}
+        self.t = 0
+
+    def step(self) -> None:
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bias1 = 1.0 - b1**self.t
+        bias2 = 1.0 - b2**self.t
+        for params, lr in self.groups:
+            for name, p in params:
+                if p.grad is None:
+                    continue
+                st = self.state.get(name)
+                if st is None:
+                    st = {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
+                    self.state[name] = st
+                st["m"] = b1 * st["m"] + (1.0 - b1) * p.grad
+                st["v"] = b2 * st["v"] + (1.0 - b2) * p.grad**2
+                mhat = st["m"] / bias1
+                vhat = st["v"] / bias2
+                p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)

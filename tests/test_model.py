@@ -168,6 +168,20 @@ class TestPersistence:
             model.logits(img, spec).data, fresh.logits(img, spec).data
         )
 
+    def test_load_into_another_seed_matches_logits(self, tmp_path):
+        # the audio positional table derives from pos_visual, so a load must
+        # rebuild it; audio grid 3x2 against a visual 2x2 one, so it is resampled
+        for spec_hw in ((8, 8), (12, 8)):
+            cfg = ModelConfig(spec_hw=spec_hw)
+            model = TwoStreamModel(cfg, seed=1)
+            model.save_weights(tmp_path / "w")
+            other = TwoStreamModel(cfg, seed=2)
+            other.load_weights(tmp_path / "w")
+            assert other.registry.state_hash(frozen_only=False) == model.registry.state_hash(frozen_only=False)
+            r = Rng.for_name(46, "persist")
+            img, spec = rand_inputs(r, cfg)
+            np.testing.assert_array_equal(model.logits(img, spec).data, other.logits(img, spec).data)
+
     def test_frozen_hash_ignores_trainable_changes(self):
         model = TwoStreamModel(ModelConfig(), seed=0)
         h0 = model.frozen_hash()

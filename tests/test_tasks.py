@@ -1,11 +1,14 @@
 """Synthetic task, optimizer, and training-loop tests."""
+import collections
 import math
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
-from avfuse.autodiff import Rng, Tensor, derive_seed
+from avfuse import tasks
+from avfuse.autodiff import Rng, Tensor, backward, cross_entropy_logits, derive_seed
 from avfuse.model import ModelConfig, TwoStreamModel
 from avfuse.tasks import (
     SQUARE_SAFE,
@@ -25,6 +28,8 @@ from avfuse.tasks import (
     xnor_label,
     METRICS_COLUMNS,
 )
+
+from helpers import LoopAdam
 
 
 SMALL_MODEL = dict(layers=1, width=8, heads=2, patch=4, latent_count=2, ratio=2, groups=2)
@@ -183,14 +188,108 @@ class TestAdam:
             opt.step()
         np.testing.assert_array_equal(p.data, before)
 
-    def test_skips_parameters_without_grad(self):
-        p = Tensor(np.ones(2), requires_grad=True)
-        q = Tensor(np.ones(2), requires_grad=True)
-        p.grad = np.ones(2)
+    def test_missing_gradient_raises_and_changes_nothing(self):
+        r = np.random.default_rng(1)
+        p = Tensor(r.standard_normal(3), requires_grad=True)
+        q = Tensor(r.standard_normal((2, 2)), requires_grad=True)
         opt = Adam([([("p", p), ("q", q)], 0.1)])
+        p.grad, q.grad = r.standard_normal(3), r.standard_normal((2, 2))
         opt.step()
-        assert "p" in opt.state and "q" not in opt.state
-        np.testing.assert_array_equal(q.data, np.ones(2))
+        p.grad, q.grad = r.standard_normal(3), None
+        before = [a.copy() for a in (opt.values, opt.m, opt.v)]
+        with pytest.raises(RuntimeError, match="'q'"):
+            opt.step()
+        assert opt.t == 1
+        for a, b in zip((opt.values, opt.m, opt.v), before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_matches_per_tensor_loop_bitwise(self):
+        # two learning-rate groups and a zero one; a 0-d gate and a 3-D
+        # grouped weight; values and both moments bitwise after every step
+        r = np.random.default_rng(2)
+        shapes = [[(2, 4, 3), ()], [(5, 2), (2,)], [(4,)]]
+        rates = [1e-2, 0.3, 0.0]
+        init = [[r.standard_normal(s) for s in group] for group in shapes]
+
+        def build(opt_cls):
+            params = [[(f"g{i}.p{j}", Tensor(a, requires_grad=True)) for j, a in enumerate(group)]
+                      for i, group in enumerate(init)]
+            return params, opt_cls([(group, lr) for group, lr in zip(params, rates)])
+
+        flat_params, flat = build(Adam)
+        loop_params, loop = build(LoopAdam)
+        pairs = [(fp, lp) for fg, lg in zip(flat_params, loop_params) for fp, lp in zip(fg, lg)]
+        for _ in range(50):
+            for (_, fp), (_, lp) in pairs:
+                fp.grad = r.standard_normal(fp.shape)
+                lp.grad = fp.grad.copy()
+            flat.step()
+            loop.step()
+            for (name, fp), (_, lp) in pairs:
+                np.testing.assert_array_equal(fp.data, lp.data)
+                np.testing.assert_array_equal(flat.state[name]["m"], loop.state[name]["m"])
+                np.testing.assert_array_equal(flat.state[name]["v"], loop.state[name]["v"])
+        for (_, fp), init_value in zip(flat_params[2], init[2]):
+            np.testing.assert_array_equal(fp.data, init_value)
+
+    def test_train_matches_per_tensor_loop(self, monkeypatch):
+        # the README config end to end: metric rows and every weight equal
+        cfgs = ModelConfig(), TrainConfig(), DataConfig()
+        flat = run_experiment(*cfgs)
+        monkeypatch.setattr(tasks, "Adam", LoopAdam)
+        loop = run_experiment(*cfgs)
+        assert flat.rows == loop.rows
+        assert flat.model.registry.state_hash(frozen_only=False) == loop.model.registry.state_hash(frozen_only=False)
+
+    def test_loaded_weights_stay_in_the_optimizer_vector(self, tmp_path):
+        model = TwoStreamModel(ModelConfig(), seed=0)
+        opt = make_optimizer(model, TrainConfig())
+        for _ in range(3):
+            _grads_of_one_batch(model)
+            opt.step()
+        source = TwoStreamModel(ModelConfig(), seed=1)
+        noise = np.random.default_rng(3)
+        for _, t in source.registry.trainable():
+            t.data = t.data + 0.1 * noise.standard_normal(t.shape)
+        source.save_weights(tmp_path / "w")
+        model.load_weights(tmp_path / "w")
+        loaded = {name: t.data.copy() for name, t in source.registry.trainable()}
+        for name, t in model.registry.trainable():
+            assert np.shares_memory(t.data, opt.values), name
+            np.testing.assert_array_equal(t.data, loaded[name])
+        _grads_of_one_batch(model)
+        opt.step()
+        for name, t in model.registry.trainable():
+            assert np.shares_memory(t.data, opt.values), name
+            assert not np.array_equal(t.data, loaded[name]), name
+
+    def test_step_calls_do_not_grow_with_tensor_count(self):
+        # ufuncs raise no profile events, but the builtin calls a per-tensor
+        # loop makes (the old loop's dict lookups among them) do
+        def step_calls(opt_cls, mode):
+            model = TwoStreamModel(ModelConfig(mode=mode), seed=0)
+            opt = tasks.make_optimizer(model, TrainConfig())
+            if opt_cls is not Adam:
+                opt = opt_cls(opt.groups)
+            _grads_of_one_batch(model)
+            calls = collections.Counter()
+
+            def profile(frame, event, arg):
+                if event in ("call", "c_call"):
+                    calls[event] += 1
+
+            sys.setprofile(profile)
+            try:
+                opt.step()
+            finally:
+                sys.setprofile(None)
+            return sum(1 for _ in model.registry.trainable()), calls
+
+        (many, readme), (few, head_only) = step_calls(Adam, "bidirectional"), step_calls(Adam, "none")
+        assert (many, few) == (58, 2)
+        assert readme["c_call"] > 0
+        assert readme == head_only
+        assert step_calls(LoopAdam, "bidirectional")[1] != step_calls(LoopAdam, "none")[1]
 
     def test_per_group_learning_rates(self):
         p = Tensor(np.zeros(1), requires_grad=True)
@@ -207,6 +306,14 @@ class TestAdam:
         named = {name for params, _ in opt.groups for name, _ in params}
         assert named == {name for name, _ in model.registry.trainable()}
         assert not any(n.startswith("backbone.") for n in named)
+
+
+def _grads_of_one_batch(model: TwoStreamModel) -> None:
+    """Leave one 8-sample batch's gradients on the model's trainables."""
+    batch = generate_dataset(5, 8, 0.1, model.cfg.image_hw, model.cfg.spec_hw)
+    logits = model.logits_batch([(s.image, s.spectrogram) for s in batch])
+    model.registry.zero_grad()
+    backward(cross_entropy_logits(logits, np.asarray([s.label for s in batch])))
 
 
 class TestTrainLoop:
