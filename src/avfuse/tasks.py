@@ -156,24 +156,22 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        named = [(name, p) for params, _ in self.groups for name, p in params]
-        self._names = [name for name, _ in named]
-        self._params = [p for _, p in named]
+        self._params = [p for params, _ in self.groups for _, p in params]
+        self._names = [name for params, _ in self.groups for name, _ in params]
         n = sum(p.data.size for p in self._params)
         self.values, self.m, self.v = np.empty(n), np.zeros(n), np.zeros(n)
         self._grad, self._tmp = np.empty(n), np.empty(n)
-        # one learning rate per value: lr * mhat elementwise is bitwise the
-        # group's scalar product
-        sizes = [sum(p.data.size for _, p in params) for params, _ in self.groups]
-        self._lr = np.repeat([lr for _, lr in self.groups], sizes).astype(np.float64)
+        self._tmp_by_lr = []  # each group's slice of _tmp, with its rate
         self.state: dict[str, dict[str, np.ndarray]] = {}
         lo = 0
-        for name, p in named:
-            shape, hi = p.data.shape, lo + p.data.size
-            self.values[lo:hi] = np.ravel(p.data)
-            p.data = self.values[lo:hi].reshape(shape)
-            self.state[name] = {"m": self.m[lo:hi].reshape(shape), "v": self.v[lo:hi].reshape(shape)}
-            lo = hi
+        for params, lr in self.groups:
+            self._tmp_by_lr.append((self._tmp[lo:lo + sum(p.data.size for _, p in params)], lr))
+            for name, p in params:
+                shape, hi = p.data.shape, lo + p.data.size
+                self.values[lo:hi] = np.ravel(p.data)
+                p.data = self.values[lo:hi].reshape(shape)
+                self.state[name] = {"m": self.m[lo:hi].reshape(shape), "v": self.v[lo:hi].reshape(shape)}
+                lo = hi
 
     def step(self) -> None:
         grads = [p.grad for p in self._params]
@@ -197,7 +195,8 @@ class Adam:
         v *= b2
         v += tmp
         np.divide(m, bias1, out=tmp)
-        tmp *= self._lr
+        for part, lr in self._tmp_by_lr:
+            part *= lr
         np.divide(v, bias2, out=g)
         np.sqrt(g, out=g)
         g += self.eps
