@@ -268,7 +268,7 @@ class TestAdam:
         # loop makes (the old loop's dict lookups among them) do
         def step_calls(opt_cls, mode):
             model = TwoStreamModel(ModelConfig(mode=mode), seed=0)
-            opt = tasks.make_optimizer(model, TrainConfig())
+            opt = make_optimizer(model, TrainConfig())
             if opt_cls is not Adam:
                 opt = opt_cls(opt.groups)
             _grads_of_one_batch(model)
@@ -287,7 +287,6 @@ class TestAdam:
 
         (many, readme), (few, head_only) = step_calls(Adam, "bidirectional"), step_calls(Adam, "none")
         assert (many, few) == (58, 2)
-        assert readme["c_call"] > 0
         assert readme == head_only
         assert step_calls(LoopAdam, "bidirectional")[1] != step_calls(LoopAdam, "none")[1]
 
