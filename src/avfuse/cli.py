@@ -17,21 +17,21 @@ from pathlib import Path
 from typing import Callable
 
 from .costs import (
+    REPORT_COLUMNS,
     count_params,
     fusion_macs_total,
     grouped_projection_params,
     mac_bottleneck,
     mac_fusion,
-    reports_to_csv,
 )
+from .fusion import MODE_DIRECTIONS
 from .model import ModelConfig, TwoStreamModel
-from .serialization import format_float, write_atomic, write_json
-from .tasks import DataConfig, TrainConfig, metrics_to_csv, run_experiment
+from .serialization import csv_text, write_atomic, write_json
+from .tasks import METRICS_COLUMNS, DataConfig, TrainConfig, run_experiment
 
 TRAIN_COMMANDS = ("train", "ablation", "latent-sweep")
 ALL_COMMANDS = TRAIN_COMMANDS + ("cost-report",)
 
-ABLATION_MODES = ("none", "a2v", "v2a", "bidirectional")
 ABLATION_METHODS = ("direct", "latent")
 
 
@@ -241,7 +241,7 @@ def _write_text(path: Path, text: str) -> None:
 
 def cmd_train(resolved: dict, outdir: Path, quiet: bool) -> None:
     result = run_experiment(build_model_cfg(resolved), build_train_cfg(resolved), build_data_cfg(resolved))
-    _write_text(outdir / "metrics.csv", metrics_to_csv(result.rows))
+    _write_text(outdir / "metrics.csv", csv_text(METRICS_COLUMNS, result.rows))
     result.model.save_weights(outdir / "weights")
     if not quiet:
         print(f"train: final test accuracy {result.test_accuracy:.4f}")
@@ -259,30 +259,29 @@ def _mean_accuracy(resolved: dict, mode: str, use_latents: bool, latent_count: i
 def cmd_ablation(resolved: dict, outdir: Path, quiet: bool) -> None:
     """The eight-row grid: both fusion methods crossed with the four modes,
     every cell trained with the same shared seed list."""
-    lines = ["method,a2v,v2a,accuracy"]
+    rows = []
     for method in ABLATION_METHODS:
-        for mode in ABLATION_MODES:
+        for mode, directions in MODE_DIRECTIONS.items():
             acc = _mean_accuracy(resolved, mode, use_latents=(method == "latent"))
-            a2v = int(mode in ("a2v", "bidirectional"))
-            v2a = int(mode in ("v2a", "bidirectional"))
-            lines.append(f"{method},{a2v},{v2a},{format_float(acc)}")
+            rows.append({"method": method, "a2v": int("a2v" in directions), "v2a": int("v2a" in directions),
+                         "accuracy": acc})
             if not quiet:
                 print(f"ablation: {method} mode={mode} accuracy {acc:.4f}")
-    _write_text(outdir / "ablation.csv", "\n".join(lines) + "\n")
+    _write_text(outdir / "ablation.csv", csv_text(("method", "a2v", "v2a", "accuracy"), rows))
 
 
 def cmd_latent_sweep(resolved: dict, outdir: Path, quiet: bool) -> None:
     """Accuracy and analytic fusion MACs per latent count."""
     cfg0 = build_model_cfg(resolved)
     n, k = cfg0.n_visual_tokens, cfg0.n_audio_tokens
-    lines = ["m,accuracy,fusion_macs"]
+    rows = []
     for m in resolved["latents_sweep"]:
         acc = _mean_accuracy(resolved, cfg0.mode, use_latents=cfg0.use_latents, latent_count=m)
         macs = model_fusion_macs(cfg0.layers, n, k, m, cfg0.width, cfg0.mode, cfg0.use_latents)
-        lines.append(f"{m},{format_float(acc)},{macs}")
+        rows.append({"m": m, "accuracy": acc, "fusion_macs": macs})
         if not quiet:
             print(f"latent-sweep: m={m} accuracy {acc:.4f} fusion_macs {macs}")
-    _write_text(outdir / "latent_sweep.csv", "\n".join(lines) + "\n")
+    _write_text(outdir / "latent_sweep.csv", csv_text(("m", "accuracy", "fusion_macs"), rows))
 
 
 def model_fusion_macs(
@@ -343,7 +342,7 @@ def cmd_cost_report(resolved: dict, outdir: Path, quiet: bool) -> None:
                         "heads": cfg_latent.heads, "layers": cfg_latent.layers}
 
     write_json(outdir / "cost_report.json", report)
-    _write_text(outdir / "cost_report.csv", reports_to_csv(csv_rows))
+    _write_text(outdir / "cost_report.csv", csv_text(REPORT_COLUMNS, csv_rows))
     if not quiet:
         ratio = report["ratios"]["direct_over_latent_fusion_macs"]
         print(f"cost-report: direct/latent fusion MAC ratio {ratio:.2f}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .backbone import FreezeRegistry
-from .serialization import format_float
+from .fusion import MODE_DIRECTIONS
 
 VARIANTS = ("latent", "direct")
 
@@ -118,20 +118,8 @@ class MacReport:
         ]
 
 
-def reports_to_csv(rows: list[dict]) -> str:
-    """Render combined report rows (columns: name, frozen, trainable, macs)
-    as CSV text with LF line endings."""
-    out = ["name,frozen,trainable,macs"]
-    for r in rows:
-        cells = []
-        for key in ("name", "frozen", "trainable", "macs"):
-            v = r[key]
-            if isinstance(v, float):
-                cells.append(format_float(v))
-            else:
-                cells.append(str(v))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+# columns of the combined report rows ``csv_rows`` return
+REPORT_COLUMNS = ("name", "frozen", "trainable", "macs")
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +190,11 @@ def fusion_macs_total(
     variant and bilinear in n*k for the direct one.
     """
     variant = "latent" if use_latents else "direct"
-    total = 0
-    if mode in ("a2v", "bidirectional"):
-        total += mac_fusion(n, k, latent_count, width, variant).total_macs
-    if mode in ("v2a", "bidirectional"):
-        total += mac_fusion(k, n, latent_count, width, variant).total_macs
-    if mode == "none":
-        total = 0
-    return total
+    target_source = {"a2v": (n, k), "v2a": (k, n)}
+    return sum(
+        mac_fusion(*target_source[direction], latent_count, width, variant).total_macs
+        for direction in MODE_DIRECTIONS[mode]
+    )
 
 
 def mac_bottleneck(tokens: int, width: int, ratio: int, groups: int) -> int:
@@ -229,10 +214,8 @@ def mac_bottleneck(tokens: int, width: int, ratio: int, groups: int) -> int:
 class SchemeSpec:
     """Descriptor for one trainable-parameter scheme on a shared backbone.
 
-    scheme: 'latent_adapter' (ours), 'direct_adapter' (same sites, direct
-    cross-attention), 'adapter' (dense bottleneck, no cross-attention),
-    'lora' (rank-r factors on the query/value projections), or 'compacter'
-    (Kronecker-factored bottleneck projections).
+    scheme: 'latent_adapter' (ours) or 'direct_adapter' (same sites, direct
+    cross-attention).
     """
 
     scheme: str
@@ -243,8 +226,6 @@ class SchemeSpec:
     ratio: int = 8
     groups: int = 2
     bias: bool = True
-    rank: int = 8
-    kron: int = 4
 
 
 def scheme_param_report(spec: SchemeSpec) -> ParamReport:
@@ -254,41 +235,14 @@ def scheme_param_report(spec: SchemeSpec) -> ParamReport:
     report = ParamReport(title=spec.scheme)
     add = report.entries.append
 
-    if spec.scheme in ("latent_adapter", "direct_adapter"):
-        if spec.scheme == "latent_adapter":
-            add(ParamEntry("latents", sites * spec.latent_count * d, frozen=False))
-            add(ParamEntry("gates", sites * 2, frozen=False))
-        else:
-            add(ParamEntry("gates", sites * 1, frozen=False))
-        add(ParamEntry("projections", sites * grouped_projection_params(d, spec.ratio, spec.groups), frozen=False))
-        if spec.bias:
-            add(ParamEntry("biases", sites * (d // spec.ratio + d), frozen=False))
-    elif spec.scheme == "adapter":
-        # dense down/up pair per site, no attention machinery
-        add(ParamEntry("projections", sites * 2 * d * (d // spec.ratio), frozen=False))
-        if spec.bias:
-            add(ParamEntry("biases", sites * (d // spec.ratio + d), frozen=False))
-    elif spec.scheme == "lora":
-        # rank-r factor pairs on the query and value projections of every
-        # layer: each adds (d x r) + (r x d) weights
-        add(ParamEntry("factors", spec.layers * 2 * 2 * d * spec.rank, frozen=False))
-    elif spec.scheme == "compacter":
-        # each projection is a sum of `kron` Kronecker products
-        # A_i (kron x kron) with B_i ((d/kron) x (d_out/kron)):
-        # kron^3 + d*d_out/kron weights per projection, two per site
-        if d % spec.kron or (d // spec.ratio) % spec.kron:
-            raise ValueError(
-                f"compacter: kron factor {spec.kron} must divide width {d} and narrow width {d // spec.ratio}"
-            )
-        per_proj = spec.kron**3 + d * (d // spec.ratio) // spec.kron
-        add(ParamEntry("kronecker_factors", sites * 2 * per_proj, frozen=False))
-        if spec.bias:
-            add(ParamEntry("biases", sites * (d // spec.ratio + d), frozen=False))
+    if spec.scheme == "latent_adapter":
+        add(ParamEntry("latents", sites * spec.latent_count * d, frozen=False))
+        add(ParamEntry("gates", sites * 2, frozen=False))
+    elif spec.scheme == "direct_adapter":
+        add(ParamEntry("gates", sites * 1, frozen=False))
     else:
         raise ValueError(f"unknown scheme {spec.scheme!r}")
+    add(ParamEntry("projections", sites * grouped_projection_params(d, spec.ratio, spec.groups), frozen=False))
+    if spec.bias:
+        add(ParamEntry("biases", sites * (d // spec.ratio + d), frozen=False))
     return report
-
-
-def scheme_table(specs: list[SchemeSpec]) -> list[ParamReport]:
-    """One ParamReport per scheme descriptor, in the given order."""
-    return [scheme_param_report(s) for s in specs]

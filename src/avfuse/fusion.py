@@ -10,9 +10,13 @@ start open (1.0): closed gates would hide the cross-modal path behind a
 product of zero-initialized factors that gradient descent opens only very
 slowly, while the up-projection already guarantees the no-op.
 
-Setting ``use_latents=False`` on a site keeps the same bottleneck but lets
-the target attend to the other stream's tokens directly; that is the
-quadratic-cost variant the ablations compare against.
+A site built with ``use_latents=False`` has no latents and keeps the same
+bottleneck, but lets the target attend to the other stream's tokens
+directly; that is the quadratic-cost variant the ablations compare against.
+
+A fusion mode names the directions that get adapters in every layer; each
+layer holds its sites in a dict keyed ``<direction>_<attachment>``, with an
+entry only for the enabled ones.
 
 Token sets may carry a leading batch axis; latent tokens never do, and serve
 every sample of a batch.
@@ -26,7 +30,8 @@ import numpy as np
 from .autodiff import ACTIVATIONS, Rng, ShapeError, Tensor, add, gated_attention, grouped_bottleneck
 from .backbone import AUDIO, VISUAL, FreezeRegistry, FrozenLayerWeights, TokenSet, mha, mlp
 
-MODES = ("none", "a2v", "v2a", "bidirectional")
+MODE_DIRECTIONS = {"none": (), "a2v": ("a2v",), "v2a": ("v2a",), "bidirectional": ("a2v", "v2a")}
+MODES = tuple(MODE_DIRECTIONS)
 DIRECTIONS = ("a2v", "v2a")
 ATTACHMENTS = ("mha", "mlp")
 
@@ -35,14 +40,6 @@ LATENT_INIT_STD = 0.02
 # Identity at init rests on the zero up-projection; open gates keep the
 # cross-modal path trainable from step one.
 GATE_INIT = 1.0
-
-
-def direction_enables(mode: str, direction: str) -> bool:
-    if mode not in MODES:
-        raise ValueError(f"unknown fusion mode {mode!r}")
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown fusion direction {direction!r}")
-    return mode == "bidirectional" or mode == direction
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +168,10 @@ def bottleneck(x: Tensor, params: BottleneckParams) -> Tensor:
 @dataclass
 class AdapterSite:
     """One injection point: a direction (audio->visual or visual->audio),
-    an attachment (beside the attention or the MLP sub-step), its own
-    (m, width) latent slots and gates, and a grouped bottleneck. No state is
-    shared with any other site."""
+    its own (m, width) latent slots and gates (none for a direct site), and
+    a grouped bottleneck. No state is shared with any other site."""
 
     direction: str
-    attachment: str
-    layer: int
-    use_latents: bool
     latents: Tensor | None
     gate_compress: Tensor | None
     gate_fuse: Tensor
@@ -187,9 +180,7 @@ class AdapterSite:
     def __post_init__(self) -> None:
         if self.direction not in DIRECTIONS:
             raise ValueError(f"AdapterSite: unknown direction {self.direction!r}")
-        if self.attachment not in ATTACHMENTS:
-            raise ValueError(f"AdapterSite: unknown attachment {self.attachment!r}")
-        if self.use_latents and (self.latents is None or self.gate_compress is None):
+        if (self.latents is None) != (self.gate_compress is None):
             raise ValueError("AdapterSite: latent sites need latent tokens and a compression gate")
 
     @property
@@ -217,6 +208,8 @@ def build_site(
 ) -> AdapterSite:
     """Construct one site and (optionally) register its parameters as
     trainable under ``adapter.layer<i>.<direction>_<attachment>.*``."""
+    if attachment not in ATTACHMENTS:
+        raise ValueError(f"build_site: unknown attachment {attachment!r}")
     if latent_count < 1:
         raise ValueError(f"build_site: latent count must be >= 1, got {latent_count}")
     base = f"adapter.layer{layer}.{direction}_{attachment}"
@@ -227,27 +220,19 @@ def build_site(
         gate_compress = Tensor(np.full((), GATE_INIT))
     gate_fuse = Tensor(np.full((), GATE_INIT))
     neck = init_bottleneck(width, ratio, groups, seed, base, act=act, bias=bias)
-    site = AdapterSite(
-        direction=direction,
-        attachment=attachment,
-        layer=layer,
-        use_latents=use_latents,
-        latents=latents,
-        gate_compress=gate_compress,
-        gate_fuse=gate_fuse,
-        neck=neck,
-    )
+    site = AdapterSite(direction, latents, gate_compress, gate_fuse, neck)
     if registry is not None:
-        if use_latents:
-            registry.register(f"{base}.latents", latents, frozen=False)
-            registry.register(f"{base}.gate_compress", gate_compress, frozen=False)
-        registry.register(f"{base}.gate_fuse", gate_fuse, frozen=False)
-        registry.register(f"{base}.down_w", neck.down_w, frozen=False)
-        registry.register(f"{base}.up_w", neck.up_w, frozen=False)
-        if neck.down_b is not None:
-            registry.register(f"{base}.down_b", neck.down_b, frozen=False)
-        if neck.up_b is not None:
-            registry.register(f"{base}.up_b", neck.up_b, frozen=False)
+        for part, tensor in (
+            ("latents", latents),
+            ("gate_compress", gate_compress),
+            ("gate_fuse", gate_fuse),
+            ("down_w", neck.down_w),
+            ("up_w", neck.up_w),
+            ("down_b", neck.down_b),
+            ("up_b", neck.up_b),
+        ):
+            if tensor is not None:
+                registry.register(f"{base}.{part}", tensor, frozen=False)
     return site
 
 
@@ -265,26 +250,12 @@ def adapter_forward(source: TokenSet, target: TokenSet, site: AdapterSite) -> Te
         )
     if source.width != target.width:
         raise ShapeError(f"adapter_forward: stream widths differ: {source.width} vs {target.width}")
-    if site.use_latents:
+    if site.latents is not None:
         summary = compress_to_latents(site.latents, source, site.gate_compress)
         fused = fuse_with_latents(target, summary, site.gate_fuse)
     else:
         fused = cma(target.tokens, source.tokens, source.tokens, site.gate_fuse)
     return bottleneck(fused, site.neck)
-
-
-@dataclass
-class LayerSites:
-    """The four per-layer injection points. Entries stay None when the run
-    mode never exercises that direction."""
-
-    a2v_mha: AdapterSite | None = None
-    a2v_mlp: AdapterSite | None = None
-    v2a_mha: AdapterSite | None = None
-    v2a_mlp: AdapterSite | None = None
-
-    def all_sites(self) -> list[AdapterSite]:
-        return [s for s in (self.a2v_mha, self.a2v_mlp, self.v2a_mha, self.v2a_mlp) if s is not None]
 
 
 def build_layer_sites(
@@ -299,59 +270,41 @@ def build_layer_sites(
     act: str = "gelu",
     bias: bool = True,
     registry: FreezeRegistry | None = None,
-) -> LayerSites:
-    sites = LayerSites()
-    for direction in DIRECTIONS:
-        if not direction_enables(mode, direction):
-            continue
-        for attachment in ATTACHMENTS:
-            site = build_site(
-                direction,
-                attachment,
-                layer,
-                width,
-                latent_count,
-                ratio,
-                groups,
-                seed,
-                use_latents=use_latents,
-                act=act,
-                bias=bias,
-                registry=registry,
-            )
-            setattr(sites, f"{direction}_{attachment}", site)
-    return sites
+) -> dict[str, AdapterSite]:
+    """One layer's sites for ``mode``, keyed ``<direction>_<attachment>``:
+    both attachments of every direction the mode enables, and no others."""
+    if mode not in MODE_DIRECTIONS:
+        raise ValueError(f"unknown fusion mode {mode!r}")
+    return {
+        f"{direction}_{attachment}": build_site(
+            direction, attachment, layer, width, latent_count, ratio, groups, seed,
+            use_latents=use_latents, act=act, bias=bias, registry=registry,
+        )
+        for direction in MODE_DIRECTIONS[mode]
+        for attachment in ATTACHMENTS
+    }
 
 
 def dual_layer_forward(
     xa: TokenSet,
     xv: TokenSet,
     w: FrozenLayerWeights,
-    sites: LayerSites,
-    mode: str,
+    sites: dict[str, AdapterSite],
 ) -> tuple[TokenSet, TokenSet]:
     """Advance both streams one layer with cross-modal terms injected beside
-    the attention and MLP sub-steps.
+    the attention and MLP sub-steps: one term for each site in ``sites``.
 
     Both attention-side adapter terms read the pre-update states, and both
     MLP-side terms read the post-attention intermediates, before either
     stream moves on; neither stream ever sees the other's half-updated state.
     """
-    if mode not in MODES:
-        raise ValueError(f"dual_layer_forward: unknown mode {mode!r}")
     if xa.layer != xv.layer:
         raise ValueError(f"dual_layer_forward: layer mismatch: audio at {xa.layer}, visual at {xv.layer}")
     if xa.modality != AUDIO or xv.modality != VISUAL:
         raise ValueError("dual_layer_forward: arguments must be (audio, visual) token sets")
-    a2v = direction_enables(mode, "a2v")
-    v2a = direction_enables(mode, "v2a")
-    if a2v and (sites.a2v_mha is None or sites.a2v_mlp is None):
-        raise ValueError(f"dual_layer_forward: mode {mode!r} needs a2v sites")
-    if v2a and (sites.v2a_mha is None or sites.v2a_mlp is None):
-        raise ValueError(f"dual_layer_forward: mode {mode!r} needs v2a sites")
 
-    cross_v = adapter_forward(xa, xv, sites.a2v_mha) if a2v else None
-    cross_a = adapter_forward(xv, xa, sites.v2a_mha) if v2a else None
+    cross_v = adapter_forward(xa, xv, sites["a2v_mha"]) if "a2v_mha" in sites else None
+    cross_a = adapter_forward(xv, xa, sites["v2a_mha"]) if "v2a_mha" in sites else None
     ya = add(xa.tokens, mha(xa, w))
     yv = add(xv.tokens, mha(xv, w))
     if cross_a is not None:
@@ -361,8 +314,8 @@ def dual_layer_forward(
     mid_a = TokenSet(AUDIO, ya, xa.layer)
     mid_v = TokenSet(VISUAL, yv, xv.layer)
 
-    cross_v2 = adapter_forward(mid_a, mid_v, sites.a2v_mlp) if a2v else None
-    cross_a2 = adapter_forward(mid_v, mid_a, sites.v2a_mlp) if v2a else None
+    cross_v2 = adapter_forward(mid_a, mid_v, sites["a2v_mlp"]) if "a2v_mlp" in sites else None
+    cross_a2 = adapter_forward(mid_v, mid_a, sites["v2a_mlp"]) if "v2a_mlp" in sites else None
     za = add(ya, mlp(mid_a, w))
     zv = add(yv, mlp(mid_v, w))
     if cross_a2 is not None:

@@ -7,7 +7,7 @@ reproduce its frozen twin exactly at init.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .backbone import (
     resize_pos_table,
     spectrogram_embed,
 )
-from .fusion import MODES, LayerSites, build_layer_sites, dual_layer_forward
+from .fusion import MODES, AdapterSite, build_layer_sites, dual_layer_forward
 from .serialization import load_tensors, save_tensors
 
 INIT_STD = 0.02
@@ -140,40 +140,20 @@ class TwoStreamModel:
         for i in range(cfg.layers):
             w = init_layer_weights(width, cfg.heads, seed, f"backbone.layer{i}")
             self.layers.append(w)
-            base = f"backbone.layer{i}"
-            for part, tensor in (
-                ("ln1_gain", w.ln1_gain),
-                ("ln1_shift", w.ln1_shift),
-                ("wq", w.wq),
-                ("wk", w.wk),
-                ("wv", w.wv),
-                ("wo", w.wo),
-                ("ln2_gain", w.ln2_gain),
-                ("ln2_shift", w.ln2_shift),
-                ("mlp_w1", w.mlp_w1),
-                ("mlp_b1", w.mlp_b1),
-                ("mlp_w2", w.mlp_w2),
-                ("mlp_b2", w.mlp_b2),
-            ):
-                self.registry.register(f"{base}.{part}", tensor, frozen=True)
+            for part in fields(FrozenLayerWeights):
+                if part.name != "heads":
+                    self.registry.register(f"backbone.layer{i}.{part.name}", getattr(w, part.name), frozen=True)
 
-        self.sites: list[LayerSites] = []
-        for i in range(cfg.layers):
-            self.sites.append(
-                build_layer_sites(
-                    i,
-                    width,
-                    cfg.latent_count,
-                    cfg.ratio,
-                    cfg.groups,
-                    seed,
-                    cfg.mode,
-                    use_latents=cfg.use_latents,
-                    act=cfg.bottleneck_act,
-                    bias=cfg.bottleneck_bias,
-                    registry=self.registry,
-                )
+        # one {"<direction>_<attachment>": site} dict per layer; registered
+        # after every frozen layer, which fixes the weight container's order
+        self.sites: list[dict[str, AdapterSite]] = [
+            build_layer_sites(
+                i, width, cfg.latent_count, cfg.ratio, cfg.groups, seed, cfg.mode,
+                use_latents=cfg.use_latents, act=cfg.bottleneck_act, bias=cfg.bottleneck_bias,
+                registry=self.registry,
             )
+            for i in range(cfg.layers)
+        ]
 
         self.head_weight = self.registry.register(
             "head.weight",
@@ -215,7 +195,7 @@ class TwoStreamModel:
         """Both streams after the last layer; inputs as in ``tokenize``."""
         xa, xv = self.tokenize(images, specs)
         for w, sites in zip(self.layers, self.sites):
-            xa, xv = dual_layer_forward(xa, xv, w, sites, self.cfg.mode)
+            xa, xv = dual_layer_forward(xa, xv, w, sites)
         return xa, xv
 
     def logits(self, image: ImageInput, spec: SpectrogramInput) -> Tensor:

@@ -1,4 +1,4 @@
-"""On-disk formats: named-tensor containers, JSON files, CSV floats.
+"""On-disk formats: named-tensor containers, JSON files, CSV tables.
 
 A tensor container is a pair of files sharing a base path: ``<base>.json``
 holds the manifest (entry order, names, shapes, frozen flags, byte offsets)
@@ -136,3 +136,13 @@ def format_float(x: float) -> str:
     significant digits, '.' decimal separator, no exponent surprises from
     locale."""
     return format(float(x), ".17g")
+
+
+def csv_text(columns, rows) -> str:
+    """Rows (mappings from column name to value) as CSV text: a header of
+    ``columns``, LF line endings, floats through ``format_float`` and every
+    other value through ``str`` (so "" is an empty cell)."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(format_float(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns))
+    return "\n".join(lines) + "\n"

@@ -21,7 +21,6 @@ import numpy as np
 from .autodiff import NonFiniteError, Rng, Tensor, backward, cross_entropy_logits, derive_seed, no_grad
 from .backbone import ImageInput, SpectrogramInput
 from .model import ModelConfig, TwoStreamModel
-from .serialization import format_float
 
 PAIR_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -141,7 +140,9 @@ class Adam:
     in place with the same few numpy calls, whatever their count. Only
     parameters handed in at construction are touched (frozen ones never
     are), ``state`` maps each name to views of its slices of the flat
-    moment vectors, and every parameter must carry a gradient at each step.
+    moment vectors, and every parameter must carry a gradient at each step
+    and still hold its view: a ``.data`` rebound after construction would
+    no longer see the updates, so ``step`` refuses it.
     """
 
     def __init__(
@@ -158,6 +159,7 @@ class Adam:
         self.t = 0
         self._params = [p for params, _ in self.groups for _, p in params]
         self._names = [name for params, _ in self.groups for name, _ in params]
+        self._views = []  # each parameter's view of ``values``, as bound here
         n = sum(p.data.size for p in self._params)
         self.values, self.m, self.v = np.empty(n), np.zeros(n), np.zeros(n)
         self._grad, self._tmp = np.empty(n), np.empty(n)
@@ -170,14 +172,17 @@ class Adam:
                 shape, hi = p.data.shape, lo + p.data.size
                 self.values[lo:hi] = np.ravel(p.data)
                 p.data = self.values[lo:hi].reshape(shape)
+                self._views.append(p.data)
                 self.state[name] = {"m": self.m[lo:hi].reshape(shape), "v": self.v[lo:hi].reshape(shape)}
                 lo = hi
 
     def step(self) -> None:
         grads = [p.grad for p in self._params]
-        for name, g in zip(self._names, grads):
+        for name, p, view, g in zip(self._names, self._params, self._views, grads):
             if g is None:
                 raise RuntimeError(f"trainable parameter {name!r} received no gradient")
+            if p.data is not view:
+                raise RuntimeError(f"trainable parameter {name!r} was rebound after the optimizer was built")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
@@ -363,24 +368,6 @@ def final_test_accuracy(rows: list[dict]) -> float:
         if row["split"] == "test":
             return float(row["accuracy"])
     raise ValueError("no evaluation rows present")
-
-
-def metrics_to_csv(rows: list[dict]) -> str:
-    """Metrics rows as CSV text: LF line endings, '.' decimals, floats at 17
-    significant digits, empty cells for fields a row does not carry."""
-    out = [",".join(METRICS_COLUMNS)]
-    for row in rows:
-        cells = []
-        for key in METRICS_COLUMNS:
-            v = row[key]
-            if v == "":
-                cells.append("")
-            elif isinstance(v, float):
-                cells.append(format_float(v))
-            else:
-                cells.append(str(v))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -620,7 +620,7 @@ def oracle_cma(query: Tensor, key: Tensor, value: Tensor, gate: Tensor) -> Tenso
 
 
 def oracle_adapter(source: Tensor, target: Tensor, site) -> Tensor:
-    if site.use_latents:
+    if site.latents is not None:
         summary = oracle_cma(site.latents, source, source, site.gate_compress)
         fused = oracle_cma(target, summary, summary, site.gate_fuse)
     else:
@@ -630,19 +630,20 @@ def oracle_adapter(source: Tensor, target: Tensor, site) -> Tensor:
     return grouped_linear(narrow, neck.up_w, neck.up_b)
 
 
-def oracle_layer(xa: Tensor, xv: Tensor, w, sites, mode: str) -> tuple[Tensor, Tensor]:
+def oracle_layer(xa: Tensor, xv: Tensor, w, sites: dict, mode: str) -> tuple[Tensor, Tensor]:
+    """One layer wired from ``mode`` itself, not from which sites exist."""
     a2v = mode in ("a2v", "bidirectional")
     v2a = mode in ("v2a", "bidirectional")
-    cross_v = oracle_adapter(xa, xv, sites.a2v_mha) if a2v else None
-    cross_a = oracle_adapter(xv, xa, sites.v2a_mha) if v2a else None
+    cross_v = oracle_adapter(xa, xv, sites["a2v_mha"]) if a2v else None
+    cross_a = oracle_adapter(xv, xa, sites["v2a_mha"]) if v2a else None
     ya = add(xa, oracle_mha(xa, w))
     yv = add(xv, oracle_mha(xv, w))
     if cross_a is not None:
         ya = add(ya, cross_a)
     if cross_v is not None:
         yv = add(yv, cross_v)
-    cross_v2 = oracle_adapter(ya, yv, sites.a2v_mlp) if a2v else None
-    cross_a2 = oracle_adapter(yv, ya, sites.v2a_mlp) if v2a else None
+    cross_v2 = oracle_adapter(ya, yv, sites["a2v_mlp"]) if a2v else None
+    cross_a2 = oracle_adapter(yv, ya, sites["v2a_mlp"]) if v2a else None
     za = add(ya, oracle_mlp(ya, w))
     zv = add(yv, oracle_mlp(yv, w))
     if cross_a2 is not None:

@@ -207,7 +207,7 @@ def test_train_step_matches_chains_bitwise(name, monkeypatch):
     batch = generate_dataset(0, 8, 0.1, cfg.image_hw, cfg.spec_hw)
     # move every site off its zero up-projection so every gradient is live
     for sites in model.sites:
-        for site in sites.all_sites():
+        for site in sites.values():
             site.neck.up_w.data = 0.1 * arr(50, *site.neck.up_w.shape)
     logits, grads = train_step(model, batch)
     monkeypatch.setattr(fusion, "mha", lambda x, w: chain_mha(x.tokens, w))

@@ -1,5 +1,6 @@
 """CLI tests: config validation, outputs, determinism, exit codes."""
 import ctypes
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -312,6 +313,26 @@ class TestCostReportCommand:
         direct = report["fusion_macs"]["direct"]["total_macs"]
         latent = report["fusion_macs"]["latent"]["total_macs"]
         assert direct > latent
+
+    def test_readme_config_bytes_pinned(self, tmp_path):
+        # the complete training config in the README; reruns matching each
+        # other cannot show a refactor that changes both runs' bytes alike
+        readme = {
+            "layers": 2, "width": 32, "heads": 4, "patch": 4, "latents": 2,
+            "bottleneck_ratio": 4, "groups": 2, "steps": 500, "batch_size": 8,
+            "lr_adapter": 1e-3, "lr_head": 1e-3, "noise": 0.1,
+            "train_count": 1024, "test_count": 256,
+        }
+        cfg = tmp_path / "readme.json"
+        cfg.write_text(json.dumps(readme))
+        out = tmp_path / "cr"
+        assert run_cli(["cost-report", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("cost_report.json", "cost_report.csv")}
+        assert digests == {
+            "cost_report.json": "35563465e619ce857d4b6da6ad0281033e9787bb11163342ba9bd48301f06c37",
+            "cost_report.csv": "832f31bf3cefbe057d00e32bf687e1578d826bba3f5f3299bd55c357ddfff5df",
+        }
 
     def test_cost_report_deterministic(self, tmp_path):
         cfg = write_config(tmp_path)

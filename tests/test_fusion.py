@@ -8,6 +8,7 @@ from avfuse.fusion import (
     ATTACHMENTS,
     DIRECTIONS,
     GATE_INIT,
+    MODE_DIRECTIONS,
     MODES,
     AdapterSite,
     BottleneckParams,
@@ -17,7 +18,6 @@ from avfuse.fusion import (
     build_site,
     cma,
     compress_to_latents,
-    direction_enables,
     dual_layer_forward,
     fuse_with_latents,
     init_bottleneck,
@@ -259,13 +259,21 @@ class TestSites:
         with pytest.raises(ValueError):
             adapter_forward(tok(VISUAL, np.zeros((3, 8))), tok(AUDIO, np.zeros((3, 8))), site)
 
-    def test_direction_enables(self):
-        assert direction_enables("bidirectional", "a2v")
-        assert direction_enables("bidirectional", "v2a")
-        assert direction_enables("a2v", "a2v") and not direction_enables("a2v", "v2a")
-        assert not direction_enables("none", "a2v")
-        with pytest.raises(ValueError):
-            direction_enables("bidirectional", "sideways")
+    @pytest.mark.parametrize("use_latents", [True, False], ids=["latent", "direct"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_layer_sites_follow_mode_table(self, mode, use_latents):
+        want_directions = {"none": (), "a2v": ("a2v",), "v2a": ("v2a",), "bidirectional": ("a2v", "v2a")}
+        assert MODE_DIRECTIONS[mode] == want_directions[mode]
+        reg = FreezeRegistry()
+        sites = build_layer_sites(1, 8, 2, 2, 2, 0, mode, use_latents=use_latents, registry=reg)
+        keys = [f"{d}_{a}" for d in MODE_DIRECTIONS[mode] for a in ATTACHMENTS]
+        assert list(sites) == keys
+        assert all(site.direction == key.split("_")[0] for key, site in sites.items())
+        parts = ["latents", "gate_compress"] if use_latents else []
+        parts += ["gate_fuse", "down_w", "up_w", "down_b", "up_b"]
+        assert [name for name, _ in reg.trainable()] == [f"adapter.layer1.{k}.{p}" for k in keys for p in parts]
+        with pytest.raises(ValueError, match="'sideways'"):
+            build_layer_sites(0, 8, 2, 2, 2, 0, "sideways", use_latents=use_latents)
 
 
 class TestDualLayer:
@@ -282,7 +290,7 @@ class TestDualLayer:
         w = init_layer_weights(8, 2, 0, "L0")
         xa, xv = self._streams(12)
         sites = build_layer_sites(0, 8, 2, 2, 2, 0, "none")
-        ya, yv = dual_layer_forward(xa, xv, w, sites, "none")
+        ya, yv = dual_layer_forward(xa, xv, w, sites)
         assert ya.layer == 1 and yv.layer == 1
         for x, y in ((xa, ya), (xv, yv)):
             mid = add(x.tokens, mha(x, w))
@@ -296,35 +304,27 @@ class TestDualLayer:
         xa, xv = self._streams(17)
         sites = build_layer_sites(0, 8, 2, 2, 2, 11, "a2v")
         r = np.random.default_rng(18)
-        for s in sites.all_sites():
+        for s in sites.values():
             s.neck.up_w.data = r.standard_normal(s.neck.up_w.shape) * 0.1
-        ya_adapted, yv_adapted = dual_layer_forward(xa, xv, w, sites, "a2v")
+        ya_adapted, yv_adapted = dual_layer_forward(xa, xv, w, sites)
         plain = build_layer_sites(0, 8, 2, 2, 2, 11, "none")
-        ya_plain, yv_plain = dual_layer_forward(xa, xv, w, plain, "none")
+        ya_plain, yv_plain = dual_layer_forward(xa, xv, w, plain)
         np.testing.assert_array_equal(ya_adapted.tokens.data, ya_plain.tokens.data)
         assert not np.array_equal(yv_adapted.tokens.data, yv_plain.tokens.data)
 
     def test_sites_built_only_for_enabled_directions(self):
         sites = build_layer_sites(0, 8, 2, 2, 2, 0, "a2v")
-        assert sites.a2v_mha is not None and sites.a2v_mlp is not None
-        assert sites.v2a_mha is None and sites.v2a_mlp is None
-
-    def test_missing_sites_rejected(self):
-        w = init_layer_weights(8, 2, 0, "L")
-        xa, xv = self._streams(13)
-        sites = build_layer_sites(0, 8, 2, 2, 2, 0, "a2v")
-        with pytest.raises(ValueError):
-            dual_layer_forward(xa, xv, w, sites, "bidirectional")
+        assert set(sites) == {"a2v_mha", "a2v_mlp"}
 
     def test_layer_and_modality_guards(self):
         w = init_layer_weights(8, 2, 0, "L")
         xa, xv = self._streams(14)
         sites = build_layer_sites(0, 8, 2, 2, 2, 0, "none")
         with pytest.raises(ValueError):
-            dual_layer_forward(xv, xa, w, sites, "none")
+            dual_layer_forward(xv, xa, w, sites)
         late = TokenSet(AUDIO, xa.tokens, layer=1)
         with pytest.raises(ValueError):
-            dual_layer_forward(late, xv, w, sites, "none")
+            dual_layer_forward(late, xv, w, sites)
 
     def test_bidirectional_reads_consistent_states(self):
         # order independence: swapping which direction is computed first
@@ -334,20 +334,20 @@ class TestDualLayer:
         xa, xv = self._streams(15)
         sites = build_layer_sites(0, 8, 2, 2, 2, 9, "bidirectional")
         r = np.random.default_rng(16)
-        for s in sites.all_sites():
+        for s in sites.values():
             s.neck.up_w.data = r.standard_normal(s.neck.up_w.shape) * 0.05
-        ya, yv = dual_layer_forward(xa, xv, w, sites, "bidirectional")
+        ya, yv = dual_layer_forward(xa, xv, w, sites)
 
         from avfuse.autodiff import add
         from avfuse.backbone import mha, mlp
 
-        cross_v = adapter_forward(xa, xv, sites.a2v_mha)
-        cross_a = adapter_forward(xv, xa, sites.v2a_mha)
+        cross_v = adapter_forward(xa, xv, sites["a2v_mha"])
+        cross_a = adapter_forward(xv, xa, sites["v2a_mha"])
         mid_a = add(add(xa.tokens, mha(xa, w)), cross_a)
         mid_v = add(add(xv.tokens, mha(xv, w)), cross_v)
         mset_a = TokenSet(AUDIO, mid_a, 0)
         mset_v = TokenSet(VISUAL, mid_v, 0)
-        want_a = add(add(mid_a, mlp(mset_a, w)), adapter_forward(mset_v, mset_a, sites.v2a_mlp))
-        want_v = add(add(mid_v, mlp(mset_v, w)), adapter_forward(mset_a, mset_v, sites.a2v_mlp))
+        want_a = add(add(mid_a, mlp(mset_a, w)), adapter_forward(mset_v, mset_a, sites["v2a_mlp"]))
+        want_v = add(add(mid_v, mlp(mset_v, w)), adapter_forward(mset_a, mset_v, sites["a2v_mlp"]))
         np.testing.assert_allclose(ya.tokens.data, want_a.data, rtol=1e-12)
         np.testing.assert_allclose(yv.tokens.data, want_v.data, rtol=1e-12)

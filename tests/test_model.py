@@ -156,7 +156,7 @@ class TestPersistence:
         cfg = ModelConfig()
         model = TwoStreamModel(cfg, seed=0)
         # move something trainable, save, rebuild fresh, load, compare logits
-        site = model.sites[0].a2v_mha
+        site = model.sites[0]["a2v_mha"]
         site.neck.up_w.data = np.random.default_rng(0).standard_normal(site.neck.up_w.shape) * 0.1
         model.save_weights(tmp_path / "w")
 

@@ -21,13 +21,14 @@ from avfuse.tasks import (
     final_test_accuracy,
     generate_dataset,
     make_optimizer,
-    metrics_to_csv,
     run_experiment,
     train,
     visual_template,
     xnor_label,
     METRICS_COLUMNS,
 )
+
+from avfuse.serialization import csv_text
 
 from helpers import LoopAdam
 
@@ -202,6 +203,24 @@ class TestAdam:
         assert opt.t == 1
         for a, b in zip((opt.values, opt.m, opt.v), before):
             np.testing.assert_array_equal(a, b)
+
+    def test_rebound_parameter_raises_and_changes_nothing(self):
+        # a tensor whose .data is replaced after make_optimizer no longer
+        # sees the flat vector's updates; the step refuses it by name
+        model = TwoStreamModel(ModelConfig(), seed=0)
+        opt = make_optimizer(model, TrainConfig())
+        _grads_of_one_batch(model)
+        opt.step()
+        model.head_weight.data = model.head_weight.data + 0.0
+        _grads_of_one_batch(model)
+        before = [a.copy() for a in (opt.values, opt.m, opt.v)]
+        rebound = model.head_weight.data.copy()
+        with pytest.raises(RuntimeError, match="'head.weight'"):
+            opt.step()
+        assert opt.t == 1
+        for a, b in zip((opt.values, opt.m, opt.v), before):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(model.head_weight.data, rebound)
 
     def test_matches_per_tensor_loop_bitwise(self):
         # two learning-rate groups and a zero one; a 0-d gate and a 3-D
@@ -449,7 +468,7 @@ class TestTrainLoop:
 class TestMetricsCsv:
     def test_header_and_layout(self):
         _, rows = TestTrainLoop()._tiny_run(steps=2)
-        text = metrics_to_csv(rows)
+        text = csv_text(METRICS_COLUMNS, rows)
         lines = text.split("\n")
         assert lines[0] == "step,loss,split,accuracy,mode,m,seed"
         assert text.endswith("\n") and "\r" not in text
@@ -458,7 +477,7 @@ class TestMetricsCsv:
 
     def test_floats_round_trip(self):
         _, rows = TestTrainLoop()._tiny_run(steps=2)
-        text = metrics_to_csv(rows)
+        text = csv_text(METRICS_COLUMNS, rows)
         line = text.split("\n")[1].split(",")
         assert float(line[1]) == rows[0]["loss"]
 
