@@ -12,17 +12,20 @@ are dropped, so the graph is freed before ``backward`` returns. Inside
 
 Memory: an interior node adopts the gradient array it is handed instead of
 copying it, and never writes into it; a leaf owns its gradient. Kernels that
-compute in place do so only into arrays they allocated themselves, never into
-an input's ``.data``, a saved array or the incoming gradient.
+compute in place do so only into arrays allocated for them, by themselves or
+by a caller that hands the array over (an activation writes over its input),
+never into an input's ``.data``, a saved array or the incoming gradient.
 
 Ops take either one sample, ``(N, D)``, or a batch with a leading axis,
 ``(B, N, D)``; weights, biases and latents stay unbatched, broadcast over
-the batch, and get their gradients summed over it.
+the batch, and get their gradients summed over it. The frozen blocks also
+take any further leading axes, such as both streams stacked.
 
 Three layers:
 
-- tape ops (``add``, ``matmul``, ``reshape``, ``concat_cols``,
-  ``mean_rows``, ``cross_entropy_logits``) record one node each;
+- tape ops (``add``, ``add_rows``, ``matmul``, ``reshape``, ``stack``,
+  ``take``, ``concat_cols``, ``mean_rows``, ``cross_entropy_logits``)
+  record one node each;
 - kernels (``linear_fwd``, ``layer_norm_fwd``/``_bwd``, ``gelu_fwd``,
   ``relu_fwd``, ``attention_fwd``/``_bwd``, ``grouped_linear_fwd``/``_bwd``)
   are plain numpy and record nothing; an activation's forward returns its
@@ -30,7 +33,11 @@ Three layers:
 - block ops (``frozen_attention``, ``frozen_mlp``, ``gated_attention``,
   ``grouped_bottleneck``) run a chain of kernels as one node whose closure
   saves only what its gradients need. A frozen block returns only the input
-  gradient and refuses weights that require one.
+  gradient and refuses weights that require one. The adapter block ops run
+  one direction, or several at once over a leading direction axis: their
+  operands are then ``Slots``, which stack each direction's parameter or
+  pick each direction's rows of a stacked tensor, and route each
+  direction's gradient back to its own tensor.
 
 The single-op tape versions of layer norm, GELU, ReLU, attention, grouped
 linear, ``mul`` and ``scale`` have no caller here; they live in the tests'
@@ -365,6 +372,212 @@ def mean_rows(x) -> Tensor:
     return out
 
 
+def stack(parts) -> Tensor:
+    """Tensors of one shape stacked along a new leading axis."""
+    ts = [_as_tensor(p) for p in parts]
+    if not ts or any(t.shape != ts[0].shape for t in ts):
+        raise ShapeError(f"stack: need tensors of one shape, got {[t.shape for t in ts]}")
+    out = Tensor._node(np.stack([t.data for t in ts]), ts)
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            for t, piece in zip(ts, g):
+                if t.requires_grad:
+                    _accum(t, piece)
+        out._backward = _bw
+    return out
+
+
+def take(x, row: int) -> Tensor:
+    """Leading row ``row`` of ``x``, a view."""
+    x = _as_tensor(x)
+    if x.ndim < 1 or not 0 <= row < x.shape[0]:
+        raise ShapeError(f"take: row {row} out of range for shape {x.shape}")
+    out = Tensor._node(x.data[row], (x,))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            _accum(x, _place_rows(g[None], (row,), x.shape[0]))
+        out._backward = _bw
+    return out
+
+
+def add_rows(a, b, rows: Sequence[int]) -> Tensor:
+    """``a`` with leading row i of ``b`` added into its row ``rows[i]``; the
+    rows ``rows`` leaves out stay ``a``'s."""
+    a = _as_tensor(a)
+    b = _as_tensor(b)
+    rows = tuple(rows)
+    if a.ndim < 1 or b.shape != (len(rows),) + a.shape[1:] or len(set(rows)) != len(rows) \
+            or not all(0 <= r < a.shape[0] for r in rows):
+        raise ShapeError(f"add_rows: rows {rows} of {a.shape} do not fit shape {b.shape}")
+    index = _row_index(rows)
+    if len(rows) == a.shape[0]:
+        data = a.data + b.data[index]
+    else:
+        data = a.data.copy()
+        data[index] += b.data
+    out = Tensor._node(data, (a, b))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            if a.requires_grad:
+                _accum(a, g)
+            if b.requires_grad:
+                _accum(b, g[index])
+        out._backward = _bw
+    return out
+
+
+# ---------------------------------------------------------------------------
+# operands along a direction axis
+# ---------------------------------------------------------------------------
+#
+# The adapter block ops run every direction of one attachment in one call:
+# each operand carries a leading direction axis, and each direction's slot of
+# it comes from its own parameter tensor, or from its stream's row of a
+# stacked token tensor. A plain tensor is one direction's operand; the op
+# then adds the axis and drops it again from its output.
+
+
+def _row_index(rows: Sequence[int]):
+    """A slice picking leading rows ``rows`` (so a view) when they step by +1
+    or -1, else the list of them."""
+    step = rows[1] - rows[0] if len(rows) > 1 else 1
+    if step in (1, -1) and all(b - a == step for a, b in zip(rows, rows[1:])):
+        stop = rows[-1] + step
+        return slice(rows[0], None if stop < 0 else stop, step)
+    return list(rows)
+
+
+def _place_rows(x: np.ndarray, rows: Sequence[int], n: int) -> np.ndarray:
+    """An ``(n, ...)`` array with leading row i of ``x`` at row ``rows[i]`` and
+    zeros elsewhere: a view of ``x`` when ``rows`` orders all n rows by +1 or
+    -1, since that order is its own inverse."""
+    index = _row_index(rows)
+    if len(rows) == n and isinstance(index, slice):
+        return x[index]
+    full = np.zeros((n,) + x.shape[1:])
+    full[list(rows)] = x
+    return full
+
+
+class Slots:
+    """One block-op operand along a leading direction axis.
+
+    ``Slots.stack(tensors)`` gives each tensor a slot of its own, its whole
+    value (one direction's parameter each); the op reads them stacked.
+    ``Slots.rows(t, rows)`` fills slot i with leading row ``rows[i]`` of
+    ``t`` (a stream of a stacked token tensor), a view when the rows step by
+    +1 or -1. ``route`` hands each tensor the gradient of its slots.
+    """
+
+    __slots__ = ("tensors", "picked", "data", "requires_grad")
+
+    def __init__(self, tensors: tuple[Tensor, ...], picked: tuple[int, ...] | None, data: np.ndarray):
+        self.tensors = tensors
+        self.picked = picked  # the rows of tensors[0], or None for whole tensors
+        self.data = data
+        self.requires_grad = any(t.requires_grad for t in tensors) if len(tensors) > 1 else tensors[0].requires_grad
+
+    @classmethod
+    def stack(cls, tensors: Sequence[Tensor]) -> "Slots":
+        tensors = tuple(tensors)
+        if len(tensors) == 1:
+            return cls(tensors, None, tensors[0].data[None])
+        # np.array stacks equal-shape arrays faster than np.stack, and
+        # refuses unequal ones
+        return cls(tensors, None, np.array([t.data for t in tensors]))
+
+    @classmethod
+    def rows(cls, t: Tensor, rows: Sequence[int]) -> "Slots":
+        rows = tuple(rows)
+        return cls((t,), rows, t.data[_row_index(rows)])
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    def route(self, g: np.ndarray) -> None:
+        if self.picked is None:
+            for t, piece in zip(self.tensors, g):
+                if t.requires_grad:
+                    _accum(t, piece)
+        elif self.requires_grad:
+            t = self.tensors[0]
+            _accum(t, _place_rows(g, self.picked, t.shape[0]))
+
+
+def _as_slots(*operands):
+    """A block op's operands as Slots, None staying None, and whether the op
+    runs one direction of plain tensors (``lone``): then each tensor fills
+    one slot and the output drops the axis. Next to Slots, a plain tensor
+    already carries the axis. One tensor passed twice is one operand."""
+    lone = not any(type(x) is Slots for x in operands)
+    out = []
+    for i, x in enumerate(operands):
+        if x is not None and type(x) is not Slots:
+            for before, s in zip(operands[:i], out):
+                if before is x:
+                    x = s
+                    break
+            else:
+                x = Slots((x,), None, x.data[None]) if lone else Slots((x,), tuple(range(x.shape[0])), x.data)
+        out.append(x)
+    return lone, out
+
+
+def _slot_parents(operands) -> tuple[Tensor, ...]:
+    parents: dict[int, Tensor] = {}
+    for s in operands:
+        if s is not None:
+            for t in s.tensors:
+                parents.setdefault(id(t), t)
+    return tuple(parents.values())
+
+
+def _expand(a: np.ndarray, ndim: int) -> np.ndarray:
+    """``(S, ...)`` with unit axes after the direction axis up to ``ndim``
+    axes, so it broadcasts against batched operands."""
+    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:]) if a.ndim < ndim else a
+
+
+def _sum_to(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient over the axes ``_expand`` added to an operand of
+    ``shape``."""
+    extra = x.ndim - len(shape)
+    return x.sum(axis=tuple(range(1, 1 + extra))) if extra else x
+
+
+class _Collected:
+    """Each operand's gradient contributions summed into one array, in the
+    order they come, then routed once. A borrowed array (the incoming
+    gradient) is never written; one the op made is summed into in place."""
+
+    def __init__(self) -> None:
+        self.sums: dict[Slots, np.ndarray] = {}
+        self.owned: set[Slots] = set()
+
+    def add(self, s: Slots, g: np.ndarray, own: bool = True) -> None:
+        prev = self.sums.get(s)
+        if prev is None:
+            self.sums[s] = g
+        elif s in self.owned:
+            prev += g
+            return
+        elif own:
+            g += prev  # addition commutes, so this is prev + g bit for bit
+            self.sums[s] = g
+        else:
+            self.sums[s] = prev + g
+            own = True
+        if own:
+            self.owned.add(s)
+
+    def route(self, operands) -> None:
+        """Route each operand's sum, in argument order."""
+        for s in dict.fromkeys(s for s in operands if s is not None):
+            if s in self.sums:
+                s.route(self.sums[s])
+
+
 # ---------------------------------------------------------------------------
 # kernels: plain-numpy forward/backward pairs
 # ---------------------------------------------------------------------------
@@ -438,50 +651,54 @@ def _blocks(*arrays: np.ndarray | None):
 
 
 def gelu_fwd(v: np.ndarray, deriv: bool):
-    """tanh-form GELU with the module-level constants. Returns the output and,
-    if ``deriv``, its derivative at ``v`` (else None): the input gradient is
-    then ``g * d``."""
-    # In place, block by block. The output follows
+    """tanh-form GELU with the module-level constants, written over ``v``, a
+    C-contiguous array the caller allocated. Returns ``v``, now the output,
+    and, if ``deriv``, the derivative at the input (else None): the input
+    gradient is then ``g * d``."""
+    # Block by block, with two scratch blocks. The output follows
     # 0.5*v*(1 + tanh(C0*(v + C1*(v*v*v)))) and the derivative
     # 0.5*v*(1 - t*t)*dinner + 0.5*(1 + t), dinner = C0*(1 + 3*C1*(v*v)),
     # operation for operation, so g * d is bitwise the plain expression's
     # gradient. A cube is a product, not np.power: power has no fast path
     # for it.
-    y = np.empty(v.shape)
     d = np.empty(v.shape) if deriv else None
     block = min(v.size, _BLOCK)
-    t, s, u = np.empty(block), np.empty(block), np.empty(block)
-    for vb, yb, db in _blocks(v, y, d):
-        tb, sb, ub = t[:vb.size], s[:vb.size], u[:vb.size]
+    t, u = np.empty(block), np.empty(block)
+    for vb, db in _blocks(v, d):
+        tb, ub = t[:vb.size], u[:vb.size]
         np.multiply(vb, vb, out=ub)  # v*v, for the cube and the derivative
         np.multiply(ub, vb, out=tb)
         tb *= GELU_C1
         tb += vb
         tb *= GELU_C0
         np.tanh(tb, out=tb)
-        np.multiply(vb, 0.5, out=yb)
+        vb *= 0.5  # 0.5*v: v itself is not read again
         if db is not None:
             np.multiply(tb, tb, out=db)
             np.subtract(1.0, db, out=db)
-            db *= yb
+            db *= vb
             ub *= 3.0 * GELU_C1
             ub += 1.0
             ub *= GELU_C0
             db *= ub
-        yb *= np.add(tb, 1.0, out=sb)
+        tb += 1.0  # after the derivative's t*t
+        vb *= tb
         if db is not None:
-            sb *= 0.5
-            db += sb
-    return y, d
+            tb *= 0.5
+            db += tb
+    return v, d
 
 
 def relu_fwd(v: np.ndarray, deriv: bool):
-    """ReLU. Returns the output and, if ``deriv``, its derivative at ``v``
-    (1 where v > 0, else 0; None without ``deriv``)."""
-    return np.maximum(v, 0.0), (v > 0.0).astype(np.float64) if deriv else None
+    """ReLU written over ``v``, as ``gelu_fwd``. Returns ``v``, now the
+    output, and, if ``deriv``, its derivative at the input (1 where v > 0,
+    else 0; None without ``deriv``)."""
+    d = (v > 0.0).astype(np.float64) if deriv else None
+    return np.maximum(v, 0.0, out=v), d
 
 
-# activation tag -> forward kernel returning (output, derivative or None)
+# activation tag -> forward kernel writing over its input and returning
+# (output, derivative or None)
 ACTIVATIONS = {"gelu": gelu_fwd, "relu": relu_fwd}
 
 
@@ -536,34 +753,37 @@ def attention_bwd(g, qh, kh, vh, probs, scale: float, want=(True, True, True)):
 
 
 def grouped_linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Block-diagonal linear map: ``w`` is (G, d_in/G, d_out/G), and input
-    column group g feeds output column group g only; a dense matmul with a
-    block-diagonal matrix at 1/G of the weights and MACs."""
-    groups, gin, gout = w.shape
-    # one GEMM per sample and group, so each sample's rows come out the same
-    # as when it is mapped alone
-    y = _merge(np.matmul(_split(x, groups), w))
+    """Block-diagonal linear maps along a leading direction axis: ``w`` is
+    (S, G, d_in/G, d_out/G), ``x`` is (S, ..., d_in) and ``b`` (S, d_out).
+    In direction s, input column group g feeds output column group g only:
+    a dense matmul with a block-diagonal matrix at 1/G of the weights and
+    MACs."""
+    groups, gin, gout = w.shape[1:]
+    # one GEMM per direction, sample and group, so each sample's rows come
+    # out the same as when it is mapped alone
+    y = _merge(np.matmul(_split(x, groups), _expand(w, x.ndim + 1)))
     _tally_macs(x.size // x.shape[-1] * groups * gin * gout)
     if b is not None:
-        y += b
+        y += _expand(b, y.ndim)
     return y
 
 
 def grouped_linear_bwd(g: np.ndarray, x: np.ndarray, w: np.ndarray, want=(True, True, True)):
     """Gradients of x, w and the bias (None where ``want`` says no) under the
-    output gradient ``g``; w's and the bias's are summed over every row."""
-    groups, gin, gout = w.shape
-    p = x.size // x.shape[-1]
+    output gradient ``g``; each direction's w and bias gradients are summed
+    over its rows."""
+    slots, groups, gin, gout = w.shape
+    p = x.size // (slots * x.shape[-1])
     want_x, want_w, want_b = want
     dx = dw = db = None
     if want_x:
-        dx = _merge(np.matmul(_split(g, groups), w.swapaxes(-1, -2)))
+        dx = _merge(np.matmul(_split(g, groups), _expand(w, g.ndim + 1).swapaxes(-1, -2)))
     if want_w:
-        # (G, gin, p) @ (G, p, gout): one GEMM per group over every row
-        xs = x.reshape(p, groups, gin).transpose(1, 2, 0)
-        dw = np.matmul(xs, g.reshape(p, groups, gout).transpose(1, 0, 2))
+        # (S, G, gin, p) @ (S, G, p, gout): one GEMM per direction and group
+        xs = x.reshape(slots, p, groups, gin).transpose(0, 2, 3, 1)
+        dw = np.matmul(xs, g.reshape(slots, p, groups, gout).transpose(0, 2, 1, 3))
     if want_b:
-        db = g.reshape(p, groups * gout).sum(axis=0)
+        db = g.reshape(slots, p, groups * gout).sum(axis=1)
     return dx, dw, db
 
 
@@ -620,21 +840,36 @@ def frozen_mlp(x: Tensor, gain, shift, w1, b1, w2, b2) -> Tensor:
     out = Tensor._node(linear_fwd(hidden, w2.data, b2.data), (x,))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
+            nonlocal d
             dh = g @ w2.data.T
             dh *= d
-            _accum(x, layer_norm_bwd(dh @ w1.data.T, gain.data, xhat, inv))
+            d = None  # spent: freed before the next product
+            dt = dh @ w1.data.T
+            del dh
+            _accum(x, layer_norm_bwd(dt, gain.data, xhat, inv))
         out._backward = _bw
     return out
 
 
-def gated_attention(q: Tensor, k: Tensor, v: Tensor, gate: Tensor) -> Tensor:
-    """q + gate * attention(q, k, v) for one head and a scalar ``gate``;
-    a 2-D ``q`` serves every sample of batched ``k`` and ``v``. The backward
-    pass keeps the softmax, and the attention output only if the gate needs a
-    gradient."""
-    scale = 1.0 / np.sqrt(k.shape[-1])
-    attended, saved = attention_fwd(q.data, k.data, v.data, 1, scale)
-    out = Tensor._node(q.data + attended * gate.data, (q, k, v, gate))
+def gated_attention(q, k, v, gate) -> Tensor:
+    """q + gate * attention(q, k, v) for one head and a scalar ``gate`` per
+    direction.
+
+    Operands are one direction's tensors, or Slots over a leading direction
+    axis (next to which a plain tensor already carries the axis); the output
+    then has the axis too. A query with fewer axes than the key (latent
+    tokens) serves every sample of the batch. The backward pass keeps the
+    softmax, and the attention output only if a gate needs a gradient; it
+    sums each operand's contributions and routes them once.
+    """
+    lone, ops = _as_slots(q, k, v, gate)
+    q, k, v, gate = ops
+    rank = max(q.data.ndim, k.data.ndim, v.data.ndim)
+    qd, kd, vd, gd = (_expand(s.data, rank) for s in ops)
+    scale = 1.0 / np.sqrt(kd.shape[-1])
+    attended, saved = attention_fwd(qd, kd, vd, 1, scale)
+    y = qd + attended * gd
+    out = Tensor._node(y[0] if lone else y, _slot_parents(ops))
     if out.requires_grad:
         want = (q.requires_grad, k.requires_grad, v.requires_grad)
         if not gate.requires_grad:
@@ -643,47 +878,53 @@ def gated_attention(q: Tensor, k: Tensor, v: Tensor, gate: Tensor) -> Tensor:
             saved = None
 
         def _bw(g: np.ndarray) -> None:
+            if lone:
+                g = g[None]
+            grads = _Collected()
             # the chain's order: the residual into q, the gate, then v, q, k
             if q.requires_grad:
-                _accum(q, _reduce_to(g, q.shape))
+                res = _sum_to(g, q.shape)
+                grads.add(q, res, own=res is not g)
             if attended is not None:
-                _accum(gate, _reduce_to(g * attended, ()))
+                grads.add(gate, np.multiply(g, attended).reshape(len(gd), -1).sum(axis=1))
             if saved is not None:
-                dq, dk, dv = attention_bwd(g * gate.data, *saved, scale, want)
-                if dv is not None:
-                    _accum(v, _reduce_to(dv, v.shape))
-                if dq is not None:
-                    _accum(q, _reduce_to(dq, q.shape))
-                if dk is not None:
-                    _accum(k, _reduce_to(dk, k.shape))
+                dq, dk, dv = attention_bwd(g * gd, *saved, scale, want)
+                for s, d in ((v, dv), (q, dq), (k, dk)):
+                    if d is not None:
+                        grads.add(s, _sum_to(d, s.shape))
+            grads.route(ops)
         out._backward = _bw
     return out
 
 
-def grouped_bottleneck(x: Tensor, down_w: Tensor, down_b, up_w: Tensor, up_b, act: str) -> Tensor:
+def grouped_bottleneck(x, down_w, down_b, up_w, up_b, act: str) -> Tensor:
     """up(act(down(x))) for grouped down/up maps with optional biases and an
-    activation tag from ``ACTIVATIONS``. The backward pass gives x, both
-    weights and both biases their gradients from the saved activation and
-    its derivative."""
-    h = grouped_linear_fwd(x.data, down_w.data, _data(down_b))
-    a, d = ACTIVATIONS[act](h, _needs_grad((x, down_w, down_b)))
-    del h
+    activation tag from ``ACTIVATIONS``. Operands are one direction's
+    tensors, or Slots over a leading direction axis as in
+    ``gated_attention``. The backward pass gives x, both weights and both
+    biases their gradients from the saved activation and its derivative."""
+    lone, ops = _as_slots(x, down_w, down_b, up_w, up_b)
+    x, down_w, down_b, up_w, up_b = ops
+    a, d = ACTIVATIONS[act](grouped_linear_fwd(x.data, down_w.data, _data(down_b)), _needs_grad((x, down_w, down_b)))
     y = grouped_linear_fwd(a, up_w.data, _data(up_b))
-    out = Tensor._node(y, [t for t in (x, down_w, down_b, up_w, up_b) if t is not None])
+    out = Tensor._node(y[0] if lone else y, _slot_parents(ops))
     if out.requires_grad:
         below = (x.requires_grad, down_w.requires_grad, down_b is not None and down_b.requires_grad)
         above = (any(below), up_w.requires_grad, up_b is not None and up_b.requires_grad)
 
         def _bw(g: np.ndarray) -> None:
+            if lone:
+                g = g[None]
+            grads = _Collected()
             da, dw, db = grouped_linear_bwd(g, a, up_w.data, above)
-            grads = [(up_w, dw), (up_b, db)]
+            pairs = [(up_w, dw), (up_b, db)]
             if da is not None:
                 da *= d
-                dx, dw, db = grouped_linear_bwd(da, x.data, down_w.data, below)
-                grads += [(x, dx), (down_w, dw), (down_b, db)]
-            for t, grad in grads:
+                pairs += zip((x, down_w, down_b), grouped_linear_bwd(da, x.data, down_w.data, below))
+            for s, grad in pairs:
                 if grad is not None:
-                    _accum(t, grad)
+                    grads.add(s, grad)
+            grads.route(ops)
         out._backward = _bw
     return out
 

@@ -19,6 +19,9 @@ from .autodiff import Rng, ShapeError, Tensor, add, frozen_attention, frozen_mlp
 
 AUDIO = "audio"
 VISUAL = "visual"
+# both streams stacked along a leading axis, audio in row 0, visual in row 1
+BOTH = "audio+visual"
+STACK_ORDER = (AUDIO, VISUAL)
 
 INIT_STD = 0.02
 
@@ -61,18 +64,22 @@ class SpectrogramInput:
 @dataclass
 class TokenSet:
     """Tokens of one modality at one layer depth: a (count, width) tensor for
-    one sample, or (batch, count, width) for a batch."""
+    one sample, or (batch, count, width) for a batch. Modality ``BOTH``
+    holds both streams, of equal token counts, stacked along a leading axis
+    of two in ``STACK_ORDER``."""
 
     modality: str
     tokens: Tensor
     layer: int = 0
 
     def __post_init__(self) -> None:
-        if self.modality not in (AUDIO, VISUAL):
+        if self.modality not in (AUDIO, VISUAL, BOTH):
             raise ValueError(f"TokenSet: unknown modality {self.modality!r}")
-        if self.tokens.ndim not in (2, 3) or self.tokens.shape[-2] < 1:
+        lead = self.tokens.shape[:1] if self.modality == BOTH else ()
+        if lead not in ((), (2,)) or self.tokens.ndim - len(lead) not in (2, 3) or self.tokens.shape[-2] < 1:
             raise ShapeError(
-                f"TokenSet: need a non-empty ([batch,] count, width) tensor, got shape {self.tokens.shape}"
+                f"TokenSet: need a non-empty ({'2, ' if self.modality == BOTH else ''}[batch,] count, width) "
+                f"tensor, got shape {self.tokens.shape}"
             )
 
     @property
@@ -245,8 +252,9 @@ def init_layer_weights(width: int, heads: int, seed: int, name: str) -> FrozenLa
 
 
 def mha(x: TokenSet, w: FrozenLayerWeights) -> Tensor:
-    """Pre-norm multi-head self-attention term for one token set, as one
-    tape node that passes a gradient to the tokens only.
+    """Pre-norm multi-head self-attention term for one token set (each stream
+    of a stacked set attends within itself), as one tape node that passes a
+    gradient to the tokens only.
 
     Returns only the attention output (the caller adds the residual). Scores
     are scaled by 1/sqrt(width/heads).

@@ -19,10 +19,11 @@ from typing import Callable
 from .costs import (
     REPORT_COLUMNS,
     count_params,
-    fusion_macs_total,
     grouped_projection_params,
     mac_bottleneck,
     mac_fusion,
+    model_fusion_macs,
+    target_source,
 )
 from .fusion import MODE_DIRECTIONS
 from .model import ModelConfig, TwoStreamModel
@@ -284,14 +285,6 @@ def cmd_latent_sweep(resolved: dict, outdir: Path, quiet: bool) -> None:
     _write_text(outdir / "latent_sweep.csv", csv_text(("m", "accuracy", "fusion_macs"), rows))
 
 
-def model_fusion_macs(
-    layers: int, n: int, k: int, latent_count: int, width: int, mode: str, use_latents: bool
-) -> int:
-    """Fusion MACs for one full forward pass: every layer injects beside both
-    sub-steps, so each enabled direction runs twice per layer."""
-    return layers * 2 * fusion_macs_total(n, k, latent_count, width, mode, use_latents)
-
-
 def cmd_cost_report(resolved: dict, outdir: Path, quiet: bool) -> None:
     """Parameter and MAC accounting for the latent and direct variants of the
     configured model."""
@@ -314,7 +307,7 @@ def cmd_cost_report(resolved: dict, outdir: Path, quiet: bool) -> None:
     for label in ("latent", "direct"):
         per_dir = {}
         total = 0
-        for direction, (tn, tk) in (("a2v", (n, k)), ("v2a", (k, n))):
+        for direction, (tn, tk) in target_source(n, k).items():
             mr = mac_fusion(tn, tk, m, d, variant=label)
             per_dir[direction] = mr.to_json_dict()
             total += mr.total_macs

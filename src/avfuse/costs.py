@@ -180,21 +180,33 @@ def mac_fusion(n: int, k: int, latent_count: int, width: int, variant: str = "la
     return report
 
 
+def target_source(n: int, k: int) -> dict[str, tuple[int, int]]:
+    """Each direction's (target tokens, source tokens) for n visual and k
+    audio tokens: audio->visual targets the visual stream, visual->audio
+    swaps them. The one table every per-direction cost reads."""
+    return {"a2v": (n, k), "v2a": (k, n)}
+
+
 def fusion_macs_total(
     n: int, k: int, latent_count: int, width: int, mode: str, use_latents: bool = True
 ) -> int:
     """Total fusion-path MACs over the enabled directions of one layer.
-
-    Direction audio->visual has target n (visual) and source k (audio);
-    visual->audio swaps them. Still affine in latent_count for the latent
-    variant and bilinear in n*k for the direct one.
-    """
+    Still affine in latent_count for the latent variant and bilinear in n*k
+    for the direct one."""
     variant = "latent" if use_latents else "direct"
-    target_source = {"a2v": (n, k), "v2a": (k, n)}
+    tokens = target_source(n, k)
     return sum(
-        mac_fusion(*target_source[direction], latent_count, width, variant).total_macs
+        mac_fusion(*tokens[direction], latent_count, width, variant).total_macs
         for direction in MODE_DIRECTIONS[mode]
     )
+
+
+def model_fusion_macs(
+    layers: int, n: int, k: int, latent_count: int, width: int, mode: str, use_latents: bool
+) -> int:
+    """Fusion MACs for one full forward pass: every layer injects beside both
+    sub-steps, so each enabled direction runs twice per layer."""
+    return layers * 2 * fusion_macs_total(n, k, latent_count, width, mode, use_latents)
 
 
 def mac_bottleneck(tokens: int, width: int, ratio: int, groups: int) -> int:

@@ -19,7 +19,10 @@ layer holds its sites in a dict keyed ``<direction>_<attachment>``, with an
 entry only for the enabled ones.
 
 Token sets may carry a leading batch axis; latent tokens never do, and serve
-every sample of a batch.
+every sample of a batch. When both streams have the same token count they
+travel stacked (``backbone.BOTH``), and the sites of one attachment run as
+one call over a leading direction axis: each parameter is a ``Slots`` of the
+sites' tensors, and the tokens are ``Slots`` of rows of the stacked tokens.
 """
 from __future__ import annotations
 
@@ -27,8 +30,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ACTIVATIONS, Rng, ShapeError, Tensor, add, gated_attention, grouped_bottleneck
-from .backbone import AUDIO, VISUAL, FreezeRegistry, FrozenLayerWeights, TokenSet, mha, mlp
+from .autodiff import (
+    ACTIVATIONS,
+    Rng,
+    ShapeError,
+    Slots,
+    Tensor,
+    add,
+    add_rows,
+    gated_attention,
+    grouped_bottleneck,
+)
+from .backbone import AUDIO, BOTH, STACK_ORDER, VISUAL, FreezeRegistry, FrozenLayerWeights, TokenSet, mha, mlp
 
 MODE_DIRECTIONS = {"none": (), "a2v": ("a2v",), "v2a": ("v2a",), "bidirectional": ("a2v", "v2a")}
 MODES = tuple(MODE_DIRECTIONS)
@@ -47,7 +60,18 @@ GATE_INIT = 1.0
 # ---------------------------------------------------------------------------
 
 
-def cma(query: Tensor, key: Tensor, value: Tensor, gate: Tensor) -> Tensor:
+def _stacked(*operands) -> bool:
+    """Whether a call runs Slots over a direction axis, so that every shape
+    check reads one direction's shape, ``shape[1:]``."""
+    return any(isinstance(x, Slots) for x in operands)
+
+
+def _tokens(x):
+    """A token set's tokens, or a stacked call's Slots of token rows."""
+    return x.tokens if isinstance(x, TokenSet) else x
+
+
+def cma(query, key, value, gate):
     """Gated single-head cross-attention with a residual on the query side:
 
         out = query + gate * softmax(query key^T / sqrt(width)) value
@@ -55,34 +79,38 @@ def cma(query: Tensor, key: Tensor, value: Tensor, gate: Tensor) -> Tensor:
     The gate is a trainable scalar; at gate == 0 the op returns the query
     exactly. There are no key/value projections. Operands are 2-D or
     batched; a 2-D query (latent tokens) serves every sample of a batched
-    key/value. The whole expression is one tape node.
+    key/value. The whole expression is one tape node. Operands may also be
+    Slots over a leading direction axis (``autodiff.gated_attention``), and
+    each direction then follows these rules.
     """
-    if query.ndim not in (2, 3) or key.ndim not in (2, 3) or value.ndim not in (2, 3):
-        raise ShapeError(
-            f"cma: need 2-D or batched operands, got shapes {query.shape}, {key.shape}, {value.shape}"
-        )
-    if query.shape[-1] != key.shape[-1]:
-        raise ShapeError(f"cma: query width {query.shape} does not match key width {key.shape}")
-    if key.shape[:-1] != value.shape[:-1]:
-        raise ShapeError(f"cma: key rows {key.shape} do not match value rows {value.shape}")
-    if query.ndim == key.ndim == 3 and query.shape[0] != key.shape[0]:
-        raise ShapeError(f"cma: query batch {query.shape} does not match key batch {key.shape}")
-    if gate.shape != ():
-        raise ShapeError(f"cma: gate must be a scalar, got shape {gate.shape}")
+    stacked = _stacked(query, key, value, gate)
+    q, k, v, g = (x.shape[stacked:] for x in (query, key, value, gate))
+    if len(q) not in (2, 3) or len(k) not in (2, 3) or len(v) not in (2, 3):
+        raise ShapeError(f"cma: need 2-D or batched operands, got shapes {q}, {k}, {v}")
+    if q[-1] != k[-1]:
+        raise ShapeError(f"cma: query width {q} does not match key width {k}")
+    if k[:-1] != v[:-1]:
+        raise ShapeError(f"cma: key rows {k} do not match value rows {v}")
+    if len(q) == len(k) == 3 and q[0] != k[0]:
+        raise ShapeError(f"cma: query batch {q} does not match key batch {k}")
+    if g != ():
+        raise ShapeError(f"cma: gate must be a scalar, got shape {g}")
+    if stacked and len({x.shape[0] for x in (query, key, value, gate)}) != 1:
+        raise ShapeError("cma: operands disagree on the number of directions")
     return gated_attention(query, key, value, gate)
 
 
-def compress_to_latents(latents: Tensor, source: TokenSet, gate: Tensor) -> Tensor:
+def compress_to_latents(latents, source, gate) -> Tensor:
     """Summarize a token set into the (m, width) latent slots via gated
     cross-attention. Output has one row per latent regardless of source
     length."""
-    return cma(latents, source.tokens, source.tokens, gate)
+    return cma(latents, _tokens(source), _tokens(source), gate)
 
 
-def fuse_with_latents(target: TokenSet, summary: Tensor, gate: Tensor) -> Tensor:
+def fuse_with_latents(target, summary: Tensor, gate) -> Tensor:
     """Let the target tokens attend to a compressed summary; row count and
     width of the target are preserved."""
-    return cma(target.tokens, summary, summary, gate)
+    return cma(_tokens(target), summary, summary, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -96,26 +124,27 @@ class BottleneckParams:
 
     down_w: (groups, width/groups, narrow/groups), up_w mirrors it back.
     The up projection (and both biases) start at zero, which pins the whole
-    bottleneck output to zero at init.
+    bottleneck output to zero at init. A stacked call holds Slots, whose
+    shapes lead with the direction axis.
     """
 
-    down_w: Tensor
-    up_w: Tensor
+    down_w: Tensor | Slots
+    up_w: Tensor | Slots
     act: str = "gelu"
-    down_b: Tensor | None = None
-    up_b: Tensor | None = None
+    down_b: Tensor | Slots | None = None
+    up_b: Tensor | Slots | None = None
 
     @property
     def groups(self) -> int:
-        return self.down_w.shape[0]
+        return self.down_w.shape[-3]
 
     @property
     def width(self) -> int:
-        return self.down_w.shape[0] * self.down_w.shape[1]
+        return self.down_w.shape[-3] * self.down_w.shape[-2]
 
     @property
     def narrow(self) -> int:
-        return self.down_w.shape[0] * self.down_w.shape[2]
+        return self.down_w.shape[-3] * self.down_w.shape[-1]
 
 
 def init_bottleneck(
@@ -152,8 +181,9 @@ def init_bottleneck(
 
 
 def bottleneck(x: Tensor, params: BottleneckParams) -> Tensor:
-    """Apply up(act(down(x))) as one tape node. Shape is preserved."""
-    if x.ndim not in (2, 3) or x.shape[-1] != params.width:
+    """Apply up(act(down(x))) as one tape node. Shape is preserved. With
+    stacked parameters, ``x`` carries the direction axis too."""
+    if x.ndim - _stacked(params.down_w) not in (2, 3) or x.shape[-1] != params.width:
         raise ShapeError(f"bottleneck: input shape {x.shape} does not match width {params.width}")
     if params.act not in ACTIVATIONS:
         raise ValueError(f"unknown activation {params.act!r}")
@@ -236,25 +266,61 @@ def build_site(
     return site
 
 
-def adapter_forward(source: TokenSet, target: TokenSet, site: AdapterSite) -> Tensor:
+@dataclass
+class SiteStack:
+    """The sites of one attachment as one call: each parameter a Slots over
+    the direction axis, one slot per site, in the order of the token rows
+    the sites target."""
+
+    latents: Slots | None
+    gate_compress: Slots | None
+    gate_fuse: Slots
+    neck: BottleneckParams
+
+    @classmethod
+    def of(cls, sites: list[AdapterSite]) -> "SiteStack":
+        def slots(tensors) -> Slots | None:
+            return None if tensors[0] is None else Slots.stack(tensors)
+
+        necks = [s.neck for s in sites]
+        return cls(
+            latents=slots([s.latents for s in sites]),
+            gate_compress=slots([s.gate_compress for s in sites]),
+            gate_fuse=slots([s.gate_fuse for s in sites]),
+            neck=BottleneckParams(
+                down_w=slots([n.down_w for n in necks]),
+                up_w=slots([n.up_w for n in necks]),
+                act=necks[0].act,
+                down_b=slots([n.down_b for n in necks]),
+                up_b=slots([n.up_b for n in necks]),
+            ),
+        )
+
+
+def adapter_forward(source, target, site) -> Tensor:
     """The additive cross-modal term injected next to one frozen sub-step.
 
     Latent sites run compress -> fuse -> bottleneck; direct sites attend to
     the source tokens themselves before the same bottleneck. The result has
     the target's shape and is exactly zero while the up projection is zero.
+    ``site`` is one AdapterSite reading source and target token sets, or a
+    SiteStack reading Slots of token rows, one slot per site.
     """
-    if source.modality != site.source_modality or target.modality != site.target_modality:
-        raise ValueError(
-            f"adapter_forward: site {site.direction!r} cannot take source={source.modality!r}, "
-            f"target={target.modality!r}"
-        )
-    if source.width != target.width:
-        raise ShapeError(f"adapter_forward: stream widths differ: {source.width} vs {target.width}")
+    if isinstance(site, AdapterSite):
+        if source.modality != site.source_modality or target.modality != site.target_modality:
+            raise ValueError(
+                f"adapter_forward: site {site.direction!r} cannot take source={source.modality!r}, "
+                f"target={target.modality!r}"
+            )
+        if source.width != target.width:
+            raise ShapeError(f"adapter_forward: stream widths differ: {source.width} vs {target.width}")
+    elif not source.shape[0] == target.shape[0] == site.gate_fuse.shape[0]:
+        raise ShapeError("adapter_forward: source, target and sites disagree on the number of directions")
     if site.latents is not None:
         summary = compress_to_latents(site.latents, source, site.gate_compress)
         fused = fuse_with_latents(target, summary, site.gate_fuse)
     else:
-        fused = cma(target.tokens, source.tokens, source.tokens, site.gate_fuse)
+        fused = cma(_tokens(target), _tokens(source), _tokens(source), site.gate_fuse)
     return bottleneck(fused, site.neck)
 
 
@@ -323,3 +389,35 @@ def dual_layer_forward(
     if cross_v2 is not None:
         zv = add(zv, cross_v2)
     return TokenSet(AUDIO, za, xa.layer + 1), TokenSet(VISUAL, zv, xv.layer + 1)
+
+
+def stacked_layer_forward(x: TokenSet, w: FrozenLayerWeights, sites: dict[str, AdapterSite]) -> TokenSet:
+    """Advance a stacked token set (``BOTH``) one layer, as
+    ``dual_layer_forward`` advances two: each frozen block runs once over
+    both streams, and the sites of one attachment run as one
+    ``adapter_forward`` call whose targets are rows of the stacked tokens and
+    whose sources are the other stream's rows, so its term adds straight
+    onto those rows."""
+    if x.modality != BOTH:
+        raise ValueError(f"stacked_layer_forward: need a stacked token set, got {x.modality!r}")
+
+    def cross(tokens: Tensor, attachment: str):
+        """The attachment's term and the rows it adds into, or None."""
+        present = [s for s in (sites.get(f"{d}_{attachment}") for d in DIRECTIONS) if s is not None]
+        if not present:
+            return None
+        present.sort(key=lambda s: STACK_ORDER.index(s.target_modality))
+        rows = [STACK_ORDER.index(s.target_modality) for s in present]
+        source = Slots.rows(tokens, [STACK_ORDER.index(s.source_modality) for s in present])
+        return adapter_forward(source, Slots.rows(tokens, rows), SiteStack.of(present)), rows
+
+    term = cross(x.tokens, "mha")
+    y = add(x.tokens, mha(x, w))
+    if term is not None:
+        y = add_rows(y, *term)
+    mid = TokenSet(BOTH, y, x.layer)
+    term = cross(y, "mlp")
+    z = add(y, mlp(mid, w))
+    if term is not None:
+        z = add_rows(z, *term)
+    return TokenSet(BOTH, z, x.layer + 1)

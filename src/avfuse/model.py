@@ -11,8 +11,11 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .autodiff import ACTIVATIONS, Rng, ShapeError, Tensor, concat_cols, matmul, mean_rows, reshape
+from .autodiff import ACTIVATIONS, Rng, ShapeError, Tensor, concat_cols, matmul, mean_rows, reshape, stack, take
 from .backbone import (
+    AUDIO,
+    BOTH,
+    VISUAL,
     FreezeRegistry,
     FrozenLayerWeights,
     ImageInput,
@@ -23,7 +26,7 @@ from .backbone import (
     resize_pos_table,
     spectrogram_embed,
 )
-from .fusion import MODES, AdapterSite, build_layer_sites, dual_layer_forward
+from .fusion import MODES, AdapterSite, build_layer_sites, dual_layer_forward, stacked_layer_forward
 from .serialization import load_tensors, save_tensors
 
 INIT_STD = 0.02
@@ -115,12 +118,19 @@ def event_head(xa: TokenSet, xv: TokenSet, weight: Tensor, bias: Tensor) -> Tens
 
 class TwoStreamModel:
     """A frozen backbone shared by both streams, per-layer adapter sites for
-    the enabled directions, and a trainable linear event head."""
+    the enabled directions, and a trainable linear event head.
+
+    When both streams have the same token count, ``forward`` carries them
+    through the layers stacked, so each frozen block and each attachment's
+    sites run once for both; otherwise each stream runs on its own. Both
+    paths give the same logits bit for bit.
+    """
 
     def __init__(self, cfg: ModelConfig, seed: int):
         cfg.validate()
         self.cfg = cfg
         self.seed = int(seed)
+        self.stacked = cfg.n_audio_tokens == cfg.n_visual_tokens
         self.registry = FreezeRegistry()
 
         width = cfg.width
@@ -194,9 +204,15 @@ class TwoStreamModel:
     def forward(self, images: list[ImageInput], specs: list[SpectrogramInput]) -> tuple[TokenSet, TokenSet]:
         """Both streams after the last layer; inputs as in ``tokenize``."""
         xa, xv = self.tokenize(images, specs)
+        if not self.stacked:
+            for w, sites in zip(self.layers, self.sites):
+                xa, xv = dual_layer_forward(xa, xv, w, sites)
+            return xa, xv
+        x = TokenSet(BOTH, stack([xa.tokens, xv.tokens]))
+        del xa, xv  # stacked into a copy
         for w, sites in zip(self.layers, self.sites):
-            xa, xv = dual_layer_forward(xa, xv, w, sites)
-        return xa, xv
+            x = stacked_layer_forward(x, w, sites)
+        return TokenSet(AUDIO, take(x.tokens, 0), x.layer), TokenSet(VISUAL, take(x.tokens, 1), x.layer)
 
     def logits(self, image: ImageInput, spec: SpectrogramInput) -> Tensor:
         """(1, 2) logits of one sample: a batch of one."""

@@ -43,11 +43,13 @@ from avfuse.autodiff import (
     Tensor,
     _BLOCK,
     _accum,
+    _as_slots,
     _as_tensor,
     _blocks,
     _concat,
     _needs_grad,
     _reduce_to,
+    _slot_parents,
     _tally_softmax,
     add,
     attention_bwd,
@@ -101,7 +103,8 @@ def scale(x, c: float) -> Tensor:
 
 def _activation(fwd, x) -> Tensor:
     x = _as_tensor(x)
-    y, d = fwd(x.data, _needs_grad((x,)))
+    # the kernel writes over the array it is handed
+    y, d = fwd(x.data.copy(), _needs_grad((x,)))
     out = Tensor._node(y, (x,))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
@@ -184,14 +187,16 @@ def grouped_linear(x, weight, bias=None) -> Tensor:
         bias = _as_tensor(bias)
         if bias.shape != (groups * gout,):
             raise ShapeError(f"grouped_linear: bias shape {bias.shape} does not match output width {groups * gout}")
-    y = grouped_linear_fwd(x.data, weight.data, None if bias is None else bias.data)
+    # the kernels take a leading direction axis: here one direction
+    y = grouped_linear_fwd(x.data[None], weight.data[None], None if bias is None else bias.data[None])[0]
     out = Tensor._node(y, (x, weight) if bias is None else (x, weight, bias))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
             want = (x.requires_grad, weight.requires_grad, bias is not None and bias.requires_grad)
-            for t, grad in zip((x, weight, bias), grouped_linear_bwd(g, x.data, weight.data, want)):
+            grads = grouped_linear_bwd(g[None], x.data[None], weight.data[None], want)
+            for t, grad in zip((x, weight, bias), grads):
                 if grad is not None:
-                    _accum(t, grad)
+                    _accum(t, grad[0])
         out._backward = _bw
     return out
 
@@ -226,6 +231,49 @@ def chain_bottleneck(x: Tensor, params) -> Tensor:
     map."""
     narrow = _act(params.act)(grouped_linear(x, params.down_w, params.down_b))
     return grouped_linear(narrow, params.up_w, params.up_b)
+
+
+def slotwise(chain, *operands) -> Tensor:
+    """``chain`` run direction by direction, each on fresh leaves holding one
+    slot of the block op's operands (tensors or Slots, as the block op takes
+    them), as one node. Its output stacks the directions' outputs, and its
+    backward runs each direction's chain backward, then routes each
+    operand's gradient once, in argument order, as the block ops do. So a
+    block op over a direction axis must match it bit for bit: forward,
+    every kernel's backward and the sums of each operand's contributions."""
+    lone, slots = _as_slots(*operands)
+    distinct = list(dict.fromkeys(s for s in slots if s is not None))
+    runs = []
+    for i in range(slots[0].shape[0]):
+        leaves = {s: Tensor(s.data[i], requires_grad=s.requires_grad) for s in distinct}
+        runs.append((leaves, chain(*[None if s is None else leaves[s] for s in slots])))
+    y = np.stack([out.data for _, out in runs])
+    out = Tensor._node(y[0] if lone else y, _slot_parents(slots))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            for (_, one), piece in zip(runs, g[None] if lone else g):
+                backward(sum_all(mul(one, Tensor(piece))))
+            for s in distinct:
+                grads = [leaves[s].grad for leaves, _ in runs]
+                if grads[0] is not None:
+                    s.route(np.stack(grads))
+        out._backward = _bw
+    return out
+
+
+def stacked_chain_cma(query, key, value, gate) -> Tensor:
+    """``chain_cma`` over the operands ``fusion.cma`` takes, one direction
+    at a time."""
+    return slotwise(chain_cma, query, key, value, gate)
+
+
+def stacked_chain_bottleneck(x, params) -> Tensor:
+    """``chain_bottleneck`` over the operands ``fusion.bottleneck`` takes,
+    one direction at a time."""
+    def one(x, down_w, down_b, up_w, up_b):
+        return chain_bottleneck(x, type(params)(down_w, up_w, params.act, down_b, up_b))
+
+    return slotwise(one, x, params.down_w, params.down_b, params.up_w, params.up_b)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,16 @@ from avfuse.fusion import bottleneck, cma, init_bottleneck
 from avfuse.model import ModelConfig, TwoStreamModel
 from avfuse.tasks import generate_dataset
 
-from helpers import chain_bottleneck, chain_cma, chain_mha, chain_mlp, mul, sum_all
+from helpers import (
+    chain_bottleneck,
+    chain_cma,
+    chain_mha,
+    chain_mlp,
+    mul,
+    stacked_chain_bottleneck,
+    stacked_chain_cma,
+    sum_all,
+)
 
 # (batch, tokens, width, heads, latents): README, train-wide, odd
 SHAPES = {"readme": (8, 4, 32, 4, 2), "wide": (8, 64, 128, 4, 4), "odd": (3, 6, 16, 2, 1)}
@@ -212,8 +221,8 @@ def test_train_step_matches_chains_bitwise(name, monkeypatch):
     logits, grads = train_step(model, batch)
     monkeypatch.setattr(fusion, "mha", lambda x, w: chain_mha(x.tokens, w))
     monkeypatch.setattr(fusion, "mlp", lambda x, w: chain_mlp(x.tokens, w))
-    monkeypatch.setattr(fusion, "cma", chain_cma)
-    monkeypatch.setattr(fusion, "bottleneck", chain_bottleneck)
+    monkeypatch.setattr(fusion, "cma", stacked_chain_cma)
+    monkeypatch.setattr(fusion, "bottleneck", stacked_chain_bottleneck)
     want_logits, want_grads = train_step(model, batch)
     np.testing.assert_array_equal(logits, want_logits)
     assert grads.keys() == want_grads.keys()

@@ -125,9 +125,12 @@ def test_identity_at_init_stays_bitwise_at_width_128(use_latents):
 
 
 # train-wide shapes (the MLP's hidden activations, the layer norms' inputs),
-# then odd ones, batched and 2-D; gelu's "odd-blocks" spans one full block
-# of autodiff._BLOCK values and a partial one
-IN_PLACE_GELU = {"wide": (8, 64, 512), "odd": (3, 7, 5), "odd-2d": (7, 5), "odd-blocks": (3, 7, 1001)}
+# the stacked-stream shapes (both streams' MLP hidden activations at the
+# README and train-wide configs), then odd ones, batched and 2-D; gelu's
+# "odd-blocks" spans one full block of autodiff._BLOCK values and a partial
+# one
+IN_PLACE_GELU = {"wide": (8, 64, 512), "stacked-readme": (2, 8, 4, 128), "stacked-wide": (2, 8, 64, 512),
+                 "odd": (3, 7, 5), "odd-2d": (7, 5), "odd-blocks": (3, 7, 1001)}
 IN_PLACE_NORM = {"wide": (8, 64, 128), "wide-hidden": (8, 64, 512), "odd": (3, 7, 5), "odd-2d": (7, 5)}
 # (q, k, v shapes, heads): self-attention at train-wide width, whose scores
 # are (8, 4, 64, 64); a 2-D latent query broadcast over the batch, as in cma;
@@ -199,19 +202,23 @@ def test_biased_head_matches_the_reshape_then_add_chain():
         np.testing.assert_array_equal(t_new.grad, t_old.grad)
 
 
-# the MLP's hidden activations at train-wide width, one full and one partial
-# block of autodiff._BLOCK values, and a small 2-D input
-DERIVATIVE = {"wide": (8, 64, 512), "odd-blocks": (3, 7, 1001), "odd-2d": (7, 5)}
+# the MLP's hidden activations at train-wide width, the stacked streams'
+# ones at the README and train-wide configs, one full and one partial block
+# of autodiff._BLOCK values, and a small 2-D input
+DERIVATIVE = {"wide": (8, 64, 512), "stacked-readme": (2, 8, 4, 128), "stacked-wide": (2, 8, 64, 512),
+              "odd-blocks": (3, 7, 1001), "odd-2d": (7, 5)}
 
 
 @pytest.mark.parametrize("name", DERIVATIVE)
 def test_gelu_derivative_times_gradient_is_the_backward_kernel(name):
     v, g = 2.0 * arr(40, *DERIVATIVE[name]), arr(41, *DERIVATIVE[name])
-    y, d = gelu_fwd(v, True)
+    buffer = v.copy()
+    y, d = gelu_fwd(buffer, True)
+    assert y is buffer  # the output is written over the input's buffer
     want_y, t = tanh_gelu_fwd(v)
     np.testing.assert_array_equal(y, want_y)
     np.testing.assert_array_equal(g * d, gelu_bwd(g, v, t))
-    y_only, none = gelu_fwd(v, False)
+    y_only, none = gelu_fwd(v.copy(), False)
     assert none is None
     np.testing.assert_array_equal(y_only, want_y)
 
@@ -220,9 +227,11 @@ def test_gelu_derivative_times_gradient_is_the_backward_kernel(name):
 def test_relu_derivative_times_gradient_is_the_backward_kernel(name):
     v, g = arr(42, *DERIVATIVE[name]), arr(43, *DERIVATIVE[name])
     v.reshape(-1)[:3] = 0.0  # the kink takes the zero side
-    y, d = relu_fwd(v, True)
+    buffer = v.copy()
+    y, d = relu_fwd(buffer, True)
+    assert y is buffer
     np.testing.assert_array_equal(y, np.maximum(v, 0.0))
     np.testing.assert_array_equal(g * d, relu_bwd(g, v))
-    y_only, none = relu_fwd(v, False)
+    y_only, none = relu_fwd(v.copy(), False)
     assert none is None
     np.testing.assert_array_equal(y_only, y)

@@ -1,0 +1,165 @@
+"""Differential tests of the stacked path against the per-stream path.
+
+A model whose two streams have the same token count carries them through
+the layers stacked: each frozen block and each attachment's sites run once
+for both streams. The per-stream path is the same model with
+``stacked = False``. Over 4 modes x {latent, direct}, at the README config
+and the train-wide benchmark config, one train step must give bitwise equal
+logits, gradients within 1e-12 and equal MAC and softmax tallies. The
+gradients cannot be bitwise equal: the contributions to a stream's tokens
+arrive in a different order when one node serves both streams. Then the
+routing pieces: the tape ops the stacked path adds and the ``Slots``
+operands of the adapter block ops."""
+import numpy as np
+import pytest
+
+from avfuse import fusion
+from avfuse.autodiff import Slots, Tensor, add_rows, backward, count_macs, cross_entropy_logits, stack, take
+from avfuse.backbone import AUDIO, BOTH, VISUAL, TokenSet, init_layer_weights
+from avfuse.fusion import MODES, build_layer_sites, dual_layer_forward, stacked_layer_forward
+from avfuse.model import ModelConfig, TwoStreamModel
+from avfuse.tasks import generate_dataset
+
+from helpers import mul, sum_all
+
+CONFIGS = {"readme": {}, "wide": dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4)}
+
+
+def arr(seed, *shape):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def train_step(model, batch):
+    """Logits, every trainable's gradient, and the step's MAC and softmax
+    tallies."""
+    model.registry.zero_grad()
+    with count_macs() as c:
+        logits = model.logits_batch([(s.image, s.spectrogram) for s in batch])
+        backward(cross_entropy_logits(logits, np.array([s.label for s in batch])))
+    return logits.data, {name: t.grad for name, t in model.registry.trainable()}, (c.macs, c.softmax_elems)
+
+
+@pytest.mark.parametrize("use_latents", [True, False], ids=["latent", "direct"])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", CONFIGS)
+def test_stacked_step_matches_per_stream(name, mode, use_latents):
+    cfg = ModelConfig(**CONFIGS[name], mode=mode, use_latents=use_latents)
+    model = TwoStreamModel(cfg, seed=0)
+    assert model.stacked
+    # move every trainable off its init, so every site term and gradient is live
+    noise = np.random.default_rng(1)
+    for _, t in model.registry.trainable():
+        t.data = t.data + 0.1 * noise.standard_normal(t.shape)
+    batch = generate_dataset(0, 8, 0.1, cfg.image_hw, cfg.spec_hw)
+    logits, grads, tallies = train_step(model, batch)
+    model.stacked = False
+    want_logits, want_grads, want_tallies = train_step(model, batch)
+    np.testing.assert_array_equal(logits, want_logits)
+    assert tallies == want_tallies
+    assert grads.keys() == want_grads.keys()
+    for key in grads:
+        assert np.max(np.abs(grads[key] - want_grads[key])) <= 1e-12, key
+
+
+def test_unequal_token_counts_take_the_per_stream_path(monkeypatch):
+    cfg = ModelConfig(spec_hw=(9, 6))  # 6 audio tokens against 4 visual ones
+    model = TwoStreamModel(cfg, seed=0)
+    assert not model.stacked
+
+    def refuse(*args):
+        raise AssertionError("stacked path taken")
+
+    monkeypatch.setattr("avfuse.model.stacked_layer_forward", refuse)
+    batch = generate_dataset(0, 4, 0.1, cfg.image_hw, cfg.spec_hw)
+    assert model.logits_batch([(s.image, s.spectrogram) for s in batch]).shape == (4, 2)
+    assert TwoStreamModel(ModelConfig(), seed=0).stacked
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_stacked_layer_rows_are_the_dual_layer_outputs(mode):
+    # one layer at single-sample shapes: the stacked output's rows are the
+    # two streams' outputs bit for bit
+    w = init_layer_weights(8, 2, 4, "L4")
+    xa, xv = TokenSet(AUDIO, Tensor(arr(1, 5, 8))), TokenSet(VISUAL, Tensor(arr(2, 5, 8)))
+    sites = build_layer_sites(0, 8, 2, 2, 2, 3, mode)
+    for s in sites.values():
+        s.neck.up_w.data = 0.1 * arr(3, *s.neck.up_w.shape)
+    ya, yv = dual_layer_forward(xa, xv, w, sites)
+    y = stacked_layer_forward(TokenSet(BOTH, stack([xa.tokens, xv.tokens])), w, sites)
+    assert y.modality == BOTH and y.layer == 1
+    np.testing.assert_array_equal(y.tokens.data, np.stack([ya.tokens.data, yv.tokens.data]))
+    with pytest.raises(ValueError, match="stacked token set"):
+        stacked_layer_forward(xa, w, sites)
+
+
+def test_stacked_token_set_guard():
+    TokenSet(BOTH, Tensor(np.zeros((2, 3, 4, 8))))
+    TokenSet(BOTH, Tensor(np.zeros((2, 4, 8))))
+    for shape in ((3, 3, 4, 8), (2, 8), (2, 1, 3, 4, 8)):
+        with pytest.raises(ValueError):
+            TokenSet(BOTH, Tensor(np.zeros(shape)))
+
+
+def grads_under(out, g, leaves):
+    backward(sum_all(mul(out, Tensor(g))))
+    return [t.grad for t in leaves]
+
+
+def test_stack_take_and_add_rows():
+    a, b = Tensor(arr(10, 3, 4), requires_grad=True), Tensor(arr(11, 3, 4), requires_grad=True)
+    s = stack([a, b])
+    np.testing.assert_array_equal(s.data, np.stack([a.data, b.data]))
+    ga, gb = grads_under(s, arr(12, 2, 3, 4), [a, b])
+    np.testing.assert_array_equal(ga, arr(12, 2, 3, 4)[0])
+    np.testing.assert_array_equal(gb, arr(12, 2, 3, 4)[1])
+
+    x = Tensor(arr(13, 2, 3, 4), requires_grad=True)
+    row = take(x, 1)
+    np.testing.assert_array_equal(row.data, x.data[1])
+    (gx,) = grads_under(row, arr(14, 3, 4), [x])
+    np.testing.assert_array_equal(gx, np.stack([np.zeros((3, 4)), arr(14, 3, 4)]))
+
+    for rows in ((1,), (0, 1)):
+        y, t = Tensor(arr(15, 2, 3, 4), requires_grad=True), Tensor(arr(16, len(rows), 3, 4), requires_grad=True)
+        out = add_rows(y, t, rows)
+        want = y.data.copy()
+        want[list(rows)] += t.data
+        np.testing.assert_array_equal(out.data, want)
+        g = arr(17, 2, 3, 4)
+        gy, gt = grads_under(out, g, [y, t])
+        np.testing.assert_array_equal(gy, g)
+        np.testing.assert_array_equal(gt, g[list(rows)])
+    with pytest.raises(ValueError):
+        add_rows(y, Tensor(np.zeros((1, 3, 4))), (2,))
+
+
+def test_slots_read_and_route():
+    # stacked leaves: their values stacked, each slot's gradient to its own
+    # tensor; rows of one tensor: a view, the gradient back in its rows,
+    # zeros where no slot reads
+    p, q = Tensor(arr(20, 3), requires_grad=True), Tensor(arr(21, 3), requires_grad=True)
+    leaves = Slots.stack([p, q])
+    np.testing.assert_array_equal(leaves.data, np.stack([p.data, q.data]))
+    leaves.route(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+    np.testing.assert_array_equal(p.grad, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(q.grad, [4.0, 5.0, 6.0])
+
+    x = Tensor(arr(22, 2, 3), requires_grad=True)
+    flipped = Slots.rows(x, (1, 0))
+    assert np.shares_memory(flipped.data, x.data)
+    np.testing.assert_array_equal(flipped.data, x.data[::-1])
+    flipped.route(np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]))
+    np.testing.assert_array_equal(x.grad, [[2.0, 2.0, 2.0], [1.0, 1.0, 1.0]])
+    x.grad = None
+    Slots.rows(x, (1,)).route(np.array([[3.0, 3.0, 3.0]]))
+    np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 0.0], [3.0, 3.0, 3.0]])
+    with pytest.raises(ValueError):
+        Slots.stack([p, Tensor(np.zeros(4))])
+
+
+def test_adapter_forward_checks_the_direction_count():
+    sites = build_layer_sites(0, 8, 2, 2, 2, 0, "bidirectional")
+    x = Tensor(arr(30, 2, 3, 5, 8))
+    stacked = fusion.SiteStack.of([sites["v2a_mha"], sites["a2v_mha"]])
+    with pytest.raises(ValueError, match="number of directions"):
+        fusion.adapter_forward(Slots.rows(x, (1,)), Slots.rows(x, (0,)), stacked)

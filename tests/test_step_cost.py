@@ -12,8 +12,8 @@ from avfuse.tasks import generate_dataset
 
 # config overrides: (tape nodes, forward MACs, softmax elements) per step
 PINNED = {
-    "readme": ({}, 50, 1_836_032, 3_072),
-    "train-wide": (dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4), 50, 467_668_992, 557_056),
+    "readme": ({}, 30, 1_836_032, 3_072),
+    "train-wide": (dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4), 30, 467_668_992, 557_056),
 }
 
 
