@@ -546,38 +546,6 @@ def _sum_to(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return x.sum(axis=tuple(range(1, 1 + extra))) if extra else x
 
 
-class _Collected:
-    """Each operand's gradient contributions summed into one array, in the
-    order they come, then routed once. A borrowed array (the incoming
-    gradient) is never written; one the op made is summed into in place."""
-
-    def __init__(self) -> None:
-        self.sums: dict[Slots, np.ndarray] = {}
-        self.owned: set[Slots] = set()
-
-    def add(self, s: Slots, g: np.ndarray, own: bool = True) -> None:
-        prev = self.sums.get(s)
-        if prev is None:
-            self.sums[s] = g
-        elif s in self.owned:
-            prev += g
-            return
-        elif own:
-            g += prev  # addition commutes, so this is prev + g bit for bit
-            self.sums[s] = g
-        else:
-            self.sums[s] = prev + g
-            own = True
-        if own:
-            self.owned.add(s)
-
-    def route(self, operands) -> None:
-        """Route each operand's sum, in argument order."""
-        for s in dict.fromkeys(s for s in operands if s is not None):
-            if s in self.sums:
-                s.route(self.sums[s])
-
-
 # ---------------------------------------------------------------------------
 # kernels: plain-numpy forward/backward pairs
 # ---------------------------------------------------------------------------
@@ -860,12 +828,12 @@ def gated_attention(q, k, v, gate) -> Tensor:
     then has the axis too. A query with fewer axes than the key (latent
     tokens) serves every sample of the batch. The backward pass keeps the
     softmax, and the attention output only if a gate needs a gradient; it
-    sums each operand's contributions and routes them once.
+    routes each operand's gradient once, its contributions summed in place.
     """
     lone, ops = _as_slots(q, k, v, gate)
     q, k, v, gate = ops
     rank = max(q.data.ndim, k.data.ndim, v.data.ndim)
-    qd, kd, vd, gd = (_expand(s.data, rank) for s in ops)
+    qd, kd, vd, gd = _expand(q.data, rank), _expand(k.data, rank), _expand(v.data, rank), _expand(gate.data, rank)
     scale = 1.0 / np.sqrt(kd.shape[-1])
     attended, saved = attention_fwd(qd, kd, vd, 1, scale)
     y = qd + attended * gd
@@ -880,19 +848,27 @@ def gated_attention(q, k, v, gate) -> Tensor:
         def _bw(g: np.ndarray) -> None:
             if lone:
                 g = g[None]
-            grads = _Collected()
-            # the chain's order: the residual into q, the gate, then v, q, k
-            if q.requires_grad:
-                res = _sum_to(g, q.shape)
-                grads.add(q, res, own=res is not g)
+            dgate = dq = dk = dv = None
             if attended is not None:
-                grads.add(gate, np.multiply(g, attended).reshape(len(gd), -1).sum(axis=1))
+                dgate = np.multiply(g, attended).reshape(len(gd), -1).sum(axis=1)
             if saved is not None:
                 dq, dk, dv = attention_bwd(g * gd, *saved, scale, want)
-                for s, d in ((v, dv), (q, dq), (k, dk)):
-                    if d is not None:
-                        grads.add(s, _sum_to(d, s.shape))
-            grads.route(ops)
+            # sums in the order the chain's leaves receive them: the residual
+            # into q, then v, q, k; addition commutes, so dq + residual is
+            # residual + dq bit for bit
+            if dq is not None:
+                dq = _sum_to(dq, q.shape)
+                dq += _sum_to(g, q.shape)
+            if dv is not None:
+                dv = _sum_to(dv, v.shape)
+            if dk is not None:
+                dk = _sum_to(dk, k.shape)
+                if k is v:
+                    dv += dk
+                    dk = None
+            for s, d in ((q, dq), (gate, dgate), (v, dv), (k, dk)):
+                if d is not None:
+                    s.route(d)
         out._backward = _bw
     return out
 
@@ -913,18 +889,14 @@ def grouped_bottleneck(x, down_w, down_b, up_w, up_b, act: str) -> Tensor:
         above = (any(below), up_w.requires_grad, up_b is not None and up_b.requires_grad)
 
         def _bw(g: np.ndarray) -> None:
-            if lone:
-                g = g[None]
-            grads = _Collected()
-            da, dw, db = grouped_linear_bwd(g, a, up_w.data, above)
-            pairs = [(up_w, dw), (up_b, db)]
+            da, dw, db = grouped_linear_bwd(g[None] if lone else g, a, up_w.data, above)
+            grads = [(up_w, dw), (up_b, db)]
             if da is not None:
                 da *= d
-                pairs += zip((x, down_w, down_b), grouped_linear_bwd(da, x.data, down_w.data, below))
-            for s, grad in pairs:
+                grads += zip((x, down_w, down_b), grouped_linear_bwd(da, x.data, down_w.data, below))
+            for s, grad in grads:
                 if grad is not None:
-                    grads.add(s, grad)
-            grads.route(ops)
+                    s.route(grad)
         out._backward = _bw
     return out
 

@@ -18,7 +18,8 @@ library runs those kernels only inside its block ops. Built on the library's
 kernels, they are the unit under test of the kernel tests and, chained as
 the library chained them before (``chain_mha``, ``chain_mlp``,
 ``chain_cma``, ``chain_bottleneck``), the oracle the block ops must match
-bit for bit.
+bit for bit; ``slotwise`` runs a chain one direction at a time over the
+direction-axis operands of a stacked call.
 
 ``LoopAdam`` is the per-tensor Adam the optimizer ran before it kept every
 trainable value in one flat vector: the oracle the flat update must match

@@ -4,7 +4,10 @@ replaced (``helpers.chain_mha``, ``chain_mlp``, ``chain_cma`` and
 shapes, the train-wide benchmark shapes and odd ones (2 heads, unequal
 stream lengths, ReLU, no bias, a 2-D latent query broadcast over the
 batch), with partial ``requires_grad`` patterns; then one whole train step
-of the model against the same step run through the chains."""
+of the model against the same step run through the chains, the adapter
+chains in their stacked form (``helpers.slotwise``: each direction's chain
+on its own, the gradients routed as the block ops route theirs), so the
+stacked block ops are checked bit for bit inside the stacked graph."""
 import numpy as np
 import pytest
 
