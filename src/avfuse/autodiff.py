@@ -804,7 +804,6 @@ def frozen_mlp(x: Tensor, gain, shift, w1, b1, w2, b2) -> Tensor:
     pre = linear_fwd(t, w1.data, b1.data)
     del t
     hidden, d = gelu_fwd(pre, _needs_grad((x,)))
-    del pre
     out = Tensor._node(linear_fwd(hidden, w2.data, b2.data), (x,))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
