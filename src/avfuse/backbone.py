@@ -19,7 +19,8 @@ from .autodiff import Rng, ShapeError, Tensor, add, frozen_attention, frozen_mlp
 
 AUDIO = "audio"
 VISUAL = "visual"
-# both streams stacked along a leading axis, audio in row 0, visual in row 1
+# a stack: the streams that share a token count along a leading axis of one
+# or two rows, in STACK_ORDER
 BOTH = "audio+visual"
 STACK_ORDER = (AUDIO, VISUAL)
 
@@ -64,9 +65,9 @@ class SpectrogramInput:
 @dataclass
 class TokenSet:
     """Tokens of one modality at one layer depth: a (count, width) tensor for
-    one sample, or (batch, count, width) for a batch. Modality ``BOTH``
-    holds both streams, of equal token counts, stacked along a leading axis
-    of two in ``STACK_ORDER``."""
+    one sample, or (batch, count, width) for a batch. Modality ``BOTH`` is
+    a stack: the streams that share a token count, one or two of them,
+    along a leading axis in ``STACK_ORDER``."""
 
     modality: str
     tokens: Tensor
@@ -76,9 +77,9 @@ class TokenSet:
         if self.modality not in (AUDIO, VISUAL, BOTH):
             raise ValueError(f"TokenSet: unknown modality {self.modality!r}")
         lead = self.tokens.shape[:1] if self.modality == BOTH else ()
-        if lead not in ((), (2,)) or self.tokens.ndim - len(lead) not in (2, 3) or self.tokens.shape[-2] < 1:
+        if lead not in ((), (1,), (2,)) or self.tokens.ndim - len(lead) not in (2, 3) or self.tokens.shape[-2] < 1:
             raise ShapeError(
-                f"TokenSet: need a non-empty ({'2, ' if self.modality == BOTH else ''}[batch,] count, width) "
+                f"TokenSet: need a non-empty ({'streams, ' if self.modality == BOTH else ''}[batch,] count, width) "
                 f"tensor, got shape {self.tokens.shape}"
             )
 

@@ -144,13 +144,6 @@ def grouped_projection_params(width: int, ratio: int, groups: int) -> int:
     return 2 * width * narrow // groups
 
 
-def bottleneck_params(width: int, ratio: int, groups: int, bias: bool = True) -> int:
-    count = grouped_projection_params(width, ratio, groups)
-    if bias:
-        count += width // ratio + width
-    return count
-
-
 # ---------------------------------------------------------------------------
 # fusion MACs
 # ---------------------------------------------------------------------------
@@ -215,46 +208,3 @@ def mac_bottleneck(tokens: int, width: int, ratio: int, groups: int) -> int:
     if width % (ratio * groups):
         raise ValueError(f"width {width} is not divisible by ratio*groups = {ratio * groups}")
     return 2 * tokens * width * (width // ratio) // groups
-
-
-# ---------------------------------------------------------------------------
-# scheme-level parameter formulas (no construction, formulas only)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SchemeSpec:
-    """Descriptor for one trainable-parameter scheme on a shared backbone.
-
-    scheme: 'latent_adapter' (ours) or 'direct_adapter' (same sites, direct
-    cross-attention).
-    """
-
-    scheme: str
-    width: int
-    layers: int
-    sites_per_layer: int = 4
-    latent_count: int = 2
-    ratio: int = 8
-    groups: int = 2
-    bias: bool = True
-
-
-def scheme_param_report(spec: SchemeSpec) -> ParamReport:
-    """Analytic trainable-parameter count for one scheme; nothing is built."""
-    d = spec.width
-    sites = spec.layers * spec.sites_per_layer
-    report = ParamReport(title=spec.scheme)
-    add = report.entries.append
-
-    if spec.scheme == "latent_adapter":
-        add(ParamEntry("latents", sites * spec.latent_count * d, frozen=False))
-        add(ParamEntry("gates", sites * 2, frozen=False))
-    elif spec.scheme == "direct_adapter":
-        add(ParamEntry("gates", sites * 1, frozen=False))
-    else:
-        raise ValueError(f"unknown scheme {spec.scheme!r}")
-    add(ParamEntry("projections", sites * grouped_projection_params(d, spec.ratio, spec.groups), frozen=False))
-    if spec.bias:
-        add(ParamEntry("biases", sites * (d // spec.ratio + d), frozen=False))
-    return report

@@ -19,10 +19,11 @@ layer holds its sites in a dict keyed ``<direction>_<attachment>``, with an
 entry only for the enabled ones.
 
 Token sets may carry a leading batch axis; latent tokens never do, and serve
-every sample of a batch. When both streams have the same token count they
-travel stacked (``backbone.BOTH``), and the sites of one attachment run as
-one call over a leading direction axis: each parameter is a ``Slots`` of the
-sites' tensors, and the tokens are ``Slots`` of rows of the stacked tokens.
+every sample of a batch. Through the layers the streams travel in stacks
+(``backbone.BOTH``), one per token count, and ``layer_forward`` runs the
+sites of one attachment that read one stack and write one stack as one call
+over a leading direction axis: each parameter is a ``Slots`` of the sites'
+tensors, and the tokens are ``Slots`` of rows of the stacks.
 """
 from __future__ import annotations
 
@@ -351,73 +352,41 @@ def build_layer_sites(
     }
 
 
-def dual_layer_forward(
-    xa: TokenSet,
-    xv: TokenSet,
-    w: FrozenLayerWeights,
-    sites: dict[str, AdapterSite],
-) -> tuple[TokenSet, TokenSet]:
+def layer_forward(
+    stacks: list[TokenSet], where: dict[str, tuple[int, int]], w: FrozenLayerWeights, sites: dict[str, AdapterSite]
+) -> list[TokenSet]:
     """Advance both streams one layer with cross-modal terms injected beside
     the attention and MLP sub-steps: one term for each site in ``sites``.
 
-    Both attention-side adapter terms read the pre-update states, and both
-    MLP-side terms read the post-attention intermediates, before either
-    stream moves on; neither stream ever sees the other's half-updated state.
+    The streams travel in stacks (``backbone.BOTH``), and ``where`` maps each
+    modality to its (stack, row). Each frozen block runs once per stack. At
+    one attachment, the sites whose sources share a stack and whose targets
+    share a stack run as one ``adapter_forward`` call over rows of those
+    stacks, and its term adds into the target rows. Both attention-side terms
+    read the pre-update states, and both MLP-side terms read the
+    post-attention ones; neither stream ever sees the other's half-updated
+    state.
     """
-    if xa.layer != xv.layer:
-        raise ValueError(f"dual_layer_forward: layer mismatch: audio at {xa.layer}, visual at {xv.layer}")
-    if xa.modality != AUDIO or xv.modality != VISUAL:
-        raise ValueError("dual_layer_forward: arguments must be (audio, visual) token sets")
+    layer = stacks[0].layer
+    if any(x.modality != BOTH or x.layer != layer for x in stacks):
+        raise ValueError(f"layer_forward: need stacks at one layer, got {[(x.modality, x.layer) for x in stacks]}")
+    if set(where) != set(STACK_ORDER) or len(set(where.values())) != len(where):
+        raise ValueError(f"layer_forward: need one distinct (stack, row) per modality, got {where}")
 
-    cross_v = adapter_forward(xa, xv, sites["a2v_mha"]) if "a2v_mha" in sites else None
-    cross_a = adapter_forward(xv, xa, sites["v2a_mha"]) if "v2a_mha" in sites else None
-    ya = add(xa.tokens, mha(xa, w))
-    yv = add(xv.tokens, mha(xv, w))
-    if cross_a is not None:
-        ya = add(ya, cross_a)
-    if cross_v is not None:
-        yv = add(yv, cross_v)
-    mid_a = TokenSet(AUDIO, ya, xa.layer)
-    mid_v = TokenSet(VISUAL, yv, xv.layer)
+    def half(xs: list[Tensor], block, attachment: str) -> list[Tensor]:
+        groups: dict[tuple[int, int], list[AdapterSite]] = {}
+        present = (s for s in (sites.get(f"{d}_{attachment}") for d in DIRECTIONS) if s is not None)
+        for site in sorted(present, key=lambda s: where[s.target_modality]):
+            groups.setdefault((where[site.source_modality][0], where[site.target_modality][0]), []).append(site)
+        terms = []
+        for (src, dst), group in groups.items():
+            rows = [where[s.target_modality][1] for s in group]
+            source = Slots.rows(xs[src], [where[s.source_modality][1] for s in group])
+            terms.append((dst, adapter_forward(source, Slots.rows(xs[dst], rows), SiteStack.of(group)), rows))
+        ys = [add(x, block(TokenSet(BOTH, x, layer), w)) for x in xs]
+        for dst, term, rows in terms:
+            ys[dst] = add_rows(ys[dst], term, rows)
+        return ys
 
-    cross_v2 = adapter_forward(mid_a, mid_v, sites["a2v_mlp"]) if "a2v_mlp" in sites else None
-    cross_a2 = adapter_forward(mid_v, mid_a, sites["v2a_mlp"]) if "v2a_mlp" in sites else None
-    za = add(ya, mlp(mid_a, w))
-    zv = add(yv, mlp(mid_v, w))
-    if cross_a2 is not None:
-        za = add(za, cross_a2)
-    if cross_v2 is not None:
-        zv = add(zv, cross_v2)
-    return TokenSet(AUDIO, za, xa.layer + 1), TokenSet(VISUAL, zv, xv.layer + 1)
-
-
-def stacked_layer_forward(x: TokenSet, w: FrozenLayerWeights, sites: dict[str, AdapterSite]) -> TokenSet:
-    """Advance a stacked token set (``BOTH``) one layer, as
-    ``dual_layer_forward`` advances two: each frozen block runs once over
-    both streams, and the sites of one attachment run as one
-    ``adapter_forward`` call whose targets are rows of the stacked tokens and
-    whose sources are the other stream's rows, so its term adds straight
-    onto those rows."""
-    if x.modality != BOTH:
-        raise ValueError(f"stacked_layer_forward: need a stacked token set, got {x.modality!r}")
-
-    def cross(tokens: Tensor, attachment: str):
-        """The attachment's term and the rows it adds into, or None."""
-        present = [s for s in (sites.get(f"{d}_{attachment}") for d in DIRECTIONS) if s is not None]
-        if not present:
-            return None
-        present.sort(key=lambda s: STACK_ORDER.index(s.target_modality))
-        rows = [STACK_ORDER.index(s.target_modality) for s in present]
-        source = Slots.rows(tokens, [STACK_ORDER.index(s.source_modality) for s in present])
-        return adapter_forward(source, Slots.rows(tokens, rows), SiteStack.of(present)), rows
-
-    term = cross(x.tokens, "mha")
-    y = add(x.tokens, mha(x, w))
-    if term is not None:
-        y = add_rows(y, *term)
-    mid = TokenSet(BOTH, y, x.layer)
-    term = cross(y, "mlp")
-    z = add(y, mlp(mid, w))
-    if term is not None:
-        z = add_rows(z, *term)
-    return TokenSet(BOTH, z, x.layer + 1)
+    zs = half(half([x.tokens for x in stacks], mha, "mha"), mlp, "mlp")
+    return [TokenSet(BOTH, z, layer + 1) for z in zs]

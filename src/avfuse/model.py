@@ -13,9 +13,8 @@ import numpy as np
 
 from .autodiff import ACTIVATIONS, Rng, ShapeError, Tensor, concat_cols, matmul, mean_rows, reshape, stack, take
 from .backbone import (
-    AUDIO,
     BOTH,
-    VISUAL,
+    STACK_ORDER,
     FreezeRegistry,
     FrozenLayerWeights,
     ImageInput,
@@ -26,7 +25,7 @@ from .backbone import (
     resize_pos_table,
     spectrogram_embed,
 )
-from .fusion import MODES, AdapterSite, build_layer_sites, dual_layer_forward, stacked_layer_forward
+from .fusion import MODES, AdapterSite, build_layer_sites, layer_forward
 from .serialization import load_tensors, save_tensors
 
 INIT_STD = 0.02
@@ -120,17 +119,16 @@ class TwoStreamModel:
     """A frozen backbone shared by both streams, per-layer adapter sites for
     the enabled directions, and a trainable linear event head.
 
-    When both streams have the same token count, ``forward`` carries them
-    through the layers stacked, so each frozen block and each attachment's
-    sites run once for both; otherwise each stream runs on its own. Both
-    paths give the same logits bit for bit.
+    ``forward`` carries the streams through the layers in stacks, one per
+    token count: with equal counts both streams share one stack, so each
+    frozen block and each attachment's sites run once for both; otherwise
+    each stream has a stack of its own. One layer function serves both.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int):
         cfg.validate()
         self.cfg = cfg
         self.seed = int(seed)
-        self.stacked = cfg.n_audio_tokens == cfg.n_visual_tokens
         self.registry = FreezeRegistry()
 
         width = cfg.width
@@ -203,16 +201,17 @@ class TwoStreamModel:
 
     def forward(self, images: list[ImageInput], specs: list[SpectrogramInput]) -> tuple[TokenSet, TokenSet]:
         """Both streams after the last layer; inputs as in ``tokenize``."""
-        xa, xv = self.tokenize(images, specs)
-        if not self.stacked:
-            for w, sites in zip(self.layers, self.sites):
-                xa, xv = dual_layer_forward(xa, xv, w, sites)
-            return xa, xv
-        x = TokenSet(BOTH, stack([xa.tokens, xv.tokens]))
-        del xa, xv  # stacked into a copy
+        streams = {x.modality: x.tokens for x in self.tokenize(images, specs)}
+        # the streams of one token count share a stack, in STACK_ORDER
+        groups: dict[int, list[str]] = {}
+        for m in STACK_ORDER:
+            groups.setdefault(streams[m].shape[-2], []).append(m)
+        where = {m: (s, i) for s, group in enumerate(groups.values()) for i, m in enumerate(group)}
+        stacks = [TokenSet(BOTH, stack([streams[m] for m in group])) for group in groups.values()]
+        del streams  # stacked into copies
         for w, sites in zip(self.layers, self.sites):
-            x = stacked_layer_forward(x, w, sites)
-        return TokenSet(AUDIO, take(x.tokens, 0), x.layer), TokenSet(VISUAL, take(x.tokens, 1), x.layer)
+            stacks = layer_forward(stacks, where, w, sites)
+        return tuple(TokenSet(m, take(stacks[s].tokens, i), stacks[s].layer) for m, (s, i) in where.items())
 
     def logits(self, image: ImageInput, spec: SpectrogramInput) -> Tensor:
         """(1, 2) logits of one sample: a batch of one."""

@@ -11,14 +11,11 @@ from avfuse.autodiff import Tensor, count_macs
 from avfuse.backbone import AUDIO, VISUAL, FreezeRegistry, TokenSet
 from avfuse.costs import (
     REPORT_COLUMNS,
-    SchemeSpec,
-    bottleneck_params,
     count_params,
     fusion_macs_total,
     grouped_projection_params,
     mac_bottleneck,
     mac_fusion,
-    scheme_param_report,
 )
 from avfuse.fusion import adapter_forward, build_site, cma, compress_to_latents
 from avfuse.serialization import csv_text
@@ -48,8 +45,6 @@ class TestParamFormulas:
             p = init_bottleneck(width, rho, groups, 0, "chk")
             built = p.down_w.size + p.up_w.size
             assert built == grouped_projection_params(width, rho, groups)
-            with_bias = built + p.down_b.size + p.up_b.size
-            assert with_bias == bottleneck_params(width, rho, groups, bias=True)
 
     def test_divisibility_guard(self):
         with pytest.raises(ValueError):
@@ -62,6 +57,20 @@ class TestParamFormulas:
         model = TwoStreamModel(cfg, seed=0)
         # the head's (2*width, 2) weight and 2 biases are all that trains
         assert count_params(model.registry).trainable_total == 4 * cfg.width + 2
+
+    @pytest.mark.parametrize("use_latents, per_site", [(True, 362), (False, 297)], ids=["latent", "direct"])
+    def test_built_adapter_trainables_hand_count(self, use_latents, per_site):
+        from avfuse.model import ModelConfig, TwoStreamModel
+
+        # README config, bidirectional: 2 layers x 2 directions x 2
+        # attachments = 8 sites at width 32, m = 2, ratio 4, groups 2. One
+        # site: down_w 2 x 16 x 4 = 128, up_w 128, down_b 8, up_b 32, the
+        # fuse gate 1 (297), plus latents 2 x 32 = 64 and the compression
+        # gate 1 for a latent site (362)
+        cfg = ModelConfig(mode="bidirectional", use_latents=use_latents)
+        model = TwoStreamModel(cfg, seed=0)
+        head = 2 * 32 * 2 + 2
+        assert count_params(model.registry).trainable_total - head == 8 * per_site
 
     def test_count_params_from_registry(self):
         reg = FreezeRegistry()
@@ -164,45 +173,6 @@ class TestMacFormulas:
             mac_fusion(0, 5, 2, 8)
         with pytest.raises(ValueError):
             mac_fusion(5, 5, 2, 8, variant="other")
-
-
-class TestSchemes:
-    def test_latent_adapter_matches_built_model(self):
-        from avfuse.model import ModelConfig, TwoStreamModel
-
-        cfg = ModelConfig(mode="bidirectional")
-        model = TwoStreamModel(cfg, seed=0)
-        rep = count_params(model.registry)
-        head = 4 * cfg.width + 2
-        spec = SchemeSpec(
-            scheme="latent_adapter",
-            width=cfg.width,
-            layers=cfg.layers,
-            sites_per_layer=4,
-            latent_count=cfg.latent_count,
-            ratio=cfg.ratio,
-            groups=cfg.groups,
-        )
-        assert scheme_param_report(spec).trainable_total == rep.trainable_total - head
-
-    def test_direct_adapter_matches_built_model(self):
-        from avfuse.model import ModelConfig, TwoStreamModel
-
-        cfg = ModelConfig(mode="bidirectional", use_latents=False)
-        model = TwoStreamModel(cfg, seed=0)
-        head = 4 * cfg.width + 2
-        spec = SchemeSpec(
-            scheme="direct_adapter",
-            width=cfg.width,
-            layers=cfg.layers,
-            ratio=cfg.ratio,
-            groups=cfg.groups,
-        )
-        assert scheme_param_report(spec).trainable_total == count_params(model.registry).trainable_total - head
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            scheme_param_report(SchemeSpec(scheme="mystery", width=8, layers=1))
 
 
 class TestReportFormats:

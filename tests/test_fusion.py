@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from avfuse.autodiff import Rng, ShapeError, Tensor, backward
-from avfuse.backbone import AUDIO, VISUAL, FreezeRegistry, TokenSet, init_layer_weights
+from avfuse.autodiff import Rng, ShapeError, Tensor, backward, stack, take
+from avfuse.backbone import AUDIO, BOTH, VISUAL, FreezeRegistry, TokenSet, init_layer_weights
 from avfuse.fusion import (
     ATTACHMENTS,
     DIRECTIONS,
@@ -18,9 +18,9 @@ from avfuse.fusion import (
     build_site,
     cma,
     compress_to_latents,
-    dual_layer_forward,
     fuse_with_latents,
     init_bottleneck,
+    layer_forward,
 )
 
 from helpers import block_diag_from_grouped, loop_matmul, mean_all, mul, scalar_cma, scalar_gelu
@@ -276,6 +276,14 @@ class TestSites:
             build_layer_sites(0, 8, 2, 2, 2, 0, "sideways", use_latents=use_latents)
 
 
+def layer_apart(xa, xv, w, sites):
+    """``layer_forward`` with each stream in a stack of its own, as unequal
+    token counts run; returns the (audio, visual) token sets."""
+    stacks = [TokenSet(BOTH, stack([x.tokens]), x.layer) for x in (xa, xv)]
+    za, zv = layer_forward(stacks, {AUDIO: (0, 0), VISUAL: (1, 0)}, w, sites)
+    return TokenSet(AUDIO, take(za.tokens, 0), za.layer), TokenSet(VISUAL, take(zv.tokens, 0), zv.layer)
+
+
 class TestDualLayer:
     def _streams(self, seed, width=8, na=5, nv=4):
         r = np.random.default_rng(seed)
@@ -290,7 +298,7 @@ class TestDualLayer:
         w = init_layer_weights(8, 2, 0, "L0")
         xa, xv = self._streams(12)
         sites = build_layer_sites(0, 8, 2, 2, 2, 0, "none")
-        ya, yv = dual_layer_forward(xa, xv, w, sites)
+        ya, yv = layer_apart(xa, xv, w, sites)
         assert ya.layer == 1 and yv.layer == 1
         for x, y in ((xa, ya), (xv, yv)):
             mid = add(x.tokens, mha(x, w))
@@ -306,9 +314,9 @@ class TestDualLayer:
         r = np.random.default_rng(18)
         for s in sites.values():
             s.neck.up_w.data = r.standard_normal(s.neck.up_w.shape) * 0.1
-        ya_adapted, yv_adapted = dual_layer_forward(xa, xv, w, sites)
+        ya_adapted, yv_adapted = layer_apart(xa, xv, w, sites)
         plain = build_layer_sites(0, 8, 2, 2, 2, 11, "none")
-        ya_plain, yv_plain = dual_layer_forward(xa, xv, w, plain)
+        ya_plain, yv_plain = layer_apart(xa, xv, w, plain)
         np.testing.assert_array_equal(ya_adapted.tokens.data, ya_plain.tokens.data)
         assert not np.array_equal(yv_adapted.tokens.data, yv_plain.tokens.data)
 
@@ -320,11 +328,17 @@ class TestDualLayer:
         w = init_layer_weights(8, 2, 0, "L")
         xa, xv = self._streams(14)
         sites = build_layer_sites(0, 8, 2, 2, 2, 0, "none")
-        with pytest.raises(ValueError):
-            dual_layer_forward(xv, xa, w, sites)
-        late = TokenSet(AUDIO, xa.tokens, layer=1)
-        with pytest.raises(ValueError):
-            dual_layer_forward(late, xv, w, sites)
+        where = {AUDIO: (0, 0), VISUAL: (1, 0)}
+        # unstacked token sets
+        with pytest.raises(ValueError, match="stacks at one layer"):
+            layer_forward([xa, xv], where, w, sites)
+        stacks = [TokenSet(BOTH, stack([x.tokens])) for x in (xa, xv)]
+        for bad in ({AUDIO: (0, 0)}, {AUDIO: (0, 0), VISUAL: (0, 0)}, {AUDIO: (0, 0), "speech": (1, 0)}):
+            with pytest.raises(ValueError, match="per modality"):
+                layer_forward(stacks, bad, w, sites)
+        late = TokenSet(BOTH, stacks[0].tokens, layer=1)
+        with pytest.raises(ValueError, match="stacks at one layer"):
+            layer_forward([late, stacks[1]], where, w, sites)
 
     def test_bidirectional_reads_consistent_states(self):
         # order independence: swapping which direction is computed first
@@ -336,7 +350,7 @@ class TestDualLayer:
         r = np.random.default_rng(16)
         for s in sites.values():
             s.neck.up_w.data = r.standard_normal(s.neck.up_w.shape) * 0.05
-        ya, yv = dual_layer_forward(xa, xv, w, sites)
+        ya, yv = layer_apart(xa, xv, w, sites)
 
         from avfuse.autodiff import add
         from avfuse.backbone import mha, mlp

@@ -1,26 +1,29 @@
-"""Differential tests of the stacked path against the per-stream path.
+"""Differential tests of one stack of both streams against a stack per stream.
 
-A model whose two streams have the same token count carries them through
-the layers stacked: each frozen block and each attachment's sites run once
-for both streams. The per-stream path is the same model with
-``stacked = False``. Over 4 modes x {latent, direct}, at the README config
-and the train-wide benchmark config, one train step must give bitwise equal
-logits, gradients within 1e-12 and equal MAC and softmax tallies. The
-gradients cannot be bitwise equal: the contributions to a stream's tokens
-arrive in a different order when one node serves both streams. Then the
-routing pieces: the tape ops the stacked path adds and the ``Slots``
-operands of the adapter block ops."""
+``TwoStreamModel.forward`` carries the streams through the layers in stacks,
+one per token count, and one layer function runs them: with equal counts both
+streams share a stack, so each frozen block and each attachment's sites run
+once for both. The reference runs the same layer function with each stream in
+a stack of its own, as unequal counts run. Over 4 modes x {latent, direct}, at
+the README config and the train-wide benchmark config, one train step must
+give bitwise equal logits, gradients within 1e-12 and equal MAC and softmax
+tallies. The gradients cannot be bitwise equal: the contributions to a
+stream's tokens arrive in a different order when one node serves both
+streams. Then the routing pieces: the tape ops the stacks add and the
+``Slots`` operands of the adapter block ops."""
 import numpy as np
 import pytest
 
-from avfuse import fusion
+from avfuse import fusion, model as model_module
 from avfuse.autodiff import Slots, Tensor, add_rows, backward, count_macs, cross_entropy_logits, stack, take
 from avfuse.backbone import AUDIO, BOTH, VISUAL, TokenSet, init_layer_weights
-from avfuse.fusion import MODES, build_layer_sites, dual_layer_forward, stacked_layer_forward
-from avfuse.model import ModelConfig, TwoStreamModel
+from avfuse.fusion import MODES, build_layer_sites, layer_forward
+from avfuse.model import ModelConfig, TwoStreamModel, event_head
 from avfuse.tasks import generate_dataset
 
 from helpers import mul, sum_all
+
+APART = {AUDIO: (0, 0), VISUAL: (1, 0)}
 
 CONFIGS = {"readme": {}, "wide": dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4)}
 
@@ -29,12 +32,23 @@ def arr(seed, *shape):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-def train_step(model, batch):
+def logits_apart(model, pairs):
+    """``model.logits_batch`` with each stream in a stack of its own: the
+    path that unequal token counts take."""
+    xa, xv = model.tokenize([img for img, _ in pairs], [spec for _, spec in pairs])
+    stacks = [TokenSet(BOTH, stack([x.tokens])) for x in (xa, xv)]
+    for w, sites in zip(model.layers, model.sites):
+        stacks = layer_forward(stacks, APART, w, sites)
+    xa, xv = (TokenSet(m, take(x.tokens, 0), x.layer) for m, x in zip((AUDIO, VISUAL), stacks))
+    return event_head(xa, xv, model.head_weight, model.head_bias)
+
+
+def train_step(model, batch, logits_of):
     """Logits, every trainable's gradient, and the step's MAC and softmax
     tallies."""
     model.registry.zero_grad()
     with count_macs() as c:
-        logits = model.logits_batch([(s.image, s.spectrogram) for s in batch])
+        logits = logits_of([(s.image, s.spectrogram) for s in batch])
         backward(cross_entropy_logits(logits, np.array([s.label for s in batch])))
     return logits.data, {name: t.grad for name, t in model.registry.trainable()}, (c.macs, c.softmax_elems)
 
@@ -45,15 +59,13 @@ def train_step(model, batch):
 def test_stacked_step_matches_per_stream(name, mode, use_latents):
     cfg = ModelConfig(**CONFIGS[name], mode=mode, use_latents=use_latents)
     model = TwoStreamModel(cfg, seed=0)
-    assert model.stacked
     # move every trainable off its init, so every site term and gradient is live
     noise = np.random.default_rng(1)
     for _, t in model.registry.trainable():
         t.data = t.data + 0.1 * noise.standard_normal(t.shape)
     batch = generate_dataset(0, 8, 0.1, cfg.image_hw, cfg.spec_hw)
-    logits, grads, tallies = train_step(model, batch)
-    model.stacked = False
-    want_logits, want_grads, want_tallies = train_step(model, batch)
+    logits, grads, tallies = train_step(model, batch, model.logits_batch)
+    want_logits, want_grads, want_tallies = train_step(model, batch, lambda pairs: logits_apart(model, pairs))
     np.testing.assert_array_equal(logits, want_logits)
     assert tallies == want_tallies
     assert grads.keys() == want_grads.keys()
@@ -62,39 +74,48 @@ def test_stacked_step_matches_per_stream(name, mode, use_latents):
 
 
 def test_unequal_token_counts_take_the_per_stream_path(monkeypatch):
-    cfg = ModelConfig(spec_hw=(9, 6))  # 6 audio tokens against 4 visual ones
-    model = TwoStreamModel(cfg, seed=0)
-    assert not model.stacked
+    # one layer function for every token count: unequal counts give each
+    # stream a stack of its own, equal counts one stack of both
+    calls = []
 
-    def refuse(*args):
-        raise AssertionError("stacked path taken")
+    def spy(stacks, where, w, sites):
+        calls.append(([x.tokens.shape[:2] for x in stacks], dict(where)))
+        return layer_forward(stacks, where, w, sites)
 
-    monkeypatch.setattr("avfuse.model.stacked_layer_forward", refuse)
-    batch = generate_dataset(0, 4, 0.1, cfg.image_hw, cfg.spec_hw)
-    assert model.logits_batch([(s.image, s.spectrogram) for s in batch]).shape == (4, 2)
-    assert TwoStreamModel(ModelConfig(), seed=0).stacked
+    monkeypatch.setattr(model_module, "layer_forward", spy)
+    for spec_hw, shapes, where in (
+        ((9, 6), [(1, 4), (1, 4)], APART),  # 6 audio tokens against 4 visual ones
+        ((8, 8), [(2, 4)], {AUDIO: (0, 0), VISUAL: (0, 1)}),
+    ):
+        cfg = ModelConfig(spec_hw=spec_hw)
+        calls.clear()
+        batch = generate_dataset(0, 4, 0.1, cfg.image_hw, cfg.spec_hw)
+        logits = TwoStreamModel(cfg, seed=0).logits_batch([(s.image, s.spectrogram) for s in batch])
+        assert logits.shape == (4, 2)
+        assert calls == [(shapes, where)] * cfg.layers
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_stacked_layer_rows_are_the_dual_layer_outputs(mode):
-    # one layer at single-sample shapes: the stacked output's rows are the
-    # two streams' outputs bit for bit
+    # one layer at single-sample shapes: the rows of one stack of both
+    # streams are the two stacks' outputs, one stream each, bit for bit
     w = init_layer_weights(8, 2, 4, "L4")
-    xa, xv = TokenSet(AUDIO, Tensor(arr(1, 5, 8))), TokenSet(VISUAL, Tensor(arr(2, 5, 8)))
+    xa, xv = Tensor(arr(1, 5, 8)), Tensor(arr(2, 5, 8))
     sites = build_layer_sites(0, 8, 2, 2, 2, 3, mode)
     for s in sites.values():
         s.neck.up_w.data = 0.1 * arr(3, *s.neck.up_w.shape)
-    ya, yv = dual_layer_forward(xa, xv, w, sites)
-    y = stacked_layer_forward(TokenSet(BOTH, stack([xa.tokens, xv.tokens])), w, sites)
+    za, zv = layer_forward([TokenSet(BOTH, stack([x])) for x in (xa, xv)], APART, w, sites)
+    (y,) = layer_forward([TokenSet(BOTH, stack([xa, xv]))], {AUDIO: (0, 0), VISUAL: (0, 1)}, w, sites)
     assert y.modality == BOTH and y.layer == 1
-    np.testing.assert_array_equal(y.tokens.data, np.stack([ya.tokens.data, yv.tokens.data]))
-    with pytest.raises(ValueError, match="stacked token set"):
-        stacked_layer_forward(xa, w, sites)
+    np.testing.assert_array_equal(y.tokens.data, np.concatenate([za.tokens.data, zv.tokens.data]))
+    with pytest.raises(ValueError, match="stacks at one layer"):
+        layer_forward([TokenSet(AUDIO, xa)], {AUDIO: (0, 0), VISUAL: (0, 1)}, w, sites)
 
 
 def test_stacked_token_set_guard():
     TokenSet(BOTH, Tensor(np.zeros((2, 3, 4, 8))))
     TokenSet(BOTH, Tensor(np.zeros((2, 4, 8))))
+    TokenSet(BOTH, Tensor(np.zeros((1, 3, 4, 8))))
     for shape in ((3, 3, 4, 8), (2, 8), (2, 1, 3, 4, 8)):
         with pytest.raises(ValueError):
             TokenSet(BOTH, Tensor(np.zeros(shape)))

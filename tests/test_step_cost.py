@@ -1,6 +1,7 @@
 """Cost guard: the tape nodes and ``count_macs`` tallies of one train step
-(batched forward, cross-entropy, backward) at the README config and at the
-train-wide benchmark config, pinned to exact numbers. A change that adds
+(batched forward, cross-entropy, backward) at the README config, at the
+train-wide benchmark config and at unequal token counts, pinned to exact
+numbers. A change that adds
 nodes or arithmetic to a step has to update a number here on purpose.
 Counts only, no timing."""
 import numpy as np
@@ -14,6 +15,10 @@ from avfuse.tasks import generate_dataset
 PINNED = {
     "readme": ({}, 30, 1_836_032, 3_072),
     "train-wide": (dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4), 30, 467_668_992, 557_056),
+    # 6 audio tokens against 4 visual ones: a stack per stream, so every
+    # frozen block and site runs per stream, and both final takes carry a
+    # gradient
+    "unequal": (dict(spec_hw=(12, 8)), 52, 2_307_072, 4_608),
 }
 
 
