@@ -23,24 +23,27 @@ take any further leading axes, such as both streams stacked.
 
 Three layers:
 
-- tape ops (``add``, ``add_rows``, ``matmul``, ``reshape``, ``stack``,
-  ``take``, ``concat_cols``, ``mean_rows``, ``cross_entropy_logits``)
+- tape ops (``add``, ``matmul``, ``stack``, ``cross_entropy_logits``)
   record one node each;
 - kernels (``linear_fwd``, ``layer_norm_fwd``/``_bwd``, ``gelu_fwd``,
   ``relu_fwd``, ``attention_fwd``/``_bwd``, ``grouped_linear_fwd``/``_bwd``)
   are plain numpy and record nothing; an activation's forward returns its
   derivative, so its backward is one product with the output gradient;
 - block ops (``frozen_attention``, ``frozen_mlp``, ``gated_attention``,
-  ``grouped_bottleneck``) run a chain of kernels as one node whose closure
-  saves only what its gradients need. A frozen block returns only the input
-  gradient and refuses weights that require one. The adapter block ops run
-  one direction, or several at once over a leading direction axis: their
-  operands are then ``Slots``, which stack each direction's parameter or
-  pick each direction's rows of a stacked tensor, and route each
-  direction's gradient back to its own tensor.
+  ``grouped_bottleneck``, ``residual``, ``pooled_linear``) run a chain of
+  kernels or sums as one node whose closure saves only what its gradients
+  need. A frozen block returns only the input gradient and refuses weights
+  that require one. The adapter block ops run one direction, or several at
+  once over a leading direction axis: their operands are then ``Slots``,
+  which stack each direction's parameter or pick each direction's rows of a
+  stacked tensor, and route each direction's gradient back to its own
+  tensor. ``residual`` sums a layer half's residual and cross term, and
+  ``pooled_linear`` is the event head, reading the streams as ``Slots``
+  rows of their stacks.
 
 The single-op tape versions of layer norm, GELU, ReLU, attention, grouped
-linear, ``mul`` and ``scale`` have no caller here; they live in the tests'
+linear, ``mul``, ``scale``, ``take``, ``add_rows``, ``mean_rows``,
+``concat_cols`` and ``reshape`` have no caller here; they live in the tests'
 helpers, built on these kernels, as the oracle the block ops are checked
 against, beside the GELU and ReLU backward kernels the activation forwards
 replaced.
@@ -313,65 +316,6 @@ def matmul(a, b, bias=None) -> Tensor:
     return out
 
 
-def reshape(x, shape: tuple[int, ...]) -> Tensor:
-    """The same values in a new shape of equal size."""
-    x = _as_tensor(x)
-    shape = tuple(shape)
-    if int(np.prod(shape)) != x.size:
-        raise ShapeError(f"reshape: cannot reshape {x.shape} to {shape}")
-    out = Tensor._node(x.data.reshape(shape), (x,))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            _accum(x, g.reshape(x.shape))
-        out._backward = _bw
-    return out
-
-
-def _concat(parts: Iterable, axis: int) -> Tensor:
-    """Join tensors of one rank (2 or more) along ``axis``, -2 for rows or
-    -1 for columns; every other axis must agree."""
-    ts = [_as_tensor(p) for p in parts]
-    if not ts:
-        raise ShapeError("concat: need at least one tensor")
-    rank = ts[0].ndim
-    for t in ts:
-        if t.ndim < 2 or t.ndim != rank:
-            raise ShapeError(f"concat: need tensors of one rank >= 2, got shape {t.shape}")
-    other = [i for i in range(rank) if i != rank + axis]
-    for t in ts[1:]:
-        if any(t.shape[i] != ts[0].shape[i] for i in other):
-            raise ShapeError(f"concat: shapes {ts[0].shape} and {t.shape} disagree off axis {axis}")
-    out = Tensor._node(np.concatenate([t.data for t in ts], axis=axis), ts)
-    if out.requires_grad:
-        offsets = np.cumsum([t.shape[axis] for t in ts])[:-1]
-        def _bw(g: np.ndarray) -> None:
-            for t, piece in zip(ts, np.split(g, offsets, axis=axis)):
-                if t.requires_grad:
-                    _accum(t, np.ascontiguousarray(piece))
-        out._backward = _bw
-    return out
-
-
-def concat_cols(parts) -> Tensor:
-    """Stack tensors along their column axis (-1)."""
-    return _concat(parts, axis=-1)
-
-
-def mean_rows(x) -> Tensor:
-    """Mean over the row axis (-2), kept as one row: ``(..., N, D)`` gives
-    ``(..., 1, D)``."""
-    x = _as_tensor(x)
-    if x.ndim < 2 or x.shape[-2] < 1:
-        raise ShapeError(f"mean_rows: need a tensor with at least one row, got shape {x.shape}")
-    p = x.shape[-2]
-    out = Tensor._node(x.data.mean(axis=-2, keepdims=True), (x,))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            _accum(x, np.broadcast_to(g / p, x.shape).copy())
-        out._backward = _bw
-    return out
-
-
 def stack(parts) -> Tensor:
     """Tensors of one shape stacked along a new leading axis."""
     ts = [_as_tensor(p) for p in parts]
@@ -383,45 +327,6 @@ def stack(parts) -> Tensor:
             for t, piece in zip(ts, g):
                 if t.requires_grad:
                     _accum(t, piece)
-        out._backward = _bw
-    return out
-
-
-def take(x, row: int) -> Tensor:
-    """Leading row ``row`` of ``x``, a view."""
-    x = _as_tensor(x)
-    if x.ndim < 1 or not 0 <= row < x.shape[0]:
-        raise ShapeError(f"take: row {row} out of range for shape {x.shape}")
-    out = Tensor._node(x.data[row], (x,))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            _accum(x, _place_rows(g[None], (row,), x.shape[0]))
-        out._backward = _bw
-    return out
-
-
-def add_rows(a, b, rows: Sequence[int]) -> Tensor:
-    """``a`` with leading row i of ``b`` added into its row ``rows[i]``; the
-    rows ``rows`` leaves out stay ``a``'s."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    rows = tuple(rows)
-    if a.ndim < 1 or b.shape != (len(rows),) + a.shape[1:] or len(set(rows)) != len(rows) \
-            or not all(0 <= r < a.shape[0] for r in rows):
-        raise ShapeError(f"add_rows: rows {rows} of {a.shape} do not fit shape {b.shape}")
-    index = _row_index(rows)
-    if len(rows) == a.shape[0]:
-        data = a.data + b.data[index]
-    else:
-        data = a.data.copy()
-        data[index] += b.data
-    out = Tensor._node(data, (a, b))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            if a.requires_grad:
-                _accum(a, g)
-            if b.requires_grad:
-                _accum(b, g[index])
         out._backward = _bw
     return out
 
@@ -896,6 +801,63 @@ def grouped_bottleneck(x, down_w, down_b, up_w, up_b, act: str) -> Tensor:
             for s, grad in grads:
                 if grad is not None:
                     s.route(grad)
+        out._backward = _bw
+    return out
+
+
+def residual(x: Tensor, f: Tensor, term: Tensor | None = None, rows: Sequence[int] = ()) -> Tensor:
+    """``x + f``, a sub-step's output ``f`` added to its input, then leading
+    row i of ``term`` added into row ``rows[i]``, in that order; the rows
+    ``rows`` leaves out stay ``x + f``."""
+    rows = tuple(rows)
+    if f.shape != x.shape or term is not None and (
+            term.shape != (len(rows),) + x.shape[1:] or len(set(rows)) != len(rows)
+            or not all(0 <= r < x.shape[0] for r in rows)):
+        raise ShapeError(
+            f"residual: {x.shape} + {f.shape} with rows {rows} of {None if term is None else term.shape} do not fit"
+        )
+    y = x.data + f.data
+    if term is not None:
+        index = _row_index(rows)
+        y[index] += term.data
+    out = Tensor._node(y, (x, f) if term is None else (x, f, term))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            for t in (x, f):
+                if t.requires_grad:
+                    _accum(t, g)
+            if term is not None and term.requires_grad:
+                _accum(term, g[index])
+        out._backward = _bw
+    return out
+
+
+def pooled_linear(parts: Sequence[Slots], weight: Tensor, bias: Tensor) -> Tensor:
+    """Each part's rows mean-pooled, the means joined along columns in the
+    order of ``parts``, then mapped by ``weight`` plus ``bias``: ``(B, R)``.
+
+    Each part is a Slots of one slot, ``(B, N, D)``, and may be a row of a
+    stacked tensor. The pooled rows stay ``(B, 1, sum D)`` through the
+    product, so each output row comes from the same one-row product as when
+    its sample runs alone, bit for bit."""
+    pooled = np.concatenate([s.data[0].mean(axis=-2, keepdims=True) for s in parts], axis=-1)
+    y = linear_fwd(pooled, weight.data, bias.data)
+    out = Tensor._node(y.reshape(y.shape[0], y.shape[-1]), _slot_parents(parts) + (weight, bias))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            g = g.reshape(y.shape)
+            if weight.requires_grad:
+                _accum(weight, pooled.reshape(-1, pooled.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            if bias.requires_grad:
+                _accum(bias, _reduce_to(g, bias.shape))
+            if any(s.requires_grad for s in parts):
+                dpooled = g @ weight.data.T
+                lo = 0
+                for s in parts:
+                    n, d = s.shape[-2:]
+                    if s.requires_grad:
+                        s.route(np.broadcast_to(dpooled[..., lo:lo + d] / n, s.shape).copy())
+                    lo += d
         out._backward = _bw
     return out
 

@@ -142,11 +142,11 @@ def spectrogram_embed(
     """Tokenize a list of spectrograms as one batch with the image projection.
 
     The single channel is replicated to three so the shared ``proj``
-    applies; the time/freq grid is zero-padded up to patch multiples first,
-    giving ceil(time/patch) * ceil(freq/patch) tokens per spectrogram.
+    applies; each time/freq grid is zero-padded up to patch multiples first,
+    giving ceil(time/patch) * ceil(freq/patch) tokens per spectrogram, so
+    spectrograms of different shapes that pad to one grid share a batch.
     """
-    values = np.stack([s.values for s in specs])
-    padded = pad_to_multiple(values, patch)
+    padded = np.stack([pad_to_multiple(s.values, patch) for s in specs])
     three = np.repeat(padded[..., None], 3, axis=-1)
     tokens = matmul(Tensor(unfold_patches(three, patch)), proj)
     if pos is not None:

@@ -37,10 +37,9 @@ from .autodiff import (
     ShapeError,
     Slots,
     Tensor,
-    add,
-    add_rows,
     gated_attention,
     grouped_bottleneck,
+    residual,
 )
 from .backbone import AUDIO, BOTH, STACK_ORDER, VISUAL, FreezeRegistry, FrozenLayerWeights, TokenSet, mha, mlp
 
@@ -65,11 +64,6 @@ def _stacked(*operands) -> bool:
     """Whether a call runs Slots over a direction axis, so that every shape
     check reads one direction's shape, ``shape[1:]``."""
     return any(isinstance(x, Slots) for x in operands)
-
-
-def _tokens(x):
-    """A token set's tokens, or a stacked call's Slots of token rows."""
-    return x.tokens if isinstance(x, TokenSet) else x
 
 
 def cma(query, key, value, gate):
@@ -102,16 +96,16 @@ def cma(query, key, value, gate):
 
 
 def compress_to_latents(latents, source, gate) -> Tensor:
-    """Summarize a token set into the (m, width) latent slots via gated
+    """Summarize source tokens into the (m, width) latent slots via gated
     cross-attention. Output has one row per latent regardless of source
     length."""
-    return cma(latents, _tokens(source), _tokens(source), gate)
+    return cma(latents, source, source, gate)
 
 
 def fuse_with_latents(target, summary: Tensor, gate) -> Tensor:
     """Let the target tokens attend to a compressed summary; row count and
     width of the target are preserved."""
-    return cma(_tokens(target), summary, summary, gate)
+    return cma(target, summary, summary, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +298,16 @@ def adapter_forward(source, target, site) -> Tensor:
     Latent sites run compress -> fuse -> bottleneck; direct sites attend to
     the source tokens themselves before the same bottleneck. The result has
     the target's shape and is exactly zero while the up projection is zero.
-    ``site`` is one AdapterSite reading source and target token sets, or a
-    SiteStack reading Slots of token rows, one slot per site.
+    ``site`` is a SiteStack and ``source`` and ``target`` are Slots of token
+    rows, one slot per site.
     """
-    if isinstance(site, AdapterSite):
-        if source.modality != site.source_modality or target.modality != site.target_modality:
-            raise ValueError(
-                f"adapter_forward: site {site.direction!r} cannot take source={source.modality!r}, "
-                f"target={target.modality!r}"
-            )
-        if source.width != target.width:
-            raise ShapeError(f"adapter_forward: stream widths differ: {source.width} vs {target.width}")
-    elif not source.shape[0] == target.shape[0] == site.gate_fuse.shape[0]:
+    if not source.shape[0] == target.shape[0] == site.gate_fuse.shape[0]:
         raise ShapeError("adapter_forward: source, target and sites disagree on the number of directions")
     if site.latents is not None:
         summary = compress_to_latents(site.latents, source, site.gate_compress)
         fused = fuse_with_latents(target, summary, site.gate_fuse)
     else:
-        fused = cma(_tokens(target), _tokens(source), _tokens(source), site.gate_fuse)
+        fused = cma(target, source, source, site.gate_fuse)
     return bottleneck(fused, site.neck)
 
 
@@ -362,10 +348,11 @@ def layer_forward(
     modality to its (stack, row). Each frozen block runs once per stack. At
     one attachment, the sites whose sources share a stack and whose targets
     share a stack run as one ``adapter_forward`` call over rows of those
-    stacks, and its term adds into the target rows. Both attention-side terms
-    read the pre-update states, and both MLP-side terms read the
-    post-attention ones; neither stream ever sees the other's half-updated
-    state.
+    stacks. Each stack's half step is one ``residual`` node: the block's
+    output added to its input, then the term into the target rows, if the
+    stack is a target. Both attention-side terms read the pre-update states,
+    and both MLP-side terms read the post-attention ones; neither stream
+    ever sees the other's half-updated state.
     """
     layer = stacks[0].layer
     if any(x.modality != BOTH or x.layer != layer for x in stacks):
@@ -378,15 +365,13 @@ def layer_forward(
         present = (s for s in (sites.get(f"{d}_{attachment}") for d in DIRECTIONS) if s is not None)
         for site in sorted(present, key=lambda s: where[s.target_modality]):
             groups.setdefault((where[site.source_modality][0], where[site.target_modality][0]), []).append(site)
-        terms = []
+        # each stack is the target of one group at most
+        terms = {}
         for (src, dst), group in groups.items():
             rows = [where[s.target_modality][1] for s in group]
             source = Slots.rows(xs[src], [where[s.source_modality][1] for s in group])
-            terms.append((dst, adapter_forward(source, Slots.rows(xs[dst], rows), SiteStack.of(group)), rows))
-        ys = [add(x, block(TokenSet(BOTH, x, layer), w)) for x in xs]
-        for dst, term, rows in terms:
-            ys[dst] = add_rows(ys[dst], term, rows)
-        return ys
+            terms[dst] = (adapter_forward(source, Slots.rows(xs[dst], rows), SiteStack.of(group)), rows)
+        return [residual(x, block(TokenSet(BOTH, x, layer), w), *terms.get(i, ())) for i, x in enumerate(xs)]
 
     zs = half(half([x.tokens for x in stacks], mha, "mha"), mlp, "mlp")
     return [TokenSet(BOTH, z, layer + 1) for z in zs]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .autodiff import ACTIVATIONS, Rng, ShapeError, Tensor, concat_cols, matmul, mean_rows, reshape, stack, take
+from .autodiff import ACTIVATIONS, Rng, ShapeError, Slots, Tensor, pooled_linear, stack
 from .backbone import (
     BOTH,
     STACK_ORDER,
@@ -98,21 +98,21 @@ class ModelConfig:
         return g[0] * g[1]
 
 
-def event_head(xa: TokenSet, xv: TokenSet, weight: Tensor, bias: Tensor) -> Tensor:
-    """Mean-pool each stream of a (B, N, width) batch, concatenate, and map
-    linearly to (B, 2) logits.
+def event_head(stacks: list[TokenSet], where: dict[str, tuple[int, int]], weight: Tensor, bias: Tensor) -> Tensor:
+    """Mean-pool each stream of the final (streams, B, N, width) stacks,
+    concatenate in ``STACK_ORDER``, and map linearly to (B, 2) logits, as
+    one node that reads each stream's rows of its stack (``where`` maps a
+    modality to its (stack, row)).
 
-    The pooled rows stay (B, 1, 2*width) through the head matmul, so each
+    The pooled rows stay (B, 1, 2*width) through the head product, so each
     sample's logits come from the same one-row product as when it is scored
     alone, bit for bit.
     """
-    if xa.width != xv.width:
-        raise ShapeError(f"event_head: stream widths differ: {xa.width} vs {xv.width}")
-    pooled = concat_cols([mean_rows(xa.tokens), mean_rows(xv.tokens)])
-    if weight.shape != (2 * xa.width, 2):
-        raise ShapeError(f"event_head: weight shape {weight.shape} does not match pooled width {2 * xa.width}")
-    logits = matmul(pooled, weight, bias)
-    return reshape(logits, (logits.shape[0], 2))
+    streams = [Slots.rows(stacks[s].tokens, (i,)) for s, i in (where[m] for m in STACK_ORDER)]
+    pooled = sum(x.shape[-1] for x in streams)
+    if weight.shape != (pooled, 2):
+        raise ShapeError(f"event_head: weight shape {weight.shape} does not match pooled width {pooled}")
+    return pooled_linear(streams, weight, bias)
 
 
 class TwoStreamModel:
@@ -122,7 +122,8 @@ class TwoStreamModel:
     ``forward`` carries the streams through the layers in stacks, one per
     token count: with equal counts both streams share one stack, so each
     frozen block and each attachment's sites run once for both; otherwise
-    each stream has a stack of its own. One layer function serves both.
+    each stream has a stack of its own. One layer function serves both, and
+    the streams stay stacked up to the head.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int):
@@ -199,8 +200,11 @@ class TwoStreamModel:
         xa = spectrogram_embed(specs, cfg.patch, self.patch_proj, self._pos_audio)
         return xa, xv
 
-    def forward(self, images: list[ImageInput], specs: list[SpectrogramInput]) -> tuple[TokenSet, TokenSet]:
-        """Both streams after the last layer; inputs as in ``tokenize``."""
+    def forward(
+        self, images: list[ImageInput], specs: list[SpectrogramInput]
+    ) -> tuple[list[TokenSet], dict[str, tuple[int, int]]]:
+        """The stacks after the last layer and the map from each modality to
+        its (stack, row); inputs as in ``tokenize``."""
         streams = {x.modality: x.tokens for x in self.tokenize(images, specs)}
         # the streams of one token count share a stack, in STACK_ORDER
         groups: dict[int, list[str]] = {}
@@ -211,7 +215,7 @@ class TwoStreamModel:
         del streams  # stacked into copies
         for w, sites in zip(self.layers, self.sites):
             stacks = layer_forward(stacks, where, w, sites)
-        return tuple(TokenSet(m, take(stacks[s].tokens, i), stacks[s].layer) for m, (s, i) in where.items())
+        return stacks, where
 
     def logits(self, image: ImageInput, spec: SpectrogramInput) -> Tensor:
         """(1, 2) logits of one sample: a batch of one."""
@@ -220,8 +224,8 @@ class TwoStreamModel:
     def logits_batch(self, pairs) -> Tensor:
         """(B, 2) logits of a list of (image, spectrogram) pairs from one
         batched forward; row i equals ``logits(*pairs[i])`` bit for bit."""
-        xa, xv = self.forward([img for img, _ in pairs], [spec for _, spec in pairs])
-        return event_head(xa, xv, self.head_weight, self.head_bias)
+        stacks, where = self.forward([img for img, _ in pairs], [spec for _, spec in pairs])
+        return event_head(stacks, where, self.head_weight, self.head_bias)
 
     # -- persistence --------------------------------------------------------
 

@@ -21,6 +21,12 @@ the library chained them before (``chain_mha``, ``chain_mlp``,
 bit for bit; ``slotwise`` runs a chain one direction at a time over the
 direction-axis operands of a stacked call.
 
+The tape ops ``take``, ``add_rows``, ``mean_rows``, ``concat_cols`` (with
+``_concat``) and ``reshape`` live here too: the library ran them only in the
+chains its ``residual`` and ``pooled_linear`` block ops replaced.
+``chain_residual`` and ``chain_head`` chain them as the library did, the
+oracle those block ops must match bit for bit.
+
 ``LoopAdam`` is the per-tensor Adam the optimizer ran before it kept every
 trainable value in one flat vector: the oracle the flat update must match
 bit for bit.
@@ -41,31 +47,32 @@ from avfuse.autodiff import (
     GELU_C1,
     LAYER_NORM_EPS,
     ShapeError,
+    Slots,
     Tensor,
     _BLOCK,
     _accum,
     _as_slots,
     _as_tensor,
     _blocks,
-    _concat,
     _needs_grad,
+    _place_rows,
     _reduce_to,
+    _row_index,
     _slot_parents,
     _tally_softmax,
     add,
     attention_bwd,
     attention_fwd,
     backward,
-    concat_cols,
     gelu_fwd,
     grouped_linear_bwd,
     grouped_linear_fwd,
     layer_norm_bwd,
     layer_norm_fwd,
     matmul,
-    mean_rows,
     relu_fwd,
 )
+from avfuse.fusion import SiteStack, adapter_forward
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +282,134 @@ def stacked_chain_bottleneck(x, params) -> Tensor:
         return chain_bottleneck(x, type(params)(down_w, up_w, params.act, down_b, up_b))
 
     return slotwise(one, x, params.down_w, params.down_b, params.up_w, params.up_b)
+
+
+# ---------------------------------------------------------------------------
+# the tape ops the residual and head block ops replaced
+# ---------------------------------------------------------------------------
+
+
+def reshape(x, shape: tuple[int, ...]) -> Tensor:
+    """The same values in a new shape of equal size."""
+    x = _as_tensor(x)
+    shape = tuple(shape)
+    if int(np.prod(shape)) != x.size:
+        raise ShapeError(f"reshape: cannot reshape {x.shape} to {shape}")
+    out = Tensor._node(x.data.reshape(shape), (x,))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            _accum(x, g.reshape(x.shape))
+        out._backward = _bw
+    return out
+
+
+def _concat(parts, axis: int) -> Tensor:
+    """Join tensors of one rank (2 or more) along ``axis``, -2 for rows or
+    -1 for columns; every other axis must agree."""
+    ts = [_as_tensor(p) for p in parts]
+    if not ts:
+        raise ShapeError("concat: need at least one tensor")
+    rank = ts[0].ndim
+    for t in ts:
+        if t.ndim < 2 or t.ndim != rank:
+            raise ShapeError(f"concat: need tensors of one rank >= 2, got shape {t.shape}")
+    other = [i for i in range(rank) if i != rank + axis]
+    for t in ts[1:]:
+        if any(t.shape[i] != ts[0].shape[i] for i in other):
+            raise ShapeError(f"concat: shapes {ts[0].shape} and {t.shape} disagree off axis {axis}")
+    out = Tensor._node(np.concatenate([t.data for t in ts], axis=axis), ts)
+    if out.requires_grad:
+        offsets = np.cumsum([t.shape[axis] for t in ts])[:-1]
+        def _bw(g: np.ndarray) -> None:
+            for t, piece in zip(ts, np.split(g, offsets, axis=axis)):
+                if t.requires_grad:
+                    _accum(t, np.ascontiguousarray(piece))
+        out._backward = _bw
+    return out
+
+
+def concat_cols(parts) -> Tensor:
+    """Stack tensors along their column axis (-1)."""
+    return _concat(parts, axis=-1)
+
+
+def mean_rows(x) -> Tensor:
+    """Mean over the row axis (-2), kept as one row: ``(..., N, D)`` gives
+    ``(..., 1, D)``."""
+    x = _as_tensor(x)
+    if x.ndim < 2 or x.shape[-2] < 1:
+        raise ShapeError(f"mean_rows: need a tensor with at least one row, got shape {x.shape}")
+    p = x.shape[-2]
+    out = Tensor._node(x.data.mean(axis=-2, keepdims=True), (x,))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            _accum(x, np.broadcast_to(g / p, x.shape).copy())
+        out._backward = _bw
+    return out
+
+
+def take(x, row: int) -> Tensor:
+    """Leading row ``row`` of ``x``, a view."""
+    x = _as_tensor(x)
+    if x.ndim < 1 or not 0 <= row < x.shape[0]:
+        raise ShapeError(f"take: row {row} out of range for shape {x.shape}")
+    out = Tensor._node(x.data[row], (x,))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            _accum(x, _place_rows(g[None], (row,), x.shape[0]))
+        out._backward = _bw
+    return out
+
+
+def add_rows(a, b, rows) -> Tensor:
+    """``a`` with leading row i of ``b`` added into its row ``rows[i]``; the
+    rows ``rows`` leaves out stay ``a``'s."""
+    a = _as_tensor(a)
+    b = _as_tensor(b)
+    rows = tuple(rows)
+    if a.ndim < 1 or b.shape != (len(rows),) + a.shape[1:] or len(set(rows)) != len(rows) \
+            or not all(0 <= r < a.shape[0] for r in rows):
+        raise ShapeError(f"add_rows: rows {rows} of {a.shape} do not fit shape {b.shape}")
+    index = _row_index(rows)
+    if len(rows) == a.shape[0]:
+        data = a.data + b.data[index]
+    else:
+        data = a.data.copy()
+        data[index] += b.data
+    out = Tensor._node(data, (a, b))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            if a.requires_grad:
+                _accum(a, g)
+            if b.requires_grad:
+                _accum(b, g[index])
+        out._backward = _bw
+    return out
+
+
+def chain_residual(x: Tensor, f: Tensor, term: Tensor | None = None, rows=()) -> Tensor:
+    """``autodiff.residual`` as single ops: the sum, then the term into its
+    rows."""
+    y = add(x, f)
+    return y if term is None else add_rows(y, term, rows)
+
+
+def chain_head(parts, weight: Tensor, bias: Tensor) -> Tensor:
+    """``autodiff.pooled_linear`` as single ops: each part's row taken from
+    its stack, pooled, the pools joined, then the biased product and the
+    reshape to ``(B, R)``."""
+    pooled = concat_cols([mean_rows(take(s.tensors[0], s.picked[0])) for s in parts])
+    logits = matmul(pooled, weight, bias)
+    return reshape(logits, (logits.shape[0], logits.shape[-1]))
+
+
+def site_term(site, source: np.ndarray, target: np.ndarray) -> Tensor:
+    """One adapter site's term for one stream's tokens, called as
+    ``fusion.layer_forward`` calls ``adapter_forward``: a ``SiteStack`` of
+    the site over ``Slots`` rows, here each operand in a stack of its own.
+    The term comes back without the direction axis, as a new leaf."""
+    rows = [Slots.rows(Tensor(x[None]), (0,)) for x in (source, target)]
+    return Tensor(adapter_forward(*rows, SiteStack.of([site])).data[0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,9 @@ from avfuse.autodiff import (
 )
 from avfuse.autodiff import (
     add,
-    concat_cols,
     cross_entropy_logits,
     matmul,
-    mean_rows,
     no_grad,
-    reshape,
 )
 
 from helpers import (
@@ -30,8 +27,11 @@ from helpers import (
     relu,
     scale,
     cols,
+    concat_cols,
     concat_rows,
     mean_all,
+    mean_rows,
+    reshape,
     sum_all,
     softmax_rows,
     transpose,

@@ -73,3 +73,17 @@ def test_identity_at_init_stays_bitwise(mode, use_latents):
     got = adapted.logits_batch(pairs).data
     np.testing.assert_array_equal(got, frozen.logits_batch(pairs).data)
     np.testing.assert_array_equal(got, oracle_logits_batch(frozen, pairs).data)
+
+
+def test_mixed_spectrogram_shapes_score_as_alone():
+    # (8, 8) and (7, 8) both pad to a 2 x 2 patch grid at patch 4, so they
+    # share a batch; each row must be the sample scored alone
+    cfg = ModelConfig()
+    model = TwoStreamModel(cfg, seed=3)
+    perturb(model, 8)
+    r = Rng.for_name(13, "batched.mixed")
+    pairs = [(ImageInput(r.uniform(cfg.image_hw + (3,))), SpectrogramInput(r.normal(shape)))
+             for shape in ((8, 8), (7, 8), (7, 8), (8, 8))]
+    logits = model.logits_batch(pairs).data
+    for row, pair in zip(logits, pairs):
+        np.testing.assert_array_equal(row, model.logits(*pair).data[0])

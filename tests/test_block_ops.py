@@ -1,18 +1,30 @@
 """Differential tests of the block ops against the single-op chains they
-replaced (``helpers.chain_mha``, ``chain_mlp``, ``chain_cma`` and
-``chain_bottleneck``): output and every gradient bit for bit, at the README
-shapes, the train-wide benchmark shapes and odd ones (2 heads, unequal
-stream lengths, ReLU, no bias, a 2-D latent query broadcast over the
-batch), with partial ``requires_grad`` patterns; then one whole train step
-of the model against the same step run through the chains, the adapter
-chains in their stacked form (``helpers.slotwise``: each direction's chain
-on its own, the gradients routed as the block ops route theirs), so the
-stacked block ops are checked bit for bit inside the stacked graph."""
+replaced (``helpers.chain_mha``, ``chain_mlp``, ``chain_cma``,
+``chain_bottleneck``, ``chain_residual`` and ``chain_head``): output and
+every gradient bit for bit, at the README shapes, the train-wide benchmark
+shapes and odd ones (2 heads, unequal stream lengths, ReLU, no bias, a 2-D
+latent query broadcast over the batch), with partial ``requires_grad``
+patterns; then one whole train step of the model against the same step run
+through the chains, the adapter chains in their stacked form
+(``helpers.slotwise``: each direction's chain on its own, the gradients
+routed as the block ops route theirs), so the stacked block ops are checked
+bit for bit inside the stacked graph."""
 import numpy as np
 import pytest
 
-from avfuse import fusion
-from avfuse.autodiff import GraphError, Tensor, backward, count_macs, cross_entropy_logits, no_grad
+from avfuse import fusion, model as model_module
+from avfuse.autodiff import (
+    GraphError,
+    ShapeError,
+    Slots,
+    Tensor,
+    backward,
+    count_macs,
+    cross_entropy_logits,
+    no_grad,
+    pooled_linear,
+    residual,
+)
 from avfuse.backbone import VISUAL, TokenSet, init_layer_weights, mha, mlp
 from avfuse.fusion import bottleneck, cma, init_bottleneck
 from avfuse.model import ModelConfig, TwoStreamModel
@@ -21,8 +33,10 @@ from avfuse.tasks import generate_dataset
 from helpers import (
     chain_bottleneck,
     chain_cma,
+    chain_head,
     chain_mha,
     chain_mlp,
+    chain_residual,
     mul,
     stacked_chain_bottleneck,
     stacked_chain_cma,
@@ -192,6 +206,57 @@ def test_frozen_mlp_refuses_a_trainable_weight(field):
         mlp(x, w)
 
 
+# the rows a layer half's cross term adds into: none, both streams of one
+# stack (in order, and reversed), one stream of a stack of two
+RESIDUAL_ROWS = {"no-term": None, "both": (0, 1), "both-reversed": (1, 0), "audio": (0,), "visual": (1,)}
+
+
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-frozen"])
+@pytest.mark.parametrize("rows", RESIDUAL_ROWS)
+@pytest.mark.parametrize("name", ["readme", "wide"])
+def test_residual_matches_chain(name, rows, x_grad):
+    # x needs no gradient at layer 0's attention half, nor does the frozen
+    # block's output there
+    b, n, d, _, _ = SHAPES[name]
+    rows = RESIDUAL_ROWS[rows]
+    x = Tensor(arr(60, 2, b, n, d), requires_grad=x_grad)
+    f = Tensor(arr(61, 2, b, n, d), requires_grad=x_grad)
+    inputs = [x, f]
+    extra = ()
+    if rows is not None:
+        term = Tensor(arr(62, len(rows), b, n, d), requires_grad=True)
+        inputs.append(term)
+        extra = (term, rows)
+    assert_same(lambda: residual(x, f, *extra), lambda: chain_residual(x, f, *extra), inputs, arr(63, 2, b, n, d))
+
+
+def test_residual_shape_guard():
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError):
+        residual(x, Tensor(np.zeros((1, 3, 4))))
+    for rows in ((2,), (0, 0), (0, 1)):
+        with pytest.raises(ShapeError):
+            residual(x, x, Tensor(np.zeros((1, 3, 4))), rows)
+
+
+# the final stacks the head reads: one stack of both streams, or one stack
+# per stream at unequal token counts (audio first, as STACK_ORDER puts it)
+HEAD_STACKS = {"one-stack": ((2, 4),), "two-stacks": ((1, 6), (1, 4))}
+
+
+@pytest.mark.parametrize("stacks", HEAD_STACKS)
+@pytest.mark.parametrize("name", ["readme", "wide", "odd"])
+def test_head_matches_chain(name, stacks):
+    b, _, d, _, _ = SHAPES[name]
+    tensors = [Tensor(arr(64 + i, s, b, n, d), requires_grad=True) for i, (s, n) in enumerate(HEAD_STACKS[stacks])]
+    rows = [(0, 0), (0, 1)] if len(tensors) == 1 else [(0, 0), (1, 0)]
+    parts = [Slots.rows(tensors[s], (i,)) for s, i in rows]
+    weight = Tensor(arr(66, 2 * d, 2), requires_grad=True)
+    bias = Tensor(arr(67, 2), requires_grad=True)
+    assert_same(lambda: pooled_linear(parts, weight, bias), lambda: chain_head(parts, weight, bias),
+                tensors + [weight, bias], arr(68, b, 2))
+
+
 # a train step of the whole model: README config, train-wide config, and an
 # odd one (2 heads, 6 audio against 4 visual tokens, ReLU, no bias; direct
 # and latent)
@@ -226,6 +291,8 @@ def test_train_step_matches_chains_bitwise(name, monkeypatch):
     monkeypatch.setattr(fusion, "mlp", lambda x, w: chain_mlp(x.tokens, w))
     monkeypatch.setattr(fusion, "cma", stacked_chain_cma)
     monkeypatch.setattr(fusion, "bottleneck", stacked_chain_bottleneck)
+    monkeypatch.setattr(fusion, "residual", chain_residual)
+    monkeypatch.setattr(model_module, "pooled_linear", chain_head)
     want_logits, want_grads = train_step(model, batch)
     np.testing.assert_array_equal(logits, want_logits)
     assert grads.keys() == want_grads.keys()

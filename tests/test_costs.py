@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from avfuse.autodiff import Tensor, count_macs
-from avfuse.backbone import AUDIO, VISUAL, FreezeRegistry, TokenSet
+from avfuse.backbone import FreezeRegistry
 from avfuse.costs import (
     REPORT_COLUMNS,
     count_params,
@@ -17,8 +17,10 @@ from avfuse.costs import (
     mac_bottleneck,
     mac_fusion,
 )
-from avfuse.fusion import adapter_forward, build_site, cma, compress_to_latents
+from avfuse.fusion import build_site, cma
 from avfuse.serialization import csv_text
+
+from helpers import site_term
 
 
 class TestParamFormulas:
@@ -142,12 +144,11 @@ class TestMacFormulas:
         # full adapter forward, latent and direct, against formula sums
         r = np.random.default_rng(1)
         n, k, m, d, rho, g = 6, 9, 2, 8, 2, 2
-        src = TokenSet(AUDIO, Tensor(r.standard_normal((k, d))), 0)
-        dst = TokenSet(VISUAL, Tensor(r.standard_normal((n, d))), 0)
+        src, dst = r.standard_normal((k, d)), r.standard_normal((n, d))
         for use_latents, variant in ((True, "latent"), (False, "direct")):
             site = build_site("a2v", "mha", 0, d, m, rho, g, 0, use_latents=use_latents)
             with count_macs() as c:
-                adapter_forward(src, dst, site)
+                site_term(site, src, dst)
             want = mac_fusion(n, k, m, d, variant).total_macs + mac_bottleneck(n, d, rho, g)
             assert c.macs == want, variant
             assert c.softmax_elems == mac_fusion(n, k, m, d, variant).total_softmax_elems

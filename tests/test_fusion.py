@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from avfuse.autodiff import Rng, ShapeError, Tensor, backward, stack, take
+from avfuse.autodiff import Rng, ShapeError, Tensor, backward, stack
 from avfuse.backbone import AUDIO, BOTH, VISUAL, FreezeRegistry, TokenSet, init_layer_weights
 from avfuse.fusion import (
     ATTACHMENTS,
@@ -12,7 +12,6 @@ from avfuse.fusion import (
     MODES,
     AdapterSite,
     BottleneckParams,
-    adapter_forward,
     bottleneck,
     build_layer_sites,
     build_site,
@@ -23,7 +22,7 @@ from avfuse.fusion import (
     layer_forward,
 )
 
-from helpers import block_diag_from_grouped, loop_matmul, mean_all, mul, scalar_cma, scalar_gelu
+from helpers import block_diag_from_grouped, loop_matmul, mean_all, mul, scalar_cma, scalar_gelu, site_term, take
 
 
 def tok(modality, arr, layer=0):
@@ -90,7 +89,7 @@ class TestLatents:
         r = np.random.default_rng(4)
         lat = Tensor(r.standard_normal((2, 6)))
         src = tok(AUDIO, r.standard_normal((9, 6)))
-        out = compress_to_latents(lat, src, Tensor(0.5))
+        out = compress_to_latents(lat, src.tokens, Tensor(0.5))
         assert out.data.shape == (2, 6)
         want = scalar_cma(lat.data, src.tokens.data, src.tokens.data, 0.5)
         np.testing.assert_allclose(out.data, want, rtol=1e-12)
@@ -101,21 +100,21 @@ class TestLatents:
         u = r.standard_normal(6)
         lat = Tensor(r.standard_normal((3, 6)))
         src = tok(AUDIO, np.tile(u, (9, 1)))
-        out = compress_to_latents(lat, src, Tensor(0.4)).data
+        out = compress_to_latents(lat, src.tokens, Tensor(0.4)).data
         np.testing.assert_allclose(out, lat.data + 0.4 * u, rtol=1e-12)
 
     def test_compress_at_full_token_scale(self):
         r = np.random.default_rng(22)
         lat = Tensor(r.standard_normal((2, 768)) * 0.02)
         src = tok(VISUAL, r.standard_normal((2048, 768)))
-        out = compress_to_latents(lat, src, Tensor(1.0))
+        out = compress_to_latents(lat, src.tokens, Tensor(1.0))
         assert out.data.shape == (2, 768)
 
     def test_fuse_preserves_target_shape(self):
         r = np.random.default_rng(5)
         target = tok(VISUAL, r.standard_normal((7, 6)))
         summary = Tensor(r.standard_normal((2, 6)))
-        out = fuse_with_latents(target, summary, Tensor(0.3))
+        out = fuse_with_latents(target.tokens, summary, Tensor(0.3))
         assert out.data.shape == (7, 6)
         want = scalar_cma(target.tokens.data, summary.data, summary.data, 0.3)
         np.testing.assert_allclose(out.data, want, rtol=1e-12)
@@ -124,7 +123,7 @@ class TestLatents:
         r = np.random.default_rng(23)
         x = r.standard_normal((5, 6))
         s = r.standard_normal((1, 6))
-        out = fuse_with_latents(tok(VISUAL, x), Tensor(s), Tensor(-0.6)).data
+        out = fuse_with_latents(Tensor(x), Tensor(s), Tensor(-0.6)).data
         np.testing.assert_allclose(out, x - 0.6 * s, rtol=1e-12)
 
 
@@ -215,9 +214,7 @@ class TestSites:
     def test_adapter_forward_zero_at_init(self):
         r = np.random.default_rng(9)
         site = build_site("a2v", "mha", 0, 8, 2, 2, 2, 3)
-        src = tok(AUDIO, r.standard_normal((5, 8)))
-        dst = tok(VISUAL, r.standard_normal((4, 8)))
-        out = adapter_forward(src, dst, site)
+        out = site_term(site, r.standard_normal((5, 8)), r.standard_normal((4, 8)))
         np.testing.assert_array_equal(out.data, np.zeros((4, 8)))
 
     def test_adapter_forward_latent_oracle(self):
@@ -228,7 +225,7 @@ class TestSites:
         site.gate_fuse.data = np.array(-0.6)
         src = tok(AUDIO, r.standard_normal((5, 8)))
         dst = tok(VISUAL, r.standard_normal((3, 8)))
-        got = adapter_forward(src, dst, site).data
+        got = site_term(site, src.tokens.data, dst.tokens.data).data
 
         summary = scalar_cma(site.latents.data, src.tokens.data, src.tokens.data, 0.4)
         fused = scalar_cma(dst.tokens.data, summary, summary, -0.6)
@@ -245,7 +242,7 @@ class TestSites:
         site.gate_fuse.data = np.array(0.8)
         src = tok(VISUAL, r.standard_normal((6, 8)))
         dst = tok(AUDIO, r.standard_normal((4, 8)))
-        got = adapter_forward(src, dst, site).data
+        got = site_term(site, src.tokens.data, dst.tokens.data).data
 
         fused = scalar_cma(dst.tokens.data, src.tokens.data, src.tokens.data, 0.8)
         hidden = np.vectorize(scalar_gelu)(
@@ -253,11 +250,6 @@ class TestSites:
         )
         want = loop_matmul(hidden, block_diag_from_grouped(site.neck.up_w.data)) + site.neck.up_b.data
         np.testing.assert_allclose(got, want, rtol=1e-12)
-
-    def test_adapter_forward_modality_guard(self):
-        site = build_site("a2v", "mha", 0, 8, 2, 2, 2, 0)
-        with pytest.raises(ValueError):
-            adapter_forward(tok(VISUAL, np.zeros((3, 8))), tok(AUDIO, np.zeros((3, 8))), site)
 
     @pytest.mark.parametrize("use_latents", [True, False], ids=["latent", "direct"])
     @pytest.mark.parametrize("mode", MODES)
@@ -355,13 +347,13 @@ class TestDualLayer:
         from avfuse.autodiff import add
         from avfuse.backbone import mha, mlp
 
-        cross_v = adapter_forward(xa, xv, sites["a2v_mha"])
-        cross_a = adapter_forward(xv, xa, sites["v2a_mha"])
+        cross_v = site_term(sites["a2v_mha"], xa.tokens.data, xv.tokens.data)
+        cross_a = site_term(sites["v2a_mha"], xv.tokens.data, xa.tokens.data)
         mid_a = add(add(xa.tokens, mha(xa, w)), cross_a)
         mid_v = add(add(xv.tokens, mha(xv, w)), cross_v)
         mset_a = TokenSet(AUDIO, mid_a, 0)
         mset_v = TokenSet(VISUAL, mid_v, 0)
-        want_a = add(add(mid_a, mlp(mset_a, w)), adapter_forward(mset_v, mset_a, sites["v2a_mlp"]))
-        want_v = add(add(mid_v, mlp(mset_v, w)), adapter_forward(mset_a, mset_v, sites["a2v_mlp"]))
+        want_a = add(add(mid_a, mlp(mset_a, w)), site_term(sites["v2a_mlp"], mid_v.data, mid_a.data))
+        want_v = add(add(mid_v, mlp(mset_v, w)), site_term(sites["a2v_mlp"], mid_a.data, mid_v.data))
         np.testing.assert_allclose(ya.tokens.data, want_a.data, rtol=1e-12)
         np.testing.assert_allclose(yv.tokens.data, want_v.data, rtol=1e-12)

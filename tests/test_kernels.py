@@ -15,7 +15,7 @@ kernel pair, so these tests check the kernels the block ops run."""
 import numpy as np
 import pytest
 
-from avfuse.autodiff import Tensor, add, backward, gelu_fwd, matmul, relu_fwd, reshape
+from avfuse.autodiff import Tensor, add, backward, gelu_fwd, matmul, relu_fwd
 from avfuse.backbone import ImageInput, SpectrogramInput
 from avfuse.model import ModelConfig, TwoStreamModel, frozen_twin
 
@@ -33,6 +33,7 @@ from helpers import (
     power_gelu,
     product_gelu,
     relu_bwd,
+    reshape,
     sum_all,
     tanh_gelu_fwd,
 )

@@ -60,8 +60,9 @@ class TestWiring:
         model = TwoStreamModel(cfg, seed=0)
         r = Rng.for_name(1, "wiring")
         img, spec = rand_inputs(r, cfg)
-        xa, xv = model.forward([img], [spec])
-        assert xa.layer == cfg.layers and xv.layer == cfg.layers
+        stacks, where = model.forward([img], [spec])
+        assert [x.layer for x in stacks] == [cfg.layers]
+        assert where == {"audio": (0, 0), "visual": (0, 1)}
 
     def test_logits_shape(self):
         cfg = ModelConfig()
@@ -96,12 +97,13 @@ class TestWiring:
             model.tokenize(images, specs[:2] + [SpectrogramInput(np.zeros((16, 8)))])
 
     def test_event_head_guard(self):
-        from avfuse.backbone import AUDIO, VISUAL, TokenSet
+        from avfuse.backbone import AUDIO, BOTH, VISUAL, TokenSet
 
-        xa = TokenSet(AUDIO, Tensor(np.zeros((1, 3, 4))), 0)
-        xv = TokenSet(VISUAL, Tensor(np.zeros((1, 5, 4))), 0)
+        stacks = [TokenSet(BOTH, Tensor(np.zeros((1, 1, n, 4))), 0) for n in (3, 5)]
+        where = {AUDIO: (0, 0), VISUAL: (1, 0)}
+        assert event_head(stacks, where, Tensor(np.zeros((8, 2))), Tensor(np.zeros(2))).shape == (1, 2)
         with pytest.raises(ShapeError):
-            event_head(xa, xv, Tensor(np.zeros((6, 2))), Tensor(np.zeros(2)))
+            event_head(stacks, where, Tensor(np.zeros((6, 2))), Tensor(np.zeros(2)))
 
     def test_frozen_trainable_split(self):
         model = TwoStreamModel(ModelConfig(mode="bidirectional"), seed=0)

@@ -9,19 +9,20 @@ the README config and the train-wide benchmark config, one train step must
 give bitwise equal logits, gradients within 1e-12 and equal MAC and softmax
 tallies. The gradients cannot be bitwise equal: the contributions to a
 stream's tokens arrive in a different order when one node serves both
-streams. Then the routing pieces: the tape ops the stacks add and the
-``Slots`` operands of the adapter block ops."""
+streams. Then the routing pieces: ``stack``, the ``take`` and ``add_rows``
+oracles of the rows the stacks hand out and take back, and the ``Slots``
+operands of the adapter block ops."""
 import numpy as np
 import pytest
 
 from avfuse import fusion, model as model_module
-from avfuse.autodiff import Slots, Tensor, add_rows, backward, count_macs, cross_entropy_logits, stack, take
+from avfuse.autodiff import Slots, Tensor, backward, count_macs, cross_entropy_logits, stack
 from avfuse.backbone import AUDIO, BOTH, VISUAL, TokenSet, init_layer_weights
 from avfuse.fusion import MODES, build_layer_sites, layer_forward
 from avfuse.model import ModelConfig, TwoStreamModel, event_head
 from avfuse.tasks import generate_dataset
 
-from helpers import mul, sum_all
+from helpers import add_rows, mul, sum_all, take
 
 APART = {AUDIO: (0, 0), VISUAL: (1, 0)}
 
@@ -39,8 +40,7 @@ def logits_apart(model, pairs):
     stacks = [TokenSet(BOTH, stack([x.tokens])) for x in (xa, xv)]
     for w, sites in zip(model.layers, model.sites):
         stacks = layer_forward(stacks, APART, w, sites)
-    xa, xv = (TokenSet(m, take(x.tokens, 0), x.layer) for m, x in zip((AUDIO, VISUAL), stacks))
-    return event_head(xa, xv, model.head_weight, model.head_bias)
+    return event_head(stacks, APART, model.head_weight, model.head_bias)
 
 
 def train_step(model, batch, logits_of):

@@ -1,9 +1,15 @@
 """Cost guard: the tape nodes and ``count_macs`` tallies of one train step
-(batched forward, cross-entropy, backward) at the README config, at the
-train-wide benchmark config and at unequal token counts, pinned to exact
-numbers. A change that adds
-nodes or arithmetic to a step has to update a number here on purpose.
-Counts only, no timing."""
+(batched forward, cross-entropy, backward) at the README config (also in
+``a2v`` and with direct sites), at the train-wide benchmark config and at
+unequal token counts, pinned to exact numbers. A change that adds nodes or
+arithmetic to a step has to update a number here on purpose. Counts only,
+no timing.
+
+The README step records 21 nodes over its 2 layers: 1 ``frozen_attention``
+(layer 0's input needs no gradient), 2 ``frozen_mlp``, 8 ``gated_attention``
+and 4 ``grouped_bottleneck`` (a compress, a fuse and a bottleneck per
+attachment), 4 ``residual`` (one per layer half), 1 ``pooled_linear`` and 1
+``cross_entropy_logits``."""
 import numpy as np
 import pytest
 
@@ -13,12 +19,16 @@ from avfuse.tasks import generate_dataset
 
 # config overrides: (tape nodes, forward MACs, softmax elements) per step
 PINNED = {
-    "readme": ({}, 30, 1_836_032, 3_072),
-    "train-wide": (dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4), 30, 467_668_992, 557_056),
+    "readme": ({}, 21, 1_836_032, 3_072),
+    # one direction: its sites still run once per attachment, so only MACs
+    # and softmax elements fall
+    "readme-a2v": (dict(mode="a2v"), 21, 1_770_496, 2_560),
+    # direct sites have no compress step
+    "readme-direct": (dict(use_latents=False), 17, 1_836_032, 3_072),
+    "train-wide": (dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4), 21, 467_668_992, 557_056),
     # 6 audio tokens against 4 visual ones: a stack per stream, so every
-    # frozen block and site runs per stream, and both final takes carry a
-    # gradient
-    "unequal": (dict(spec_hw=(12, 8)), 52, 2_307_072, 4_608),
+    # frozen block, site and residual runs per stream
+    "unequal": (dict(spec_hw=(12, 8)), 40, 2_307_072, 4_608),
 }
 
 
