@@ -514,8 +514,10 @@ def layer_norm_bwd(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv: np.nd
 
 def _blocks(*arrays: np.ndarray | None):
     """Matching flat slices of equal-size arrays, ``_BLOCK`` values at a time;
-    a None entry stays None. Arrays that are written must be C-contiguous, so
-    their slices are views."""
+    a None entry stays None. The arrays must be C-contiguous, so their slices
+    are views that a write reaches."""
+    if not all(a is None or a.flags.c_contiguous for a in arrays):
+        raise ValueError("_blocks: need C-contiguous arrays, or writes to the slices would be lost")
     flats = [None if a is None else a.reshape(-1) for a in arrays]
     n = flats[0].size
     if n <= _BLOCK:
@@ -633,8 +635,9 @@ def grouped_linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None
     MACs."""
     groups, gin, gout = w.shape[1:]
     # one GEMM per direction, sample and group, so each sample's rows come
-    # out the same as when it is mapped alone
-    y = _merge(np.matmul(_split(x, groups), _expand(w, x.ndim + 1)))
+    # out the same as when it is mapped alone; with one output column per
+    # group _merge gives a strided view, and the activations write in place
+    y = np.ascontiguousarray(_merge(np.matmul(_split(x, groups), _expand(w, x.ndim + 1))))
     _tally_macs(x.size // x.shape[-1] * groups * gin * gout)
     if b is not None:
         y += _expand(b, y.ndim)

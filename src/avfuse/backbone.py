@@ -3,10 +3,10 @@
 One set of layer weights serves both streams: images and spectrograms are cut
 into patch tokens of the same width and pushed through the same pre-norm
 attention/MLP blocks; the MLP is GELU, as in ViT. A list of inputs is
-tokenized as one stacked batch, and every block runs on ``(B, N, D)`` token
-batches as well as on one sample's ``(N, D)`` tokens. Everything here is
-frozen at construction; the only trainable state in the package lives in the
-adapter sites and the task head.
+tokenized as one ``(B, N, D)`` batch, and every block runs on plain token
+tensors with any leading axes: a stack of streams, a batch or one sample's
+``(N, D)`` tokens. Everything here is frozen at construction; the only
+trainable state in the package lives in the adapter sites and the task head.
 """
 from __future__ import annotations
 
@@ -19,16 +19,14 @@ from .autodiff import Rng, ShapeError, Tensor, add, frozen_attention, frozen_mlp
 
 AUDIO = "audio"
 VISUAL = "visual"
-# a stack: the streams that share a token count along a leading axis of one
-# or two rows, in STACK_ORDER
-BOTH = "audio+visual"
+# the order of the streams along a stack's leading axis
 STACK_ORDER = (AUDIO, VISUAL)
 
 INIT_STD = 0.02
 
 
 # ---------------------------------------------------------------------------
-# inputs and token sets
+# inputs
 # ---------------------------------------------------------------------------
 
 
@@ -62,32 +60,6 @@ class SpectrogramInput:
             raise ValueError("SpectrogramInput: non-finite values")
 
 
-@dataclass
-class TokenSet:
-    """Tokens of one modality at one layer depth: a (count, width) tensor for
-    one sample, or (batch, count, width) for a batch. Modality ``BOTH`` is
-    a stack: the streams that share a token count, one or two of them,
-    along a leading axis in ``STACK_ORDER``."""
-
-    modality: str
-    tokens: Tensor
-    layer: int = 0
-
-    def __post_init__(self) -> None:
-        if self.modality not in (AUDIO, VISUAL, BOTH):
-            raise ValueError(f"TokenSet: unknown modality {self.modality!r}")
-        lead = self.tokens.shape[:1] if self.modality == BOTH else ()
-        if lead not in ((), (1,), (2,)) or self.tokens.ndim - len(lead) not in (2, 3) or self.tokens.shape[-2] < 1:
-            raise ShapeError(
-                f"TokenSet: need a non-empty ({'streams, ' if self.modality == BOTH else ''}[batch,] count, width) "
-                f"tensor, got shape {self.tokens.shape}"
-            )
-
-    @property
-    def width(self) -> int:
-        return self.tokens.shape[-1]
-
-
 # ---------------------------------------------------------------------------
 # tokenization
 # ---------------------------------------------------------------------------
@@ -109,7 +81,7 @@ def unfold_patches(grid: np.ndarray, patch: int) -> np.ndarray:
     return np.ascontiguousarray(tiles.reshape(*lead, hp * wp, patch * patch * c))
 
 
-def patch_embed(images: list[ImageInput], patch: int, proj: Tensor, pos: Tensor | None = None) -> TokenSet:
+def patch_embed(images: list[ImageInput], patch: int, proj: Tensor, pos: Tensor | None = None) -> Tensor:
     """Project image patches to backbone width and add positional rows.
 
     The list of images is tokenized as one (B, N, width) batch. ``proj`` is
@@ -122,7 +94,7 @@ def patch_embed(images: list[ImageInput], patch: int, proj: Tensor, pos: Tensor 
         if pos.shape != tokens.shape[-2:]:
             raise ShapeError(f"patch_embed: positional table shape {pos.shape} does not match tokens {tokens.shape}")
         tokens = add(tokens, pos)
-    return TokenSet(VISUAL, tokens, layer=0)
+    return tokens
 
 
 def pad_to_multiple(values: np.ndarray, patch: int) -> np.ndarray:
@@ -138,7 +110,7 @@ def pad_to_multiple(values: np.ndarray, patch: int) -> np.ndarray:
 
 def spectrogram_embed(
     specs: list[SpectrogramInput], patch: int, proj: Tensor, pos: Tensor | None = None
-) -> TokenSet:
+) -> Tensor:
     """Tokenize a list of spectrograms as one batch with the image projection.
 
     The single channel is replicated to three so the shared ``proj``
@@ -155,7 +127,7 @@ def spectrogram_embed(
                 f"spectrogram_embed: positional table shape {pos.shape} does not match tokens {tokens.shape}"
             )
         tokens = add(tokens, pos)
-    return TokenSet(AUDIO, tokens, layer=0)
+    return tokens
 
 
 def resize_pos_table(pos: np.ndarray, src_grid: tuple[int, int], dst_grid: tuple[int, int]) -> np.ndarray:
@@ -252,29 +224,29 @@ def init_layer_weights(width: int, heads: int, seed: int, name: str) -> FrozenLa
     )
 
 
-def mha(x: TokenSet, w: FrozenLayerWeights) -> Tensor:
-    """Pre-norm multi-head self-attention term for one token set (each stream
-    of a stacked set attends within itself), as one tape node that passes a
-    gradient to the tokens only.
+def mha(x: Tensor, w: FrozenLayerWeights) -> Tensor:
+    """Pre-norm multi-head self-attention term for tokens on any leading axes
+    (each stream of a stack attends within itself), as one tape node that
+    passes a gradient to the tokens only.
 
     Returns only the attention output (the caller adds the residual). Scores
     are scaled by 1/sqrt(width/heads).
     """
     width = w.width
-    if x.width != width:
-        raise ShapeError(f"mha: token width {x.width} does not match layer width {width}")
+    if x.shape[-1] != width:
+        raise ShapeError(f"mha: token width {x.shape[-1]} does not match layer width {width}")
     if width % w.heads:
         raise ShapeError(f"mha: head count {w.heads} does not divide width {width}")
-    return frozen_attention(x.tokens, w.ln1_gain, w.ln1_shift, w.wq, w.wk, w.wv, w.wo, w.heads)
+    return frozen_attention(x, w.ln1_gain, w.ln1_shift, w.wq, w.wk, w.wv, w.wo, w.heads)
 
 
-def mlp(x: TokenSet, w: FrozenLayerWeights) -> Tensor:
+def mlp(x: Tensor, w: FrozenLayerWeights) -> Tensor:
     """Pre-norm position-wise GELU MLP term (width -> 4*width -> width), as
     one tape node that passes a gradient to the tokens only; caller adds the
     residual."""
-    if x.width != w.width:
-        raise ShapeError(f"mlp: token width {x.width} does not match layer width {w.width}")
-    return frozen_mlp(x.tokens, w.ln2_gain, w.ln2_shift, w.mlp_w1, w.mlp_b1, w.mlp_w2, w.mlp_b2)
+    if x.shape[-1] != w.width:
+        raise ShapeError(f"mlp: token width {x.shape[-1]} does not match layer width {w.width}")
+    return frozen_mlp(x, w.ln2_gain, w.ln2_shift, w.mlp_w1, w.mlp_b1, w.mlp_w2, w.mlp_b2)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,12 @@ A fusion mode names the directions that get adapters in every layer; each
 layer holds its sites in a dict keyed ``<direction>_<attachment>``, with an
 entry only for the enabled ones.
 
-Token sets may carry a leading batch axis; latent tokens never do, and serve
-every sample of a batch. Through the layers the streams travel in stacks
-(``backbone.BOTH``), one per token count, and ``layer_forward`` runs the
-sites of one attachment that read one stack and write one stack as one call
-over a leading direction axis: each parameter is a ``Slots`` of the sites'
-tensors, and the tokens are ``Slots`` of rows of the stacks.
+Token tensors may carry a leading batch axis; latent tokens never do, and
+serve every sample of a batch. Through the layers the streams travel in
+stacks, ``(S, B, N, D)`` tensors, one per token count, and ``layer_forward``
+runs the sites of one attachment that read one stack and write one stack as
+one call over a leading direction axis: each parameter is a ``Slots`` of the
+sites' tensors, and the tokens are ``Slots`` of rows of the stacks.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from .autodiff import (
     grouped_bottleneck,
     residual,
 )
-from .backbone import AUDIO, BOTH, STACK_ORDER, VISUAL, FreezeRegistry, FrozenLayerWeights, TokenSet, mha, mlp
+from .backbone import AUDIO, STACK_ORDER, VISUAL, FreezeRegistry, FrozenLayerWeights, mha, mlp
 
 MODE_DIRECTIONS = {"none": (), "a2v": ("a2v",), "v2a": ("v2a",), "bidirectional": ("a2v", "v2a")}
 MODES = tuple(MODE_DIRECTIONS)
@@ -130,16 +130,8 @@ class BottleneckParams:
     up_b: Tensor | Slots | None = None
 
     @property
-    def groups(self) -> int:
-        return self.down_w.shape[-3]
-
-    @property
     def width(self) -> int:
         return self.down_w.shape[-3] * self.down_w.shape[-2]
-
-    @property
-    def narrow(self) -> int:
-        return self.down_w.shape[-3] * self.down_w.shape[-1]
 
 
 def init_bottleneck(
@@ -339,13 +331,15 @@ def build_layer_sites(
 
 
 def layer_forward(
-    stacks: list[TokenSet], where: dict[str, tuple[int, int]], w: FrozenLayerWeights, sites: dict[str, AdapterSite]
-) -> list[TokenSet]:
+    stacks: list[Tensor], where: dict[str, tuple[int, int]], w: FrozenLayerWeights, sites: dict[str, AdapterSite]
+) -> list[Tensor]:
     """Advance both streams one layer with cross-modal terms injected beside
     the attention and MLP sub-steps: one term for each site in ``sites``.
 
-    The streams travel in stacks (``backbone.BOTH``), and ``where`` maps each
-    modality to its (stack, row). Each frozen block runs once per stack. At
+    The streams travel in stacks: each is an ``(S, B, N, D)`` tensor (or
+    ``(S, N, D)`` for one sample) of the S streams that share a token count,
+    in ``STACK_ORDER``, and ``where`` maps each modality to its (stack, row),
+    one for every row. Each frozen block runs once per stack. At
     one attachment, the sites whose sources share a stack and whose targets
     share a stack run as one ``adapter_forward`` call over rows of those
     stacks. Each stack's half step is one ``residual`` node: the block's
@@ -354,11 +348,13 @@ def layer_forward(
     and both MLP-side terms read the post-attention ones; neither stream
     ever sees the other's half-updated state.
     """
-    layer = stacks[0].layer
-    if any(x.modality != BOTH or x.layer != layer for x in stacks):
-        raise ValueError(f"layer_forward: need stacks at one layer, got {[(x.modality, x.layer) for x in stacks]}")
-    if set(where) != set(STACK_ORDER) or len(set(where.values())) != len(where):
-        raise ValueError(f"layer_forward: need one distinct (stack, row) per modality, got {where}")
+    # an unstacked (B, N, D) batch would have its batch axis read as streams
+    if (set(where) != set(STACK_ORDER) or any(x.ndim not in (3, 4) for x in stacks)
+            or sorted(where.values()) != [(s, i) for s, x in enumerate(stacks) for i in range(x.shape[0])]):
+        raise ValueError(
+            f"layer_forward: need (S, [B,] N, D) stacks whose rows are one (stack, row) per modality, "
+            f"got shapes {[x.shape for x in stacks]} and {where}"
+        )
 
     def half(xs: list[Tensor], block, attachment: str) -> list[Tensor]:
         groups: dict[tuple[int, int], list[AdapterSite]] = {}
@@ -371,7 +367,6 @@ def layer_forward(
             rows = [where[s.target_modality][1] for s in group]
             source = Slots.rows(xs[src], [where[s.source_modality][1] for s in group])
             terms[dst] = (adapter_forward(source, Slots.rows(xs[dst], rows), SiteStack.of(group)), rows)
-        return [residual(x, block(TokenSet(BOTH, x, layer), w), *terms.get(i, ())) for i, x in enumerate(xs)]
+        return [residual(x, block(x, w), *terms.get(i, ())) for i, x in enumerate(xs)]
 
-    zs = half(half([x.tokens for x in stacks], mha, "mha"), mlp, "mlp")
-    return [TokenSet(BOTH, z, layer + 1) for z in zs]
+    return half(half(stacks, mha, "mha"), mlp, "mlp")

@@ -13,13 +13,11 @@ import numpy as np
 
 from .autodiff import ACTIVATIONS, Rng, ShapeError, Slots, Tensor, pooled_linear, stack
 from .backbone import (
-    BOTH,
     STACK_ORDER,
     FreezeRegistry,
     FrozenLayerWeights,
     ImageInput,
     SpectrogramInput,
-    TokenSet,
     init_layer_weights,
     patch_embed,
     resize_pos_table,
@@ -98,7 +96,7 @@ class ModelConfig:
         return g[0] * g[1]
 
 
-def event_head(stacks: list[TokenSet], where: dict[str, tuple[int, int]], weight: Tensor, bias: Tensor) -> Tensor:
+def event_head(stacks: list[Tensor], where: dict[str, tuple[int, int]], weight: Tensor, bias: Tensor) -> Tensor:
     """Mean-pool each stream of the final (streams, B, N, width) stacks,
     concatenate in ``STACK_ORDER``, and map linearly to (B, 2) logits, as
     one node that reads each stream's rows of its stack (``where`` maps a
@@ -108,7 +106,7 @@ def event_head(stacks: list[TokenSet], where: dict[str, tuple[int, int]], weight
     sample's logits come from the same one-row product as when it is scored
     alone, bit for bit.
     """
-    streams = [Slots.rows(stacks[s].tokens, (i,)) for s, i in (where[m] for m in STACK_ORDER)]
+    streams = [Slots.rows(stacks[s], (i,)) for s, i in (where[m] for m in STACK_ORDER)]
     pooled = sum(x.shape[-1] for x in streams)
     if weight.shape != (pooled, 2):
         raise ShapeError(f"event_head: weight shape {weight.shape} does not match pooled width {pooled}")
@@ -184,9 +182,9 @@ class TwoStreamModel:
 
     # -- forward ------------------------------------------------------------
 
-    def tokenize(self, images: list[ImageInput], specs: list[SpectrogramInput]) -> tuple[TokenSet, TokenSet]:
-        """Token sets of equal-length lists of images and spectrograms as one
-        (B, N, width) batch."""
+    def tokenize(self, images: list[ImageInput], specs: list[SpectrogramInput]) -> tuple[Tensor, Tensor]:
+        """The (audio, visual) tokens, in ``STACK_ORDER``, of equal-length
+        lists of spectrograms and images, each a (B, N, width) batch."""
         cfg = self.cfg
         if len(images) != len(specs) or not images:
             raise ShapeError(f"tokenize: need equal non-empty input lists, got {len(images)} and {len(specs)}")
@@ -202,16 +200,16 @@ class TwoStreamModel:
 
     def forward(
         self, images: list[ImageInput], specs: list[SpectrogramInput]
-    ) -> tuple[list[TokenSet], dict[str, tuple[int, int]]]:
+    ) -> tuple[list[Tensor], dict[str, tuple[int, int]]]:
         """The stacks after the last layer and the map from each modality to
         its (stack, row); inputs as in ``tokenize``."""
-        streams = {x.modality: x.tokens for x in self.tokenize(images, specs)}
+        streams = dict(zip(STACK_ORDER, self.tokenize(images, specs)))
         # the streams of one token count share a stack, in STACK_ORDER
         groups: dict[int, list[str]] = {}
         for m in STACK_ORDER:
             groups.setdefault(streams[m].shape[-2], []).append(m)
         where = {m: (s, i) for s, group in enumerate(groups.values()) for i, m in enumerate(group)}
-        stacks = [TokenSet(BOTH, stack([streams[m] for m in group])) for group in groups.values()]
+        stacks = [stack([streams[m] for m in group]) for group in groups.values()]
         del streams  # stacked into copies
         for w, sites in zip(self.layers, self.sites):
             stacks = layer_forward(stacks, where, w, sites)

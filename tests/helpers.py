@@ -571,9 +571,11 @@ def numeric_grad(f, arr: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return out
 
 
-def check_gradients(make_loss, params: list[Tensor], h: float = 1e-5, rtol: float = 1e-6, atol: float = 1e-9):
+def check_gradients(make_loss, params: list[Tensor], h: float = 1e-5, rtol: float = 1e-6, atol: float = 1e-9,
+                    coords=range):
     """Compare analytic gradients of make_loss() against finite differences
-    for every coordinate of every tensor in ``params``.
+    for every coordinate of every tensor in ``params``, or for the flat
+    indices ``coords(size)`` of each.
 
     ``make_loss`` rebuilds the graph from the live params each call. The
     relative tolerance applies where either gradient is meaningfully sized;
@@ -589,7 +591,7 @@ def check_gradients(make_loss, params: list[Tensor], h: float = 1e-5, rtol: floa
         assert got is not None, "parameter received no gradient"
         flat = p.data.reshape(-1)
         gflat = got.reshape(-1)
-        for i in range(flat.size):
+        for i in coords(flat.size):
             orig = flat[i]
             flat[i] = orig + h
             fp = make_loss().item()

@@ -6,12 +6,9 @@ import pytest
 
 from avfuse.autodiff import Rng, ShapeError, Tensor
 from avfuse.backbone import (
-    AUDIO,
-    VISUAL,
     FreezeRegistry,
     ImageInput,
     SpectrogramInput,
-    TokenSet,
     init_layer_weights,
     mha,
     mlp,
@@ -81,16 +78,16 @@ class TestEmbedding:
         img = ImageInput(r.uniform(size=(4, 4, 3)))
         proj = r.standard_normal((12, 5))
         ts = patch_embed([img], 2, Tensor(proj))
-        assert ts.modality == VISUAL and ts.layer == 0
+        assert ts.shape == (1, 4, 5)
         want = loop_matmul(unfold_patches(img.pixels, 2), proj)
-        np.testing.assert_allclose(ts.tokens.data[0], want, rtol=1e-13)
+        np.testing.assert_allclose(ts.data[0], want, rtol=1e-13)
 
     def test_patch_embed_zero_image_zero_tokens(self):
         # bias-free projection: zero input must give exactly zero tokens
         img = ImageInput(np.zeros((4, 4, 3)))
         proj = Tensor(np.random.default_rng(2).standard_normal((12, 5)))
         ts = patch_embed([img], 2, proj)
-        np.testing.assert_array_equal(ts.tokens.data, np.zeros((1, 4, 5)))
+        np.testing.assert_array_equal(ts.data, np.zeros((1, 4, 5)))
 
     def test_patch_embed_adds_positions(self):
         r = np.random.default_rng(3)
@@ -99,7 +96,7 @@ class TestEmbedding:
         pos = r.standard_normal((4, 5))
         without = patch_embed([img], 2, proj)
         with_pos = patch_embed([img], 2, proj, Tensor(pos))
-        np.testing.assert_allclose(with_pos.tokens.data, without.tokens.data + pos, rtol=1e-14)
+        np.testing.assert_allclose(with_pos.data, without.data + pos, rtol=1e-14)
         with pytest.raises(ShapeError):
             patch_embed([img], 2, proj, Tensor(np.zeros((3, 5))))
 
@@ -108,12 +105,11 @@ class TestEmbedding:
         spec = SpectrogramInput(r.standard_normal((3, 5)))
         proj = r.standard_normal((12, 6))
         ts = spectrogram_embed([spec], 2, Tensor(proj))
-        assert ts.modality == AUDIO
         padded = pad_to_multiple(spec.values, 2)
         three = np.repeat(padded[:, :, None], 3, axis=2)
         want = loop_matmul(unfold_patches(three, 2), proj)
-        assert ts.tokens.data.shape == (1, 6, 6)  # ceil(3/2)*ceil(5/2) = 2*3
-        np.testing.assert_allclose(ts.tokens.data[0], want, rtol=1e-13)
+        assert ts.data.shape == (1, 6, 6)  # ceil(3/2)*ceil(5/2) = 2*3
+        np.testing.assert_allclose(ts.data[0], want, rtol=1e-13)
 
 
 class TestResizePos:
@@ -170,10 +166,10 @@ class TestLayerBlocks:
     def test_mha_matches_per_head_oracle(self):
         r = np.random.default_rng(7)
         w = init_layer_weights(8, 2, 3, "oracle")
-        x = TokenSet(VISUAL, Tensor(r.standard_normal((5, 8))), layer=0)
+        x = Tensor(r.standard_normal((5, 8)))
         got = mha(x, w).data
 
-        t = scalar_layer_norm(x.tokens.data, w.ln1_gain.data, w.ln1_shift.data)
+        t = scalar_layer_norm(x.data, w.ln1_gain.data, w.ln1_shift.data)
         q = loop_matmul(t, w.wq.data)
         k = loop_matmul(t, w.wk.data)
         v = loop_matmul(t, w.wv.data)
@@ -189,9 +185,9 @@ class TestLayerBlocks:
         # one head over width d is plain attention; check shape plumbing
         r = np.random.default_rng(8)
         w = init_layer_weights(6, 1, 4, "single")
-        x = TokenSet(AUDIO, Tensor(r.standard_normal((4, 6))), layer=0)
+        x = Tensor(r.standard_normal((4, 6)))
         got = mha(x, w).data
-        t = scalar_layer_norm(x.tokens.data, w.ln1_gain.data, w.ln1_shift.data)
+        t = scalar_layer_norm(x.data, w.ln1_gain.data, w.ln1_shift.data)
         q = t @ w.wq.data
         k = t @ w.wk.data
         v = t @ w.wv.data
@@ -205,7 +201,7 @@ class TestLayerBlocks:
         for t in (w.wq, w.wk, w.wv, w.wo):
             t.data = np.eye(4)
         tok = np.array([[0.5, -1.25, 2.0, 3.75]])
-        got = mha(TokenSet(VISUAL, Tensor(tok), layer=0), w).data
+        got = mha(Tensor(tok), w).data
         normed = expr_layer_norm(tok, w.ln1_gain.data, w.ln1_shift.data, np.zeros_like(tok))[0]
         np.testing.assert_array_equal(got, normed)
 
@@ -216,7 +212,7 @@ class TestLayerBlocks:
         for t in (w.wq, w.wk, w.wv, w.wo):
             t.data = np.eye(4)
         toks = np.stack([np.array([1.0, -2.0, 0.25, 4.0])] * 2)
-        x = TokenSet(AUDIO, Tensor(toks), layer=0)
+        x = Tensor(toks)
         got = mha(x, w).data
         normed = expr_layer_norm(toks, w.ln1_gain.data, w.ln1_shift.data, np.zeros_like(toks))[0]
         np.testing.assert_allclose(got, normed, rtol=1e-15)
@@ -226,15 +222,15 @@ class TestLayerBlocks:
         w = init_layer_weights(8, 2, 6, "perm")
         x = r.standard_normal((7, 8))
         perm = r.permutation(7)
-        base = mha(TokenSet(VISUAL, Tensor(x), layer=0), w).data
-        shuffled = mha(TokenSet(VISUAL, Tensor(x[perm]), layer=0), w).data
+        base = mha(Tensor(x), w).data
+        shuffled = mha(Tensor(x[perm]), w).data
         np.testing.assert_allclose(shuffled, base[perm], rtol=1e-12)
 
     def test_mlp_zero_weights_gives_zero(self):
         w = init_layer_weights(4, 2, 0, "zmlp")
         for t in (w.mlp_w1, w.mlp_b1, w.mlp_w2, w.mlp_b2):
             t.data = np.zeros_like(t.data)
-        x = TokenSet(VISUAL, Tensor(np.random.default_rng(22).standard_normal((3, 4))), layer=0)
+        x = Tensor(np.random.default_rng(22).standard_normal((3, 4)))
         np.testing.assert_array_equal(mlp(x, w).data, np.zeros((3, 4)))
 
     def test_mlp_matches_scalar_path(self):
@@ -242,9 +238,9 @@ class TestLayerBlocks:
 
         r = np.random.default_rng(9)
         w = init_layer_weights(4, 2, 5, "mlp")
-        x = TokenSet(VISUAL, Tensor(r.standard_normal((3, 4))), layer=0)
+        x = Tensor(r.standard_normal((3, 4)))
         got = mlp(x, w).data
-        t = scalar_layer_norm(x.tokens.data, w.ln2_gain.data, w.ln2_shift.data)
+        t = scalar_layer_norm(x.data, w.ln2_gain.data, w.ln2_shift.data)
         hidden = loop_matmul(t, w.mlp_w1.data) + w.mlp_b1.data
         hidden = np.vectorize(scalar_gelu)(hidden)
         want = loop_matmul(hidden, w.mlp_w2.data) + w.mlp_b2.data
@@ -252,7 +248,7 @@ class TestLayerBlocks:
 
     def test_width_mismatch_rejected(self):
         w = init_layer_weights(8, 2, 0, "m")
-        x = TokenSet(VISUAL, Tensor(np.zeros((3, 6))), layer=0)
+        x = Tensor(np.zeros((3, 6)))
         with pytest.raises(ShapeError):
             mha(x, w)
         with pytest.raises(ShapeError):

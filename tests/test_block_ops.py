@@ -25,7 +25,7 @@ from avfuse.autodiff import (
     pooled_linear,
     residual,
 )
-from avfuse.backbone import VISUAL, TokenSet, init_layer_weights, mha, mlp
+from avfuse.backbone import init_layer_weights, mha, mlp
 from avfuse.fusion import bottleneck, cma, init_bottleneck
 from avfuse.model import ModelConfig, TwoStreamModel
 from avfuse.tasks import generate_dataset
@@ -96,7 +96,7 @@ def test_frozen_attention_matches_chain(name):
     b, n, d, _, _ = SHAPES[name]
     w = layer(name)
     x = Tensor(arr(10, b, n, d), requires_grad=True)
-    assert_same(lambda: mha(TokenSet(VISUAL, x), w), lambda: chain_mha(x, w), [x], arr(11, b, n, d))
+    assert_same(lambda: mha(x, w), lambda: chain_mha(x, w), [x], arr(11, b, n, d))
 
 
 @pytest.mark.parametrize("name", SHAPES)
@@ -104,7 +104,7 @@ def test_frozen_mlp_matches_chain(name):
     b, n, d, _, _ = SHAPES[name]
     w = layer(name)
     x = Tensor(arr(12, b, n, d), requires_grad=True)
-    assert_same(lambda: mlp(TokenSet(VISUAL, x), w), lambda: chain_mlp(x, w), [x], arr(13, b, n, d))
+    assert_same(lambda: mlp(x, w), lambda: chain_mlp(x, w), [x], arr(13, b, n, d))
 
 
 def cma_operands(name, site):
@@ -154,7 +154,7 @@ def test_bottleneck_matches_chain(name, act, bias):
     p.up_w.data = arr(30, *p.up_w.shape)
     params = [p.down_w, p.up_w]
     if bias:
-        p.down_b.data, p.up_b.data = arr(31, p.narrow), arr(32, d)
+        p.down_b.data, p.up_b.data = arr(31, *p.down_b.shape), arr(32, d)
         params += [p.down_b, p.up_b]
     for t in params:
         t.requires_grad = True
@@ -181,7 +181,7 @@ def test_no_grad_records_no_closure():
     for t in (p.down_w, p.up_w, p.down_b, p.up_b):
         t.requires_grad = True
     with no_grad():
-        outs = [mha(TokenSet(VISUAL, x), w), mlp(TokenSet(VISUAL, x), w), cma(x, x, x, gate), bottleneck(x, p)]
+        outs = [mha(x, w), mlp(x, w), cma(x, x, x, gate), bottleneck(x, p)]
     for out in outs:
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
@@ -191,7 +191,7 @@ def test_no_grad_records_no_closure():
 def test_frozen_attention_refuses_a_trainable_weight(field):
     w = layer("odd")
     getattr(w, field).requires_grad = True
-    x = TokenSet(VISUAL, Tensor(arr(41, 3, 6, 16), requires_grad=True))
+    x = Tensor(arr(41, 3, 6, 16), requires_grad=True)
     with pytest.raises(GraphError, match=f"frozen_attention: weight {field.removeprefix('ln1_')} "):
         mha(x, w)
 
@@ -200,7 +200,7 @@ def test_frozen_attention_refuses_a_trainable_weight(field):
 def test_frozen_mlp_refuses_a_trainable_weight(field):
     w = layer("odd")
     getattr(w, field).requires_grad = True
-    x = TokenSet(VISUAL, Tensor(arr(42, 3, 6, 16), requires_grad=True))
+    x = Tensor(arr(42, 3, 6, 16), requires_grad=True)
     name = field.removeprefix("ln2_").removeprefix("mlp_")
     with pytest.raises(GraphError, match=f"frozen_mlp: weight {name} "):
         mlp(x, w)
@@ -287,8 +287,8 @@ def test_train_step_matches_chains_bitwise(name, monkeypatch):
         for site in sites.values():
             site.neck.up_w.data = 0.1 * arr(50, *site.neck.up_w.shape)
     logits, grads = train_step(model, batch)
-    monkeypatch.setattr(fusion, "mha", lambda x, w: chain_mha(x.tokens, w))
-    monkeypatch.setattr(fusion, "mlp", lambda x, w: chain_mlp(x.tokens, w))
+    monkeypatch.setattr(fusion, "mha", chain_mha)
+    monkeypatch.setattr(fusion, "mlp", chain_mlp)
     monkeypatch.setattr(fusion, "cma", stacked_chain_cma)
     monkeypatch.setattr(fusion, "bottleneck", stacked_chain_bottleneck)
     monkeypatch.setattr(fusion, "residual", chain_residual)

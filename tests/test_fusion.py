@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from avfuse.autodiff import Rng, ShapeError, Tensor, backward, stack
-from avfuse.backbone import AUDIO, BOTH, VISUAL, FreezeRegistry, TokenSet, init_layer_weights
+from avfuse.backbone import AUDIO, VISUAL, FreezeRegistry, init_layer_weights
 from avfuse.fusion import (
     ATTACHMENTS,
     DIRECTIONS,
@@ -25,8 +25,8 @@ from avfuse.fusion import (
 from helpers import block_diag_from_grouped, loop_matmul, mean_all, mul, scalar_cma, scalar_gelu, site_term, take
 
 
-def tok(modality, arr, layer=0):
-    return TokenSet(modality, Tensor(np.asarray(arr, dtype=float)), layer)
+def tok(arr):
+    return Tensor(np.asarray(arr, dtype=float))
 
 
 class TestCma:
@@ -88,10 +88,10 @@ class TestLatents:
     def test_compress_shape_and_oracle(self):
         r = np.random.default_rng(4)
         lat = Tensor(r.standard_normal((2, 6)))
-        src = tok(AUDIO, r.standard_normal((9, 6)))
-        out = compress_to_latents(lat, src.tokens, Tensor(0.5))
+        src = tok(r.standard_normal((9, 6)))
+        out = compress_to_latents(lat, src, Tensor(0.5))
         assert out.data.shape == (2, 6)
-        want = scalar_cma(lat.data, src.tokens.data, src.tokens.data, 0.5)
+        want = scalar_cma(lat.data, src.data, src.data, 0.5)
         np.testing.assert_allclose(out.data, want, rtol=1e-12)
 
     def test_compress_uniform_tokens(self):
@@ -99,24 +99,24 @@ class TestLatents:
         r = np.random.default_rng(21)
         u = r.standard_normal(6)
         lat = Tensor(r.standard_normal((3, 6)))
-        src = tok(AUDIO, np.tile(u, (9, 1)))
-        out = compress_to_latents(lat, src.tokens, Tensor(0.4)).data
+        src = tok(np.tile(u, (9, 1)))
+        out = compress_to_latents(lat, src, Tensor(0.4)).data
         np.testing.assert_allclose(out, lat.data + 0.4 * u, rtol=1e-12)
 
     def test_compress_at_full_token_scale(self):
         r = np.random.default_rng(22)
         lat = Tensor(r.standard_normal((2, 768)) * 0.02)
-        src = tok(VISUAL, r.standard_normal((2048, 768)))
-        out = compress_to_latents(lat, src.tokens, Tensor(1.0))
+        src = tok(r.standard_normal((2048, 768)))
+        out = compress_to_latents(lat, src, Tensor(1.0))
         assert out.data.shape == (2, 768)
 
     def test_fuse_preserves_target_shape(self):
         r = np.random.default_rng(5)
-        target = tok(VISUAL, r.standard_normal((7, 6)))
+        target = tok(r.standard_normal((7, 6)))
         summary = Tensor(r.standard_normal((2, 6)))
-        out = fuse_with_latents(target.tokens, summary, Tensor(0.3))
+        out = fuse_with_latents(target, summary, Tensor(0.3))
         assert out.data.shape == (7, 6)
-        want = scalar_cma(target.tokens.data, summary.data, summary.data, 0.3)
+        want = scalar_cma(target.data, summary.data, summary.data, 0.3)
         np.testing.assert_allclose(out.data, want, rtol=1e-12)
 
     def test_fuse_single_summary_row(self):
@@ -151,7 +151,7 @@ class TestBottleneck:
         p = init_bottleneck(16, 4, 2, 0, "b3")
         assert p.down_w.shape == (2, 8, 2)
         assert p.up_w.shape == (2, 2, 8)
-        assert p.width == 16 and p.narrow == 4 and p.groups == 2
+        assert p.width == 16
         with pytest.raises(ShapeError):
             init_bottleneck(10, 4, 2, 0, "bad")
         with pytest.raises(ValueError):
@@ -223,12 +223,12 @@ class TestSites:
         site.neck.up_w.data = r.standard_normal(site.neck.up_w.shape) * 0.1
         site.gate_compress.data = np.array(0.4)
         site.gate_fuse.data = np.array(-0.6)
-        src = tok(AUDIO, r.standard_normal((5, 8)))
-        dst = tok(VISUAL, r.standard_normal((3, 8)))
-        got = site_term(site, src.tokens.data, dst.tokens.data).data
+        src = tok(r.standard_normal((5, 8)))
+        dst = tok(r.standard_normal((3, 8)))
+        got = site_term(site, src.data, dst.data).data
 
-        summary = scalar_cma(site.latents.data, src.tokens.data, src.tokens.data, 0.4)
-        fused = scalar_cma(dst.tokens.data, summary, summary, -0.6)
+        summary = scalar_cma(site.latents.data, src.data, src.data, 0.4)
+        fused = scalar_cma(dst.data, summary, summary, -0.6)
         hidden = np.vectorize(scalar_gelu)(
             loop_matmul(fused, block_diag_from_grouped(site.neck.down_w.data)) + site.neck.down_b.data
         )
@@ -240,11 +240,11 @@ class TestSites:
         site = build_site("v2a", "mlp", 0, 8, 2, 2, 1, 5, use_latents=False)
         site.neck.up_w.data = r.standard_normal(site.neck.up_w.shape) * 0.1
         site.gate_fuse.data = np.array(0.8)
-        src = tok(VISUAL, r.standard_normal((6, 8)))
-        dst = tok(AUDIO, r.standard_normal((4, 8)))
-        got = site_term(site, src.tokens.data, dst.tokens.data).data
+        src = tok(r.standard_normal((6, 8)))
+        dst = tok(r.standard_normal((4, 8)))
+        got = site_term(site, src.data, dst.data).data
 
-        fused = scalar_cma(dst.tokens.data, src.tokens.data, src.tokens.data, 0.8)
+        fused = scalar_cma(dst.data, src.data, src.data, 0.8)
         hidden = np.vectorize(scalar_gelu)(
             loop_matmul(fused, block_diag_from_grouped(site.neck.down_w.data)) + site.neck.down_b.data
         )
@@ -270,17 +270,16 @@ class TestSites:
 
 def layer_apart(xa, xv, w, sites):
     """``layer_forward`` with each stream in a stack of its own, as unequal
-    token counts run; returns the (audio, visual) token sets."""
-    stacks = [TokenSet(BOTH, stack([x.tokens]), x.layer) for x in (xa, xv)]
-    za, zv = layer_forward(stacks, {AUDIO: (0, 0), VISUAL: (1, 0)}, w, sites)
-    return TokenSet(AUDIO, take(za.tokens, 0), za.layer), TokenSet(VISUAL, take(zv.tokens, 0), zv.layer)
+    token counts run; returns the (audio, visual) tokens."""
+    za, zv = layer_forward([stack([x]) for x in (xa, xv)], {AUDIO: (0, 0), VISUAL: (1, 0)}, w, sites)
+    return take(za, 0), take(zv, 0)
 
 
 class TestDualLayer:
     def _streams(self, seed, width=8, na=5, nv=4):
         r = np.random.default_rng(seed)
-        xa = tok(AUDIO, r.standard_normal((na, width)))
-        xv = tok(VISUAL, r.standard_normal((nv, width)))
+        xa = tok(r.standard_normal((na, width)))
+        xv = tok(r.standard_normal((nv, width)))
         return xa, xv
 
     def test_mode_none_equals_frozen_layers(self):
@@ -291,12 +290,10 @@ class TestDualLayer:
         xa, xv = self._streams(12)
         sites = build_layer_sites(0, 8, 2, 2, 2, 0, "none")
         ya, yv = layer_apart(xa, xv, w, sites)
-        assert ya.layer == 1 and yv.layer == 1
         for x, y in ((xa, ya), (xv, yv)):
-            mid = add(x.tokens, mha(x, w))
-            midset = TokenSet(x.modality, mid, x.layer)
-            want = add(mid, mlp(midset, w)).data
-            np.testing.assert_array_equal(y.tokens.data, want)
+            mid = add(x, mha(x, w))
+            want = add(mid, mlp(mid, w)).data
+            np.testing.assert_array_equal(y.data, want)
 
     def test_a2v_leaves_audio_stream_untouched(self):
         # no audio-side additive term exists in a2v mode, even with open adapters
@@ -309,8 +306,8 @@ class TestDualLayer:
         ya_adapted, yv_adapted = layer_apart(xa, xv, w, sites)
         plain = build_layer_sites(0, 8, 2, 2, 2, 11, "none")
         ya_plain, yv_plain = layer_apart(xa, xv, w, plain)
-        np.testing.assert_array_equal(ya_adapted.tokens.data, ya_plain.tokens.data)
-        assert not np.array_equal(yv_adapted.tokens.data, yv_plain.tokens.data)
+        np.testing.assert_array_equal(ya_adapted.data, ya_plain.data)
+        assert not np.array_equal(yv_adapted.data, yv_plain.data)
 
     def test_sites_built_only_for_enabled_directions(self):
         sites = build_layer_sites(0, 8, 2, 2, 2, 0, "a2v")
@@ -321,16 +318,17 @@ class TestDualLayer:
         xa, xv = self._streams(14)
         sites = build_layer_sites(0, 8, 2, 2, 2, 0, "none")
         where = {AUDIO: (0, 0), VISUAL: (1, 0)}
-        # unstacked token sets
-        with pytest.raises(ValueError, match="stacks at one layer"):
+        # unstacked tokens
+        with pytest.raises(ValueError, match=r"need \(S, \[B,\] N, D\) stacks"):
             layer_forward([xa, xv], where, w, sites)
-        stacks = [TokenSet(BOTH, stack([x.tokens])) for x in (xa, xv)]
+        stacks = [stack([x]) for x in (xa, xv)]
         for bad in ({AUDIO: (0, 0)}, {AUDIO: (0, 0), VISUAL: (0, 0)}, {AUDIO: (0, 0), "speech": (1, 0)}):
             with pytest.raises(ValueError, match="per modality"):
                 layer_forward(stacks, bad, w, sites)
-        late = TokenSet(BOTH, stacks[0].tokens, layer=1)
-        with pytest.raises(ValueError, match="stacks at one layer"):
-            layer_forward([late, stacks[1]], where, w, sites)
+        # a (B, N, D) batch handed in as a stack: its batch axis is not streams
+        batches = [Tensor(np.stack([x.data] * 3)) for x in (xa, xv)]
+        with pytest.raises(ValueError, match=r"need \(S, \[B,\] N, D\) stacks"):
+            layer_forward(batches, where, w, sites)
 
     def test_bidirectional_reads_consistent_states(self):
         # order independence: swapping which direction is computed first
@@ -347,13 +345,11 @@ class TestDualLayer:
         from avfuse.autodiff import add
         from avfuse.backbone import mha, mlp
 
-        cross_v = site_term(sites["a2v_mha"], xa.tokens.data, xv.tokens.data)
-        cross_a = site_term(sites["v2a_mha"], xv.tokens.data, xa.tokens.data)
-        mid_a = add(add(xa.tokens, mha(xa, w)), cross_a)
-        mid_v = add(add(xv.tokens, mha(xv, w)), cross_v)
-        mset_a = TokenSet(AUDIO, mid_a, 0)
-        mset_v = TokenSet(VISUAL, mid_v, 0)
-        want_a = add(add(mid_a, mlp(mset_a, w)), site_term(sites["v2a_mlp"], mid_v.data, mid_a.data))
-        want_v = add(add(mid_v, mlp(mset_v, w)), site_term(sites["a2v_mlp"], mid_a.data, mid_v.data))
-        np.testing.assert_allclose(ya.tokens.data, want_a.data, rtol=1e-12)
-        np.testing.assert_allclose(yv.tokens.data, want_v.data, rtol=1e-12)
+        cross_v = site_term(sites["a2v_mha"], xa.data, xv.data)
+        cross_a = site_term(sites["v2a_mha"], xv.data, xa.data)
+        mid_a = add(add(xa, mha(xa, w)), cross_a)
+        mid_v = add(add(xv, mha(xv, w)), cross_v)
+        want_a = add(add(mid_a, mlp(mid_a, w)), site_term(sites["v2a_mlp"], mid_v.data, mid_a.data))
+        want_v = add(add(mid_v, mlp(mid_v, w)), site_term(sites["a2v_mlp"], mid_a.data, mid_v.data))
+        np.testing.assert_allclose(ya.data, want_a.data, rtol=1e-12)
+        np.testing.assert_allclose(yv.data, want_v.data, rtol=1e-12)

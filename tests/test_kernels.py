@@ -15,7 +15,7 @@ kernel pair, so these tests check the kernels the block ops run."""
 import numpy as np
 import pytest
 
-from avfuse.autodiff import Tensor, add, backward, gelu_fwd, matmul, relu_fwd
+from avfuse.autodiff import Tensor, add, backward, gelu_fwd, grouped_linear_fwd, matmul, relu_fwd
 from avfuse.backbone import ImageInput, SpectrogramInput
 from avfuse.model import ModelConfig, TwoStreamModel, frozen_twin
 
@@ -222,6 +222,18 @@ def test_gelu_derivative_times_gradient_is_the_backward_kernel(name):
     y_only, none = gelu_fwd(v.copy(), False)
     assert none is None
     np.testing.assert_array_equal(y_only, want_y)
+
+
+def test_gelu_is_written_over_a_one_column_per_group_product():
+    # with one output column per group, _merge's swap and reshape is a
+    # strided view: GELU written over it through flat slices went to a copy,
+    # and the bottleneck returned up(down(x)) with no activation
+    h = grouped_linear_fwd(arr(44, 1, 3, 4, 8), arr(45, 1, 2, 4, 1))
+    want_y, _ = tanh_gelu_fwd(h.copy())
+    y, _ = gelu_fwd(h, False)
+    np.testing.assert_array_equal(y, want_y)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        gelu_fwd(np.ones((4, 2)).T, False)
 
 
 @pytest.mark.parametrize("name", DERIVATIVE)

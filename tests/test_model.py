@@ -52,8 +52,8 @@ class TestWiring:
         r = Rng.for_name(0, "wiring")
         img, spec = rand_inputs(r, cfg)
         xa, xv = model.tokenize([img], [spec])
-        assert xv.tokens.shape == (1, cfg.n_visual_tokens, cfg.width)
-        assert xa.tokens.shape == (1, cfg.n_audio_tokens, cfg.width)
+        assert xv.shape == (1, cfg.n_visual_tokens, cfg.width)
+        assert xa.shape == (1, cfg.n_audio_tokens, cfg.width)
 
     def test_forward_advances_layers(self):
         cfg = ModelConfig()
@@ -61,7 +61,7 @@ class TestWiring:
         r = Rng.for_name(1, "wiring")
         img, spec = rand_inputs(r, cfg)
         stacks, where = model.forward([img], [spec])
-        assert [x.layer for x in stacks] == [cfg.layers]
+        assert [x.shape for x in stacks] == [(2, 1, cfg.n_visual_tokens, cfg.width)]
         assert where == {"audio": (0, 0), "visual": (0, 1)}
 
     def test_logits_shape(self):
@@ -85,10 +85,10 @@ class TestWiring:
         pairs = [rand_inputs(r, cfg) for _ in range(3)]
         images, specs = [p[0] for p in pairs], [p[1] for p in pairs]
         xa, xv = model.tokenize(images, specs)
-        assert xv.tokens.shape == (3, cfg.n_visual_tokens, cfg.width)
-        assert xa.tokens.shape == (3, cfg.n_audio_tokens, cfg.width)
+        assert xv.shape == (3, cfg.n_visual_tokens, cfg.width)
+        assert xa.shape == (3, cfg.n_audio_tokens, cfg.width)
         single_a, _ = model.tokenize(images[1:2], specs[1:2])
-        np.testing.assert_array_equal(xa.tokens.data[1], single_a.tokens.data[0])
+        np.testing.assert_array_equal(xa.data[1], single_a.data[0])
         with pytest.raises(ShapeError):
             model.tokenize(images, specs[:2])
         with pytest.raises(ShapeError):
@@ -97,9 +97,9 @@ class TestWiring:
             model.tokenize(images, specs[:2] + [SpectrogramInput(np.zeros((16, 8)))])
 
     def test_event_head_guard(self):
-        from avfuse.backbone import AUDIO, BOTH, VISUAL, TokenSet
+        from avfuse.backbone import AUDIO, VISUAL
 
-        stacks = [TokenSet(BOTH, Tensor(np.zeros((1, 1, n, 4))), 0) for n in (3, 5)]
+        stacks = [Tensor(np.zeros((1, 1, n, 4))) for n in (3, 5)]
         where = {AUDIO: (0, 0), VISUAL: (1, 0)}
         assert event_head(stacks, where, Tensor(np.zeros((8, 2))), Tensor(np.zeros(2))).shape == (1, 2)
         with pytest.raises(ShapeError):

@@ -17,7 +17,7 @@ import pytest
 
 from avfuse import fusion, model as model_module
 from avfuse.autodiff import Slots, Tensor, backward, count_macs, cross_entropy_logits, stack
-from avfuse.backbone import AUDIO, BOTH, VISUAL, TokenSet, init_layer_weights
+from avfuse.backbone import AUDIO, VISUAL, init_layer_weights
 from avfuse.fusion import MODES, build_layer_sites, layer_forward
 from avfuse.model import ModelConfig, TwoStreamModel, event_head
 from avfuse.tasks import generate_dataset
@@ -37,7 +37,7 @@ def logits_apart(model, pairs):
     """``model.logits_batch`` with each stream in a stack of its own: the
     path that unequal token counts take."""
     xa, xv = model.tokenize([img for img, _ in pairs], [spec for _, spec in pairs])
-    stacks = [TokenSet(BOTH, stack([x.tokens])) for x in (xa, xv)]
+    stacks = [stack([x]) for x in (xa, xv)]
     for w, sites in zip(model.layers, model.sites):
         stacks = layer_forward(stacks, APART, w, sites)
     return event_head(stacks, APART, model.head_weight, model.head_bias)
@@ -79,7 +79,7 @@ def test_unequal_token_counts_take_the_per_stream_path(monkeypatch):
     calls = []
 
     def spy(stacks, where, w, sites):
-        calls.append(([x.tokens.shape[:2] for x in stacks], dict(where)))
+        calls.append(([x.shape[:2] for x in stacks], dict(where)))
         return layer_forward(stacks, where, w, sites)
 
     monkeypatch.setattr(model_module, "layer_forward", spy)
@@ -104,21 +104,13 @@ def test_stacked_layer_rows_are_the_dual_layer_outputs(mode):
     sites = build_layer_sites(0, 8, 2, 2, 2, 3, mode)
     for s in sites.values():
         s.neck.up_w.data = 0.1 * arr(3, *s.neck.up_w.shape)
-    za, zv = layer_forward([TokenSet(BOTH, stack([x])) for x in (xa, xv)], APART, w, sites)
-    (y,) = layer_forward([TokenSet(BOTH, stack([xa, xv]))], {AUDIO: (0, 0), VISUAL: (0, 1)}, w, sites)
-    assert y.modality == BOTH and y.layer == 1
-    np.testing.assert_array_equal(y.tokens.data, np.concatenate([za.tokens.data, zv.tokens.data]))
-    with pytest.raises(ValueError, match="stacks at one layer"):
-        layer_forward([TokenSet(AUDIO, xa)], {AUDIO: (0, 0), VISUAL: (0, 1)}, w, sites)
-
-
-def test_stacked_token_set_guard():
-    TokenSet(BOTH, Tensor(np.zeros((2, 3, 4, 8))))
-    TokenSet(BOTH, Tensor(np.zeros((2, 4, 8))))
-    TokenSet(BOTH, Tensor(np.zeros((1, 3, 4, 8))))
-    for shape in ((3, 3, 4, 8), (2, 8), (2, 1, 3, 4, 8)):
-        with pytest.raises(ValueError):
-            TokenSet(BOTH, Tensor(np.zeros(shape)))
+    za, zv = layer_forward([stack([x]) for x in (xa, xv)], APART, w, sites)
+    (y,) = layer_forward([stack([xa, xv])], {AUDIO: (0, 0), VISUAL: (0, 1)}, w, sites)
+    np.testing.assert_array_equal(y.data, np.concatenate([za.data, zv.data]))
+    # unstacked tokens, three streams, too few or too many axes
+    for bad in (xa, Tensor(arr(4, 3, 5, 8)), Tensor(arr(5, 2, 8)), Tensor(arr(6, 2, 1, 3, 5, 8))):
+        with pytest.raises(ValueError, match=r"need \(S, \[B,\] N, D\) stacks"):
+            layer_forward([bad], {AUDIO: (0, 0), VISUAL: (0, 1)}, w, sites)
 
 
 def grads_under(out, g, leaves):
