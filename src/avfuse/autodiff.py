@@ -23,8 +23,7 @@ take any further leading axes, such as both streams stacked.
 
 Three layers:
 
-- tape ops (``add``, ``matmul``, ``stack``, ``cross_entropy_logits``)
-  record one node each;
+- the one tape op, ``cross_entropy_logits``, records one node;
 - kernels (``linear_fwd``, ``layer_norm_fwd``/``_bwd``, ``gelu_fwd``,
   ``relu_fwd``, ``attention_fwd``/``_bwd``, ``grouped_linear_fwd``/``_bwd``)
   are plain numpy and record nothing; an activation's forward returns its
@@ -41,12 +40,13 @@ Three layers:
   ``pooled_linear`` is the event head, reading the streams as ``Slots``
   rows of their stacks.
 
-The single-op tape versions of layer norm, GELU, ReLU, attention, grouped
-linear, ``mul``, ``scale``, ``take``, ``add_rows``, ``mean_rows``,
-``concat_cols`` and ``reshape`` have no caller here; they live in the tests'
-helpers, built on these kernels, as the oracle the block ops are checked
-against, beside the GELU and ReLU backward kernels the activation forwards
-replaced.
+Tokens enter the tape as leaves: the tokenizers run the kernels on frozen
+weights and record nothing. The single-op tape versions of layer norm, GELU,
+ReLU, attention, grouped linear, ``add``, ``matmul``, ``mul``, ``scale``,
+``take``, ``add_rows``, ``mean_rows``, ``concat_cols`` and ``reshape`` have
+no caller here; they live in the tests' helpers, built on these kernels, as
+the oracle the block ops are checked against, beside the GELU and ReLU
+backward kernels the activation forwards replaced.
 
 Also here: the deterministic counter-based RNG used for every weight draw and
 data draw in the package, and the multiply-accumulate counter used by the
@@ -258,77 +258,6 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if lead < 0 or g.shape[lead:] != shape:
         raise ShapeError(f"cannot reduce gradient of shape {g.shape} to {shape}")
     return g.sum(axis=tuple(range(lead)))
-
-
-def _is_suffix(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
-    return len(small) <= len(big) and big[len(big) - len(small):] == small
-
-
-# ---------------------------------------------------------------------------
-# primitive ops
-# ---------------------------------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    """Elementwise sum of operands where one shape ends the other: equal
-    shapes, a bias against the last axis, an unbatched operand against a
-    batch, or a scalar against anything."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if not (_is_suffix(a.shape, b.shape) or _is_suffix(b.shape, a.shape)):
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor._node(a.data + b.data, (a, b))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            if a.requires_grad:
-                _accum(a, _reduce_to(g, a.shape))
-            if b.requires_grad:
-                _accum(b, _reduce_to(g, b.shape))
-        out._backward = _bw
-    return out
-
-
-def matmul(a, b, bias=None) -> Tensor:
-    """``(..., P, Q) @ (Q, R)``: a 2-D right operand applied to every matrix
-    of a batched left one, its gradient summed over the batch. An optional
-    ``(R,)`` bias is added in place into the fresh product; its gradient is
-    summed over every row."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    q, r = b.shape
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.shape != (r,):
-            raise ShapeError(f"matmul: bias shape {bias.shape} does not match output width {r}")
-    parents = (a, b) if bias is None else (a, b, bias)
-    out = Tensor._node(linear_fwd(a.data, b.data, _data(bias)), parents)
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            if a.requires_grad:
-                _accum(a, g @ b.data.T)
-            if b.requires_grad:
-                _accum(b, a.data.reshape(-1, q).T @ g.reshape(-1, r))
-            if bias is not None and bias.requires_grad:
-                _accum(bias, _reduce_to(g, bias.shape))
-        out._backward = _bw
-    return out
-
-
-def stack(parts) -> Tensor:
-    """Tensors of one shape stacked along a new leading axis."""
-    ts = [_as_tensor(p) for p in parts]
-    if not ts or any(t.shape != ts[0].shape for t in ts):
-        raise ShapeError(f"stack: need tensors of one shape, got {[t.shape for t in ts]}")
-    out = Tensor._node(np.stack([t.data for t in ts]), ts)
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            for t, piece in zip(ts, g):
-                if t.requires_grad:
-                    _accum(t, piece)
-        out._backward = _bw
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -673,10 +602,10 @@ def grouped_linear_bwd(g: np.ndarray, x: np.ndarray, w: np.ndarray, want=(True, 
 # saves only what its gradients need. Callers check shapes.
 
 
-def _check_frozen(op: str, **weights: Tensor) -> None:
+def _check_frozen(op: str, **weights: Tensor | None) -> None:
     for name, w in weights.items():
-        if w.requires_grad:
-            raise GraphError(f"{op}: weight {name} requires a gradient, but a frozen block passes one to its input only")
+        if w is not None and w.requires_grad:
+            raise GraphError(f"{op}: weight {name} requires a gradient, but {op} is frozen and passes none to its weights")
 
 
 def frozen_attention(x: Tensor, gain, shift, wq, wk, wv, wo, heads: int) -> Tensor:

@@ -3,10 +3,12 @@
 One set of layer weights serves both streams: images and spectrograms are cut
 into patch tokens of the same width and pushed through the same pre-norm
 attention/MLP blocks; the MLP is GELU, as in ViT. A list of inputs is
-tokenized as one ``(B, N, D)`` batch, and every block runs on plain token
-tensors with any leading axes: a stack of streams, a batch or one sample's
-``(N, D)`` tokens. Everything here is frozen at construction; the only
-trainable state in the package lives in the adapter sites and the task head.
+tokenized as one ``(B, N, D)`` batch: the frozen projection and positional
+table run as kernels, and the tokens come out as a leaf that records no
+node. Every block runs on plain token tensors with any leading axes: a stack
+of streams, a batch or one sample's ``(N, D)`` tokens. Everything here is
+frozen at construction; the only trainable state in the package lives in the
+adapter sites and the task head.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Rng, ShapeError, Tensor, add, frozen_attention, frozen_mlp, matmul
+from .autodiff import Rng, ShapeError, Tensor, _check_frozen, frozen_attention, frozen_mlp, linear_fwd
 
 AUDIO = "audio"
 VISUAL = "visual"
@@ -81,20 +83,25 @@ def unfold_patches(grid: np.ndarray, patch: int) -> np.ndarray:
     return np.ascontiguousarray(tiles.reshape(*lead, hp * wp, patch * patch * c))
 
 
+def _embed(fn: str, patches: np.ndarray, proj: Tensor, pos: Tensor | None) -> Tensor:
+    """``patches @ proj`` with the positional table added in place, as a
+    leaf: the stem is frozen, so the tape starts at its output."""
+    _check_frozen(fn, proj=proj, pos=pos)
+    shape = patches.shape[:-1] + proj.shape[1:]
+    if pos is not None and pos.shape != shape[-2:]:
+        raise ShapeError(f"{fn}: positional table shape {pos.shape} does not match tokens {shape}")
+    return Tensor(linear_fwd(patches, proj.data, None if pos is None else pos.data))
+
+
 def patch_embed(images: list[ImageInput], patch: int, proj: Tensor, pos: Tensor | None = None) -> Tensor:
     """Project image patches to backbone width and add positional rows.
 
-    The list of images is tokenized as one (B, N, width) batch. ``proj`` is
-    (patch*patch*3, width) and carries no bias, so a zero image with a zero
-    positional table maps to all-zero tokens.
+    The list of images is tokenized as one (B, N, width) batch, a leaf.
+    ``proj`` is (patch*patch*3, width) and carries no bias, so a zero image
+    with a zero positional table maps to all-zero tokens.
     """
     pixels = np.stack([im.pixels for im in images])
-    tokens = matmul(Tensor(unfold_patches(pixels, patch)), proj)
-    if pos is not None:
-        if pos.shape != tokens.shape[-2:]:
-            raise ShapeError(f"patch_embed: positional table shape {pos.shape} does not match tokens {tokens.shape}")
-        tokens = add(tokens, pos)
-    return tokens
+    return _embed("patch_embed", unfold_patches(pixels, patch), proj, pos)
 
 
 def pad_to_multiple(values: np.ndarray, patch: int) -> np.ndarray:
@@ -120,14 +127,7 @@ def spectrogram_embed(
     """
     padded = np.stack([pad_to_multiple(s.values, patch) for s in specs])
     three = np.repeat(padded[..., None], 3, axis=-1)
-    tokens = matmul(Tensor(unfold_patches(three, patch)), proj)
-    if pos is not None:
-        if pos.shape != tokens.shape[-2:]:
-            raise ShapeError(
-                f"spectrogram_embed: positional table shape {pos.shape} does not match tokens {tokens.shape}"
-            )
-        tokens = add(tokens, pos)
-    return tokens
+    return _embed("spectrogram_embed", unfold_patches(three, patch), proj, pos)
 
 
 def resize_pos_table(pos: np.ndarray, src_grid: tuple[int, int], dst_grid: tuple[int, int]) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .autodiff import ACTIVATIONS, Rng, ShapeError, Slots, Tensor, pooled_linear, stack
+from .autodiff import ACTIVATIONS, Rng, ShapeError, Slots, Tensor, pooled_linear
 from .backbone import (
     STACK_ORDER,
     FreezeRegistry,
@@ -184,7 +184,8 @@ class TwoStreamModel:
 
     def tokenize(self, images: list[ImageInput], specs: list[SpectrogramInput]) -> tuple[Tensor, Tensor]:
         """The (audio, visual) tokens, in ``STACK_ORDER``, of equal-length
-        lists of spectrograms and images, each a (B, N, width) batch."""
+        lists of spectrograms and images, each a (B, N, width) batch: leaves
+        of the frozen stem."""
         cfg = self.cfg
         if len(images) != len(specs) or not images:
             raise ShapeError(f"tokenize: need equal non-empty input lists, got {len(images)} and {len(specs)}")
@@ -209,8 +210,9 @@ class TwoStreamModel:
         for m in STACK_ORDER:
             groups.setdefault(streams[m].shape[-2], []).append(m)
         where = {m: (s, i) for s, group in enumerate(groups.values()) for i, m in enumerate(group)}
-        stacks = [stack([streams[m] for m in group]) for group in groups.values()]
-        del streams  # stacked into copies
+        # the tokens need no gradient, so each stack is a leaf made by one copy
+        stacks = [Tensor([streams[m].data for m in group]) for group in groups.values()]
+        del streams  # copied into the stacks
         for w, sites in zip(self.layers, self.sites):
             stacks = layer_forward(stacks, where, w, sites)
         return stacks, where

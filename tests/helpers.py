@@ -12,10 +12,11 @@ that ran before they computed in place, and the GELU and ReLU backward
 kernels (with the GELU forward that saved its tanh term) that ran before
 the forward kernels returned the derivative.
 
-The single-op tape versions of ``layer_norm``, ``gelu``, ``relu``,
-``attention``, ``grouped_linear``, ``mul`` and ``scale`` live here: the
-library runs those kernels only inside its block ops. Built on the library's
-kernels, they are the unit under test of the kernel tests and, chained as
+The single-op tape versions of ``add``, ``matmul``, ``layer_norm``,
+``gelu``, ``relu``, ``attention``, ``grouped_linear``, ``mul`` and ``scale``
+live here: the library runs those kernels only inside its block ops and its
+frozen tokenizers, which return leaves. Built on the library's kernels,
+they are the unit under test of the kernel tests and, chained as
 the library chained them before (``chain_mha``, ``chain_mlp``,
 ``chain_cma``, ``chain_bottleneck``), the oracle the block ops must match
 bit for bit; ``slotwise`` runs a chain one direction at a time over the
@@ -54,13 +55,13 @@ from avfuse.autodiff import (
     _as_slots,
     _as_tensor,
     _blocks,
+    _data,
     _needs_grad,
     _place_rows,
     _reduce_to,
     _row_index,
     _slot_parents,
     _tally_softmax,
-    add,
     attention_bwd,
     attention_fwd,
     backward,
@@ -69,7 +70,7 @@ from avfuse.autodiff import (
     grouped_linear_fwd,
     layer_norm_bwd,
     layer_norm_fwd,
-    matmul,
+    linear_fwd,
     relu_fwd,
 )
 from avfuse.fusion import SiteStack, adapter_forward
@@ -78,6 +79,57 @@ from avfuse.fusion import SiteStack, adapter_forward
 # ---------------------------------------------------------------------------
 # single-op tape versions of the library's kernels
 # ---------------------------------------------------------------------------
+
+
+def _is_suffix(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
+    return len(small) <= len(big) and big[len(big) - len(small):] == small
+
+
+def add(a, b) -> Tensor:
+    """Elementwise sum of operands where one shape ends the other: equal
+    shapes, a bias against the last axis, an unbatched operand against a
+    batch, or a scalar against anything."""
+    a = _as_tensor(a)
+    b = _as_tensor(b)
+    if not (_is_suffix(a.shape, b.shape) or _is_suffix(b.shape, a.shape)):
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    out = Tensor._node(a.data + b.data, (a, b))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            if a.requires_grad:
+                _accum(a, _reduce_to(g, a.shape))
+            if b.requires_grad:
+                _accum(b, _reduce_to(g, b.shape))
+        out._backward = _bw
+    return out
+
+
+def matmul(a, b, bias=None) -> Tensor:
+    """``(..., P, Q) @ (Q, R)``: a 2-D right operand applied to every matrix
+    of a batched left one, its gradient summed over the batch. An optional
+    ``(R,)`` bias is added in place into the fresh product; its gradient is
+    summed over every row."""
+    a = _as_tensor(a)
+    b = _as_tensor(b)
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    q, r = b.shape
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != (r,):
+            raise ShapeError(f"matmul: bias shape {bias.shape} does not match output width {r}")
+    parents = (a, b) if bias is None else (a, b, bias)
+    out = Tensor._node(linear_fwd(a.data, b.data, _data(bias)), parents)
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            if a.requires_grad:
+                _accum(a, g @ b.data.T)
+            if b.requires_grad:
+                _accum(b, a.data.reshape(-1, q).T @ g.reshape(-1, r))
+            if bias is not None and bias.requires_grad:
+                _accum(bias, _reduce_to(g, bias.shape))
+        out._backward = _bw
+    return out
 
 
 def mul(a, b) -> Tensor:
@@ -577,10 +629,18 @@ def check_gradients(make_loss, params: list[Tensor], h: float = 1e-5, rtol: floa
     for every coordinate of every tensor in ``params``, or for the flat
     indices ``coords(size)`` of each.
 
-    ``make_loss`` rebuilds the graph from the live params each call. The
-    relative tolerance applies where either gradient is meaningfully sized;
-    near-zero pairs fall back to the absolute tolerance.
+    ``make_loss`` rebuilds the graph from the live params each call, so each
+    param's ``.data`` must be an array that a write through its flat view
+    reaches: a numpy scalar (a 0-d gate rebound by ``t.data = t.data + x``)
+    or an array whose flat view is a copy would be perturbed in that copy,
+    and every difference would read 0. The relative tolerance applies where either gradient is
+    meaningfully sized; near-zero pairs fall back to the absolute tolerance.
     """
+    for k, p in enumerate(params):
+        assert np.shares_memory(p.data.reshape(-1), p.data), (
+            f"parameter {k}: its data ({type(p.data).__name__}) does not share memory with its flat view, "
+            "so finite differences would not move it; update it in place"
+        )
     loss = make_loss()
     for p in params:
         p.grad = None

@@ -11,14 +11,11 @@ from avfuse.autodiff import (
     backward,
     count_macs,
 )
-from avfuse.autodiff import (
-    add,
-    cross_entropy_logits,
-    matmul,
-    no_grad,
-)
+from avfuse.autodiff import cross_entropy_logits, no_grad
 
 from helpers import (
+    add,
+    matmul,
     attention,
     gelu,
     grouped_linear,
@@ -236,6 +233,24 @@ class TestBackward:
             return mean_all(mul(cat, cat))
 
         check_gradients(make_loss, [a, b, gate], rtol=1e-6)
+
+    def test_check_gradients_refuses_a_rebound_gate(self):
+        # rebinding turns a 0-d gate into a numpy scalar, whose flat view is
+        # a copy: its finite differences would all read 0
+        r = np.random.default_rng(203)
+        a = Tensor(r.standard_normal((2, 3)), requires_grad=True)
+        gate = Tensor(0.7, requires_grad=True)
+        gate.data = gate.data + 0.1
+        assert type(gate.data) is np.float64
+
+        def make_loss():
+            return mean_all(mul(a, gate))
+
+        with pytest.raises(AssertionError, match="parameter 1: its data .* does not share memory"):
+            check_gradients(make_loss, [a, gate])
+        gate = Tensor(0.7, requires_grad=True)
+        gate.data += 0.1
+        check_gradients(make_loss, [a, gate], rtol=1e-6)
 
     def test_backward_accumulates_shared_input(self):
         x = Tensor(np.array([[2.0]]), requires_grad=True)

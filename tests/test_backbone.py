@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from avfuse.autodiff import Rng, ShapeError, Tensor
+from avfuse.autodiff import GraphError, Rng, ShapeError, Tensor
 from avfuse.backbone import (
     FreezeRegistry,
     ImageInput,
@@ -19,7 +19,7 @@ from avfuse.backbone import (
     unfold_patches,
 )
 
-from helpers import expr_layer_norm, loop_matmul, scalar_layer_norm, scalar_softmax_rows
+from helpers import add, expr_layer_norm, loop_matmul, matmul, scalar_layer_norm, scalar_softmax_rows
 
 
 class TestInputs:
@@ -110,6 +110,55 @@ class TestEmbedding:
         want = loop_matmul(unfold_patches(three, 2), proj)
         assert ts.data.shape == (1, 6, 6)  # ceil(3/2)*ceil(5/2) = 2*3
         np.testing.assert_allclose(ts.data[0], want, rtol=1e-13)
+
+    @pytest.mark.parametrize("with_pos", [False, True], ids=["no-pos", "pos"])
+    def test_embeds_are_leaves_bitwise_the_tape_chain(self, with_pos, monkeypatch):
+        # the frozen stem runs on kernels: its tokens are the tape chain
+        # add(matmul(patches, proj), pos) bit for bit, as leaves that record
+        # no node and need no gradient, and the table is added into the
+        # product, not into itself
+        records = []
+        node = Tensor._node
+
+        def recorded(data, parents):
+            records.append(data.shape)
+            return node(data, parents)
+
+        monkeypatch.setattr(Tensor, "_node", staticmethod(recorded))
+        r = np.random.default_rng(5)
+        images = [ImageInput(r.uniform(size=(4, 6, 3))) for _ in range(2)]
+        specs = [SpectrogramInput(r.standard_normal((3, 5))) for _ in range(2)]
+        proj = Tensor(r.standard_normal((12, 5)))
+        pixels = np.stack([im.pixels for im in images])
+        padded = np.stack([pad_to_multiple(s.values, 2) for s in specs])
+        cases = (
+            (patch_embed, images, unfold_patches(pixels, 2)),
+            (spectrogram_embed, specs, unfold_patches(np.repeat(padded[..., None], 3, axis=-1), 2)),
+        )
+        for embed, inputs, patches in cases:
+            table = r.standard_normal((patches.shape[-2], 5))
+            pos = Tensor(table) if with_pos else None
+            tokens = embed(inputs, 2, proj, pos)
+            assert records == []
+            want = matmul(Tensor(patches), proj)
+            if with_pos:
+                want = add(want, pos)
+                np.testing.assert_array_equal(pos.data, table)
+            assert not tokens.requires_grad and tokens._parents == () and tokens._backward is None
+            np.testing.assert_array_equal(tokens.data, want.data)
+            records.clear()
+
+    def test_embeds_refuse_a_trainable_or_misshapen_table(self):
+        img, spec = ImageInput(np.zeros((4, 4, 3))), SpectrogramInput(np.zeros((4, 4)))
+        proj = Tensor(np.ones((12, 5)))
+        # a leaf would drop the gradient a trainable stem weight asks for
+        with pytest.raises(GraphError, match="patch_embed: weight proj "):
+            patch_embed([img], 2, Tensor(np.ones((12, 5)), requires_grad=True))
+        with pytest.raises(GraphError, match="spectrogram_embed: weight pos "):
+            spectrogram_embed([spec], 2, proj, Tensor(np.zeros((4, 5)), requires_grad=True))
+        for embed, x in ((patch_embed, img), (spectrogram_embed, spec)):
+            with pytest.raises(ShapeError, match=f"{embed.__name__}: positional table shape"):
+                embed([x], 2, proj, Tensor(np.zeros((3, 5))))
 
 
 class TestResizePos:

@@ -31,7 +31,7 @@ def perturb(model, seed):
     """Move every trainable tensor off its init, so every site is live."""
     r = np.random.default_rng(seed)
     for _, t in model.registry.trainable():
-        t.data = t.data + 0.3 * r.standard_normal(t.shape)
+        t.data += 0.3 * r.standard_normal(t.shape)
 
 
 def logits_grads_counts(model, logits_fn, pairs, labels):

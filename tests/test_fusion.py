@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from avfuse.autodiff import Rng, ShapeError, Tensor, backward, stack
+from avfuse.autodiff import Rng, ShapeError, Tensor, backward
 from avfuse.backbone import AUDIO, VISUAL, FreezeRegistry, init_layer_weights
 from avfuse.fusion import (
     ATTACHMENTS,
@@ -22,7 +22,7 @@ from avfuse.fusion import (
     layer_forward,
 )
 
-from helpers import block_diag_from_grouped, loop_matmul, mean_all, mul, scalar_cma, scalar_gelu, site_term, take
+from helpers import add, block_diag_from_grouped, loop_matmul, mean_all, mul, scalar_cma, scalar_gelu, site_term, take
 
 
 def tok(arr):
@@ -271,7 +271,7 @@ class TestSites:
 def layer_apart(xa, xv, w, sites):
     """``layer_forward`` with each stream in a stack of its own, as unequal
     token counts run; returns the (audio, visual) tokens."""
-    za, zv = layer_forward([stack([x]) for x in (xa, xv)], {AUDIO: (0, 0), VISUAL: (1, 0)}, w, sites)
+    za, zv = layer_forward([Tensor([x.data]) for x in (xa, xv)], {AUDIO: (0, 0), VISUAL: (1, 0)}, w, sites)
     return take(za, 0), take(zv, 0)
 
 
@@ -284,7 +284,6 @@ class TestDualLayer:
 
     def test_mode_none_equals_frozen_layers(self):
         from avfuse.backbone import mha, mlp
-        from avfuse.autodiff import add
 
         w = init_layer_weights(8, 2, 0, "L0")
         xa, xv = self._streams(12)
@@ -321,7 +320,7 @@ class TestDualLayer:
         # unstacked tokens
         with pytest.raises(ValueError, match=r"need \(S, \[B,\] N, D\) stacks"):
             layer_forward([xa, xv], where, w, sites)
-        stacks = [stack([x]) for x in (xa, xv)]
+        stacks = [Tensor([x.data]) for x in (xa, xv)]
         for bad in ({AUDIO: (0, 0)}, {AUDIO: (0, 0), VISUAL: (0, 0)}, {AUDIO: (0, 0), "speech": (1, 0)}):
             with pytest.raises(ValueError, match="per modality"):
                 layer_forward(stacks, bad, w, sites)
@@ -342,7 +341,6 @@ class TestDualLayer:
             s.neck.up_w.data = r.standard_normal(s.neck.up_w.shape) * 0.05
         ya, yv = layer_apart(xa, xv, w, sites)
 
-        from avfuse.autodiff import add
         from avfuse.backbone import mha, mlp
 
         cross_v = site_term(sites["a2v_mha"], xa.data, xv.data)

@@ -8,18 +8,19 @@ expressions they ran before (``helpers.product_gelu``,
 ``helpers.matmul_add``), bit for bit; and the GELU and ReLU forward
 kernels, whose derivative times the upstream gradient must be bitwise the
 backward kernels they replaced (``helpers.gelu_bwd``, ``helpers.relu_bwd``).
-``gelu``, ``layer_norm``,
-``attention`` and ``grouped_linear`` here are the single-op tape versions
-in ``helpers``, each a thin wrapper over the library's forward/backward
-kernel pair, so these tests check the kernels the block ops run."""
+``matmul``, ``gelu``, ``layer_norm``, ``attention`` and ``grouped_linear``
+here are the single-op tape versions in ``helpers``, each a thin wrapper
+over the library's forward/backward kernel pair, so these tests check the
+kernels the block ops run."""
 import numpy as np
 import pytest
 
-from avfuse.autodiff import Tensor, add, backward, gelu_fwd, grouped_linear_fwd, matmul, relu_fwd
+from avfuse.autodiff import Tensor, backward, gelu_fwd, grouped_linear_fwd, relu_fwd
 from avfuse.backbone import ImageInput, SpectrogramInput
 from avfuse.model import ModelConfig, TwoStreamModel, frozen_twin
 
 from helpers import (
+    add,
     attention,
     einsum_grouped_linear,
     expr_attention,
@@ -28,6 +29,7 @@ from helpers import (
     gelu_bwd,
     grouped_linear,
     layer_norm,
+    matmul,
     matmul_add,
     mul,
     power_gelu,

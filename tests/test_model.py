@@ -201,7 +201,7 @@ class TestPersistence:
                 model = TwoStreamModel(cfg, seed=0)
                 noise = np.random.default_rng(45)
                 for _, t in model.registry.trainable():
-                    t.data = t.data + 0.3 * noise.standard_normal(t.shape)
+                    t.data += 0.3 * noise.standard_normal(t.shape)
                 r = Rng.for_name(45, "batch")
                 pairs = [rand_inputs(r, cfg) for _ in range(8)]
                 batch = model.logits_batch(pairs).data

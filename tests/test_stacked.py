@@ -9,14 +9,14 @@ the README config and the train-wide benchmark config, one train step must
 give bitwise equal logits, gradients within 1e-12 and equal MAC and softmax
 tallies. The gradients cannot be bitwise equal: the contributions to a
 stream's tokens arrive in a different order when one node serves both
-streams. Then the routing pieces: ``stack``, the ``take`` and ``add_rows``
-oracles of the rows the stacks hand out and take back, and the ``Slots``
-operands of the adapter block ops."""
+streams. Then the routing pieces: the ``take`` and ``add_rows`` oracles of
+the rows the stacks hand out and take back, and the ``Slots`` operands of
+the adapter block ops."""
 import numpy as np
 import pytest
 
 from avfuse import fusion, model as model_module
-from avfuse.autodiff import Slots, Tensor, backward, count_macs, cross_entropy_logits, stack
+from avfuse.autodiff import Slots, Tensor, backward, count_macs, cross_entropy_logits
 from avfuse.backbone import AUDIO, VISUAL, init_layer_weights
 from avfuse.fusion import MODES, build_layer_sites, layer_forward
 from avfuse.model import ModelConfig, TwoStreamModel, event_head
@@ -37,7 +37,7 @@ def logits_apart(model, pairs):
     """``model.logits_batch`` with each stream in a stack of its own: the
     path that unequal token counts take."""
     xa, xv = model.tokenize([img for img, _ in pairs], [spec for _, spec in pairs])
-    stacks = [stack([x]) for x in (xa, xv)]
+    stacks = [Tensor([x.data]) for x in (xa, xv)]
     for w, sites in zip(model.layers, model.sites):
         stacks = layer_forward(stacks, APART, w, sites)
     return event_head(stacks, APART, model.head_weight, model.head_bias)
@@ -62,7 +62,7 @@ def test_stacked_step_matches_per_stream(name, mode, use_latents):
     # move every trainable off its init, so every site term and gradient is live
     noise = np.random.default_rng(1)
     for _, t in model.registry.trainable():
-        t.data = t.data + 0.1 * noise.standard_normal(t.shape)
+        t.data += 0.1 * noise.standard_normal(t.shape)
     batch = generate_dataset(0, 8, 0.1, cfg.image_hw, cfg.spec_hw)
     logits, grads, tallies = train_step(model, batch, model.logits_batch)
     want_logits, want_grads, want_tallies = train_step(model, batch, lambda pairs: logits_apart(model, pairs))
@@ -104,8 +104,8 @@ def test_stacked_layer_rows_are_the_dual_layer_outputs(mode):
     sites = build_layer_sites(0, 8, 2, 2, 2, 3, mode)
     for s in sites.values():
         s.neck.up_w.data = 0.1 * arr(3, *s.neck.up_w.shape)
-    za, zv = layer_forward([stack([x]) for x in (xa, xv)], APART, w, sites)
-    (y,) = layer_forward([stack([xa, xv])], {AUDIO: (0, 0), VISUAL: (0, 1)}, w, sites)
+    za, zv = layer_forward([Tensor([x.data]) for x in (xa, xv)], APART, w, sites)
+    (y,) = layer_forward([Tensor([xa.data, xv.data])], {AUDIO: (0, 0), VISUAL: (0, 1)}, w, sites)
     np.testing.assert_array_equal(y.data, np.concatenate([za.data, zv.data]))
     # unstacked tokens, three streams, too few or too many axes
     for bad in (xa, Tensor(arr(4, 3, 5, 8)), Tensor(arr(5, 2, 8)), Tensor(arr(6, 2, 1, 3, 5, 8))):
@@ -118,14 +118,7 @@ def grads_under(out, g, leaves):
     return [t.grad for t in leaves]
 
 
-def test_stack_take_and_add_rows():
-    a, b = Tensor(arr(10, 3, 4), requires_grad=True), Tensor(arr(11, 3, 4), requires_grad=True)
-    s = stack([a, b])
-    np.testing.assert_array_equal(s.data, np.stack([a.data, b.data]))
-    ga, gb = grads_under(s, arr(12, 2, 3, 4), [a, b])
-    np.testing.assert_array_equal(ga, arr(12, 2, 3, 4)[0])
-    np.testing.assert_array_equal(gb, arr(12, 2, 3, 4)[1])
-
+def test_take_and_add_rows():
     x = Tensor(arr(13, 2, 3, 4), requires_grad=True)
     row = take(x, 1)
     np.testing.assert_array_equal(row.data, x.data[1])

@@ -269,7 +269,7 @@ class TestAdam:
         source = TwoStreamModel(ModelConfig(), seed=1)
         noise = np.random.default_rng(3)
         for _, t in source.registry.trainable():
-            t.data = t.data + 0.1 * noise.standard_normal(t.shape)
+            t.data += 0.1 * noise.standard_normal(t.shape)
         source.save_weights(tmp_path / "w")
         model.load_weights(tmp_path / "w")
         loaded = {name: t.data.copy() for name, t in source.registry.trainable()}
@@ -423,7 +423,7 @@ class TestTrainLoop:
         model = TwoStreamModel(ModelConfig(**SMALL_MODEL), seed=0)
         noise = np.random.default_rng(3)
         for _, t in model.registry.trainable():
-            t.data = t.data + 0.5 * noise.standard_normal(t.shape)
+            t.data += 0.5 * noise.standard_normal(t.shape)
         data = generate_dataset(3, 40, 0.3)
         whole = round(evaluate(model, data) * len(data))
         chunks = sum(round(evaluate(model, data[i : i + 16]) * len(data[i : i + 16])) for i in range(0, 40, 16))
