@@ -29,16 +29,16 @@ Three layers:
   are plain numpy and record nothing; an activation's forward returns its
   derivative, so its backward is one product with the output gradient;
 - block ops (``frozen_attention``, ``frozen_mlp``, ``gated_attention``,
-  ``grouped_bottleneck``, ``residual``, ``pooled_linear``) run a chain of
-  kernels or sums as one node whose closure saves only what its gradients
-  need. A frozen block returns only the input gradient and refuses weights
-  that require one. The adapter block ops run one direction, or several at
-  once over a leading direction axis: their operands are then ``Slots``,
-  which stack each direction's parameter or pick each direction's rows of a
-  stacked tensor, and route each direction's gradient back to its own
-  tensor. ``residual`` sums a layer half's residual and cross term, and
-  ``pooled_linear`` is the event head, reading the streams as ``Slots``
-  rows of their stacks.
+  ``grouped_bottleneck``, ``pooled_linear``) run a chain of kernels or sums
+  as one node whose closure saves only what its gradients need. A frozen
+  block is a whole layer half: it adds its input (the residual) and a cross
+  term into the term's rows, passes gradients to those two only, and refuses
+  weights that require one. The adapter block ops run one direction, or
+  several at once over a leading direction axis: their operands are then
+  ``Slots``, which stack each direction's parameter or pick each direction's
+  rows of a stacked tensor, and route each direction's gradient back to its
+  own tensor. ``pooled_linear`` is the event head, reading the streams as
+  ``Slots`` rows of their stacks.
 
 Tokens enter the tape as leaves: the tokenizers run the kernels on frozen
 weights and record nothing. The single-op tape versions of layer norm, GELU,
@@ -608,51 +608,77 @@ def _check_frozen(op: str, **weights: Tensor | None) -> None:
             raise GraphError(f"{op}: weight {name} requires a gradient, but {op} is frozen and passes none to its weights")
 
 
-def frozen_attention(x: Tensor, gain, shift, wq, wk, wv, wo, heads: int) -> Tensor:
-    """Pre-norm multi-head self-attention with frozen weights:
-    attention(t wq, t wk, t wv) wo for t = layer_norm(x), scores scaled by
-    1/sqrt(width/heads). The backward pass returns dx only, from the saved
-    xhat, inv, Q/K/V heads and softmax."""
+def _residual_node(op: str, x: Tensor, y: np.ndarray, term: Tensor | None, rows: Sequence[int], dx) -> Tensor:
+    """A layer half as one node: ``y``, a frozen block's fresh output for
+    ``x``, plus ``x``, then row i of ``term`` added into row ``rows[i]``.
+    ``dx`` maps the gradient to the block's input gradient and is dropped
+    when ``x`` needs none, so nothing the block saved is kept. Gradients go
+    to ``x``, then through ``dx``, then to the term, as two nodes gave them."""
+    if term is not None and (term.shape != (len(rows),) + x.shape[1:] or len(set(rows)) != len(rows)
+                             or not all(0 <= r < x.shape[0] for r in rows)):
+        raise ShapeError(f"{op}: a term of shape {term.shape} does not fit rows {rows} of {x.shape}")
+    y += x.data
+    if term is not None:
+        index = _row_index(rows)
+        y[index] += term.data
+    out = Tensor._node(y, (x,) if term is None else (x, term))
+    if out.requires_grad:
+        if not x.requires_grad:
+            dx = None
+        def _bw(g: np.ndarray) -> None:
+            if dx is not None:
+                _accum(x, g)
+                _accum(x, dx(g))
+            if term is not None and term.requires_grad:
+                _accum(term, g[index])
+        out._backward = _bw
+    return out
+
+
+def frozen_attention(x: Tensor, gain, shift, wq, wk, wv, wo, heads: int, term: Tensor | None = None,
+                     rows: Sequence[int] = ()) -> Tensor:
+    """Pre-norm multi-head self-attention with frozen weights, a layer half:
+    x + attention(t wq, t wk, t wv) wo for t = layer_norm(x), scores scaled
+    by 1/sqrt(width/heads), with ``term`` added into rows ``rows``. x's
+    gradient comes from the saved xhat, inv, Q/K/V heads and softmax."""
     _check_frozen("frozen_attention", gain=gain, shift=shift, wq=wq, wk=wk, wv=wv, wo=wo)
     t, xhat, inv = layer_norm_fwd(x.data, gain.data, shift.data)
     q, k, v = linear_fwd(t, wq.data), linear_fwd(t, wk.data), linear_fwd(t, wv.data)
     del t
     scale = 1.0 / np.sqrt(x.shape[-1] // heads)
     merged, saved = attention_fwd(q, k, v, heads, scale)
-    out = Tensor._node(linear_fwd(merged, wo.data), (x,))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            dq, dk, dv = attention_bwd(g @ wo.data.T, *saved, scale)
-            # the order the q, k and v products handed their gradients back
-            dt = dq @ wq.data.T
-            dt += dk @ wk.data.T
-            dt += dv @ wv.data.T
-            _accum(x, layer_norm_bwd(dt, gain.data, xhat, inv))
-        out._backward = _bw
-    return out
+
+    def dx(g: np.ndarray) -> np.ndarray:
+        dq, dk, dv = attention_bwd(g @ wo.data.T, *saved, scale)
+        # the order the q, k and v products handed their gradients back
+        dt = dq @ wq.data.T
+        dt += dk @ wk.data.T
+        dt += dv @ wv.data.T
+        return layer_norm_bwd(dt, gain.data, xhat, inv)
+    return _residual_node("frozen_attention", x, linear_fwd(merged, wo.data), term, rows, dx)
 
 
-def frozen_mlp(x: Tensor, gain, shift, w1, b1, w2, b2) -> Tensor:
-    """Pre-norm GELU MLP with frozen weights: gelu(t w1 + b1) w2 + b2 for
-    t = layer_norm(x). The backward pass returns dx only, from the saved
-    xhat, inv and GELU derivative."""
+def frozen_mlp(x: Tensor, gain, shift, w1, b1, w2, b2, term: Tensor | None = None,
+               rows: Sequence[int] = ()) -> Tensor:
+    """Pre-norm GELU MLP with frozen weights, a layer half:
+    x + gelu(t w1 + b1) w2 + b2 for t = layer_norm(x), with ``term`` added
+    into rows ``rows``. x's gradient comes from the saved xhat, inv and GELU
+    derivative."""
     _check_frozen("frozen_mlp", gain=gain, shift=shift, w1=w1, b1=b1, w2=w2, b2=b2)
     t, xhat, inv = layer_norm_fwd(x.data, gain.data, shift.data)
     pre = linear_fwd(t, w1.data, b1.data)
     del t
     hidden, d = gelu_fwd(pre, _needs_grad((x,)))
-    out = Tensor._node(linear_fwd(hidden, w2.data, b2.data), (x,))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            nonlocal d
-            dh = g @ w2.data.T
-            dh *= d
-            d = None  # spent: freed before the next product
-            dt = dh @ w1.data.T
-            del dh
-            _accum(x, layer_norm_bwd(dt, gain.data, xhat, inv))
-        out._backward = _bw
-    return out
+
+    def dx(g: np.ndarray) -> np.ndarray:
+        nonlocal d
+        dh = g @ w2.data.T
+        dh *= d
+        d = None  # spent: freed before the next product
+        dt = dh @ w1.data.T
+        del dh
+        return layer_norm_bwd(dt, gain.data, xhat, inv)
+    return _residual_node("frozen_mlp", x, linear_fwd(hidden, w2.data, b2.data), term, rows, dx)
 
 
 def gated_attention(q, k, v, gate) -> Tensor:
@@ -733,33 +759,6 @@ def grouped_bottleneck(x, down_w, down_b, up_w, up_b, act: str) -> Tensor:
             for s, grad in grads:
                 if grad is not None:
                     s.route(grad)
-        out._backward = _bw
-    return out
-
-
-def residual(x: Tensor, f: Tensor, term: Tensor | None = None, rows: Sequence[int] = ()) -> Tensor:
-    """``x + f``, a sub-step's output ``f`` added to its input, then leading
-    row i of ``term`` added into row ``rows[i]``, in that order; the rows
-    ``rows`` leaves out stay ``x + f``."""
-    rows = tuple(rows)
-    if f.shape != x.shape or term is not None and (
-            term.shape != (len(rows),) + x.shape[1:] or len(set(rows)) != len(rows)
-            or not all(0 <= r < x.shape[0] for r in rows)):
-        raise ShapeError(
-            f"residual: {x.shape} + {f.shape} with rows {rows} of {None if term is None else term.shape} do not fit"
-        )
-    y = x.data + f.data
-    if term is not None:
-        index = _row_index(rows)
-        y[index] += term.data
-    out = Tensor._node(y, (x, f) if term is None else (x, f, term))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            for t in (x, f):
-                if t.requires_grad:
-                    _accum(t, g)
-            if term is not None and term.requires_grad:
-                _accum(term, g[index])
         out._backward = _bw
     return out
 

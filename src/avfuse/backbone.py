@@ -6,9 +6,10 @@ attention/MLP blocks; the MLP is GELU, as in ViT. A list of inputs is
 tokenized as one ``(B, N, D)`` batch: the frozen projection and positional
 table run as kernels, and the tokens come out as a leaf that records no
 node. Every block runs on plain token tensors with any leading axes: a stack
-of streams, a batch or one sample's ``(N, D)`` tokens. Everything here is
-frozen at construction; the only trainable state in the package lives in the
-adapter sites and the task head.
+of streams, a batch or one sample's ``(N, D)`` tokens, and is a whole layer
+half, ``x + f(LN(x))`` as in ViT, with a cross term added into its rows in
+the same node. Everything here is frozen at construction; the only trainable
+state in the package lives in the adapter sites and the task head.
 """
 from __future__ import annotations
 
@@ -224,29 +225,25 @@ def init_layer_weights(width: int, heads: int, seed: int, name: str) -> FrozenLa
     )
 
 
-def mha(x: Tensor, w: FrozenLayerWeights) -> Tensor:
-    """Pre-norm multi-head self-attention term for tokens on any leading axes
-    (each stream of a stack attends within itself), as one tape node that
-    passes a gradient to the tokens only.
-
-    Returns only the attention output (the caller adds the residual). Scores
-    are scaled by 1/sqrt(width/heads).
-    """
+def mha(x: Tensor, w: FrozenLayerWeights, term: Tensor | None = None, rows=()) -> Tensor:
+    """The pre-norm multi-head self-attention half of a layer for tokens on
+    any leading axes (each stream of a stack attends within itself): one
+    tape node that returns ``x`` plus the attention output, with ``term``
+    added into rows ``rows``. Scores are scaled by 1/sqrt(width/heads)."""
     width = w.width
     if x.shape[-1] != width:
         raise ShapeError(f"mha: token width {x.shape[-1]} does not match layer width {width}")
     if width % w.heads:
         raise ShapeError(f"mha: head count {w.heads} does not divide width {width}")
-    return frozen_attention(x, w.ln1_gain, w.ln1_shift, w.wq, w.wk, w.wv, w.wo, w.heads)
+    return frozen_attention(x, w.ln1_gain, w.ln1_shift, w.wq, w.wk, w.wv, w.wo, w.heads, term, rows)
 
 
-def mlp(x: Tensor, w: FrozenLayerWeights) -> Tensor:
-    """Pre-norm position-wise GELU MLP term (width -> 4*width -> width), as
-    one tape node that passes a gradient to the tokens only; caller adds the
-    residual."""
+def mlp(x: Tensor, w: FrozenLayerWeights, term: Tensor | None = None, rows=()) -> Tensor:
+    """The pre-norm position-wise GELU MLP half of a layer (width -> 4*width
+    -> width), one tape node as ``mha``: ``x`` plus the MLP output."""
     if x.shape[-1] != w.width:
         raise ShapeError(f"mlp: token width {x.shape[-1]} does not match layer width {w.width}")
-    return frozen_mlp(x, w.ln2_gain, w.ln2_shift, w.mlp_w1, w.mlp_b1, w.mlp_w2, w.mlp_b2)
+    return frozen_mlp(x, w.ln2_gain, w.ln2_shift, w.mlp_w1, w.mlp_b1, w.mlp_w2, w.mlp_b2, term, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from .autodiff import (
     Tensor,
     gated_attention,
     grouped_bottleneck,
-    residual,
 )
 from .backbone import AUDIO, STACK_ORDER, VISUAL, FreezeRegistry, FrozenLayerWeights, mha, mlp
 
@@ -253,54 +252,31 @@ def build_site(
     return site
 
 
-@dataclass
-class SiteStack:
-    """The sites of one attachment as one call: each parameter a Slots over
-    the direction axis, one slot per site, in the order of the token rows
-    the sites target."""
-
-    latents: Slots | None
-    gate_compress: Slots | None
-    gate_fuse: Slots
-    neck: BottleneckParams
-
-    @classmethod
-    def of(cls, sites: list[AdapterSite]) -> "SiteStack":
-        def slots(tensors) -> Slots | None:
-            return None if tensors[0] is None else Slots.stack(tensors)
-
-        necks = [s.neck for s in sites]
-        return cls(
-            latents=slots([s.latents for s in sites]),
-            gate_compress=slots([s.gate_compress for s in sites]),
-            gate_fuse=slots([s.gate_fuse for s in sites]),
-            neck=BottleneckParams(
-                down_w=slots([n.down_w for n in necks]),
-                up_w=slots([n.up_w for n in necks]),
-                act=necks[0].act,
-                down_b=slots([n.down_b for n in necks]),
-                up_b=slots([n.up_b for n in necks]),
-            ),
-        )
-
-
-def adapter_forward(source, target, site) -> Tensor:
+def adapter_forward(source, target, sites: list[AdapterSite]) -> Tensor:
     """The additive cross-modal term injected next to one frozen sub-step.
 
     Latent sites run compress -> fuse -> bottleneck; direct sites attend to
     the source tokens themselves before the same bottleneck. The result has
     the target's shape and is exactly zero while the up projection is zero.
-    ``site`` is a SiteStack and ``source`` and ``target`` are Slots of token
-    rows, one slot per site.
+    ``source`` and ``target`` are Slots of token rows, one slot per site of
+    ``sites``; each parameter is stacked over the sites in that order.
     """
-    if not source.shape[0] == target.shape[0] == site.gate_fuse.shape[0]:
+    if not source.shape[0] == target.shape[0] == len(sites):
         raise ShapeError("adapter_forward: source, target and sites disagree on the number of directions")
-    if site.latents is not None:
-        summary = compress_to_latents(site.latents, source, site.gate_compress)
-        fused = fuse_with_latents(target, summary, site.gate_fuse)
+
+    def stacked(owners, part: str) -> Slots | None:
+        tensors = [getattr(o, part) for o in owners]
+        return None if tensors[0] is None else Slots.stack(tensors)
+
+    necks = [s.neck for s in sites]
+    neck = BottleneckParams(act=necks[0].act, **{p: stacked(necks, p) for p in ("down_w", "up_w", "down_b", "up_b")})
+    gate_fuse = stacked(sites, "gate_fuse")
+    if sites[0].latents is not None:
+        summary = compress_to_latents(stacked(sites, "latents"), source, stacked(sites, "gate_compress"))
+        fused = fuse_with_latents(target, summary, gate_fuse)
     else:
-        fused = cma(target, source, source, site.gate_fuse)
-    return bottleneck(fused, site.neck)
+        fused = cma(target, source, source, gate_fuse)
+    return bottleneck(fused, neck)
 
 
 def build_layer_sites(
@@ -342,11 +318,11 @@ def layer_forward(
     one for every row. Each frozen block runs once per stack. At
     one attachment, the sites whose sources share a stack and whose targets
     share a stack run as one ``adapter_forward`` call over rows of those
-    stacks. Each stack's half step is one ``residual`` node: the block's
-    output added to its input, then the term into the target rows, if the
-    stack is a target. Both attention-side terms read the pre-update states,
-    and both MLP-side terms read the post-attention ones; neither stream
-    ever sees the other's half-updated state.
+    stacks. Each stack's half step is then one frozen block node, which adds
+    its input and, if the stack is a target, the term into the target rows.
+    Both attention-side terms read the pre-update states, and both MLP-side
+    terms read the post-attention ones; neither stream ever sees the other's
+    half-updated state.
     """
     # an unstacked (B, N, D) batch would have its batch axis read as streams
     if (set(where) != set(STACK_ORDER) or any(x.ndim not in (3, 4) for x in stacks)
@@ -366,7 +342,7 @@ def layer_forward(
         for (src, dst), group in groups.items():
             rows = [where[s.target_modality][1] for s in group]
             source = Slots.rows(xs[src], [where[s.source_modality][1] for s in group])
-            terms[dst] = (adapter_forward(source, Slots.rows(xs[dst], rows), SiteStack.of(group)), rows)
-        return [residual(x, block(x, w), *terms.get(i, ())) for i, x in enumerate(xs)]
+            terms[dst] = (adapter_forward(source, Slots.rows(xs[dst], rows), group), rows)
+        return [block(x, w, *terms.get(i, ())) for i, x in enumerate(xs)]
 
     return half(half(stacks, mha, "mha"), mlp, "mlp")

@@ -23,6 +23,11 @@ CONTAINER_FORMAT = "avfuse-tensors-v1"
 
 _ITEMSIZE = 8  # float64
 
+# the one payload layout the loader reads, and each manifest entry's fields
+# with their JSON types (bool is not taken for int, nor int for bool)
+_LAYOUT = {"dtype": "float64", "byteorder": "little", "order": "C"}
+_ENTRY_FIELDS = {"name": str, "shape": list, "frozen": bool, "offset": int, "nbytes": int}
+
 
 @dataclass
 class ContainerEntry:
@@ -74,6 +79,8 @@ def save_tensors(base: str | Path, entries, extra: dict | None = None) -> None:
 def load_tensors(base: str | Path) -> tuple[list[ContainerEntry], dict]:
     """Read a container back; returns (entries in manifest order, extra).
 
+    The manifest must name the layout written here and give each entry every
+    field in its JSON type, or the load is refused naming entry and field.
     The entries must tile the blob exactly, in manifest order: the first
     starts at byte 0, each next one where the previous one ends, and the last
     one ends at the blob's end. Non-finite payloads are refused.
@@ -81,14 +88,30 @@ def load_tensors(base: str | Path) -> tuple[list[ContainerEntry], dict]:
     base = Path(base)
     with open(base.with_suffix(".json"), "r", encoding="utf-8") as f:
         manifest = json.load(f)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"container manifest: need a JSON object, got {type(manifest).__name__}")
     if manifest.get("format") != CONTAINER_FORMAT:
         raise ValueError(f"unrecognized container format: {manifest.get('format')!r}")
+    for key, want in _LAYOUT.items():
+        if manifest.get(key) != want:
+            raise ValueError(f"container manifest: field {key!r} is {manifest.get(key)!r}, but only {want!r} is read")
+    if not isinstance(manifest.get("tensors"), list):
+        raise ValueError(f"container manifest: field 'tensors' must be a JSON list, got {manifest.get('tensors')!r}")
     blob = base.with_suffix(".bin").read_bytes()
     entries = []
     lo = 0
-    for rec in manifest["tensors"]:
-        name = rec["name"]
-        shape = tuple(int(s) for s in rec["shape"])
+    for index, rec in enumerate(manifest["tensors"]):
+        if not isinstance(rec, dict):
+            raise ValueError(f"container entry {index}: need a JSON object, got {type(rec).__name__}")
+        name = rec.get("name")
+        what = f"container entry {name!r}" if type(name) is str else f"container entry {index}"
+        for key, kind in _ENTRY_FIELDS.items():
+            if type(rec.get(key)) is not kind:
+                got = f"got {rec[key]!r}" if key in rec else "it is missing"
+                raise ValueError(f"{what}: field {key!r} must be a JSON {kind.__name__}, {got}")
+        shape = tuple(rec["shape"])
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"{what}: field 'shape' must list non-negative integers, got {rec['shape']!r}")
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = count * _ITEMSIZE
         if rec["nbytes"] != nbytes:
@@ -101,7 +124,7 @@ def load_tensors(base: str | Path) -> tuple[list[ContainerEntry], dict]:
         arr = np.frombuffer(blob[lo:hi], dtype="<f8").astype(np.float64).reshape(shape)
         if not np.isfinite(arr).all():
             raise ValueError(f"container entry {name!r}: payload holds non-finite values")
-        entries.append(ContainerEntry(name, arr, bool(rec["frozen"])))
+        entries.append(ContainerEntry(name, arr, rec["frozen"]))
         lo = hi
     if lo != len(blob):
         raise ValueError(f"container blob holds {len(blob)} bytes but its entries cover {lo}")

@@ -242,6 +242,8 @@ def evaluate(model: TwoStreamModel, samples: list[SyntheticAvSample]) -> float:
     tape. Logits rows do not depend on the batch they ride in, so the hits
     equal those of scoring each sample alone.
     """
+    if not samples:
+        raise ValueError("evaluate: samples is empty, so there is no accuracy to report")
     hits = 0
     with no_grad():
         for lo in range(0, len(samples), EVAL_CHUNK):
@@ -310,6 +312,8 @@ def train(
     steps and always after the final step (for steps=0 that is the untouched
     model). ``backward`` frees each step's graph before the next forward.
     """
+    if not train_samples or not test_samples:
+        raise ValueError(f"train: {'test_samples' if train_samples else 'train_samples'} is empty")
     cfg.validate()
     _keep_freed_pages()
     optimizer = make_optimizer(model, cfg)

@@ -24,9 +24,11 @@ direction-axis operands of a stacked call.
 
 The tape ops ``take``, ``add_rows``, ``mean_rows``, ``concat_cols`` (with
 ``_concat``) and ``reshape`` live here too: the library ran them only in the
-chains its ``residual`` and ``pooled_linear`` block ops replaced.
-``chain_residual`` and ``chain_head`` chain them as the library did, the
-oracle those block ops must match bit for bit.
+chains that its frozen blocks' residual sums and its ``pooled_linear`` block
+op replaced. ``chain_residual`` (a layer half's residual sum, then the cross
+term into its rows, as the library once ran it after each frozen block) and
+``chain_head`` chain them as the library did, the oracle those block ops
+must match bit for bit.
 
 ``LoopAdam`` is the per-tensor Adam the optimizer ran before it kept every
 trainable value in one flat vector: the oracle the flat update must match
@@ -73,7 +75,7 @@ from avfuse.autodiff import (
     linear_fwd,
     relu_fwd,
 )
-from avfuse.fusion import SiteStack, adapter_forward
+from avfuse.fusion import adapter_forward
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +339,7 @@ def stacked_chain_bottleneck(x, params) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# the tape ops the residual and head block ops replaced
+# the tape ops the frozen blocks' sums and the head block op replaced
 # ---------------------------------------------------------------------------
 
 
@@ -440,10 +442,18 @@ def add_rows(a, b, rows) -> Tensor:
 
 
 def chain_residual(x: Tensor, f: Tensor, term: Tensor | None = None, rows=()) -> Tensor:
-    """``autodiff.residual`` as single ops: the sum, then the term into its
-    rows."""
+    """A layer half's sums as single ops: ``x + f``, then leading row i of
+    ``term`` into row ``rows[i]``. With ``f`` a ``chain_mha`` or
+    ``chain_mlp`` of ``x``, this is the frozen block op with its term."""
     y = add(x, f)
     return y if term is None else add_rows(y, term, rows)
+
+
+def chain_half(chain, x: Tensor, w, term: Tensor | None = None, rows=()) -> Tensor:
+    """A frozen layer half, ``backbone.mha`` or ``mlp`` with its operands,
+    as single ops: ``chain`` (``chain_mha`` or ``chain_mlp``) of ``x``, then
+    ``chain_residual``."""
+    return chain_residual(x, chain(x, w), term, rows)
 
 
 def chain_head(parts, weight: Tensor, bias: Tensor) -> Tensor:
@@ -457,11 +467,11 @@ def chain_head(parts, weight: Tensor, bias: Tensor) -> Tensor:
 
 def site_term(site, source: np.ndarray, target: np.ndarray) -> Tensor:
     """One adapter site's term for one stream's tokens, called as
-    ``fusion.layer_forward`` calls ``adapter_forward``: a ``SiteStack`` of
-    the site over ``Slots`` rows, here each operand in a stack of its own.
-    The term comes back without the direction axis, as a new leaf."""
+    ``fusion.layer_forward`` calls ``adapter_forward``: a list of the one
+    site over ``Slots`` rows, here each operand in a stack of its own. The
+    term comes back without the direction axis, as a new leaf."""
     rows = [Slots.rows(Tensor(x[None]), (0,)) for x in (source, target)]
-    return Tensor(adapter_forward(*rows, SiteStack.of([site])).data[0])
+    return Tensor(adapter_forward(*rows, [site]).data[0])
 
 
 # ---------------------------------------------------------------------------

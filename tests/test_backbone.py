@@ -19,7 +19,17 @@ from avfuse.backbone import (
     unfold_patches,
 )
 
-from helpers import add, expr_layer_norm, loop_matmul, matmul, scalar_layer_norm, scalar_softmax_rows
+from helpers import (
+    add,
+    chain_mha,
+    chain_mlp,
+    chain_residual,
+    expr_layer_norm,
+    loop_matmul,
+    matmul,
+    scalar_layer_norm,
+    scalar_softmax_rows,
+)
 
 
 class TestInputs:
@@ -198,6 +208,16 @@ class TestResizePos:
             resize_pos_table(np.zeros((5, 2)), (2, 3), (4, 4))
 
 
+def term_of(block, x: Tensor, w) -> np.ndarray:
+    """The attention or MLP term of a frozen layer half, ``mha`` or ``mlp``:
+    its single-op chain (``chain_mha`` or ``chain_mlp``, the same kernels)
+    of ``x``, once the block op is checked to be the input plus that term,
+    bit for bit."""
+    term = {mha: chain_mha, mlp: chain_mlp}[block](x, w)
+    np.testing.assert_array_equal(block(x, w).data, chain_residual(x, term).data)
+    return term.data
+
+
 class TestLayerBlocks:
     def test_init_draws_are_name_stable(self):
         a = init_layer_weights(8, 2, 0, "layer0")
@@ -216,7 +236,7 @@ class TestLayerBlocks:
         r = np.random.default_rng(7)
         w = init_layer_weights(8, 2, 3, "oracle")
         x = Tensor(r.standard_normal((5, 8)))
-        got = mha(x, w).data
+        got = term_of(mha, x, w)
 
         t = scalar_layer_norm(x.data, w.ln1_gain.data, w.ln1_shift.data)
         q = loop_matmul(t, w.wq.data)
@@ -235,7 +255,7 @@ class TestLayerBlocks:
         r = np.random.default_rng(8)
         w = init_layer_weights(6, 1, 4, "single")
         x = Tensor(r.standard_normal((4, 6)))
-        got = mha(x, w).data
+        got = term_of(mha, x, w)
         t = scalar_layer_norm(x.data, w.ln1_gain.data, w.ln1_shift.data)
         q = t @ w.wq.data
         k = t @ w.wk.data
@@ -250,7 +270,7 @@ class TestLayerBlocks:
         for t in (w.wq, w.wk, w.wv, w.wo):
             t.data = np.eye(4)
         tok = np.array([[0.5, -1.25, 2.0, 3.75]])
-        got = mha(Tensor(tok), w).data
+        got = term_of(mha, Tensor(tok), w)
         normed = expr_layer_norm(tok, w.ln1_gain.data, w.ln1_shift.data, np.zeros_like(tok))[0]
         np.testing.assert_array_equal(got, normed)
 
@@ -262,7 +282,7 @@ class TestLayerBlocks:
             t.data = np.eye(4)
         toks = np.stack([np.array([1.0, -2.0, 0.25, 4.0])] * 2)
         x = Tensor(toks)
-        got = mha(x, w).data
+        got = term_of(mha, x, w)
         normed = expr_layer_norm(toks, w.ln1_gain.data, w.ln1_shift.data, np.zeros_like(toks))[0]
         np.testing.assert_allclose(got, normed, rtol=1e-15)
 
@@ -271,8 +291,8 @@ class TestLayerBlocks:
         w = init_layer_weights(8, 2, 6, "perm")
         x = r.standard_normal((7, 8))
         perm = r.permutation(7)
-        base = mha(Tensor(x), w).data
-        shuffled = mha(Tensor(x[perm]), w).data
+        base = term_of(mha, Tensor(x), w)
+        shuffled = term_of(mha, Tensor(x[perm]), w)
         np.testing.assert_allclose(shuffled, base[perm], rtol=1e-12)
 
     def test_mlp_zero_weights_gives_zero(self):
@@ -280,7 +300,7 @@ class TestLayerBlocks:
         for t in (w.mlp_w1, w.mlp_b1, w.mlp_w2, w.mlp_b2):
             t.data = np.zeros_like(t.data)
         x = Tensor(np.random.default_rng(22).standard_normal((3, 4)))
-        np.testing.assert_array_equal(mlp(x, w).data, np.zeros((3, 4)))
+        np.testing.assert_array_equal(term_of(mlp, x, w), np.zeros((3, 4)))
 
     def test_mlp_matches_scalar_path(self):
         from helpers import scalar_gelu
@@ -288,7 +308,7 @@ class TestLayerBlocks:
         r = np.random.default_rng(9)
         w = init_layer_weights(4, 2, 5, "mlp")
         x = Tensor(r.standard_normal((3, 4)))
-        got = mlp(x, w).data
+        got = term_of(mlp, x, w)
         t = scalar_layer_norm(x.data, w.ln2_gain.data, w.ln2_shift.data)
         hidden = loop_matmul(t, w.mlp_w1.data) + w.mlp_b1.data
         hidden = np.vectorize(scalar_gelu)(hidden)

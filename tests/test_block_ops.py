@@ -1,14 +1,17 @@
 """Differential tests of the block ops against the single-op chains they
-replaced (``helpers.chain_mha``, ``chain_mlp``, ``chain_cma``,
-``chain_bottleneck``, ``chain_residual`` and ``chain_head``): output and
-every gradient bit for bit, at the README shapes, the train-wide benchmark
-shapes and odd ones (2 heads, unequal stream lengths, ReLU, no bias, a 2-D
-latent query broadcast over the batch), with partial ``requires_grad``
-patterns; then one whole train step of the model against the same step run
-through the chains, the adapter chains in their stacked form
+replaced (``helpers.chain_half`` of ``chain_mha`` or ``chain_mlp``, which
+adds the residual and a cross term with ``chain_residual``, ``chain_cma``,
+``chain_bottleneck`` and ``chain_head``): output and every gradient bit for
+bit, at the README shapes, the train-wide benchmark shapes and odd ones (2
+heads, unequal stream lengths, ReLU, no bias, a 2-D latent query broadcast
+over the batch), with partial ``requires_grad`` patterns; then one whole
+train step of the model against the same step run through the chains, the
+adapter chains in their stacked form
 (``helpers.slotwise``: each direction's chain on its own, the gradients
 routed as the block ops route theirs), so the stacked block ops are checked
 bit for bit inside the stacked graph."""
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -23,7 +26,6 @@ from avfuse.autodiff import (
     cross_entropy_logits,
     no_grad,
     pooled_linear,
-    residual,
 )
 from avfuse.backbone import init_layer_weights, mha, mlp
 from avfuse.fusion import bottleneck, cma, init_bottleneck
@@ -33,10 +35,10 @@ from avfuse.tasks import generate_dataset
 from helpers import (
     chain_bottleneck,
     chain_cma,
+    chain_half,
     chain_head,
     chain_mha,
     chain_mlp,
-    chain_residual,
     mul,
     stacked_chain_bottleneck,
     stacked_chain_cma,
@@ -96,7 +98,7 @@ def test_frozen_attention_matches_chain(name):
     b, n, d, _, _ = SHAPES[name]
     w = layer(name)
     x = Tensor(arr(10, b, n, d), requires_grad=True)
-    assert_same(lambda: mha(x, w), lambda: chain_mha(x, w), [x], arr(11, b, n, d))
+    assert_same(lambda: mha(x, w), lambda: chain_half(chain_mha, x, w), [x], arr(11, b, n, d))
 
 
 @pytest.mark.parametrize("name", SHAPES)
@@ -104,7 +106,60 @@ def test_frozen_mlp_matches_chain(name):
     b, n, d, _, _ = SHAPES[name]
     w = layer(name)
     x = Tensor(arr(12, b, n, d), requires_grad=True)
-    assert_same(lambda: mlp(x, w), lambda: chain_mlp(x, w), [x], arr(13, b, n, d))
+    assert_same(lambda: mlp(x, w), lambda: chain_half(chain_mlp, x, w), [x], arr(13, b, n, d))
+
+
+# the rows a layer half's cross term adds into: none, both streams of one
+# stack (in order, and reversed), one stream of a stack of two
+RESIDUAL_ROWS = {"no-term": None, "both": (0, 1), "both-reversed": (1, 0), "audio": (0,), "visual": (1,)}
+HALVES = {"mha": (mha, chain_mha), "mlp": (mlp, chain_mlp)}
+
+
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-frozen"])
+@pytest.mark.parametrize("rows", RESIDUAL_ROWS)
+@pytest.mark.parametrize("name", ["readme", "wide"])
+def test_residual_matches_chain(name, rows, x_grad):
+    # each frozen layer half on a stack of two streams, adding its residual
+    # and a cross term; the input needs no gradient at layer 0's attention
+    # half, where only the term does
+    b, n, d, _, _ = SHAPES[name]
+    w = layer(name)
+    rows = RESIDUAL_ROWS[rows]
+    x = Tensor(arr(60, 2, b, n, d), requires_grad=x_grad)
+    inputs, extra = [x], ()
+    if rows is not None:
+        term = Tensor(arr(62, len(rows), b, n, d), requires_grad=True)
+        inputs.append(term)
+        extra = (term, rows)
+    for block, chain in HALVES.values():
+        assert_same(lambda: block(x, w, *extra), lambda: chain_half(chain, x, w, *extra), inputs,
+                    arr(63, 2, b, n, d))
+
+
+@pytest.mark.parametrize("half", HALVES)
+def test_frozen_block_keeps_nothing_for_an_input_without_gradient(half):
+    # at layer 0's attention half only the term needs a gradient: the node's
+    # closure then holds no block activation and no input-gradient function
+    block, _ = HALVES[half]
+    w = layer("odd")
+    x = Tensor(arr(64, 2, 3, 6, 16))
+    term = Tensor(arr(65, 1, 3, 6, 16), requires_grad=True)
+    out = block(x, w, term, (1,))
+    assert out.requires_grad
+    cells = [c.cell_contents for c in out._backward.__closure__]
+    assert not any(isinstance(c, np.ndarray) or callable(c) for c in cells)
+
+
+def test_residual_shape_guard():
+    w = layer("odd")
+    x = Tensor(np.zeros((2, 3, 6, 16)))
+    for block, op in ((mha, "frozen_attention"), (mlp, "frozen_mlp")):
+        # a row out of range, a repeated row, fewer term rows than rows, and
+        # a term whose trailing shape is not the input's
+        for count, rows, tail in ((1, (2,), (3, 6, 16)), (2, (0, 0), (3, 6, 16)), (1, (0, 1), (3, 6, 16)),
+                                  (1, (0,), (3, 6, 8))):
+            with pytest.raises(ShapeError, match=f"{op}: a term of shape"):
+                block(x, w, Tensor(np.zeros((count,) + tail)), rows)
 
 
 def cma_operands(name, site):
@@ -180,8 +235,9 @@ def test_no_grad_records_no_closure():
     p = init_bottleneck(16, 4, 2, seed=9, name="test.no_grad")
     for t in (p.down_w, p.up_w, p.down_b, p.up_b):
         t.requires_grad = True
+    term = Tensor(arr(43, 1, 6, 16), requires_grad=True)
     with no_grad():
-        outs = [mha(x, w), mlp(x, w), cma(x, x, x, gate), bottleneck(x, p)]
+        outs = [mha(x, w), mlp(x, w, term, (0,)), cma(x, x, x, gate), bottleneck(x, p)]
     for out in outs:
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
@@ -204,39 +260,6 @@ def test_frozen_mlp_refuses_a_trainable_weight(field):
     name = field.removeprefix("ln2_").removeprefix("mlp_")
     with pytest.raises(GraphError, match=f"frozen_mlp: weight {name} "):
         mlp(x, w)
-
-
-# the rows a layer half's cross term adds into: none, both streams of one
-# stack (in order, and reversed), one stream of a stack of two
-RESIDUAL_ROWS = {"no-term": None, "both": (0, 1), "both-reversed": (1, 0), "audio": (0,), "visual": (1,)}
-
-
-@pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-frozen"])
-@pytest.mark.parametrize("rows", RESIDUAL_ROWS)
-@pytest.mark.parametrize("name", ["readme", "wide"])
-def test_residual_matches_chain(name, rows, x_grad):
-    # x needs no gradient at layer 0's attention half, nor does the frozen
-    # block's output there
-    b, n, d, _, _ = SHAPES[name]
-    rows = RESIDUAL_ROWS[rows]
-    x = Tensor(arr(60, 2, b, n, d), requires_grad=x_grad)
-    f = Tensor(arr(61, 2, b, n, d), requires_grad=x_grad)
-    inputs = [x, f]
-    extra = ()
-    if rows is not None:
-        term = Tensor(arr(62, len(rows), b, n, d), requires_grad=True)
-        inputs.append(term)
-        extra = (term, rows)
-    assert_same(lambda: residual(x, f, *extra), lambda: chain_residual(x, f, *extra), inputs, arr(63, 2, b, n, d))
-
-
-def test_residual_shape_guard():
-    x = Tensor(np.zeros((2, 3, 4)))
-    with pytest.raises(ShapeError):
-        residual(x, Tensor(np.zeros((1, 3, 4))))
-    for rows in ((2,), (0, 0), (0, 1)):
-        with pytest.raises(ShapeError):
-            residual(x, x, Tensor(np.zeros((1, 3, 4))), rows)
 
 
 # the final stacks the head reads: one stack of both streams, or one stack
@@ -287,11 +310,10 @@ def test_train_step_matches_chains_bitwise(name, monkeypatch):
         for site in sites.values():
             site.neck.up_w.data = 0.1 * arr(50, *site.neck.up_w.shape)
     logits, grads = train_step(model, batch)
-    monkeypatch.setattr(fusion, "mha", chain_mha)
-    monkeypatch.setattr(fusion, "mlp", chain_mlp)
+    monkeypatch.setattr(fusion, "mha", partial(chain_half, chain_mha))
+    monkeypatch.setattr(fusion, "mlp", partial(chain_half, chain_mlp))
     monkeypatch.setattr(fusion, "cma", stacked_chain_cma)
     monkeypatch.setattr(fusion, "bottleneck", stacked_chain_bottleneck)
-    monkeypatch.setattr(fusion, "residual", chain_residual)
     monkeypatch.setattr(model_module, "pooled_linear", chain_head)
     want_logits, want_grads = train_step(model, batch)
     np.testing.assert_array_equal(logits, want_logits)

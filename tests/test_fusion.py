@@ -290,8 +290,7 @@ class TestDualLayer:
         sites = build_layer_sites(0, 8, 2, 2, 2, 0, "none")
         ya, yv = layer_apart(xa, xv, w, sites)
         for x, y in ((xa, ya), (xv, yv)):
-            mid = add(x, mha(x, w))
-            want = add(mid, mlp(mid, w)).data
+            want = mlp(mha(x, w), w).data
             np.testing.assert_array_equal(y.data, want)
 
     def test_a2v_leaves_audio_stream_untouched(self):
@@ -345,9 +344,9 @@ class TestDualLayer:
 
         cross_v = site_term(sites["a2v_mha"], xa.data, xv.data)
         cross_a = site_term(sites["v2a_mha"], xv.data, xa.data)
-        mid_a = add(add(xa, mha(xa, w)), cross_a)
-        mid_v = add(add(xv, mha(xv, w)), cross_v)
-        want_a = add(add(mid_a, mlp(mid_a, w)), site_term(sites["v2a_mlp"], mid_v.data, mid_a.data))
-        want_v = add(add(mid_v, mlp(mid_v, w)), site_term(sites["a2v_mlp"], mid_a.data, mid_v.data))
+        mid_a = add(mha(xa, w), cross_a)
+        mid_v = add(mha(xv, w), cross_v)
+        want_a = add(mlp(mid_a, w), site_term(sites["v2a_mlp"], mid_v.data, mid_a.data))
+        want_v = add(mlp(mid_v, w), site_term(sites["a2v_mlp"], mid_a.data, mid_v.data))
         np.testing.assert_allclose(ya.data, want_a.data, rtol=1e-12)
         np.testing.assert_allclose(yv.data, want_v.data, rtol=1e-12)

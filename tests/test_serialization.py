@@ -1,5 +1,6 @@
 """Round-trip and byte-layout tests for the on-disk formats."""
 import json
+import re
 import struct
 
 import numpy as np
@@ -81,6 +82,53 @@ def test_container_deterministic_bytes(tmp_path):
     save_tensors(tmp_path / "b", [("w", arr, True)], extra={"k": 1})
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+def _edit_manifest(path, edit):
+    """Rewrite a container's manifest by ``edit``, which changes it in place
+    or returns a replacement."""
+    man = json.loads(path.read_text())
+    man = edit(man) or man
+    path.write_text(json.dumps(man))
+
+
+# manifest edits the loader does not honour, each with the field its error
+# must name: a payload layout other than the one it reads, a field of the
+# wrong JSON type (a string shape would be read one character at a time, a
+# float dimension truncated, a string flag taken as true), a manifest that is
+# not an object
+HEADER_EDITS = {
+    "dtype": (lambda m: m.update(dtype="float32"), "'dtype'"),
+    "byteorder": (lambda m: m.update(byteorder="big"), "'byteorder'"),
+    "order": (lambda m: m.update(order="F"), "'order'"),
+    "frozen-string": (lambda m: m["tensors"][1].update(frozen="no"), "entry 'w': field 'frozen'"),
+    "shape-string": (lambda m: m["tensors"][1].update(shape="64"), "entry 'w': field 'shape'"),
+    "shape-float": (lambda m: m["tensors"][1].update(shape=[6.5, 4]), "entry 'w': field 'shape'"),
+    "not-an-object": (lambda m: [m], "manifest: need a JSON object"),
+    "entry-not-an-object": (lambda m: m["tensors"].__setitem__(1, "w"), "entry 1: need a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", HEADER_EDITS)
+def test_container_refuses_a_header_it_does_not_honour(tmp_path, case):
+    # the payload still tiles the blob: a loader that ignored the field
+    # would read it, wrongly
+    base = tmp_path / "h"
+    save_tensors(base, [("v", np.ones(2), False), ("w", np.arange(24.0).reshape(6, 4), True)])
+    edit, names = HEADER_EDITS[case]
+    _edit_manifest(tmp_path / "h.json", edit)
+    with pytest.raises(ValueError, match=re.escape(names)):
+        load_tensors(base)
+
+
+@pytest.mark.parametrize("field", ["name", "shape", "frozen", "offset", "nbytes"])
+def test_container_refuses_an_entry_without_a_field(tmp_path, field):
+    base = tmp_path / "k"
+    save_tensors(base, [("v", np.ones(2), False), ("w", np.ones(3), True)])
+    _edit_manifest(tmp_path / "k.json", lambda m: m["tensors"][1].__delitem__(field))
+    entry = "1" if field == "name" else "'w'"
+    with pytest.raises(ValueError, match=re.escape(f"container entry {entry}: field '{field}' must be a JSON")):
+        load_tensors(base)
 
 
 class _FullDisk:

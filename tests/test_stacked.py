@@ -166,6 +166,5 @@ def test_slots_read_and_route():
 def test_adapter_forward_checks_the_direction_count():
     sites = build_layer_sites(0, 8, 2, 2, 2, 0, "bidirectional")
     x = Tensor(arr(30, 2, 3, 5, 8))
-    stacked = fusion.SiteStack.of([sites["v2a_mha"], sites["a2v_mha"]])
     with pytest.raises(ValueError, match="number of directions"):
-        fusion.adapter_forward(Slots.rows(x, (1,)), Slots.rows(x, (0,)), stacked)
+        fusion.adapter_forward(Slots.rows(x, (1,)), Slots.rows(x, (0,)), [sites["v2a_mha"], sites["a2v_mha"]])

@@ -448,6 +448,28 @@ class TestTrainLoop:
         train(model, generate_dataset(0, 8, 0.1), generate_dataset(1, 4, 0.1), TrainConfig(steps=3, batch_size=4))
         assert len(refs) == 3
 
+    @pytest.mark.parametrize("empty", ["train_samples", "test_samples"])
+    def test_train_refuses_an_empty_sample_list_before_any_step(self, monkeypatch, empty):
+        # an empty test set used to train every step, then divide by zero
+        model = TwoStreamModel(ModelConfig(**SMALL_MODEL), seed=0)
+        calls = []
+        monkeypatch.setattr(model, "logits_batch", lambda pairs: calls.append(pairs))
+        before = {name: t.data.copy() for name, t in model.registry.trainable()}
+        data = {"train_samples": generate_dataset(0, 8, 0.1), "test_samples": generate_dataset(1, 4, 0.1), empty: []}
+        with pytest.raises(ValueError, match=f"train: {empty} is empty"):
+            train(model, data["train_samples"], data["test_samples"], TrainConfig(steps=200, batch_size=4))
+        assert calls == []
+        for name, t in model.registry.trainable():
+            np.testing.assert_array_equal(t.data, before[name], err_msg=name)
+
+    def test_evaluate_refuses_an_empty_sample_list(self, monkeypatch):
+        model = TwoStreamModel(ModelConfig(**SMALL_MODEL), seed=0)
+        calls = []
+        monkeypatch.setattr(model, "logits_batch", lambda pairs: calls.append(pairs))
+        with pytest.raises(ValueError, match="evaluate: samples is empty"):
+            evaluate(model, [])
+        assert calls == []
+
     def test_evaluate_records_no_graph(self, monkeypatch):
         model = TwoStreamModel(ModelConfig(**SMALL_MODEL), seed=0)
         seen = []
