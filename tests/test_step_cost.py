@@ -1,9 +1,10 @@
 """Cost guard: the tape nodes and ``count_macs`` tallies of one train step
 (batched forward, cross-entropy, backward) at the README config (also in
 ``a2v`` and with direct sites), at the train-wide benchmark config and at
-unequal token counts, pinned to exact numbers. A change that adds nodes or
-arithmetic to a step has to update a number here on purpose. Counts only,
-no timing.
+unequal token counts, pinned to exact numbers, and the Python-level calls
+the step makes to the package's own functions. A change that adds nodes,
+arithmetic or calls to a step has to update a number here on purpose.
+Counts only, no timing.
 
 The README step records 18 nodes over its 2 layers: 2 ``frozen_attention``
 and 2 ``frozen_mlp`` (one per layer half; each adds its input and the
@@ -13,35 +14,52 @@ compress, a fuse and a bottleneck per attachment), 1 ``pooled_linear`` and 1
 README, so every node records a gradient: tokenization and stacking record
 no node, since the tokens come out of the frozen stem as leaves and each
 stack is a leaf copied from them, and layer 0's ``frozen_attention``, whose
-input needs no gradient, still passes one to the cross term it adds."""
+input needs no gradient, still passes one to the cross term it adds.
+
+At README shapes a step's time follows its Python-level calls more closely
+than its nodes, so those are pinned too: every call, counted with
+``sys.setprofile``, of a function whose code lives in ``src/avfuse``. Frames
+named ``<...>`` (comprehensions, generator expressions, lambdas) are not
+counted: their number changes with the Python version, which inlines
+comprehensions from 3.12 on."""
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import avfuse
 from avfuse.autodiff import Tensor, backward, count_macs, cross_entropy_logits
 from avfuse.model import ModelConfig, TwoStreamModel
 from avfuse.tasks import generate_dataset
 
+SOURCE = str(Path(avfuse.__file__).resolve().parent)
+
 # config overrides: (tape nodes, Tensor._node calls, forward MACs, softmax
-# elements) per step
+# elements, package calls) per step
 PINNED = {
-    "readme": ({}, 18, 18, 1_836_032, 3_072),
+    "readme": ({}, 18, 18, 1_836_032, 3_072, 1_084),
     # one direction: its sites still run once per attachment, so only MACs
     # and softmax elements fall
-    "readme-a2v": (dict(mode="a2v"), 18, 18, 1_770_496, 2_560),
+    "readme-a2v": (dict(mode="a2v"), 18, 18, 1_770_496, 2_560, 1_004),
     # direct sites have no compress step
-    "readme-direct": (dict(use_latents=False), 14, 14, 1_836_032, 3_072),
+    "readme-direct": (dict(use_latents=False), 14, 14, 1_836_032, 3_072, 822),
     "train-wide": (
         dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4), 18, 18, 467_668_992, 557_056,
+        1_084,
     ),
     # 6 audio tokens against 4 visual ones: a stack per stream, so every
     # frozen block and site runs per stream
-    "unequal": (dict(spec_hw=(12, 8)), 34, 34, 2_307_072, 4_608),
+    "unequal": (dict(spec_hw=(12, 8)), 34, 34, 2_307_072, 4_608, 1_915),
+    # no adapter sites: the frozen blocks, the head and the loss; only the
+    # head and the loss record a gradient
+    "none": (dict(mode="none"), 2, 6, 1_704_960, 2_048, 170),
 }
 
 
 @pytest.mark.parametrize("name", PINNED)
 def test_train_step_cost_is_pinned(name, monkeypatch):
-    overrides, nodes, records, macs, softmax_elems = PINNED[name]
+    overrides, nodes, records, macs, softmax_elems, calls = PINNED[name]
     cfg = ModelConfig(**overrides)
     model = TwoStreamModel(cfg, seed=0)
     batch = generate_dataset(0, 8, 0.1, cfg.image_hw, cfg.spec_hw)
@@ -53,8 +71,20 @@ def test_train_step_cost_is_pinned(name, monkeypatch):
         created.append(out.requires_grad)
         return out
 
+    made = 0
+
+    def profile(frame, event, arg):
+        nonlocal made
+        if event == "call" and frame.f_code.co_filename.startswith(SOURCE) and frame.f_code.co_name[0] != "<":
+            made += 1
+
     monkeypatch.setattr(Tensor, "_node", staticmethod(counted))
     with count_macs() as counter:
-        logits = model.logits_batch([(s.image, s.spectrogram) for s in batch])
-        backward(cross_entropy_logits(logits, np.array([s.label for s in batch])))
-    assert (sum(created), len(created), counter.macs, counter.softmax_elems) == (nodes, records, macs, softmax_elems)
+        sys.setprofile(profile)
+        try:
+            logits = model.logits_batch([(s.image, s.spectrogram) for s in batch])
+            backward(cross_entropy_logits(logits, np.array([s.label for s in batch])))
+        finally:
+            sys.setprofile(None)
+    assert (sum(created), len(created), counter.macs, counter.softmax_elems, made) == (
+        nodes, records, macs, softmax_elems, calls)
