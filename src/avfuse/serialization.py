@@ -38,7 +38,9 @@ class ContainerEntry:
 
 def save_tensors(base: str | Path, entries, extra: dict | None = None) -> None:
     """Write ``entries`` (iterables of (name, array, frozen)) to <base>.json
-    plus <base>.bin. Entry order is preserved; duplicate names are an error."""
+    plus <base>.bin. Entry order is preserved; duplicate names and
+    non-finite payloads, which ``load_tensors`` would refuse, are an error
+    raised before either file is written."""
     base = Path(base)
     manifest_entries = []
     blobs = []
@@ -50,6 +52,8 @@ def save_tensors(base: str | Path, entries, extra: dict | None = None) -> None:
         seen.add(name)
         # np.array keeps 0-d shapes; ascontiguousarray would promote () to (1,)
         arr = np.array(array, dtype=np.float64, order="C")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"container entry {name!r}: payload holds non-finite values, which a load would refuse")
         raw = arr.astype("<f8", copy=False).tobytes(order="C")
         manifest_entries.append(
             {

@@ -48,6 +48,16 @@ def test_container_duplicate_name_rejected(tmp_path):
         save_tensors(tmp_path / "d", [("x", np.ones(2), False), ("x", np.ones(2), False)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_container_refuses_to_save_non_finite_values(tmp_path, bad):
+    # a load refuses non-finite payloads, so a save must not write them: it
+    # names the entry and leaves neither file behind
+    entries = [("w", np.ones(3), False), ("x", np.array([bad, 1.0]), False)]
+    with pytest.raises(ValueError, match=r"container entry 'x': payload holds non-finite values"):
+        save_tensors(tmp_path / "w", entries)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_container_detects_shape_byte_mismatch(tmp_path):
     base = tmp_path / "bad"
     save_tensors(base, [("x", np.ones((2, 2)), False)])
