@@ -33,12 +33,15 @@ Three layers:
   as one node whose closure saves only what its gradients need. A frozen
   block is a whole layer half: it adds its input (the residual) and a cross
   term into the term's rows, passes gradients to those two only, and refuses
-  weights that require one. The adapter block ops run one direction, or
-  several at once over a leading direction axis: their operands are then
-  ``Slots``, which stack each direction's parameter or pick each direction's
-  rows of a stacked tensor, and route each direction's gradient back to its
-  own tensor. ``pooled_linear`` is the event head, reading the streams as
-  ``Slots`` rows of their stacks.
+  weights that require one. The adapter block ops run one direction of
+  plain tensors, or several directions at once over a leading direction
+  axis: every operand then carries the axis, as a plain tensor (a stacked
+  parameter or a stacked output) or as ``Slots``, the rows of one tensor
+  (each direction's stream of a stacked token tensor, or some directions of
+  a stacked parameter). Each operand's gradient is routed with one
+  ``_accum``; ``Slots`` first place it in their tensor's rows.
+  ``pooled_linear`` is the event head, reading the streams as ``Slots`` rows
+  of their stacks.
 
 Tokens enter the tape as leaves: the tokenizers run the kernels on frozen
 weights and record nothing. The single-op tape versions of layer norm, GELU,
@@ -184,6 +187,19 @@ class Tensor:
         self._backward_done = False
 
     @staticmethod
+    def _leaf(data: np.ndarray) -> "Tensor":
+        """A leaf that needs no gradient over ``data`` itself, not a copy:
+        for a fresh float64 array the caller hands over."""
+        out = Tensor.__new__(Tensor)
+        out.data = data
+        out.requires_grad = False
+        out.grad = None
+        out._parents = ()
+        out._backward = None
+        out._backward_done = False
+        return out
+
+    @staticmethod
     def _node(data: np.ndarray, parents: Sequence["Tensor"]) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = data
@@ -220,7 +236,11 @@ class Tensor:
 def _needs_grad(parents: Iterable[Tensor | None]) -> bool:
     """Whether a node built from ``parents`` (None entries skipped) records
     a closure: some parent requires a gradient and the tape is on."""
-    return _grad_enabled and any(p is not None and p.requires_grad for p in parents)
+    if _grad_enabled:
+        for p in parents:
+            if p is not None and p.requires_grad:
+                return True
+    return False
 
 
 def _as_tensor(x) -> Tensor:
@@ -240,7 +260,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad = g if t.grad is None else t.grad + g
     elif t.grad is not None:
         t.grad += g
-    elif g.shape == t.shape:
+    elif g.shape == t.data.shape:
         # g + 0.0 equals 0.0 + g bit for bit, signed zeros included, so this
         # matches zeros-then-add without the memset pass; out= keeps a 0-d
         # gradient an array rather than a numpy scalar
@@ -265,20 +285,24 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # The adapter block ops run every direction of one attachment in one call:
-# each operand carries a leading direction axis, and each direction's slot of
-# it comes from its own parameter tensor, or from its stream's row of a
-# stacked token tensor. A plain tensor is one direction's operand; the op
-# then adds the axis and drops it again from its output.
+# each operand carries a leading direction axis, either as a plain tensor
+# (a parameter stacked over the directions, or a stacked output) or as the
+# rows of a tensor that holds other rows too. Without the axis, plain
+# tensors are one direction's operands; the op then adds the axis and drops
+# it again from its output.
 
 
 def _row_index(rows: Sequence[int]):
     """A slice picking leading rows ``rows`` (so a view) when they step by +1
     or -1, else the list of them."""
     step = rows[1] - rows[0] if len(rows) > 1 else 1
-    if step in (1, -1) and all(b - a == step for a, b in zip(rows, rows[1:])):
-        stop = rows[-1] + step
-        return slice(rows[0], None if stop < 0 else stop, step)
-    return list(rows)
+    if step not in (1, -1):
+        return list(rows)
+    for i in range(2, len(rows)):
+        if rows[i] - rows[i - 1] != step:
+            return list(rows)
+    stop = rows[-1] + step
+    return slice(rows[0], None if stop < 0 else stop, step)
 
 
 def _place_rows(x: np.ndarray, rows: Sequence[int], n: int) -> np.ndarray:
@@ -294,90 +318,28 @@ def _place_rows(x: np.ndarray, rows: Sequence[int], n: int) -> np.ndarray:
 
 
 class Slots:
-    """One block-op operand along a leading direction axis.
+    """Rows of one tensor as a block-op operand along a leading direction
+    axis: ``Slots.rows(t, rows)`` fills slot i with leading row ``rows[i]``
+    of ``t``, a view when the rows step by +1 or -1. ``t`` is a stacked token
+    tensor (slot i is a direction's stream) or a stacked parameter (slot i
+    is one of its directions). ``route`` hands ``t`` the gradient of its
+    slots in their rows, zeros in the rows no slot reads."""
 
-    ``Slots.stack(tensors)`` gives each tensor a slot of its own, its whole
-    value (one direction's parameter each); the op reads them stacked.
-    ``Slots.rows(t, rows)`` fills slot i with leading row ``rows[i]`` of
-    ``t`` (a stream of a stacked token tensor), a view when the rows step by
-    +1 or -1. ``route`` hands each tensor the gradient of its slots.
-    """
-
-    __slots__ = ("tensors", "picked", "data", "requires_grad")
-
-    def __init__(self, tensors: tuple[Tensor, ...], picked: tuple[int, ...] | None, data: np.ndarray):
-        self.tensors = tensors
-        self.picked = picked  # the rows of tensors[0], or None for whole tensors
-        self.data = data
-        self.requires_grad = any(t.requires_grad for t in tensors) if len(tensors) > 1 else tensors[0].requires_grad
-
-    @classmethod
-    def stack(cls, tensors: Sequence[Tensor]) -> "Slots":
-        tensors = tuple(tensors)
-        if len(tensors) == 1:
-            return cls(tensors, None, tensors[0].data[None])
-        # np.array stacks equal-shape arrays faster than np.stack, and
-        # refuses unequal ones
-        return cls(tensors, None, np.array([t.data for t in tensors]))
+    __slots__ = ("tensor", "picked", "data", "requires_grad")
 
     @classmethod
     def rows(cls, t: Tensor, rows: Sequence[int]) -> "Slots":
-        rows = tuple(rows)
-        return cls((t,), rows, t.data[_row_index(rows)])
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+        s = cls.__new__(cls)
+        s.tensor = t
+        s.picked = tuple(rows)
+        s.data = t.data[_row_index(s.picked)]
+        s.requires_grad = t.requires_grad
+        return s
 
     def route(self, g: np.ndarray) -> None:
-        if self.picked is None:
-            for t, piece in zip(self.tensors, g):
-                if t.requires_grad:
-                    _accum(t, piece)
-        elif self.requires_grad:
-            t = self.tensors[0]
-            _accum(t, _place_rows(g, self.picked, t.shape[0]))
-
-
-def _as_slots(*operands):
-    """A block op's operands as Slots, None staying None, and whether the op
-    runs one direction of plain tensors (``lone``): then each tensor fills
-    one slot and the output drops the axis. Next to Slots, a plain tensor
-    already carries the axis. One tensor passed twice is one operand."""
-    lone = not any(type(x) is Slots for x in operands)
-    out = []
-    for i, x in enumerate(operands):
-        if x is not None and type(x) is not Slots:
-            for before, s in zip(operands[:i], out):
-                if before is x:
-                    x = s
-                    break
-            else:
-                x = Slots((x,), None, x.data[None]) if lone else Slots((x,), tuple(range(x.shape[0])), x.data)
-        out.append(x)
-    return lone, out
-
-
-def _slot_parents(operands) -> tuple[Tensor, ...]:
-    parents: dict[int, Tensor] = {}
-    for s in operands:
-        if s is not None:
-            for t in s.tensors:
-                parents.setdefault(id(t), t)
-    return tuple(parents.values())
-
-
-def _expand(a: np.ndarray, ndim: int) -> np.ndarray:
-    """``(S, ...)`` with unit axes after the direction axis up to ``ndim``
-    axes, so it broadcasts against batched operands."""
-    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:]) if a.ndim < ndim else a
-
-
-def _sum_to(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient over the axes ``_expand`` added to an operand of
-    ``shape``."""
-    extra = x.ndim - len(shape)
-    return x.sum(axis=tuple(range(1, 1 + extra))) if extra else x
+        if self.requires_grad:
+            t = self.tensor
+            _accum(t, _place_rows(g, self.picked, t.data.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +361,6 @@ def _merge(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-2, -3).reshape(x.shape[:-3] + (x.shape[-2], x.shape[-3] * x.shape[-1]))
 
 
-def _data(t: Tensor | None) -> np.ndarray | None:
-    return None if t is None else t.data
-
-
 def linear_fwd(a: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """``a @ w`` for a 2-D ``w``, with ``b`` added in place into the fresh
     product."""
@@ -419,9 +377,17 @@ def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, shift: np.ndarray):
     per-row ``inv`` = 1/std."""
     # two full-size buffers: xhat and the output, which first holds the
     # squared deviations
-    xhat = np.subtract(x, x.mean(axis=-1, keepdims=True))
+    # np.add.reduce then /= n is the sum and divide x.mean runs, without
+    # numpy's Python-level wrapper
+    n = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= n
+    xhat = np.subtract(x, mean)
     y = np.multiply(xhat, xhat)
-    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    var = np.add.reduce(y, axis=-1, keepdims=True)
+    var /= n
+    var += LAYER_NORM_EPS
+    inv = 1.0 / np.sqrt(var)
     xhat *= inv
     np.multiply(xhat, gain, out=y)
     y += shift
@@ -431,10 +397,13 @@ def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, shift: np.ndarray):
 def layer_norm_bwd(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """The input gradient inv * (dxhat - m1 - xhat*m2), dxhat = g*gain, with
     m1 and m2 the row means of dxhat and dxhat*xhat."""
+    n = g.shape[-1]
     dx = np.multiply(g, gain)
-    m1 = dx.mean(axis=-1, keepdims=True)
+    m1 = np.add.reduce(dx, axis=-1, keepdims=True)
+    m1 /= n
     scratch = np.multiply(dx, xhat)
-    m2 = scratch.mean(axis=-1, keepdims=True)
+    m2 = np.add.reduce(scratch, axis=-1, keepdims=True)
+    m2 /= n
     dx -= m1
     dx -= np.multiply(xhat, m2, out=scratch)
     dx *= inv
@@ -563,13 +532,16 @@ def grouped_linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None
     a dense matmul with a block-diagonal matrix at 1/G of the weights and
     MACs."""
     groups, gin, gout = w.shape[1:]
+    # unit axes after the direction axis, one per axis of x between it and
+    # the rows, so w and b broadcast against a batch
+    lead = (1,) * (x.ndim - 3)
     # one GEMM per direction, sample and group, so each sample's rows come
     # out the same as when it is mapped alone; with one output column per
     # group _merge gives a strided view, and the activations write in place
-    y = np.ascontiguousarray(_merge(np.matmul(_split(x, groups), _expand(w, x.ndim + 1))))
+    y = np.ascontiguousarray(_merge(np.matmul(_split(x, groups), w.reshape(w.shape[:1] + lead + w.shape[1:]))))
     _tally_macs(x.size // x.shape[-1] * groups * gin * gout)
     if b is not None:
-        y += _expand(b, y.ndim)
+        y += b.reshape(b.shape[:1] + lead + (1,) + b.shape[1:])
     return y
 
 
@@ -582,7 +554,8 @@ def grouped_linear_bwd(g: np.ndarray, x: np.ndarray, w: np.ndarray, want=(True, 
     want_x, want_w, want_b = want
     dx = dw = db = None
     if want_x:
-        dx = _merge(np.matmul(_split(g, groups), _expand(w, g.ndim + 1).swapaxes(-1, -2)))
+        wt = w.swapaxes(-1, -2)
+        dx = _merge(np.matmul(_split(g, groups), wt.reshape(wt.shape[:1] + (1,) * (g.ndim - 3) + wt.shape[1:])))
     if want_w:
         # (S, G, gin, p) @ (S, G, p, gout): one GEMM per direction and group
         xs = x.reshape(slots, p, groups, gin).transpose(0, 2, 3, 1)
@@ -614,9 +587,10 @@ def _residual_node(op: str, x: Tensor, y: np.ndarray, term: Tensor | None, rows:
     ``dx`` maps the gradient to the block's input gradient and is dropped
     when ``x`` needs none, so nothing the block saved is kept. Gradients go
     to ``x``, then through ``dx``, then to the term, as two nodes gave them."""
-    if term is not None and (term.shape != (len(rows),) + x.shape[1:] or len(set(rows)) != len(rows)
-                             or not all(0 <= r < x.shape[0] for r in rows)):
-        raise ShapeError(f"{op}: a term of shape {term.shape} does not fit rows {rows} of {x.shape}")
+    shape = x.data.shape
+    if term is not None and (term.data.shape != (len(rows),) + shape[1:] or len(set(rows)) != len(rows)
+                             or not all(0 <= r < shape[0] for r in rows)):
+        raise ShapeError(f"{op}: a term of shape {term.data.shape} does not fit rows {rows} of {shape}")
     y += x.data
     if term is not None:
         index = _row_index(rows)
@@ -645,7 +619,7 @@ def frozen_attention(x: Tensor, gain, shift, wq, wk, wv, wo, heads: int, term: T
     t, xhat, inv = layer_norm_fwd(x.data, gain.data, shift.data)
     q, k, v = linear_fwd(t, wq.data), linear_fwd(t, wk.data), linear_fwd(t, wv.data)
     del t
-    scale = 1.0 / np.sqrt(x.shape[-1] // heads)
+    scale = 1.0 / np.sqrt(x.data.shape[-1] // heads)
     merged, saved = attention_fwd(q, k, v, heads, scale)
 
     def dx(g: np.ndarray) -> np.ndarray:
@@ -681,25 +655,46 @@ def frozen_mlp(x: Tensor, gain, shift, w1, b1, w2, b2, term: Tensor | None = Non
     return _residual_node("frozen_mlp", x, linear_fwd(hidden, w2.data, b2.data), term, rows, dx)
 
 
+def _route(x, g: np.ndarray) -> None:
+    """Hand a block-op operand with a direction axis its gradient ``g``:
+    ``Slots`` place it in their tensor's rows, a plain tensor takes it."""
+    if type(x) is Slots:
+        x.route(g)
+    elif x.requires_grad:
+        _accum(x, g)
+
+
 def gated_attention(q, k, v, gate) -> Tensor:
     """q + gate * attention(q, k, v) for one head and a scalar ``gate`` per
     direction.
 
-    Operands are one direction's tensors, or Slots over a leading direction
-    axis (next to which a plain tensor already carries the axis); the output
-    then has the axis too. A query with fewer axes than the key (latent
-    tokens) serves every sample of the batch. The backward pass keeps the
-    softmax, and the attention output only if a gate needs a gradient; it
-    routes each operand's gradient once, its contributions summed in place.
+    With a 0-d gate the operands are one direction's plain tensors.
+    Otherwise every operand carries a leading direction axis, as a plain
+    tensor or as ``Slots``, and so does the output. A query with fewer axes
+    than the key (latent tokens) serves every sample of the batch. The
+    backward pass keeps the softmax, and the attention output only if a gate
+    needs a gradient; it routes each operand's gradient once, its
+    contributions summed in place.
     """
-    lone, ops = _as_slots(q, k, v, gate)
-    q, k, v, gate = ops
-    rank = max(q.data.ndim, k.data.ndim, v.data.ndim)
-    qd, kd, vd, gd = _expand(q.data, rank), _expand(k.data, rank), _expand(v.data, rank), _expand(gate.data, rank)
+    lone = gate.data.ndim == 0
+    qd, kd, vd, gd = q.data, k.data, v.data, gate.data
+    if lone:
+        qd, kd, vd, gd = qd[None], kd[None], vd[None], gd[None]
+    # a batch axis after the direction axis for the operand without one
+    rank = max(qd.ndim, kd.ndim)
+    q_low, kv_low = qd.ndim < rank, kd.ndim < rank
+    if q_low:
+        qd = qd[:, None]
+    if kv_low:
+        kd, vd = kd[:, None], vd[:, None]
+    gd = gd.reshape(gd.shape + (1,) * (rank - 1))
     scale = 1.0 / np.sqrt(kd.shape[-1])
     attended, saved = attention_fwd(qd, kd, vd, 1, scale)
     y = qd + attended * gd
-    out = Tensor._node(y[0] if lone else y, _slot_parents(ops))
+    # a Slots operand's parent is the tensor it reads rows of
+    out = Tensor._node(y[0] if lone else y, (
+        q.tensor if type(q) is Slots else q, k.tensor if type(k) is Slots else k,
+        v.tensor if type(v) is Slots else v, gate.tensor if type(gate) is Slots else gate))
     if out.requires_grad:
         want = (q.requires_grad, k.requires_grad, v.requires_grad)
         if not gate.requires_grad:
@@ -719,46 +714,56 @@ def gated_attention(q, k, v, gate) -> Tensor:
             # into q, then v, q, k; addition commutes, so dq + residual is
             # residual + dq bit for bit
             if dq is not None:
-                dq = _sum_to(dq, q.shape)
-                dq += _sum_to(g, q.shape)
-            if dv is not None:
-                dv = _sum_to(dv, v.shape)
-            if dk is not None:
-                dk = _sum_to(dk, k.shape)
-                if k is v:
-                    dv += dk
-                    dk = None
-            for s, d in ((q, dq), (gate, dgate), (v, dv), (k, dk)):
+                if q_low:
+                    dq = dq.sum(axis=1)
+                    dq += g.sum(axis=1)
+                else:
+                    dq += g
+            if kv_low:
+                dv = None if dv is None else dv.sum(axis=1)
+                dk = None if dk is None else dk.sum(axis=1)
+            if dk is not None and k is v:
+                dv += dk
+                dk = None
+            for x, d in ((q, dq), (gate, dgate), (v, dv), (k, dk)):
                 if d is not None:
-                    s.route(d)
+                    _route(x, d[0] if lone else d)
         out._backward = _bw
     return out
 
 
 def grouped_bottleneck(x, down_w, down_b, up_w, up_b, act: str) -> Tensor:
     """up(act(down(x))) for grouped down/up maps with optional biases and an
-    activation tag from ``ACTIVATIONS``. Operands are one direction's
-    tensors, or Slots over a leading direction axis as in
-    ``gated_attention``. The backward pass gives x, both weights and both
-    biases their gradients from the saved activation and its derivative."""
-    lone, ops = _as_slots(x, down_w, down_b, up_w, up_b)
-    x, down_w, down_b, up_w, up_b = ops
-    a, d = ACTIVATIONS[act](grouped_linear_fwd(x.data, down_w.data, _data(down_b)), _needs_grad((x, down_w, down_b)))
-    y = grouped_linear_fwd(a, up_w.data, _data(up_b))
-    out = Tensor._node(y[0] if lone else y, _slot_parents(ops))
+    activation tag from ``ACTIVATIONS``. With a 3-D ``down_w`` the operands
+    are one direction's plain tensors; otherwise each carries a leading
+    direction axis, as in ``gated_attention``. The backward pass gives x,
+    both weights and both biases their gradients from the saved activation
+    and its derivative."""
+    xd, dwd, uwd = x.data, down_w.data, up_w.data
+    dbd = None if down_b is None else down_b.data
+    ubd = None if up_b is None else up_b.data
+    lone = dwd.ndim == 3
+    if lone:
+        xd, dwd, uwd = xd[None], dwd[None], uwd[None]
+        dbd = None if dbd is None else dbd[None]
+        ubd = None if ubd is None else ubd[None]
+    a, d = ACTIVATIONS[act](grouped_linear_fwd(xd, dwd, dbd), _needs_grad((x, down_w, down_b)))
+    y = grouped_linear_fwd(a, uwd, ubd)
+    out = Tensor._node(y[0] if lone else y, tuple(o.tensor if type(o) is Slots else o
+                                                 for o in (x, down_w, down_b, up_w, up_b) if o is not None))
     if out.requires_grad:
         below = (x.requires_grad, down_w.requires_grad, down_b is not None and down_b.requires_grad)
         above = (any(below), up_w.requires_grad, up_b is not None and up_b.requires_grad)
 
         def _bw(g: np.ndarray) -> None:
-            da, dw, db = grouped_linear_bwd(g[None] if lone else g, a, up_w.data, above)
+            da, dw, db = grouped_linear_bwd(g[None] if lone else g, a, uwd, above)
             grads = [(up_w, dw), (up_b, db)]
             if da is not None:
                 da *= d
-                grads += zip((x, down_w, down_b), grouped_linear_bwd(da, x.data, down_w.data, below))
-            for s, grad in grads:
+                grads += zip((x, down_w, down_b), grouped_linear_bwd(da, xd, dwd, below))
+            for o, grad in grads:
                 if grad is not None:
-                    s.route(grad)
+                    _route(o, grad[0] if lone else grad)
         out._backward = _bw
     return out
 
@@ -771,23 +776,28 @@ def pooled_linear(parts: Sequence[Slots], weight: Tensor, bias: Tensor) -> Tenso
     stacked tensor. The pooled rows stay ``(B, 1, sum D)`` through the
     product, so each output row comes from the same one-row product as when
     its sample runs alone, bit for bit."""
-    pooled = np.concatenate([s.data[0].mean(axis=-2, keepdims=True) for s in parts], axis=-1)
+    pools = []
+    for s in parts:
+        pool = np.add.reduce(s.data[0], axis=-2, keepdims=True)
+        pool /= s.data.shape[-2]
+        pools.append(pool)
+    pooled = np.concatenate(pools, axis=-1)
     y = linear_fwd(pooled, weight.data, bias.data)
-    out = Tensor._node(y.reshape(y.shape[0], y.shape[-1]), _slot_parents(parts) + (weight, bias))
+    out = Tensor._node(y.reshape(y.shape[0], y.shape[-1]), tuple(s.tensor for s in parts) + (weight, bias))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
             g = g.reshape(y.shape)
             if weight.requires_grad:
                 _accum(weight, pooled.reshape(-1, pooled.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
             if bias.requires_grad:
-                _accum(bias, _reduce_to(g, bias.shape))
+                _accum(bias, _reduce_to(g, bias.data.shape))
             if any(s.requires_grad for s in parts):
                 dpooled = g @ weight.data.T
                 lo = 0
                 for s in parts:
-                    n, d = s.shape[-2:]
+                    n, d = s.data.shape[-2:]
                     if s.requires_grad:
-                        s.route(np.broadcast_to(dpooled[..., lo:lo + d] / n, s.shape).copy())
+                        s.route(np.broadcast_to(dpooled[..., lo:lo + d] / n, s.data.shape).copy())
                     lo += d
         out._backward = _bw
     return out
@@ -801,15 +811,14 @@ def cross_entropy_logits(logits, labels) -> Tensor:
     """
     logits = _as_tensor(logits)
     labels = np.asarray(labels)
-    if logits.ndim != 2:
-        raise ShapeError(f"cross_entropy_logits: need 2-D logits, got shape {logits.shape}")
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-        raise ShapeError(
-            f"cross_entropy_logits: labels shape {labels.shape} does not match logits shape {logits.shape}"
-        )
+    shape = logits.data.shape
+    if len(shape) != 2:
+        raise ShapeError(f"cross_entropy_logits: need 2-D logits, got shape {shape}")
+    if labels.ndim != 1 or labels.shape[0] != shape[0]:
+        raise ShapeError(f"cross_entropy_logits: labels shape {labels.shape} does not match logits shape {shape}")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ValueError("cross_entropy_logits: labels must be integers")
-    n, c = logits.shape
+    n, c = shape
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"cross_entropy_logits: labels out of range for {c} classes")
     z = logits.data
@@ -846,8 +855,8 @@ def backward(loss: Tensor) -> None:
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward: loss must be a Tensor")
-    if loss.shape != ():
-        raise GraphError(f"backward: loss must be a scalar, got shape {loss.shape}")
+    if loss.data.shape != ():
+        raise GraphError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
     if loss._backward_done:
         raise GraphError("backward: this graph was already walked; reset gradients and rebuild it")
     loss._backward_done = True

@@ -10,6 +10,11 @@ of streams, a batch or one sample's ``(N, D)`` tokens, and is a whole layer
 half, ``x + f(LN(x))`` as in ViT, with a cross term added into its rows in
 the same node. Everything here is frozen at construction; the only trainable
 state in the package lives in the adapter sites and the task head.
+
+``FreezeRegistry`` holds every parameter by name, with two views: one entry
+per named parameter (what is saved, hashed, loaded and counted), and the
+trainable leaves the optimizer and the gradients work on, where one leaf may
+stack several named parameters along its leading axis.
 """
 from __future__ import annotations
 
@@ -86,12 +91,13 @@ def unfold_patches(grid: np.ndarray, patch: int) -> np.ndarray:
 
 def _embed(fn: str, patches: np.ndarray, proj: Tensor, pos: Tensor | None) -> Tensor:
     """``patches @ proj`` with the positional table added in place, as a
-    leaf: the stem is frozen, so the tape starts at its output."""
+    leaf over the fresh product: the stem is frozen, so the tape starts at
+    its output."""
     _check_frozen(fn, proj=proj, pos=pos)
-    shape = patches.shape[:-1] + proj.shape[1:]
-    if pos is not None and pos.shape != shape[-2:]:
-        raise ShapeError(f"{fn}: positional table shape {pos.shape} does not match tokens {shape}")
-    return Tensor(linear_fwd(patches, proj.data, None if pos is None else pos.data))
+    shape = patches.shape[:-1] + proj.data.shape[1:]
+    if pos is not None and pos.data.shape != shape[-2:]:
+        raise ShapeError(f"{fn}: positional table shape {pos.data.shape} does not match tokens {shape}")
+    return Tensor._leaf(linear_fwd(patches, proj.data, None if pos is None else pos.data))
 
 
 def patch_embed(images: list[ImageInput], patch: int, proj: Tensor, pos: Tensor | None = None) -> Tensor:
@@ -230,9 +236,9 @@ def mha(x: Tensor, w: FrozenLayerWeights, term: Tensor | None = None, rows=()) -
     any leading axes (each stream of a stack attends within itself): one
     tape node that returns ``x`` plus the attention output, with ``term``
     added into rows ``rows``. Scores are scaled by 1/sqrt(width/heads)."""
-    width = w.width
-    if x.shape[-1] != width:
-        raise ShapeError(f"mha: token width {x.shape[-1]} does not match layer width {width}")
+    width = w.wq.data.shape[0]
+    if x.data.shape[-1] != width:
+        raise ShapeError(f"mha: token width {x.data.shape[-1]} does not match layer width {width}")
     if width % w.heads:
         raise ShapeError(f"mha: head count {w.heads} does not divide width {width}")
     return frozen_attention(x, w.ln1_gain, w.ln1_shift, w.wq, w.wk, w.wv, w.wo, w.heads, term, rows)
@@ -241,8 +247,8 @@ def mha(x: Tensor, w: FrozenLayerWeights, term: Tensor | None = None, rows=()) -
 def mlp(x: Tensor, w: FrozenLayerWeights, term: Tensor | None = None, rows=()) -> Tensor:
     """The pre-norm position-wise GELU MLP half of a layer (width -> 4*width
     -> width), one tape node as ``mha``: ``x`` plus the MLP output."""
-    if x.shape[-1] != w.width:
-        raise ShapeError(f"mlp: token width {x.shape[-1]} does not match layer width {w.width}")
+    if x.data.shape[-1] != w.wq.data.shape[0]:
+        raise ShapeError(f"mlp: token width {x.data.shape[-1]} does not match layer width {w.width}")
     return frozen_mlp(x, w.ln2_gain, w.ln2_shift, w.mlp_w1, w.mlp_b1, w.mlp_w2, w.mlp_b2, term, rows)
 
 
@@ -251,37 +257,84 @@ def mlp(x: Tensor, w: FrozenLayerWeights, term: Tensor | None = None, rows=()) -
 # ---------------------------------------------------------------------------
 
 
+def _row_view(leaf: Tensor, row: int) -> Tensor:
+    """A tensor over leading row ``row`` of ``leaf``: its data and gradient
+    are views of the leaf's, as they are now. The optimizer rebinds a
+    leaf's data, so a view is taken when it is used, never kept. It is not a
+    graph operand: it records nothing and needs no gradient."""
+    view = Tensor._leaf(leaf.data[row, ...])
+    view.grad = None if leaf.grad is None else leaf.grad[row, ...]
+    return view
+
+
 class FreezeRegistry:
     """Every parameter in a model, each exactly once, flagged frozen or
-    trainable. Registration order is preserved and is the serialization
-    order. Registering a tensor sets its requires_grad to match the flag."""
+    trainable. Registering a tensor sets its requires_grad to match the flag.
+
+    A trainable leaf registered with ``register_stack`` holds several
+    parameters, one per leading row, each registered by name with
+    ``register_row``. So the registry has two views:
+    - per parameter: ``items()``, ``frozen()``, the state hash, the saved
+      entries and ``load_arrays`` see one named entry per parameter, in
+      registration order, which is the serialization order; a row comes as a
+      view of its leaf taken when read;
+    - per leaf: ``trainable()`` yields the trainable leaves, whole tensors
+      and stacks, which the optimizer and the gradients work on."""
 
     def __init__(self) -> None:
-        self._entries: dict[str, tuple[Tensor, bool]] = {}
+        # name -> (tensor, frozen, leading row of the tensor or None)
+        self._entries: dict[str, tuple[Tensor, bool, int | None]] = {}
+        self._leaves: dict[str, Tensor] = {}  # trainable leaves by name
+        self._tensors: list[Tensor] = []  # every distinct tensor
+
+    def _claim(self, name: str) -> None:
+        if name in self._entries or name in self._leaves:
+            raise ValueError(f"parameter {name!r} registered twice")
 
     def register(self, name: str, tensor: Tensor, frozen: bool) -> Tensor:
-        if name in self._entries:
-            raise ValueError(f"parameter {name!r} registered twice")
+        self._claim(name)
         tensor.requires_grad = not frozen
-        self._entries[name] = (tensor, frozen)
+        self._entries[name] = (tensor, frozen, None)
+        if not frozen:
+            self._leaves[name] = tensor
+        self._tensors.append(tensor)
         return tensor
 
+    def register_stack(self, name: str, leaf: Tensor) -> Tensor:
+        """Register a trainable leaf whose leading rows are parameters; each
+        row is named with ``register_row``."""
+        self._claim(name)
+        leaf.requires_grad = True
+        self._leaves[name] = leaf
+        self._tensors.append(leaf)
+        return leaf
+
+    def register_row(self, name: str, leaf: Tensor, row: int) -> None:
+        """Register trainable parameter ``name`` as leading row ``row`` of a
+        leaf registered with ``register_stack``."""
+        self._claim(name)
+        if not any(t is leaf for t in self._leaves.values()) or not 0 <= row < leaf.data.shape[0]:
+            raise ValueError(f"parameter {name!r}: row {row} of a leaf that register_stack did not register")
+        self._entries[name] = (leaf, False, row)
+
+    def _value(self, name: str) -> tuple[np.ndarray, bool]:
+        tensor, frozen, row = self._entries[name]
+        return (tensor.data if row is None else tensor.data[row, ...]), frozen
+
     def items(self):
-        for name, (tensor, frozen) in self._entries.items():
-            yield name, tensor, frozen
+        for name, (tensor, frozen, row) in self._entries.items():
+            yield name, (tensor if row is None else _row_view(tensor, row)), frozen
 
     def trainable(self):
-        for name, (tensor, frozen) in self._entries.items():
-            if not frozen:
-                yield name, tensor
+        yield from self._leaves.items()
 
     def frozen(self):
-        for name, (tensor, frozen) in self._entries.items():
+        for name, (tensor, frozen, _row) in self._entries.items():
             if frozen:
                 yield name, tensor
 
     def zero_grad(self) -> None:
-        for _, (tensor, _frozen) in self._entries.items():
+        for tensor in self._tensors:
             tensor.grad = None
 
     def state_hash(self, frozen_only: bool = True) -> str:
@@ -289,17 +342,18 @@ class FreezeRegistry:
         in sorted name order."""
         digest = hashlib.sha256()
         for name in sorted(self._entries):
-            tensor, frozen = self._entries[name]
+            value, frozen = self._value(name)
             if frozen_only and not frozen:
                 continue
             digest.update(name.encode("utf-8"))
-            digest.update(repr(tensor.shape).encode("utf-8"))
-            digest.update(np.ascontiguousarray(tensor.data).astype("<f8").tobytes())
+            digest.update(repr(value.shape).encode("utf-8"))
+            digest.update(np.ascontiguousarray(value).astype("<f8").tobytes())
         return digest.hexdigest()
 
     def entries_for_save(self):
-        for name, (tensor, frozen) in self._entries.items():
-            yield name, tensor.data, frozen
+        for name in self._entries:
+            value, frozen = self._value(name)
+            yield name, value, frozen
 
     def load_arrays(self, entries) -> None:
         """Copy values from (name, array, frozen) records into the existing
@@ -309,15 +363,15 @@ class FreezeRegistry:
             name, array, frozen = rec.name, rec.array, rec.frozen
             if name not in self._entries:
                 raise ValueError(f"container holds unknown parameter {name!r}")
-            tensor, want_frozen = self._entries[name]
-            if tuple(array.shape) != tensor.shape:
+            value, want_frozen = self._value(name)
+            if tuple(array.shape) != value.shape:
                 raise ShapeError(
-                    f"parameter {name!r}: container shape {tuple(array.shape)} does not match model shape {tensor.shape}"
+                    f"parameter {name!r}: container shape {tuple(array.shape)} does not match model shape {value.shape}"
                 )
             if frozen != want_frozen:
                 raise ValueError(f"parameter {name!r}: frozen flag mismatch")
             # copy into the existing array: an optimizer may hold views of it
-            np.copyto(tensor.data, array)
+            np.copyto(value, array)
             loaded.add(name)
         missing = set(self._entries) - loaded
         if missing:

@@ -14,16 +14,23 @@ A site built with ``use_latents=False`` has no latents and keeps the same
 bottleneck, but lets the target attend to the other stream's tokens
 directly; that is the quadratic-cost variant the ablations compare against.
 
-A fusion mode names the directions that get adapters in every layer; each
-layer holds its sites in a dict keyed ``<direction>_<attachment>``, with an
-entry only for the enabled ones.
+A fusion mode names the directions that get adapters in every layer. The
+sites of one layer attachment keep their parameters stacked: each part
+(``latents``, ``gate_compress``, ``gate_fuse``, ``down_w``, ``up_w``,
+``down_b``, ``up_b``) is one trainable leaf with a leading direction axis in
+target-row order (``SLOT_ORDER``: ``v2a``, whose target is the audio stream,
+then ``a2v``), holding only the directions the mode enables. Each slot is
+drawn from its own site's RNG stream, and the registry names each slot
+``adapter.layer<i>.<direction>_<attachment>.<part>``, as if the site owned
+it alone.
 
 Token tensors may carry a leading batch axis; latent tokens never do, and
 serve every sample of a batch. Through the layers the streams travel in
 stacks, ``(S, B, N, D)`` tensors, one per token count, and ``layer_forward``
 runs the sites of one attachment that read one stack and write one stack as
-one call over a leading direction axis: each parameter is a ``Slots`` of the
-sites' tensors, and the tokens are ``Slots`` of rows of the stacks.
+one call over the direction axis: the tokens are ``Slots`` of rows of the
+stacks, and the parameters are the stacked leaves, whole when the call runs
+all their directions, else ``Slots`` of their rows.
 """
 from __future__ import annotations
 
@@ -46,6 +53,13 @@ MODE_DIRECTIONS = {"none": (), "a2v": ("a2v",), "v2a": ("v2a",), "bidirectional"
 MODES = tuple(MODE_DIRECTIONS)
 DIRECTIONS = ("a2v", "v2a")
 ATTACHMENTS = ("mha", "mlp")
+PARTS = ("latents", "gate_compress", "gate_fuse", "down_w", "up_w", "down_b", "up_b")
+# each direction's source and target stream
+SOURCE = {"a2v": AUDIO, "v2a": VISUAL}
+TARGET = {"a2v": VISUAL, "v2a": AUDIO}
+# the order of the directions along a stacked parameter's leading axis: by
+# their target's row, audio first as in STACK_ORDER
+SLOT_ORDER = tuple(d for m in STACK_ORDER for d in DIRECTIONS if TARGET[d] == m)
 
 LATENT_INIT_STD = 0.02
 
@@ -59,12 +73,6 @@ GATE_INIT = 1.0
 # ---------------------------------------------------------------------------
 
 
-def _stacked(*operands) -> bool:
-    """Whether a call runs Slots over a direction axis, so that every shape
-    check reads one direction's shape, ``shape[1:]``."""
-    return any(isinstance(x, Slots) for x in operands)
-
-
 def cma(query, key, value, gate):
     """Gated single-head cross-attention with a residual on the query side:
 
@@ -73,12 +81,17 @@ def cma(query, key, value, gate):
     The gate is a trainable scalar; at gate == 0 the op returns the query
     exactly. There are no key/value projections. Operands are 2-D or
     batched; a 2-D query (latent tokens) serves every sample of a batched
-    key/value. The whole expression is one tape node. Operands may also be
-    Slots over a leading direction axis (``autodiff.gated_attention``), and
-    each direction then follows these rules.
+    key/value. The whole expression is one tape node. With a gate of shape
+    ``(S,)`` every operand carries a leading axis of S directions, as a
+    plain tensor or as ``Slots`` (``autodiff.gated_attention``), and each
+    direction follows these rules.
     """
-    stacked = _stacked(query, key, value, gate)
-    q, k, v, g = (x.shape[stacked:] for x in (query, key, value, gate))
+    stacked = gate.data.ndim == 1
+    q, k, v, g = query.data.shape, key.data.shape, value.data.shape, gate.data.shape
+    if stacked:
+        if not q[0] == k[0] == v[0] == g[0]:
+            raise ShapeError("cma: operands disagree on the number of directions")
+        q, k, v, g = q[1:], k[1:], v[1:], g[1:]
     if len(q) not in (2, 3) or len(k) not in (2, 3) or len(v) not in (2, 3):
         raise ShapeError(f"cma: need 2-D or batched operands, got shapes {q}, {k}, {v}")
     if q[-1] != k[-1]:
@@ -89,8 +102,6 @@ def cma(query, key, value, gate):
         raise ShapeError(f"cma: query batch {q} does not match key batch {k}")
     if g != ():
         raise ShapeError(f"cma: gate must be a scalar, got shape {g}")
-    if stacked and len({x.shape[0] for x in (query, key, value, gate)}) != 1:
-        raise ShapeError("cma: operands disagree on the number of directions")
     return gated_attention(query, key, value, gate)
 
 
@@ -118,8 +129,8 @@ class BottleneckParams:
 
     down_w: (groups, width/groups, narrow/groups), up_w mirrors it back.
     The up projection (and both biases) start at zero, which pins the whole
-    bottleneck output to zero at init. A stacked call holds Slots, whose
-    shapes lead with the direction axis.
+    bottleneck output to zero at init. Stacked sites hold leaves, or
+    ``Slots`` of their rows, whose shapes lead with the direction axis.
     """
 
     down_w: Tensor | Slots
@@ -130,7 +141,8 @@ class BottleneckParams:
 
     @property
     def width(self) -> int:
-        return self.down_w.shape[-3] * self.down_w.shape[-2]
+        shape = self.down_w.data.shape
+        return shape[-3] * shape[-2]
 
 
 def init_bottleneck(
@@ -168,9 +180,11 @@ def init_bottleneck(
 
 def bottleneck(x: Tensor, params: BottleneckParams) -> Tensor:
     """Apply up(act(down(x))) as one tape node. Shape is preserved. With
-    stacked parameters, ``x`` carries the direction axis too."""
-    if x.ndim - _stacked(params.down_w) not in (2, 3) or x.shape[-1] != params.width:
-        raise ShapeError(f"bottleneck: input shape {x.shape} does not match width {params.width}")
+    stacked parameters (a 4-D ``down_w``), ``x`` carries the direction axis
+    too."""
+    shape, width = x.data.shape, params.width
+    if len(shape) - (params.down_w.data.ndim == 4) not in (2, 3) or shape[-1] != width:
+        raise ShapeError(f"bottleneck: input shape {shape} does not match width {width}")
     if params.act not in ACTIVATIONS:
         raise ValueError(f"unknown activation {params.act!r}")
     return grouped_bottleneck(x, params.down_w, params.down_b, params.up_w, params.up_b, params.act)
@@ -182,101 +196,43 @@ def bottleneck(x: Tensor, params: BottleneckParams) -> Tensor:
 
 
 @dataclass
-class AdapterSite:
-    """One injection point: a direction (audio->visual or visual->audio),
-    its own (m, width) latent slots and gates (none for a direct site), and
-    a grouped bottleneck. No state is shared with any other site."""
+class AdapterSites:
+    """The adapter sites of one layer attachment, one per direction of
+    ``directions`` (in ``SLOT_ORDER``), their parameters stacked: each part
+    is one leaf whose leading axis runs over the directions. Latent sites
+    have (S, m, width) latents and (S,) compression gates, direct sites
+    neither; all have (S,) fusion gates and a grouped bottleneck of stacked
+    leaves. The sites share no values: each slot is drawn from its own
+    site's stream."""
 
-    direction: str
+    directions: tuple[str, ...]
     latents: Tensor | None
     gate_compress: Tensor | None
     gate_fuse: Tensor
     neck: BottleneckParams
 
-    def __post_init__(self) -> None:
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"AdapterSite: unknown direction {self.direction!r}")
-        if (self.latents is None) != (self.gate_compress is None):
-            raise ValueError("AdapterSite: latent sites need latent tokens and a compression gate")
-
-    @property
-    def source_modality(self) -> str:
-        return AUDIO if self.direction == "a2v" else VISUAL
-
-    @property
-    def target_modality(self) -> str:
-        return VISUAL if self.direction == "a2v" else AUDIO
+    def parts(self) -> dict[str, Tensor | None]:
+        """Each part's leaf (None where the sites have none), in ``PARTS``
+        order."""
+        neck = self.neck
+        return {"latents": self.latents, "gate_compress": self.gate_compress, "gate_fuse": self.gate_fuse,
+                "down_w": neck.down_w, "up_w": neck.up_w, "down_b": neck.down_b, "up_b": neck.up_b}
 
 
-def build_site(
-    direction: str,
-    attachment: str,
-    layer: int,
-    width: int,
-    latent_count: int,
-    ratio: int,
-    groups: int,
-    seed: int,
-    use_latents: bool = True,
-    act: str = "gelu",
-    bias: bool = True,
-    registry: FreezeRegistry | None = None,
-) -> AdapterSite:
-    """Construct one site and (optionally) register its parameters as
-    trainable under ``adapter.layer<i>.<direction>_<attachment>.*``."""
-    if attachment not in ATTACHMENTS:
-        raise ValueError(f"build_site: unknown attachment {attachment!r}")
-    if latent_count < 1:
-        raise ValueError(f"build_site: latent count must be >= 1, got {latent_count}")
-    base = f"adapter.layer{layer}.{direction}_{attachment}"
-    latents = None
-    gate_compress = None
-    if use_latents:
-        latents = Tensor(Rng.for_name(seed, f"{base}.latents").normal((latent_count, width), std=LATENT_INIT_STD))
-        gate_compress = Tensor(np.full((), GATE_INIT))
-    gate_fuse = Tensor(np.full((), GATE_INIT))
+def _draw_site(base: str, width: int, latent_count: int, ratio: int, groups: int, seed: int,
+               use_latents: bool, act: str, bias: bool) -> dict[str, np.ndarray | None]:
+    """One site's initial values by part: latents from ``<base>.latents``,
+    the bottleneck from ``init_bottleneck`` under ``base``, open gates."""
     neck = init_bottleneck(width, ratio, groups, seed, base, act=act, bias=bias)
-    site = AdapterSite(direction, latents, gate_compress, gate_fuse, neck)
-    if registry is not None:
-        for part, tensor in (
-            ("latents", latents),
-            ("gate_compress", gate_compress),
-            ("gate_fuse", gate_fuse),
-            ("down_w", neck.down_w),
-            ("up_w", neck.up_w),
-            ("down_b", neck.down_b),
-            ("up_b", neck.up_b),
-        ):
-            if tensor is not None:
-                registry.register(f"{base}.{part}", tensor, frozen=False)
-    return site
-
-
-def adapter_forward(source, target, sites: list[AdapterSite]) -> Tensor:
-    """The additive cross-modal term injected next to one frozen sub-step.
-
-    Latent sites run compress -> fuse -> bottleneck; direct sites attend to
-    the source tokens themselves before the same bottleneck. The result has
-    the target's shape and is exactly zero while the up projection is zero.
-    ``source`` and ``target`` are Slots of token rows, one slot per site of
-    ``sites``; each parameter is stacked over the sites in that order.
-    """
-    if not source.shape[0] == target.shape[0] == len(sites):
-        raise ShapeError("adapter_forward: source, target and sites disagree on the number of directions")
-
-    def stacked(owners, part: str) -> Slots | None:
-        tensors = [getattr(o, part) for o in owners]
-        return None if tensors[0] is None else Slots.stack(tensors)
-
-    necks = [s.neck for s in sites]
-    neck = BottleneckParams(act=necks[0].act, **{p: stacked(necks, p) for p in ("down_w", "up_w", "down_b", "up_b")})
-    gate_fuse = stacked(sites, "gate_fuse")
-    if sites[0].latents is not None:
-        summary = compress_to_latents(stacked(sites, "latents"), source, stacked(sites, "gate_compress"))
-        fused = fuse_with_latents(target, summary, gate_fuse)
-    else:
-        fused = cma(target, source, source, gate_fuse)
-    return bottleneck(fused, neck)
+    return {
+        "latents": Rng.for_name(seed, f"{base}.latents").normal((latent_count, width), std=LATENT_INIT_STD)
+        if use_latents else None,
+        "gate_compress": np.full((), GATE_INIT) if use_latents else None,
+        "gate_fuse": np.full((), GATE_INIT),
+        "down_w": neck.down_w.data, "up_w": neck.up_w.data,
+        "down_b": None if neck.down_b is None else neck.down_b.data,
+        "up_b": None if neck.up_b is None else neck.up_b.data,
+    }
 
 
 def build_layer_sites(
@@ -291,23 +247,72 @@ def build_layer_sites(
     act: str = "gelu",
     bias: bool = True,
     registry: FreezeRegistry | None = None,
-) -> dict[str, AdapterSite]:
-    """One layer's sites for ``mode``, keyed ``<direction>_<attachment>``:
-    both attachments of every direction the mode enables, and no others."""
+) -> dict[str, AdapterSites]:
+    """One layer's sites for ``mode``, keyed by attachment: both attachments
+    hold a site for every direction the mode enables, and mode ``none``
+    gives no entry. With a ``registry``, each leaf is registered trainable
+    as ``adapter.layer<i>.<attachment>.<part>``, and each slot of it by its
+    site's name, ``adapter.layer<i>.<direction>_<attachment>.<part>``, in
+    the order direction, attachment, part."""
     if mode not in MODE_DIRECTIONS:
         raise ValueError(f"unknown fusion mode {mode!r}")
-    return {
-        f"{direction}_{attachment}": build_site(
-            direction, attachment, layer, width, latent_count, ratio, groups, seed,
-            use_latents=use_latents, act=act, bias=bias, registry=registry,
+    if latent_count < 1:
+        raise ValueError(f"build_layer_sites: latent count must be >= 1, got {latent_count}")
+    directions = tuple(d for d in SLOT_ORDER if d in MODE_DIRECTIONS[mode])
+    sites = {}
+    for attachment in ATTACHMENTS if directions else ():
+        drawn = [_draw_site(f"adapter.layer{layer}.{d}_{attachment}", width, latent_count, ratio, groups, seed,
+                            use_latents, act, bias) for d in directions]
+        leaf = {p: None if drawn[0][p] is None else Tensor(np.array([site[p] for site in drawn])) for p in PARTS}
+        sites[attachment] = AdapterSites(
+            directions, leaf["latents"], leaf["gate_compress"], leaf["gate_fuse"],
+            BottleneckParams(leaf["down_w"], leaf["up_w"], act, leaf["down_b"], leaf["up_b"]),
         )
-        for direction in MODE_DIRECTIONS[mode]
-        for attachment in ATTACHMENTS
-    }
+    if registry is not None:
+        for attachment, s in sites.items():
+            for part, t in s.parts().items():
+                if t is not None:
+                    registry.register_stack(f"adapter.layer{layer}.{attachment}.{part}", t)
+        for direction in MODE_DIRECTIONS[mode]:
+            for attachment, s in sites.items():
+                for part, t in s.parts().items():
+                    if t is not None:
+                        registry.register_row(f"adapter.layer{layer}.{direction}_{attachment}.{part}", t,
+                                              s.directions.index(direction))
+    return sites
+
+
+def adapter_forward(source: Slots, target: Slots, sites: AdapterSites, slots: tuple[int, ...]) -> Tensor:
+    """The additive cross-modal term injected next to one frozen sub-step,
+    from the sites in slots ``slots`` of ``sites``, one per row of
+    ``source`` and ``target``.
+
+    Latent sites run compress -> fuse -> bottleneck; direct sites attend to
+    the source tokens themselves before the same bottleneck. The result
+    carries the direction axis, has the target's shape and is exactly zero
+    while the up projection is zero. When ``slots`` runs every site in
+    order, the stacked leaves are passed whole; otherwise each is read as
+    ``Slots`` of those rows.
+    """
+    if not source.data.shape[0] == target.data.shape[0] == len(slots):
+        raise ShapeError("adapter_forward: source, target and sites disagree on the number of directions")
+    latents, gate_compress, gate_fuse, neck = sites.latents, sites.gate_compress, sites.gate_fuse, sites.neck
+    if slots != tuple(range(len(sites.directions))):
+        def rows(t: Tensor | None) -> Slots | None:
+            return None if t is None else Slots.rows(t, slots)
+
+        latents, gate_compress, gate_fuse = rows(latents), rows(gate_compress), rows(gate_fuse)
+        neck = BottleneckParams(rows(neck.down_w), rows(neck.up_w), neck.act, rows(neck.down_b), rows(neck.up_b))
+    if latents is not None:
+        summary = compress_to_latents(latents, source, gate_compress)
+        fused = fuse_with_latents(target, summary, gate_fuse)
+    else:
+        fused = cma(target, source, source, gate_fuse)
+    return bottleneck(fused, neck)
 
 
 def layer_forward(
-    stacks: list[Tensor], where: dict[str, tuple[int, int]], w: FrozenLayerWeights, sites: dict[str, AdapterSite]
+    stacks: list[Tensor], where: dict[str, tuple[int, int]], w: FrozenLayerWeights, sites: dict[str, AdapterSites]
 ) -> list[Tensor]:
     """Advance both streams one layer with cross-modal terms injected beside
     the attention and MLP sub-steps: one term for each site in ``sites``.
@@ -325,24 +330,28 @@ def layer_forward(
     half-updated state.
     """
     # an unstacked (B, N, D) batch would have its batch axis read as streams
-    if (set(where) != set(STACK_ORDER) or any(x.ndim not in (3, 4) for x in stacks)
-            or sorted(where.values()) != [(s, i) for s, x in enumerate(stacks) for i in range(x.shape[0])]):
+    if (set(where) != set(STACK_ORDER) or any(x.data.ndim not in (3, 4) for x in stacks)
+            or sorted(where.values()) != [(s, i) for s, x in enumerate(stacks) for i in range(x.data.shape[0])]):
         raise ValueError(
             f"layer_forward: need (S, [B,] N, D) stacks whose rows are one (stack, row) per modality, "
-            f"got shapes {[x.shape for x in stacks]} and {where}"
+            f"got shapes {[x.data.shape for x in stacks]} and {where}"
         )
 
     def half(xs: list[Tensor], block, attachment: str) -> list[Tensor]:
-        groups: dict[tuple[int, int], list[AdapterSite]] = {}
-        present = (s for s in (sites.get(f"{d}_{attachment}") for d in DIRECTIONS) if s is not None)
-        for site in sorted(present, key=lambda s: where[s.target_modality]):
-            groups.setdefault((where[site.source_modality][0], where[site.target_modality][0]), []).append(site)
-        # each stack is the target of one group at most
         terms = {}
-        for (src, dst), group in groups.items():
-            rows = [where[s.target_modality][1] for s in group]
-            source = Slots.rows(xs[src], [where[s.source_modality][1] for s in group])
-            terms[dst] = (adapter_forward(source, Slots.rows(xs[dst], rows), group), rows)
+        at = sites.get(attachment)
+        if at is not None:
+            # (source stack, target stack) -> [(slot, source row, target row)],
+            # slots in target-row order
+            groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+            for slot, d in enumerate(at.directions):
+                (src, i), (dst, j) = where[SOURCE[d]], where[TARGET[d]]
+                groups.setdefault((src, dst), []).append((slot, i, j))
+            # each stack is the target of one group at most
+            for (src, dst), group in groups.items():
+                slots, src_rows, dst_rows = zip(*group)
+                term = adapter_forward(Slots.rows(xs[src], src_rows), Slots.rows(xs[dst], dst_rows), at, slots)
+                terms[dst] = (term, dst_rows)
         return [block(x, w, *terms.get(i, ())) for i, x in enumerate(xs)]
 
     return half(half(stacks, mha, "mha"), mlp, "mlp")

@@ -23,7 +23,7 @@ from .backbone import (
     resize_pos_table,
     spectrogram_embed,
 )
-from .fusion import MODES, AdapterSite, build_layer_sites, layer_forward
+from .fusion import MODES, AdapterSites, build_layer_sites, layer_forward
 from .serialization import load_tensors, save_tensors
 
 INIT_STD = 0.02
@@ -107,9 +107,9 @@ def event_head(stacks: list[Tensor], where: dict[str, tuple[int, int]], weight: 
     alone, bit for bit.
     """
     streams = [Slots.rows(stacks[s], (i,)) for s, i in (where[m] for m in STACK_ORDER)]
-    pooled = sum(x.shape[-1] for x in streams)
-    if weight.shape != (pooled, 2):
-        raise ShapeError(f"event_head: weight shape {weight.shape} does not match pooled width {pooled}")
+    pooled = sum(x.data.shape[-1] for x in streams)
+    if weight.data.shape != (pooled, 2):
+        raise ShapeError(f"event_head: weight shape {weight.data.shape} does not match pooled width {pooled}")
     return pooled_linear(streams, weight, bias)
 
 
@@ -151,9 +151,9 @@ class TwoStreamModel:
                 if part.name != "heads":
                     self.registry.register(f"backbone.layer{i}.{part.name}", getattr(w, part.name), frozen=True)
 
-        # one {"<direction>_<attachment>": site} dict per layer; registered
-        # after every frozen layer, which fixes the weight container's order
-        self.sites: list[dict[str, AdapterSite]] = [
+        # one {attachment: stacked sites} dict per layer; registered after
+        # every frozen layer, which fixes the weight container's order
+        self.sites: list[dict[str, AdapterSites]] = [
             build_layer_sites(
                 i, width, cfg.latent_count, cfg.ratio, cfg.groups, seed, cfg.mode,
                 use_latents=cfg.use_latents, act=cfg.bottleneck_act, bias=cfg.bottleneck_bias,
@@ -189,11 +189,13 @@ class TwoStreamModel:
         cfg = self.cfg
         if len(images) != len(specs) or not images:
             raise ShapeError(f"tokenize: need equal non-empty input lists, got {len(images)} and {len(specs)}")
+        image_hw, audio_grid, patch = tuple(cfg.image_hw), cfg.audio_grid, cfg.patch
         for img in images:
-            if img.pixels.shape[:2] != tuple(cfg.image_hw):
+            if img.pixels.shape[:2] != image_hw:
                 raise ShapeError(f"image shape {img.pixels.shape[:2]} does not match config {cfg.image_hw}")
         for sp in specs:
-            if tuple(-(-n // cfg.patch) for n in sp.values.shape) != cfg.audio_grid:
+            time, freq = sp.values.shape
+            if (-(-time // patch), -(-freq // patch)) != audio_grid:
                 raise ShapeError(f"spectrogram shape {sp.values.shape} does not match config {cfg.spec_hw}")
         xv = patch_embed(images, cfg.patch, self.patch_proj, self.pos_visual)
         xa = spectrogram_embed(specs, cfg.patch, self.patch_proj, self._pos_audio)
@@ -208,7 +210,7 @@ class TwoStreamModel:
         # the streams of one token count share a stack, in STACK_ORDER
         groups: dict[int, list[str]] = {}
         for m in STACK_ORDER:
-            groups.setdefault(streams[m].shape[-2], []).append(m)
+            groups.setdefault(streams[m].data.shape[-2], []).append(m)
         where = {m: (s, i) for s, group in enumerate(groups.values()) for i, m in enumerate(group)}
         # the tokens need no gradient, so each stack is a leaf made by one copy
         stacks = [Tensor([streams[m].data for m in group]) for group in groups.values()]

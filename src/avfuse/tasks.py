@@ -255,6 +255,8 @@ def evaluate(model: TwoStreamModel, samples: list[SyntheticAvSample]) -> float:
 
 
 def make_optimizer(model: TwoStreamModel, cfg: TrainConfig) -> Adam:
+    """Adam over the model's trainable leaves, the stacked adapter leaves at
+    ``lr_adapter`` and the head at ``lr_head``."""
     head, adapter = [], []
     for name, tensor in model.registry.trainable():
         (head if name.startswith("head.") else adapter).append((name, tensor))
@@ -264,10 +266,12 @@ def make_optimizer(model: TwoStreamModel, cfg: TrainConfig) -> Adam:
 def _divergence(model: TwoStreamModel, step: int, what: str) -> DivergenceError:
     """The error for a step that went non-finite. It names the first
     trainable parameter, in registry order, whose value or gradient holds a
-    non-finite entry or one of magnitude past ``SQUARE_SAFE``."""
+    non-finite entry or one of magnitude past ``SQUARE_SAFE``: an adapter
+    site's parameter by its own name, not by the stacked leaf that holds
+    it."""
     culprit = next(
         (f"{name!r} ({kind}, max |x| = {np.abs(arr).max():.3g})"
-         for name, tensor in model.registry.trainable()
+         for name, tensor, frozen in model.registry.items() if not frozen
          for kind, arr in (("value", tensor.data), ("gradient", tensor.grad))
          if arr is not None and not (np.abs(arr) <= SQUARE_SAFE).all()),
         None,

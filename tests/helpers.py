@@ -54,15 +54,12 @@ from avfuse.autodiff import (
     Tensor,
     _BLOCK,
     _accum,
-    _as_slots,
     _as_tensor,
     _blocks,
-    _data,
     _needs_grad,
     _place_rows,
     _reduce_to,
     _row_index,
-    _slot_parents,
     _tally_softmax,
     attention_bwd,
     attention_fwd,
@@ -121,7 +118,7 @@ def matmul(a, b, bias=None) -> Tensor:
         if bias.shape != (r,):
             raise ShapeError(f"matmul: bias shape {bias.shape} does not match output width {r}")
     parents = (a, b) if bias is None else (a, b, bias)
-    out = Tensor._node(linear_fwd(a.data, b.data, _data(bias)), parents)
+    out = Tensor._node(linear_fwd(a.data, b.data, None if bias is None else bias.data), parents)
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
             if a.requires_grad:
@@ -295,30 +292,36 @@ def chain_bottleneck(x: Tensor, params) -> Tensor:
     return grouped_linear(narrow, params.up_w, params.up_b)
 
 
-def slotwise(chain, *operands) -> Tensor:
+def slotwise(chain, lone: bool, *operands) -> Tensor:
     """``chain`` run direction by direction, each on fresh leaves holding one
-    slot of the block op's operands (tensors or Slots, as the block op takes
-    them), as one node. Its output stacks the directions' outputs, and its
-    backward runs each direction's chain backward, then routes each
-    operand's gradient once, in argument order, as the block ops do. So a
-    block op over a direction axis must match it bit for bit: forward,
-    every kernel's backward and the sums of each operand's contributions."""
-    lone, slots = _as_slots(*operands)
-    distinct = list(dict.fromkeys(s for s in slots if s is not None))
+    slot of the block op's operands, as one node. The operands are one
+    direction's plain tensors (``lone``) or carry a leading direction axis,
+    as plain tensors or Slots, as the block op takes them. Its output stacks
+    the directions' outputs, and its backward runs each direction's chain
+    backward, then routes each operand's gradient once, in argument order,
+    as the block ops do. So a block op over a direction axis must match it
+    bit for bit: forward, every kernel's backward and the sums of each
+    operand's contributions."""
+    distinct = list(dict.fromkeys(x for x in operands if x is not None))
+    data = {x: x.data[None] if lone else x.data for x in distinct}
     runs = []
-    for i in range(slots[0].shape[0]):
-        leaves = {s: Tensor(s.data[i], requires_grad=s.requires_grad) for s in distinct}
-        runs.append((leaves, chain(*[None if s is None else leaves[s] for s in slots])))
+    for i in range(len(data[operands[0]])):
+        leaves = {x: Tensor(data[x][i], requires_grad=x.requires_grad) for x in distinct}
+        runs.append((leaves, chain(*[None if x is None else leaves[x] for x in operands])))
     y = np.stack([out.data for _, out in runs])
-    out = Tensor._node(y[0] if lone else y, _slot_parents(slots))
+    out = Tensor._node(y[0] if lone else y, tuple(x.tensor if type(x) is Slots else x for x in distinct))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
             for (_, one), piece in zip(runs, g[None] if lone else g):
                 backward(sum_all(mul(one, Tensor(piece))))
-            for s in distinct:
-                grads = [leaves[s].grad for leaves, _ in runs]
-                if grads[0] is not None:
-                    s.route(np.stack(grads))
+            for x in distinct:
+                grads = [leaves[x].grad for leaves, _ in runs]
+                if grads[0] is None:
+                    continue
+                if type(x) is Slots:
+                    x.route(np.stack(grads))
+                else:
+                    _accum(x, grads[0] if lone else np.stack(grads))
         out._backward = _bw
     return out
 
@@ -326,7 +329,7 @@ def slotwise(chain, *operands) -> Tensor:
 def stacked_chain_cma(query, key, value, gate) -> Tensor:
     """``chain_cma`` over the operands ``fusion.cma`` takes, one direction
     at a time."""
-    return slotwise(chain_cma, query, key, value, gate)
+    return slotwise(chain_cma, gate.data.ndim == 0, query, key, value, gate)
 
 
 def stacked_chain_bottleneck(x, params) -> Tensor:
@@ -335,7 +338,7 @@ def stacked_chain_bottleneck(x, params) -> Tensor:
     def one(x, down_w, down_b, up_w, up_b):
         return chain_bottleneck(x, type(params)(down_w, up_w, params.act, down_b, up_b))
 
-    return slotwise(one, x, params.down_w, params.down_b, params.up_w, params.up_b)
+    return slotwise(one, params.down_w.data.ndim == 3, x, params.down_w, params.down_b, params.up_w, params.up_b)
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +406,11 @@ def mean_rows(x) -> Tensor:
 
 
 def take(x, row: int) -> Tensor:
-    """Leading row ``row`` of ``x``, a view."""
+    """Leading row ``row`` of ``x``, a view (0-d for a 1-D ``x``)."""
     x = _as_tensor(x)
     if x.ndim < 1 or not 0 <= row < x.shape[0]:
         raise ShapeError(f"take: row {row} out of range for shape {x.shape}")
-    out = Tensor._node(x.data[row], (x,))
+    out = Tensor._node(x.data[row, ...], (x,))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
             _accum(x, _place_rows(g[None], (row,), x.shape[0]))
@@ -460,18 +463,37 @@ def chain_head(parts, weight: Tensor, bias: Tensor) -> Tensor:
     """``autodiff.pooled_linear`` as single ops: each part's row taken from
     its stack, pooled, the pools joined, then the biased product and the
     reshape to ``(B, R)``."""
-    pooled = concat_cols([mean_rows(take(s.tensors[0], s.picked[0])) for s in parts])
+    pooled = concat_cols([mean_rows(take(s.tensor, s.picked[0])) for s in parts])
     logits = matmul(pooled, weight, bias)
     return reshape(logits, (logits.shape[0], logits.shape[-1]))
 
 
-def site_term(site, source: np.ndarray, target: np.ndarray) -> Tensor:
-    """One adapter site's term for one stream's tokens, called as
-    ``fusion.layer_forward`` calls ``adapter_forward``: a list of the one
-    site over ``Slots`` rows, here each operand in a stack of its own. The
-    term comes back without the direction axis, as a new leaf."""
+def site_row(layer_sites: dict, key: str, part: str) -> np.ndarray:
+    """Part ``part`` of site ``key`` (``<direction>_<attachment>``) of one
+    layer's stacked sites: a view of its row of the part's leaf, so an
+    in-place write (``site_row(...)[...] = x``) sets the site's values."""
+    direction, attachment = key.split("_")
+    sites = layer_sites[attachment]
+    return sites.parts()[part].data[sites.directions.index(direction), ...]
+
+
+def site_term(layer_sites: dict, key: str, source: np.ndarray, target: np.ndarray) -> Tensor:
+    """Site ``key``'s term for one stream's tokens, called as
+    ``fusion.layer_forward`` calls ``adapter_forward`` at unequal token
+    counts: its slot of the stacked sites over ``Slots`` rows, here each
+    operand in a stack of its own. The term comes back without the direction
+    axis, as a new leaf."""
+    direction, attachment = key.split("_")
+    sites = layer_sites[attachment]
     rows = [Slots.rows(Tensor(x[None]), (0,)) for x in (source, target)]
-    return Tensor(adapter_forward(*rows, [site]).data[0])
+    return Tensor(adapter_forward(*rows, sites, (sites.directions.index(direction),)).data[0])
+
+
+def site_views(model) -> list[tuple[str, Tensor]]:
+    """Every trainable parameter's per-site view (``registry.items()``), in
+    registration order: writing its data in place writes the leaf that holds
+    it."""
+    return [(name, t) for name, t, frozen in model.registry.items() if not frozen]
 
 
 # ---------------------------------------------------------------------------
@@ -875,31 +897,39 @@ def oracle_cma(query: Tensor, key: Tensor, value: Tensor, gate: Tensor) -> Tenso
     return add(query, mul(matmul(softmax_rows(scores), value), gate))
 
 
-def oracle_adapter(source: Tensor, target: Tensor, site) -> Tensor:
-    if site.latents is not None:
-        summary = oracle_cma(site.latents, source, source, site.gate_compress)
-        fused = oracle_cma(target, summary, summary, site.gate_fuse)
+def oracle_adapter(source: Tensor, target: Tensor, sites, direction: str) -> Tensor:
+    """The ``direction`` site of one attachment's stacked sites, each of its
+    parameters taken from its leaf's row with ``take``."""
+    row = sites.directions.index(direction)
+
+    def part(t):
+        return None if t is None else take(t, row)
+
+    neck = sites.neck
+    gate_fuse = part(sites.gate_fuse)
+    if sites.latents is not None:
+        summary = oracle_cma(part(sites.latents), source, source, part(sites.gate_compress))
+        fused = oracle_cma(target, summary, summary, gate_fuse)
     else:
-        fused = oracle_cma(target, source, source, site.gate_fuse)
-    neck = site.neck
-    narrow = _act(neck.act)(grouped_linear(fused, neck.down_w, neck.down_b))
-    return grouped_linear(narrow, neck.up_w, neck.up_b)
+        fused = oracle_cma(target, source, source, gate_fuse)
+    narrow = _act(neck.act)(grouped_linear(fused, part(neck.down_w), part(neck.down_b)))
+    return grouped_linear(narrow, part(neck.up_w), part(neck.up_b))
 
 
 def oracle_layer(xa: Tensor, xv: Tensor, w, sites: dict, mode: str) -> tuple[Tensor, Tensor]:
     """One layer wired from ``mode`` itself, not from which sites exist."""
     a2v = mode in ("a2v", "bidirectional")
     v2a = mode in ("v2a", "bidirectional")
-    cross_v = oracle_adapter(xa, xv, sites["a2v_mha"]) if a2v else None
-    cross_a = oracle_adapter(xv, xa, sites["v2a_mha"]) if v2a else None
+    cross_v = oracle_adapter(xa, xv, sites["mha"], "a2v") if a2v else None
+    cross_a = oracle_adapter(xv, xa, sites["mha"], "v2a") if v2a else None
     ya = add(xa, oracle_mha(xa, w))
     yv = add(xv, oracle_mha(xv, w))
     if cross_a is not None:
         ya = add(ya, cross_a)
     if cross_v is not None:
         yv = add(yv, cross_v)
-    cross_v2 = oracle_adapter(ya, yv, sites["a2v_mlp"]) if a2v else None
-    cross_a2 = oracle_adapter(yv, ya, sites["v2a_mlp"]) if v2a else None
+    cross_v2 = oracle_adapter(ya, yv, sites["mlp"], "a2v") if a2v else None
+    cross_a2 = oracle_adapter(yv, ya, sites["mlp"], "v2a") if v2a else None
     za = add(ya, oracle_mlp(ya, w))
     zv = add(yv, oracle_mlp(yv, w))
     if cross_a2 is not None:

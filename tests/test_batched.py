@@ -9,7 +9,7 @@ from avfuse.backbone import ImageInput, SpectrogramInput
 from avfuse.fusion import MODES
 from avfuse.model import ModelConfig, TwoStreamModel, frozen_twin
 
-from helpers import oracle_logits_batch
+from helpers import oracle_logits_batch, site_views
 
 CELLS = [(mode, latents) for mode in MODES for latents in (True, False)]
 
@@ -30,7 +30,7 @@ def make_batch(cfg, count, seed):
 def perturb(model, seed):
     """Move every trainable tensor off its init, so every site is live."""
     r = np.random.default_rng(seed)
-    for _, t in model.registry.trainable():
+    for _, t in site_views(model):
         t.data += 0.3 * r.standard_normal(t.shape)
 
 

@@ -307,8 +307,8 @@ def test_train_step_matches_chains_bitwise(name, monkeypatch):
     batch = generate_dataset(0, 8, 0.1, cfg.image_hw, cfg.spec_hw)
     # move every site off its zero up-projection so every gradient is live
     for sites in model.sites:
-        for site in sites.values():
-            site.neck.up_w.data = 0.1 * arr(50, *site.neck.up_w.shape)
+        for s in sites.values():
+            s.neck.up_w.data[...] = 0.1 * arr(50, *s.neck.up_w.data.shape[1:])
     logits, grads = train_step(model, batch)
     monkeypatch.setattr(fusion, "mha", partial(chain_half, chain_mha))
     monkeypatch.setattr(fusion, "mlp", partial(chain_half, chain_mlp))

@@ -17,7 +17,7 @@ from avfuse.costs import (
     mac_bottleneck,
     mac_fusion,
 )
-from avfuse.fusion import build_site, cma
+from avfuse.fusion import build_layer_sites, cma
 from avfuse.serialization import csv_text
 
 from helpers import site_term
@@ -146,9 +146,9 @@ class TestMacFormulas:
         n, k, m, d, rho, g = 6, 9, 2, 8, 2, 2
         src, dst = r.standard_normal((k, d)), r.standard_normal((n, d))
         for use_latents, variant in ((True, "latent"), (False, "direct")):
-            site = build_site("a2v", "mha", 0, d, m, rho, g, 0, use_latents=use_latents)
+            sites = build_layer_sites(0, d, m, rho, g, 0, "a2v", use_latents=use_latents)
             with count_macs() as c:
-                site_term(site, src, dst)
+                site_term(sites, "a2v_mha", src, dst)
             want = mac_fusion(n, k, m, d, variant).total_macs + mac_bottleneck(n, d, rho, g)
             assert c.macs == want, variant
             assert c.softmax_elems == mac_fusion(n, k, m, d, variant).total_softmax_elems

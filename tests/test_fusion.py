@@ -6,15 +6,14 @@ from avfuse.autodiff import Rng, ShapeError, Tensor, backward
 from avfuse.backbone import AUDIO, VISUAL, FreezeRegistry, init_layer_weights
 from avfuse.fusion import (
     ATTACHMENTS,
-    DIRECTIONS,
     GATE_INIT,
+    LATENT_INIT_STD,
     MODE_DIRECTIONS,
     MODES,
-    AdapterSite,
-    BottleneckParams,
+    PARTS,
+    SLOT_ORDER,
     bottleneck,
     build_layer_sites,
-    build_site,
     cma,
     compress_to_latents,
     fuse_with_latents,
@@ -22,7 +21,18 @@ from avfuse.fusion import (
     layer_forward,
 )
 
-from helpers import add, block_diag_from_grouped, loop_matmul, mean_all, mul, scalar_cma, scalar_gelu, site_term, take
+from helpers import (
+    add,
+    block_diag_from_grouped,
+    loop_matmul,
+    mean_all,
+    mul,
+    scalar_cma,
+    scalar_gelu,
+    site_row,
+    site_term,
+    take,
+)
 
 
 def tok(arr):
@@ -176,79 +186,92 @@ class TestBottleneck:
 
 class TestSites:
     def test_build_registers_trainable_names(self):
+        # per site in items(), per stacked leaf in trainable()
         reg = FreezeRegistry()
-        build_site("a2v", "mha", 0, 8, 2, 2, 2, 0, registry=reg)
-        names = sorted(name for name, _ in reg.trainable())
-        assert names == [
-            "adapter.layer0.a2v_mha.down_b",
-            "adapter.layer0.a2v_mha.down_w",
-            "adapter.layer0.a2v_mha.gate_compress",
-            "adapter.layer0.a2v_mha.gate_fuse",
-            "adapter.layer0.a2v_mha.latents",
-            "adapter.layer0.a2v_mha.up_b",
-            "adapter.layer0.a2v_mha.up_w",
-        ]
+        build_layer_sites(0, 8, 2, 2, 2, 0, "a2v", registry=reg)
+        parts = ["down_b", "down_w", "gate_compress", "gate_fuse", "latents", "up_b", "up_w"]
+        assert sorted(name for name, _, _ in reg.items()) == [
+            f"adapter.layer0.a2v_{a}.{p}" for a in ATTACHMENTS for p in parts]
+        assert sorted(name for name, _ in reg.trainable()) == [
+            f"adapter.layer0.{a}.{p}" for a in ATTACHMENTS for p in parts]
         assert not list(reg.frozen())
 
     def test_gate_init_open_up_projection_zero(self):
-        site = build_site("v2a", "mlp", 1, 8, 2, 2, 2, 0)
-        assert float(site.gate_fuse.data) == GATE_INIT
-        assert float(site.gate_compress.data) == GATE_INIT
-        np.testing.assert_array_equal(site.neck.up_w.data, 0.0)
+        sites = build_layer_sites(1, 8, 2, 2, 2, 0, "bidirectional")["mlp"]
+        np.testing.assert_array_equal(sites.gate_fuse.data, [GATE_INIT, GATE_INIT])
+        np.testing.assert_array_equal(sites.gate_compress.data, [GATE_INIT, GATE_INIT])
+        np.testing.assert_array_equal(sites.neck.up_w.data, 0.0)
 
     def test_direct_site_has_no_latents(self):
         reg = FreezeRegistry()
-        site = build_site("a2v", "mha", 0, 8, 2, 2, 2, 0, use_latents=False, registry=reg)
-        assert site.latents is None and site.gate_compress is None
-        names = [name for name, _ in reg.trainable()]
+        sites = build_layer_sites(0, 8, 2, 2, 2, 0, "a2v", use_latents=False, registry=reg)["mha"]
+        assert sites.latents is None and sites.gate_compress is None
+        names = [name for name, _, _ in reg.items()] + [name for name, _ in reg.trainable()]
         assert not any("latents" in n or "gate_compress" in n for n in names)
 
     def test_sites_never_share_parameters(self):
-        reg = FreezeRegistry()
-        s1 = build_site("a2v", "mha", 0, 8, 2, 2, 2, 0, registry=reg)
-        s2 = build_site("a2v", "mlp", 0, 8, 2, 2, 2, 0, registry=reg)
-        assert s1.latents is not s2.latents
-        assert s1.gate_fuse is not s2.gate_fuse
-        assert s1.neck.down_w is not s2.neck.down_w
+        # one leaf per attachment and part; each direction's slot drawn from
+        # its own site's stream, so the slots differ
+        layer = build_layer_sites(0, 8, 2, 2, 2, 0, "bidirectional")
+        mha, mlp = layer["mha"], layer["mlp"]
+        assert mha.latents is not mlp.latents
+        assert mha.gate_fuse is not mlp.gate_fuse
+        assert mha.neck.down_w is not mlp.neck.down_w
+        assert mha.directions == mlp.directions == SLOT_ORDER == ("v2a", "a2v")
+        for sites, attachment in ((mha, "mha"), (mlp, "mlp")):
+            for row, direction in enumerate(sites.directions):
+                base = f"adapter.layer0.{direction}_{attachment}"
+                want = Rng.for_name(0, f"{base}.latents").normal((2, 8), std=LATENT_INIT_STD)
+                np.testing.assert_array_equal(sites.latents.data[row], want)
+                np.testing.assert_array_equal(sites.neck.down_w.data[row], init_bottleneck(8, 2, 2, 0, base).down_w.data)
+            assert not np.array_equal(sites.latents.data[0], sites.latents.data[1])
 
     def test_adapter_forward_zero_at_init(self):
         r = np.random.default_rng(9)
-        site = build_site("a2v", "mha", 0, 8, 2, 2, 2, 3)
-        out = site_term(site, r.standard_normal((5, 8)), r.standard_normal((4, 8)))
+        sites = build_layer_sites(0, 8, 2, 2, 2, 3, "a2v")
+        out = site_term(sites, "a2v_mha", r.standard_normal((5, 8)), r.standard_normal((4, 8)))
         np.testing.assert_array_equal(out.data, np.zeros((4, 8)))
 
     def test_adapter_forward_latent_oracle(self):
         r = np.random.default_rng(10)
-        site = build_site("a2v", "mha", 0, 8, 2, 2, 1, 4)
-        site.neck.up_w.data = r.standard_normal(site.neck.up_w.shape) * 0.1
-        site.gate_compress.data = np.array(0.4)
-        site.gate_fuse.data = np.array(-0.6)
+        sites = build_layer_sites(0, 8, 2, 2, 1, 4, "a2v")
+        up_w = site_row(sites, "a2v_mha", "up_w")
+        up_w[...] = r.standard_normal(up_w.shape) * 0.1
+        site_row(sites, "a2v_mha", "gate_compress")[...] = 0.4
+        site_row(sites, "a2v_mha", "gate_fuse")[...] = -0.6
         src = tok(r.standard_normal((5, 8)))
         dst = tok(r.standard_normal((3, 8)))
-        got = site_term(site, src.data, dst.data).data
+        got = site_term(sites, "a2v_mha", src.data, dst.data).data
 
-        summary = scalar_cma(site.latents.data, src.data, src.data, 0.4)
+        def part(name):
+            return site_row(sites, "a2v_mha", name)
+
+        summary = scalar_cma(part("latents"), src.data, src.data, 0.4)
         fused = scalar_cma(dst.data, summary, summary, -0.6)
         hidden = np.vectorize(scalar_gelu)(
-            loop_matmul(fused, block_diag_from_grouped(site.neck.down_w.data)) + site.neck.down_b.data
+            loop_matmul(fused, block_diag_from_grouped(part("down_w"))) + part("down_b")
         )
-        want = loop_matmul(hidden, block_diag_from_grouped(site.neck.up_w.data)) + site.neck.up_b.data
+        want = loop_matmul(hidden, block_diag_from_grouped(part("up_w"))) + part("up_b")
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_adapter_forward_direct_oracle(self):
         r = np.random.default_rng(11)
-        site = build_site("v2a", "mlp", 0, 8, 2, 2, 1, 5, use_latents=False)
-        site.neck.up_w.data = r.standard_normal(site.neck.up_w.shape) * 0.1
-        site.gate_fuse.data = np.array(0.8)
+        sites = build_layer_sites(0, 8, 2, 2, 1, 5, "v2a", use_latents=False)
+        up_w = site_row(sites, "v2a_mlp", "up_w")
+        up_w[...] = r.standard_normal(up_w.shape) * 0.1
+        site_row(sites, "v2a_mlp", "gate_fuse")[...] = 0.8
         src = tok(r.standard_normal((6, 8)))
         dst = tok(r.standard_normal((4, 8)))
-        got = site_term(site, src.data, dst.data).data
+        got = site_term(sites, "v2a_mlp", src.data, dst.data).data
+
+        def part(name):
+            return site_row(sites, "v2a_mlp", name)
 
         fused = scalar_cma(dst.data, src.data, src.data, 0.8)
         hidden = np.vectorize(scalar_gelu)(
-            loop_matmul(fused, block_diag_from_grouped(site.neck.down_w.data)) + site.neck.down_b.data
+            loop_matmul(fused, block_diag_from_grouped(part("down_w"))) + part("down_b")
         )
-        want = loop_matmul(hidden, block_diag_from_grouped(site.neck.up_w.data)) + site.neck.up_b.data
+        want = loop_matmul(hidden, block_diag_from_grouped(part("up_w"))) + part("up_b")
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("use_latents", [True, False], ids=["latent", "direct"])
@@ -258,12 +281,22 @@ class TestSites:
         assert MODE_DIRECTIONS[mode] == want_directions[mode]
         reg = FreezeRegistry()
         sites = build_layer_sites(1, 8, 2, 2, 2, 0, mode, use_latents=use_latents, registry=reg)
-        keys = [f"{d}_{a}" for d in MODE_DIRECTIONS[mode] for a in ATTACHMENTS]
-        assert list(sites) == keys
-        assert all(site.direction == key.split("_")[0] for key, site in sites.items())
-        parts = ["latents", "gate_compress"] if use_latents else []
-        parts += ["gate_fuse", "down_w", "up_w", "down_b", "up_b"]
-        assert [name for name, _ in reg.trainable()] == [f"adapter.layer1.{k}.{p}" for k in keys for p in parts]
+        directions = MODE_DIRECTIONS[mode]
+        assert list(sites) == (list(ATTACHMENTS) if directions else [])
+        # each leaf's slots in target-row order
+        assert all(s.directions == tuple(d for d in ("v2a", "a2v") if d in directions) for s in sites.values())
+        parts = [p for p in PARTS if use_latents or p not in ("latents", "gate_compress")]
+        # per-site names in the order direction, attachment, part, each a
+        # view of its slot of the leaf
+        items = list(reg.items())
+        assert [name for name, _, _ in items] == [
+            f"adapter.layer1.{d}_{a}.{p}" for d in directions for a in ATTACHMENTS for p in parts]
+        for name, view, frozen in items:
+            _, _, key, part = name.split(".")
+            assert not frozen
+            assert np.shares_memory(view.data, site_row(sites, key, part))
+        assert [name for name, _ in reg.trainable()] == [
+            f"adapter.layer1.{a}.{p}" for a in (ATTACHMENTS if directions else ()) for p in parts]
         with pytest.raises(ValueError, match="'sideways'"):
             build_layer_sites(0, 8, 2, 2, 2, 0, "sideways", use_latents=use_latents)
 
@@ -299,8 +332,9 @@ class TestDualLayer:
         xa, xv = self._streams(17)
         sites = build_layer_sites(0, 8, 2, 2, 2, 11, "a2v")
         r = np.random.default_rng(18)
-        for s in sites.values():
-            s.neck.up_w.data = r.standard_normal(s.neck.up_w.shape) * 0.1
+        for key in ("a2v_mha", "a2v_mlp"):
+            up_w = site_row(sites, key, "up_w")
+            up_w[...] = r.standard_normal(up_w.shape) * 0.1
         ya_adapted, yv_adapted = layer_apart(xa, xv, w, sites)
         plain = build_layer_sites(0, 8, 2, 2, 2, 11, "none")
         ya_plain, yv_plain = layer_apart(xa, xv, w, plain)
@@ -309,7 +343,8 @@ class TestDualLayer:
 
     def test_sites_built_only_for_enabled_directions(self):
         sites = build_layer_sites(0, 8, 2, 2, 2, 0, "a2v")
-        assert set(sites) == {"a2v_mha", "a2v_mlp"}
+        assert set(sites) == {"mha", "mlp"}
+        assert all(s.directions == ("a2v",) for s in sites.values())
 
     def test_layer_and_modality_guards(self):
         w = init_layer_weights(8, 2, 0, "L")
@@ -336,17 +371,18 @@ class TestDualLayer:
         xa, xv = self._streams(15)
         sites = build_layer_sites(0, 8, 2, 2, 2, 9, "bidirectional")
         r = np.random.default_rng(16)
-        for s in sites.values():
-            s.neck.up_w.data = r.standard_normal(s.neck.up_w.shape) * 0.05
+        for key in ("a2v_mha", "a2v_mlp", "v2a_mha", "v2a_mlp"):
+            up_w = site_row(sites, key, "up_w")
+            up_w[...] = r.standard_normal(up_w.shape) * 0.05
         ya, yv = layer_apart(xa, xv, w, sites)
 
         from avfuse.backbone import mha, mlp
 
-        cross_v = site_term(sites["a2v_mha"], xa.data, xv.data)
-        cross_a = site_term(sites["v2a_mha"], xv.data, xa.data)
+        cross_v = site_term(sites, "a2v_mha", xa.data, xv.data)
+        cross_a = site_term(sites, "v2a_mha", xv.data, xa.data)
         mid_a = add(mha(xa, w), cross_a)
         mid_v = add(mha(xv, w), cross_v)
-        want_a = add(mlp(mid_a, w), site_term(sites["v2a_mlp"], mid_v.data, mid_a.data))
-        want_v = add(mlp(mid_v, w), site_term(sites["a2v_mlp"], mid_a.data, mid_v.data))
+        want_a = add(mlp(mid_a, w), site_term(sites, "v2a_mlp", mid_v.data, mid_a.data))
+        want_v = add(mlp(mid_v, w), site_term(sites, "a2v_mlp", mid_a.data, mid_v.data))
         np.testing.assert_allclose(ya.data, want_a.data, rtol=1e-12)
         np.testing.assert_allclose(yv.data, want_v.data, rtol=1e-12)

@@ -7,6 +7,8 @@ from avfuse.backbone import ImageInput, SpectrogramInput
 from avfuse.fusion import MODES
 from avfuse.model import ModelConfig, TwoStreamModel, event_head, frozen_twin
 
+from helpers import site_row, site_views
+
 
 def rand_inputs(r, cfg):
     img = ImageInput(r.uniform(cfg.image_hw + (3,)))
@@ -111,8 +113,10 @@ class TestWiring:
         trainable = [n for n, _ in model.registry.trainable()]
         assert all(n.startswith("backbone.") for n in frozen)
         assert all(n.startswith(("adapter.", "head.")) for n in trainable)
-        # 4 sites per layer, 7 tensors each, 2 layers, plus head weight+bias
-        assert len(trainable) == 2 * 4 * 7 + 2
+        # per site: 4 sites per layer, 7 tensors each, 2 layers, plus head
+        # weight+bias; per leaf: each attachment's 7 parts stack both sites
+        assert len(site_views(model)) == 2 * 4 * 7 + 2
+        assert len(trainable) == 2 * 2 * 7 + 2
 
     def test_mode_none_has_only_head_trainable(self):
         model = TwoStreamModel(ModelConfig(mode="none"), seed=0)
@@ -158,8 +162,8 @@ class TestPersistence:
         cfg = ModelConfig()
         model = TwoStreamModel(cfg, seed=0)
         # move something trainable, save, rebuild fresh, load, compare logits
-        site = model.sites[0]["a2v_mha"]
-        site.neck.up_w.data = np.random.default_rng(0).standard_normal(site.neck.up_w.shape) * 0.1
+        up_w = site_row(model.sites[0], "a2v_mha", "up_w")
+        up_w[...] = np.random.default_rng(0).standard_normal(up_w.shape) * 0.1
         model.save_weights(tmp_path / "w")
 
         fresh = TwoStreamModel(cfg, seed=0)
@@ -200,7 +204,7 @@ class TestPersistence:
                 cfg = ModelConfig(mode=mode, use_latents=use_latents)
                 model = TwoStreamModel(cfg, seed=0)
                 noise = np.random.default_rng(45)
-                for _, t in model.registry.trainable():
+                for _, t in site_views(model):
                     t.data += 0.3 * noise.standard_normal(t.shape)
                 r = Rng.for_name(45, "batch")
                 pairs = [rand_inputs(r, cfg) for _ in range(8)]

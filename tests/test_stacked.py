@@ -22,7 +22,7 @@ from avfuse.fusion import MODES, build_layer_sites, layer_forward
 from avfuse.model import ModelConfig, TwoStreamModel, event_head
 from avfuse.tasks import generate_dataset
 
-from helpers import add_rows, mul, sum_all, take
+from helpers import add_rows, mul, site_views, sum_all, take
 
 APART = {AUDIO: (0, 0), VISUAL: (1, 0)}
 
@@ -61,7 +61,7 @@ def test_stacked_step_matches_per_stream(name, mode, use_latents):
     model = TwoStreamModel(cfg, seed=0)
     # move every trainable off its init, so every site term and gradient is live
     noise = np.random.default_rng(1)
-    for _, t in model.registry.trainable():
+    for _, t in site_views(model):
         t.data += 0.1 * noise.standard_normal(t.shape)
     batch = generate_dataset(0, 8, 0.1, cfg.image_hw, cfg.spec_hw)
     logits, grads, tallies = train_step(model, batch, model.logits_batch)
@@ -103,7 +103,7 @@ def test_stacked_layer_rows_are_the_dual_layer_outputs(mode):
     xa, xv = Tensor(arr(1, 5, 8)), Tensor(arr(2, 5, 8))
     sites = build_layer_sites(0, 8, 2, 2, 2, 3, mode)
     for s in sites.values():
-        s.neck.up_w.data = 0.1 * arr(3, *s.neck.up_w.shape)
+        s.neck.up_w.data[...] = 0.1 * arr(3, *s.neck.up_w.data.shape[1:])
     za, zv = layer_forward([Tensor([x.data]) for x in (xa, xv)], APART, w, sites)
     (y,) = layer_forward([Tensor([xa.data, xv.data])], {AUDIO: (0, 0), VISUAL: (0, 1)}, w, sites)
     np.testing.assert_array_equal(y.data, np.concatenate([za.data, zv.data]))
@@ -140,16 +140,9 @@ def test_take_and_add_rows():
 
 
 def test_slots_read_and_route():
-    # stacked leaves: their values stacked, each slot's gradient to its own
-    # tensor; rows of one tensor: a view, the gradient back in its rows,
-    # zeros where no slot reads
-    p, q = Tensor(arr(20, 3), requires_grad=True), Tensor(arr(21, 3), requires_grad=True)
-    leaves = Slots.stack([p, q])
-    np.testing.assert_array_equal(leaves.data, np.stack([p.data, q.data]))
-    leaves.route(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
-    np.testing.assert_array_equal(p.grad, [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(q.grad, [4.0, 5.0, 6.0])
-
+    # rows of one tensor: a view, the gradient back in its rows, zeros where
+    # no slot reads; rows of a stacked parameter route the same way, into
+    # the leaf that holds every direction
     x = Tensor(arr(22, 2, 3), requires_grad=True)
     flipped = Slots.rows(x, (1, 0))
     assert np.shares_memory(flipped.data, x.data)
@@ -159,12 +152,20 @@ def test_slots_read_and_route():
     x.grad = None
     Slots.rows(x, (1,)).route(np.array([[3.0, 3.0, 3.0]]))
     np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 0.0], [3.0, 3.0, 3.0]])
-    with pytest.raises(ValueError):
-        Slots.stack([p, Tensor(np.zeros(4))])
+
+    gates = Tensor(arr(20, 2), requires_grad=True)
+    for row in (0, 1):
+        one = Slots.rows(gates, (row,))
+        np.testing.assert_array_equal(one.data, gates.data[row:row + 1])
+        one.route(np.array([row + 1.0]))
+    np.testing.assert_array_equal(gates.grad, [1.0, 2.0])
+    frozen = Tensor(arr(21, 2, 3))
+    Slots.rows(frozen, (0,)).route(np.ones((1, 3)))
+    assert frozen.grad is None
 
 
 def test_adapter_forward_checks_the_direction_count():
     sites = build_layer_sites(0, 8, 2, 2, 2, 0, "bidirectional")
     x = Tensor(arr(30, 2, 3, 5, 8))
     with pytest.raises(ValueError, match="number of directions"):
-        fusion.adapter_forward(Slots.rows(x, (1,)), Slots.rows(x, (0,)), [sites["v2a_mha"], sites["a2v_mha"]])
+        fusion.adapter_forward(Slots.rows(x, (1,)), Slots.rows(x, (0,)), sites["mha"], (0, 1))

@@ -21,7 +21,10 @@ than its nodes, so those are pinned too: every call, counted with
 ``sys.setprofile``, of a function whose code lives in ``src/avfuse``. Frames
 named ``<...>`` (comprehensions, generator expressions, lambdas) are not
 counted: their number changes with the Python version, which inlines
-comprehensions from 3.12 on."""
+comprehensions from 3.12 on. The adapter parameters are one stacked leaf per
+layer, attachment and part, passed to the block ops whole, so a site call
+gathers and routes nothing per direction; one direction (``a2v``) then makes
+as many calls as two."""
 import sys
 from pathlib import Path
 
@@ -38,22 +41,23 @@ SOURCE = str(Path(avfuse.__file__).resolve().parent)
 # config overrides: (tape nodes, Tensor._node calls, forward MACs, softmax
 # elements, package calls) per step
 PINNED = {
-    "readme": ({}, 18, 18, 1_836_032, 3_072, 1_084),
+    "readme": ({}, 18, 18, 1_836_032, 3_072, 518),
     # one direction: its sites still run once per attachment, so only MACs
     # and softmax elements fall
-    "readme-a2v": (dict(mode="a2v"), 18, 18, 1_770_496, 2_560, 1_004),
+    "readme-a2v": (dict(mode="a2v"), 18, 18, 1_770_496, 2_560, 518),
     # direct sites have no compress step
-    "readme-direct": (dict(use_latents=False), 14, 14, 1_836_032, 3_072, 822),
+    "readme-direct": (dict(use_latents=False), 14, 14, 1_836_032, 3_072, 416),
     "train-wide": (
         dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4), 18, 18, 467_668_992, 557_056,
-        1_084,
+        518,
     ),
     # 6 audio tokens against 4 visual ones: a stack per stream, so every
-    # frozen block and site runs per stream
-    "unequal": (dict(spec_hw=(12, 8)), 34, 34, 2_307_072, 4_608, 1_915),
+    # frozen block and site runs per stream, each site on its rows of the
+    # stacked parameters
+    "unequal": (dict(spec_hw=(12, 8)), 34, 34, 2_307_072, 4_608, 1_311),
     # no adapter sites: the frozen blocks, the head and the loss; only the
     # head and the loss record a gradient
-    "none": (dict(mode="none"), 2, 6, 1_704_960, 2_048, 170),
+    "none": (dict(mode="none"), 2, 6, 1_704_960, 2_048, 126),
 }
 
 

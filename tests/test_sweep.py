@@ -7,7 +7,8 @@ config must keep three properties of the whole model:
   row equals its sample scored alone, bit for bit;
 - gradients: central differences agree with the analytic gradient at
   ``helpers.check_gradients``' tolerances, on one sampled coordinate of every
-  trainable, with every trainable moved off its init.
+  trainable parameter (each adapter site's slot of a stacked leaf counts as
+  one), with every trainable moved off its init.
 """
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from avfuse.backbone import ImageInput, SpectrogramInput
 from avfuse.fusion import MODES
 from avfuse.model import ModelConfig, TwoStreamModel, frozen_twin
 
-from helpers import check_gradients
+from helpers import check_gradients, site_views
 
 # README shapes at one layer unless an entry says otherwise
 EDGES = {name: {"layers": 1, **fields} for name, fields in {
@@ -78,15 +79,24 @@ def test_config_keeps_identity_batch_rows_and_gradients(name):
     model = TwoStreamModel(cfg, seed=0)
     np.testing.assert_array_equal(model.logits_batch(pairs).data, frozen_twin(cfg, seed=0).logits_batch(pairs).data)
 
-    for _, t in model.registry.trainable():
+    for _, t in site_views(model):
         t.data += 0.3 * r.standard_normal(t.shape)
     logits = model.logits_batch(pairs).data
     for row, pair in zip(logits, pairs):
         np.testing.assert_array_equal(row, model.logits(*pair).data[0])
 
+    # one coordinate drawn per parameter, in registration order, and checked
+    # on the leaf that holds it
+    leaves = [t for _, t in model.registry.trainable()]
+    picks = {id(t): [] for t in leaves}
+    for _, view in site_views(model):
+        leaf = next(t for t in leaves if np.shares_memory(t.data, view.data))
+        start = (view.data.ctypes.data - leaf.data.ctypes.data) // leaf.data.itemsize
+        picks[id(leaf)].append(start + int(r.integers(view.size)))
+    queue = iter([picks[id(t)] for t in leaves])
     labels = np.array([0, 1])
     check_gradients(
         lambda: cross_entropy_logits(model.logits_batch(pairs[:2]), labels),
-        [t for _, t in model.registry.trainable()],
-        coords=lambda size: [int(r.integers(size))],
+        leaves,
+        coords=lambda size: next(queue),
     )
