@@ -365,6 +365,40 @@ class TestFreezeRegistry:
         assert r1.state_hash() == r2.state_hash()
         assert len(r1.state_hash()) == len(hashlib.sha256(b"").hexdigest())
 
+    def test_stacked_leaf_has_a_view_per_row(self):
+        # per parameter: named rows, viewed when read, saved, hashed and
+        # loaded in place; per leaf: trainable() yields the stack
+        from avfuse.serialization import ContainerEntry
+
+        reg = FreezeRegistry()
+        fr = reg.register("a.frozen", Tensor(np.ones(2)), frozen=True)
+        leaf = reg.register_stack("b.stack", Tensor(np.arange(6.0).reshape(2, 3)))
+        reg.register_row("b.second", leaf, 1)
+        reg.register_row("b.first", leaf, 0)
+        assert leaf.requires_grad
+        assert dict(reg.trainable()) == {"b.stack": leaf}
+        assert [(n, f) for n, _, f in reg.items()] == [("a.frozen", True), ("b.second", False), ("b.first", False)]
+        leaf.grad = np.full((2, 3), 5.0)
+        views = {n: t for n, t, _ in reg.items()}
+        assert np.shares_memory(views["b.second"].data, leaf.data) and not views["b.second"].requires_grad
+        np.testing.assert_array_equal(views["b.second"].data, [3.0, 4.0, 5.0])
+        np.testing.assert_array_equal(views["b.first"].grad, [5.0, 5.0, 5.0])
+        assert [n for n, _, _ in reg.entries_for_save()] == ["a.frozen", "b.second", "b.first"]
+        h0 = reg.state_hash(frozen_only=False)
+        reg.load_arrays([ContainerEntry("a.frozen", np.ones(2), True), ContainerEntry("b.second", np.zeros(3), False),
+                         ContainerEntry("b.first", np.arange(3.0), False)])
+        np.testing.assert_array_equal(leaf.data, [[0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
+        assert reg.state_hash(frozen_only=False) != h0
+        fr.grad = np.ones(2)
+        reg.zero_grad()
+        assert leaf.grad is None and fr.grad is None
+        with pytest.raises(ValueError, match="register_stack did not register"):
+            reg.register_row("c.row", Tensor(np.zeros((2, 3))), 0)
+        with pytest.raises(ValueError, match="register_stack did not register"):
+            reg.register_row("c.row", leaf, 2)
+        with pytest.raises(ValueError, match="registered twice"):
+            reg.register_stack("b.first", Tensor(np.zeros(1)))
+
     def test_zero_grad_clears_trainable(self):
         reg = FreezeRegistry()
         t = Tensor(np.ones(2), requires_grad=True)
