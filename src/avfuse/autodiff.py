@@ -28,6 +28,8 @@ Three layers:
   ``relu_fwd``, ``attention_fwd``/``_bwd``, ``grouped_linear_fwd``/``_bwd``)
   are plain numpy and record nothing; an activation's forward returns its
   derivative, so its backward is one product with the output gradient;
+  attention is one head per leading index (``frozen_attention`` splits its
+  heads off into a leading axis first);
 - block ops (``frozen_attention``, ``frozen_mlp``, ``gated_attention``,
   ``grouped_bottleneck``, ``pooled_linear``) run a chain of kernels or sums
   as one node whose closure saves only what its gradients need. A frozen
@@ -260,14 +262,11 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad = g if t.grad is None else t.grad + g
     elif t.grad is not None:
         t.grad += g
-    elif g.shape == t.data.shape:
-        # g + 0.0 equals 0.0 + g bit for bit, signed zeros included, so this
-        # matches zeros-then-add without the memset pass; out= keeps a 0-d
-        # gradient an array rather than a numpy scalar
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
     else:
-        t.grad = np.zeros_like(t.data)
-        t.grad += g
+        # g + 0.0 equals 0.0 + g bit for bit, signed zeros included, so this
+        # matches zeros-then-add without the memset pass; out= broadcasts g
+        # and keeps a 0-d gradient an array rather than a numpy scalar
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -475,53 +474,50 @@ def relu_fwd(v: np.ndarray, deriv: bool):
 ACTIVATIONS = {"gelu": gelu_fwd, "relu": relu_fwd}
 
 
-def attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, scale: float):
-    """Multi-head dot-product attention.
+def attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray):
+    """Scaled dot-product attention over the last two axes.
 
     ``q`` is (..., Nq, D), ``k`` is (..., Nk, D) and ``v`` is (..., Nk, Dv),
-    leading axes broadcast. The columns split into ``heads`` equal groups;
-    head h computes softmax(q_h k_h^T * scale) v_h with per-row max
-    subtraction, and the head outputs merge back in column order into
-    (..., Nq, Dv). Returns the output and ``(qh, kh, vh, probs)``, the
-    per-head operands and softmax ``attention_bwd`` takes. MACs and softmax
-    elements are tallied as per-head matmuls and row softmaxes would be.
+    leading axes broadcast: softmax(q k^T / sqrt(D)) v with per-row max
+    subtraction, (..., Nq, Dv). Multi-head attention splits the heads off
+    into a leading axis first. Returns the output and the softmax, which
+    ``attention_bwd`` takes. MACs and softmax elements are tallied as
+    matmuls and row softmaxes over each leading index would be.
     """
-    qh, kh, vh = _split(q, heads), _split(k, heads), _split(v, heads)
     # the scores buffer becomes the softmax in place: subtract the row max,
     # exponentiate, divide by the row sum
     # overflow here is reported by the finiteness check, not by a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        probs = np.matmul(qh, kh.swapaxes(-1, -2))
-        probs *= scale
+        probs = np.matmul(q, k.swapaxes(-1, -2))
+        probs *= 1.0 / np.sqrt(q.shape[-1])
     if not np.isfinite(probs).all():
         raise NonFiniteError("attention: scores contain non-finite values")
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    _tally_macs(probs.size // heads * (k.shape[-1] + v.shape[-1]))
+    _tally_macs(probs.size * (k.shape[-1] + v.shape[-1]))
     _tally_softmax(probs.size)
-    return _merge(np.matmul(probs, vh)), (qh, kh, vh, probs)
+    return np.matmul(probs, v), probs
 
 
-def attention_bwd(g, qh, kh, vh, probs, scale: float, want=(True, True, True)):
+def attention_bwd(g, q, k, v, probs, want=(True, True, True)):
     """Gradients of q, k and v (None where ``want`` says no) under the output
-    gradient ``g``, in column layout but not yet summed over broadcast axes.
-    The softmax is the saved one."""
-    gh = _split(g, probs.shape[-3])
+    gradient ``g``, not yet summed over broadcast axes. The softmax is the
+    saved one."""
     want_q, want_k, want_v = want
     dq = dk = dv = None
     if want_v:
-        dv = _merge(np.matmul(probs.swapaxes(-1, -2), gh))
+        dv = np.matmul(probs.swapaxes(-1, -2), g)
     if want_q or want_k:
-        # ds = probs * (dp - rowsum(dp * probs)) * scale, in dp's buffer
-        ds = np.matmul(gh, vh.swapaxes(-1, -2))
+        # ds = probs * (dp - rowsum(dp * probs)) / sqrt(D), in dp's buffer
+        ds = np.matmul(g, v.swapaxes(-1, -2))
         ds -= np.multiply(ds, probs).sum(axis=-1, keepdims=True)
         ds *= probs
-        ds *= scale
+        ds *= 1.0 / np.sqrt(q.shape[-1])
         if want_q:
-            dq = _merge(np.matmul(ds, kh))
+            dq = np.matmul(ds, k)
         if want_k:
-            dk = _merge(np.matmul(ds.swapaxes(-1, -2), qh))
+            dk = np.matmul(ds.swapaxes(-1, -2), q)
     return dq, dk, dv
 
 
@@ -612,24 +608,24 @@ def _residual_node(op: str, x: Tensor, y: np.ndarray, term: Tensor | None, rows:
 def frozen_attention(x: Tensor, gain, shift, wq, wk, wv, wo, heads: int, term: Tensor | None = None,
                      rows: Sequence[int] = ()) -> Tensor:
     """Pre-norm multi-head self-attention with frozen weights, a layer half:
-    x + attention(t wq, t wk, t wv) wo for t = layer_norm(x), scores scaled
-    by 1/sqrt(width/heads), with ``term`` added into rows ``rows``. x's
-    gradient comes from the saved xhat, inv, Q/K/V heads and softmax."""
+    x + attention(t wq, t wk, t wv) wo for t = layer_norm(x), run on the
+    columns split into ``heads`` heads (so scaled by 1/sqrt(width/heads)),
+    with ``term`` added into rows ``rows``. x's gradient comes from the
+    saved xhat, inv, Q/K/V heads and softmax."""
     _check_frozen("frozen_attention", gain=gain, shift=shift, wq=wq, wk=wk, wv=wv, wo=wo)
     t, xhat, inv = layer_norm_fwd(x.data, gain.data, shift.data)
-    q, k, v = linear_fwd(t, wq.data), linear_fwd(t, wk.data), linear_fwd(t, wv.data)
+    q, k, v = (_split(linear_fwd(t, w.data), heads) for w in (wq, wk, wv))
     del t
-    scale = 1.0 / np.sqrt(x.data.shape[-1] // heads)
-    merged, saved = attention_fwd(q, k, v, heads, scale)
+    attended, probs = attention_fwd(q, k, v)
 
     def dx(g: np.ndarray) -> np.ndarray:
-        dq, dk, dv = attention_bwd(g @ wo.data.T, *saved, scale)
+        dq, dk, dv = attention_bwd(_split(g @ wo.data.T, heads), q, k, v, probs)
         # the order the q, k and v products handed their gradients back
-        dt = dq @ wq.data.T
-        dt += dk @ wk.data.T
-        dt += dv @ wv.data.T
+        dt = _merge(dq) @ wq.data.T
+        dt += _merge(dk) @ wk.data.T
+        dt += _merge(dv) @ wv.data.T
         return layer_norm_bwd(dt, gain.data, xhat, inv)
-    return _residual_node("frozen_attention", x, linear_fwd(merged, wo.data), term, rows, dx)
+    return _residual_node("frozen_attention", x, linear_fwd(_merge(attended), wo.data), term, rows, dx)
 
 
 def frozen_mlp(x: Tensor, gain, shift, w1, b1, w2, b2, term: Tensor | None = None,
@@ -680,16 +676,12 @@ def gated_attention(q, k, v, gate) -> Tensor:
     qd, kd, vd, gd = q.data, k.data, v.data, gate.data
     if lone:
         qd, kd, vd, gd = qd[None], kd[None], vd[None], gd[None]
-    # a batch axis after the direction axis for the operand without one
-    rank = max(qd.ndim, kd.ndim)
-    q_low, kv_low = qd.ndim < rank, kd.ndim < rank
+    # a batch axis after the direction axis for a query without one
+    q_low = qd.ndim < kd.ndim
     if q_low:
         qd = qd[:, None]
-    if kv_low:
-        kd, vd = kd[:, None], vd[:, None]
-    gd = gd.reshape(gd.shape + (1,) * (rank - 1))
-    scale = 1.0 / np.sqrt(kd.shape[-1])
-    attended, saved = attention_fwd(qd, kd, vd, 1, scale)
+    gd = gd.reshape(gd.shape + (1,) * (kd.ndim - 1))
+    attended, probs = attention_fwd(qd, kd, vd)
     y = qd + attended * gd
     # a Slots operand's parent is the tensor it reads rows of
     out = Tensor._node(y[0] if lone else y, (
@@ -699,8 +691,7 @@ def gated_attention(q, k, v, gate) -> Tensor:
         want = (q.requires_grad, k.requires_grad, v.requires_grad)
         if not gate.requires_grad:
             attended = None
-        if not any(want):
-            saved = None
+        saved = (qd, kd, vd, probs) if any(want) else None
 
         def _bw(g: np.ndarray) -> None:
             if lone:
@@ -709,7 +700,7 @@ def gated_attention(q, k, v, gate) -> Tensor:
             if attended is not None:
                 dgate = np.multiply(g, attended).reshape(len(gd), -1).sum(axis=1)
             if saved is not None:
-                dq, dk, dv = attention_bwd(g * gd, *saved, scale, want)
+                dq, dk, dv = attention_bwd(g * gd, *saved, want)
             # sums in the order the chain's leaves receive them: the residual
             # into q, then v, q, k; addition commutes, so dq + residual is
             # residual + dq bit for bit
@@ -719,9 +710,6 @@ def gated_attention(q, k, v, gate) -> Tensor:
                     dq += g.sum(axis=1)
                 else:
                     dq += g
-            if kv_low:
-                dv = None if dv is None else dv.sum(axis=1)
-                dk = None if dk is None else dk.sum(axis=1)
             if dk is not None and k is v:
                 dv += dk
                 dk = None

@@ -357,8 +357,10 @@ class FreezeRegistry:
 
     def load_arrays(self, entries) -> None:
         """Copy values from (name, array, frozen) records into the existing
-        arrays; every name must exist with a matching shape and flag."""
-        loaded = set()
+        arrays; every name must exist with a matching shape and flag. Every
+        record is checked before any is copied, so a refused container
+        changes nothing."""
+        checked = {}  # name -> (model array, container array)
         for rec in entries:
             name, array, frozen = rec.name, rec.array, rec.frozen
             if name not in self._entries:
@@ -370,9 +372,10 @@ class FreezeRegistry:
                 )
             if frozen != want_frozen:
                 raise ValueError(f"parameter {name!r}: frozen flag mismatch")
-            # copy into the existing array: an optimizer may hold views of it
-            np.copyto(value, array)
-            loaded.add(name)
-        missing = set(self._entries) - loaded
+            checked[name] = (value, array)
+        missing = self._entries.keys() - checked.keys()
         if missing:
             raise ValueError(f"container is missing parameters: {sorted(missing)}")
+        # copy into the existing arrays: an optimizer may hold views of them
+        for value, array in checked.values():
+            np.copyto(value, array)

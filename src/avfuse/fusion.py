@@ -81,10 +81,11 @@ def cma(query, key, value, gate):
     The gate is a trainable scalar; at gate == 0 the op returns the query
     exactly. There are no key/value projections. Operands are 2-D or
     batched; a 2-D query (latent tokens) serves every sample of a batched
-    key/value. The whole expression is one tape node. With a gate of shape
-    ``(S,)`` every operand carries a leading axis of S directions, as a
-    plain tensor or as ``Slots`` (``autodiff.gated_attention``), and each
-    direction follows these rules.
+    key/value, a batched query needs a key/value of its batch. The whole
+    expression is one tape node. With a gate of shape ``(S,)`` every operand
+    carries a leading axis of S directions, as a plain tensor or as
+    ``Slots`` (``autodiff.gated_attention``), and each direction follows
+    these rules.
     """
     stacked = gate.data.ndim == 1
     q, k, v, g = query.data.shape, key.data.shape, value.data.shape, gate.data.shape
@@ -98,8 +99,8 @@ def cma(query, key, value, gate):
         raise ShapeError(f"cma: query width {q} does not match key width {k}")
     if k[:-1] != v[:-1]:
         raise ShapeError(f"cma: key rows {k} do not match value rows {v}")
-    if len(q) == len(k) == 3 and q[0] != k[0]:
-        raise ShapeError(f"cma: query batch {q} does not match key batch {k}")
+    if len(q) == 3 and (len(k) == 2 or q[0] != k[0]):
+        raise ShapeError(f"cma: query {q} and key {k} disagree on the batch")
     if g != ():
         raise ShapeError(f"cma: gate must be a scalar, got shape {g}")
     return gated_attention(query, key, value, gate)

@@ -56,10 +56,12 @@ from avfuse.autodiff import (
     _accum,
     _as_tensor,
     _blocks,
+    _merge,
     _needs_grad,
     _place_rows,
     _reduce_to,
     _row_index,
+    _split,
     _tally_softmax,
     attention_bwd,
     attention_fwd,
@@ -204,9 +206,10 @@ def layer_norm(x, gain, shift) -> Tensor:
     return out
 
 
-def attention(q, k, v, heads: int = 1, scale: float | None = None) -> Tensor:
-    """Multi-head dot-product attention as one op; ``scale`` defaults to
-    1/sqrt(D/heads) and a 2-D query can serve a batch of keys."""
+def attention(q, k, v, heads: int = 1) -> Tensor:
+    """Multi-head dot-product attention as one op, scores scaled by
+    1/sqrt(D/heads); a 2-D query can serve a batch of keys. The heads are
+    split off into a leading axis for the kernels and merged back."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
         raise ShapeError(f"attention: need 2-D or batched operands, got {q.shape}, {k.shape}, {v.shape}")
@@ -219,17 +222,16 @@ def attention(q, k, v, heads: int = 1, scale: float | None = None) -> Tensor:
         np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
     except ValueError:
         raise ShapeError(f"attention: batch axes of {q.shape} and {k.shape} do not broadcast") from None
-    if scale is None:
-        scale = 1.0 / np.sqrt(d // heads)
-    y, saved = attention_fwd(q.data, k.data, v.data, heads, scale)
-    out = Tensor._node(y, (q, k, v))
+    qh, kh, vh = _split(q.data, heads), _split(k.data, heads), _split(v.data, heads)
+    y, probs = attention_fwd(qh, kh, vh)
+    out = Tensor._node(_merge(y), (q, k, v))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
             want = (q.requires_grad, k.requires_grad, v.requires_grad)
-            dq, dk, dv_ = attention_bwd(g, *saved, scale, want)
+            dq, dk, dv_ = attention_bwd(_split(g, heads), qh, kh, vh, probs, want)
             for t, grad in ((v, dv_), (q, dq), (k, dk)):
                 if grad is not None:
-                    _accum(t, _reduce_to(grad, t.shape))
+                    _accum(t, _reduce_to(_merge(grad), t.shape))
         out._backward = _bw
     return out
 

@@ -178,6 +178,16 @@ class TestForwardOracles:
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
         with pytest.raises(ShapeError):
             add(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
+        logits = Tensor(np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match="need 2-D logits"):
+            cross_entropy_logits(Tensor(np.zeros(3)), np.array([0]))
+        with pytest.raises(ShapeError, match="labels shape"):
+            cross_entropy_logits(logits, np.array([0, 1, 2]))
+        with pytest.raises(ValueError, match="labels must be integers"):
+            cross_entropy_logits(logits, np.array([0.0, 1.0]))
+        for labels in ([0, 3], [-1, 0]):
+            with pytest.raises(ValueError, match="out of range for 3 classes"):
+                cross_entropy_logits(logits, np.array(labels))
 
 
 class TestBackward:
@@ -350,11 +360,11 @@ class TestBackward:
 
 class TestAttention:
     @staticmethod
-    def per_head(q, k, v, heads, scale_=None):
+    def per_head(q, k, v, heads):
         """Scalar-loop attention, one head at a time, heads joined by column."""
         dh = q.shape[1] // heads
         dv = v.shape[1] // heads
-        c = 1.0 / np.sqrt(dh) if scale_ is None else scale_
+        c = 1.0 / np.sqrt(dh)
         outs = []
         for h in range(heads):
             scores = loop_matmul(q[:, h * dh:(h + 1) * dh], k[:, h * dh:(h + 1) * dh].T) * c
@@ -366,8 +376,6 @@ class TestAttention:
         for heads in (1, 2, 3):
             got = attention(Tensor(q), Tensor(k), Tensor(v), heads).data
             np.testing.assert_allclose(got, self.per_head(q, k, v, heads), rtol=1e-12)
-        got = attention(Tensor(q), Tensor(k), Tensor(v), 2, scale=1.0).data
-        np.testing.assert_allclose(got, self.per_head(q, k, v, 2, 1.0), rtol=1e-12)
 
     def test_batch_rows_match_single_samples(self):
         # a 2-D query broadcasts over a batch of keys and values

@@ -78,6 +78,14 @@ class TestConfigLoading:
             load_run_config(write_config(tmp_path, {"width": "wide"}), "train", None)
         with pytest.raises(ConfigError, match="latents_sweep"):
             load_run_config(write_config(tmp_path, {"latents_sweep": []}), "latent-sweep", None)
+        for field, bad, kind in (("lr_adapter", "fast", "a number"), ("use_latents", 1, "a boolean"),
+                                 ("mode", 3, "a string"), ("image_hw", [8, 8, 8], "a pair of integers")):
+            with pytest.raises(ConfigError, match=f"field '{field}' must be {kind}"):
+                load_run_config(write_config(tmp_path, {field: bad}), "train", None)
+        p = tmp_path / "list.json"
+        p.write_text(json.dumps([TINY]))
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            load_run_config(str(p), "train", None)
 
     def test_semantic_model_error(self, tmp_path):
         with pytest.raises(ConfigError, match="model"):

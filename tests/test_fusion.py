@@ -92,6 +92,11 @@ class TestCma:
         with pytest.raises(ShapeError):
             kv = Tensor(np.zeros((3, 2, 3)))
             cma(Tensor(np.zeros((2, 2, 3))), kv, kv, Tensor(0.0))
+        with pytest.raises(ShapeError, match="gate must be a scalar"):
+            cma(q, q, q, Tensor(np.zeros((1, 1))))
+        # nothing would sum an unbatched key's gradient over a query's batch
+        with pytest.raises(ShapeError, match=r"query \(4, 2, 3\) and key \(2, 3\) disagree on the batch"):
+            cma(Tensor(np.zeros((4, 2, 3))), q, q, Tensor(0.0))
 
 
 class TestLatents:
@@ -166,6 +171,12 @@ class TestBottleneck:
             init_bottleneck(10, 4, 2, 0, "bad")
         with pytest.raises(ValueError):
             init_bottleneck(8, 0, 2, 0, "bad")
+        for shape in ((2, 8), (1, 1, 2, 16)):
+            with pytest.raises(ShapeError, match=r"does not match width 16"):
+                bottleneck(Tensor(np.ones(shape)), p)
+        p.act = "tanh"
+        with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+            bottleneck(Tensor(np.ones((2, 16))), p)
 
     def test_bias_free_variant(self):
         p = init_bottleneck(8, 2, 1, 0, "b4", bias=False)

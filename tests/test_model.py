@@ -6,6 +6,7 @@ from avfuse.autodiff import Rng, ShapeError, Tensor
 from avfuse.backbone import ImageInput, SpectrogramInput
 from avfuse.fusion import MODES
 from avfuse.model import ModelConfig, TwoStreamModel, event_head, frozen_twin
+from avfuse.serialization import save_tensors
 
 from helpers import site_row, site_views
 
@@ -35,6 +36,9 @@ class TestConfig:
             ModelConfig(image_hw=(0, 0)).validate()
         with pytest.raises(ValueError, match="spec_hw"):
             ModelConfig(spec_hw=(-4, 8)).validate()
+        for field in ("layers", "patch", "latent_count"):
+            with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+                ModelConfig(**{field: 0}).validate()
 
     @pytest.mark.parametrize("field_name", ["bottleneck_act"])
     def test_rejects_unknown_activation(self, field_name):
@@ -187,6 +191,36 @@ class TestPersistence:
             r = Rng.for_name(46, "persist")
             img, spec = rand_inputs(r, cfg)
             np.testing.assert_array_equal(model.logits(img, spec).data, other.logits(img, spec).data)
+
+    # each container is the seed-1 model's, with head.bias, its last entry,
+    # made unloadable: every entry before it passes its checks
+    REFUSALS = {
+        "unknown": "unknown parameter 'head.extra'",
+        "shape": r"parameter 'head.bias': container shape \(3,\)",
+        "frozen": "parameter 'head.bias': frozen flag mismatch",
+        "missing": r"missing parameters: \['head.bias'\]",
+    }
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_refused_load_changes_nothing(self, tmp_path, case):
+        cfg = ModelConfig()
+        entries = list(TwoStreamModel(cfg, seed=1).registry.entries_for_save())
+        assert entries[-1][0] == "head.bias"
+        name, value, frozen = entries[-1]
+        if case == "unknown":
+            entries.append(("head.extra", value, frozen))
+        elif case == "shape":
+            entries[-1] = (name, np.zeros(3), frozen)
+        elif case == "frozen":
+            entries[-1] = (name, value, not frozen)
+        else:
+            entries.pop()
+        save_tensors(tmp_path / "w", entries)
+        other = TwoStreamModel(cfg, seed=2)
+        before = other.registry.state_hash(frozen_only=False)
+        with pytest.raises(ValueError, match=self.REFUSALS[case]):
+            other.load_weights(tmp_path / "w")
+        assert other.registry.state_hash(frozen_only=False) == before
 
     def test_frozen_hash_ignores_trainable_changes(self):
         model = TwoStreamModel(ModelConfig(), seed=0)

@@ -342,6 +342,11 @@ class TestTrainLoop:
                 with pytest.raises(ValueError, match=name):
                     TrainConfig(**{name: bad}).validate()
 
+    def test_config_rejects_bad_counts(self):
+        for name, bad in (("steps", -1), ("batch_size", 0), ("eval_every", -1)):
+            with pytest.raises(ValueError, match=f"{name} must be >= "):
+                TrainConfig(**{name: bad}).validate()
+
     def _tiny_run(self, mode="bidirectional", steps=3, seed=0, eval_every=0):
         mc = ModelConfig(mode=mode, **SMALL_MODEL)
         tc = TrainConfig(steps=steps, batch_size=4, seed=seed, eval_every=eval_every)
