@@ -35,12 +35,14 @@ Three layers:
   as one node whose closure saves only what its gradients need. A frozen
   block is a whole layer half: it adds its input (the residual) and a cross
   term into the term's rows, passes gradients to those two only, and refuses
-  weights that require one. The adapter block ops run one direction of
-  plain tensors, or several directions at once over a leading direction
-  axis: every operand then carries the axis, as a plain tensor (a stacked
-  parameter or a stacked output) or as ``Slots``, the rows of one tensor
-  (each direction's stream of a stacked token tensor, or some directions of
-  a stacked parameter). Each operand's gradient is routed with one
+  weights that require one. The adapter block ops take zero or one leading
+  direction axes, counted off the gate or the down weight, as the frozen
+  blocks take a stack axis: one direction's plain tensors have none; over
+  several directions at once, every operand carries the axis, as a plain
+  tensor (a stacked parameter or a stacked output) or as ``Slots``, the
+  rows of one tensor (each direction's stream of a stacked token tensor, or
+  some directions of a stacked parameter). The grouped linear kernels take
+  the same axis on their weights. Each operand's gradient is routed with one
   ``_accum``; ``Slots`` first place it in their tensor's rows.
   ``pooled_linear`` is the event head, reading the streams as ``Slots`` rows
   of their stacks.
@@ -286,33 +288,29 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # The adapter block ops run every direction of one attachment in one call:
 # each operand carries a leading direction axis, either as a plain tensor
 # (a parameter stacked over the directions, or a stacked output) or as the
-# rows of a tensor that holds other rows too. Without the axis, plain
-# tensors are one direction's operands; the op then adds the axis and drops
-# it again from its output.
+# rows of a tensor that holds other rows too. One direction's plain tensors,
+# with no such axis, are the same case with zero leading axes.
 
 
-def _row_index(rows: Sequence[int]):
-    """A slice picking leading rows ``rows`` (so a view) when they step by +1
-    or -1, else the list of them."""
+def _row_index(rows: Sequence[int]) -> slice:
+    """A slice picking leading rows ``rows``, so a view; they must step by
+    +1 or -1, as a direction axis of at most two rows always does."""
     step = rows[1] - rows[0] if len(rows) > 1 else 1
-    if step not in (1, -1):
-        return list(rows)
-    for i in range(2, len(rows)):
-        if rows[i] - rows[i - 1] != step:
-            return list(rows)
+    if step not in (1, -1) or any(rows[i] - rows[i - 1] != step for i in range(2, len(rows))):
+        raise ShapeError(f"rows {tuple(rows)} do not step by +1 or -1")
     stop = rows[-1] + step
     return slice(rows[0], None if stop < 0 else stop, step)
 
 
 def _place_rows(x: np.ndarray, rows: Sequence[int], n: int) -> np.ndarray:
     """An ``(n, ...)`` array with leading row i of ``x`` at row ``rows[i]`` and
-    zeros elsewhere: a view of ``x`` when ``rows`` orders all n rows by +1 or
-    -1, since that order is its own inverse."""
+    zeros elsewhere: a view of ``x`` when ``rows`` orders all n rows, since
+    an order by +1 or -1 is its own inverse."""
     index = _row_index(rows)
-    if len(rows) == n and isinstance(index, slice):
+    if len(rows) == n:
         return x[index]
     full = np.zeros((n,) + x.shape[1:])
-    full[list(rows)] = x
+    full[index] = x
     return full
 
 
@@ -522,42 +520,46 @@ def attention_bwd(g, q, k, v, probs, want=(True, True, True)):
 
 
 def grouped_linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Block-diagonal linear maps along a leading direction axis: ``w`` is
-    (S, G, d_in/G, d_out/G), ``x`` is (S, ..., d_in) and ``b`` (S, d_out).
-    In direction s, input column group g feeds output column group g only:
-    a dense matmul with a block-diagonal matrix at 1/G of the weights and
-    MACs."""
-    groups, gin, gout = w.shape[1:]
-    # unit axes after the direction axis, one per axis of x between it and
+    """Block-diagonal linear maps: ``w`` is (..., G, d_in/G, d_out/G) with
+    zero or one leading axes, ``x`` is (..., [B,] N, d_in) and ``b``
+    (..., d_out), each with the same leading axes. Input column group g
+    feeds output column group g only: a dense matmul with a block-diagonal
+    matrix at 1/G of the weights and MACs."""
+    lead = w.ndim - 3
+    groups, gin, gout = w.shape[lead:]
+    # unit axes after the leading axes, one per axis of x between them and
     # the rows, so w and b broadcast against a batch
-    lead = (1,) * (x.ndim - 3)
-    # one GEMM per direction, sample and group, so each sample's rows come
-    # out the same as when it is mapped alone; with one output column per
-    # group _merge gives a strided view, and the activations write in place
-    y = np.ascontiguousarray(_merge(np.matmul(_split(x, groups), w.reshape(w.shape[:1] + lead + w.shape[1:]))))
+    unit = (1,) * (x.ndim - lead - 2)
+    # one GEMM per leading index, sample and group, so each sample's rows
+    # come out the same as when it is mapped alone; with one output column
+    # per group _merge gives a strided view, and the activations write in
+    # place
+    y = np.ascontiguousarray(_merge(np.matmul(_split(x, groups), w.reshape(w.shape[:lead] + unit + w.shape[lead:]))))
     _tally_macs(x.size // x.shape[-1] * groups * gin * gout)
     if b is not None:
-        y += b.reshape(b.shape[:1] + lead + (1,) + b.shape[1:])
+        y += b.reshape(b.shape[:lead] + unit + (1,) + b.shape[lead:])
     return y
 
 
 def grouped_linear_bwd(g: np.ndarray, x: np.ndarray, w: np.ndarray, want=(True, True, True)):
     """Gradients of x, w and the bias (None where ``want`` says no) under the
-    output gradient ``g``; each direction's w and bias gradients are summed
-    over its rows."""
-    slots, groups, gin, gout = w.shape
-    p = x.size // (slots * x.shape[-1])
+    output gradient ``g``; the w and bias gradients are summed over the rows
+    of each leading index."""
+    lead = w.ndim - 3
+    groups, gin, gout = w.shape[lead:]
     want_x, want_w, want_b = want
     dx = dw = db = None
     if want_x:
         wt = w.swapaxes(-1, -2)
-        dx = _merge(np.matmul(_split(g, groups), wt.reshape(wt.shape[:1] + (1,) * (g.ndim - 3) + wt.shape[1:])))
+        unit = (1,) * (g.ndim - lead - 2)
+        dx = _merge(np.matmul(_split(g, groups), wt.reshape(wt.shape[:lead] + unit + wt.shape[lead:])))
     if want_w:
-        # (S, G, gin, p) @ (S, G, p, gout): one GEMM per direction and group
-        xs = x.reshape(slots, p, groups, gin).transpose(0, 2, 3, 1)
-        dw = np.matmul(xs, g.reshape(slots, p, groups, gout).transpose(0, 2, 1, 3))
+        # (..., G, gin, p) @ (..., G, p, gout): one GEMM per leading index
+        # and group
+        xs = x.reshape(w.shape[:lead] + (-1, groups, gin)).swapaxes(-3, -2).swapaxes(-2, -1)
+        dw = np.matmul(xs, g.reshape(w.shape[:lead] + (-1, groups, gout)).swapaxes(-3, -2))
     if want_b:
-        db = g.reshape(slots, p, groups * gout).sum(axis=1)
+        db = g.reshape(w.shape[:lead] + (-1, groups * gout)).sum(axis=-2)
     return dx, dw, db
 
 
@@ -652,8 +654,8 @@ def frozen_mlp(x: Tensor, gain, shift, w1, b1, w2, b2, term: Tensor | None = Non
 
 
 def _route(x, g: np.ndarray) -> None:
-    """Hand a block-op operand with a direction axis its gradient ``g``:
-    ``Slots`` place it in their tensor's rows, a plain tensor takes it."""
+    """Hand a block-op operand its gradient ``g``: ``Slots`` place it in
+    their tensor's rows, a plain tensor takes it."""
     if type(x) is Slots:
         x.route(g)
     elif x.requires_grad:
@@ -664,41 +666,34 @@ def gated_attention(q, k, v, gate) -> Tensor:
     """q + gate * attention(q, k, v) for one head and a scalar ``gate`` per
     direction.
 
-    With a 0-d gate the operands are one direction's plain tensors.
-    Otherwise every operand carries a leading direction axis, as a plain
-    tensor or as ``Slots``, and so does the output. A query with fewer axes
-    than the key (latent tokens) serves every sample of the batch. The
-    backward pass keeps the softmax, and the attention output only if a gate
-    needs a gradient; it routes each operand's gradient once, its
-    contributions summed in place.
+    The gate's axes lead every operand and the output: none for one
+    direction, one over a stack of directions, where an operand is a plain
+    tensor or ``Slots``. A query with fewer axes than the key (latent
+    tokens) serves every sample of the batch. The backward pass keeps the
+    softmax and the attention output; it routes each operand's gradient
+    once, its contributions summed in place.
     """
-    lone = gate.data.ndim == 0
+    lead = gate.data.ndim
     qd, kd, vd, gd = q.data, k.data, v.data, gate.data
-    if lone:
-        qd, kd, vd, gd = qd[None], kd[None], vd[None], gd[None]
-    # a batch axis after the direction axis for a query without one
+    # a batch axis after the leading axes for a query without one
     q_low = qd.ndim < kd.ndim
     if q_low:
-        qd = qd[:, None]
-    gd = gd.reshape(gd.shape + (1,) * (kd.ndim - 1))
+        qd = qd.reshape(qd.shape[:lead] + (1,) + qd.shape[lead:])
+    gd = gd.reshape(gd.shape + (1,) * (kd.ndim - lead))
     attended, probs = attention_fwd(qd, kd, vd)
     y = qd + attended * gd
     # a Slots operand's parent is the tensor it reads rows of
-    out = Tensor._node(y[0] if lone else y, (
+    out = Tensor._node(y, (
         q.tensor if type(q) is Slots else q, k.tensor if type(k) is Slots else k,
         v.tensor if type(v) is Slots else v, gate.tensor if type(gate) is Slots else gate))
     if out.requires_grad:
         want = (q.requires_grad, k.requires_grad, v.requires_grad)
-        if not gate.requires_grad:
-            attended = None
         saved = (qd, kd, vd, probs) if any(want) else None
 
         def _bw(g: np.ndarray) -> None:
-            if lone:
-                g = g[None]
             dgate = dq = dk = dv = None
-            if attended is not None:
-                dgate = np.multiply(g, attended).reshape(len(gd), -1).sum(axis=1)
+            if gate.requires_grad:
+                dgate = np.multiply(g, attended).reshape(gate.data.shape + (-1,)).sum(axis=-1)
             if saved is not None:
                 dq, dk, dv = attention_bwd(g * gd, *saved, want)
             # sums in the order the chain's leaves receive them: the residual
@@ -706,8 +701,8 @@ def gated_attention(q, k, v, gate) -> Tensor:
             # residual + dq bit for bit
             if dq is not None:
                 if q_low:
-                    dq = dq.sum(axis=1)
-                    dq += g.sum(axis=1)
+                    dq = dq.sum(axis=lead)
+                    dq += g.sum(axis=lead)
                 else:
                     dq += g
             if dk is not None and k is v:
@@ -715,43 +710,37 @@ def gated_attention(q, k, v, gate) -> Tensor:
                 dk = None
             for x, d in ((q, dq), (gate, dgate), (v, dv), (k, dk)):
                 if d is not None:
-                    _route(x, d[0] if lone else d)
+                    _route(x, d)
         out._backward = _bw
     return out
 
 
 def grouped_bottleneck(x, down_w, down_b, up_w, up_b, act: str) -> Tensor:
     """up(act(down(x))) for grouped down/up maps with optional biases and an
-    activation tag from ``ACTIVATIONS``. With a 3-D ``down_w`` the operands
-    are one direction's plain tensors; otherwise each carries a leading
-    direction axis, as in ``gated_attention``. The backward pass gives x,
-    both weights and both biases their gradients from the saved activation
-    and its derivative."""
+    activation tag from ``ACTIVATIONS``. The leading axes of ``down_w``
+    beyond its three lead every operand, as the gate's in
+    ``gated_attention``. The backward pass gives x, both weights and both
+    biases their gradients from the saved activation and its derivative."""
     xd, dwd, uwd = x.data, down_w.data, up_w.data
     dbd = None if down_b is None else down_b.data
     ubd = None if up_b is None else up_b.data
-    lone = dwd.ndim == 3
-    if lone:
-        xd, dwd, uwd = xd[None], dwd[None], uwd[None]
-        dbd = None if dbd is None else dbd[None]
-        ubd = None if ubd is None else ubd[None]
     a, d = ACTIVATIONS[act](grouped_linear_fwd(xd, dwd, dbd), _needs_grad((x, down_w, down_b)))
     y = grouped_linear_fwd(a, uwd, ubd)
-    out = Tensor._node(y[0] if lone else y, tuple(o.tensor if type(o) is Slots else o
-                                                 for o in (x, down_w, down_b, up_w, up_b) if o is not None))
+    out = Tensor._node(y, tuple(o.tensor if type(o) is Slots else o
+                                for o in (x, down_w, down_b, up_w, up_b) if o is not None))
     if out.requires_grad:
         below = (x.requires_grad, down_w.requires_grad, down_b is not None and down_b.requires_grad)
         above = (any(below), up_w.requires_grad, up_b is not None and up_b.requires_grad)
 
         def _bw(g: np.ndarray) -> None:
-            da, dw, db = grouped_linear_bwd(g[None] if lone else g, a, uwd, above)
+            da, dw, db = grouped_linear_bwd(g, a, uwd, above)
             grads = [(up_w, dw), (up_b, db)]
             if da is not None:
                 da *= d
                 grads += zip((x, down_w, down_b), grouped_linear_bwd(da, xd, dwd, below))
             for o, grad in grads:
                 if grad is not None:
-                    _route(o, grad[0] if lone else grad)
+                    _route(o, grad)
         out._backward = _bw
     return out
 

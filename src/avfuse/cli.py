@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -184,12 +184,7 @@ def load_run_config(path: str, command: str, seed_override: int | None) -> dict:
     return resolved
 
 
-def build_model_cfg(
-    resolved: dict,
-    mode: str | None = None,
-    use_latents: bool | None = None,
-    latent_count: int | None = None,
-) -> ModelConfig:
+def build_model_cfg(resolved: dict) -> ModelConfig:
     return ModelConfig(
         layers=resolved["layers"],
         width=resolved["width"],
@@ -197,11 +192,11 @@ def build_model_cfg(
         patch=resolved["patch"],
         image_hw=tuple(resolved["image_hw"]),
         spec_hw=tuple(resolved["spec_hw"]),
-        latent_count=resolved["latents"] if latent_count is None else latent_count,
+        latent_count=resolved["latents"],
         ratio=resolved["bottleneck_ratio"],
         groups=resolved["groups"],
-        mode=resolved["mode"] if mode is None else mode,
-        use_latents=resolved["use_latents"] if use_latents is None else use_latents,
+        mode=resolved["mode"],
+        use_latents=resolved["use_latents"],
         bottleneck_act=resolved["bottleneck_act"],
         bottleneck_bias=resolved["bottleneck_bias"],
         audio_pos=resolved["audio_pos"],
@@ -248,10 +243,9 @@ def cmd_train(resolved: dict, outdir: Path, quiet: bool) -> None:
         print(f"train: final test accuracy {result.test_accuracy:.4f}")
 
 
-def _mean_accuracy(resolved: dict, mode: str, use_latents: bool, latent_count: int | None = None) -> float:
+def _mean_accuracy(resolved: dict, model_cfg: ModelConfig) -> float:
     accs = []
     for seed in resolved["seeds"]:
-        model_cfg = build_model_cfg(resolved, mode=mode, use_latents=use_latents, latent_count=latent_count)
         result = run_experiment(model_cfg, build_train_cfg(resolved, seed=seed), build_data_cfg(resolved))
         accs.append(result.test_accuracy)
     return sum(accs) / len(accs)
@@ -260,10 +254,11 @@ def _mean_accuracy(resolved: dict, mode: str, use_latents: bool, latent_count: i
 def cmd_ablation(resolved: dict, outdir: Path, quiet: bool) -> None:
     """The eight-row grid: both fusion methods crossed with the four modes,
     every cell trained with the same shared seed list."""
+    cfg = build_model_cfg(resolved)
     rows = []
     for method in ABLATION_METHODS:
         for mode, directions in MODE_DIRECTIONS.items():
-            acc = _mean_accuracy(resolved, mode, use_latents=(method == "latent"))
+            acc = _mean_accuracy(resolved, replace(cfg, mode=mode, use_latents=(method == "latent")))
             rows.append({"method": method, "a2v": int("a2v" in directions), "v2a": int("v2a" in directions),
                          "accuracy": acc})
             if not quiet:
@@ -277,7 +272,7 @@ def cmd_latent_sweep(resolved: dict, outdir: Path, quiet: bool) -> None:
     n, k = cfg0.n_visual_tokens, cfg0.n_audio_tokens
     rows = []
     for m in resolved["latents_sweep"]:
-        acc = _mean_accuracy(resolved, cfg0.mode, use_latents=cfg0.use_latents, latent_count=m)
+        acc = _mean_accuracy(resolved, replace(cfg0, latent_count=m))
         macs = model_fusion_macs(cfg0.layers, n, k, m, cfg0.width, cfg0.mode, cfg0.use_latents)
         rows.append({"m": m, "accuracy": acc, "fusion_macs": macs})
         if not quiet:
@@ -290,8 +285,8 @@ def cmd_cost_report(resolved: dict, outdir: Path, quiet: bool) -> None:
     configured model."""
     report: dict = {"ratios": {}}
     csv_rows = []
-    cfg_latent = build_model_cfg(resolved, use_latents=True)
-    cfg_direct = build_model_cfg(resolved, use_latents=False)
+    cfg = build_model_cfg(resolved)
+    cfg_latent, cfg_direct = replace(cfg, use_latents=True), replace(cfg, use_latents=False)
     n, k = cfg_latent.n_visual_tokens, cfg_latent.n_audio_tokens
     m, d = cfg_latent.latent_count, cfg_latent.width
 

@@ -87,9 +87,8 @@ def cma(query, key, value, gate):
     ``Slots`` (``autodiff.gated_attention``), and each direction follows
     these rules.
     """
-    stacked = gate.data.ndim == 1
     q, k, v, g = query.data.shape, key.data.shape, value.data.shape, gate.data.shape
-    if stacked:
+    if len(g) == 1:
         if not q[0] == k[0] == v[0] == g[0]:
             raise ShapeError("cma: operands disagree on the number of directions")
         q, k, v, g = q[1:], k[1:], v[1:], g[1:]
@@ -184,7 +183,7 @@ def bottleneck(x: Tensor, params: BottleneckParams) -> Tensor:
     stacked parameters (a 4-D ``down_w``), ``x`` carries the direction axis
     too."""
     shape, width = x.data.shape, params.width
-    if len(shape) - (params.down_w.data.ndim == 4) not in (2, 3) or shape[-1] != width:
+    if len(shape) - (params.down_w.data.ndim - 3) not in (2, 3) or shape[-1] != width:
         raise ShapeError(f"bottleneck: input shape {shape} does not match width {width}")
     if params.act not in ACTIVATIONS:
         raise ValueError(f"unknown activation {params.act!r}")

@@ -248,16 +248,15 @@ def grouped_linear(x, weight, bias=None) -> Tensor:
         bias = _as_tensor(bias)
         if bias.shape != (groups * gout,):
             raise ShapeError(f"grouped_linear: bias shape {bias.shape} does not match output width {groups * gout}")
-    # the kernels take a leading direction axis: here one direction
-    y = grouped_linear_fwd(x.data[None], weight.data[None], None if bias is None else bias.data[None])[0]
+    y = grouped_linear_fwd(x.data, weight.data, None if bias is None else bias.data)
     out = Tensor._node(y, (x, weight) if bias is None else (x, weight, bias))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
             want = (x.requires_grad, weight.requires_grad, bias is not None and bias.requires_grad)
-            grads = grouped_linear_bwd(g[None], x.data[None], weight.data[None], want)
+            grads = grouped_linear_bwd(g, x.data, weight.data, want)
             for t, grad in zip((x, weight, bias), grads):
                 if grad is not None:
-                    _accum(t, grad[0])
+                    _accum(t, grad)
         out._backward = _bw
     return out
 

@@ -9,7 +9,10 @@ train step of the model against the same step run through the chains, the
 adapter chains in their stacked form
 (``helpers.slotwise``: each direction's chain on its own, the gradients
 routed as the block ops route theirs), so the stacked block ops are checked
-bit for bit inside the stacked graph."""
+bit for bit inside the stacked graph. The adapter block ops have one code
+path for zero or one leading direction axes: on one direction's plain
+tensors they must give what they give on the same operands with a leading
+axis of one, bit for bit."""
 from functools import partial
 
 import numpy as np
@@ -24,6 +27,8 @@ from avfuse.autodiff import (
     backward,
     count_macs,
     cross_entropy_logits,
+    gated_attention,
+    grouped_bottleneck,
     no_grad,
     pooled_linear,
 )
@@ -226,6 +231,70 @@ def test_bottleneck_with_frozen_input():
         t.requires_grad = True
     x = Tensor(arr(36, 3, 5, 16))
     assert_same(lambda: bottleneck(x, p), lambda: chain_bottleneck(x, p), [x] + params, arr(37, 3, 5, 16))
+
+
+def one_slot_pair(arrays, grads):
+    """Leaves for the lone form of an adapter op and leaves for its one-slot
+    stacked form, each array given a leading axis of one; a repeated array
+    gives one leaf, as a site passes its source as key and value."""
+    lone, stacked = {}, {}
+    for a, want in zip(arrays, grads, strict=True):
+        if a is not None and id(a) not in lone:
+            lone[id(a)], stacked[id(a)] = Tensor(a, requires_grad=want), Tensor(a[None], requires_grad=want)
+    return [[None if a is None else leaves[id(a)] for a in arrays] for leaves in (lone, stacked)]
+
+
+def assert_lone_is_one_slot(op, arrays, grads, g):
+    """The op on one direction's plain tensors against the same op on every
+    operand with a leading axis of one: output, every gradient and the MAC
+    and softmax tallies bit for bit, and no gradient where none is wanted."""
+    lone, stacked = one_slot_pair(arrays, grads)
+    results = []
+    for leaves, upstream in ((lone, g), (stacked, g[None])):
+        with count_macs() as c:
+            out = op(*leaves)
+        out._backward(upstream)
+        results.append((out.data, [None if t is None else t.grad for t in leaves], (c.macs, c.softmax_elems)))
+    (y, got, macs), (want_y, want, want_macs) = results
+    np.testing.assert_array_equal(y, want_y[0])
+    assert macs == want_macs
+    for t, a, b in zip(lone, got, want, strict=True):
+        if t is None or not t.requires_grad:
+            assert a is None and b is None
+        else:
+            assert np.shape(a) == b.shape[1:]
+            np.testing.assert_array_equal(a, b[0])
+
+
+# (query, key, value) shapes: 2-D, batched, the 2-D latent query over a
+# batch; "kv" gives the key and value as one tensor or two
+LONE_CMA = {"2d": ((5, 8), (7, 8)), "batched": ((3, 5, 8), (3, 7, 8)), "latent": ((2, 8), (3, 7, 8))}
+# which of (query, key, value, gate) need a gradient: all, and a frozen gate
+# with trainable operands, whose attention output the backward never reads
+LONE_GRADS = {"all": (True, True, True, True), "frozen-gate": (True, True, True, False)}
+
+
+@pytest.mark.parametrize("grads", LONE_GRADS)
+@pytest.mark.parametrize("kv", ["shared", "distinct"])
+@pytest.mark.parametrize("shapes", LONE_CMA)
+def test_gated_attention_lone_is_one_slot(shapes, kv, grads):
+    q_shape, k_shape = LONE_CMA[shapes]
+    k = arr(70, *k_shape)
+    v = k if kv == "shared" else arr(71, *k_shape)
+    g = arr(72, *k_shape[:-2] + q_shape[-2:])
+    assert_lone_is_one_slot(gated_attention, [arr(73, *q_shape), k, v, np.array(0.6)], LONE_GRADS[grads], g)
+
+
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("act", ["gelu", "relu"])
+def test_grouped_bottleneck_lone_is_one_slot(act, bias):
+    # width 16 in 2 groups, narrowed to 4: x, down_w, down_b, up_w, up_b
+    arrays = [arr(74, 3, 5, 16), arr(75, 2, 8, 2), arr(76, 4) if bias else None, arr(77, 2, 2, 8),
+              arr(78, 16) if bias else None]
+
+    def op(x, down_w, down_b, up_w, up_b):
+        return grouped_bottleneck(x, down_w, down_b, up_w, up_b, act)
+    assert_lone_is_one_slot(op, arrays, [True] * 5, arr(79, 3, 5, 16))
 
 
 def test_no_grad_records_no_closure():

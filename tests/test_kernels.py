@@ -7,7 +7,9 @@ expressions they ran before (``helpers.product_gelu``,
 ``helpers.expr_layer_norm``, ``helpers.expr_attention`` and
 ``helpers.matmul_add``), bit for bit; and the GELU and ReLU forward
 kernels, whose derivative times the upstream gradient must be bitwise the
-backward kernels they replaced (``helpers.gelu_bwd``, ``helpers.relu_bwd``).
+backward kernels they replaced (``helpers.gelu_bwd``, ``helpers.relu_bwd``);
+and the grouped linear kernels with no leading axis on the weight against
+the same kernels with a leading axis of one, bit for bit.
 ``matmul``, ``gelu``, ``layer_norm``, ``attention`` and ``grouped_linear``
 here are the single-op tape versions in ``helpers``, each a thin wrapper
 over the library's forward/backward kernel pair, so these tests check the
@@ -15,7 +17,7 @@ kernels the block ops run."""
 import numpy as np
 import pytest
 
-from avfuse.autodiff import Tensor, backward, gelu_fwd, grouped_linear_fwd, relu_fwd
+from avfuse.autodiff import Tensor, backward, count_macs, gelu_fwd, grouped_linear_bwd, grouped_linear_fwd, relu_fwd
 from avfuse.backbone import ImageInput, SpectrogramInput
 from avfuse.model import ModelConfig, TwoStreamModel, frozen_twin
 
@@ -89,6 +91,31 @@ def test_grouped_linear_matches_einsum_oracle(name, with_bias):
             assert got is None
         else:
             assert_close(got, want)
+
+
+@pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("name", GROUPED)
+def test_grouped_linear_kernels_take_no_leading_axis(name, with_bias):
+    # a 3-D weight is the one-slot stacked form without its axis: the same
+    # output and gradients bit for bit and the same MACs (the test above
+    # checks the 3-D form against the einsum kernel)
+    xs, ws = GROUPED[name]
+    x, w = arr(5, *xs), arr(6, *ws)
+    b = arr(7, ws[0] * ws[2]) if with_bias else None
+    g = arr(8, *xs[:-1], ws[0] * ws[2])
+    outs = []
+    for one in (lambda a: a, lambda a: None if a is None else a[None]):
+        with count_macs() as c:
+            y = grouped_linear_fwd(one(x), one(w), one(b))
+        outs.append((y, grouped_linear_bwd(one(g), one(x), one(w), (True, True, with_bias)), c.macs))
+    (y, grads, macs), (want_y, want_grads, want_macs) = outs
+    np.testing.assert_array_equal(y, want_y[0])
+    assert macs == want_macs
+    for got, want in zip(grads, want_grads, strict=True):
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, want[0])
 
 
 @pytest.mark.parametrize("name", GELU)

@@ -11,13 +11,13 @@ tallies. The gradients cannot be bitwise equal: the contributions to a
 stream's tokens arrive in a different order when one node serves both
 streams. Then the routing pieces: the ``take`` and ``add_rows`` oracles of
 the rows the stacks hand out and take back, and the ``Slots`` operands of
-the adapter block ops."""
+the adapter block ops, which refuse rows that do not step by +1 or -1."""
 import numpy as np
 import pytest
 
 from avfuse import fusion, model as model_module
-from avfuse.autodiff import Slots, Tensor, backward, count_macs, cross_entropy_logits
-from avfuse.backbone import AUDIO, VISUAL, init_layer_weights
+from avfuse.autodiff import ShapeError, Slots, Tensor, backward, count_macs, cross_entropy_logits
+from avfuse.backbone import AUDIO, VISUAL, init_layer_weights, mha, mlp
 from avfuse.fusion import MODES, build_layer_sites, layer_forward
 from avfuse.model import ModelConfig, TwoStreamModel, event_head
 from avfuse.tasks import generate_dataset
@@ -162,6 +162,19 @@ def test_slots_read_and_route():
     frozen = Tensor(arr(21, 2, 3))
     Slots.rows(frozen, (0,)).route(np.ones((1, 3)))
     assert frozen.grad is None
+
+
+def test_rows_that_skip_a_row_are_refused():
+    # a direction axis holds at most two rows, so rows always step by +1 or
+    # -1; rows that skip one would be a copy, not a view, and are refused
+    x = Tensor(arr(23, 3, 2, 4, 8))
+    with pytest.raises(ShapeError, match=r"rows \(0, 2\) do not step by \+1 or -1"):
+        Slots.rows(x, (0, 2))
+    w = init_layer_weights(8, 2, seed=0, name="test.rows")
+    term = Tensor(arr(24, 2, 2, 4, 8), requires_grad=True)
+    for block in (mha, mlp):
+        with pytest.raises(ShapeError, match="do not step"):
+            block(x, w, term, (0, 2))
 
 
 def test_adapter_forward_checks_the_direction_count():

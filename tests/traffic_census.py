@@ -2,12 +2,14 @@
 
 Runs, in this process, every CLI subcommand in every fusion mode and option
 variant at one-layer shapes, ``train`` in every variant at the README and
-train-wide shapes, and a weight save and load, under a ``sys.settrace`` hook
-that records the lines run in frames of ``src/avfuse``. Then it prints, per
-file, every executable statement no run reached, leaving out ``raise``
-statements: a refusal is reached by bad input, which the tests supply. With
-``--tests`` it also runs Tier-1 under the hook and prints the statements
-that only tests reach. Work done in a subprocess is not traced. ::
+train-wide shapes, each subcommand once more with its progress output (kept
+out of the report), ``train`` once with ``--seed``, and a weight save and
+load, under a ``sys.settrace`` hook that records the lines run in frames of
+``src/avfuse``. Then it prints, per file, every executable statement no
+run reached, leaving out ``raise`` statements: a refusal is reached by bad
+input, which the tests supply. With ``--tests`` it also runs Tier-1 under
+the hook and prints the statements that only tests reach. Work done in a
+subprocess is not traced. ::
 
     python3 tests/traffic_census.py [--tests]
 
@@ -17,7 +19,9 @@ it: its name does not start with ``test_``.
 from __future__ import annotations
 
 import ast
+import contextlib
 import dis
+import io
 import json
 import sys
 import tempfile
@@ -35,7 +39,8 @@ SHAPES = {"readme": dict(layers=2, width=32, heads=4, bottleneck_ratio=4, steps=
                              spec_hw=[32, 32], steps=1, train_count=4)}
 VARIANTS = {"base": {}, "relu": dict(bottleneck_act="relu"), "no-bias": dict(bottleneck_bias=False),
             "no-audio-pos": dict(audio_pos="none"), "direct": dict(use_latents=False),
-            "audio-longer": dict(spec_hw=[12, 8]), "visual-longer": dict(image_hw=[12, 8]),
+            "audio-longer": dict(spec_hw=[12, 8]), "audio-padded": dict(spec_hw=[10, 8]),
+            "visual-longer": dict(image_hw=[12, 8]),
             "one-group": dict(groups=1), "one-head": dict(heads=1), "heads-width": dict(heads=8),
             "one-latent": dict(latents=1), "eval-every": dict(eval_every=1), "two-seeds": dict(seeds=[0, 1])}
 COMMANDS = ("train", "ablation", "latent-sweep", "cost-report")
@@ -61,14 +66,19 @@ def run_matrix() -> None:
     from avfuse.cli import main
     from avfuse.model import ModelConfig, TwoStreamModel
 
-    runs = [(c, m, v, {}) for c in COMMANDS for m in MODES for v in VARIANTS]
-    runs += [("train", "bidirectional", v, SHAPES[s]) for s in SHAPES for v in VARIANTS]
+    quiet = ["--quiet"]
+    runs = [(c, m, v, {}, quiet) for c in COMMANDS for m in MODES for v in VARIANTS]
+    runs += [("train", "bidirectional", v, SHAPES[s], quiet) for s in SHAPES for v in VARIANTS]
+    runs += [(c, "bidirectional", "base", {}, []) for c in COMMANDS]
+    runs += [("train", "bidirectional", "base", {}, ["--seed", "3"] + quiet)]
     with tempfile.TemporaryDirectory() as tmp:
-        for i, (command, mode, variant, shape) in enumerate(runs):
+        for i, (command, mode, variant, shape, flags) in enumerate(runs):
             cfg = Path(tmp) / f"{i}.json"
             cfg.write_text(json.dumps({**ONE_LAYER, **shape, **VARIANTS[variant], "mode": mode}))
-            if main([command, "--config", str(cfg), "--out", str(Path(tmp) / str(i)), "--quiet"]) != 0:
-                raise SystemExit(f"census: {command} {mode} {variant} {shape} failed")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / str(i))] + flags)
+            if code != 0:
+                raise SystemExit(f"census: {command} {mode} {variant} {shape} {flags} failed")
         TwoStreamModel(ModelConfig(), 1).save_weights(Path(tmp) / "w")
         TwoStreamModel(ModelConfig(), 2).load_weights(Path(tmp) / "w")
 
