@@ -44,8 +44,7 @@ Three layers:
   some directions of a stacked parameter). The grouped linear kernels take
   the same axis on their weights. Each operand's gradient is routed with one
   ``_accum``; ``Slots`` first place it in their tensor's rows.
-  ``pooled_linear`` is the event head, reading the streams as ``Slots`` rows
-  of their stacks.
+  ``pooled_linear`` is the event head, pooling every row of the stacks.
 
 Tokens enter the tape as leaves: the tokenizers run the kernels on frozen
 weights and record nothing. The single-op tape versions of layer norm, GELU,
@@ -745,22 +744,21 @@ def grouped_bottleneck(x, down_w, down_b, up_w, up_b, act: str) -> Tensor:
     return out
 
 
-def pooled_linear(parts: Sequence[Slots], weight: Tensor, bias: Tensor) -> Tensor:
-    """Each part's rows mean-pooled, the means joined along columns in the
-    order of ``parts``, then mapped by ``weight`` plus ``bias``: ``(B, R)``.
+def pooled_linear(stacks: Sequence[Tensor], weight: Tensor, bias: Tensor) -> Tensor:
+    """Every row of every stack mean-pooled, the means joined along columns
+    in row order, then mapped by ``weight`` plus ``bias``: ``(B, R)``.
 
-    Each part is a Slots of one slot, ``(B, N, D)``, and may be a row of a
-    stacked tensor. The pooled rows stay ``(B, 1, sum D)`` through the
-    product, so each output row comes from the same one-row product as when
-    its sample runs alone, bit for bit."""
+    Each stack is ``(S, B, N, D)``. The pooled rows stay ``(B, 1, sum S*D)``
+    through the product, so each output row comes from the same one-row
+    product as when its sample runs alone, bit for bit."""
     pools = []
-    for s in parts:
-        pool = np.add.reduce(s.data[0], axis=-2, keepdims=True)
-        pool /= s.data.shape[-2]
-        pools.append(pool)
+    for x in stacks:
+        pool = np.add.reduce(x.data, axis=-2, keepdims=True)
+        pool /= x.data.shape[-2]
+        pools.extend(pool)
     pooled = np.concatenate(pools, axis=-1)
     y = linear_fwd(pooled, weight.data, bias.data)
-    out = Tensor._node(y.reshape(y.shape[0], y.shape[-1]), tuple(s.tensor for s in parts) + (weight, bias))
+    out = Tensor._node(y.reshape(y.shape[0], y.shape[-1]), tuple(stacks) + (weight, bias))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
             g = g.reshape(y.shape)
@@ -768,14 +766,16 @@ def pooled_linear(parts: Sequence[Slots], weight: Tensor, bias: Tensor) -> Tenso
                 _accum(weight, pooled.reshape(-1, pooled.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
             if bias.requires_grad:
                 _accum(bias, _reduce_to(g, bias.data.shape))
-            if any(s.requires_grad for s in parts):
+            if any(x.requires_grad for x in stacks):
                 dpooled = g @ weight.data.T
                 lo = 0
-                for s in parts:
-                    n, d = s.data.shape[-2:]
-                    if s.requires_grad:
-                        s.route(np.broadcast_to(dpooled[..., lo:lo + d] / n, s.data.shape).copy())
-                    lo += d
+                for x in stacks:
+                    s, b, n, d = x.data.shape
+                    if x.requires_grad:
+                        # the stack's (B, 1, S*D) columns as (S, B, 1, D), spread over its N rows
+                        dx = np.moveaxis(dpooled[..., lo:lo + s * d].reshape(b, 1, s, d), 2, 0) / n
+                        _accum(x, np.broadcast_to(dx, x.data.shape).copy())
+                    lo += s * d
         out._backward = _bw
     return out
 

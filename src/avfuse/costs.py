@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backbone import FreezeRegistry
-from .fusion import MODE_DIRECTIONS
+from .backbone import AUDIO, VISUAL, FreezeRegistry
+from .fusion import DIRECTIONS, MODE_DIRECTIONS, SOURCE, TARGET
 
 VARIANTS = ("latent", "direct")
 
@@ -175,9 +175,10 @@ def mac_fusion(n: int, k: int, latent_count: int, width: int, variant: str = "la
 
 def target_source(n: int, k: int) -> dict[str, tuple[int, int]]:
     """Each direction's (target tokens, source tokens) for n visual and k
-    audio tokens: audio->visual targets the visual stream, visual->audio
-    swaps them. The one table every per-direction cost reads."""
-    return {"a2v": (n, k), "v2a": (k, n)}
+    audio tokens, read off ``fusion.SOURCE`` and ``TARGET``. The one table
+    every per-direction cost reads."""
+    tokens = {VISUAL: n, AUDIO: k}
+    return {d: (tokens[TARGET[d]], tokens[SOURCE[d]]) for d in DIRECTIONS}
 
 
 def fusion_macs_total(

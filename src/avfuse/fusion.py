@@ -26,11 +26,12 @@ it alone.
 
 Token tensors may carry a leading batch axis; latent tokens never do, and
 serve every sample of a batch. Through the layers the streams travel in
-stacks, ``(S, B, N, D)`` tensors, one per token count, and ``layer_forward``
-runs the sites of one attachment that read one stack and write one stack as
-one call over the direction axis: the tokens are ``Slots`` of rows of the
-stacks, and the parameters are the stacked leaves, whole when the call runs
-all their directions, else ``Slots`` of their rows.
+stacks, ``(S, B, N, D)`` tensors, one per token count, whose rows in order
+are the streams in ``STACK_ORDER``, and ``layer_forward`` runs the sites of
+one attachment that write one stack as one call over the direction axis:
+the tokens are ``Slots`` of rows of the stacks, and the parameters are the
+stacked leaves, whole when the call runs all their directions, else
+``Slots`` of their rows.
 """
 from __future__ import annotations
 
@@ -311,46 +312,42 @@ def adapter_forward(source: Slots, target: Slots, sites: AdapterSites, slots: tu
     return bottleneck(fused, neck)
 
 
-def layer_forward(
-    stacks: list[Tensor], where: dict[str, tuple[int, int]], w: FrozenLayerWeights, sites: dict[str, AdapterSites]
-) -> list[Tensor]:
+def layer_forward(stacks: list[Tensor], w: FrozenLayerWeights, sites: dict[str, AdapterSites]) -> list[Tensor]:
     """Advance both streams one layer with cross-modal terms injected beside
     the attention and MLP sub-steps: one term for each site in ``sites``.
 
     The streams travel in stacks: each is an ``(S, B, N, D)`` tensor (or
     ``(S, N, D)`` for one sample) of the S streams that share a token count,
-    in ``STACK_ORDER``, and ``where`` maps each modality to its (stack, row),
-    one for every row. Each frozen block runs once per stack. At
-    one attachment, the sites whose sources share a stack and whose targets
-    share a stack run as one ``adapter_forward`` call over rows of those
-    stacks. Each stack's half step is then one frozen block node, which adds
-    its input and, if the stack is a target, the term into the target rows.
-    Both attention-side terms read the pre-update states, and both MLP-side
-    terms read the post-attention ones; neither stream ever sees the other's
+    and the stacks' rows, read in order, are the streams in ``STACK_ORDER``.
+    Each frozen block runs once per stack. At one attachment, the sites whose
+    targets share a stack run as one ``adapter_forward`` call over rows of
+    the stacks; with two streams their sources share a stack too. Each
+    stack's half step is then one frozen block node, which adds its input
+    and, if the stack is a target, the term into the target rows. Both
+    attention-side terms read the pre-update states, and both MLP-side terms
+    read the post-attention ones; neither stream ever sees the other's
     half-updated state.
     """
     # an unstacked (B, N, D) batch would have its batch axis read as streams
-    if (set(where) != set(STACK_ORDER) or any(x.data.ndim not in (3, 4) for x in stacks)
-            or sorted(where.values()) != [(s, i) for s, x in enumerate(stacks) for i in range(x.data.shape[0])]):
-        raise ValueError(
-            f"layer_forward: need (S, [B,] N, D) stacks whose rows are one (stack, row) per modality, "
-            f"got shapes {[x.data.shape for x in stacks]} and {where}"
-        )
+    if any(x.data.ndim not in (3, 4) for x in stacks) or sum(x.data.shape[0] for x in stacks) != len(STACK_ORDER):
+        raise ValueError(f"layer_forward: need (S, [B,] N, D) stacks that hold one row per stream, "
+                         f"got shapes {[x.data.shape for x in stacks]}")
+    # each stream's (stack, row): the stacks' rows, in order, are the streams in STACK_ORDER
+    where = dict(zip(STACK_ORDER, ((s, i) for s, x in enumerate(stacks) for i in range(x.data.shape[0]))))
 
     def half(xs: list[Tensor], block, attachment: str) -> list[Tensor]:
         terms = {}
         at = sites.get(attachment)
         if at is not None:
-            # (source stack, target stack) -> [(slot, source row, target row)],
+            # target stack -> [(source stack, slot, source row, target row)],
             # slots in target-row order
-            groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+            groups: dict[int, list[tuple[int, int, int, int]]] = {}
             for slot, d in enumerate(at.directions):
                 (src, i), (dst, j) = where[SOURCE[d]], where[TARGET[d]]
-                groups.setdefault((src, dst), []).append((slot, i, j))
-            # each stack is the target of one group at most
-            for (src, dst), group in groups.items():
-                slots, src_rows, dst_rows = zip(*group)
-                term = adapter_forward(Slots.rows(xs[src], src_rows), Slots.rows(xs[dst], dst_rows), at, slots)
+                groups.setdefault(dst, []).append((src, slot, i, j))
+            for dst, group in groups.items():
+                src, slots, src_rows, dst_rows = zip(*group)
+                term = adapter_forward(Slots.rows(xs[src[0]], src_rows), Slots.rows(xs[dst], dst_rows), at, slots)
                 terms[dst] = (term, dst_rows)
         return [block(x, w, *terms.get(i, ())) for i, x in enumerate(xs)]
 

@@ -11,9 +11,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .autodiff import ACTIVATIONS, Rng, ShapeError, Slots, Tensor, pooled_linear
+from .autodiff import ACTIVATIONS, Rng, ShapeError, Tensor, pooled_linear
 from .backbone import (
-    STACK_ORDER,
     FreezeRegistry,
     FrozenLayerWeights,
     ImageInput,
@@ -96,21 +95,19 @@ class ModelConfig:
         return g[0] * g[1]
 
 
-def event_head(stacks: list[Tensor], where: dict[str, tuple[int, int]], weight: Tensor, bias: Tensor) -> Tensor:
-    """Mean-pool each stream of the final (streams, B, N, width) stacks,
-    concatenate in ``STACK_ORDER``, and map linearly to (B, 2) logits, as
-    one node that reads each stream's rows of its stack (``where`` maps a
-    modality to its (stack, row)).
+def event_head(stacks: list[Tensor], weight: Tensor, bias: Tensor) -> Tensor:
+    """Mean-pool every row of the final (S, B, N, width) stacks in order,
+    which puts the streams in ``STACK_ORDER``, concatenate, and map linearly
+    to (B, 2) logits, as one node.
 
     The pooled rows stay (B, 1, 2*width) through the head product, so each
     sample's logits come from the same one-row product as when it is scored
     alone, bit for bit.
     """
-    streams = [Slots.rows(stacks[s], (i,)) for s, i in (where[m] for m in STACK_ORDER)]
-    pooled = sum(x.data.shape[-1] for x in streams)
+    pooled = sum(x.data.shape[0] * x.data.shape[-1] for x in stacks)
     if weight.data.shape != (pooled, 2):
         raise ShapeError(f"event_head: weight shape {weight.data.shape} does not match pooled width {pooled}")
-    return pooled_linear(streams, weight, bias)
+    return pooled_linear(stacks, weight, bias)
 
 
 class TwoStreamModel:
@@ -201,23 +198,18 @@ class TwoStreamModel:
         xa = spectrogram_embed(specs, cfg.patch, self.patch_proj, self._pos_audio)
         return xa, xv
 
-    def forward(
-        self, images: list[ImageInput], specs: list[SpectrogramInput]
-    ) -> tuple[list[Tensor], dict[str, tuple[int, int]]]:
-        """The stacks after the last layer and the map from each modality to
-        its (stack, row); inputs as in ``tokenize``."""
-        streams = dict(zip(STACK_ORDER, self.tokenize(images, specs)))
-        # the streams of one token count share a stack, in STACK_ORDER
-        groups: dict[int, list[str]] = {}
-        for m in STACK_ORDER:
-            groups.setdefault(streams[m].data.shape[-2], []).append(m)
-        where = {m: (s, i) for s, group in enumerate(groups.values()) for i, m in enumerate(group)}
+    def forward(self, images: list[ImageInput], specs: list[SpectrogramInput]) -> list[Tensor]:
+        """The stacks after the last layer, inputs as in ``tokenize``: one
+        (2, B, N, width) stack of both streams when their token counts
+        match, else a one-row stack per stream; rows in ``STACK_ORDER``."""
+        xa, xv = self.tokenize(images, specs)
         # the tokens need no gradient, so each stack is a leaf made by one copy
-        stacks = [Tensor([streams[m].data for m in group]) for group in groups.values()]
-        del streams  # copied into the stacks
+        shared = xa.data.shape == xv.data.shape
+        stacks = [Tensor([xa.data, xv.data])] if shared else [Tensor([xa.data]), Tensor([xv.data])]
+        del xa, xv  # copied into the stacks
         for w, sites in zip(self.layers, self.sites):
-            stacks = layer_forward(stacks, where, w, sites)
-        return stacks, where
+            stacks = layer_forward(stacks, w, sites)
+        return stacks
 
     def logits(self, image: ImageInput, spec: SpectrogramInput) -> Tensor:
         """(1, 2) logits of one sample: a batch of one."""
@@ -226,8 +218,8 @@ class TwoStreamModel:
     def logits_batch(self, pairs) -> Tensor:
         """(B, 2) logits of a list of (image, spectrogram) pairs from one
         batched forward; row i equals ``logits(*pairs[i])`` bit for bit."""
-        stacks, where = self.forward([img for img, _ in pairs], [spec for _, spec in pairs])
-        return event_head(stacks, where, self.head_weight, self.head_bias)
+        stacks = self.forward([img for img, _ in pairs], [spec for _, spec in pairs])
+        return event_head(stacks, self.head_weight, self.head_bias)
 
     # -- persistence --------------------------------------------------------
 

@@ -87,7 +87,8 @@ def load_tensors(base: str | Path) -> tuple[list[ContainerEntry], dict]:
     field in its JSON type, or the load is refused naming entry and field.
     The entries must tile the blob exactly, in manifest order: the first
     starts at byte 0, each next one where the previous one ends, and the last
-    one ends at the blob's end. Non-finite payloads are refused.
+    one ends at the blob's end. Duplicate names and non-finite payloads are
+    refused.
     """
     base = Path(base)
     with open(base.with_suffix(".json"), "r", encoding="utf-8") as f:
@@ -103,6 +104,7 @@ def load_tensors(base: str | Path) -> tuple[list[ContainerEntry], dict]:
         raise ValueError(f"container manifest: field 'tensors' must be a JSON list, got {manifest.get('tensors')!r}")
     blob = base.with_suffix(".bin").read_bytes()
     entries = []
+    seen: set[str] = set()
     lo = 0
     for index, rec in enumerate(manifest["tensors"]):
         if not isinstance(rec, dict):
@@ -113,6 +115,9 @@ def load_tensors(base: str | Path) -> tuple[list[ContainerEntry], dict]:
             if type(rec.get(key)) is not kind:
                 got = f"got {rec[key]!r}" if key in rec else "it is missing"
                 raise ValueError(f"{what}: field {key!r} must be a JSON {kind.__name__}, {got}")
+        if name in seen:
+            raise ValueError(f"duplicate tensor name in container: {name!r}")
+        seen.add(name)
         shape = tuple(rec["shape"])
         if not all(type(n) is int and n >= 0 for n in shape):
             raise ValueError(f"{what}: field 'shape' must list non-negative integers, got {rec['shape']!r}")

@@ -322,21 +322,9 @@ def train(
     _keep_freed_pages()
     optimizer = make_optimizer(model, cfg)
     batch_rng = Rng.for_name(cfg.seed, "train.batches")
-    mode = model.cfg.mode
-    m = model.cfg.latent_count
-    rows: list[dict] = []
-
-    def eval_row(step: int) -> dict:
-        acc = evaluate(model, test_samples)
-        return {
-            "step": step,
-            "loss": "",
-            "split": "test",
-            "accuracy": acc,
-            "mode": mode,
-            "m": m,
-            "seed": cfg.seed,
-        }
+    # (step, loss, split, accuracy) per row; the columns every row shares
+    # join them once, on return
+    rows: list[tuple] = []
 
     for step in range(1, cfg.steps + 1):
         idx = batch_rng.integers(cfg.batch_size, 0, len(train_samples))
@@ -354,21 +342,12 @@ def train(
             if tensor.grad is not None:
                 raise FrozenGradientError(f"gradient reached frozen parameter {name!r}")
         optimizer.step()
-        rows.append(
-            {
-                "step": step,
-                "loss": loss.item(),
-                "split": "train",
-                "accuracy": "",
-                "mode": mode,
-                "m": m,
-                "seed": cfg.seed,
-            }
-        )
+        rows.append((step, loss.item(), "train", ""))
         if cfg.eval_every and step % cfg.eval_every == 0 and step != cfg.steps:
-            rows.append(eval_row(step))
-    rows.append(eval_row(cfg.steps))
-    return rows
+            rows.append((step, "", "test", evaluate(model, test_samples)))
+    rows.append((cfg.steps, "", "test", evaluate(model, test_samples)))
+    shared = (model.cfg.mode, model.cfg.latent_count, cfg.seed)
+    return [dict(zip(METRICS_COLUMNS, row + shared)) for row in rows]
 
 
 def final_test_accuracy(rows: list[dict]) -> float:

@@ -460,11 +460,11 @@ def chain_half(chain, x: Tensor, w, term: Tensor | None = None, rows=()) -> Tens
     return chain_residual(x, chain(x, w), term, rows)
 
 
-def chain_head(parts, weight: Tensor, bias: Tensor) -> Tensor:
-    """``autodiff.pooled_linear`` as single ops: each part's row taken from
-    its stack, pooled, the pools joined, then the biased product and the
-    reshape to ``(B, R)``."""
-    pooled = concat_cols([mean_rows(take(s.tensor, s.picked[0])) for s in parts])
+def chain_head(stacks, weight: Tensor, bias: Tensor) -> Tensor:
+    """``autodiff.pooled_linear`` as single ops: every row of every stack
+    taken in order, pooled, the pools joined, then the biased product and
+    the reshape to ``(B, R)``."""
+    pooled = concat_cols([mean_rows(take(x, i)) for x in stacks for i in range(x.shape[0])])
     logits = matmul(pooled, weight, bias)
     return reshape(logits, (logits.shape[0], logits.shape[-1]))
 

@@ -22,7 +22,6 @@ from avfuse import fusion, model as model_module
 from avfuse.autodiff import (
     GraphError,
     ShapeError,
-    Slots,
     Tensor,
     backward,
     count_macs,
@@ -341,11 +340,9 @@ HEAD_STACKS = {"one-stack": ((2, 4),), "two-stacks": ((1, 6), (1, 4))}
 def test_head_matches_chain(name, stacks):
     b, _, d, _, _ = SHAPES[name]
     tensors = [Tensor(arr(64 + i, s, b, n, d), requires_grad=True) for i, (s, n) in enumerate(HEAD_STACKS[stacks])]
-    rows = [(0, 0), (0, 1)] if len(tensors) == 1 else [(0, 0), (1, 0)]
-    parts = [Slots.rows(tensors[s], (i,)) for s, i in rows]
     weight = Tensor(arr(66, 2 * d, 2), requires_grad=True)
     bias = Tensor(arr(67, 2), requires_grad=True)
-    assert_same(lambda: pooled_linear(parts, weight, bias), lambda: chain_head(parts, weight, bias),
+    assert_same(lambda: pooled_linear(tensors, weight, bias), lambda: chain_head(tensors, weight, bias),
                 tensors + [weight, bias], arr(68, b, 2))
 
 

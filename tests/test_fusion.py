@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from avfuse.autodiff import Rng, ShapeError, Tensor, backward
-from avfuse.backbone import AUDIO, VISUAL, FreezeRegistry, init_layer_weights
+from avfuse.backbone import FreezeRegistry, init_layer_weights
 from avfuse.fusion import (
     ATTACHMENTS,
     GATE_INIT,
@@ -315,7 +315,7 @@ class TestSites:
 def layer_apart(xa, xv, w, sites):
     """``layer_forward`` with each stream in a stack of its own, as unequal
     token counts run; returns the (audio, visual) tokens."""
-    za, zv = layer_forward([Tensor([x.data]) for x in (xa, xv)], {AUDIO: (0, 0), VISUAL: (1, 0)}, w, sites)
+    za, zv = layer_forward([Tensor([x.data]) for x in (xa, xv)], w, sites)
     return take(za, 0), take(zv, 0)
 
 
@@ -361,18 +361,19 @@ class TestDualLayer:
         w = init_layer_weights(8, 2, 0, "L")
         xa, xv = self._streams(14)
         sites = build_layer_sites(0, 8, 2, 2, 2, 0, "none")
-        where = {AUDIO: (0, 0), VISUAL: (1, 0)}
         # unstacked tokens
         with pytest.raises(ValueError, match=r"need \(S, \[B,\] N, D\) stacks"):
-            layer_forward([xa, xv], where, w, sites)
-        stacks = [Tensor([x.data]) for x in (xa, xv)]
-        for bad in ({AUDIO: (0, 0)}, {AUDIO: (0, 0), VISUAL: (0, 0)}, {AUDIO: (0, 0), "speech": (1, 0)}):
-            with pytest.raises(ValueError, match="per modality"):
-                layer_forward(stacks, bad, w, sites)
+            layer_forward([xa, xv], w, sites)
+        # stacks that do not hold one row per stream: one stream, a third
+        # stream, a stack of three rows
+        one = [Tensor([x.data]) for x in (xa, xv)]
+        for bad in (one[:1], one + [Tensor([xa.data])], [Tensor(np.stack([xv.data] * 3))]):
+            with pytest.raises(ValueError, match="one row per stream"):
+                layer_forward(bad, w, sites)
         # a (B, N, D) batch handed in as a stack: its batch axis is not streams
         batches = [Tensor(np.stack([x.data] * 3)) for x in (xa, xv)]
         with pytest.raises(ValueError, match=r"need \(S, \[B,\] N, D\) stacks"):
-            layer_forward(batches, where, w, sites)
+            layer_forward(batches, w, sites)
 
     def test_bidirectional_reads_consistent_states(self):
         # order independence: swapping which direction is computed first

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from avfuse import model as model_module
 from avfuse.autodiff import Rng, ShapeError, Tensor
 from avfuse.backbone import ImageInput, SpectrogramInput
 from avfuse.fusion import MODES
@@ -66,9 +67,25 @@ class TestWiring:
         model = TwoStreamModel(cfg, seed=0)
         r = Rng.for_name(1, "wiring")
         img, spec = rand_inputs(r, cfg)
-        stacks, where = model.forward([img], [spec])
+        stacks = model.forward([img], [spec])
         assert [x.shape for x in stacks] == [(2, 1, cfg.n_visual_tokens, cfg.width)]
-        assert where == {"audio": (0, 0), "visual": (0, 1)}
+
+    @pytest.mark.parametrize("spec_hw, shapes", [((8, 8), [(2, 3, 4, 32)]),
+                                                  ((12, 8), [(1, 3, 6, 32), (1, 3, 4, 32)])])
+    def test_forward_stacks_the_streams_in_stack_order(self, spec_hw, shapes, monkeypatch):
+        # equal token counts share one stack, unequal ones get a one-row
+        # stack each; either way the rows, in order, are audio then visual
+        cfg = ModelConfig(spec_hw=spec_hw)
+        model = TwoStreamModel(cfg, seed=0)
+        r = Rng.for_name(5, "wiring")
+        pairs = [rand_inputs(r, cfg) for _ in range(3)]
+        images, specs = [p[0] for p in pairs], [p[1] for p in pairs]
+        monkeypatch.setattr(model_module, "layer_forward", lambda stacks, w, sites: stacks)
+        stacks = model.forward(images, specs)
+        assert [x.shape for x in stacks] == shapes
+        rows = [row for x in stacks for row in x.data]
+        for row, tokens in zip(rows, model.tokenize(images, specs), strict=True):
+            np.testing.assert_array_equal(row, tokens.data)
 
     def test_logits_shape(self):
         cfg = ModelConfig()
@@ -103,13 +120,13 @@ class TestWiring:
             model.tokenize(images, specs[:2] + [SpectrogramInput(np.zeros((16, 8)))])
 
     def test_event_head_guard(self):
-        from avfuse.backbone import AUDIO, VISUAL
-
         stacks = [Tensor(np.zeros((1, 1, n, 4))) for n in (3, 5)]
-        where = {AUDIO: (0, 0), VISUAL: (1, 0)}
-        assert event_head(stacks, where, Tensor(np.zeros((8, 2))), Tensor(np.zeros(2))).shape == (1, 2)
+        assert event_head(stacks, Tensor(np.zeros((8, 2))), Tensor(np.zeros(2))).shape == (1, 2)
         with pytest.raises(ShapeError):
-            event_head(stacks, where, Tensor(np.zeros((6, 2))), Tensor(np.zeros(2)))
+            event_head(stacks, Tensor(np.zeros((6, 2))), Tensor(np.zeros(2)))
+        # one stack of both streams pools both rows
+        both = [Tensor(np.zeros((2, 1, 3, 4)))]
+        assert event_head(both, Tensor(np.zeros((8, 2))), Tensor(np.zeros(2))).shape == (1, 2)
 
     def test_frozen_trainable_split(self):
         model = TwoStreamModel(ModelConfig(mode="bidirectional"), seed=0)

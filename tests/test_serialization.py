@@ -48,6 +48,16 @@ def test_container_duplicate_name_rejected(tmp_path):
         save_tensors(tmp_path / "d", [("x", np.ones(2), False), ("x", np.ones(2), False)])
 
 
+def test_container_refuses_to_load_a_name_twice(tmp_path):
+    # the second "a" entry tiles the blob, so only the duplicate name is
+    # wrong; a loader that kept the later payload would read a = [9, 9]
+    base = tmp_path / "d"
+    save_tensors(base, [("a", np.array([1.0, 2.0]), False), ("b", np.array([9.0, 9.0]), False)])
+    _edit_manifest(tmp_path / "d.json", lambda m: m["tensors"][1].update(name="a"))
+    with pytest.raises(ValueError, match=re.escape("duplicate tensor name in container: 'a'")):
+        load_tensors(base)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_container_refuses_to_save_non_finite_values(tmp_path, bad):
     # a load refuses non-finite payloads, so a save must not write them: it

@@ -17,14 +17,12 @@ import pytest
 
 from avfuse import fusion, model as model_module
 from avfuse.autodiff import ShapeError, Slots, Tensor, backward, count_macs, cross_entropy_logits
-from avfuse.backbone import AUDIO, VISUAL, init_layer_weights, mha, mlp
+from avfuse.backbone import init_layer_weights, mha, mlp
 from avfuse.fusion import MODES, build_layer_sites, layer_forward
 from avfuse.model import ModelConfig, TwoStreamModel, event_head
 from avfuse.tasks import generate_dataset
 
 from helpers import add_rows, mul, site_views, sum_all, take
-
-APART = {AUDIO: (0, 0), VISUAL: (1, 0)}
 
 CONFIGS = {"readme": {}, "wide": dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4)}
 
@@ -39,8 +37,8 @@ def logits_apart(model, pairs):
     xa, xv = model.tokenize([img for img, _ in pairs], [spec for _, spec in pairs])
     stacks = [Tensor([x.data]) for x in (xa, xv)]
     for w, sites in zip(model.layers, model.sites):
-        stacks = layer_forward(stacks, APART, w, sites)
-    return event_head(stacks, APART, model.head_weight, model.head_bias)
+        stacks = layer_forward(stacks, w, sites)
+    return event_head(stacks, model.head_weight, model.head_bias)
 
 
 def train_step(model, batch, logits_of):
@@ -78,21 +76,21 @@ def test_unequal_token_counts_take_the_per_stream_path(monkeypatch):
     # stream a stack of its own, equal counts one stack of both
     calls = []
 
-    def spy(stacks, where, w, sites):
-        calls.append(([x.shape[:2] for x in stacks], dict(where)))
-        return layer_forward(stacks, where, w, sites)
+    def spy(stacks, w, sites):
+        calls.append([x.shape[:3] for x in stacks])
+        return layer_forward(stacks, w, sites)
 
     monkeypatch.setattr(model_module, "layer_forward", spy)
-    for spec_hw, shapes, where in (
-        ((9, 6), [(1, 4), (1, 4)], APART),  # 6 audio tokens against 4 visual ones
-        ((8, 8), [(2, 4)], {AUDIO: (0, 0), VISUAL: (0, 1)}),
+    for spec_hw, shapes in (
+        ((9, 6), [(1, 4, 6), (1, 4, 4)]),  # 6 audio tokens against 4 visual ones
+        ((8, 8), [(2, 4, 4)]),
     ):
         cfg = ModelConfig(spec_hw=spec_hw)
         calls.clear()
         batch = generate_dataset(0, 4, 0.1, cfg.image_hw, cfg.spec_hw)
         logits = TwoStreamModel(cfg, seed=0).logits_batch([(s.image, s.spectrogram) for s in batch])
         assert logits.shape == (4, 2)
-        assert calls == [(shapes, where)] * cfg.layers
+        assert calls == [shapes] * cfg.layers
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -104,13 +102,14 @@ def test_stacked_layer_rows_are_the_dual_layer_outputs(mode):
     sites = build_layer_sites(0, 8, 2, 2, 2, 3, mode)
     for s in sites.values():
         s.neck.up_w.data[...] = 0.1 * arr(3, *s.neck.up_w.data.shape[1:])
-    za, zv = layer_forward([Tensor([x.data]) for x in (xa, xv)], APART, w, sites)
-    (y,) = layer_forward([Tensor([xa.data, xv.data])], {AUDIO: (0, 0), VISUAL: (0, 1)}, w, sites)
+    za, zv = layer_forward([Tensor([x.data]) for x in (xa, xv)], w, sites)
+    (y,) = layer_forward([Tensor([xa.data, xv.data])], w, sites)
     np.testing.assert_array_equal(y.data, np.concatenate([za.data, zv.data]))
-    # unstacked tokens, three streams, too few or too many axes
-    for bad in (xa, Tensor(arr(4, 3, 5, 8)), Tensor(arr(5, 2, 8)), Tensor(arr(6, 2, 1, 3, 5, 8))):
+    # unstacked tokens, three streams, one stream, too few or too many axes
+    for bad in ([xa], [Tensor(arr(4, 3, 5, 8))], [Tensor([xa.data])], [Tensor(arr(5, 2, 8))],
+                [Tensor(arr(6, 2, 1, 3, 5, 8))], [Tensor([xa.data]), Tensor(arr(7, 2, 4, 8))]):
         with pytest.raises(ValueError, match=r"need \(S, \[B,\] N, D\) stacks"):
-            layer_forward([bad], {AUDIO: (0, 0), VISUAL: (0, 1)}, w, sites)
+            layer_forward(bad, w, sites)
 
 
 def grads_under(out, g, leaves):

@@ -27,7 +27,9 @@ gathers and routes nothing per direction; one direction (``a2v``) then makes
 as many calls as two. The attention kernels take no head count: only
 ``frozen_attention`` splits its operands into heads and merges its results
 back, so a ``gated_attention`` call (one head) makes no split or merge
-call."""
+call. The stacks carry the stream layout: the head pools every row of
+every stack and hands each stack its gradient whole, so it reads and routes
+no stream as rows."""
 import sys
 from pathlib import Path
 
@@ -44,23 +46,23 @@ SOURCE = str(Path(avfuse.__file__).resolve().parent)
 # config overrides: (tape nodes, Tensor._node calls, forward MACs, softmax
 # elements, package calls) per step
 PINNED = {
-    "readme": ({}, 18, 18, 1_836_032, 3_072, 457),
+    "readme": ({}, 18, 18, 1_836_032, 3_072, 446),
     # one direction: its sites still run once per attachment, so only MACs
     # and softmax elements fall
-    "readme-a2v": (dict(mode="a2v"), 18, 18, 1_770_496, 2_560, 457),
+    "readme-a2v": (dict(mode="a2v"), 18, 18, 1_770_496, 2_560, 446),
     # direct sites have no compress step
-    "readme-direct": (dict(use_latents=False), 14, 14, 1_836_032, 3_072, 388),
+    "readme-direct": (dict(use_latents=False), 14, 14, 1_836_032, 3_072, 377),
     "train-wide": (
         dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4), 18, 18, 467_668_992, 557_056,
-        457,
+        446,
     ),
     # 6 audio tokens against 4 visual ones: a stack per stream, so every
     # frozen block and site runs per stream, each site on its rows of the
     # stacked parameters
-    "unequal": (dict(spec_hw=(12, 8)), 34, 34, 2_307_072, 4_608, 1_189),
+    "unequal": (dict(spec_hw=(12, 8)), 34, 34, 2_307_072, 4_608, 1_179),
     # no adapter sites: the frozen blocks, the head and the loss; only the
     # head and the loss record a gradient
-    "none": (dict(mode="none"), 2, 6, 1_704_960, 2_048, 126),
+    "none": (dict(mode="none"), 2, 6, 1_704_960, 2_048, 122),
 }
 
 
