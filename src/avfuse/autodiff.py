@@ -1,7 +1,7 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Array storage and arithmetic are backed by numpy. Every tape op and block
-op below builds the graph eagerly: the output tensor keeps references to its inputs and a closure
+Array storage and arithmetic are backed by numpy. Every node is built
+eagerly: the output tensor keeps references to its inputs and a closure
 that routes the output gradient to them. ``backward`` walks that graph once,
 in reverse topological order, and accumulates gradients into ``.grad``.
 Leaf gradients are never cleared implicitly; call sites reset them between
@@ -16,42 +16,37 @@ compute in place do so only into arrays allocated for them, by themselves or
 by a caller that hands the array over (an activation writes over its input),
 never into an input's ``.data``, a saved array or the incoming gradient.
 
-Ops take either one sample, ``(N, D)``, or a batch with a leading axis,
-``(B, N, D)``; weights, biases and latents stay unbatched, broadcast over
-the batch, and get their gradients summed over it. The frozen blocks also
-take any further leading axes, such as both streams stacked.
+This module is the engine and knows nothing of the model. Three layers:
 
-Three layers:
-
-- the one tape op, ``cross_entropy_logits``, records one node;
+- the tape: ``Tensor``, ``Tensor._node`` (one recorded node), ``_accum``
+  (how a gradient is added in) and ``_needs_grad`` (whether a node records a
+  closure), then ``backward``; the one tape op here, ``cross_entropy_logits``,
+  records one node;
+- operands along a direction axis: ``Slots``, the rows of one tensor read as
+  one operand, and ``_route``, which hands an operand its gradient, placing
+  it in a ``Slots`` tensor's rows (``_row_index``, ``_place_rows``);
 - kernels (``linear_fwd``, ``layer_norm_fwd``/``_bwd``, ``gelu_fwd``,
   ``relu_fwd``, ``attention_fwd``/``_bwd``, ``grouped_linear_fwd``/``_bwd``)
   are plain numpy and record nothing; an activation's forward returns its
   derivative, so its backward is one product with the output gradient;
-  attention is one head per leading index (``frozen_attention`` splits its
-  heads off into a leading axis first);
-- block ops (``frozen_attention``, ``frozen_mlp``, ``gated_attention``,
-  ``grouped_bottleneck``, ``pooled_linear``) run a chain of kernels or sums
-  as one node whose closure saves only what its gradients need. A frozen
-  block is a whole layer half: it adds its input (the residual) and a cross
-  term into the term's rows, passes gradients to those two only, and refuses
-  weights that require one. The adapter block ops take zero or one leading
-  direction axes, counted off the gate or the down weight, as the frozen
-  blocks take a stack axis: one direction's plain tensors have none; over
-  several directions at once, every operand carries the axis, as a plain
-  tensor (a stacked parameter or a stacked output) or as ``Slots``, the
-  rows of one tensor (each direction's stream of a stacked token tensor, or
-  some directions of a stacked parameter). The grouped linear kernels take
-  the same axis on their weights. Each operand's gradient is routed with one
-  ``_accum``; ``Slots`` first place it in their tensor's rows.
-  ``pooled_linear`` is the event head, pooling every row of the stacks.
+  attention is one head per leading index, and the grouped linear maps take
+  zero or one leading direction axes on their weights.
+
+The blocks are built on these in the modules that own their weights: each
+of ``backbone.mha``, ``backbone.mlp``, ``fusion.cma``, ``fusion.bottleneck``
+and ``model.event_head`` checks its operands, runs a chain of kernels and
+records it as one node whose closure saves only what its gradients need.
+Their tokens are one sample's ``(N, D)`` or a batch's ``(B, N, D)``, with
+further leading axes (streams, directions) where a block takes them;
+weights, biases and latents stay unbatched and get their gradients summed
+over the batch.
 
 Tokens enter the tape as leaves: the tokenizers run the kernels on frozen
 weights and record nothing. The single-op tape versions of layer norm, GELU,
 ReLU, attention, grouped linear, ``add``, ``matmul``, ``mul``, ``scale``,
 ``take``, ``add_rows``, ``mean_rows``, ``concat_cols`` and ``reshape`` have
 no caller here; they live in the tests' helpers, built on these kernels, as
-the oracle the block ops are checked against, beside the GELU and ReLU
+the oracle the blocks are checked against, beside the GELU and ReLU
 backward kernels the activation forwards replaced.
 
 Also here: the deterministic counter-based RNG used for every weight draw and
@@ -284,11 +279,12 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # operands along a direction axis
 # ---------------------------------------------------------------------------
 #
-# The adapter block ops run every direction of one attachment in one call:
-# each operand carries a leading direction axis, either as a plain tensor
-# (a parameter stacked over the directions, or a stacked output) or as the
-# rows of a tensor that holds other rows too. One direction's plain tensors,
-# with no such axis, are the same case with zero leading axes.
+# The adapter blocks (``fusion.cma`` and ``fusion.bottleneck``) run every
+# direction of one attachment in one call: each operand carries a leading
+# direction axis, either as a plain tensor (a parameter stacked over the
+# directions, or a stacked output) or as the rows of a tensor that holds
+# other rows too. One direction's plain tensors, with no such axis, are the
+# same case with zero leading axes.
 
 
 def _row_index(rows: Sequence[int]) -> slice:
@@ -314,8 +310,8 @@ def _place_rows(x: np.ndarray, rows: Sequence[int], n: int) -> np.ndarray:
 
 
 class Slots:
-    """Rows of one tensor as a block-op operand along a leading direction
-    axis: ``Slots.rows(t, rows)`` fills slot i with leading row ``rows[i]``
+    """Rows of one tensor as an adapter block's operand along a leading
+    direction axis: ``Slots.rows(t, rows)`` fills slot i with leading row ``rows[i]``
     of ``t``, a view when the rows step by +1 or -1. ``t`` is a stacked token
     tensor (slot i is a direction's stream) or a stacked parameter (slot i
     is one of its directions). ``route`` hands ``t`` the gradient of its
@@ -336,6 +332,15 @@ class Slots:
         if self.requires_grad:
             t = self.tensor
             _accum(t, _place_rows(g, self.picked, t.data.shape[0]))
+
+
+def _route(x, g: np.ndarray) -> None:
+    """Hand an adapter block's operand its gradient ``g``: ``Slots`` place it in
+    their tensor's rows, a plain tensor takes it."""
+    if type(x) is Slots:
+        x.route(g)
+    elif x.requires_grad:
+        _accum(x, g)
 
 
 # ---------------------------------------------------------------------------
@@ -563,221 +568,8 @@ def grouped_linear_bwd(g: np.ndarray, x: np.ndarray, w: np.ndarray, want=(True, 
 
 
 # ---------------------------------------------------------------------------
-# block ops: one tape node per block
+# the loss
 # ---------------------------------------------------------------------------
-#
-# Each runs the kernels in the order the chain of single ops it replaces ran
-# them (tests/helpers.py keeps that chain as the oracle), so its output, its
-# gradients and its MAC/softmax tallies are bitwise the chain's. Its closure
-# saves only what its gradients need. Callers check shapes.
-
-
-def _check_frozen(op: str, **weights: Tensor | None) -> None:
-    for name, w in weights.items():
-        if w is not None and w.requires_grad:
-            raise GraphError(f"{op}: weight {name} requires a gradient, but {op} is frozen and passes none to its weights")
-
-
-def _residual_node(op: str, x: Tensor, y: np.ndarray, term: Tensor | None, rows: Sequence[int], dx) -> Tensor:
-    """A layer half as one node: ``y``, a frozen block's fresh output for
-    ``x``, plus ``x``, then row i of ``term`` added into row ``rows[i]``.
-    ``dx`` maps the gradient to the block's input gradient and is dropped
-    when ``x`` needs none, so nothing the block saved is kept. Gradients go
-    to ``x``, then through ``dx``, then to the term, as two nodes gave them."""
-    shape = x.data.shape
-    if term is not None and (term.data.shape != (len(rows),) + shape[1:] or len(set(rows)) != len(rows)
-                             or not all(0 <= r < shape[0] for r in rows)):
-        raise ShapeError(f"{op}: a term of shape {term.data.shape} does not fit rows {rows} of {shape}")
-    y += x.data
-    if term is not None:
-        index = _row_index(rows)
-        y[index] += term.data
-    out = Tensor._node(y, (x,) if term is None else (x, term))
-    if out.requires_grad:
-        if not x.requires_grad:
-            dx = None
-        def _bw(g: np.ndarray) -> None:
-            if dx is not None:
-                _accum(x, g)
-                _accum(x, dx(g))
-            if term is not None and term.requires_grad:
-                _accum(term, g[index])
-        out._backward = _bw
-    return out
-
-
-def frozen_attention(x: Tensor, gain, shift, wq, wk, wv, wo, heads: int, term: Tensor | None = None,
-                     rows: Sequence[int] = ()) -> Tensor:
-    """Pre-norm multi-head self-attention with frozen weights, a layer half:
-    x + attention(t wq, t wk, t wv) wo for t = layer_norm(x), run on the
-    columns split into ``heads`` heads (so scaled by 1/sqrt(width/heads)),
-    with ``term`` added into rows ``rows``. x's gradient comes from the
-    saved xhat, inv, Q/K/V heads and softmax."""
-    _check_frozen("frozen_attention", gain=gain, shift=shift, wq=wq, wk=wk, wv=wv, wo=wo)
-    t, xhat, inv = layer_norm_fwd(x.data, gain.data, shift.data)
-    q, k, v = (_split(linear_fwd(t, w.data), heads) for w in (wq, wk, wv))
-    del t
-    attended, probs = attention_fwd(q, k, v)
-
-    def dx(g: np.ndarray) -> np.ndarray:
-        dq, dk, dv = attention_bwd(_split(g @ wo.data.T, heads), q, k, v, probs)
-        # the order the q, k and v products handed their gradients back
-        dt = _merge(dq) @ wq.data.T
-        dt += _merge(dk) @ wk.data.T
-        dt += _merge(dv) @ wv.data.T
-        return layer_norm_bwd(dt, gain.data, xhat, inv)
-    return _residual_node("frozen_attention", x, linear_fwd(_merge(attended), wo.data), term, rows, dx)
-
-
-def frozen_mlp(x: Tensor, gain, shift, w1, b1, w2, b2, term: Tensor | None = None,
-               rows: Sequence[int] = ()) -> Tensor:
-    """Pre-norm GELU MLP with frozen weights, a layer half:
-    x + gelu(t w1 + b1) w2 + b2 for t = layer_norm(x), with ``term`` added
-    into rows ``rows``. x's gradient comes from the saved xhat, inv and GELU
-    derivative."""
-    _check_frozen("frozen_mlp", gain=gain, shift=shift, w1=w1, b1=b1, w2=w2, b2=b2)
-    t, xhat, inv = layer_norm_fwd(x.data, gain.data, shift.data)
-    pre = linear_fwd(t, w1.data, b1.data)
-    del t
-    hidden, d = gelu_fwd(pre, _needs_grad((x,)))
-
-    def dx(g: np.ndarray) -> np.ndarray:
-        nonlocal d
-        dh = g @ w2.data.T
-        dh *= d
-        d = None  # spent: freed before the next product
-        dt = dh @ w1.data.T
-        del dh
-        return layer_norm_bwd(dt, gain.data, xhat, inv)
-    return _residual_node("frozen_mlp", x, linear_fwd(hidden, w2.data, b2.data), term, rows, dx)
-
-
-def _route(x, g: np.ndarray) -> None:
-    """Hand a block-op operand its gradient ``g``: ``Slots`` place it in
-    their tensor's rows, a plain tensor takes it."""
-    if type(x) is Slots:
-        x.route(g)
-    elif x.requires_grad:
-        _accum(x, g)
-
-
-def gated_attention(q, k, v, gate) -> Tensor:
-    """q + gate * attention(q, k, v) for one head and a scalar ``gate`` per
-    direction.
-
-    The gate's axes lead every operand and the output: none for one
-    direction, one over a stack of directions, where an operand is a plain
-    tensor or ``Slots``. A query with fewer axes than the key (latent
-    tokens) serves every sample of the batch. The backward pass keeps the
-    softmax and the attention output; it routes each operand's gradient
-    once, its contributions summed in place.
-    """
-    lead = gate.data.ndim
-    qd, kd, vd, gd = q.data, k.data, v.data, gate.data
-    # a batch axis after the leading axes for a query without one
-    q_low = qd.ndim < kd.ndim
-    if q_low:
-        qd = qd.reshape(qd.shape[:lead] + (1,) + qd.shape[lead:])
-    gd = gd.reshape(gd.shape + (1,) * (kd.ndim - lead))
-    attended, probs = attention_fwd(qd, kd, vd)
-    y = qd + attended * gd
-    # a Slots operand's parent is the tensor it reads rows of
-    out = Tensor._node(y, (
-        q.tensor if type(q) is Slots else q, k.tensor if type(k) is Slots else k,
-        v.tensor if type(v) is Slots else v, gate.tensor if type(gate) is Slots else gate))
-    if out.requires_grad:
-        want = (q.requires_grad, k.requires_grad, v.requires_grad)
-        saved = (qd, kd, vd, probs) if any(want) else None
-
-        def _bw(g: np.ndarray) -> None:
-            dgate = dq = dk = dv = None
-            if gate.requires_grad:
-                dgate = np.multiply(g, attended).reshape(gate.data.shape + (-1,)).sum(axis=-1)
-            if saved is not None:
-                dq, dk, dv = attention_bwd(g * gd, *saved, want)
-            # sums in the order the chain's leaves receive them: the residual
-            # into q, then v, q, k; addition commutes, so dq + residual is
-            # residual + dq bit for bit
-            if dq is not None:
-                if q_low:
-                    dq = dq.sum(axis=lead)
-                    dq += g.sum(axis=lead)
-                else:
-                    dq += g
-            if dk is not None and k is v:
-                dv += dk
-                dk = None
-            for x, d in ((q, dq), (gate, dgate), (v, dv), (k, dk)):
-                if d is not None:
-                    _route(x, d)
-        out._backward = _bw
-    return out
-
-
-def grouped_bottleneck(x, down_w, down_b, up_w, up_b, act: str) -> Tensor:
-    """up(act(down(x))) for grouped down/up maps with optional biases and an
-    activation tag from ``ACTIVATIONS``. The leading axes of ``down_w``
-    beyond its three lead every operand, as the gate's in
-    ``gated_attention``. The backward pass gives x, both weights and both
-    biases their gradients from the saved activation and its derivative."""
-    xd, dwd, uwd = x.data, down_w.data, up_w.data
-    dbd = None if down_b is None else down_b.data
-    ubd = None if up_b is None else up_b.data
-    a, d = ACTIVATIONS[act](grouped_linear_fwd(xd, dwd, dbd), _needs_grad((x, down_w, down_b)))
-    y = grouped_linear_fwd(a, uwd, ubd)
-    out = Tensor._node(y, tuple(o.tensor if type(o) is Slots else o
-                                for o in (x, down_w, down_b, up_w, up_b) if o is not None))
-    if out.requires_grad:
-        below = (x.requires_grad, down_w.requires_grad, down_b is not None and down_b.requires_grad)
-        above = (any(below), up_w.requires_grad, up_b is not None and up_b.requires_grad)
-
-        def _bw(g: np.ndarray) -> None:
-            da, dw, db = grouped_linear_bwd(g, a, uwd, above)
-            grads = [(up_w, dw), (up_b, db)]
-            if da is not None:
-                da *= d
-                grads += zip((x, down_w, down_b), grouped_linear_bwd(da, xd, dwd, below))
-            for o, grad in grads:
-                if grad is not None:
-                    _route(o, grad)
-        out._backward = _bw
-    return out
-
-
-def pooled_linear(stacks: Sequence[Tensor], weight: Tensor, bias: Tensor) -> Tensor:
-    """Every row of every stack mean-pooled, the means joined along columns
-    in row order, then mapped by ``weight`` plus ``bias``: ``(B, R)``.
-
-    Each stack is ``(S, B, N, D)``. The pooled rows stay ``(B, 1, sum S*D)``
-    through the product, so each output row comes from the same one-row
-    product as when its sample runs alone, bit for bit."""
-    pools = []
-    for x in stacks:
-        pool = np.add.reduce(x.data, axis=-2, keepdims=True)
-        pool /= x.data.shape[-2]
-        pools.extend(pool)
-    pooled = np.concatenate(pools, axis=-1)
-    y = linear_fwd(pooled, weight.data, bias.data)
-    out = Tensor._node(y.reshape(y.shape[0], y.shape[-1]), tuple(stacks) + (weight, bias))
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            g = g.reshape(y.shape)
-            if weight.requires_grad:
-                _accum(weight, pooled.reshape(-1, pooled.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-            if bias.requires_grad:
-                _accum(bias, _reduce_to(g, bias.data.shape))
-            if any(x.requires_grad for x in stacks):
-                dpooled = g @ weight.data.T
-                lo = 0
-                for x in stacks:
-                    s, b, n, d = x.data.shape
-                    if x.requires_grad:
-                        # the stack's (B, 1, S*D) columns as (S, B, 1, D), spread over its N rows
-                        dx = np.moveaxis(dpooled[..., lo:lo + s * d].reshape(b, 1, s, d), 2, 0) / n
-                        _accum(x, np.broadcast_to(dx, x.data.shape).copy())
-                    lo += s * d
-        out._backward = _bw
-    return out
 
 
 def cross_entropy_logits(logits, labels) -> Tensor:

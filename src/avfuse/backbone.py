@@ -20,10 +20,27 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Rng, ShapeError, Tensor, _check_frozen, frozen_attention, frozen_mlp, linear_fwd
+from .autodiff import (
+    GraphError,
+    Rng,
+    ShapeError,
+    Tensor,
+    _accum,
+    _merge,
+    _needs_grad,
+    _row_index,
+    _split,
+    attention_bwd,
+    attention_fwd,
+    gelu_fwd,
+    layer_norm_bwd,
+    layer_norm_fwd,
+    linear_fwd,
+)
 
 AUDIO = "audio"
 VISUAL = "visual"
@@ -87,6 +104,12 @@ def unfold_patches(grid: np.ndarray, patch: int) -> np.ndarray:
     n = len(lead)
     tiles = grid.reshape(*lead, hp, patch, wp, patch, c).transpose(*range(n), n, n + 2, n + 1, n + 3, n + 4)
     return np.ascontiguousarray(tiles.reshape(*lead, hp * wp, patch * patch * c))
+
+
+def _check_frozen(op: str, **weights: Tensor | None) -> None:
+    for name, w in weights.items():
+        if w is not None and w.requires_grad:
+            raise GraphError(f"{op}: weight {name} requires a gradient, but {op} is frozen and passes none to its weights")
 
 
 def _embed(fn: str, patches: np.ndarray, proj: Tensor, pos: Tensor | None) -> Tensor:
@@ -231,25 +254,85 @@ def init_layer_weights(width: int, heads: int, seed: int, name: str) -> FrozenLa
     )
 
 
-def mha(x: Tensor, w: FrozenLayerWeights, term: Tensor | None = None, rows=()) -> Tensor:
+def _residual_node(op: str, x: Tensor, y: np.ndarray, term: Tensor | None, rows: Sequence[int], dx) -> Tensor:
+    """A layer half as one node: ``y``, a frozen block's fresh output for
+    ``x``, plus ``x``, then row i of ``term`` added into row ``rows[i]``.
+    ``dx`` maps the gradient to the block's input gradient and is dropped
+    when ``x`` needs none, so nothing the block saved is kept. Gradients go
+    to ``x``, then through ``dx``, then to the term, as two nodes gave them."""
+    shape = x.data.shape
+    if term is not None and (term.data.shape != (len(rows),) + shape[1:] or len(set(rows)) != len(rows)
+                             or not all(0 <= r < shape[0] for r in rows)):
+        raise ShapeError(f"{op}: a term of shape {term.data.shape} does not fit rows {rows} of {shape}")
+    y += x.data
+    if term is not None:
+        index = _row_index(rows)
+        y[index] += term.data
+    out = Tensor._node(y, (x,) if term is None else (x, term))
+    if out.requires_grad:
+        if not x.requires_grad:
+            dx = None
+        def _bw(g: np.ndarray) -> None:
+            if dx is not None:
+                _accum(x, g)
+                _accum(x, dx(g))
+            if term is not None and term.requires_grad:
+                _accum(term, g[index])
+        out._backward = _bw
+    return out
+
+
+def mha(x: Tensor, w: FrozenLayerWeights, term: Tensor | None = None, rows: Sequence[int] = ()) -> Tensor:
     """The pre-norm multi-head self-attention half of a layer for tokens on
     any leading axes (each stream of a stack attends within itself): one
-    tape node that returns ``x`` plus the attention output, with ``term``
-    added into rows ``rows``. Scores are scaled by 1/sqrt(width/heads)."""
-    width = w.wq.data.shape[0]
+    tape node that returns x + attention(t wq, t wk, t wv) wo for
+    t = layer_norm(x), with ``term`` added into rows ``rows``. The columns
+    are split into heads, so scores are scaled by 1/sqrt(width/heads). x's
+    gradient comes from the saved xhat, inv, Q/K/V heads and softmax; the
+    weights must not require one."""
+    width, heads = w.wq.data.shape[0], w.heads
     if x.data.shape[-1] != width:
         raise ShapeError(f"mha: token width {x.data.shape[-1]} does not match layer width {width}")
-    if width % w.heads:
-        raise ShapeError(f"mha: head count {w.heads} does not divide width {width}")
-    return frozen_attention(x, w.ln1_gain, w.ln1_shift, w.wq, w.wk, w.wv, w.wo, w.heads, term, rows)
+    if width % heads:
+        raise ShapeError(f"mha: head count {heads} does not divide width {width}")
+    _check_frozen("mha", gain=w.ln1_gain, shift=w.ln1_shift, wq=w.wq, wk=w.wk, wv=w.wv, wo=w.wo)
+    t, xhat, inv = layer_norm_fwd(x.data, w.ln1_gain.data, w.ln1_shift.data)
+    q, k, v = (_split(linear_fwd(t, p.data), heads) for p in (w.wq, w.wk, w.wv))
+    del t
+    attended, probs = attention_fwd(q, k, v)
+
+    def dx(g: np.ndarray) -> np.ndarray:
+        dq, dk, dv = attention_bwd(_split(g @ w.wo.data.T, heads), q, k, v, probs)
+        # the order the q, k and v products handed their gradients back
+        dt = _merge(dq) @ w.wq.data.T
+        dt += _merge(dk) @ w.wk.data.T
+        dt += _merge(dv) @ w.wv.data.T
+        return layer_norm_bwd(dt, w.ln1_gain.data, xhat, inv)
+    return _residual_node("mha", x, linear_fwd(_merge(attended), w.wo.data), term, rows, dx)
 
 
-def mlp(x: Tensor, w: FrozenLayerWeights, term: Tensor | None = None, rows=()) -> Tensor:
+def mlp(x: Tensor, w: FrozenLayerWeights, term: Tensor | None = None, rows: Sequence[int] = ()) -> Tensor:
     """The pre-norm position-wise GELU MLP half of a layer (width -> 4*width
-    -> width), one tape node as ``mha``: ``x`` plus the MLP output."""
+    -> width), one tape node as ``mha``: x + gelu(t w1 + b1) w2 + b2 for
+    t = layer_norm(x). x's gradient comes from the saved xhat, inv and GELU
+    derivative."""
     if x.data.shape[-1] != w.wq.data.shape[0]:
         raise ShapeError(f"mlp: token width {x.data.shape[-1]} does not match layer width {w.width}")
-    return frozen_mlp(x, w.ln2_gain, w.ln2_shift, w.mlp_w1, w.mlp_b1, w.mlp_w2, w.mlp_b2, term, rows)
+    _check_frozen("mlp", gain=w.ln2_gain, shift=w.ln2_shift, w1=w.mlp_w1, b1=w.mlp_b1, w2=w.mlp_w2, b2=w.mlp_b2)
+    t, xhat, inv = layer_norm_fwd(x.data, w.ln2_gain.data, w.ln2_shift.data)
+    pre = linear_fwd(t, w.mlp_w1.data, w.mlp_b1.data)
+    del t
+    hidden, d = gelu_fwd(pre, _needs_grad((x,)))
+
+    def dx(g: np.ndarray) -> np.ndarray:
+        nonlocal d
+        dh = g @ w.mlp_w2.data.T
+        dh *= d
+        d = None  # spent: freed before the next product
+        dt = dh @ w.mlp_w1.data.T
+        del dh
+        return layer_norm_bwd(dt, w.ln2_gain.data, xhat, inv)
+    return _residual_node("mlp", x, linear_fwd(hidden, w.mlp_w2.data, w.mlp_b2.data), term, rows, dx)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,12 @@ from .autodiff import (
     ShapeError,
     Slots,
     Tensor,
-    gated_attention,
-    grouped_bottleneck,
+    _needs_grad,
+    _route,
+    attention_bwd,
+    attention_fwd,
+    grouped_linear_bwd,
+    grouped_linear_fwd,
 )
 from .backbone import AUDIO, STACK_ORDER, VISUAL, FreezeRegistry, FrozenLayerWeights, mha, mlp
 
@@ -74,7 +78,7 @@ GATE_INIT = 1.0
 # ---------------------------------------------------------------------------
 
 
-def cma(query, key, value, gate):
+def cma(query, key, value, gate) -> Tensor:
     """Gated single-head cross-attention with a residual on the query side:
 
         out = query + gate * softmax(query key^T / sqrt(width)) value
@@ -85,8 +89,9 @@ def cma(query, key, value, gate):
     key/value, a batched query needs a key/value of its batch. The whole
     expression is one tape node. With a gate of shape ``(S,)`` every operand
     carries a leading axis of S directions, as a plain tensor or as
-    ``Slots`` (``autodiff.gated_attention``), and each direction follows
-    these rules.
+    ``Slots``, and each direction follows these rules. The backward pass
+    keeps the softmax and the attention output; it routes each operand's
+    gradient once, its contributions summed in place.
     """
     q, k, v, g = query.data.shape, key.data.shape, value.data.shape, gate.data.shape
     if len(g) == 1:
@@ -103,7 +108,47 @@ def cma(query, key, value, gate):
         raise ShapeError(f"cma: query {q} and key {k} disagree on the batch")
     if g != ():
         raise ShapeError(f"cma: gate must be a scalar, got shape {g}")
-    return gated_attention(query, key, value, gate)
+    # the gate's axes, none or one, lead every operand and the output
+    lead = gate.data.ndim
+    qd, kd, vd, gd = query.data, key.data, value.data, gate.data
+    # a batch axis after the leading axes for a query without one
+    q_low = qd.ndim < kd.ndim
+    if q_low:
+        qd = qd.reshape(qd.shape[:lead] + (1,) + qd.shape[lead:])
+    gd = gd.reshape(gd.shape + (1,) * (kd.ndim - lead))
+    attended, probs = attention_fwd(qd, kd, vd)
+    y = qd + attended * gd
+    # a Slots operand's parent is the tensor it reads rows of
+    out = Tensor._node(y, (
+        query.tensor if type(query) is Slots else query, key.tensor if type(key) is Slots else key,
+        value.tensor if type(value) is Slots else value, gate.tensor if type(gate) is Slots else gate))
+    if out.requires_grad:
+        want = (query.requires_grad, key.requires_grad, value.requires_grad)
+        saved = (qd, kd, vd, probs) if any(want) else None
+
+        def _bw(g: np.ndarray) -> None:
+            dgate = dq = dk = dv = None
+            if gate.requires_grad:
+                dgate = np.multiply(g, attended).reshape(gate.data.shape + (-1,)).sum(axis=-1)
+            if saved is not None:
+                dq, dk, dv = attention_bwd(g * gd, *saved, want)
+            # sums in the order the chain's leaves receive them: the residual
+            # into q, then v, q, k; addition commutes, so dq + residual is
+            # residual + dq bit for bit
+            if dq is not None:
+                if q_low:
+                    dq = dq.sum(axis=lead)
+                    dq += g.sum(axis=lead)
+                else:
+                    dq += g
+            if dk is not None and key is value:
+                dv += dk
+                dk = None
+            for x, d in ((query, dq), (gate, dgate), (value, dv), (key, dk)):
+                if d is not None:
+                    _route(x, d)
+        out._backward = _bw
+    return out
 
 
 def compress_to_latents(latents, source, gate) -> Tensor:
@@ -182,13 +227,37 @@ def init_bottleneck(
 def bottleneck(x: Tensor, params: BottleneckParams) -> Tensor:
     """Apply up(act(down(x))) as one tape node. Shape is preserved. With
     stacked parameters (a 4-D ``down_w``), ``x`` carries the direction axis
-    too."""
+    too, as a plain tensor or as ``Slots``. The backward pass gives x, both
+    weights and both biases their gradients from the saved activation and
+    its derivative."""
     shape, width = x.data.shape, params.width
     if len(shape) - (params.down_w.data.ndim - 3) not in (2, 3) or shape[-1] != width:
         raise ShapeError(f"bottleneck: input shape {shape} does not match width {width}")
     if params.act not in ACTIVATIONS:
         raise ValueError(f"unknown activation {params.act!r}")
-    return grouped_bottleneck(x, params.down_w, params.down_b, params.up_w, params.up_b, params.act)
+    down_w, down_b, up_w, up_b = params.down_w, params.down_b, params.up_w, params.up_b
+    xd, dwd, uwd = x.data, down_w.data, up_w.data
+    dbd = None if down_b is None else down_b.data
+    ubd = None if up_b is None else up_b.data
+    a, d = ACTIVATIONS[params.act](grouped_linear_fwd(xd, dwd, dbd), _needs_grad((x, down_w, down_b)))
+    y = grouped_linear_fwd(a, uwd, ubd)
+    out = Tensor._node(y, tuple(o.tensor if type(o) is Slots else o
+                                for o in (x, down_w, down_b, up_w, up_b) if o is not None))
+    if out.requires_grad:
+        below = (x.requires_grad, down_w.requires_grad, down_b is not None and down_b.requires_grad)
+        above = (any(below), up_w.requires_grad, up_b is not None and up_b.requires_grad)
+
+        def _bw(g: np.ndarray) -> None:
+            da, dw, db = grouped_linear_bwd(g, a, uwd, above)
+            grads = [(up_w, dw), (up_b, db)]
+            if da is not None:
+                da *= d
+                grads += zip((x, down_w, down_b), grouped_linear_bwd(da, xd, dwd, below))
+            for o, grad in grads:
+                if grad is not None:
+                    _route(o, grad)
+        out._backward = _bw
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +385,9 @@ def layer_forward(stacks: list[Tensor], w: FrozenLayerWeights, sites: dict[str, 
     """Advance both streams one layer with cross-modal terms injected beside
     the attention and MLP sub-steps: one term for each site in ``sites``.
 
-    The streams travel in stacks: each is an ``(S, B, N, D)`` tensor (or
-    ``(S, N, D)`` for one sample) of the S streams that share a token count,
-    and the stacks' rows, read in order, are the streams in ``STACK_ORDER``.
+    The streams travel in stacks: each is an ``(S, B, N, D)`` tensor of the
+    S streams that share a token count, and the stacks' rows, read in order,
+    are the streams in ``STACK_ORDER``; one sample is a batch of one.
     Each frozen block runs once per stack. At one attachment, the sites whose
     targets share a stack run as one ``adapter_forward`` call over rows of
     the stacks; with two streams their sources share a stack too. Each
@@ -328,9 +397,10 @@ def layer_forward(stacks: list[Tensor], w: FrozenLayerWeights, sites: dict[str, 
     read the post-attention ones; neither stream ever sees the other's
     half-updated state.
     """
-    # an unstacked (B, N, D) batch would have its batch axis read as streams
-    if any(x.data.ndim not in (3, 4) for x in stacks) or sum(x.data.shape[0] for x in stacks) != len(STACK_ORDER):
-        raise ValueError(f"layer_forward: need (S, [B,] N, D) stacks that hold one row per stream, "
+    # a 3-D stack would be told from one stream's (B, N, D) batch by its row
+    # count alone
+    if any(x.data.ndim != 4 for x in stacks) or sum(x.data.shape[0] for x in stacks) != len(STACK_ORDER):
+        raise ShapeError(f"layer_forward: need (S, B, N, D) stacks that hold one row per stream, "
                          f"got shapes {[x.data.shape for x in stacks]}")
     # each stream's (stack, row): the stacks' rows, in order, are the streams in STACK_ORDER
     where = dict(zip(STACK_ORDER, ((s, i) for s, x in enumerate(stacks) for i in range(x.data.shape[0]))))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .autodiff import ACTIVATIONS, Rng, ShapeError, Tensor, pooled_linear
+from .autodiff import ACTIVATIONS, Rng, ShapeError, Tensor, _accum, _reduce_to, linear_fwd
 from .backbone import (
     FreezeRegistry,
     FrozenLayerWeights,
@@ -98,16 +98,45 @@ class ModelConfig:
 def event_head(stacks: list[Tensor], weight: Tensor, bias: Tensor) -> Tensor:
     """Mean-pool every row of the final (S, B, N, width) stacks in order,
     which puts the streams in ``STACK_ORDER``, concatenate, and map linearly
-    to (B, 2) logits, as one node.
+    to (B, 2) logits, as one node. The backward hands each stack its
+    gradient whole, in one ``_accum``.
 
     The pooled rows stay (B, 1, 2*width) through the head product, so each
     sample's logits come from the same one-row product as when it is scored
     alone, bit for bit.
     """
-    pooled = sum(x.data.shape[0] * x.data.shape[-1] for x in stacks)
-    if weight.data.shape != (pooled, 2):
-        raise ShapeError(f"event_head: weight shape {weight.data.shape} does not match pooled width {pooled}")
-    return pooled_linear(stacks, weight, bias)
+    if any(x.data.ndim != 4 for x in stacks):
+        raise ShapeError(f"event_head: need (S, B, N, D) stacks, got shapes {[x.data.shape for x in stacks]}")
+    cols = sum(x.data.shape[0] * x.data.shape[-1] for x in stacks)
+    if weight.data.shape != (cols, 2):
+        raise ShapeError(f"event_head: weight shape {weight.data.shape} does not match pooled width {cols}")
+    pools = []
+    for x in stacks:
+        pool = np.add.reduce(x.data, axis=-2, keepdims=True)
+        pool /= x.data.shape[-2]
+        pools.extend(pool)
+    pooled = np.concatenate(pools, axis=-1)
+    y = linear_fwd(pooled, weight.data, bias.data)
+    out = Tensor._node(y.reshape(y.shape[0], y.shape[-1]), tuple(stacks) + (weight, bias))
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            g = g.reshape(y.shape)
+            if weight.requires_grad:
+                _accum(weight, pooled.reshape(-1, pooled.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            if bias.requires_grad:
+                _accum(bias, _reduce_to(g, bias.data.shape))
+            if any(x.requires_grad for x in stacks):
+                dpooled = g @ weight.data.T
+                lo = 0
+                for x in stacks:
+                    s, b, n, d = x.data.shape
+                    if x.requires_grad:
+                        # the stack's (B, 1, S*D) columns as (S, B, 1, D), spread over its N rows
+                        dx = np.moveaxis(dpooled[..., lo:lo + s * d].reshape(b, 1, s, d), 2, 0) / n
+                        _accum(x, np.broadcast_to(dx, x.data.shape).copy())
+                    lo += s * d
+        out._backward = _bw
+    return out
 
 
 class TwoStreamModel:

@@ -14,20 +14,22 @@ the forward kernels returned the derivative.
 
 The single-op tape versions of ``add``, ``matmul``, ``layer_norm``,
 ``gelu``, ``relu``, ``attention``, ``grouped_linear``, ``mul`` and ``scale``
-live here: the library runs those kernels only inside its block ops and its
-frozen tokenizers, which return leaves. Built on the library's kernels,
+live here: the library runs those kernels only inside its blocks
+(``backbone.mha`` and ``mlp``, ``fusion.cma`` and ``bottleneck``,
+``model.event_head``, each of which records one node) and its frozen
+tokenizers, which return leaves. Built on the library's kernels,
 they are the unit under test of the kernel tests and, chained as
 the library chained them before (``chain_mha``, ``chain_mlp``,
-``chain_cma``, ``chain_bottleneck``), the oracle the block ops must match
+``chain_cma``, ``chain_bottleneck``), the oracle the blocks must match
 bit for bit; ``slotwise`` runs a chain one direction at a time over the
 direction-axis operands of a stacked call.
 
 The tape ops ``take``, ``add_rows``, ``mean_rows``, ``concat_cols`` (with
 ``_concat``) and ``reshape`` live here too: the library ran them only in the
-chains that its frozen blocks' residual sums and its ``pooled_linear`` block
-op replaced. ``chain_residual`` (a layer half's residual sum, then the cross
+chains that its frozen blocks' residual sums and its ``event_head`` node
+replaced. ``chain_residual`` (a layer half's residual sum, then the cross
 term into its rows, as the library once ran it after each frozen block) and
-``chain_head`` chain them as the library did, the oracle those block ops
+``chain_head`` chain them as the library did, the oracle those blocks
 must match bit for bit.
 
 ``LoopAdam`` is the per-tensor Adam the optimizer ran before it kept every
@@ -262,7 +264,7 @@ def grouped_linear(x, weight, bias=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# the chains the block ops replaced
+# the chains the blocks replaced
 # ---------------------------------------------------------------------------
 
 
@@ -295,12 +297,12 @@ def chain_bottleneck(x: Tensor, params) -> Tensor:
 
 def slotwise(chain, lone: bool, *operands) -> Tensor:
     """``chain`` run direction by direction, each on fresh leaves holding one
-    slot of the block op's operands, as one node. The operands are one
+    slot of the block's operands, as one node. The operands are one
     direction's plain tensors (``lone``) or carry a leading direction axis,
-    as plain tensors or Slots, as the block op takes them. Its output stacks
+    as plain tensors or Slots, as the block takes them. Its output stacks
     the directions' outputs, and its backward runs each direction's chain
     backward, then routes each operand's gradient once, in argument order,
-    as the block ops do. So a block op over a direction axis must match it
+    as the blocks do. So a block over a direction axis must match it
     bit for bit: forward, every kernel's backward and the sums of each
     operand's contributions."""
     distinct = list(dict.fromkeys(x for x in operands if x is not None))
@@ -343,7 +345,7 @@ def stacked_chain_bottleneck(x, params) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# the tape ops the frozen blocks' sums and the head block op replaced
+# the tape ops the frozen blocks' sums and the head's node replaced
 # ---------------------------------------------------------------------------
 
 
@@ -448,7 +450,7 @@ def add_rows(a, b, rows) -> Tensor:
 def chain_residual(x: Tensor, f: Tensor, term: Tensor | None = None, rows=()) -> Tensor:
     """A layer half's sums as single ops: ``x + f``, then leading row i of
     ``term`` into row ``rows[i]``. With ``f`` a ``chain_mha`` or
-    ``chain_mlp`` of ``x``, this is the frozen block op with its term."""
+    ``chain_mlp`` of ``x``, this is the frozen block with its term."""
     y = add(x, f)
     return y if term is None else add_rows(y, term, rows)
 
@@ -461,7 +463,7 @@ def chain_half(chain, x: Tensor, w, term: Tensor | None = None, rows=()) -> Tens
 
 
 def chain_head(stacks, weight: Tensor, bias: Tensor) -> Tensor:
-    """``autodiff.pooled_linear`` as single ops: every row of every stack
+    """``model.event_head`` as single ops: every row of every stack
     taken in order, pooled, the pools joined, then the biased product and
     the reshape to ``(B, R)``."""
     pooled = concat_cols([mean_rows(take(x, i)) for x in stacks for i in range(x.shape[0])])

@@ -211,7 +211,7 @@ class TestResizePos:
 def term_of(block, x: Tensor, w) -> np.ndarray:
     """The attention or MLP term of a frozen layer half, ``mha`` or ``mlp``:
     its single-op chain (``chain_mha`` or ``chain_mlp``, the same kernels)
-    of ``x``, once the block op is checked to be the input plus that term,
+    of ``x``, once the block is checked to be the input plus that term,
     bit for bit."""
     term = {mha: chain_mha, mlp: chain_mlp}[block](x, w)
     np.testing.assert_array_equal(block(x, w).data, chain_residual(x, term).data)

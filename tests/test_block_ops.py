@@ -1,18 +1,21 @@
-"""Differential tests of the block ops against the single-op chains they
-replaced (``helpers.chain_half`` of ``chain_mha`` or ``chain_mlp``, which
-adds the residual and a cross term with ``chain_residual``, ``chain_cma``,
-``chain_bottleneck`` and ``chain_head``): output and every gradient bit for
-bit, at the README shapes, the train-wide benchmark shapes and odd ones (2
-heads, unequal stream lengths, ReLU, no bias, a 2-D latent query broadcast
-over the batch), with partial ``requires_grad`` patterns; then one whole
-train step of the model against the same step run through the chains, the
-adapter chains in their stacked form
-(``helpers.slotwise``: each direction's chain on its own, the gradients
-routed as the block ops route theirs), so the stacked block ops are checked
-bit for bit inside the stacked graph. The adapter block ops have one code
-path for zero or one leading direction axes: on one direction's plain
+"""Differential tests of the blocks (``backbone.mha`` and ``mlp``,
+``fusion.cma`` and ``bottleneck``, ``model.event_head``, each one tape node)
+against the single-op chains they replaced (``helpers.chain_half`` of
+``chain_mha`` or ``chain_mlp``, which adds the residual and a cross term
+with ``chain_residual``, ``chain_cma``, ``chain_bottleneck`` and
+``chain_head``): output and every gradient bit for bit, at the README
+shapes, the train-wide benchmark shapes and odd ones (2 heads, unequal
+stream lengths, ReLU, no bias, a 2-D latent query broadcast over the batch),
+with partial ``requires_grad`` patterns; then one whole train step of the
+model against the same step run through the chains, the adapter chains in
+their stacked form (``helpers.slotwise``: each direction's chain on its own,
+the gradients routed as the blocks route theirs), so the stacked blocks are
+checked bit for bit inside the stacked graph. The adapter blocks have one
+code path for zero or one leading direction axes: on one direction's plain
 tensors they must give what they give on the same operands with a leading
-axis of one, bit for bit."""
+axis of one, bit for bit. Test names keep the names of the autodiff block
+ops (``frozen_attention``, ``frozen_mlp``, ``gated_attention``,
+``grouped_bottleneck``, ``pooled_linear``) that these blocks absorbed."""
 from functools import partial
 
 import numpy as np
@@ -26,14 +29,11 @@ from avfuse.autodiff import (
     backward,
     count_macs,
     cross_entropy_logits,
-    gated_attention,
-    grouped_bottleneck,
     no_grad,
-    pooled_linear,
 )
 from avfuse.backbone import init_layer_weights, mha, mlp
-from avfuse.fusion import bottleneck, cma, init_bottleneck
-from avfuse.model import ModelConfig, TwoStreamModel
+from avfuse.fusion import BottleneckParams, bottleneck, cma, init_bottleneck
+from avfuse.model import ModelConfig, TwoStreamModel, event_head
 from avfuse.tasks import generate_dataset
 
 from helpers import (
@@ -66,7 +66,7 @@ def grads_of(op, inputs, g):
 
 
 def assert_same(op, chain, inputs, g):
-    """Run the block op and the chain on the same leaves; outputs and
+    """Run the block and the chain on the same leaves; outputs and
     gradients must agree bit for bit, and a leaf that needs no gradient must
     get none."""
     macs = []
@@ -157,7 +157,7 @@ def test_frozen_block_keeps_nothing_for_an_input_without_gradient(half):
 def test_residual_shape_guard():
     w = layer("odd")
     x = Tensor(np.zeros((2, 3, 6, 16)))
-    for block, op in ((mha, "frozen_attention"), (mlp, "frozen_mlp")):
+    for block, op in ((mha, "mha"), (mlp, "mlp")):
         # a row out of range, a repeated row, fewer term rows than rows, and
         # a term whose trailing shape is not the input's
         for count, rows, tail in ((1, (2,), (3, 6, 16)), (2, (0, 0), (3, 6, 16)), (1, (0, 1), (3, 6, 16)),
@@ -281,7 +281,7 @@ def test_gated_attention_lone_is_one_slot(shapes, kv, grads):
     k = arr(70, *k_shape)
     v = k if kv == "shared" else arr(71, *k_shape)
     g = arr(72, *k_shape[:-2] + q_shape[-2:])
-    assert_lone_is_one_slot(gated_attention, [arr(73, *q_shape), k, v, np.array(0.6)], LONE_GRADS[grads], g)
+    assert_lone_is_one_slot(cma, [arr(73, *q_shape), k, v, np.array(0.6)], LONE_GRADS[grads], g)
 
 
 @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
@@ -292,7 +292,7 @@ def test_grouped_bottleneck_lone_is_one_slot(act, bias):
               arr(78, 16) if bias else None]
 
     def op(x, down_w, down_b, up_w, up_b):
-        return grouped_bottleneck(x, down_w, down_b, up_w, up_b, act)
+        return bottleneck(x, BottleneckParams(down_w, up_w, act, down_b, up_b))
     assert_lone_is_one_slot(op, arrays, [True] * 5, arr(79, 3, 5, 16))
 
 
@@ -316,7 +316,7 @@ def test_frozen_attention_refuses_a_trainable_weight(field):
     w = layer("odd")
     getattr(w, field).requires_grad = True
     x = Tensor(arr(41, 3, 6, 16), requires_grad=True)
-    with pytest.raises(GraphError, match=f"frozen_attention: weight {field.removeprefix('ln1_')} "):
+    with pytest.raises(GraphError, match=f"mha: weight {field.removeprefix('ln1_')} "):
         mha(x, w)
 
 
@@ -326,7 +326,7 @@ def test_frozen_mlp_refuses_a_trainable_weight(field):
     getattr(w, field).requires_grad = True
     x = Tensor(arr(42, 3, 6, 16), requires_grad=True)
     name = field.removeprefix("ln2_").removeprefix("mlp_")
-    with pytest.raises(GraphError, match=f"frozen_mlp: weight {name} "):
+    with pytest.raises(GraphError, match=f"mlp: weight {name} "):
         mlp(x, w)
 
 
@@ -342,7 +342,7 @@ def test_head_matches_chain(name, stacks):
     tensors = [Tensor(arr(64 + i, s, b, n, d), requires_grad=True) for i, (s, n) in enumerate(HEAD_STACKS[stacks])]
     weight = Tensor(arr(66, 2 * d, 2), requires_grad=True)
     bias = Tensor(arr(67, 2), requires_grad=True)
-    assert_same(lambda: pooled_linear(tensors, weight, bias), lambda: chain_head(tensors, weight, bias),
+    assert_same(lambda: event_head(tensors, weight, bias), lambda: chain_head(tensors, weight, bias),
                 tensors + [weight, bias], arr(68, b, 2))
 
 
@@ -380,7 +380,7 @@ def test_train_step_matches_chains_bitwise(name, monkeypatch):
     monkeypatch.setattr(fusion, "mlp", partial(chain_half, chain_mlp))
     monkeypatch.setattr(fusion, "cma", stacked_chain_cma)
     monkeypatch.setattr(fusion, "bottleneck", stacked_chain_bottleneck)
-    monkeypatch.setattr(model_module, "pooled_linear", chain_head)
+    monkeypatch.setattr(model_module, "event_head", chain_head)
     want_logits, want_grads = train_step(model, batch)
     np.testing.assert_array_equal(logits, want_logits)
     assert grads.keys() == want_grads.keys()

@@ -313,10 +313,11 @@ class TestSites:
 
 
 def layer_apart(xa, xv, w, sites):
-    """``layer_forward`` with each stream in a stack of its own, as unequal
-    token counts run; returns the (audio, visual) tokens."""
-    za, zv = layer_forward([Tensor([x.data]) for x in (xa, xv)], w, sites)
-    return take(za, 0), take(zv, 0)
+    """``layer_forward`` with each stream of one sample in a stack of its
+    own, a batch of one, as unequal token counts run; returns the (audio,
+    visual) tokens."""
+    za, zv = layer_forward([Tensor([[x.data]]) for x in (xa, xv)], w, sites)
+    return take(take(za, 0), 0), take(take(zv, 0), 0)
 
 
 class TestDualLayer:
@@ -362,17 +363,17 @@ class TestDualLayer:
         xa, xv = self._streams(14)
         sites = build_layer_sites(0, 8, 2, 2, 2, 0, "none")
         # unstacked tokens
-        with pytest.raises(ValueError, match=r"need \(S, \[B,\] N, D\) stacks"):
+        with pytest.raises(ShapeError, match=r"need \(S, B, N, D\) stacks"):
             layer_forward([xa, xv], w, sites)
         # stacks that do not hold one row per stream: one stream, a third
         # stream, a stack of three rows
-        one = [Tensor([x.data]) for x in (xa, xv)]
-        for bad in (one[:1], one + [Tensor([xa.data])], [Tensor(np.stack([xv.data] * 3))]):
-            with pytest.raises(ValueError, match="one row per stream"):
+        one = [Tensor([[x.data]]) for x in (xa, xv)]
+        for bad in (one[:1], one + [Tensor([[xa.data]])], [Tensor(np.stack([xv.data[None]] * 3))]):
+            with pytest.raises(ShapeError, match="one row per stream"):
                 layer_forward(bad, w, sites)
         # a (B, N, D) batch handed in as a stack: its batch axis is not streams
         batches = [Tensor(np.stack([x.data] * 3)) for x in (xa, xv)]
-        with pytest.raises(ValueError, match=r"need \(S, \[B,\] N, D\) stacks"):
+        with pytest.raises(ShapeError, match=r"need \(S, B, N, D\) stacks"):
             layer_forward(batches, w, sites)
 
     def test_bidirectional_reads_consistent_states(self):

@@ -13,7 +13,7 @@ the same kernels with a leading axis of one, bit for bit.
 ``matmul``, ``gelu``, ``layer_norm``, ``attention`` and ``grouped_linear``
 here are the single-op tape versions in ``helpers``, each a thin wrapper
 over the library's forward/backward kernel pair, so these tests check the
-kernels the block ops run."""
+kernels the blocks run."""
 import numpy as np
 import pytest
 

@@ -127,6 +127,10 @@ class TestWiring:
         # one stack of both streams pools both rows
         both = [Tensor(np.zeros((2, 1, 3, 4)))]
         assert event_head(both, Tensor(np.zeros((8, 2))), Tensor(np.zeros(2))).shape == (1, 2)
+        # a 3-D stack is refused before the forward, not in the backward
+        with pytest.raises(ShapeError, match=r"need \(S, B, N, D\) stacks"):
+            event_head([Tensor(np.zeros((2, 3, 4)), requires_grad=True)], Tensor(np.zeros((8, 2))),
+                       Tensor(np.zeros(2)))
 
     def test_frozen_trainable_split(self):
         model = TwoStreamModel(ModelConfig(mode="bidirectional"), seed=0)

@@ -11,7 +11,7 @@ tallies. The gradients cannot be bitwise equal: the contributions to a
 stream's tokens arrive in a different order when one node serves both
 streams. Then the routing pieces: the ``take`` and ``add_rows`` oracles of
 the rows the stacks hand out and take back, and the ``Slots`` operands of
-the adapter block ops, which refuse rows that do not step by +1 or -1."""
+the adapter blocks, which refuse rows that do not step by +1 or -1."""
 import numpy as np
 import pytest
 
@@ -95,20 +95,24 @@ def test_unequal_token_counts_take_the_per_stream_path(monkeypatch):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_stacked_layer_rows_are_the_dual_layer_outputs(mode):
-    # one layer at single-sample shapes: the rows of one stack of both
-    # streams are the two stacks' outputs, one stream each, bit for bit
+    # one layer at single-sample shapes, a batch of one: the rows of one
+    # stack of both streams are the two stacks' outputs, one stream each,
+    # bit for bit
     w = init_layer_weights(8, 2, 4, "L4")
-    xa, xv = Tensor(arr(1, 5, 8)), Tensor(arr(2, 5, 8))
+    xa, xv = Tensor(arr(1, 1, 5, 8)), Tensor(arr(2, 1, 5, 8))
     sites = build_layer_sites(0, 8, 2, 2, 2, 3, mode)
     for s in sites.values():
         s.neck.up_w.data[...] = 0.1 * arr(3, *s.neck.up_w.data.shape[1:])
     za, zv = layer_forward([Tensor([x.data]) for x in (xa, xv)], w, sites)
     (y,) = layer_forward([Tensor([xa.data, xv.data])], w, sites)
     np.testing.assert_array_equal(y.data, np.concatenate([za.data, zv.data]))
-    # unstacked tokens, three streams, one stream, too few or too many axes
-    for bad in ([xa], [Tensor(arr(4, 3, 5, 8))], [Tensor([xa.data])], [Tensor(arr(5, 2, 8))],
-                [Tensor(arr(6, 2, 1, 3, 5, 8))], [Tensor([xa.data]), Tensor(arr(7, 2, 4, 8))]):
-        with pytest.raises(ValueError, match=r"need \(S, \[B,\] N, D\) stacks"):
+    # unstacked tokens, three streams, one stream, too few or too many axes,
+    # and one stream's (2, N, D) batch, which a 3-D stack would read as a
+    # one-sample stack of both streams
+    for bad in ([xa], [Tensor(arr(4, 3, 1, 5, 8))], [Tensor([xa.data])], [Tensor(arr(5, 2, 8))],
+                [Tensor(arr(6, 2, 1, 3, 5, 8))], [Tensor([xa.data]), Tensor(arr(7, 2, 4, 8))],
+                [Tensor(arr(8, 2, 5, 8))]):
+        with pytest.raises(ShapeError, match=r"need \(S, B, N, D\) stacks"):
             layer_forward(bad, w, sites)
 
 

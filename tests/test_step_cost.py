@@ -6,15 +6,15 @@ the step makes to the package's own functions. A change that adds nodes,
 arithmetic or calls to a step has to update a number here on purpose.
 Counts only, no timing.
 
-The README step records 18 nodes over its 2 layers: 2 ``frozen_attention``
-and 2 ``frozen_mlp`` (one per layer half; each adds its input and the
-half's cross term), 8 ``gated_attention`` and 4 ``grouped_bottleneck`` (a
-compress, a fuse and a bottleneck per attachment), 1 ``pooled_linear`` and 1
-``cross_entropy_logits``. Every ``Tensor._node`` call is pinned too, 18 at
-README, so every node records a gradient: tokenization and stacking record
-no node, since the tokens come out of the frozen stem as leaves and each
-stack is a leaf copied from them, and layer 0's ``frozen_attention``, whose
-input needs no gradient, still passes one to the cross term it adds.
+The README step records 18 nodes over its 2 layers: 2 ``mha`` and 2
+``mlp`` (one per layer half; each adds its input and the half's cross
+term), 8 ``cma`` and 4 ``bottleneck`` (a compress, a fuse and a bottleneck
+per attachment), 1 ``event_head`` and 1 ``cross_entropy_logits``. Every
+``Tensor._node`` call is pinned too, 18 at README, so every node records a
+gradient: tokenization and stacking record no node, since the tokens come
+out of the frozen stem as leaves and each stack is a leaf copied from them,
+and layer 0's ``mha``, whose input needs no gradient, still passes one to
+the cross term it adds.
 
 At README shapes a step's time follows its Python-level calls more closely
 than its nodes, so those are pinned too: every call, counted with
@@ -22,14 +22,16 @@ than its nodes, so those are pinned too: every call, counted with
 named ``<...>`` (comprehensions, generator expressions, lambdas) are not
 counted: their number changes with the Python version, which inlines
 comprehensions from 3.12 on. The adapter parameters are one stacked leaf per
-layer, attachment and part, passed to the block ops whole, so a site call
+layer, attachment and part, passed to the blocks whole, so a site call
 gathers and routes nothing per direction; one direction (``a2v``) then makes
 as many calls as two. The attention kernels take no head count: only
-``frozen_attention`` splits its operands into heads and merges its results
-back, so a ``gated_attention`` call (one head) makes no split or merge
-call. The stacks carry the stream layout: the head pools every row of
-every stack and hands each stack its gradient whole, so it reads and routes
-no stream as rows."""
+``mha`` splits its operands into heads and merges its results back, so a
+``cma`` call (one head) makes no split or merge call. The stacks carry the
+stream layout: the head pools every row of every stack and hands each
+stack its gradient whole, so it reads and routes no stream as rows. Each
+block checks its operands and records its node in one function, with no
+separate block op in ``autodiff`` behind it, so a block costs one call
+fewer than a checked wrapper and its op did."""
 import sys
 from pathlib import Path
 
@@ -46,23 +48,23 @@ SOURCE = str(Path(avfuse.__file__).resolve().parent)
 # config overrides: (tape nodes, Tensor._node calls, forward MACs, softmax
 # elements, package calls) per step
 PINNED = {
-    "readme": ({}, 18, 18, 1_836_032, 3_072, 446),
+    "readme": ({}, 18, 18, 1_836_032, 3_072, 429),
     # one direction: its sites still run once per attachment, so only MACs
     # and softmax elements fall
-    "readme-a2v": (dict(mode="a2v"), 18, 18, 1_770_496, 2_560, 446),
+    "readme-a2v": (dict(mode="a2v"), 18, 18, 1_770_496, 2_560, 429),
     # direct sites have no compress step
-    "readme-direct": (dict(use_latents=False), 14, 14, 1_836_032, 3_072, 377),
+    "readme-direct": (dict(use_latents=False), 14, 14, 1_836_032, 3_072, 364),
     "train-wide": (
         dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4), 18, 18, 467_668_992, 557_056,
-        446,
+        429,
     ),
     # 6 audio tokens against 4 visual ones: a stack per stream, so every
     # frozen block and site runs per stream, each site on its rows of the
     # stacked parameters
-    "unequal": (dict(spec_hw=(12, 8)), 34, 34, 2_307_072, 4_608, 1_179),
+    "unequal": (dict(spec_hw=(12, 8)), 34, 34, 2_307_072, 4_608, 1_146),
     # no adapter sites: the frozen blocks, the head and the loss; only the
     # head and the loss record a gradient
-    "none": (dict(mode="none"), 2, 6, 1_704_960, 2_048, 122),
+    "none": (dict(mode="none"), 2, 6, 1_704_960, 2_048, 117),
 }
 
 
