@@ -16,15 +16,12 @@ compute in place do so only into arrays allocated for them, by themselves or
 by a caller that hands the array over (an activation writes over its input),
 never into an input's ``.data``, a saved array or the incoming gradient.
 
-This module is the engine and knows nothing of the model. Three layers:
+This module is the engine and knows nothing of the model. Two layers:
 
 - the tape: ``Tensor``, ``Tensor._node`` (one recorded node), ``_accum``
   (how a gradient is added in) and ``_needs_grad`` (whether a node records a
   closure), then ``backward``; the one tape op here, ``cross_entropy_logits``,
   records one node;
-- operands along a direction axis: ``Slots``, the rows of one tensor read as
-  one operand, and ``_route``, which hands an operand its gradient, placing
-  it in a ``Slots`` tensor's rows (``_row_index``, ``_place_rows``);
 - kernels (``linear_fwd``, ``layer_norm_fwd``/``_bwd``, ``gelu_fwd``,
   ``relu_fwd``, ``attention_fwd``/``_bwd``, ``grouped_linear_fwd``/``_bwd``)
   are plain numpy and record nothing; an activation's forward returns its
@@ -32,22 +29,19 @@ This module is the engine and knows nothing of the model. Three layers:
   attention is one head per leading index, and the grouped linear maps take
   zero or one leading direction axes on their weights.
 
-The blocks are built on these in the modules that own their weights: each
-of ``backbone.mha``, ``backbone.mlp``, ``fusion.cma``, ``fusion.bottleneck``
-and ``model.event_head`` checks its operands, runs a chain of kernels and
-records it as one node whose closure saves only what its gradients need.
-Their tokens are one sample's ``(N, D)`` or a batch's ``(B, N, D)``, with
-further leading axes (streams, directions) where a block takes them;
-weights, biases and latents stay unbatched and get their gradients summed
-over the batch.
+The model's kernels live with their weights: ``backbone.mha`` and ``mlp``,
+``fusion.gated_attention``, ``compress_to_latents``, ``fuse_with_latents``,
+``bottleneck`` and ``adapter_forward``. Each records nothing and returns its
+output with its backward, a closure that keeps only what its gradients
+need; weights, biases and latents get their gradients summed over the
+batch. ``fusion.layer_forward`` records one node per layer half per stack,
+``fusion.cma`` and ``model.event_head`` one node each.
 
-Tokens enter the tape as leaves: the tokenizers run the kernels on frozen
-weights and record nothing. The single-op tape versions of layer norm, GELU,
-ReLU, attention, grouped linear, ``add``, ``matmul``, ``mul``, ``scale``,
-``take``, ``add_rows``, ``mean_rows``, ``concat_cols`` and ``reshape`` have
-no caller here; they live in the tests' helpers, built on these kernels, as
-the oracle the blocks are checked against, beside the GELU and ReLU
-backward kernels the activation forwards replaced.
+Tokens enter the tape as leaves of the frozen tokenizers. Single-op tape
+versions of the kernels, of ``add``, ``matmul``, ``mul``, ``scale``,
+``take``, ``add_rows``, ``mean_rows``, ``concat_cols`` and ``reshape``, and
+the model's per-block layer live in the tests' helpers as the oracle the
+model is checked against.
 
 Also here: the deterministic counter-based RNG used for every weight draw and
 data draw in the package, and the multiply-accumulate counter used by the
@@ -56,6 +50,7 @@ cost-accounting instrumentation.
 from __future__ import annotations
 
 import hashlib
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -272,75 +267,7 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     lead = g.ndim - len(shape)
     if lead < 0 or g.shape[lead:] != shape:
         raise ShapeError(f"cannot reduce gradient of shape {g.shape} to {shape}")
-    return g.sum(axis=tuple(range(lead)))
-
-
-# ---------------------------------------------------------------------------
-# operands along a direction axis
-# ---------------------------------------------------------------------------
-#
-# The adapter blocks (``fusion.cma`` and ``fusion.bottleneck``) run every
-# direction of one attachment in one call: each operand carries a leading
-# direction axis, either as a plain tensor (a parameter stacked over the
-# directions, or a stacked output) or as the rows of a tensor that holds
-# other rows too. One direction's plain tensors, with no such axis, are the
-# same case with zero leading axes.
-
-
-def _row_index(rows: Sequence[int]) -> slice:
-    """A slice picking leading rows ``rows``, so a view; they must step by
-    +1 or -1, as a direction axis of at most two rows always does."""
-    step = rows[1] - rows[0] if len(rows) > 1 else 1
-    if step not in (1, -1) or any(rows[i] - rows[i - 1] != step for i in range(2, len(rows))):
-        raise ShapeError(f"rows {tuple(rows)} do not step by +1 or -1")
-    stop = rows[-1] + step
-    return slice(rows[0], None if stop < 0 else stop, step)
-
-
-def _place_rows(x: np.ndarray, rows: Sequence[int], n: int) -> np.ndarray:
-    """An ``(n, ...)`` array with leading row i of ``x`` at row ``rows[i]`` and
-    zeros elsewhere: a view of ``x`` when ``rows`` orders all n rows, since
-    an order by +1 or -1 is its own inverse."""
-    index = _row_index(rows)
-    if len(rows) == n:
-        return x[index]
-    full = np.zeros((n,) + x.shape[1:])
-    full[index] = x
-    return full
-
-
-class Slots:
-    """Rows of one tensor as an adapter block's operand along a leading
-    direction axis: ``Slots.rows(t, rows)`` fills slot i with leading row ``rows[i]``
-    of ``t``, a view when the rows step by +1 or -1. ``t`` is a stacked token
-    tensor (slot i is a direction's stream) or a stacked parameter (slot i
-    is one of its directions). ``route`` hands ``t`` the gradient of its
-    slots in their rows, zeros in the rows no slot reads."""
-
-    __slots__ = ("tensor", "picked", "data", "requires_grad")
-
-    @classmethod
-    def rows(cls, t: Tensor, rows: Sequence[int]) -> "Slots":
-        s = cls.__new__(cls)
-        s.tensor = t
-        s.picked = tuple(rows)
-        s.data = t.data[_row_index(s.picked)]
-        s.requires_grad = t.requires_grad
-        return s
-
-    def route(self, g: np.ndarray) -> None:
-        if self.requires_grad:
-            t = self.tensor
-            _accum(t, _place_rows(g, self.picked, t.data.shape[0]))
-
-
-def _route(x, g: np.ndarray) -> None:
-    """Hand an adapter block's operand its gradient ``g``: ``Slots`` place it in
-    their tensor's rows, a plain tensor takes it."""
-    if type(x) is Slots:
-        x.route(g)
-    elif x.requires_grad:
-        _accum(x, g)
+    return np.add.reduce(g, axis=tuple(range(lead)))
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +418,13 @@ def attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     # overflow here is reported by the finiteness check, not by a warning
     with np.errstate(over="ignore", invalid="ignore"):
         probs = np.matmul(q, k.swapaxes(-1, -2))
-        probs *= 1.0 / np.sqrt(q.shape[-1])
-    if not np.isfinite(probs).all():
+        probs *= 1.0 / math.sqrt(q.shape[-1])
+    # ufunc reduces, without the Python-level wrappers of .all, .max, .sum
+    if not np.logical_and.reduce(np.isfinite(probs), axis=None):
         raise NonFiniteError("attention: scores contain non-finite values")
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     _tally_macs(probs.size * (k.shape[-1] + v.shape[-1]))
     _tally_softmax(probs.size)
     return np.matmul(probs, v), probs
@@ -513,9 +441,9 @@ def attention_bwd(g, q, k, v, probs, want=(True, True, True)):
     if want_q or want_k:
         # ds = probs * (dp - rowsum(dp * probs)) / sqrt(D), in dp's buffer
         ds = np.matmul(g, v.swapaxes(-1, -2))
-        ds -= np.multiply(ds, probs).sum(axis=-1, keepdims=True)
+        ds -= np.add.reduce(np.multiply(ds, probs), axis=-1, keepdims=True)
         ds *= probs
-        ds *= 1.0 / np.sqrt(q.shape[-1])
+        ds *= 1.0 / math.sqrt(q.shape[-1])
         if want_q:
             dq = np.matmul(ds, k)
         if want_k:
@@ -563,7 +491,7 @@ def grouped_linear_bwd(g: np.ndarray, x: np.ndarray, w: np.ndarray, want=(True, 
         xs = x.reshape(w.shape[:lead] + (-1, groups, gin)).swapaxes(-3, -2).swapaxes(-2, -1)
         dw = np.matmul(xs, g.reshape(w.shape[:lead] + (-1, groups, gout)).swapaxes(-3, -2))
     if want_b:
-        db = g.reshape(w.shape[:lead] + (-1, groups * gout)).sum(axis=-2)
+        db = np.add.reduce(g.reshape(w.shape[:lead] + (-1, groups * gout)), axis=-2)
     return dx, dw, db
 
 
@@ -591,13 +519,13 @@ def cross_entropy_logits(logits, labels) -> Tensor:
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"cross_entropy_logits: labels out of range for {c} classes")
     z = logits.data
-    zmax = z.max(axis=1, keepdims=True)
+    zmax = np.maximum.reduce(z, axis=1, keepdims=True)
     e = np.exp(z - zmax)
-    lse = zmax[:, 0] + np.log(e.sum(axis=1))
+    lse = zmax[:, 0] + np.log(np.add.reduce(e, axis=1))
     picked = z[np.arange(n), labels]
     out = Tensor._node(np.asarray((lse - picked).mean()), (logits,))
     if out.requires_grad:
-        probs = e / e.sum(axis=1, keepdims=True)
+        probs = e / np.add.reduce(e, axis=1, keepdims=True)
         def _bw(g: np.ndarray) -> None:
             d = probs.copy()
             d[np.arange(n), labels] -= 1.0
@@ -646,7 +574,8 @@ def backward(loss: Tensor) -> None:
         for parent in node._parents:
             if parent._backward_done:
                 raise GraphError("backward: this graph reaches a node an earlier pass released; rebuild it")
-            if parent.requires_grad and id(parent) not in seen:
+            # a leaf has no closure to run, so the walk leaves it out
+            if parent._backward is not None and id(parent) not in seen:
                 stack.append((parent, False))
     loss.grad = np.ones_like(loss.data)
     # popping drops the walk's reference, so each node's output is freed as
@@ -654,7 +583,7 @@ def backward(loss: Tensor) -> None:
     while order:
         node = order.pop()
         if node._backward is None:
-            continue  # a leaf
+            continue  # a loss that is itself a leaf
         if node.grad is not None:
             node._backward(node.grad)
         node.grad = node._backward = None

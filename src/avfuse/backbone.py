@@ -5,11 +5,13 @@ into patch tokens of the same width and pushed through the same pre-norm
 attention/MLP blocks; the MLP is GELU, as in ViT. A list of inputs is
 tokenized as one ``(B, N, D)`` batch: the frozen projection and positional
 table run as kernels, and the tokens come out as a leaf that records no
-node. Every block runs on plain token tensors with any leading axes: a stack
-of streams, a batch or one sample's ``(N, D)`` tokens, and is a whole layer
-half, ``x + f(LN(x))`` as in ViT, with a cross term added into its rows in
-the same node. Everything here is frozen at construction; the only trainable
-state in the package lives in the adapter sites and the task head.
+node. Each block, ``mha`` or ``mlp``, is a whole layer half, ``x + f(LN(x))``
+as in ViT, written as a forward kernel on plain arrays with any leading axes
+(a stack of streams, a batch or one sample's ``(N, D)`` tokens) that records
+nothing and returns its backward; ``fusion.layer_forward`` runs it inside
+the layer half's node, beside the adapter sites that add into the same
+stack. Everything here is frozen at construction; the only trainable state
+in the package lives in the adapter sites and the task head.
 
 ``FreezeRegistry`` holds every parameter by name, with two views: one entry
 per named parameter (what is saved, hashed, loaded and counted), and the
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,10 +30,7 @@ from .autodiff import (
     Rng,
     ShapeError,
     Tensor,
-    _accum,
     _merge,
-    _needs_grad,
-    _row_index,
     _split,
     attention_bwd,
     attention_fwd,
@@ -254,77 +252,50 @@ def init_layer_weights(width: int, heads: int, seed: int, name: str) -> FrozenLa
     )
 
 
-def _residual_node(op: str, x: Tensor, y: np.ndarray, term: Tensor | None, rows: Sequence[int], dx) -> Tensor:
-    """A layer half as one node: ``y``, a frozen block's fresh output for
-    ``x``, plus ``x``, then row i of ``term`` added into row ``rows[i]``.
-    ``dx`` maps the gradient to the block's input gradient and is dropped
-    when ``x`` needs none, so nothing the block saved is kept. Gradients go
-    to ``x``, then through ``dx``, then to the term, as two nodes gave them."""
-    shape = x.data.shape
-    if term is not None and (term.data.shape != (len(rows),) + shape[1:] or len(set(rows)) != len(rows)
-                             or not all(0 <= r < shape[0] for r in rows)):
-        raise ShapeError(f"{op}: a term of shape {term.data.shape} does not fit rows {rows} of {shape}")
-    y += x.data
-    if term is not None:
-        index = _row_index(rows)
-        y[index] += term.data
-    out = Tensor._node(y, (x,) if term is None else (x, term))
-    if out.requires_grad:
-        if not x.requires_grad:
-            dx = None
-        def _bw(g: np.ndarray) -> None:
-            if dx is not None:
-                _accum(x, g)
-                _accum(x, dx(g))
-            if term is not None and term.requires_grad:
-                _accum(term, g[index])
-        out._backward = _bw
-    return out
-
-
-def mha(x: Tensor, w: FrozenLayerWeights, term: Tensor | None = None, rows: Sequence[int] = ()) -> Tensor:
-    """The pre-norm multi-head self-attention half of a layer for tokens on
-    any leading axes (each stream of a stack attends within itself): one
-    tape node that returns x + attention(t wq, t wk, t wv) wo for
-    t = layer_norm(x), with ``term`` added into rows ``rows``. The columns
-    are split into heads, so scores are scaled by 1/sqrt(width/heads). x's
-    gradient comes from the saved xhat, inv, Q/K/V heads and softmax; the
-    weights must not require one."""
-    width, heads = w.wq.data.shape[0], w.heads
-    if x.data.shape[-1] != width:
-        raise ShapeError(f"mha: token width {x.data.shape[-1]} does not match layer width {width}")
-    if width % heads:
-        raise ShapeError(f"mha: head count {heads} does not divide width {width}")
-    _check_frozen("mha", gain=w.ln1_gain, shift=w.ln1_shift, wq=w.wq, wk=w.wk, wv=w.wv, wo=w.wo)
-    t, xhat, inv = layer_norm_fwd(x.data, w.ln1_gain.data, w.ln1_shift.data)
-    q, k, v = (_split(linear_fwd(t, p.data), heads) for p in (w.wq, w.wk, w.wv))
+def mha(x: np.ndarray, w: FrozenLayerWeights, keep: bool):
+    """The pre-norm multi-head self-attention half of a layer as a forward
+    kernel on tokens with any leading axes (each stream of a stack attends
+    within itself): ``x + attention(t wq, t wk, t wv) wo`` for ``t =
+    layer_norm(x)``, Q, K and V from one product, split into heads. With
+    ``keep`` it returns its backward too, the gradient of ``x`` through the
+    attention (the residual's is the caller's), which keeps xhat, inv, the
+    heads and the softmax; else None. The caller checks the operands."""
+    heads = w.heads
+    t, xhat, inv = layer_norm_fwd(x, w.ln1_gain.data, w.ln1_shift.data)
+    qkv = _split(linear_fwd(t, np.concatenate((w.wq.data, w.wk.data, w.wv.data), axis=1)), 3 * heads)
     del t
+    q, k, v = qkv[..., :heads, :, :], qkv[..., heads:2 * heads, :, :], qkv[..., 2 * heads:, :, :]
     attended, probs = attention_fwd(q, k, v)
+    y = linear_fwd(_merge(attended), w.wo.data)
+    y += x
+    if not keep:
+        return y, None
 
-    def dx(g: np.ndarray) -> np.ndarray:
+    def back(g: np.ndarray) -> np.ndarray:
         dq, dk, dv = attention_bwd(_split(g @ w.wo.data.T, heads), q, k, v, probs)
         # the order the q, k and v products handed their gradients back
         dt = _merge(dq) @ w.wq.data.T
         dt += _merge(dk) @ w.wk.data.T
         dt += _merge(dv) @ w.wv.data.T
         return layer_norm_bwd(dt, w.ln1_gain.data, xhat, inv)
-    return _residual_node("mha", x, linear_fwd(_merge(attended), w.wo.data), term, rows, dx)
+    return y, back
 
 
-def mlp(x: Tensor, w: FrozenLayerWeights, term: Tensor | None = None, rows: Sequence[int] = ()) -> Tensor:
+def mlp(x: np.ndarray, w: FrozenLayerWeights, keep: bool):
     """The pre-norm position-wise GELU MLP half of a layer (width -> 4*width
-    -> width), one tape node as ``mha``: x + gelu(t w1 + b1) w2 + b2 for
-    t = layer_norm(x). x's gradient comes from the saved xhat, inv and GELU
-    derivative."""
-    if x.data.shape[-1] != w.wq.data.shape[0]:
-        raise ShapeError(f"mlp: token width {x.data.shape[-1]} does not match layer width {w.width}")
-    _check_frozen("mlp", gain=w.ln2_gain, shift=w.ln2_shift, w1=w.mlp_w1, b1=w.mlp_b1, w2=w.mlp_w2, b2=w.mlp_b2)
-    t, xhat, inv = layer_norm_fwd(x.data, w.ln2_gain.data, w.ln2_shift.data)
+    -> width) as a forward kernel like ``mha``: ``x + gelu(t w1 + b1) w2 +
+    b2`` for ``t = layer_norm(x)``. Its backward keeps xhat, inv and the
+    GELU derivative, which is formed only with ``keep``."""
+    t, xhat, inv = layer_norm_fwd(x, w.ln2_gain.data, w.ln2_shift.data)
     pre = linear_fwd(t, w.mlp_w1.data, w.mlp_b1.data)
     del t
-    hidden, d = gelu_fwd(pre, _needs_grad((x,)))
+    hidden, d = gelu_fwd(pre, keep)
+    y = linear_fwd(hidden, w.mlp_w2.data, w.mlp_b2.data)
+    y += x
+    if not keep:
+        return y, None
 
-    def dx(g: np.ndarray) -> np.ndarray:
+    def back(g: np.ndarray) -> np.ndarray:
         nonlocal d
         dh = g @ w.mlp_w2.data.T
         dh *= d
@@ -332,7 +303,7 @@ def mlp(x: Tensor, w: FrozenLayerWeights, term: Tensor | None = None, rows: Sequ
         dt = dh @ w.mlp_w1.data.T
         del dh
         return layer_norm_bwd(dt, w.ln2_gain.data, xhat, inv)
-    return _residual_node("mlp", x, linear_fwd(hidden, w.mlp_w2.data, w.mlp_b2.data), term, rows, dx)
+    return y, back
 
 
 # ---------------------------------------------------------------------------

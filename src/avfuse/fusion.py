@@ -24,18 +24,17 @@ drawn from its own site's RNG stream, and the registry names each slot
 ``adapter.layer<i>.<direction>_<attachment>.<part>``, as if the site owned
 it alone.
 
-Token tensors may carry a leading batch axis; latent tokens never do, and
-serve every sample of a batch. Through the layers the streams travel in
-stacks, ``(S, B, N, D)`` tensors, one per token count, whose rows in order
-are the streams in ``STACK_ORDER``, and ``layer_forward`` runs the sites of
-one attachment that write one stack as one call over the direction axis:
-the tokens are ``Slots`` of rows of the stacks, and the parameters are the
-stacked leaves, whole when the call runs all their directions, else
-``Slots`` of their rows.
+Latent tokens serve every sample of a batch. The streams travel in stacks,
+``(S, B, N, D)`` tensors, one per token count, whose rows in order are the
+streams in ``STACK_ORDER``. ``layer_forward`` records one tape node per
+layer half per stack, which runs the frozen block (``mha`` or ``mlp``) and
+the sites whose targets lie in the stack (``adapter_forward``: compress,
+fuse, bottleneck) as forward kernels on views of the stacks' rows and of
+the stacked leaves. ``cma`` is the gated attention as one node.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,16 +42,15 @@ from .autodiff import (
     ACTIVATIONS,
     Rng,
     ShapeError,
-    Slots,
     Tensor,
+    _accum,
     _needs_grad,
-    _route,
     attention_bwd,
     attention_fwd,
     grouped_linear_bwd,
     grouped_linear_fwd,
 )
-from .backbone import AUDIO, STACK_ORDER, VISUAL, FreezeRegistry, FrozenLayerWeights, mha, mlp
+from .backbone import AUDIO, STACK_ORDER, VISUAL, FreezeRegistry, FrozenLayerWeights, _check_frozen, mha, mlp
 
 MODE_DIRECTIONS = {"none": (), "a2v": ("a2v",), "v2a": ("v2a",), "bidirectional": ("a2v", "v2a")}
 MODES = tuple(MODE_DIRECTIONS)
@@ -78,26 +76,56 @@ GATE_INIT = 1.0
 # ---------------------------------------------------------------------------
 
 
-def cma(query, key, value, gate) -> Tensor:
-    """Gated single-head cross-attention with a residual on the query side:
+def gated_attention(query: np.ndarray, key: np.ndarray, value: np.ndarray, gate: np.ndarray, want):
+    """Gated single-head cross-attention with a residual on the query side,
+    ``query + gate * softmax(query key^T / sqrt(width)) value``, as a forward
+    kernel. The operands lead with the gate's axes, none or one (a gate per
+    direction); a query with one axis fewer than the key (latent tokens)
+    serves every sample of the key's batch. ``want`` flags (query, key,
+    value, gate); the backward, None without any, maps the output gradient
+    to their gradients (None where not wanted, a key that is the value
+    summed into dvalue), keeping the attention output and what it needs."""
+    lead = gate.ndim
+    # a batch axis after the leading axes for a query without one
+    q_low = query.ndim < key.ndim
+    if q_low:
+        query = query.reshape(query.shape[:lead] + (1,) + query.shape[lead:])
+    gd = gate.reshape(gate.shape + (1,) * (key.ndim - lead))
+    attended, probs = attention_fwd(query, key, value)
+    y = query + attended * gd
+    want_gate, want = want[3], want[:3]
+    if not (want_gate or any(want)):
+        return y, None
+    saved = (query, key, value, probs) if any(want) else None
+    shared, gate_shape = key is value, gate.shape
 
-        out = query + gate * softmax(query key^T / sqrt(width)) value
+    def back(g: np.ndarray):
+        dgate = dq = dk = dv = None
+        if want_gate:
+            dgate = np.add.reduce(np.multiply(g, attended).reshape(gate_shape + (-1,)), axis=-1)
+        if saved is not None:
+            dq, dk, dv = attention_bwd(g * gd, *saved, want)
+        # the residual into q after the attention's part; addition commutes,
+        # so dq + residual is residual + dq bit for bit
+        if dq is not None:
+            if q_low:
+                dq = np.add.reduce(dq, axis=lead)
+                dq += np.add.reduce(g, axis=lead)
+            else:
+                dq += g
+        if dk is not None and shared:
+            dv += dk
+            dk = None
+        return dq, dk, dv, dgate
+    return y, back
 
-    The gate is a trainable scalar; at gate == 0 the op returns the query
-    exactly. There are no key/value projections. Operands are 2-D or
+
+def cma(query: Tensor, key: Tensor, value: Tensor, gate: Tensor) -> Tensor:
+    """``gated_attention`` as one tape node on plain tensors with a scalar
+    gate; at gate == 0 it returns the query exactly. Operands are 2-D or
     batched; a 2-D query (latent tokens) serves every sample of a batched
-    key/value, a batched query needs a key/value of its batch. The whole
-    expression is one tape node. With a gate of shape ``(S,)`` every operand
-    carries a leading axis of S directions, as a plain tensor or as
-    ``Slots``, and each direction follows these rules. The backward pass
-    keeps the softmax and the attention output; it routes each operand's
-    gradient once, its contributions summed in place.
-    """
+    key/value, a batched query needs a key/value of its batch."""
     q, k, v, g = query.data.shape, key.data.shape, value.data.shape, gate.data.shape
-    if len(g) == 1:
-        if not q[0] == k[0] == v[0] == g[0]:
-            raise ShapeError("cma: operands disagree on the number of directions")
-        q, k, v, g = q[1:], k[1:], v[1:], g[1:]
     if len(q) not in (2, 3) or len(k) not in (2, 3) or len(v) not in (2, 3):
         raise ShapeError(f"cma: need 2-D or batched operands, got shapes {q}, {k}, {v}")
     if q[-1] != k[-1]:
@@ -108,60 +136,31 @@ def cma(query, key, value, gate) -> Tensor:
         raise ShapeError(f"cma: query {q} and key {k} disagree on the batch")
     if g != ():
         raise ShapeError(f"cma: gate must be a scalar, got shape {g}")
-    # the gate's axes, none or one, lead every operand and the output
-    lead = gate.data.ndim
-    qd, kd, vd, gd = query.data, key.data, value.data, gate.data
-    # a batch axis after the leading axes for a query without one
-    q_low = qd.ndim < kd.ndim
-    if q_low:
-        qd = qd.reshape(qd.shape[:lead] + (1,) + qd.shape[lead:])
-    gd = gd.reshape(gd.shape + (1,) * (kd.ndim - lead))
-    attended, probs = attention_fwd(qd, kd, vd)
-    y = qd + attended * gd
-    # a Slots operand's parent is the tensor it reads rows of
-    out = Tensor._node(y, (
-        query.tensor if type(query) is Slots else query, key.tensor if type(key) is Slots else key,
-        value.tensor if type(value) is Slots else value, gate.tensor if type(gate) is Slots else gate))
+    parents = (query, key, value, gate)
+    on = _needs_grad(parents)
+    y, back = gated_attention(query.data, key.data, value.data, gate.data,
+                              tuple(on and t.requires_grad for t in parents))
+    out = Tensor._node(y, parents)
     if out.requires_grad:
-        want = (query.requires_grad, key.requires_grad, value.requires_grad)
-        saved = (qd, kd, vd, probs) if any(want) else None
-
         def _bw(g: np.ndarray) -> None:
-            dgate = dq = dk = dv = None
-            if gate.requires_grad:
-                dgate = np.multiply(g, attended).reshape(gate.data.shape + (-1,)).sum(axis=-1)
-            if saved is not None:
-                dq, dk, dv = attention_bwd(g * gd, *saved, want)
-            # sums in the order the chain's leaves receive them: the residual
-            # into q, then v, q, k; addition commutes, so dq + residual is
-            # residual + dq bit for bit
-            if dq is not None:
-                if q_low:
-                    dq = dq.sum(axis=lead)
-                    dq += g.sum(axis=lead)
-                else:
-                    dq += g
-            if dk is not None and key is value:
-                dv += dk
-                dk = None
+            dq, dk, dv, dgate = back(g)
             for x, d in ((query, dq), (gate, dgate), (value, dv), (key, dk)):
                 if d is not None:
-                    _route(x, d)
+                    _accum(x, d)
         out._backward = _bw
     return out
 
 
-def compress_to_latents(latents, source, gate) -> Tensor:
-    """Summarize source tokens into the (m, width) latent slots via gated
-    cross-attention. Output has one row per latent regardless of source
-    length."""
-    return cma(latents, source, source, gate)
+def compress_to_latents(latents: np.ndarray, source: np.ndarray, gate: np.ndarray, want):
+    """Summarize source tokens into the (m, width) latents with
+    ``gated_attention``; ``want`` flags latents, source and gate."""
+    return gated_attention(latents, source, source, gate, (want[0], want[1], want[1], want[2]))
 
 
-def fuse_with_latents(target, summary: Tensor, gate) -> Tensor:
-    """Let the target tokens attend to a compressed summary; row count and
-    width of the target are preserved."""
-    return cma(target, summary, summary, gate)
+def fuse_with_latents(target: np.ndarray, summary: np.ndarray, gate: np.ndarray, want):
+    """Let the target tokens attend to a compressed summary with
+    ``gated_attention``; ``want`` flags target, summary and gate."""
+    return gated_attention(target, summary, summary, gate, (want[0], want[1], want[1], want[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +174,15 @@ class BottleneckParams:
 
     down_w: (groups, width/groups, narrow/groups), up_w mirrors it back.
     The up projection (and both biases) start at zero, which pins the whole
-    bottleneck output to zero at init. Stacked sites hold leaves, or
-    ``Slots`` of their rows, whose shapes lead with the direction axis.
+    bottleneck output to zero at init. Stacked sites hold leaves whose
+    shapes lead with the direction axis.
     """
 
-    down_w: Tensor | Slots
-    up_w: Tensor | Slots
+    down_w: Tensor
+    up_w: Tensor
     act: str = "gelu"
-    down_b: Tensor | Slots | None = None
-    up_b: Tensor | Slots | None = None
-
-    @property
-    def width(self) -> int:
-        shape = self.down_w.data.shape
-        return shape[-3] * shape[-2]
+    down_b: Tensor | None = None
+    up_b: Tensor | None = None
 
 
 def init_bottleneck(
@@ -224,40 +218,30 @@ def init_bottleneck(
     )
 
 
-def bottleneck(x: Tensor, params: BottleneckParams) -> Tensor:
-    """Apply up(act(down(x))) as one tape node. Shape is preserved. With
-    stacked parameters (a 4-D ``down_w``), ``x`` carries the direction axis
-    too, as a plain tensor or as ``Slots``. The backward pass gives x, both
-    weights and both biases their gradients from the saved activation and
-    its derivative."""
-    shape, width = x.data.shape, params.width
-    if len(shape) - (params.down_w.data.ndim - 3) not in (2, 3) or shape[-1] != width:
-        raise ShapeError(f"bottleneck: input shape {shape} does not match width {width}")
-    if params.act not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {params.act!r}")
-    down_w, down_b, up_w, up_b = params.down_w, params.down_b, params.up_w, params.up_b
-    xd, dwd, uwd = x.data, down_w.data, up_w.data
-    dbd = None if down_b is None else down_b.data
-    ubd = None if up_b is None else up_b.data
-    a, d = ACTIVATIONS[params.act](grouped_linear_fwd(xd, dwd, dbd), _needs_grad((x, down_w, down_b)))
-    y = grouped_linear_fwd(a, uwd, ubd)
-    out = Tensor._node(y, tuple(o.tensor if type(o) is Slots else o
-                                for o in (x, down_w, down_b, up_w, up_b) if o is not None))
-    if out.requires_grad:
-        below = (x.requires_grad, down_w.requires_grad, down_b is not None and down_b.requires_grad)
-        above = (any(below), up_w.requires_grad, up_b is not None and up_b.requires_grad)
+def bottleneck(x: np.ndarray, down_w: np.ndarray, down_b: np.ndarray | None, up_w: np.ndarray,
+               up_b: np.ndarray | None, act: str, want):
+    """up(act(down(x))) with grouped maps as a forward kernel; the weights
+    and biases (None for none) lead with x's direction axes, zero or one.
+    ``want`` flags (x, down_w, down_b, up_w, up_b); the backward, None
+    without any, maps the output gradient to their gradients, None where not
+    wanted. It keeps the activation and, only when something below it needs
+    a gradient, its derivative."""
+    below = want[:3]
+    deriv = any(below)
+    a, d = ACTIVATIONS[act](grouped_linear_fwd(x, down_w, down_b), deriv)
+    y = grouped_linear_fwd(a, up_w, up_b)
+    if not (deriv or want[3] or want[4]):
+        return y, None
+    above = (deriv, want[3], want[4])
 
-        def _bw(g: np.ndarray) -> None:
-            da, dw, db = grouped_linear_bwd(g, a, uwd, above)
-            grads = [(up_w, dw), (up_b, db)]
-            if da is not None:
-                da *= d
-                grads += zip((x, down_w, down_b), grouped_linear_bwd(da, xd, dwd, below))
-            for o, grad in grads:
-                if grad is not None:
-                    _route(o, grad)
-        out._backward = _bw
-    return out
+    def back(g: np.ndarray):
+        da, duw, dub = grouped_linear_bwd(g, a, up_w, above)
+        dx = ddw = ddb = None
+        if da is not None:
+            da *= d
+            dx, ddw, ddb = grouped_linear_bwd(da, x, down_w, below)
+        return dx, ddw, ddb, duw, dub
+    return y, back
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +257,33 @@ class AdapterSites:
     have (S, m, width) latents and (S,) compression gates, direct sites
     neither; all have (S,) fusion gates and a grouped bottleneck of stacked
     leaves. The sites share no values: each slot is drawn from its own
-    site's stream."""
+    site's stream. The parts are checked against each other once, here."""
 
     directions: tuple[str, ...]
     latents: Tensor | None
     gate_compress: Tensor | None
     gate_fuse: Tensor
     neck: BottleneckParams
+    width: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        shape = {p: None if t is None else t.data.shape for p, t in self.parts().items()}
+        s, dw = len(self.directions), shape["down_w"]
+        if len(dw) != 4 or dw[0] != s:
+            raise ShapeError(f"AdapterSites: down_w of shape {dw} is not grouped over the number of directions, {s}")
+        _, groups, gin, gout = dw
+        self.width = width = groups * gin
+        want = {"latents": (s,) + (shape["latents"] or (0, 0))[1:2] + (width,), "gate_compress": (s,),
+                "gate_fuse": (s,), "down_w": dw, "up_w": (s, groups, gout, gin), "down_b": (s, groups * gout),
+                "up_b": (s, width)}
+        for part, got in shape.items():
+            if got is not None and got != want[part]:
+                raise ShapeError(f"AdapterSites: {part} of shape {got} does not fit {s} directions of width {width}, "
+                                 f"grouped as down_w {dw}: expected {want[part]}")
+        if (shape["latents"] is None) != (shape["gate_compress"] is None):
+            raise ShapeError("AdapterSites: latents need a compression gate, and a compression gate latents")
+        if self.neck.act not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.neck.act!r}")
 
     def parts(self) -> dict[str, Tensor | None]:
         """Each part's leaf (None where the sites have none), in ``PARTS``
@@ -352,33 +356,133 @@ def build_layer_sites(
     return sites
 
 
-def adapter_forward(source: Slots, target: Slots, sites: AdapterSites, slots: tuple[int, ...]) -> Tensor:
+def adapter_forward(source: np.ndarray, target: np.ndarray, parts, act: str, want):
     """The additive cross-modal term injected next to one frozen sub-step,
-    from the sites in slots ``slots`` of ``sites``, one per row of
-    ``source`` and ``target``.
-
-    Latent sites run compress -> fuse -> bottleneck; direct sites attend to
-    the source tokens themselves before the same bottleneck. The result
-    carries the direction axis, has the target's shape and is exactly zero
-    while the up projection is zero. When ``slots`` runs every site in
-    order, the stacked leaves are passed whole; otherwise each is read as
-    ``Slots`` of those rows.
-    """
-    if not source.data.shape[0] == target.data.shape[0] == len(slots):
-        raise ShapeError("adapter_forward: source, target and sites disagree on the number of directions")
-    latents, gate_compress, gate_fuse, neck = sites.latents, sites.gate_compress, sites.gate_fuse, sites.neck
-    if slots != tuple(range(len(sites.directions))):
-        def rows(t: Tensor | None) -> Slots | None:
-            return None if t is None else Slots.rows(t, slots)
-
-        latents, gate_compress, gate_fuse = rows(latents), rows(gate_compress), rows(gate_fuse)
-        neck = BottleneckParams(rows(neck.down_w), rows(neck.up_w), neck.act, rows(neck.down_b), rows(neck.up_b))
+    as a forward kernel, for sites stacked along a leading direction axis,
+    one per leading row of ``source`` and ``target``: ``parts`` holds their
+    arrays in ``PARTS`` order (None for a part they lack). Latent sites run
+    compress -> fuse -> bottleneck; direct sites attend to the source tokens
+    themselves. The term is exactly zero while the up projection is zero.
+    ``want`` flags the source, the target and the parts; the backward, None
+    without any, maps the term's gradient to (dsource, dtarget, dparts),
+    None where not wanted."""
+    latents, gate_compress, gate_fuse, down_w, up_w, down_b, up_b = parts
+    want_src, want_dst, want_lat, want_gc, want_gf, want_dw, want_uw, want_db, want_ub = want
     if latents is not None:
-        summary = compress_to_latents(latents, source, gate_compress)
-        fused = fuse_with_latents(target, summary, gate_fuse)
+        want_kv = want_lat or want_src or want_gc
+        summary, back_c = compress_to_latents(latents, source, gate_compress, (want_lat, want_src, want_gc))
+        fused, back_f = fuse_with_latents(target, summary, gate_fuse, (want_dst, want_kv, want_gf))
     else:
-        fused = cma(target, source, source, gate_fuse)
-    return bottleneck(fused, neck)
+        want_kv, back_c = want_src, None
+        fused, back_f = gated_attention(target, source, source, gate_fuse, (want_dst, want_src, want_src, want_gf))
+    want_fused = want_dst or want_kv or want_gf
+    term, back_b = bottleneck(fused, down_w, down_b, up_w, up_b, act, (want_fused, want_dw, want_db, want_uw, want_ub))
+    if back_b is None:
+        return term, None
+
+    def back(g: np.ndarray):
+        dfused, ddw, ddb, duw, dub = back_b(g)
+        dsrc = ddst = dlat = dgc = dgf = None
+        if dfused is not None:
+            ddst, _, dkv, dgf = back_f(dfused)
+            if back_c is None:
+                dsrc = dkv
+            elif dkv is not None:
+                dlat, _, dsrc, dgc = back_c(dkv)
+        return dsrc, ddst, (dlat, dgc, dgf, ddw, duw, ddb, dub)
+    return term, back
+
+
+# ---------------------------------------------------------------------------
+# the layer
+# ---------------------------------------------------------------------------
+
+
+def _row_index(rows: tuple[int, ...], n: int):
+    """A view's index of leading rows ``rows`` of n: ``...`` for all in order,
+    else a slice; they must step by +1 or -1, as two rows always do."""
+    if rows == tuple(range(n)):
+        return ...
+    step = rows[1] - rows[0] if len(rows) > 1 else 1
+    if step not in (1, -1) or any(rows[i] - rows[i - 1] != step for i in range(2, len(rows))):
+        raise ShapeError(f"rows {rows} do not step by +1 or -1")
+    stop = rows[-1] + step
+    return slice(rows[0], None if stop < 0 else stop, step)
+
+
+def _accum_rows(t: Tensor, index: slice, g: np.ndarray) -> None:
+    """``_accum`` of the gradient that holds ``g`` in leading rows ``index``
+    of ``t`` and zeros in its other rows."""
+    if len(range(t.data.shape[0])[index]) == t.data.shape[0]:
+        _accum(t, g[index])  # all rows reversed: a reversal is its own inverse
+    else:
+        full = np.zeros(t.data.shape)
+        full[index] = g
+        _accum(t, full)
+
+
+def _targets(directions: tuple[str, ...], rows: tuple[int, ...]) -> dict[int, tuple]:
+    """For each stack the sites in ``directions`` write, given the stacks'
+    row counts: its one source stack, then the slot, source-row and
+    target-row indexes of those sites (``_row_index``)."""
+    where = dict(zip(STACK_ORDER, ((s, i) for s, n in enumerate(rows) for i in range(n))))
+    groups: dict[int, list[tuple[int, int, int, int]]] = {}
+    for slot, d in enumerate(directions):
+        (src, i), (dst, j) = where[SOURCE[d]], where[TARGET[d]]
+        groups.setdefault(dst, []).append((src, slot, i, j))
+    plan = {}
+    for dst, group in groups.items():
+        src, slots, src_rows, dst_rows = zip(*group)
+        plan[dst] = (src[0], _row_index(slots, len(directions)), _row_index(src_rows, rows[src[0]]),
+                     _row_index(dst_rows, rows[dst]))
+    return plan
+
+
+def _site_term(sites: AdapterSites, x: Tensor, stacks: list[Tensor], target: tuple) -> tuple:
+    """The term ``sites`` add into stack ``x`` (``target`` from ``_targets``)
+    and what the half's node needs: (term, backward, leaves in ``PARTS``
+    order, source stack, slot, source-row and target-row indexes)."""
+    leaves = tuple(sites.parts().values())
+    src_k, slot, src_rows, dst_rows = target
+    src = stacks[src_k]
+    on = _needs_grad((x, src) + leaves)
+    term, back = adapter_forward(
+        src.data[src_rows], x.data[dst_rows], [None if t is None else t.data[slot] for t in leaves], sites.neck.act,
+        (on and src.requires_grad, on and x.requires_grad) + tuple(on and t is not None and t.requires_grad
+                                                                  for t in leaves))
+    return term, back, leaves, src, slot, src_rows, dst_rows
+
+
+def _half(block, x: Tensor, w: FrozenLayerWeights, site: tuple | None) -> Tensor:
+    """One stack's layer half as one tape node: the frozen ``block`` of
+    ``x`` plus the term of a ``site`` from ``_site_term`` in its target rows.
+    The backward hands out gradients in the order separate block and site
+    nodes gave them: ``x`` the output gradient, then the block's input
+    gradient (the block keeps nothing when ``x`` needs none); each site leaf
+    its gradient; ``x`` its target rows'; the source stack its source
+    rows'."""
+    term, back_s, leaves, src, slot, src_rows, dst_rows = site or (None, None, (), None, None, None, None)
+    parents = (x,) + (() if src is None or src is x else (src,)) + tuple(t for t in leaves if t is not None)
+    y, back_x = block(x.data, w, _needs_grad((x,)))
+    if term is not None:
+        y[dst_rows] += term
+    out = Tensor._node(y, parents)
+    if out.requires_grad:
+        def _bw(g: np.ndarray) -> None:
+            if back_x is not None:
+                _accum(x, g)
+                _accum(x, back_x(g))
+            if back_s is not None:
+                dsrc, ddst, dparts = back_s(g[dst_rows])
+                for t, d in zip(leaves, dparts):
+                    if d is not None:
+                        _accum(t, d) if slot is ... else _accum_rows(t, slot, d)
+                if ddst is not None:
+                    _accum(x, ddst) if dst_rows is ... else _accum_rows(x, dst_rows, ddst)
+                if dsrc is not None:
+                    _accum(src, dsrc) if src_rows is ... else _accum_rows(src, src_rows, dsrc)
+        out._backward = _bw
+    return out
 
 
 def layer_forward(stacks: list[Tensor], w: FrozenLayerWeights, sites: dict[str, AdapterSites]) -> list[Tensor]:
@@ -387,38 +491,33 @@ def layer_forward(stacks: list[Tensor], w: FrozenLayerWeights, sites: dict[str, 
 
     The streams travel in stacks: each is an ``(S, B, N, D)`` tensor of the
     S streams that share a token count, and the stacks' rows, read in order,
-    are the streams in ``STACK_ORDER``; one sample is a batch of one.
-    Each frozen block runs once per stack. At one attachment, the sites whose
-    targets share a stack run as one ``adapter_forward`` call over rows of
-    the stacks; with two streams their sources share a stack too. Each
-    stack's half step is then one frozen block node, which adds its input
-    and, if the stack is a target, the term into the target rows. Both
-    attention-side terms read the pre-update states, and both MLP-side terms
-    read the post-attention ones; neither stream ever sees the other's
-    half-updated state.
+    are the streams in ``STACK_ORDER``; one sample is a batch of one. Each
+    half records one node per stack, which runs the frozen block once for
+    the stack's streams and one ``adapter_forward`` call for the sites whose
+    targets lie in it. Both attention-side terms read the pre-update states,
+    and both MLP-side terms the post-attention ones. Every check runs before
+    any kernel: stack ranks and rows, token and site widths, heads, and the
+    frozen weights.
     """
+    shapes = [x.data.shape for x in stacks]
     # a 3-D stack would be told from one stream's (B, N, D) batch by its row
     # count alone
-    if any(x.data.ndim != 4 for x in stacks) or sum(x.data.shape[0] for x in stacks) != len(STACK_ORDER):
-        raise ShapeError(f"layer_forward: need (S, B, N, D) stacks that hold one row per stream, "
-                         f"got shapes {[x.data.shape for x in stacks]}")
-    # each stream's (stack, row): the stacks' rows, in order, are the streams in STACK_ORDER
-    where = dict(zip(STACK_ORDER, ((s, i) for s, x in enumerate(stacks) for i in range(x.data.shape[0]))))
-
-    def half(xs: list[Tensor], block, attachment: str) -> list[Tensor]:
-        terms = {}
+    if any(len(s) != 4 for s in shapes) or sum(s[0] for s in shapes) != len(STACK_ORDER):
+        raise ShapeError(f"layer_forward: need (S, B, N, D) stacks that hold one row per stream, got shapes {shapes}")
+    width = w.wq.data.shape[0]
+    widths = {s[-1] for s in shapes} | {at.width for at in sites.values()}
+    if widths != {width}:
+        raise ShapeError(f"layer_forward: token and site widths {sorted(widths)} do not match layer width {width}")
+    if width % w.heads:
+        raise ShapeError(f"layer_forward: head count {w.heads} does not divide width {width}")
+    _check_frozen("mha", gain=w.ln1_gain, shift=w.ln1_shift, wq=w.wq, wk=w.wk, wv=w.wv, wo=w.wo)
+    _check_frozen("mlp", gain=w.ln2_gain, shift=w.ln2_shift, w1=w.mlp_w1, b1=w.mlp_b1, w2=w.mlp_w2, b2=w.mlp_b2)
+    plans = {d: _targets(d, tuple(s[0] for s in shapes)) for d in {at.directions for at in sites.values()}}
+    for block, attachment in ((mha, "mha"), (mlp, "mlp")):
         at = sites.get(attachment)
-        if at is not None:
-            # target stack -> [(source stack, slot, source row, target row)],
-            # slots in target-row order
-            groups: dict[int, list[tuple[int, int, int, int]]] = {}
-            for slot, d in enumerate(at.directions):
-                (src, i), (dst, j) = where[SOURCE[d]], where[TARGET[d]]
-                groups.setdefault(dst, []).append((src, slot, i, j))
-            for dst, group in groups.items():
-                src, slots, src_rows, dst_rows = zip(*group)
-                term = adapter_forward(Slots.rows(xs[src[0]], src_rows), Slots.rows(xs[dst], dst_rows), at, slots)
-                terms[dst] = (term, dst_rows)
-        return [block(x, w, *terms.get(i, ())) for i, x in enumerate(xs)]
-
-    return half(half(stacks, mha, "mha"), mlp, "mlp")
+        # every term of the half before any frozen block, so a term that
+        # overflows is refused before a block meets it
+        plan = {} if at is None else plans[at.directions]
+        terms = {k: _site_term(at, stacks[k], stacks, target) for k, target in plan.items()}
+        stacks = [_half(block, x, w, terms.get(k)) for k, x in enumerate(stacks)]
+    return stacks

@@ -1,0 +1,98 @@
+"""In-process A/B timer: one train step of this checkout against another's.
+
+Copies ``src/avfuse`` of this checkout and of ``<other-checkout>`` into a
+temporary directory as two packages of distinct names, builds the same seed-0
+model in each at one shape, and alternates single train steps (batched
+forward, cross-entropy, ``zero_grad``, backward, one Adam step on a fixed
+batch of 8) between them, swapping which side goes first on every
+alternation, so both sides see the same host state. Prints each side's
+step-time quartiles and the share of alternations each side was faster in::
+
+    python3 tests/ab_step.py <other-checkout> [--shape readme|train-wide|unequal] [--pairs N]
+
+It sizes a change in one process; it does not replace the paired runs of
+``bench/run.py``. Pytest does not collect it: its name does not start with
+``test_``.
+"""
+from __future__ import annotations
+
+import argparse
+import importlib
+import shutil
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent
+
+SHAPES = {
+    "readme": {},
+    "train-wide": dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4),
+    "unequal": dict(spec_hw=(12, 8)),
+}
+# alternations per shape when --pairs is not given
+PAIRS = {"readme": 400, "train-wide": 30, "unequal": 200}
+WARMUP = 5
+
+
+def load(root: Path, name: str, into: Path):
+    """Package ``name``: a copy of ``root``'s ``src/avfuse`` under ``into``."""
+    shutil.copytree(root / "src" / "avfuse", into / name)
+    return {m: importlib.import_module(f"{name}.{m}") for m in ("autodiff", "model", "tasks")}
+
+
+def stepper(av, fields: dict):
+    """A function running one train step of a fresh seed-0 model."""
+    cfg = av["model"].ModelConfig(**fields)
+    model = av["model"].TwoStreamModel(cfg, seed=0)
+    tasks, autodiff = av["tasks"], av["autodiff"]
+    batch = tasks.generate_dataset(0, 8, 0.1, cfg.image_hw, cfg.spec_hw)
+    pairs = [(s.image, s.spectrogram) for s in batch]
+    labels = np.array([s.label for s in batch])
+    optimizer = tasks.make_optimizer(model, tasks.TrainConfig())
+
+    def step() -> float:
+        t0 = perf_counter()
+        loss = autodiff.cross_entropy_logits(model.logits_batch(pairs), labels)
+        model.registry.zero_grad()
+        autodiff.backward(loss)
+        optimizer.step()
+        return perf_counter() - t0
+
+    return step
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other", type=Path, help="the checkout to compare against")
+    parser.add_argument("--shape", choices=SHAPES, default="readme")
+    parser.add_argument("--pairs", type=int, help="alternations to time (default by shape)")
+    args = parser.parse_args()
+    pairs = args.pairs or PAIRS[args.shape]
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        sides = {"this": HERE.parent, "other": args.other.resolve()}
+        steps = {side: stepper(load(root, f"avfuse_ab_{side}", Path(tmp)), SHAPES[args.shape])
+                 for side, root in sides.items()}
+        times: dict[str, list[float]] = {side: [] for side in sides}
+        order = list(sides)
+        for i in range(WARMUP + pairs):
+            took = {side: steps[side]() for side in order}
+            order.reverse()
+            if i >= WARMUP:
+                for side, t in took.items():
+                    times[side].append(t)
+    wins = sum(a < b for a, b in zip(times["this"], times["other"]))
+    print(f"shape {args.shape}, {pairs} alternations; step ms q1 / median / q3:")
+    for side, root in sides.items():
+        q1, q2, q3 = (1e3 * q for q in statistics.quantiles(times[side], n=4))
+        won = wins if side == "this" else pairs - wins
+        print(f"  {side:5s} {q1:8.3f} {q2:8.3f} {q3:8.3f}   faster in {won / pairs:6.1%}   ({root})")
+
+
+if __name__ == "__main__":
+    main()

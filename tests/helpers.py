@@ -14,14 +14,16 @@ the forward kernels returned the derivative.
 
 The single-op tape versions of ``add``, ``matmul``, ``layer_norm``,
 ``gelu``, ``relu``, ``attention``, ``grouped_linear``, ``mul`` and ``scale``
-live here: the library runs those kernels only inside its blocks
-(``backbone.mha`` and ``mlp``, ``fusion.cma`` and ``bottleneck``,
-``model.event_head``, each of which records one node) and its frozen
-tokenizers, which return leaves. Built on the library's kernels,
-they are the unit under test of the kernel tests and, chained as
+live here: the library runs those kernels only inside its kernel pairs
+(``backbone.mha`` and ``mlp``, ``fusion.gated_attention``,
+``compress_to_latents``, ``fuse_with_latents``, ``bottleneck`` and
+``adapter_forward``), in the nodes built on them (one per layer half per
+stack in ``fusion.layer_forward``, ``fusion.cma`` and ``model.event_head``)
+and in its frozen tokenizers, which return leaves. Built on the library's
+kernels, they are the unit under test of the kernel tests and, chained as
 the library chained them before (``chain_mha``, ``chain_mlp``,
-``chain_cma``, ``chain_bottleneck``), the oracle the blocks must match
-bit for bit; ``slotwise`` runs a chain one direction at a time over the
+``chain_cma``, ``chain_bottleneck``), the oracle the kernels must match bit
+for bit; ``slotwise`` runs a chain one direction at a time over the
 direction-axis operands of a stacked call.
 
 The tape ops ``take``, ``add_rows``, ``mean_rows``, ``concat_cols`` (with
@@ -29,8 +31,17 @@ The tape ops ``take``, ``add_rows``, ``mean_rows``, ``concat_cols`` (with
 chains that its frozen blocks' residual sums and its ``event_head`` node
 replaced. ``chain_residual`` (a layer half's residual sum, then the cross
 term into its rows, as the library once ran it after each frozen block) and
-``chain_head`` chain them as the library did, the oracle those blocks
-must match bit for bit.
+``chain_head`` chain them as the library did, the oracle those nodes must
+match bit for bit.
+
+``chain_layer_forward`` is ``fusion.layer_forward`` as it ran when every
+frozen block and every adapter step was a node of its own, on the chains:
+each half's site terms from ``chain_adapter_forward`` over ``Slots`` rows of
+the stacks (``Slots``, ``_row_index`` and ``_place_rows`` are the row
+plumbing the library's separate nodes passed between them), then
+``chain_half`` per stack. A train step through it must match the model's
+step bit for bit, logits and every gradient: it fixes the order in which
+each layer half's node hands out its gradients.
 
 ``LoopAdam`` is the per-tensor Adam the optimizer ran before it kept every
 trainable value in one flat vector: the oracle the flat update must match
@@ -52,7 +63,6 @@ from avfuse.autodiff import (
     GELU_C1,
     LAYER_NORM_EPS,
     ShapeError,
-    Slots,
     Tensor,
     _BLOCK,
     _accum,
@@ -60,9 +70,7 @@ from avfuse.autodiff import (
     _blocks,
     _merge,
     _needs_grad,
-    _place_rows,
     _reduce_to,
-    _row_index,
     _split,
     _tally_softmax,
     attention_bwd,
@@ -76,7 +84,8 @@ from avfuse.autodiff import (
     linear_fwd,
     relu_fwd,
 )
-from avfuse.fusion import adapter_forward
+from avfuse.backbone import STACK_ORDER
+from avfuse.fusion import PARTS, SOURCE, TARGET, BottleneckParams, adapter_forward
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +270,56 @@ def grouped_linear(x, weight, bias=None) -> Tensor:
                     _accum(t, grad)
         out._backward = _bw
     return out
+
+
+# ---------------------------------------------------------------------------
+# operands along a direction axis, as separate block nodes passed them
+# ---------------------------------------------------------------------------
+
+
+def _row_index(rows) -> slice:
+    """A slice picking leading rows ``rows``, so a view; they must step by
+    +1 or -1."""
+    step = rows[1] - rows[0] if len(rows) > 1 else 1
+    if step not in (1, -1) or any(rows[i] - rows[i - 1] != step for i in range(2, len(rows))):
+        raise ShapeError(f"rows {tuple(rows)} do not step by +1 or -1")
+    stop = rows[-1] + step
+    return slice(rows[0], None if stop < 0 else stop, step)
+
+
+def _place_rows(x: np.ndarray, rows, n: int) -> np.ndarray:
+    """An ``(n, ...)`` array with leading row i of ``x`` at row ``rows[i]`` and
+    zeros elsewhere: a view of ``x`` when ``rows`` orders all n rows."""
+    index = _row_index(rows)
+    if len(rows) == n:
+        return x[index]
+    full = np.zeros((n,) + x.shape[1:])
+    full[index] = x
+    return full
+
+
+class Slots:
+    """Rows of one tensor as a block node's operand along a leading
+    direction axis, as the library passed them before one node ran a whole
+    layer half: ``Slots.rows(t, rows)`` fills slot i with leading row
+    ``rows[i]`` of ``t``, a view; ``route`` hands ``t`` the gradient of its
+    slots in their rows, zeros in the rows no slot reads."""
+
+    __slots__ = ("tensor", "picked", "data", "requires_grad")
+
+    @classmethod
+    def rows(cls, t: Tensor, rows) -> "Slots":
+        s = cls.__new__(cls)
+        s.tensor = t
+        s.picked = tuple(rows)
+        s.data = t.data[_row_index(s.picked)]
+        s.requires_grad = t.requires_grad
+        return s
+
+    def route(self, g: np.ndarray) -> None:
+        if self.requires_grad:
+            t = self.tensor
+            _accum(t, _place_rows(g, self.picked, t.data.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +521,54 @@ def chain_half(chain, x: Tensor, w, term: Tensor | None = None, rows=()) -> Tens
     return chain_residual(x, chain(x, w), term, rows)
 
 
+def chain_adapter_forward(source: Slots, target: Slots, sites, slots) -> Tensor:
+    """An adapter call as the library ran it when each step was its own
+    node, on the chains: the sites in slots ``slots`` of the stacked
+    ``sites``, over ``Slots`` rows of the stacks; the stacked leaves go in
+    whole when ``slots`` runs every site in order, else as ``Slots`` of
+    those rows."""
+    latents, gate_compress, gate_fuse, neck = sites.latents, sites.gate_compress, sites.gate_fuse, sites.neck
+    if slots != tuple(range(len(sites.directions))):
+        def rows(t):
+            return None if t is None else Slots.rows(t, slots)
+
+        latents, gate_compress, gate_fuse = rows(latents), rows(gate_compress), rows(gate_fuse)
+        neck = BottleneckParams(rows(neck.down_w), rows(neck.up_w), neck.act, rows(neck.down_b), rows(neck.up_b))
+    if latents is not None:
+        summary = stacked_chain_cma(latents, source, source, gate_compress)
+        fused = stacked_chain_cma(target, summary, summary, gate_fuse)
+    else:
+        fused = stacked_chain_cma(target, source, source, gate_fuse)
+    return stacked_chain_bottleneck(fused, neck)
+
+
+def chain_layer_forward(stacks, w, sites) -> list:
+    """``fusion.layer_forward`` as the library ran it when each frozen block
+    and each adapter step was its own node, on the chains: per half, each
+    target stack's sites as one ``chain_adapter_forward`` call over
+    ``Slots`` rows of the stacks, then per stack ``chain_half`` adding its
+    input and the term into its target rows. The oracle the layer's nodes
+    must match bit for bit: outputs and the order every gradient is summed
+    in."""
+    where = dict(zip(STACK_ORDER, ((s, i) for s, x in enumerate(stacks) for i in range(x.data.shape[0]))))
+
+    def half(xs, chain, attachment):
+        terms = {}
+        at = sites.get(attachment)
+        if at is not None:
+            groups = {}
+            for slot, d in enumerate(at.directions):
+                (src, i), (dst, j) = where[SOURCE[d]], where[TARGET[d]]
+                groups.setdefault(dst, []).append((src, slot, i, j))
+            for dst, group in groups.items():
+                src, slots, src_rows, dst_rows = zip(*group)
+                term = chain_adapter_forward(Slots.rows(xs[src[0]], src_rows), Slots.rows(xs[dst], dst_rows), at, slots)
+                terms[dst] = (term, dst_rows)
+        return [chain_half(chain, x, w, *terms.get(i, ())) for i, x in enumerate(xs)]
+
+    return half(half(stacks, chain_mha, "mha"), chain_mlp, "mlp")
+
+
 def chain_head(stacks, weight: Tensor, bias: Tensor) -> Tensor:
     """``model.event_head`` as single ops: every row of every stack
     taken in order, pooled, the pools joined, then the biased product and
@@ -481,15 +588,16 @@ def site_row(layer_sites: dict, key: str, part: str) -> np.ndarray:
 
 
 def site_term(layer_sites: dict, key: str, source: np.ndarray, target: np.ndarray) -> Tensor:
-    """Site ``key``'s term for one stream's tokens, called as
-    ``fusion.layer_forward`` calls ``adapter_forward`` at unequal token
-    counts: its slot of the stacked sites over ``Slots`` rows, here each
-    operand in a stack of its own. The term comes back without the direction
-    axis, as a new leaf."""
+    """Site ``key``'s term for one stream's tokens: ``fusion.adapter_forward``
+    over its slot of the stacked sites, each operand with a direction axis
+    of one, as ``fusion.layer_forward`` runs it at unequal token counts. The
+    term comes back without the direction axis, as a new leaf."""
     direction, attachment = key.split("_")
     sites = layer_sites[attachment]
-    rows = [Slots.rows(Tensor(x[None]), (0,)) for x in (source, target)]
-    return Tensor(adapter_forward(*rows, sites, (sites.directions.index(direction),)).data[0])
+    row = sites.directions.index(direction)
+    parts = [None if t is None else t.data[row:row + 1] for t in sites.parts().values()]
+    term, _ = adapter_forward(source[None], target[None], parts, sites.neck.act, (False,) * (2 + len(PARTS)))
+    return Tensor(term[0])
 
 
 def site_views(model) -> list[tuple[str, Tensor]]:

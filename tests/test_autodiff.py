@@ -357,6 +357,13 @@ class TestBackward:
         with pytest.raises(GraphError):
             backward(mul(x, x))
 
+    def test_leaf_loss_gets_a_unit_gradient(self):
+        # the walk leaves leaves out, but a loss that is itself a leaf still
+        # gets the seed gradient and runs no closure
+        loss = Tensor(2.5, requires_grad=True)
+        backward(loss)
+        np.testing.assert_array_equal(loss.grad, 1.0)
+
 
 class TestAttention:
     @staticmethod

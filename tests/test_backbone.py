@@ -18,6 +18,7 @@ from avfuse.backbone import (
     spectrogram_embed,
     unfold_patches,
 )
+from avfuse.fusion import layer_forward
 
 from helpers import (
     add,
@@ -211,10 +212,12 @@ class TestResizePos:
 def term_of(block, x: Tensor, w) -> np.ndarray:
     """The attention or MLP term of a frozen layer half, ``mha`` or ``mlp``:
     its single-op chain (``chain_mha`` or ``chain_mlp``, the same kernels)
-    of ``x``, once the block is checked to be the input plus that term,
-    bit for bit."""
+    of ``x``, once the block's forward kernel is checked to give the input
+    plus that term, bit for bit."""
     term = {mha: chain_mha, mlp: chain_mlp}[block](x, w)
-    np.testing.assert_array_equal(block(x, w).data, chain_residual(x, term).data)
+    y, back = block(x.data, w, False)
+    assert back is None
+    np.testing.assert_array_equal(y, chain_residual(x, term).data)
     return term.data
 
 
@@ -316,12 +319,11 @@ class TestLayerBlocks:
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_width_mismatch_rejected(self):
+        # the blocks are kernels; the layer checks the token width for them
         w = init_layer_weights(8, 2, 0, "m")
-        x = Tensor(np.zeros((3, 6)))
-        with pytest.raises(ShapeError):
-            mha(x, w)
-        with pytest.raises(ShapeError):
-            mlp(x, w)
+        x = Tensor(np.zeros((2, 1, 3, 6)))
+        with pytest.raises(ShapeError, match="do not match layer width 8"):
+            layer_forward([x], w, {})
 
 
 class TestFreezeRegistry:

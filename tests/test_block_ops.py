@@ -1,51 +1,70 @@
-"""Differential tests of the blocks (``backbone.mha`` and ``mlp``,
-``fusion.cma`` and ``bottleneck``, ``model.event_head``, each one tape node)
-against the single-op chains they replaced (``helpers.chain_half`` of
-``chain_mha`` or ``chain_mlp``, which adds the residual and a cross term
-with ``chain_residual``, ``chain_cma``, ``chain_bottleneck`` and
-``chain_head``): output and every gradient bit for bit, at the README
+"""Differential tests of the kernel pairs and the nodes built on them
+against the single-op chains they replaced: a layer half (``fusion._half``:
+the frozen ``backbone.mha`` or ``mlp`` kernel pair plus the term of the
+sites that write the stack, one node) against ``helpers.chain_half`` of
+``chain_mha`` or ``chain_mlp`` and ``helpers.chain_adapter_forward``; the
+``fusion.bottleneck`` pair against ``chain_bottleneck``; the ``fusion.cma``
+and ``model.event_head`` nodes against ``chain_cma`` and ``chain_head``.
+Output, every gradient and the MAC tallies agree bit for bit, at the README
 shapes, the train-wide benchmark shapes and odd ones (2 heads, unequal
 stream lengths, ReLU, no bias, a 2-D latent query broadcast over the batch),
-with partial ``requires_grad`` patterns; then one whole train step of the
-model against the same step run through the chains, the adapter chains in
-their stacked form (``helpers.slotwise``: each direction's chain on its own,
-the gradients routed as the blocks route theirs), so the stacked blocks are
-checked bit for bit inside the stacked graph. The adapter blocks have one
-code path for zero or one leading direction axes: on one direction's plain
-tensors they must give what they give on the same operands with a leading
-axis of one, bit for bit. Test names keep the names of the autodiff block
-ops (``frozen_attention``, ``frozen_mlp``, ``gated_attention``,
-``grouped_bottleneck``, ``pooled_linear``) that these blocks absorbed."""
-from functools import partial
-
+with partial ``requires_grad`` patterns. Then one whole train step of the
+model against the same step with ``helpers.chain_layer_forward``, the layer
+as it ran when every frozen block and adapter step was its own node, so the
+order in which each layer half's node hands out its gradients is checked
+bit for bit inside the whole graph. The adapter kernels have one code path
+for zero or one leading direction axes: on one direction's plain tensors
+they must give what they give on the same operands with a leading axis of
+one, bit for bit. Every refusal of ``layer_forward`` fires before any kernel
+runs. Test names keep the names of the block ops (``frozen_attention``,
+``frozen_mlp``, ``gated_attention``, ``grouped_bottleneck``,
+``pooled_linear``) that these kernels absorbed."""
 import numpy as np
 import pytest
 
-from avfuse import fusion, model as model_module
+from avfuse import backbone, fusion, model as model_module
 from avfuse.autodiff import (
+    ACTIVATIONS,
     GraphError,
     ShapeError,
     Tensor,
+    _accum,
     backward,
     count_macs,
     cross_entropy_logits,
+    gelu_fwd,
     no_grad,
 )
-from avfuse.backbone import init_layer_weights, mha, mlp
-from avfuse.fusion import BottleneckParams, bottleneck, cma, init_bottleneck
+from avfuse.backbone import STACK_ORDER, init_layer_weights, mha, mlp
+from avfuse.fusion import (
+    SOURCE,
+    TARGET,
+    AdapterSites,
+    BottleneckParams,
+    _half,
+    _site_term,
+    _targets,
+    bottleneck,
+    gated_attention,
+    build_layer_sites,
+    cma,
+    init_bottleneck,
+    layer_forward,
+)
 from avfuse.model import ModelConfig, TwoStreamModel, event_head
 from avfuse.tasks import generate_dataset
 
 from helpers import (
+    Slots,
+    chain_adapter_forward,
     chain_bottleneck,
     chain_cma,
     chain_half,
     chain_head,
+    chain_layer_forward,
     chain_mha,
     chain_mlp,
     mul,
-    stacked_chain_bottleneck,
-    stacked_chain_cma,
     sum_all,
 )
 
@@ -102,7 +121,7 @@ def test_frozen_attention_matches_chain(name):
     b, n, d, _, _ = SHAPES[name]
     w = layer(name)
     x = Tensor(arr(10, b, n, d), requires_grad=True)
-    assert_same(lambda: mha(x, w), lambda: chain_half(chain_mha, x, w), [x], arr(11, b, n, d))
+    assert_same(lambda: _half(mha, x, w, None), lambda: chain_half(chain_mha, x, w), [x], arr(11, b, n, d))
 
 
 @pytest.mark.parametrize("name", SHAPES)
@@ -110,60 +129,103 @@ def test_frozen_mlp_matches_chain(name):
     b, n, d, _, _ = SHAPES[name]
     w = layer(name)
     x = Tensor(arr(12, b, n, d), requires_grad=True)
-    assert_same(lambda: mlp(x, w), lambda: chain_half(chain_mlp, x, w), [x], arr(13, b, n, d))
+    assert_same(lambda: _half(mlp, x, w, None), lambda: chain_half(chain_mlp, x, w), [x], arr(13, b, n, d))
 
 
-# the rows a layer half's cross term adds into: none, both streams of one
-# stack (in order, and reversed), one stream of a stack of two
-RESIDUAL_ROWS = {"no-term": None, "both": (0, 1), "both-reversed": (1, 0), "audio": (0,), "visual": (1,)}
+# the directions of the sites that write a stack of both streams, in slot
+# order: none; both, in SLOT_ORDER (their targets are rows 0 and 1, their
+# sources rows 1 and 0) and reversed (targets rows 1 and 0); one stream
+RESIDUAL_ROWS = {"no-term": (), "both": ("v2a", "a2v"), "both-reversed": ("a2v", "v2a"), "audio": ("v2a",),
+                 "visual": ("a2v",)}
 HALVES = {"mha": (mha, chain_mha), "mlp": (mlp, chain_mlp)}
+
+
+def random_sites(directions, d, m, seed):
+    """Latent sites over ``directions`` with every part drawn at random, so
+    every term and gradient is live; the leaves need gradients."""
+    s, narrow = len(directions), d // 4
+
+    def leaf(k, *shape):
+        return Tensor(0.5 * arr(seed + k, s, *shape), requires_grad=True)
+
+    neck = BottleneckParams(leaf(3, 2, d // 2, narrow // 2), leaf(4, 2, narrow // 2, d // 2), "gelu", leaf(5, narrow),
+                            leaf(6, d))
+    return AdapterSites(directions, leaf(0, m, d), leaf(1), leaf(2), neck)
+
+
+def half_pair(block, chain, x, w, sites):
+    """A layer half of the one stack ``x`` as ``layer_forward`` records it,
+    and as the chains ran it when the sites and the block were nodes of
+    their own."""
+    if sites is None:
+        return lambda: _half(block, x, w, None), lambda: chain_half(chain, x, w)
+    (target,) = _targets(sites.directions, (2,)).values()
+    dst = tuple(STACK_ORDER.index(TARGET[d]) for d in sites.directions)
+    src = tuple(STACK_ORDER.index(SOURCE[d]) for d in sites.directions)
+
+    def chained():
+        term = chain_adapter_forward(Slots.rows(x, src), Slots.rows(x, dst), sites, tuple(range(len(dst))))
+        return chain_half(chain, x, w, term, dst)
+    return lambda: _half(block, x, w, _site_term(sites, x, [x], target)), chained
 
 
 @pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-frozen"])
 @pytest.mark.parametrize("rows", RESIDUAL_ROWS)
 @pytest.mark.parametrize("name", ["readme", "wide"])
 def test_residual_matches_chain(name, rows, x_grad):
-    # each frozen layer half on a stack of two streams, adding its residual
-    # and a cross term; the input needs no gradient at layer 0's attention
-    # half, where only the term does
-    b, n, d, _, _ = SHAPES[name]
+    # each layer half of a stack of two streams as one node: the frozen
+    # block, its residual and the term of the sites that write the stack;
+    # the input needs no gradient at layer 0's attention half, where only
+    # the sites do
+    b, n, d, _, m = SHAPES[name]
     w = layer(name)
-    rows = RESIDUAL_ROWS[rows]
     x = Tensor(arr(60, 2, b, n, d), requires_grad=x_grad)
-    inputs, extra = [x], ()
-    if rows is not None:
-        term = Tensor(arr(62, len(rows), b, n, d), requires_grad=True)
-        inputs.append(term)
-        extra = (term, rows)
+    sites = random_sites(RESIDUAL_ROWS[rows], d, m, 61) if RESIDUAL_ROWS[rows] else None
+    inputs = [x] + ([] if sites is None else [t for t in sites.parts().values()])
     for block, chain in HALVES.values():
-        assert_same(lambda: block(x, w, *extra), lambda: chain_half(chain, x, w, *extra), inputs,
-                    arr(63, 2, b, n, d))
+        assert_same(*half_pair(block, chain, x, w, sites), inputs, arr(63, 2, b, n, d))
 
 
 @pytest.mark.parametrize("half", HALVES)
 def test_frozen_block_keeps_nothing_for_an_input_without_gradient(half):
-    # at layer 0's attention half only the term needs a gradient: the node's
-    # closure then holds no block activation and no input-gradient function
+    # at layer 0's attention half only the sites need a gradient: the block
+    # kernel then returns no backward, so the node's closure holds no block
+    # activation
     block, _ = HALVES[half]
     w = layer("odd")
     x = Tensor(arr(64, 2, 3, 6, 16))
-    term = Tensor(arr(65, 1, 3, 6, 16), requires_grad=True)
-    out = block(x, w, term, (1,))
+    assert block(x.data, w, False)[1] is None
+    sites = random_sites(("v2a", "a2v"), 16, 1, 65)
+    (target,) = _targets(sites.directions, (2,)).values()
+    out = _half(block, x, w, _site_term(sites, x, [x], target))
     assert out.requires_grad
-    cells = [c.cell_contents for c in out._backward.__closure__]
-    assert not any(isinstance(c, np.ndarray) or callable(c) for c in cells)
+    cells = dict(zip(out._backward.__code__.co_freevars, (c.cell_contents for c in out._backward.__closure__)))
+    assert cells["back_x"] is None and callable(cells["back_s"])
 
 
-def test_residual_shape_guard():
+def test_layer_forward_refuses_before_any_kernel_runs(monkeypatch):
+    # each refusal fires before the first kernel: no MAC is tallied and no
+    # frozen block or site runs
     w = layer("odd")
-    x = Tensor(np.zeros((2, 3, 6, 16)))
-    for block, op in ((mha, "mha"), (mlp, "mlp")):
-        # a row out of range, a repeated row, fewer term rows than rows, and
-        # a term whose trailing shape is not the input's
-        for count, rows, tail in ((1, (2,), (3, 6, 16)), (2, (0, 0), (3, 6, 16)), (1, (0, 1), (3, 6, 16)),
-                                  (1, (0,), (3, 6, 8))):
-            with pytest.raises(ShapeError, match=f"{op}: a term of shape"):
-                block(x, w, Tensor(np.zeros((count,) + tail)), rows)
+    sites = build_layer_sites(0, 16, 1, 4, 2, 0, "bidirectional")
+    ran = []
+    for name in ("mha", "mlp", "adapter_forward"):
+        monkeypatch.setattr(fusion, name, lambda *a, name=name: ran.append(name))
+    good = [Tensor(arr(66, 2, 3, 6, 16))]
+    wrong_width = build_layer_sites(0, 8, 1, 4, 2, 0, "bidirectional")
+    cases = [
+        (ShapeError, r"need \(S, B, N, D\) stacks", [Tensor(arr(67, 2, 6, 16))], sites),
+        (ShapeError, r"widths \[8, 16\] do not match layer width 16", [Tensor(arr(68, 2, 3, 6, 8))], sites),
+        (ShapeError, r"widths \[8, 16\] do not match layer width 16", good, wrong_width),
+    ]
+    for error, match, stacks, at in cases:
+        with count_macs() as c, pytest.raises(error, match=match):
+            layer_forward(stacks, w, at)
+        assert c.macs == 0
+    w.wv.requires_grad = True
+    with count_macs() as c, pytest.raises(GraphError, match="mha: weight wv requires a gradient"):
+        layer_forward(good, w, sites)
+    assert c.macs == 0 and ran == []
 
 
 def cma_operands(name, site):
@@ -205,6 +267,27 @@ def test_gated_attention_with_distinct_key_and_value():
     assert_same(lambda: cma(q, k, v, gate), lambda: chain_cma(q, k, v, gate), [q, k, v, gate], arr(28, 3, 5, 8))
 
 
+def kernel_node(kernel, ops, *args) -> Tensor:
+    """A kernel pair as one node over the tensors ``ops`` (None where the
+    kernel takes None), the kernel's other arguments ``args`` before its
+    ``want``; each operand gets its gradient with one ``_accum``."""
+    y, back = kernel(*(None if t is None else t.data for t in ops), *args,
+                     tuple(t is not None and t.requires_grad for t in ops))
+    out = Tensor._node(y, [t for t in ops if t is not None])
+    if out.requires_grad:
+        def _bw(g):
+            for t, d in zip(ops, back(g)):
+                if d is not None:
+                    _accum(t, d)
+        out._backward = _bw
+    return out
+
+
+def neck_node(x: Tensor, p: BottleneckParams) -> Tensor:
+    """The ``bottleneck`` kernel pair as one node over ``x`` and ``p``."""
+    return kernel_node(bottleneck, [x, p.down_w, p.down_b, p.up_w, p.up_b], p.act)
+
+
 @pytest.mark.parametrize("act,bias", [("gelu", True), ("relu", False), ("relu", True), ("gelu", False)])
 @pytest.mark.parametrize("name", SHAPES)
 def test_bottleneck_matches_chain(name, act, bias):
@@ -218,7 +301,7 @@ def test_bottleneck_matches_chain(name, act, bias):
     for t in params:
         t.requires_grad = True
     x = Tensor(arr(33, b, n, d), requires_grad=True)
-    assert_same(lambda: bottleneck(x, p), lambda: chain_bottleneck(x, p), [x] + params, arr(34, b, n, d))
+    assert_same(lambda: neck_node(x, p), lambda: chain_bottleneck(x, p), [x] + params, arr(34, b, n, d))
 
 
 def test_bottleneck_with_frozen_input():
@@ -229,7 +312,7 @@ def test_bottleneck_with_frozen_input():
     for t in params:
         t.requires_grad = True
     x = Tensor(arr(36, 3, 5, 16))
-    assert_same(lambda: bottleneck(x, p), lambda: chain_bottleneck(x, p), [x] + params, arr(37, 3, 5, 16))
+    assert_same(lambda: neck_node(x, p), lambda: chain_bottleneck(x, p), [x] + params, arr(37, 3, 5, 16))
 
 
 def one_slot_pair(arrays, grads):
@@ -281,7 +364,9 @@ def test_gated_attention_lone_is_one_slot(shapes, kv, grads):
     k = arr(70, *k_shape)
     v = k if kv == "shared" else arr(71, *k_shape)
     g = arr(72, *k_shape[:-2] + q_shape[-2:])
-    assert_lone_is_one_slot(cma, [arr(73, *q_shape), k, v, np.array(0.6)], LONE_GRADS[grads], g)
+    def op(*operands):
+        return kernel_node(gated_attention, operands)
+    assert_lone_is_one_slot(op, [arr(73, *q_shape), k, v, np.array(0.6)], LONE_GRADS[grads], g)
 
 
 @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
@@ -292,42 +377,50 @@ def test_grouped_bottleneck_lone_is_one_slot(act, bias):
               arr(78, 16) if bias else None]
 
     def op(x, down_w, down_b, up_w, up_b):
-        return bottleneck(x, BottleneckParams(down_w, up_w, act, down_b, up_b))
+        return neck_node(x, BottleneckParams(down_w, up_w, act, down_b, up_b))
     assert_lone_is_one_slot(op, arrays, [True] * 5, arr(79, 3, 5, 16))
 
 
-def test_no_grad_records_no_closure():
+def test_no_grad_records_no_closure(monkeypatch):
+    # under no_grad nothing is recorded and nothing is kept: no closure, no
+    # GELU derivative, in the frozen MLP or in a site's bottleneck
     w = layer("odd")
-    x = Tensor(arr(40, 3, 6, 16), requires_grad=True)
+    x = Tensor(arr(40, 2, 3, 6, 16), requires_grad=True)
+    y = Tensor(arr(44, 3, 6, 16), requires_grad=True)
     gate = Tensor(0.5, requires_grad=True)
-    p = init_bottleneck(16, 4, 2, seed=9, name="test.no_grad")
-    for t in (p.down_w, p.up_w, p.down_b, p.up_b):
-        t.requires_grad = True
-    term = Tensor(arr(43, 1, 6, 16), requires_grad=True)
+    sites = random_sites(("v2a", "a2v"), 16, 1, 43)
+    derivs = []
+
+    def spy(v, deriv):
+        derivs.append(deriv)
+        return gelu_fwd(v, deriv)
+    monkeypatch.setattr(backbone, "gelu_fwd", spy)
+    monkeypatch.setitem(ACTIVATIONS, "gelu", spy)
     with no_grad():
-        outs = [mha(x, w), mlp(x, w, term, (0,)), cma(x, x, x, gate), bottleneck(x, p)]
+        outs = layer_forward([x], w, {"mha": sites, "mlp": sites}) + [cma(y, y, y, gate)]
     for out in outs:
         assert not out.requires_grad
         assert out._parents == () and out._backward is None
+    assert derivs == [False] * 3
 
 
 @pytest.mark.parametrize("field", ["ln1_gain", "wq", "wk", "wv", "wo"])
 def test_frozen_attention_refuses_a_trainable_weight(field):
     w = layer("odd")
     getattr(w, field).requires_grad = True
-    x = Tensor(arr(41, 3, 6, 16), requires_grad=True)
+    x = Tensor(arr(41, 2, 3, 6, 16), requires_grad=True)
     with pytest.raises(GraphError, match=f"mha: weight {field.removeprefix('ln1_')} "):
-        mha(x, w)
+        layer_forward([x], w, {})
 
 
 @pytest.mark.parametrize("field", ["ln2_shift", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"])
 def test_frozen_mlp_refuses_a_trainable_weight(field):
     w = layer("odd")
     getattr(w, field).requires_grad = True
-    x = Tensor(arr(42, 3, 6, 16), requires_grad=True)
+    x = Tensor(arr(42, 2, 3, 6, 16), requires_grad=True)
     name = field.removeprefix("ln2_").removeprefix("mlp_")
     with pytest.raises(GraphError, match=f"mlp: weight {name} "):
-        mlp(x, w)
+        layer_forward([x], w, {})
 
 
 # the final stacks the head reads: one stack of both streams, or one stack
@@ -376,10 +469,7 @@ def test_train_step_matches_chains_bitwise(name, monkeypatch):
         for s in sites.values():
             s.neck.up_w.data[...] = 0.1 * arr(50, *s.neck.up_w.data.shape[1:])
     logits, grads = train_step(model, batch)
-    monkeypatch.setattr(fusion, "mha", partial(chain_half, chain_mha))
-    monkeypatch.setattr(fusion, "mlp", partial(chain_half, chain_mlp))
-    monkeypatch.setattr(fusion, "cma", stacked_chain_cma)
-    monkeypatch.setattr(fusion, "bottleneck", stacked_chain_bottleneck)
+    monkeypatch.setattr(model_module, "layer_forward", chain_layer_forward)
     monkeypatch.setattr(model_module, "event_head", chain_head)
     want_logits, want_grads = train_step(model, batch)
     np.testing.assert_array_equal(logits, want_logits)

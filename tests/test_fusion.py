@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from avfuse.autodiff import Rng, ShapeError, Tensor, backward
-from avfuse.backbone import FreezeRegistry, init_layer_weights
+from avfuse.backbone import FreezeRegistry, init_layer_weights, mha, mlp
 from avfuse.fusion import (
     ATTACHMENTS,
     GATE_INIT,
@@ -12,6 +12,8 @@ from avfuse.fusion import (
     MODES,
     PARTS,
     SLOT_ORDER,
+    AdapterSites,
+    BottleneckParams,
     bottleneck,
     build_layer_sites,
     cma,
@@ -22,7 +24,6 @@ from avfuse.fusion import (
 )
 
 from helpers import (
-    add,
     block_diag_from_grouped,
     loop_matmul,
     mean_all,
@@ -99,15 +100,28 @@ class TestCma:
             cma(Tensor(np.zeros((4, 2, 3))), q, q, Tensor(0.0))
 
 
+def compress(latents: Tensor, source: Tensor, gate: float) -> np.ndarray:
+    """The summary ``compress_to_latents`` gives, with no gradient wanted."""
+    out, back = compress_to_latents(latents.data, source.data, np.array(gate), (False, False, False))
+    assert back is None
+    return out
+
+
+def neck(x: np.ndarray, p) -> np.ndarray:
+    """The output of the ``bottleneck`` kernel for bottleneck parameters ``p``."""
+    data = [None if t is None else t.data for t in (p.down_w, p.down_b, p.up_w, p.up_b)]
+    return bottleneck(x, *data, p.act, (False,) * 5)[0]
+
+
 class TestLatents:
     def test_compress_shape_and_oracle(self):
         r = np.random.default_rng(4)
         lat = Tensor(r.standard_normal((2, 6)))
         src = tok(r.standard_normal((9, 6)))
-        out = compress_to_latents(lat, src, Tensor(0.5))
-        assert out.data.shape == (2, 6)
+        out = compress(lat, src, 0.5)
+        assert out.shape == (2, 6)
         want = scalar_cma(lat.data, src.data, src.data, 0.5)
-        np.testing.assert_allclose(out.data, want, rtol=1e-12)
+        np.testing.assert_allclose(out, want, rtol=1e-12)
 
     def test_compress_uniform_tokens(self):
         # every source token equal to u: attention weights sum to 1, summary = l_i + g*u
@@ -115,30 +129,30 @@ class TestLatents:
         u = r.standard_normal(6)
         lat = Tensor(r.standard_normal((3, 6)))
         src = tok(np.tile(u, (9, 1)))
-        out = compress_to_latents(lat, src, Tensor(0.4)).data
+        out = compress(lat, src, 0.4)
         np.testing.assert_allclose(out, lat.data + 0.4 * u, rtol=1e-12)
 
     def test_compress_at_full_token_scale(self):
         r = np.random.default_rng(22)
         lat = Tensor(r.standard_normal((2, 768)) * 0.02)
         src = tok(r.standard_normal((2048, 768)))
-        out = compress_to_latents(lat, src, Tensor(1.0))
-        assert out.data.shape == (2, 768)
+        out = compress(lat, src, 1.0)
+        assert out.shape == (2, 768)
 
     def test_fuse_preserves_target_shape(self):
         r = np.random.default_rng(5)
         target = tok(r.standard_normal((7, 6)))
         summary = Tensor(r.standard_normal((2, 6)))
-        out = fuse_with_latents(target, summary, Tensor(0.3))
-        assert out.data.shape == (7, 6)
+        out, back = fuse_with_latents(target.data, summary.data, np.array(0.3), (False, False, False))
+        assert out.shape == (7, 6) and back is None
         want = scalar_cma(target.data, summary.data, summary.data, 0.3)
-        np.testing.assert_allclose(out.data, want, rtol=1e-12)
+        np.testing.assert_allclose(out, want, rtol=1e-12)
 
     def test_fuse_single_summary_row(self):
         r = np.random.default_rng(23)
         x = r.standard_normal((5, 6))
         s = r.standard_normal((1, 6))
-        out = fuse_with_latents(Tensor(x), Tensor(s), Tensor(-0.6)).data
+        out = fuse_with_latents(x, s, np.array(-0.6), (False, False, False))[0]
         np.testing.assert_allclose(out, x - 0.6 * s, rtol=1e-12)
 
 
@@ -146,7 +160,7 @@ class TestBottleneck:
     def test_zero_at_init(self):
         p = init_bottleneck(8, 2, 2, 0, "b")
         x = Tensor(np.random.default_rng(6).standard_normal((5, 8)))
-        np.testing.assert_array_equal(bottleneck(x, p).data, np.zeros((5, 8)))
+        np.testing.assert_array_equal(neck(x.data, p), np.zeros((5, 8)))
 
     def test_matches_dense_block_diagonal_oracle(self):
         r = np.random.default_rng(7)
@@ -160,29 +174,40 @@ class TestBottleneck:
         up_dense = block_diag_from_grouped(p.up_w.data)
         hidden = np.vectorize(scalar_gelu)(loop_matmul(x, down_dense) + p.down_b.data)
         want = loop_matmul(hidden, up_dense) + p.up_b.data
-        np.testing.assert_allclose(bottleneck(Tensor(x), p).data, want, rtol=1e-12)
+        np.testing.assert_allclose(neck(x, p), want, rtol=1e-12)
 
     def test_shapes_and_divisibility(self):
         p = init_bottleneck(16, 4, 2, 0, "b3")
         assert p.down_w.shape == (2, 8, 2)
         assert p.up_w.shape == (2, 2, 8)
-        assert p.width == 16
         with pytest.raises(ShapeError):
             init_bottleneck(10, 4, 2, 0, "bad")
         with pytest.raises(ValueError):
             init_bottleneck(8, 0, 2, 0, "bad")
-        for shape in ((2, 8), (1, 1, 2, 16)):
-            with pytest.raises(ShapeError, match=r"does not match width 16"):
-                bottleneck(Tensor(np.ones(shape)), p)
-        p.act = "tanh"
+        # the sites check their bottleneck once, when built, and the layer
+        # checks the tokens' width against it on every call
+        sites = build_layer_sites(0, 16, 2, 4, 2, 0, "a2v")
+        w = init_layer_weights(16, 2, 0, "wide")
+        with pytest.raises(ShapeError, match=r"widths \[8, 16\] do not match layer width 16"):
+            layer_forward([Tensor(np.ones((1, 1, 2, 8)))] * 2, w, sites)
+        with pytest.raises(ShapeError, match=r"widths \[16\] do not match layer width 8"):
+            layer_forward([Tensor(np.ones((1, 1, 2, 16)))] * 2, init_layer_weights(8, 2, 0, "narrow"), sites)
+        with pytest.raises(ShapeError, match=r"need \(S, B, N, D\) stacks"):
+            layer_forward([Tensor(np.ones((1, 2, 16)))] * 2, w, sites)
+        at = sites["mha"]
         with pytest.raises(ValueError, match="unknown activation 'tanh'"):
-            bottleneck(Tensor(np.ones((2, 16))), p)
+            AdapterSites(at.directions, at.latents, at.gate_compress, at.gate_fuse,
+                         BottleneckParams(at.neck.down_w, at.neck.up_w, "tanh", at.neck.down_b, at.neck.up_b))
+        with pytest.raises(ShapeError, match="up_w of shape"):
+            AdapterSites(at.directions, at.latents, at.gate_compress, at.gate_fuse,
+                         BottleneckParams(at.neck.down_w, at.neck.down_w, "gelu", at.neck.down_b, at.neck.up_b))
+        with pytest.raises(ShapeError, match="latents of shape"):
+            AdapterSites(at.directions, Tensor(np.zeros((1, 2, 8))), at.gate_compress, at.gate_fuse, at.neck)
 
     def test_bias_free_variant(self):
         p = init_bottleneck(8, 2, 1, 0, "b4", bias=False)
         assert p.down_b is None and p.up_b is None
-        x = Tensor(np.ones((2, 8)))
-        np.testing.assert_array_equal(bottleneck(x, p).data, np.zeros((2, 8)))
+        np.testing.assert_array_equal(neck(np.ones((2, 8)), p), np.zeros((2, 8)))
 
     def test_relu_activation_honored(self):
         p = init_bottleneck(4, 2, 1, 5, "b5", act="relu")
@@ -192,7 +217,7 @@ class TestBottleneck:
         down_dense = block_diag_from_grouped(p.down_w.data)
         hidden = np.maximum(loop_matmul(x, down_dense), 0.0)
         want = loop_matmul(hidden, block_diag_from_grouped(p.up_w.data))
-        np.testing.assert_allclose(bottleneck(Tensor(x), p).data, want, rtol=1e-12)
+        np.testing.assert_allclose(neck(x, p), want, rtol=1e-12)
 
 
 class TestSites:
@@ -328,14 +353,12 @@ class TestDualLayer:
         return xa, xv
 
     def test_mode_none_equals_frozen_layers(self):
-        from avfuse.backbone import mha, mlp
-
         w = init_layer_weights(8, 2, 0, "L0")
         xa, xv = self._streams(12)
         sites = build_layer_sites(0, 8, 2, 2, 2, 0, "none")
         ya, yv = layer_apart(xa, xv, w, sites)
         for x, y in ((xa, ya), (xv, yv)):
-            want = mlp(mha(x, w), w).data
+            want = mlp(mha(x.data, w, False)[0], w, False)[0]
             np.testing.assert_array_equal(y.data, want)
 
     def test_a2v_leaves_audio_stream_untouched(self):
@@ -389,13 +412,11 @@ class TestDualLayer:
             up_w[...] = r.standard_normal(up_w.shape) * 0.05
         ya, yv = layer_apart(xa, xv, w, sites)
 
-        from avfuse.backbone import mha, mlp
-
         cross_v = site_term(sites, "a2v_mha", xa.data, xv.data)
         cross_a = site_term(sites, "v2a_mha", xv.data, xa.data)
-        mid_a = add(mha(xa, w), cross_a)
-        mid_v = add(mha(xv, w), cross_v)
-        want_a = add(mlp(mid_a, w), site_term(sites, "v2a_mlp", mid_v.data, mid_a.data))
-        want_v = add(mlp(mid_v, w), site_term(sites, "a2v_mlp", mid_a.data, mid_v.data))
-        np.testing.assert_allclose(ya.data, want_a.data, rtol=1e-12)
-        np.testing.assert_allclose(yv.data, want_v.data, rtol=1e-12)
+        mid_a = mha(xa.data, w, False)[0] + cross_a.data
+        mid_v = mha(xv.data, w, False)[0] + cross_v.data
+        want_a = mlp(mid_a, w, False)[0] + site_term(sites, "v2a_mlp", mid_v, mid_a).data
+        want_v = mlp(mid_v, w, False)[0] + site_term(sites, "a2v_mlp", mid_a, mid_v).data
+        np.testing.assert_allclose(ya.data, want_a, rtol=1e-12)
+        np.testing.assert_allclose(yv.data, want_v, rtol=1e-12)

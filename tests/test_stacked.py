@@ -9,20 +9,22 @@ the README config and the train-wide benchmark config, one train step must
 give bitwise equal logits, gradients within 1e-12 and equal MAC and softmax
 tallies. The gradients cannot be bitwise equal: the contributions to a
 stream's tokens arrive in a different order when one node serves both
-streams. Then the routing pieces: the ``take`` and ``add_rows`` oracles of
-the rows the stacks hand out and take back, and the ``Slots`` operands of
-the adapter blocks, which refuse rows that do not step by +1 or -1."""
+streams. Then the row pieces: the ``take`` and ``add_rows`` oracles of the
+rows the stacks hand out and take back, the ``Slots`` operands of the
+oracle's per-block layer, the row indexes of ``fusion._row_index``, which
+refuse rows that do not step by +1 or -1, and the sites' check of their
+direction count at construction."""
 import numpy as np
 import pytest
 
-from avfuse import fusion, model as model_module
-from avfuse.autodiff import ShapeError, Slots, Tensor, backward, count_macs, cross_entropy_logits
-from avfuse.backbone import init_layer_weights, mha, mlp
-from avfuse.fusion import MODES, build_layer_sites, layer_forward
+from avfuse import model as model_module
+from avfuse.autodiff import ShapeError, Tensor, backward, count_macs, cross_entropy_logits
+from avfuse.backbone import init_layer_weights
+from avfuse.fusion import MODES, AdapterSites, _row_index, build_layer_sites, layer_forward
 from avfuse.model import ModelConfig, TwoStreamModel, event_head
 from avfuse.tasks import generate_dataset
 
-from helpers import add_rows, mul, site_views, sum_all, take
+from helpers import Slots, add_rows, mul, site_views, sum_all, take
 
 CONFIGS = {"readme": {}, "wide": dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4)}
 
@@ -143,9 +145,9 @@ def test_take_and_add_rows():
 
 
 def test_slots_read_and_route():
-    # rows of one tensor: a view, the gradient back in its rows, zeros where
-    # no slot reads; rows of a stacked parameter route the same way, into
-    # the leaf that holds every direction
+    # the oracle's operands: rows of one tensor, a view, the gradient back in
+    # its rows, zeros where no slot reads; rows of a stacked parameter route
+    # the same way, into the leaf that holds every direction
     x = Tensor(arr(22, 2, 3), requires_grad=True)
     flipped = Slots.rows(x, (1, 0))
     assert np.shares_memory(flipped.data, x.data)
@@ -169,19 +171,19 @@ def test_slots_read_and_route():
 
 def test_rows_that_skip_a_row_are_refused():
     # a direction axis holds at most two rows, so rows always step by +1 or
-    # -1; rows that skip one would be a copy, not a view, and are refused
-    x = Tensor(arr(23, 3, 2, 4, 8))
+    # -1; rows that skip one would be a copy, not a view, and are refused;
+    # all rows in order are indexed by ``...``
+    x = arr(23, 3, 2, 4, 8)
     with pytest.raises(ShapeError, match=r"rows \(0, 2\) do not step by \+1 or -1"):
-        Slots.rows(x, (0, 2))
-    w = init_layer_weights(8, 2, seed=0, name="test.rows")
-    term = Tensor(arr(24, 2, 2, 4, 8), requires_grad=True)
-    for block in (mha, mlp):
-        with pytest.raises(ShapeError, match="do not step"):
-            block(x, w, term, (0, 2))
+        _row_index((0, 2), 3)
+    assert _row_index((0, 1), 2) is ...
+    for rows in ((1, 0), (1,), (2, 1, 0)):
+        np.testing.assert_array_equal(x[_row_index(rows, 3)], x[list(rows)])
 
 
 def test_adapter_forward_checks_the_direction_count():
-    sites = build_layer_sites(0, 8, 2, 2, 2, 0, "bidirectional")
-    x = Tensor(arr(30, 2, 3, 5, 8))
-    with pytest.raises(ValueError, match="number of directions"):
-        fusion.adapter_forward(Slots.rows(x, (1,)), Slots.rows(x, (0,)), sites["mha"], (0, 1))
+    # the sites' leaves must lead with one row per direction: checked once,
+    # when the sites are built, not on every adapter call
+    sites = build_layer_sites(0, 8, 2, 2, 2, 0, "bidirectional")["mha"]
+    with pytest.raises(ValueError, match="number of directions, 1"):
+        AdapterSites(("a2v",), sites.latents, sites.gate_compress, sites.gate_fuse, sites.neck)

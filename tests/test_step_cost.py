@@ -6,32 +6,32 @@ the step makes to the package's own functions. A change that adds nodes,
 arithmetic or calls to a step has to update a number here on purpose.
 Counts only, no timing.
 
-The README step records 18 nodes over its 2 layers: 2 ``mha`` and 2
-``mlp`` (one per layer half; each adds its input and the half's cross
-term), 8 ``cma`` and 4 ``bottleneck`` (a compress, a fuse and a bottleneck
-per attachment), 1 ``event_head`` and 1 ``cross_entropy_logits``. Every
-``Tensor._node`` call is pinned too, 18 at README, so every node records a
+The README step records 6 nodes over its 2 layers, 2 × layers × stacks + 2:
+one per layer half per stack (the frozen block, its residual and the term
+of every site that writes the stack: compress, fuse and bottleneck for each
+direction), 1 ``event_head`` and 1 ``cross_entropy_logits``. Every
+``Tensor._node`` call is pinned too, 6 at README, so every node records a
 gradient: tokenization and stacking record no node, since the tokens come
 out of the frozen stem as leaves and each stack is a leaf copied from them,
-and layer 0's ``mha``, whose input needs no gradient, still passes one to
-the cross term it adds.
+and layer 0's attention half, whose input needs no gradient, still records
+one for its sites. In mode ``none`` the four half nodes record no gradient.
 
 At README shapes a step's time follows its Python-level calls more closely
 than its nodes, so those are pinned too: every call, counted with
 ``sys.setprofile``, of a function whose code lives in ``src/avfuse``. Frames
 named ``<...>`` (comprehensions, generator expressions, lambdas) are not
 counted: their number changes with the Python version, which inlines
-comprehensions from 3.12 on. The adapter parameters are one stacked leaf per
-layer, attachment and part, passed to the blocks whole, so a site call
-gathers and routes nothing per direction; one direction (``a2v``) then makes
-as many calls as two. The attention kernels take no head count: only
-``mha`` splits its operands into heads and merges its results back, so a
-``cma`` call (one head) makes no split or merge call. The stacks carry the
-stream layout: the head pools every row of every stack and hands each
-stack its gradient whole, so it reads and routes no stream as rows. Each
-block checks its operands and records its node in one function, with no
-separate block op in ``autodiff`` behind it, so a block costs one call
-fewer than a checked wrapper and its op did."""
+comprehensions from 3.12 on. Inside a layer half's node the frozen block
+and the sites run as forward kernels that record nothing and return their
+backward as a closure, so no gradient passes through the tape between them:
+each site leaf gets its gradient with one ``_accum``, and the stack its
+target and source rows' gradients as views of its own gradient's rows. The
+adapter parameters are one stacked leaf per layer, attachment and part, read
+whole, so one direction (``a2v``) makes as many calls as two. The attention
+kernels take no head count: only ``mha`` splits its operands into heads,
+with Q, K and V from one product, and merges its results back. The site
+parameters are checked when the sites are built; a layer checks its stacks,
+widths, heads and frozen weights once per call."""
 import sys
 from pathlib import Path
 
@@ -48,23 +48,24 @@ SOURCE = str(Path(avfuse.__file__).resolve().parent)
 # config overrides: (tape nodes, Tensor._node calls, forward MACs, softmax
 # elements, package calls) per step
 PINNED = {
-    "readme": ({}, 18, 18, 1_836_032, 3_072, 429),
+    "readme": ({}, 6, 6, 1_836_032, 3_072, 318),
     # one direction: its sites still run once per attachment, so only MACs
-    # and softmax elements fall
-    "readme-a2v": (dict(mode="a2v"), 18, 18, 1_770_496, 2_560, 429),
+    # and softmax elements fall; its rows of the stack take their gradients
+    # through zero-filled arrays
+    "readme-a2v": (dict(mode="a2v"), 6, 6, 1_770_496, 2_560, 321),
     # direct sites have no compress step
-    "readme-direct": (dict(use_latents=False), 14, 14, 1_836_032, 3_072, 364),
+    "readme-direct": (dict(use_latents=False), 6, 6, 1_836_032, 3_072, 277),
     "train-wide": (
-        dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4), 18, 18, 467_668_992, 557_056,
-        429,
+        dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4), 6, 6, 467_668_992, 557_056,
+        318,
     ),
     # 6 audio tokens against 4 visual ones: a stack per stream, so every
     # frozen block and site runs per stream, each site on its rows of the
     # stacked parameters
-    "unequal": (dict(spec_hw=(12, 8)), 34, 34, 2_307_072, 4_608, 1_146),
+    "unequal": (dict(spec_hw=(12, 8)), 10, 10, 2_307_072, 4_608, 636),
     # no adapter sites: the frozen blocks, the head and the loss; only the
     # head and the loss record a gradient
-    "none": (dict(mode="none"), 2, 6, 1_704_960, 2_048, 117),
+    "none": (dict(mode="none"), 2, 6, 1_704_960, 2_048, 103),
 }
 
 
