@@ -511,6 +511,8 @@ def cross_entropy_logits(logits, labels) -> Tensor:
     shape = logits.data.shape
     if len(shape) != 2:
         raise ShapeError(f"cross_entropy_logits: need 2-D logits, got shape {shape}")
+    if 0 in shape:
+        raise ShapeError(f"cross_entropy_logits: need at least one row and one class of logits, got shape {shape}")
     if labels.ndim != 1 or labels.shape[0] != shape[0]:
         raise ShapeError(f"cross_entropy_logits: labels shape {labels.shape} does not match logits shape {shape}")
     if not np.issubdtype(labels.dtype, np.integer):
@@ -628,11 +630,30 @@ class Rng:
     def for_name(cls, seed: int, name: str) -> "Rng":
         return cls(seed, stream_id(name))
 
+    def rekey(self, seed: int, stream: int = 0) -> None:
+        """Continue as a fresh ``Rng(seed, stream)``, without building one.
+
+        Resets the whole Philox state: key, counter 0 and an empty buffer,
+        with no half-used 32-bit word. A key-only reset is not enough: after
+        an ``integers`` draw the buffer is part used and a 32-bit word is
+        held, so the next draws would differ from a fresh generator's.
+        """
+        self.seed = int(seed) & _MASK64
+        self.stream = int(stream) & _MASK64
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64), "key": np.array([self.seed, self.stream], dtype=np.uint64)},
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
     def normal(self, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        return self._gen.normal(loc=mean, scale=std, size=shape).astype(np.float64)
+        return self._gen.normal(loc=mean, scale=std, size=shape)
 
     def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        return self._gen.uniform(low=low, high=high, size=shape).astype(np.float64)
+        return self._gen.uniform(low=low, high=high, size=shape)
 
     def integers(self, n: int, low: int, high: int) -> np.ndarray:
         """n integers in [low, high)."""

@@ -63,9 +63,11 @@ class ImageInput:
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
         if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
             raise ShapeError(f"ImageInput: need (H, W, 3), got shape {self.pixels.shape}")
-        if not np.isfinite(self.pixels).all():
+        if not self.pixels.size:
+            raise ShapeError(f"ImageInput: need a non-empty grid, got shape {self.pixels.shape}")
+        if not np.logical_and.reduce(np.isfinite(self.pixels), axis=None):
             raise ValueError("ImageInput: non-finite pixel values")
-        if self.pixels.min() < 0.0 or self.pixels.max() > 1.0:
+        if np.minimum.reduce(self.pixels, axis=None) < 0.0 or np.maximum.reduce(self.pixels, axis=None) > 1.0:
             raise ValueError("ImageInput: pixel values must lie in [0, 1]")
 
 
@@ -79,7 +81,9 @@ class SpectrogramInput:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ShapeError(f"SpectrogramInput: need (time, freq), got shape {self.values.shape}")
-        if not np.isfinite(self.values).all():
+        if not self.values.size:
+            raise ShapeError(f"SpectrogramInput: need a non-empty grid, got shape {self.values.shape}")
+        if not np.logical_and.reduce(np.isfinite(self.values), axis=None):
             raise ValueError("SpectrogramInput: non-finite values")
 
 

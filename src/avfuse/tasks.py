@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Rng, Tensor, backward, cross_entropy_logits, derive_seed, no_grad
+from .autodiff import NonFiniteError, Rng, ShapeError, Tensor, backward, cross_entropy_logits, derive_seed, no_grad
 from .backbone import ImageInput, SpectrogramInput
 from .model import ModelConfig, TwoStreamModel
 
@@ -95,28 +95,42 @@ def generate_dataset(
     """Draw ``count`` paired samples.
 
     Class pairs cycle through all four combinations, so pair counts never
-    differ by more than one; the final ordering is a seeded shuffle. Each
-    sample's noise comes from its own derived stream, so generation could be
-    sharded by index without changing a single sample.
+    differ by more than one; the final ordering is a seeded shuffle. Sample
+    ``i`` is row ``i`` of two set-wide arrays, ``(count, H, W, 3)`` images
+    and ``(count, T, F)`` spectrograms, which its inputs hold as views: its
+    class templates plus its noise, drawn from the stream of
+    ``derive_seed(seed, f"sample.{i}")`` (one generator, re-keyed per
+    sample). So sample ``i`` depends only on ``(seed, i)``, and generation
+    could be sharded by index without changing a single sample.
     """
     if count < 4:
         raise ValueError(f"generate_dataset: need count >= 4, got {count}")
     if not (0.0 <= noise < 1.0):
         raise ValueError(f"generate_dataset: noise must lie in [0, 1), got {noise}")
+    for name, hw in (("image_hw", image_hw), ("spec_hw", spec_hw)):
+        if len(hw) != 2 or min(hw) < 1:
+            raise ShapeError(f"generate_dataset: {name} must be two sizes >= 1, got {tuple(hw)}")
+    image_shape, spec_shape = (*image_hw, 3), tuple(spec_hw)
+    images, specs = np.empty((count, *image_shape)), np.empty((count, *spec_shape))
+    visual = [visual_template(cls, image_hw) for cls in (0, 1)]
+    audio = [audio_template(cls, spec_hw) for cls in (0, 1)]
+    rng = Rng(0)
+    for i in range(count):
+        a_cls, v_cls = PAIR_ORDER[i % 4]
+        if noise > 0.0:
+            rng.rekey(derive_seed(seed, f"sample.{i}"))
+            np.add(visual[v_cls], rng.normal(image_shape, std=noise), out=images[i])
+            np.add(audio[a_cls], rng.normal(spec_shape, std=noise), out=specs[i])
+        else:
+            images[i], specs[i] = visual[v_cls], audio[a_cls]
+    np.clip(images, 0.0, 1.0, out=images)
     samples = []
     for i in range(count):
         a_cls, v_cls = PAIR_ORDER[i % 4]
-        rng = Rng(derive_seed(seed, f"sample.{i}"))
-        img = visual_template(v_cls, image_hw)
-        spec = audio_template(a_cls, spec_hw)
-        if noise > 0.0:
-            img = img + rng.normal(img.shape, std=noise)
-            spec = spec + rng.normal(spec.shape, std=noise)
-        img = np.clip(img, 0.0, 1.0)
         samples.append(
             SyntheticAvSample(
-                image=ImageInput(img),
-                spectrogram=SpectrogramInput(spec),
+                image=ImageInput(images[i]),
+                spectrogram=SpectrogramInput(specs[i]),
                 audio_class=a_cls,
                 visual_class=v_cls,
                 label=xnor_label(a_cls, v_cls),

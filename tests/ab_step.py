@@ -1,4 +1,4 @@
-"""In-process A/B timer: one train step of this checkout against another's.
+"""In-process A/B timer: a train step or a set-up of this checkout against another's.
 
 Copies ``src/avfuse`` of this checkout and of ``<other-checkout>`` into a
 temporary directory as two packages of distinct names, builds the same seed-0
@@ -8,7 +8,12 @@ batch of 8) between them, swapping which side goes first on every
 alternation, so both sides see the same host state. Prints each side's
 step-time quartiles and the share of alternations each side was faster in::
 
-    python3 tests/ab_step.py <other-checkout> [--shape readme|train-wide|unequal] [--pairs N]
+    python3 tests/ab_step.py <other-checkout> [--shape readme|train-wide|unequal] [--pairs N] [--setup]
+
+With ``--setup`` it alternates the benchmark harness's set-up instead of a
+train step: a 1,024-sample train set and a 256-sample test set at noise 0.1
+from ``tasks.generate_dataset`` and a fresh model, all alive at once as in
+the harness.
 
 It sizes a change in one process; it does not replace the paired runs of
 ``bench/run.py``. Pytest does not collect it: its name does not start with
@@ -36,6 +41,7 @@ SHAPES = {
 }
 # alternations per shape when --pairs is not given
 PAIRS = {"readme": 400, "train-wide": 30, "unequal": 200}
+SETUP_PAIRS = {"readme": 40, "train-wide": 12, "unequal": 40}
 WARMUP = 5
 
 
@@ -66,28 +72,46 @@ def stepper(av, fields: dict):
     return step
 
 
+def setupper(av, fields: dict):
+    """A function running the benchmark harness's set-up at one shape."""
+    cfg = av["model"].ModelConfig(**fields)
+    tasks, derive = av["tasks"], av["autodiff"].derive_seed
+
+    def setup() -> float:
+        t0 = perf_counter()
+        # both sets and the model are alive at once, as in the harness
+        live = [tasks.generate_dataset(derive(0, name), count, 0.1, cfg.image_hw, cfg.spec_hw)
+                for name, count in (("train-data", 1024), ("test-data", 256))]
+        live.append(av["model"].TwoStreamModel(cfg, seed=0))
+        return perf_counter() - t0
+
+    return setup
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", type=Path, help="the checkout to compare against")
     parser.add_argument("--shape", choices=SHAPES, default="readme")
     parser.add_argument("--pairs", type=int, help="alternations to time (default by shape)")
+    parser.add_argument("--setup", action="store_true", help="time the harness's set-up, not a train step")
     args = parser.parse_args()
-    pairs = args.pairs or PAIRS[args.shape]
+    pairs = args.pairs or (SETUP_PAIRS if args.setup else PAIRS)[args.shape]
+    make, what = (setupper, "set-up") if args.setup else (stepper, "step")
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         sides = {"this": HERE.parent, "other": args.other.resolve()}
-        steps = {side: stepper(load(root, f"avfuse_ab_{side}", Path(tmp)), SHAPES[args.shape])
+        timers = {side: make(load(root, f"avfuse_ab_{side}", Path(tmp)), SHAPES[args.shape])
                  for side, root in sides.items()}
         times: dict[str, list[float]] = {side: [] for side in sides}
         order = list(sides)
         for i in range(WARMUP + pairs):
-            took = {side: steps[side]() for side in order}
+            took = {side: timers[side]() for side in order}
             order.reverse()
             if i >= WARMUP:
                 for side, t in took.items():
                     times[side].append(t)
     wins = sum(a < b for a, b in zip(times["this"], times["other"]))
-    print(f"shape {args.shape}, {pairs} alternations; step ms q1 / median / q3:")
+    print(f"shape {args.shape}, {pairs} alternations; {what} ms q1 / median / q3:")
     for side, root in sides.items():
         q1, q2, q3 = (1e3 * q for q in statistics.quantiles(times[side], n=4))
         won = wins if side == "this" else pairs - wins

@@ -45,7 +45,9 @@ each layer half's node hands out its gradients.
 
 ``LoopAdam`` is the per-tensor Adam the optimizer ran before it kept every
 trainable value in one flat vector: the oracle the flat update must match
-bit for bit.
+bit for bit. ``loop_generate_dataset`` is ``tasks.generate_dataset`` as it
+ran before it wrote whole sets into two arrays from one re-keyed generator:
+the oracle every sample, label and order must match bit for bit.
 
 The oracle ops ``transpose``, ``cols``, ``concat_rows`` and
 ``softmax_rows`` live here, not in the library: only the per-head oracle
@@ -62,6 +64,7 @@ from avfuse.autodiff import (
     GELU_C0,
     GELU_C1,
     LAYER_NORM_EPS,
+    Rng,
     ShapeError,
     Tensor,
     _BLOCK,
@@ -76,6 +79,7 @@ from avfuse.autodiff import (
     attention_bwd,
     attention_fwd,
     backward,
+    derive_seed,
     gelu_fwd,
     grouped_linear_bwd,
     grouped_linear_fwd,
@@ -84,8 +88,9 @@ from avfuse.autodiff import (
     linear_fwd,
     relu_fwd,
 )
-from avfuse.backbone import STACK_ORDER
+from avfuse.backbone import STACK_ORDER, ImageInput, SpectrogramInput
 from avfuse.fusion import PARTS, SOURCE, TARGET, BottleneckParams, adapter_forward
+from avfuse.tasks import PAIR_ORDER, SyntheticAvSample, audio_template, visual_template, xnor_label
 
 
 # ---------------------------------------------------------------------------
@@ -1107,3 +1112,35 @@ class LoopAdam:
                 mhat = st["m"] / bias1
                 vhat = st["v"] / bias2
                 p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+# ---------------------------------------------------------------------------
+# per-sample dataset generation
+# ---------------------------------------------------------------------------
+
+
+def loop_generate_dataset(seed: int, count: int, noise: float, image_hw=(8, 8), spec_hw=(8, 8)) -> list:
+    """``tasks.generate_dataset`` as it ran one sample at a time: a fresh
+    generator per sample, fresh templates, a copy per noise draw and one
+    clip per image."""
+    samples = []
+    for i in range(count):
+        a_cls, v_cls = PAIR_ORDER[i % 4]
+        rng = Rng(derive_seed(seed, f"sample.{i}"))
+        img = visual_template(v_cls, image_hw)
+        spec = audio_template(a_cls, spec_hw)
+        if noise > 0.0:
+            img = img + rng.normal(img.shape, std=noise).astype(np.float64)
+            spec = spec + rng.normal(spec.shape, std=noise).astype(np.float64)
+        img = np.clip(img, 0.0, 1.0)
+        samples.append(
+            SyntheticAvSample(
+                image=ImageInput(img),
+                spectrogram=SpectrogramInput(spec),
+                audio_class=a_cls,
+                visual_class=v_cls,
+                label=xnor_label(a_cls, v_cls),
+            )
+        )
+    order = Rng.for_name(seed, "order").permutation(count)
+    return [samples[i] for i in order]

@@ -189,6 +189,12 @@ class TestForwardOracles:
             with pytest.raises(ValueError, match="out of range for 3 classes"):
                 cross_entropy_logits(logits, np.array(labels))
 
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0)])
+    def test_cross_entropy_refuses_empty_logits(self, shape):
+        labels = np.zeros(shape[0], dtype=np.int64)
+        with pytest.raises(ShapeError, match=r"need at least one row and one class of logits, got shape \(%d, %d\)" % shape):
+            cross_entropy_logits(Tensor(np.zeros(shape)), labels)
+
 
 class TestBackward:
     def test_gradients_vs_finite_difference_sweep(self):
@@ -554,6 +560,26 @@ class TestRng:
         c = Rng.for_name(0, "beta").normal((3,))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("draw", [
+        lambda r: r.normal((3, 5)),
+        lambda r: r.uniform((7,)),
+        lambda r: r.integers(3, 0, 10),
+        lambda r: r.integers(1, 0, 2**40),
+        lambda r: r.permutation(9),
+    ], ids=["normal", "uniform", "integers", "wide_integers", "permutation"])
+    def test_rekey_matches_a_fresh_generator(self, draw):
+        rng = Rng(1, 2)
+        draw(rng)
+        rng.rekey(7, 3)
+        fresh = Rng(7, 3)
+        assert (rng.seed, rng.stream) == (fresh.seed, fresh.stream)
+
+        def tail(r):
+            return [r.integers(1, 0, 5), r.normal((2, 3)), r.uniform((4,)), r.permutation(6)]
+
+        for a, b in zip(tail(rng), tail(fresh)):
+            assert a.tobytes() == b.tobytes()
 
     def test_name_order_independent(self):
         # drawing for one name never perturbs another name's stream

@@ -44,6 +44,8 @@ class TestInputs:
             bad = np.zeros((4, 4, 3))
             bad[0, 0, 0] = np.nan
             ImageInput(bad)
+        with pytest.raises(ShapeError, match=r"ImageInput: need a non-empty grid, got shape \(0, 8, 3\)"):
+            ImageInput(np.zeros((0, 8, 3)))
 
     def test_spectrogram_validation(self):
         SpectrogramInput(np.full((3, 5), -7.0))  # any finite range is legal
@@ -53,6 +55,8 @@ class TestInputs:
             bad = np.zeros((3, 5))
             bad[1, 1] = np.inf
             SpectrogramInput(bad)
+        with pytest.raises(ShapeError, match=r"SpectrogramInput: need a non-empty grid, got shape \(0, 8\)"):
+            SpectrogramInput(np.zeros((0, 8)))
 
 
 class TestUnfold:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from avfuse import tasks
-from avfuse.autodiff import Rng, Tensor, backward, cross_entropy_logits, derive_seed
+from avfuse.autodiff import Rng, ShapeError, Tensor, backward, cross_entropy_logits, derive_seed
 from avfuse.model import ModelConfig, TwoStreamModel
 from avfuse.tasks import (
     SQUARE_SAFE,
@@ -30,7 +30,7 @@ from avfuse.tasks import (
 
 from avfuse.serialization import csv_text
 
-from helpers import LoopAdam, site_views
+from helpers import LoopAdam, loop_generate_dataset, site_views
 
 
 SMALL_MODEL = dict(layers=1, width=8, heads=2, patch=4, latent_count=2, ratio=2, groups=2)
@@ -107,6 +107,44 @@ class TestDataset:
             generate_dataset(0, 3, 0.1)
         with pytest.raises(ValueError):
             generate_dataset(0, 8, 1.5)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    @pytest.mark.parametrize("count", [4, 5, 37])
+    @pytest.mark.parametrize("image_hw, spec_hw", [((8, 8), (9, 6)), ((8, 8), (5, 3)), ((12, 8), (8, 8)),
+                                                   ((32, 32), (32, 32))])
+    def test_matches_per_sample_loop_bitwise(self, noise, count, image_hw, spec_hw):
+        got = generate_dataset(11, count, noise, image_hw, spec_hw)
+        want = loop_generate_dataset(11, count, noise, image_hw, spec_hw)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.audio_class, g.visual_class, g.label) == (w.audio_class, w.visual_class, w.label)
+            assert g.image.pixels.tobytes() == w.image.pixels.tobytes()
+            assert g.spectrogram.values.tobytes() == w.spectrogram.values.tobytes()
+            assert g.image.pixels.shape == (*image_hw, 3) and g.spectrogram.values.shape == spec_hw
+
+    def test_samples_are_rows_of_two_set_wide_arrays(self):
+        data = generate_dataset(2, 6, 0.1, (8, 4), (4, 6))
+        images = {id(s.image.pixels.base) for s in data}
+        specs = {id(s.spectrogram.values.base) for s in data}
+        assert len(images) == len(specs) == 1
+        assert data[0].image.pixels.base.shape == (6, 8, 4, 3)
+        assert data[0].spectrogram.values.base.shape == (6, 4, 6)
+
+    def test_sample_depends_only_on_seed_and_index(self):
+        # row i holds sample i: a 5-sample set is the first 5 rows of a 9-sample one
+        small, big = generate_dataset(4, 5, 0.1), generate_dataset(4, 9, 0.1)
+        for get in (lambda s: s.image.pixels.base, lambda s: s.spectrogram.values.base):
+            assert get(small[0]).tobytes() == get(big[0])[:5].tobytes()
+
+    @pytest.mark.parametrize("field, image_hw, spec_hw", [
+        ("spec_hw", (8, 8), (0, 8)),
+        ("image_hw", (8, 0), (8, 8)),
+        ("spec_hw", (8, 8), (8, 8, 1)),
+    ])
+    def test_refuses_empty_or_malformed_grids_before_any_draw(self, monkeypatch, field, image_hw, spec_hw):
+        monkeypatch.setattr(Rng, "normal", lambda *a, **k: pytest.fail("drew noise"))
+        with pytest.raises(ShapeError, match=f"generate_dataset: {field}"):
+            generate_dataset(0, 4, 0.1, image_hw, spec_hw)
 
 
 class TestAdditiveHeadCeiling:
