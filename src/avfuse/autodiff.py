@@ -57,6 +57,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+# Philox's counter and buffer words after a reset; the state setter copies
+# them, so every ``Rng.rekey`` can share this one read-only array
+_ZERO_WORDS = np.zeros(4, np.uint64)
+_ZERO_WORDS.flags.writeable = False
 
 # tanh-form GELU: 0.5*x*(1 + tanh(C0*(x + C1*x^3))).
 # C0 = sqrt(2/pi). Both constants are pinned here so the nonlinearity is
@@ -642,8 +646,8 @@ class Rng:
         self.stream = int(stream) & _MASK64
         self._gen.bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, np.uint64), "key": np.array([self.seed, self.stream], dtype=np.uint64)},
-            "buffer": np.zeros(4, np.uint64),
+            "state": {"counter": _ZERO_WORDS, "key": np.array([self.seed, self.stream], dtype=np.uint64)},
+            "buffer": _ZERO_WORDS,
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,

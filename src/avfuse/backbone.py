@@ -21,6 +21,7 @@ stack several named parameters along its leading axis.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +62,28 @@ class ImageInput:
 
     def __post_init__(self) -> None:
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
-            raise ShapeError(f"ImageInput: need (H, W, 3), got shape {self.pixels.shape}")
-        if not self.pixels.size:
-            raise ShapeError(f"ImageInput: need a non-empty grid, got shape {self.pixels.shape}")
-        if not np.logical_and.reduce(np.isfinite(self.pixels), axis=None):
+        self.check(self.pixels)
+
+    @staticmethod
+    def check(pixels: np.ndarray, lead: int = 0) -> None:
+        """Refuse anything but non-empty (H, W, 3) grids in [0, 1] behind
+        ``lead`` leading axes; a shape error names one grid's shape."""
+        shape = pixels.shape[lead:]
+        if len(shape) != 3 or shape[2] != 3:
+            raise ShapeError(f"ImageInput: need (H, W, 3), got shape {shape}")
+        if not math.prod(shape):
+            raise ShapeError(f"ImageInput: need a non-empty grid, got shape {shape}")
+        lo, hi = _extremes(pixels)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("ImageInput: non-finite pixel values")
-        if np.minimum.reduce(self.pixels, axis=None) < 0.0 or np.maximum.reduce(self.pixels, axis=None) > 1.0:
+        if lo < 0.0 or hi > 1.0:
             raise ValueError("ImageInput: pixel values must lie in [0, 1]")
+
+    @classmethod
+    def rows(cls, pixels: np.ndarray) -> list[ImageInput]:
+        """One input per leading row of a (count, H, W, 3) array, each a view
+        of its row; the array is checked once, not row by row."""
+        return _rows(cls, "pixels", pixels)
 
 
 @dataclass
@@ -79,12 +94,48 @@ class SpectrogramInput:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ShapeError(f"SpectrogramInput: need (time, freq), got shape {self.values.shape}")
-        if not self.values.size:
-            raise ShapeError(f"SpectrogramInput: need a non-empty grid, got shape {self.values.shape}")
-        if not np.logical_and.reduce(np.isfinite(self.values), axis=None):
+        self.check(self.values)
+
+    @staticmethod
+    def check(values: np.ndarray, lead: int = 0) -> None:
+        """Refuse anything but non-empty, finite (time, freq) grids behind
+        ``lead`` leading axes; a shape error names one grid's shape."""
+        shape = values.shape[lead:]
+        if len(shape) != 2:
+            raise ShapeError(f"SpectrogramInput: need (time, freq), got shape {shape}")
+        if not math.prod(shape):
+            raise ShapeError(f"SpectrogramInput: need a non-empty grid, got shape {shape}")
+        lo, hi = _extremes(values)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("SpectrogramInput: non-finite values")
+
+    @classmethod
+    def rows(cls, values: np.ndarray) -> list[SpectrogramInput]:
+        """One input per leading row of a (count, T, F) array, each a view of
+        its row; the array is checked once, not row by row."""
+        return _rows(cls, "values", values)
+
+
+def _extremes(array: np.ndarray) -> tuple[float, float]:
+    """``array``'s min and max, or (0, 0) when it is empty. Both propagate
+    NaN and carry any infinity, so the array is finite exactly when both
+    are, and neither pass allocates an array of ``array``'s size."""
+    if not array.size:
+        return 0.0, 0.0
+    return float(np.minimum.reduce(array, axis=None)), float(np.maximum.reduce(array, axis=None))
+
+
+def _rows(cls, field: str, array) -> list:
+    """``cls`` instances over the rows of ``array``, checked as one stack by
+    ``cls.check`` and built without ``__post_init__``."""
+    array = np.asarray(array, dtype=np.float64)
+    cls.check(array, lead=1)
+    inputs = []
+    for row in array:
+        item = object.__new__(cls)
+        setattr(item, field, row)
+        inputs.append(item)
+    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +394,7 @@ class FreezeRegistry:
         # name -> (tensor, frozen, leading row of the tensor or None)
         self._entries: dict[str, tuple[Tensor, bool, int | None]] = {}
         self._leaves: dict[str, Tensor] = {}  # trainable leaves by name
+        self._stacks: set[int] = set()  # ids of the leaves from register_stack
         self._tensors: list[Tensor] = []  # every distinct tensor
 
     def _claim(self, name: str) -> None:
@@ -364,6 +416,7 @@ class FreezeRegistry:
         self._claim(name)
         leaf.requires_grad = True
         self._leaves[name] = leaf
+        self._stacks.add(id(leaf))
         self._tensors.append(leaf)
         return leaf
 
@@ -371,7 +424,7 @@ class FreezeRegistry:
         """Register trainable parameter ``name`` as leading row ``row`` of a
         leaf registered with ``register_stack``."""
         self._claim(name)
-        if not any(t is leaf for t in self._leaves.values()) or not 0 <= row < leaf.data.shape[0]:
+        if id(leaf) not in self._stacks or not 0 <= row < leaf.data.shape[0]:
             raise ValueError(f"parameter {name!r}: row {row} of a leaf that register_stack did not register")
         self._entries[name] = (leaf, False, row)
 

@@ -14,6 +14,7 @@ whether the cross-modal path works.
 from __future__ import annotations
 
 import ctypes
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,10 +99,12 @@ def generate_dataset(
     differ by more than one; the final ordering is a seeded shuffle. Sample
     ``i`` is row ``i`` of two set-wide arrays, ``(count, H, W, 3)`` images
     and ``(count, T, F)`` spectrograms, which its inputs hold as views: its
-    class templates plus its noise, drawn from the stream of
-    ``derive_seed(seed, f"sample.{i}")`` (one generator, re-keyed per
-    sample). So sample ``i`` depends only on ``(seed, i)``, and generation
-    could be sharded by index without changing a single sample.
+    class templates plus its noise, one draw of ``H*W*3 + T*F`` values from
+    the stream of ``derive_seed(seed, f"sample.{i}")`` (one generator,
+    re-keyed per sample), image part first. So sample ``i`` depends only on
+    ``(seed, i)``, and generation could be sharded by index without
+    changing a single sample. Each array is checked once, by its input
+    class's ``rows``.
     """
     if count < 4:
         raise ValueError(f"generate_dataset: need count >= 4, got {count}")
@@ -114,28 +117,23 @@ def generate_dataset(
     images, specs = np.empty((count, *image_shape)), np.empty((count, *spec_shape))
     visual = [visual_template(cls, image_hw) for cls in (0, 1)]
     audio = [audio_template(cls, spec_hw) for cls in (0, 1)]
+    split, size = images[0].size, images[0].size + specs[0].size
     rng = Rng(0)
     for i in range(count):
         a_cls, v_cls = PAIR_ORDER[i % 4]
         if noise > 0.0:
             rng.rekey(derive_seed(seed, f"sample.{i}"))
-            np.add(visual[v_cls], rng.normal(image_shape, std=noise), out=images[i])
-            np.add(audio[a_cls], rng.normal(spec_shape, std=noise), out=specs[i])
+            draw = rng.normal(size, std=noise)
+            np.add(visual[v_cls], draw[:split].reshape(image_shape), out=images[i])
+            np.add(audio[a_cls], draw[split:].reshape(spec_shape), out=specs[i])
         else:
             images[i], specs[i] = visual[v_cls], audio[a_cls]
     np.clip(images, 0.0, 1.0, out=images)
-    samples = []
-    for i in range(count):
-        a_cls, v_cls = PAIR_ORDER[i % 4]
-        samples.append(
-            SyntheticAvSample(
-                image=ImageInput(images[i]),
-                spectrogram=SpectrogramInput(specs[i]),
-                audio_class=a_cls,
-                visual_class=v_cls,
-                label=xnor_label(a_cls, v_cls),
-            )
-        )
+    samples = [
+        SyntheticAvSample(image, spectrogram, a_cls, v_cls, xnor_label(a_cls, v_cls))
+        for image, spectrogram, (a_cls, v_cls)
+        in zip(ImageInput.rows(images), SpectrogramInput.rows(specs), itertools.cycle(PAIR_ORDER))
+    ]
     order = Rng.for_name(seed, "order").permutation(count)
     return [samples[i] for i in order]
 
@@ -238,6 +236,8 @@ class TrainConfig:
     eval_every: int = 0  # 0: evaluate only after the last step
 
     def validate(self) -> None:
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
@@ -396,7 +396,9 @@ class ExperimentResult:
 def run_experiment(model_cfg: ModelConfig, train_cfg: TrainConfig, data_cfg: DataConfig) -> ExperimentResult:
     """Generate data, build the model, train, and evaluate, all derived from
     ``train_cfg.seed``. Train and test draws come from disjoint seed
-    derivations, never from overlapping streams."""
+    derivations, never from overlapping streams. The training config is
+    validated before any data is generated."""
+    train_cfg.validate()
     seed = train_cfg.seed
     train_samples = generate_dataset(
         derive_seed(seed, "train-data"), data_cfg.train_count, data_cfg.noise,

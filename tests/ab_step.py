@@ -13,7 +13,8 @@ step-time quartiles and the share of alternations each side was faster in::
 With ``--setup`` it alternates the benchmark harness's set-up instead of a
 train step: a 1,024-sample train set and a 256-sample test set at noise 0.1
 from ``tasks.generate_dataset`` and a fresh model, all alive at once as in
-the harness.
+the harness. Beside the whole set-up it reports its two parts, the data
+(both sets) and the model constructor, so a change to one shows as such.
 
 It sizes a change in one process; it does not replace the paired runs of
 ``bench/run.py``. Pytest does not collect it: its name does not start with
@@ -61,31 +62,38 @@ def stepper(av, fields: dict):
     labels = np.array([s.label for s in batch])
     optimizer = tasks.make_optimizer(model, tasks.TrainConfig())
 
-    def step() -> float:
+    def step() -> dict[str, float]:
         t0 = perf_counter()
         loss = autodiff.cross_entropy_logits(model.logits_batch(pairs), labels)
         model.registry.zero_grad()
         autodiff.backward(loss)
         optimizer.step()
-        return perf_counter() - t0
+        return {"step": perf_counter() - t0}
 
     return step
 
 
 def setupper(av, fields: dict):
-    """A function running the benchmark harness's set-up at one shape."""
+    """A function running the benchmark harness's set-up at one shape,
+    timing its data part, its model part and the whole."""
     cfg = av["model"].ModelConfig(**fields)
     tasks, derive = av["tasks"], av["autodiff"].derive_seed
 
-    def setup() -> float:
+    def setup() -> dict[str, float]:
         t0 = perf_counter()
         # both sets and the model are alive at once, as in the harness
         live = [tasks.generate_dataset(derive(0, name), count, 0.1, cfg.image_hw, cfg.spec_hw)
                 for name, count in (("train-data", 1024), ("test-data", 256))]
+        t1 = perf_counter()
         live.append(av["model"].TwoStreamModel(cfg, seed=0))
-        return perf_counter() - t0
+        t2 = perf_counter()
+        return {"data": t1 - t0, "model": t2 - t1, "set-up": t2 - t0}
 
     return setup
+
+
+def quartiles_ms(times: list[dict[str, float]], part: str) -> list[float]:
+    return [1e3 * q for q in statistics.quantiles([t[part] for t in times], n=4)]
 
 
 def main() -> None:
@@ -96,13 +104,13 @@ def main() -> None:
     parser.add_argument("--setup", action="store_true", help="time the harness's set-up, not a train step")
     args = parser.parse_args()
     pairs = args.pairs or (SETUP_PAIRS if args.setup else PAIRS)[args.shape]
-    make, what = (setupper, "set-up") if args.setup else (stepper, "step")
+    make = setupper if args.setup else stepper
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         sides = {"this": HERE.parent, "other": args.other.resolve()}
         timers = {side: make(load(root, f"avfuse_ab_{side}", Path(tmp)), SHAPES[args.shape])
                  for side, root in sides.items()}
-        times: dict[str, list[float]] = {side: [] for side in sides}
+        times: dict[str, list[dict[str, float]]] = {side: [] for side in sides}
         order = list(sides)
         for i in range(WARMUP + pairs):
             took = {side: timers[side]() for side in order}
@@ -110,12 +118,18 @@ def main() -> None:
             if i >= WARMUP:
                 for side, t in took.items():
                     times[side].append(t)
-    wins = sum(a < b for a, b in zip(times["this"], times["other"]))
+    # the last part is the whole, which decides the faster share
+    *parts, what = times["this"][0]
+    wins = sum(a[what] < b[what] for a, b in zip(times["this"], times["other"]))
     print(f"shape {args.shape}, {pairs} alternations; {what} ms q1 / median / q3:")
     for side, root in sides.items():
-        q1, q2, q3 = (1e3 * q for q in statistics.quantiles(times[side], n=4))
+        q1, q2, q3 = quartiles_ms(times[side], what)
         won = wins if side == "this" else pairs - wins
         print(f"  {side:5s} {q1:8.3f} {q2:8.3f} {q3:8.3f}   faster in {won / pairs:6.1%}   ({root})")
+    for part in parts:
+        print(f"  of which {part}, ms q1 / median / q3:")
+        for side in sides:
+            print(f"  {side:5s} " + " ".join(f"{q:8.3f}" for q in quartiles_ms(times[side], part)))
 
 
 if __name__ == "__main__":

@@ -59,6 +59,55 @@ class TestInputs:
             SpectrogramInput(np.zeros((0, 8)))
 
 
+INPUTS = {ImageInput: ("pixels", (4, 2, 3)), SpectrogramInput: ("values", (3, 5))}
+
+
+def _refusal(cls, stack: np.ndarray, bad_row: int, kind: type[Exception]) -> str:
+    """The message ``cls.rows`` refuses ``stack`` with, checked to be the
+    type and message ``cls`` refuses its row ``bad_row`` with."""
+    with pytest.raises(kind) as one:
+        cls(stack[bad_row])
+    with pytest.raises(kind) as whole:
+        cls.rows(stack)
+    assert type(whole.value) is type(one.value) and str(whole.value) == str(one.value)
+    return str(whole.value)
+
+
+class TestRows:
+    @pytest.mark.parametrize("bad_row", [0, 2])
+    @pytest.mark.parametrize("cls, bad_value", [(ImageInput, v) for v in (np.nan, np.inf, -np.inf, -0.25, 1.5)]
+                             + [(SpectrogramInput, v) for v in (np.nan, np.inf, -np.inf)])
+    def test_refuses_a_bad_value_as_the_constructor_does(self, cls, bad_value, bad_row):
+        stack = np.full((3, *INPUTS[cls][1]), 0.5)
+        stack[bad_row].flat[-1] = bad_value
+        _refusal(cls, stack, bad_row, ValueError)
+
+    @pytest.mark.parametrize("cls, grid", [(ImageInput, (0, 2, 3)), (ImageInput, (4, 2, 4)), (ImageInput, (4, 2)),
+                                           (SpectrogramInput, (0, 5)), (SpectrogramInput, (3, 5, 1)),
+                                           (SpectrogramInput, (5,))])
+    def test_refuses_a_bad_grid_as_the_constructor_does(self, cls, grid):
+        assert str(grid) in _refusal(cls, np.zeros((3, *grid)), 0, ShapeError)
+
+    @pytest.mark.parametrize("cls", INPUTS)
+    def test_rows_are_views_equal_to_checked_inputs(self, cls):
+        field, shape = INPUTS[cls]
+        stack = np.random.default_rng(0).uniform(size=(4, *shape))
+        rows = cls.rows(stack)
+        assert [type(r) for r in rows] == [cls] * 4
+        for row, grid in zip(rows, stack):
+            value = getattr(row, field)
+            assert np.shares_memory(value, stack)
+            assert value.shape == shape and value.tobytes() == getattr(cls(grid.copy()), field).tobytes()
+
+    @pytest.mark.parametrize("cls", INPUTS)
+    def test_no_rows_give_no_inputs(self, cls):
+        assert cls.rows(np.zeros((0, *INPUTS[cls][1]))) == []
+
+    def test_spectrogram_rows_take_any_finite_range(self):
+        stack = np.array([np.full((3, 5), -7.0), np.full((3, 5), 40.0)])
+        assert [r.values.tobytes() for r in SpectrogramInput.rows(stack)] == [g.tobytes() for g in stack]
+
+
 class TestUnfold:
     def test_unfold_matches_manual_loops(self):
         r = np.random.default_rng(0)
@@ -404,6 +453,15 @@ class TestFreezeRegistry:
             reg.register_row("c.row", leaf, 2)
         with pytest.raises(ValueError, match="registered twice"):
             reg.register_stack("b.first", Tensor(np.zeros(1)))
+
+    def test_register_row_refuses_a_row_of_a_whole_tensor(self):
+        # a row of a leaf from register rather than register_stack would be
+        # saved twice: once in the whole tensor's entry and once on its own
+        reg = FreezeRegistry()
+        w = reg.register("head.weight", Tensor(np.zeros((2, 3))), frozen=False)
+        with pytest.raises(ValueError, match="register_stack did not register"):
+            reg.register_row("head.weight.row0", w, 0)
+        assert [n for n, _, _ in reg.entries_for_save()] == ["head.weight"]
 
     def test_zero_grad_clears_trainable(self):
         reg = FreezeRegistry()

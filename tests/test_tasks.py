@@ -9,6 +9,7 @@ import pytest
 
 from avfuse import tasks
 from avfuse.autodiff import Rng, ShapeError, Tensor, backward, cross_entropy_logits, derive_seed
+from avfuse.backbone import ImageInput, SpectrogramInput
 from avfuse.model import ModelConfig, TwoStreamModel
 from avfuse.tasks import (
     SQUARE_SAFE,
@@ -129,6 +130,21 @@ class TestDataset:
         assert len(images) == len(specs) == 1
         assert data[0].image.pixels.base.shape == (6, 8, 4, 3)
         assert data[0].spectrogram.values.base.shape == (6, 4, 6)
+        # views, not per-sample copies
+        for s in data:
+            assert np.shares_memory(s.image.pixels, data[0].image.pixels.base)
+            assert np.shares_memory(s.spectrogram.values, data[0].spectrogram.values.base)
+
+    @pytest.mark.parametrize("count", [4, 64, 1024])
+    def test_each_input_class_checks_a_set_once(self, monkeypatch, count):
+        calls = collections.Counter()
+        for cls in (ImageInput, SpectrogramInput):
+            def counted(grid, lead=0, cls=cls, check=cls.check):
+                calls[cls.__name__, lead] += 1
+                check(grid, lead)
+            monkeypatch.setattr(cls, "check", staticmethod(counted))
+        generate_dataset(0, count, 0.1)
+        assert calls == {("ImageInput", 1): 1, ("SpectrogramInput", 1): 1}
 
     def test_sample_depends_only_on_seed_and_index(self):
         # row i holds sample i: a 5-sample set is the first 5 rows of a 9-sample one
@@ -385,6 +401,12 @@ class TestTrainLoop:
             with pytest.raises(ValueError, match=f"{name} must be >= "):
                 TrainConfig(**{name: bad}).validate()
 
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_config_rejects_a_seed_outside_64_bits(self, bad):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            TrainConfig(seed=bad).validate()
+        TrainConfig(seed=2**64 - 1).validate()
+
     def _tiny_run(self, mode="bidirectional", steps=3, seed=0, eval_every=0):
         mc = ModelConfig(mode=mode, **SMALL_MODEL)
         tc = TrainConfig(steps=steps, batch_size=4, seed=seed, eval_every=eval_every)
@@ -557,6 +579,12 @@ class TestRunExperiment:
         )
         assert 0.0 <= res.test_accuracy <= 1.0
         assert res.model.cfg.mode == "none"
+
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_refuses_a_seed_outside_64_bits_before_any_data(self, monkeypatch, bad):
+        monkeypatch.setattr(tasks, "generate_dataset", lambda *a, **k: pytest.fail("generated data"))
+        with pytest.raises(ValueError, match="seed must be in"):
+            run_experiment(ModelConfig(mode="none", **SMALL_MODEL), TrainConfig(seed=bad), DataConfig())
 
     def test_train_and_test_data_disjoint_streams(self):
         tr = generate_dataset(derive_seed(0, "train-data"), 8, 0.1)
