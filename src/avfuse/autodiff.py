@@ -35,7 +35,7 @@ The model's kernels live with their weights: ``backbone.mha`` and ``mlp``,
 output with its backward, a closure that keeps only what its gradients
 need; weights, biases and latents get their gradients summed over the
 batch. ``fusion.layer_forward`` records one node per layer half per stack,
-``fusion.cma`` and ``model.event_head`` one node each.
+and ``model.event_head`` one node.
 
 Tokens enter the tape as leaves of the frozen tokenizers. Single-op tape
 versions of the kernels, of ``add``, ``matmul``, ``mul``, ``scale``,
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -610,9 +611,13 @@ def stream_id(name: str) -> int:
 
 
 def derive_seed(seed: int, label: str) -> int:
-    """Fold a label into a seed, giving an independent 64-bit seed."""
-    payload = int(seed).to_bytes(8, "little", signed=False) + label.encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
+    """Fold a label into a seed, giving an independent 64-bit seed. The seed
+    must be an integer in [0, 2**64)."""
+    try:
+        head = operator.index(seed).to_bytes(8, "little")
+    except (TypeError, OverflowError):
+        raise ValueError(f"derive_seed: seed must be an integer in [0, 2**64), got {seed!r}") from None
+    digest = hashlib.sha256(head + label.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
 

@@ -30,7 +30,7 @@ streams in ``STACK_ORDER``. ``layer_forward`` records one tape node per
 layer half per stack, which runs the frozen block (``mha`` or ``mlp``) and
 the sites whose targets lie in the stack (``adapter_forward``: compress,
 fuse, bottleneck) as forward kernels on views of the stacks' rows and of
-the stacked leaves. ``cma`` is the gated attention as one node.
+the stacked leaves.
 """
 from __future__ import annotations
 
@@ -118,37 +118,6 @@ def gated_attention(query: np.ndarray, key: np.ndarray, value: np.ndarray, gate:
             dk = None
         return dq, dk, dv, dgate
     return y, back
-
-
-def cma(query: Tensor, key: Tensor, value: Tensor, gate: Tensor) -> Tensor:
-    """``gated_attention`` as one tape node on plain tensors with a scalar
-    gate; at gate == 0 it returns the query exactly. Operands are 2-D or
-    batched; a 2-D query (latent tokens) serves every sample of a batched
-    key/value, a batched query needs a key/value of its batch."""
-    q, k, v, g = query.data.shape, key.data.shape, value.data.shape, gate.data.shape
-    if len(q) not in (2, 3) or len(k) not in (2, 3) or len(v) not in (2, 3):
-        raise ShapeError(f"cma: need 2-D or batched operands, got shapes {q}, {k}, {v}")
-    if q[-1] != k[-1]:
-        raise ShapeError(f"cma: query width {q} does not match key width {k}")
-    if k[:-1] != v[:-1]:
-        raise ShapeError(f"cma: key rows {k} do not match value rows {v}")
-    if len(q) == 3 and (len(k) == 2 or q[0] != k[0]):
-        raise ShapeError(f"cma: query {q} and key {k} disagree on the batch")
-    if g != ():
-        raise ShapeError(f"cma: gate must be a scalar, got shape {g}")
-    parents = (query, key, value, gate)
-    on = _needs_grad(parents)
-    y, back = gated_attention(query.data, key.data, value.data, gate.data,
-                              tuple(on and t.requires_grad for t in parents))
-    out = Tensor._node(y, parents)
-    if out.requires_grad:
-        def _bw(g: np.ndarray) -> None:
-            dq, dk, dv, dgate = back(g)
-            for x, d in ((query, dq), (gate, dgate), (value, dv), (key, dk)):
-                if d is not None:
-                    _accum(x, d)
-        out._backward = _bw
-    return out
 
 
 def compress_to_latents(latents: np.ndarray, source: np.ndarray, gate: np.ndarray, want):

@@ -7,6 +7,7 @@ reproduce its frozen twin exactly at init.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -26,6 +27,16 @@ from .fusion import MODES, AdapterSites, build_layer_sites, layer_forward
 from .serialization import load_tensors, save_tensors
 
 INIT_STD = 0.02
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer: anything ``operator.index`` takes,
+    numpy integers included, but a bool."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
 
 
 @dataclass
@@ -48,6 +59,13 @@ class ModelConfig:
     audio_pos: str = "resize"  # "resize" | "none"
 
     def validate(self) -> None:
+        for name in ("layers", "width", "heads", "patch", "latent_count", "ratio", "groups"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("image_hw", "spec_hw"):
+            hw = getattr(self, name)
+            if not (isinstance(hw, (tuple, list)) and len(hw) == 2 and all(map(is_integer, hw))):
+                raise ValueError(f"{name} must be two integers, got {hw!r}")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
         if self.heads < 1:

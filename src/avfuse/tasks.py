@@ -21,7 +21,7 @@ import numpy as np
 
 from .autodiff import NonFiniteError, Rng, ShapeError, Tensor, backward, cross_entropy_logits, derive_seed, no_grad
 from .backbone import ImageInput, SpectrogramInput
-from .model import ModelConfig, TwoStreamModel
+from .model import ModelConfig, TwoStreamModel, is_integer
 
 PAIR_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -236,6 +236,9 @@ class TrainConfig:
     eval_every: int = 0  # 0: evaluate only after the last step
 
     def validate(self) -> None:
+        for name in ("steps", "batch_size", "seed", "eval_every"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.steps < 0:
@@ -396,8 +399,9 @@ class ExperimentResult:
 def run_experiment(model_cfg: ModelConfig, train_cfg: TrainConfig, data_cfg: DataConfig) -> ExperimentResult:
     """Generate data, build the model, train, and evaluate, all derived from
     ``train_cfg.seed``. Train and test draws come from disjoint seed
-    derivations, never from overlapping streams. The training config is
+    derivations, never from overlapping streams. Both configs are
     validated before any data is generated."""
+    model_cfg.validate()
     train_cfg.validate()
     seed = train_cfg.seed
     train_samples = generate_dataset(

@@ -10,6 +10,9 @@ step-time quartiles and the share of alternations each side was faster in::
 
     python3 tests/ab_step.py <other-checkout> [--shape readme|train-wide|unequal] [--pairs N] [--setup]
 
+``--pairs`` must be at least 2, since the quartiles need two alternations;
+without it the shape's default count runs.
+
 With ``--setup`` it alternates the benchmark harness's set-up instead of a
 train step: a 1,024-sample train set and a 256-sample test set at noise 0.1
 from ``tasks.generate_dataset`` and a fresh model, all alive at once as in
@@ -96,11 +99,19 @@ def quartiles_ms(times: list[dict[str, float]], part: str) -> list[float]:
     return [1e3 * q for q in statistics.quantiles([t[part] for t in times], n=4)]
 
 
+def at_least_two(text: str) -> int:
+    """An alternation count: the quartiles need two of them."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 alternations for quartiles, got {n}")
+    return n
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", type=Path, help="the checkout to compare against")
     parser.add_argument("--shape", choices=SHAPES, default="readme")
-    parser.add_argument("--pairs", type=int, help="alternations to time (default by shape)")
+    parser.add_argument("--pairs", type=at_least_two, help="alternations to time, at least 2 (default by shape)")
     parser.add_argument("--setup", action="store_true", help="time the harness's set-up, not a train step")
     args = parser.parse_args()
     pairs = args.pairs or (SETUP_PAIRS if args.setup else PAIRS)[args.shape]

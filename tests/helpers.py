@@ -18,9 +18,9 @@ live here: the library runs those kernels only inside its kernel pairs
 (``backbone.mha`` and ``mlp``, ``fusion.gated_attention``,
 ``compress_to_latents``, ``fuse_with_latents``, ``bottleneck`` and
 ``adapter_forward``), in the nodes built on them (one per layer half per
-stack in ``fusion.layer_forward``, ``fusion.cma`` and ``model.event_head``)
-and in its frozen tokenizers, which return leaves. Built on the library's
-kernels, they are the unit under test of the kernel tests and, chained as
+stack in ``fusion.layer_forward``, and ``model.event_head``) and in its
+frozen tokenizers, which return leaves. Built on the library's kernels,
+they are the unit under test of the kernel tests and, chained as
 the library chained them before (``chain_mha``, ``chain_mlp``,
 ``chain_cma``, ``chain_bottleneck``), the oracle the kernels must match bit
 for bit; ``slotwise`` runs a chain one direction at a time over the
@@ -348,7 +348,8 @@ def chain_mlp(x: Tensor, w) -> Tensor:
 
 
 def chain_cma(query: Tensor, key: Tensor, value: Tensor, gate: Tensor) -> Tensor:
-    """``fusion.cma`` as single ops: attention, gate product, residual sum."""
+    """``fusion.gated_attention`` under a scalar gate as single ops:
+    attention, gate product, residual sum."""
     return add(query, mul(attention(query, key, value, 1), gate))
 
 
@@ -394,8 +395,8 @@ def slotwise(chain, lone: bool, *operands) -> Tensor:
 
 
 def stacked_chain_cma(query, key, value, gate) -> Tensor:
-    """``chain_cma`` over the operands ``fusion.cma`` takes, one direction
-    at a time."""
+    """``chain_cma`` over the operands ``fusion.gated_attention`` takes,
+    one direction at a time."""
     return slotwise(chain_cma, gate.data.ndim == 0, query, key, value, gate)
 
 

@@ -7,11 +7,11 @@ import time
 
 import numpy as np
 
-from avfuse.autodiff import Rng, Tensor, count_macs
+from avfuse.autodiff import Rng, count_macs
 from avfuse.backbone import FreezeRegistry, ImageInput, SpectrogramInput
 from avfuse.cli import main as cli_main
 from avfuse.costs import count_params, mac_fusion
-from avfuse.fusion import cma, init_bottleneck
+from avfuse.fusion import compress_to_latents, fuse_with_latents, gated_attention, init_bottleneck
 from avfuse.model import ModelConfig, TwoStreamModel, frozen_twin
 from avfuse.tasks import DataConfig, TrainConfig, generate_dataset, run_experiment, train
 
@@ -108,21 +108,22 @@ def test_criterion_4_cost_scaling():
     t0 = time.time()
     d, m = 8, 2
     r = np.random.default_rng(0)
+    gate = np.array(0.5)
 
     def instrumented_direct(n, k):
-        q = Tensor(r.standard_normal((n, d)))
-        kv = Tensor(r.standard_normal((k, d)))
+        q = r.standard_normal((n, d))
+        kv = r.standard_normal((k, d))
         with count_macs() as c:
-            cma(q, kv, kv, Tensor(0.5))
+            gated_attention(q, kv, kv, gate, (False,) * 4)
         return c.macs
 
     def instrumented_latent(n, k):
-        lat = Tensor(r.standard_normal((m, d)))
-        src = Tensor(r.standard_normal((k, d)))
-        dst = Tensor(r.standard_normal((n, d)))
+        lat = r.standard_normal((m, d))
+        src = r.standard_normal((k, d))
+        dst = r.standard_normal((n, d))
         with count_macs() as c:
-            summary = cma(lat, src, src, Tensor(0.5))
-            cma(dst, summary, summary, Tensor(0.5))
+            summary, _ = compress_to_latents(lat, src, gate, (False,) * 3)
+            fuse_with_latents(dst, summary, gate, (False,) * 3)
         return c.macs
 
     grid = [(n, k) for n in (1, 2, 3, 5, 8) for k in (1, 2, 4, 7)]

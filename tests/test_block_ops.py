@@ -3,8 +3,9 @@ against the single-op chains they replaced: a layer half (``fusion._half``:
 the frozen ``backbone.mha`` or ``mlp`` kernel pair plus the term of the
 sites that write the stack, one node) against ``helpers.chain_half`` of
 ``chain_mha`` or ``chain_mlp`` and ``helpers.chain_adapter_forward``; the
-``fusion.bottleneck`` pair against ``chain_bottleneck``; the ``fusion.cma``
-and ``model.event_head`` nodes against ``chain_cma`` and ``chain_head``.
+``fusion.bottleneck`` and ``fusion.gated_attention`` pairs, each as one
+node, against ``chain_bottleneck`` and ``chain_cma``; the ``model.event_head``
+node against ``chain_head``.
 Output, every gradient and the MAC tallies agree bit for bit, at the README
 shapes, the train-wide benchmark shapes and odd ones (2 heads, unequal
 stream lengths, ReLU, no bias, a 2-D latent query broadcast over the batch),
@@ -47,7 +48,6 @@ from avfuse.fusion import (
     bottleneck,
     gated_attention,
     build_layer_sites,
-    cma,
     init_bottleneck,
     layer_forward,
 )
@@ -228,11 +228,27 @@ def test_layer_forward_refuses_before_any_kernel_runs(monkeypatch):
     assert c.macs == 0 and ran == []
 
 
-def cma_operands(name, site):
+def kernel_node(kernel, ops, *args) -> Tensor:
+    """A kernel pair as one node over the tensors ``ops`` (None where the
+    kernel takes None), the kernel's other arguments ``args`` before its
+    ``want``; each operand gets its gradient with one ``_accum``."""
+    y, back = kernel(*(None if t is None else t.data for t in ops), *args,
+                     tuple(t is not None and t.requires_grad for t in ops))
+    out = Tensor._node(y, [t for t in ops if t is not None])
+    if out.requires_grad:
+        def _bw(g):
+            for t, d in zip(ops, back(g)):
+                if d is not None:
+                    _accum(t, d)
+        out._backward = _bw
+    return out
+
+
+def gated_operands(name, site):
     """(query, key, value) arrays of the three ways an adapter site calls
-    cma: compress (the 2-D latents over a batch of source tokens), fuse
-    (target tokens over the summary) and direct (target over source, whose
-    length differs from the target's)."""
+    ``gated_attention``: compress (the 2-D latents over a batch of source
+    tokens), fuse (target tokens over the summary) and direct (target over
+    source, whose length differs from the target's)."""
     b, n, d, _, m = SHAPES[name]
     src, dst, summary = arr(20, b, n + 2, d), arr(21, b, n, d), arr(22, b, m, d)
     return {"compress": (0.5 * arr(23, m, d), src, src),
@@ -249,7 +265,7 @@ GRAD_PATTERNS = {"all": (True, True, True), "no-query": (False, True, True), "ga
 @pytest.mark.parametrize("site", ["compress", "fuse", "direct"])
 @pytest.mark.parametrize("name", SHAPES)
 def test_gated_attention_matches_chain(name, site, pattern):
-    q_arr, k_arr, v_arr = cma_operands(name, site)
+    q_arr, k_arr, v_arr = gated_operands(name, site)
     q_grad, kv_grad, gate_grad = GRAD_PATTERNS[pattern]
     q = Tensor(q_arr, requires_grad=q_grad)
     k = Tensor(k_arr, requires_grad=kv_grad)
@@ -258,29 +274,14 @@ def test_gated_attention_matches_chain(name, site, pattern):
     gate = Tensor(0.7, requires_grad=gate_grad)
     g = arr(24, *np.broadcast_shapes(q_arr.shape, k_arr.shape[:-2] + q_arr.shape[-2:]))
     inputs = [q, k, gate] if v is k else [q, k, v, gate]
-    assert_same(lambda: cma(q, k, v, gate), lambda: chain_cma(q, k, v, gate), inputs, g)
+    assert_same(lambda: kernel_node(gated_attention, [q, k, v, gate]), lambda: chain_cma(q, k, v, gate), inputs, g)
 
 
 def test_gated_attention_with_distinct_key_and_value():
     q, k, v = (Tensor(arr(s, 3, 5, 8), requires_grad=True) for s in (25, 26, 27))
     gate = Tensor(-0.4, requires_grad=True)
-    assert_same(lambda: cma(q, k, v, gate), lambda: chain_cma(q, k, v, gate), [q, k, v, gate], arr(28, 3, 5, 8))
-
-
-def kernel_node(kernel, ops, *args) -> Tensor:
-    """A kernel pair as one node over the tensors ``ops`` (None where the
-    kernel takes None), the kernel's other arguments ``args`` before its
-    ``want``; each operand gets its gradient with one ``_accum``."""
-    y, back = kernel(*(None if t is None else t.data for t in ops), *args,
-                     tuple(t is not None and t.requires_grad for t in ops))
-    out = Tensor._node(y, [t for t in ops if t is not None])
-    if out.requires_grad:
-        def _bw(g):
-            for t, d in zip(ops, back(g)):
-                if d is not None:
-                    _accum(t, d)
-        out._backward = _bw
-    return out
+    assert_same(lambda: kernel_node(gated_attention, [q, k, v, gate]), lambda: chain_cma(q, k, v, gate),
+                [q, k, v, gate], arr(28, 3, 5, 8))
 
 
 def neck_node(x: Tensor, p: BottleneckParams) -> Tensor:
@@ -386,8 +387,6 @@ def test_no_grad_records_no_closure(monkeypatch):
     # GELU derivative, in the frozen MLP or in a site's bottleneck
     w = layer("odd")
     x = Tensor(arr(40, 2, 3, 6, 16), requires_grad=True)
-    y = Tensor(arr(44, 3, 6, 16), requires_grad=True)
-    gate = Tensor(0.5, requires_grad=True)
     sites = random_sites(("v2a", "a2v"), 16, 1, 43)
     derivs = []
 
@@ -397,7 +396,7 @@ def test_no_grad_records_no_closure(monkeypatch):
     monkeypatch.setattr(backbone, "gelu_fwd", spy)
     monkeypatch.setitem(ACTIVATIONS, "gelu", spy)
     with no_grad():
-        outs = layer_forward([x], w, {"mha": sites, "mlp": sites}) + [cma(y, y, y, gate)]
+        outs = layer_forward([x], w, {"mha": sites, "mlp": sites})
     for out in outs:
         assert not out.requires_grad
         assert out._parents == () and out._backward is None

@@ -17,7 +17,7 @@ from avfuse.costs import (
     mac_bottleneck,
     mac_fusion,
 )
-from avfuse.fusion import build_layer_sites, cma
+from avfuse.fusion import build_layer_sites, gated_attention
 from avfuse.serialization import csv_text
 
 from helpers import site_term
@@ -132,10 +132,10 @@ class TestMacFormulas:
     def test_instrumented_cma_matches_direct_formula(self):
         r = np.random.default_rng(0)
         n, k, d = 7, 5, 8
-        q = Tensor(r.standard_normal((n, d)))
-        kv = Tensor(r.standard_normal((k, d)))
+        q = r.standard_normal((n, d))
+        kv = r.standard_normal((k, d))
         with count_macs() as c:
-            cma(q, kv, kv, Tensor(0.5))
+            gated_attention(q, kv, kv, np.array(0.5), (False,) * 4)
         rep = mac_fusion(n, k, 1, d, "direct")
         assert c.macs == rep.total_macs
         assert c.softmax_elems == rep.total_softmax_elems

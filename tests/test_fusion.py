@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from avfuse.autodiff import Rng, ShapeError, Tensor, backward
+from avfuse.autodiff import Rng, ShapeError, Tensor
 from avfuse.backbone import FreezeRegistry, init_layer_weights, mha, mlp
 from avfuse.fusion import (
     ATTACHMENTS,
@@ -16,9 +16,9 @@ from avfuse.fusion import (
     BottleneckParams,
     bottleneck,
     build_layer_sites,
-    cma,
     compress_to_latents,
     fuse_with_latents,
+    gated_attention,
     init_bottleneck,
     layer_forward,
 )
@@ -26,8 +26,6 @@ from avfuse.fusion import (
 from helpers import (
     block_diag_from_grouped,
     loop_matmul,
-    mean_all,
-    mul,
     scalar_cma,
     scalar_gelu,
     site_row,
@@ -40,6 +38,14 @@ def tok(arr):
     return Tensor(np.asarray(arr, dtype=float))
 
 
+def gated(q: np.ndarray, k: np.ndarray, v: np.ndarray, gate: float) -> np.ndarray:
+    """The output ``gated_attention`` gives under a scalar gate, with no
+    gradient wanted."""
+    out, back = gated_attention(q, k, v, np.array(gate), (False,) * 4)
+    assert back is None
+    return out
+
+
 class TestCma:
     def test_matches_scalar_oracle(self):
         r = np.random.default_rng(0)
@@ -47,57 +53,39 @@ class TestCma:
         k = r.standard_normal((3, 6))
         v = r.standard_normal((3, 6))
         for gate in (0.0, 0.3, -1.2):
-            got = cma(Tensor(q), Tensor(k), Tensor(v), Tensor(gate)).data
-            np.testing.assert_allclose(got, scalar_cma(q, k, v, gate), rtol=1e-12)
+            np.testing.assert_allclose(gated(q, k, v, gate), scalar_cma(q, k, v, gate), rtol=1e-12)
 
     def test_closed_gate_returns_query_exactly(self):
         r = np.random.default_rng(2)
         q = r.standard_normal((3, 5))
-        got = cma(Tensor(q), Tensor(r.standard_normal((4, 5))), Tensor(r.standard_normal((4, 5))), Tensor(0.0))
-        np.testing.assert_array_equal(got.data, q)
+        got = gated(q, r.standard_normal((4, 5)), r.standard_normal((4, 5)), 0.0)
+        np.testing.assert_array_equal(got, q)
 
     def test_gate_gradient_nonzero_at_closed_gate(self):
         # the gate's gradient flows through the additive term even at g=0
         r = np.random.default_rng(3)
-        q = Tensor(r.standard_normal((3, 5)))
-        k = Tensor(r.standard_normal((4, 5)))
-        v = Tensor(r.standard_normal((4, 5)))
-        g = Tensor(0.0, requires_grad=True)
-        out = cma(q, k, v, g)
-        backward(mean_all(mul(out, out)))
-        assert g.grad is not None
-        assert abs(float(g.grad)) > 1e-8
+        q = r.standard_normal((3, 5))
+        k = r.standard_normal((4, 5))
+        v = r.standard_normal((4, 5))
+        out, back = gated_attention(q, k, v, np.array(0.0), (False, False, False, True))
+        # the gradient of mean(out * out)
+        dq, dk, dv, dgate = back(2.0 * out / out.size)
+        assert dq is None and dk is None and dv is None
+        assert abs(float(dgate)) > 1e-8
 
     def test_single_key_adds_gated_value(self):
         # softmax over one key is 1, so each row gets q_i + g*v
         r = np.random.default_rng(20)
         q = r.standard_normal((4, 6))
         v = r.standard_normal((1, 6))
-        got = cma(Tensor(q), Tensor(r.standard_normal((1, 6))), Tensor(v), Tensor(0.8)).data
+        got = gated(q, r.standard_normal((1, 6)), v, 0.8)
         np.testing.assert_allclose(got, q + 0.8 * v, rtol=1e-12)
 
     def test_value_row_count_free(self):
         # key/value length is independent of query length
-        got = cma(Tensor(np.zeros((2, 3))), Tensor(np.zeros((7, 3))), Tensor(np.ones((7, 3))), Tensor(1.0))
-        assert got.data.shape == (2, 3)
-        np.testing.assert_allclose(got.data, 1.0, rtol=1e-12)
-
-    def test_shape_errors(self):
-        q = Tensor(np.zeros((2, 3)))
-        with pytest.raises(ShapeError):
-            cma(q, Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))), Tensor(0.0))
-        with pytest.raises(ShapeError):
-            cma(q, Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), Tensor(0.0))
-        with pytest.raises(ShapeError):
-            cma(q, Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(1)))
-        with pytest.raises(ShapeError):
-            kv = Tensor(np.zeros((3, 2, 3)))
-            cma(Tensor(np.zeros((2, 2, 3))), kv, kv, Tensor(0.0))
-        with pytest.raises(ShapeError, match="gate must be a scalar"):
-            cma(q, q, q, Tensor(np.zeros((1, 1))))
-        # nothing would sum an unbatched key's gradient over a query's batch
-        with pytest.raises(ShapeError, match=r"query \(4, 2, 3\) and key \(2, 3\) disagree on the batch"):
-            cma(Tensor(np.zeros((4, 2, 3))), q, q, Tensor(0.0))
+        got = gated(np.zeros((2, 3)), np.zeros((7, 3)), np.ones((7, 3)), 1.0)
+        assert got.shape == (2, 3)
+        np.testing.assert_allclose(got, 1.0, rtol=1e-12)
 
 
 def compress(latents: Tensor, source: Tensor, gate: float) -> np.ndarray:

@@ -163,8 +163,8 @@ IN_PLACE_GELU = {"wide": (8, 64, 512), "stacked-readme": (2, 8, 4, 128), "stacke
                  "odd": (3, 7, 5), "odd-2d": (7, 5), "odd-blocks": (3, 7, 1001)}
 IN_PLACE_NORM = {"wide": (8, 64, 128), "wide-hidden": (8, 64, 512), "odd": (3, 7, 5), "odd-2d": (7, 5)}
 # (q, k, v shapes, heads): self-attention at train-wide width, whose scores
-# are (8, 4, 64, 64); a 2-D latent query broadcast over the batch, as in cma;
-# and odd widths with unequal query and key counts
+# are (8, 4, 64, 64); a 2-D latent query broadcast over the batch, as in
+# compress_to_latents; and odd widths with unequal query and key counts
 IN_PLACE_ATTENTION = {
     "wide": ((8, 64, 128), (8, 64, 128), (8, 64, 128), 4),
     "wide-latent": ((4, 128), (8, 64, 128), (8, 64, 128), 4),

@@ -41,6 +41,21 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"{field} must be >= 1"):
                 ModelConfig(**{field: 0}).validate()
 
+    @pytest.mark.parametrize("name,bad", [("layers", True), ("width", 32.0), ("heads", "4"), ("patch", 4.0),
+                                          ("latent_count", 2.5), ("ratio", None), ("groups", False)])
+    def test_rejects_a_count_that_is_not_an_integer(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+            ModelConfig(**{name: bad}).validate()
+        # numpy integers are integers
+        ModelConfig(**{name: np.int64(getattr(ModelConfig(), name))}).validate()
+
+    @pytest.mark.parametrize("name", ["image_hw", "spec_hw"])
+    @pytest.mark.parametrize("bad", [(8, 8, 8), (8,), (8.0, 8), (8, True), 8, "88"])
+    def test_rejects_sizes_that_are_not_two_integers(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be two integers"):
+            ModelConfig(**{name: bad}).validate()
+        ModelConfig(**{name: (np.int64(8), 8)}).validate()
+
     @pytest.mark.parametrize("field_name", ["bottleneck_act"])
     def test_rejects_unknown_activation(self, field_name):
         with pytest.raises(ValueError, match=field_name):

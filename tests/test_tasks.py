@@ -92,6 +92,11 @@ class TestDataset:
             not np.array_equal(x.image.pixels, y.image.pixels) for x, y in zip(a, c)
         )
 
+    @pytest.mark.parametrize("bad", [-1, 2**64, 1.5])
+    def test_refuses_a_seed_outside_64_bits(self, bad):
+        with pytest.raises(ValueError, match=rf"derive_seed: seed must be an integer in \[0, 2\*\*64\), got {bad!r}"):
+            generate_dataset(bad, 4, 0.1)
+
     def test_noise_zero_gives_clean_templates(self):
         data = generate_dataset(0, 4, 0.0)
         for s in data:
@@ -407,6 +412,14 @@ class TestTrainLoop:
             TrainConfig(seed=bad).validate()
         TrainConfig(seed=2**64 - 1).validate()
 
+    @pytest.mark.parametrize("name,bad", [("steps", 2.5), ("batch_size", 2.5), ("eval_every", 1.5), ("seed", 1.5),
+                                          ("seed", True), ("steps", "3")])
+    def test_config_rejects_a_count_that_is_not_an_integer(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {bad!r}"):
+            TrainConfig(**{name: bad}).validate()
+        # numpy integers are integers
+        TrainConfig(**{name: np.int64(3)}).validate()
+
     def _tiny_run(self, mode="bidirectional", steps=3, seed=0, eval_every=0):
         mc = ModelConfig(mode=mode, **SMALL_MODEL)
         tc = TrainConfig(steps=steps, batch_size=4, seed=seed, eval_every=eval_every)
@@ -585,6 +598,13 @@ class TestRunExperiment:
         monkeypatch.setattr(tasks, "generate_dataset", lambda *a, **k: pytest.fail("generated data"))
         with pytest.raises(ValueError, match="seed must be in"):
             run_experiment(ModelConfig(mode="none", **SMALL_MODEL), TrainConfig(seed=bad), DataConfig())
+
+    @pytest.mark.parametrize("bad", [dict(image_hw=(8, 8, 8)), dict(spec_hw=(8,)), dict(layers=True),
+                                     dict(width=8.0)])
+    def test_refuses_a_malformed_model_config_before_any_data(self, monkeypatch, bad):
+        monkeypatch.setattr(tasks, "generate_dataset", lambda *a, **k: pytest.fail("generated data"))
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be "):
+            run_experiment(ModelConfig(**{**SMALL_MODEL, **bad}), TrainConfig(), DataConfig())
 
     def test_train_and_test_data_disjoint_streams(self):
         tr = generate_dataset(derive_seed(0, "train-data"), 8, 0.1)
