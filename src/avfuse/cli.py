@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable
 
 from .costs import (
     REPORT_COLUMNS,
@@ -26,7 +24,7 @@ from .costs import (
     target_source,
 )
 from .fusion import MODE_DIRECTIONS
-from .model import ModelConfig, TwoStreamModel
+from .model import FieldError, ModelConfig, TwoStreamModel, is_integer
 from .serialization import csv_text, write_atomic, write_json
 from .tasks import METRICS_COLUMNS, DataConfig, TrainConfig, run_experiment
 
@@ -45,100 +43,85 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-# Value ranges: the text names the range, the test admits a value.
-Range = tuple[str, Callable[[float], bool]]
-AT_LEAST_1: Range = (">= 1", lambda v: v >= 1)
-AT_LEAST_0: Range = (">= 0", lambda v: v >= 0)
-AT_LEAST_4: Range = (">= 4", lambda v: v >= 4)
-SEED_RANGE: Range = ("in [0, 2**64)", lambda v: 0 <= v < 2**64)
-POSITIVE_FINITE: Range = ("finite and > 0", lambda v: 0.0 < v < math.inf)
-UNIT_INTERVAL: Range = ("in [0, 1)", lambda v: 0.0 <= v < 1.0)
-
-
 @dataclass
 class Field:
     name: str
-    kind: str  # int | float | bool | str | pair | int_list
+    kind: str  # a key of JSON_KINDS
     required_for: tuple[str, ...] = ()
     default: object = None
-    valid: Range | None = None  # for a pair or list: every entry
 
 
 FIELDS = [
-    Field("layers", "int", required_for=ALL_COMMANDS, valid=AT_LEAST_1),
-    Field("width", "int", required_for=ALL_COMMANDS, valid=AT_LEAST_1),
-    Field("heads", "int", required_for=ALL_COMMANDS, valid=AT_LEAST_1),
-    Field("patch", "int", required_for=ALL_COMMANDS, valid=AT_LEAST_1),
-    Field("latents", "int", required_for=ALL_COMMANDS, valid=AT_LEAST_1),
-    Field("bottleneck_ratio", "int", required_for=ALL_COMMANDS, valid=AT_LEAST_1),
-    Field("groups", "int", required_for=ALL_COMMANDS, valid=AT_LEAST_1),
-    Field("image_hw", "pair", default=[8, 8], valid=AT_LEAST_1),
-    Field("spec_hw", "pair", default=[8, 8], valid=AT_LEAST_1),
+    Field("layers", "int", required_for=ALL_COMMANDS),
+    Field("width", "int", required_for=ALL_COMMANDS),
+    Field("heads", "int", required_for=ALL_COMMANDS),
+    Field("patch", "int", required_for=ALL_COMMANDS),
+    Field("latents", "int", required_for=ALL_COMMANDS),
+    Field("bottleneck_ratio", "int", required_for=ALL_COMMANDS),
+    Field("groups", "int", required_for=ALL_COMMANDS),
+    Field("image_hw", "pair", default=[8, 8]),
+    Field("spec_hw", "pair", default=[8, 8]),
     Field("mode", "str", default="bidirectional"),
     Field("use_latents", "bool", default=True),
     Field("bottleneck_act", "str", default="gelu"),
     Field("bottleneck_bias", "bool", default=True),
     Field("audio_pos", "str", default="resize"),
-    Field("seed", "int", default=0, valid=SEED_RANGE),
-    Field("steps", "int", required_for=TRAIN_COMMANDS, valid=AT_LEAST_0),
-    Field("batch_size", "int", required_for=TRAIN_COMMANDS, valid=AT_LEAST_1),
-    Field("lr_adapter", "float", required_for=TRAIN_COMMANDS, valid=POSITIVE_FINITE),
-    Field("lr_head", "float", required_for=TRAIN_COMMANDS, valid=POSITIVE_FINITE),
-    Field("noise", "float", required_for=TRAIN_COMMANDS, valid=UNIT_INTERVAL),
-    Field("train_count", "int", required_for=TRAIN_COMMANDS, valid=AT_LEAST_4),
-    Field("test_count", "int", required_for=TRAIN_COMMANDS, valid=AT_LEAST_4),
-    Field("eval_every", "int", default=0, valid=AT_LEAST_0),
-    Field("seeds", "int_list", default=None, valid=SEED_RANGE),  # ablation; defaults to [seed]
-    Field("latents_sweep", "int_list", required_for=("latent-sweep",), valid=AT_LEAST_1),
+    Field("seed", "int", default=0),
+    Field("steps", "int", required_for=TRAIN_COMMANDS),
+    Field("batch_size", "int", required_for=TRAIN_COMMANDS),
+    Field("lr_adapter", "float", required_for=TRAIN_COMMANDS),
+    Field("lr_head", "float", required_for=TRAIN_COMMANDS),
+    Field("noise", "float", required_for=TRAIN_COMMANDS),
+    Field("train_count", "int", required_for=TRAIN_COMMANDS),
+    Field("test_count", "int", required_for=TRAIN_COMMANDS),
+    Field("eval_every", "int", default=0),
+    Field("seeds", "int_list", default=None),  # ablation; defaults to [seed]
+    Field("latents_sweep", "int_list", required_for=("latent-sweep",)),
 ]
+
+# JSON kind -> (the text a refusal gives, the test a parsed value passes)
+JSON_KINDS = {
+    "int": ("an integer", is_integer),
+    "float": ("a number", lambda v: is_integer(v) or isinstance(v, float)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "pair": ("a pair of integers", lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_integer, v))),
+    "int_list": ("a non-empty list of integers", lambda v: isinstance(v, list) and v and all(map(is_integer, v))),
+}
+
+# The config attribute a JSON field feeds, where the names differ; a list
+# field feeds its attribute entry by entry. Every range is the config
+# class's own: the CLI checks JSON kinds only.
+ATTRIBUTES = {"latents": "latent_count", "bottleneck_ratio": "ratio", "seeds": "seed", "latents_sweep": "latent_count"}
+JSON_NAMES = {ATTRIBUTES[f.name]: f.name for f in FIELDS if f.name in ATTRIBUTES and f.kind != "int_list"}
+CONFIGS = {ModelConfig: "model", TrainConfig: "training", DataConfig: "data"}
 
 
 def _check_kind(field: Field, value):
-    kind = field.kind
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"field '{field.name}' must be an integer")
-        return int(value)
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"field '{field.name}' must be a number")
+    text, ok = JSON_KINDS[field.kind]
+    if not ok(value):
+        raise ConfigError(f"field '{field.name}' must be {text}")
+    if field.kind != "float":
+        return value
+    try:
         return float(value)
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(f"field '{field.name}' must be a boolean")
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"field '{field.name}' must be a string")
-        return value
-    if kind == "pair":
-        if (
-            not isinstance(value, list)
-            or len(value) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in value)
-        ):
-            raise ConfigError(f"field '{field.name}' must be a pair of integers")
-        return [int(v) for v in value]
-    if kind == "int_list":
-        if (
-            not isinstance(value, list)
-            or not value
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in value)
-        ):
-            raise ConfigError(f"field '{field.name}' must be a non-empty list of integers")
-        return [int(v) for v in value]
-    raise AssertionError(kind)
+    except OverflowError:
+        raise ConfigError(f"field '{field.name}' must be a number within float range, got an integer "
+                          f"of {len(str(value))} digits") from None
 
 
 def load_run_config(path: str, command: str, seed_override: int | None) -> dict:
-    """Read, type-check and complete the config for one subcommand. Raises
-    ConfigError naming the specific field on any problem."""
+    """Read, type-check and complete the config for one subcommand, then
+    validate every config class it feeds. Raises ConfigError naming the
+    specific field on any problem."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise ConfigError(f"config file cannot be read: {e}")
+    except ValueError as e:  # bad JSON, not UTF-8, or an integer past Python's digit limit
         raise ConfigError(f"config file is not valid JSON: {e}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -162,64 +145,39 @@ def load_run_config(path: str, command: str, seed_override: int | None) -> dict:
     if resolved["seeds"] is None:
         resolved["seeds"] = [resolved["seed"]]
 
-    for field in FIELDS:
-        value = resolved[field.name]
-        if field.valid is None or value is None:
-            continue
-        text, ok = field.valid
-        if not all(ok(v) for v in (value if isinstance(value, list) else [value])):
-            entries = " entries" if isinstance(value, list) else ""
-            raise ConfigError(f"field '{field.name}'{entries} must be {text}, got {value!r}")
-
-    # semantic checks, reported against their field
-    try:
-        build_model_cfg(resolved).validate()
-    except ValueError as e:
-        raise ConfigError(f"invalid model configuration: {e}")
-    if command in TRAIN_COMMANDS:
-        try:
-            build_train_cfg(resolved).validate()
-        except ValueError as e:
-            raise ConfigError(f"invalid training configuration: {e}")
+    # each config the fields feed, then each list entry through the
+    # attribute it feeds
+    for cls, what in CONFIGS.items():
+        cfg = build_config(cls, resolved)
+        _validate(cfg, what)
+        for field in FIELDS:
+            attr = ATTRIBUTES.get(field.name)
+            if field.kind == "int_list" and hasattr(cfg, attr):
+                for entry in resolved[field.name] or ():
+                    _validate(replace(cfg, **{attr: entry}), what, list_name=field.name)
     return resolved
 
 
-def build_model_cfg(resolved: dict) -> ModelConfig:
-    return ModelConfig(
-        layers=resolved["layers"],
-        width=resolved["width"],
-        heads=resolved["heads"],
-        patch=resolved["patch"],
-        image_hw=tuple(resolved["image_hw"]),
-        spec_hw=tuple(resolved["spec_hw"]),
-        latent_count=resolved["latents"],
-        ratio=resolved["bottleneck_ratio"],
-        groups=resolved["groups"],
-        mode=resolved["mode"],
-        use_latents=resolved["use_latents"],
-        bottleneck_act=resolved["bottleneck_act"],
-        bottleneck_bias=resolved["bottleneck_bias"],
-        audio_pos=resolved["audio_pos"],
-    )
+def _validate(cfg, what: str, list_name: str | None = None) -> None:
+    """Validate ``cfg`` and report a refusal under its JSON field name, or
+    as the entries of list field ``list_name``."""
+    try:
+        cfg.validate()
+    except FieldError as e:
+        where = f"'{list_name}' entries" if list_name else f"'{JSON_NAMES.get(e.field, e.field)}'"
+        raise ConfigError(f"invalid {what} configuration: field {where} {e.reason}") from None
 
 
-def build_train_cfg(resolved: dict, seed: int | None = None) -> TrainConfig:
-    return TrainConfig(
-        lr_adapter=resolved["lr_adapter"],
-        lr_head=resolved["lr_head"],
-        steps=resolved["steps"],
-        batch_size=resolved["batch_size"],
-        seed=resolved["seed"] if seed is None else seed,
-        eval_every=resolved["eval_every"],
-    )
-
-
-def build_data_cfg(resolved: dict) -> DataConfig:
-    return DataConfig(
-        train_count=resolved["train_count"],
-        test_count=resolved["test_count"],
-        noise=resolved["noise"],
-    )
+def build_config(cls, resolved: dict):
+    """A ``cls`` config from the resolved fields that feed it and are set,
+    over the dataclass defaults."""
+    names = {f.name for f in fields(cls)}
+    kwargs = {}
+    for field in FIELDS:
+        attr, value = ATTRIBUTES.get(field.name, field.name), resolved[field.name]
+        if field.kind != "int_list" and attr in names and value is not None:
+            kwargs[attr] = tuple(value) if field.kind == "pair" else value
+    return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +194,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def cmd_train(resolved: dict, outdir: Path, quiet: bool) -> None:
-    result = run_experiment(build_model_cfg(resolved), build_train_cfg(resolved), build_data_cfg(resolved))
+    result = run_experiment(*(build_config(cls, resolved) for cls in CONFIGS))  # model, training, data
     _write_text(outdir / "metrics.csv", csv_text(METRICS_COLUMNS, result.rows))
     result.model.save_weights(outdir / "weights")
     if not quiet:
@@ -244,9 +202,10 @@ def cmd_train(resolved: dict, outdir: Path, quiet: bool) -> None:
 
 
 def _mean_accuracy(resolved: dict, model_cfg: ModelConfig) -> float:
+    train_cfg, data_cfg = build_config(TrainConfig, resolved), build_config(DataConfig, resolved)
     accs = []
     for seed in resolved["seeds"]:
-        result = run_experiment(model_cfg, build_train_cfg(resolved, seed=seed), build_data_cfg(resolved))
+        result = run_experiment(model_cfg, replace(train_cfg, seed=seed), data_cfg)
         accs.append(result.test_accuracy)
     return sum(accs) / len(accs)
 
@@ -254,7 +213,7 @@ def _mean_accuracy(resolved: dict, model_cfg: ModelConfig) -> float:
 def cmd_ablation(resolved: dict, outdir: Path, quiet: bool) -> None:
     """The eight-row grid: both fusion methods crossed with the four modes,
     every cell trained with the same shared seed list."""
-    cfg = build_model_cfg(resolved)
+    cfg = build_config(ModelConfig, resolved)
     rows = []
     for method in ABLATION_METHODS:
         for mode, directions in MODE_DIRECTIONS.items():
@@ -268,7 +227,7 @@ def cmd_ablation(resolved: dict, outdir: Path, quiet: bool) -> None:
 
 def cmd_latent_sweep(resolved: dict, outdir: Path, quiet: bool) -> None:
     """Accuracy and analytic fusion MACs per latent count."""
-    cfg0 = build_model_cfg(resolved)
+    cfg0 = build_config(ModelConfig, resolved)
     n, k = cfg0.n_visual_tokens, cfg0.n_audio_tokens
     rows = []
     for m in resolved["latents_sweep"]:
@@ -285,7 +244,7 @@ def cmd_cost_report(resolved: dict, outdir: Path, quiet: bool) -> None:
     configured model."""
     report: dict = {"ratios": {}}
     csv_rows = []
-    cfg = build_model_cfg(resolved)
+    cfg = build_config(ModelConfig, resolved)
     cfg_latent, cfg_direct = replace(cfg, use_latents=True), replace(cfg, use_latents=False)
     n, k = cfg_latent.n_visual_tokens, cfg_latent.n_audio_tokens
     m, d = cfg_latent.latent_count, cfg_latent.width

@@ -39,6 +39,33 @@ def is_integer(value) -> bool:
     return not isinstance(value, bool)
 
 
+# The Python kinds a config field can hold, by the text a refusal gives.
+KINDS = {
+    "an integer": is_integer,
+    "a number": lambda v: is_integer(v) or isinstance(v, (float, np.floating)),
+    "a boolean": lambda v: isinstance(v, bool),
+}
+
+
+class FieldError(ValueError):
+    """A config value that its class's ``validate`` refuses. ``field`` is the
+    attribute's name and the message reads ``"<field> <reason>"``."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field} {reason}")
+        self.field, self.reason = field, reason
+
+
+def require(field: str, value, kind: str, ok=None, text: str = "") -> None:
+    """Raise ``FieldError`` unless ``value`` is of ``kind``, a key of
+    ``KINDS``, and, given ``ok``, passes it; ``text`` says what ``ok``
+    admits."""
+    if not KINDS[kind](value):
+        raise FieldError(field, f"must be {kind}, got {value!r}")
+    if ok is not None and not ok(value):
+        raise FieldError(field, f"must be {text}, got {value!r}")
+
+
 @dataclass
 class ModelConfig:
     """Shape and wiring of one two-stream model."""
@@ -60,37 +87,25 @@ class ModelConfig:
 
     def validate(self) -> None:
         for name in ("layers", "width", "heads", "patch", "latent_count", "ratio", "groups"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            require(name, getattr(self, name), "an integer", lambda v: v >= 1, ">= 1")
         for name in ("image_hw", "spec_hw"):
             hw = getattr(self, name)
             if not (isinstance(hw, (tuple, list)) and len(hw) == 2 and all(map(is_integer, hw))):
-                raise ValueError(f"{name} must be two integers, got {hw!r}")
-        if self.layers < 1:
-            raise ValueError(f"layers must be >= 1, got {self.layers}")
-        if self.heads < 1:
-            raise ValueError(f"heads must be >= 1, got {self.heads}")
-        if self.width < 1 or self.width % self.heads:
-            raise ValueError(f"heads {self.heads} must divide width {self.width}")
-        if self.patch < 1:
-            raise ValueError(f"patch must be >= 1, got {self.patch}")
-        for name in ("image_hw", "spec_hw"):
-            if min(getattr(self, name)) < 1:
-                raise ValueError(f"{name} entries must be >= 1, got {getattr(self, name)}")
+                raise FieldError(name, f"must be two integers, got {hw!r}")
+            if min(hw) < 1:
+                raise FieldError(name, f"entries must be >= 1, got {hw}")
+        for name in ("use_latents", "bottleneck_bias"):
+            require(name, getattr(self, name), "a boolean")
+        for name, allowed in (("mode", MODES), ("audio_pos", ("resize", "none")),
+                              ("bottleneck_act", tuple(ACTIVATIONS))):
+            if getattr(self, name) not in allowed:
+                raise FieldError(name, f"must be one of {allowed}, got {getattr(self, name)!r}")
+        if self.width % self.heads:
+            raise FieldError("width", f"must divide by heads = {self.heads}, got {self.width}")
+        if self.width % (self.ratio * self.groups):
+            raise FieldError("width", f"must divide by ratio*groups = {self.ratio * self.groups}, got {self.width}")
         if self.image_hw[0] % self.patch or self.image_hw[1] % self.patch:
-            raise ValueError(f"image size {self.image_hw} must divide by patch {self.patch}")
-        if self.latent_count < 1:
-            raise ValueError(f"latent_count must be >= 1, got {self.latent_count}")
-        if self.ratio < 1 or self.groups < 1 or self.width % (self.ratio * self.groups):
-            raise ValueError(
-                f"width {self.width} must divide by ratio*groups = {self.ratio * self.groups}"
-            )
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.audio_pos not in ("resize", "none"):
-            raise ValueError(f"audio_pos must be 'resize' or 'none', got {self.audio_pos!r}")
-        if self.bottleneck_act not in ACTIVATIONS:
-            raise ValueError(f"bottleneck_act must be one of {tuple(ACTIVATIONS)}, got {self.bottleneck_act!r}")
+            raise FieldError("image_hw", f"must divide by patch {self.patch}, got {self.image_hw}")
 
     @property
     def visual_grid(self) -> tuple[int, int]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .autodiff import NonFiniteError, Rng, ShapeError, Tensor, backward, cross_entropy_logits, derive_seed, no_grad
 from .backbone import ImageInput, SpectrogramInput
-from .model import ModelConfig, TwoStreamModel, is_integer
+from .model import ModelConfig, TwoStreamModel, require
 
 PAIR_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -35,6 +35,9 @@ EVAL_CHUNK = 16
 # Largest magnitude whose square is finite in float64: a weight past it
 # overflows any product with a value of its own size.
 SQUARE_SAFE = float(np.sqrt(np.finfo(np.float64).max))
+# Largest finite float64. A Python int past it compares below inf, yet
+# cannot become a float.
+FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class FrozenGradientError(RuntimeError):
@@ -86,6 +89,16 @@ def xnor_label(audio_class: int, visual_class: int) -> int:
     return 1 if audio_class == visual_class else 0
 
 
+def _check_sets(noise: float, **counts: int) -> None:
+    """Refuse each sample count that is not an integer >= 4, and a noise
+    level that is not a number in [0, 1), with a ``FieldError`` naming the
+    argument: the one rule of ``generate_dataset`` and
+    ``DataConfig.validate``."""
+    for name, count in counts.items():
+        require(name, count, "an integer", lambda v: v >= 4, ">= 4")
+    require("noise", noise, "a number", lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+
+
 def generate_dataset(
     seed: int,
     count: int,
@@ -106,10 +119,7 @@ def generate_dataset(
     changing a single sample. Each array is checked once, by its input
     class's ``rows``.
     """
-    if count < 4:
-        raise ValueError(f"generate_dataset: need count >= 4, got {count}")
-    if not (0.0 <= noise < 1.0):
-        raise ValueError(f"generate_dataset: noise must lie in [0, 1), got {noise}")
+    _check_sets(noise, count=count)
     for name, hw in (("image_hw", image_hw), ("spec_hw", spec_hw)):
         if len(hw) != 2 or min(hw) < 1:
             raise ShapeError(f"generate_dataset: {name} must be two sizes >= 1, got {tuple(hw)}")
@@ -236,20 +246,11 @@ class TrainConfig:
     eval_every: int = 0  # 0: evaluate only after the last step
 
     def validate(self) -> None:
-        for name in ("steps", "batch_size", "seed", "eval_every"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.eval_every < 0:
-            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
+        require("seed", self.seed, "an integer", lambda v: 0 <= v < 2**64, "in [0, 2**64)")
+        for name, low in (("steps", 0), ("batch_size", 1), ("eval_every", 0)):
+            require(name, getattr(self, name), "an integer", lambda v: v >= low, f">= {low}")
         for name in ("lr_adapter", "lr_head"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+            require(name, getattr(self, name), "a number", lambda v: 0.0 < v <= FLOAT_MAX, "finite and > 0")
 
 
 def evaluate(model: TwoStreamModel, samples: list[SyntheticAvSample]) -> float:
@@ -385,6 +386,9 @@ class DataConfig:
     test_count: int = 256
     noise: float = 0.1
 
+    def validate(self) -> None:
+        _check_sets(self.noise, train_count=self.train_count, test_count=self.test_count)
+
 
 @dataclass
 class ExperimentResult:
@@ -399,10 +403,11 @@ class ExperimentResult:
 def run_experiment(model_cfg: ModelConfig, train_cfg: TrainConfig, data_cfg: DataConfig) -> ExperimentResult:
     """Generate data, build the model, train, and evaluate, all derived from
     ``train_cfg.seed``. Train and test draws come from disjoint seed
-    derivations, never from overlapping streams. Both configs are
+    derivations, never from overlapping streams. All three configs are
     validated before any data is generated."""
     model_cfg.validate()
     train_cfg.validate()
+    data_cfg.validate()
     seed = train_cfg.seed
     train_samples = generate_dataset(
         derive_seed(seed, "train-data"), data_cfg.train_count, data_cfg.noise,

@@ -1,5 +1,6 @@
 """CLI tests: config validation, outputs, determinism, exit codes."""
 import ctypes
+import dataclasses
 import hashlib
 import json
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avfuse.cli import FIELDS, ConfigError, load_run_config, main
+from avfuse.cli import ATTRIBUTES, CONFIGS, FIELDS, ConfigError, load_run_config, main
 
 TINY = {
     "layers": 1,
@@ -79,7 +80,8 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="latents_sweep"):
             load_run_config(write_config(tmp_path, {"latents_sweep": []}), "latent-sweep", None)
         for field, bad, kind in (("lr_adapter", "fast", "a number"), ("use_latents", 1, "a boolean"),
-                                 ("mode", 3, "a string"), ("image_hw", [8, 8, 8], "a pair of integers")):
+                                 ("mode", 3, "a string"), ("image_hw", [8, 8, 8], "a pair of integers"),
+                                 ("lr_head", 10**400, "a number")):
             with pytest.raises(ConfigError, match=f"field '{field}' must be {kind}"):
                 load_run_config(write_config(tmp_path, {field: bad}), "train", None)
         p = tmp_path / "list.json"
@@ -98,6 +100,27 @@ class TestConfigLoading:
             load_run_config(str(p), "train", None)
         with pytest.raises(ConfigError, match="not found"):
             load_run_config(str(tmp_path / "absent.json"), "train", None)
+        with pytest.raises(ConfigError, match="cannot be read"):
+            load_run_config(str(tmp_path), "train", None)
+        p.write_bytes(b"\xff\xfe{")
+        with pytest.raises(ConfigError, match="not valid JSON: 'utf-8' codec"):
+            load_run_config(str(p), "train", None)
+        p.write_text(json.dumps(TINY)[:-1] + ', "seed": ' + "1" * 4301 + "}")
+        with pytest.raises(ConfigError, match="not valid JSON: Exceeds the limit"):
+            load_run_config(str(p), "train", None)
+
+    def test_optional_defaults_match_the_dataclasses(self):
+        # each FIELDS default feeds a config attribute whose dataclass
+        # default must agree, read through the CLI's own JSON-to-attribute map
+        defaults = {f.name: f.default for cls in CONFIGS for f in dataclasses.fields(cls)}
+        checked = []
+        for field in FIELDS:
+            if field.default is not None:
+                want = defaults[ATTRIBUTES.get(field.name, field.name)]
+                assert (tuple(field.default) if field.kind == "pair" else field.default) == want, field.name
+                checked.append(field.name)
+        assert checked == ["image_hw", "spec_hw", "mode", "use_latents", "bottleneck_act", "bottleneck_bias",
+                           "audio_pos", "seed", "eval_every"]
 
 
 class TestExitCodes:
@@ -160,19 +183,21 @@ class TestExitCodes:
             "seeds": ["[-1]", f"[0, {2**64}]"],
             "latents_sweep": ["[0]"],
         }
-        ranged = {f.name for f in FIELDS if f.valid is not None or f.kind == "str"}
+        ranged = {f.name for f in FIELDS if f.kind != "bool"}
         assert ranged == set(bad)
-        for name, values in bad.items():
-            for raw in values:
-                cfg = {k: v for k, v in dict(TINY, latents_sweep=[2]).items() if k != name}
-                p = tmp_path / "c.json"
-                p.write_text(json.dumps(cfg)[:-1] + f', "{name}": {raw}}}')
-                out = tmp_path / "never"
-                code = run_cli(["latent-sweep", "--config", str(p), "--out", str(out), "--quiet"])
-                err = capsys.readouterr().err
-                assert code == 2, (name, raw, err)
-                assert re.search(rf"\b{name}\b", err), (name, raw, err)
-                assert not out.exists()
+        # cost-report needs no training field, yet refuses one that is given and bad
+        for command in ("latent-sweep", "cost-report"):
+            for name, values in bad.items():
+                for raw in values:
+                    cfg = {k: v for k, v in dict(TINY, latents_sweep=[2]).items() if k != name}
+                    p = tmp_path / "c.json"
+                    p.write_text(json.dumps(cfg)[:-1] + f', "{name}": {raw}}}')
+                    out = tmp_path / "never"
+                    code = run_cli([command, "--config", str(p), "--out", str(out), "--quiet"])
+                    err = capsys.readouterr().err
+                    assert code == 2, (command, name, raw, err)
+                    assert re.search(rf"\b{name}\b", err), (command, name, raw, err)
+                    assert not out.exists()
 
     def test_seed_override_out_of_range_two(self, tmp_path, capsys):
         code = run_cli(["train", "--config", write_config(tmp_path), "--out", str(tmp_path / "o"), "--seed", "-1"])

@@ -6,7 +6,7 @@ from avfuse import model as model_module
 from avfuse.autodiff import Rng, ShapeError, Tensor
 from avfuse.backbone import ImageInput, SpectrogramInput
 from avfuse.fusion import MODES
-from avfuse.model import ModelConfig, TwoStreamModel, event_head, frozen_twin
+from avfuse.model import FieldError, ModelConfig, TwoStreamModel, event_head, frozen_twin
 from avfuse.serialization import save_tensors
 
 from helpers import site_row, site_views
@@ -55,6 +55,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name} must be two integers"):
             ModelConfig(**{name: bad}).validate()
         ModelConfig(**{name: (np.int64(8), 8)}).validate()
+
+    @pytest.mark.parametrize("name,bad", [("use_latents", "no"), ("use_latents", 1), ("bottleneck_bias", 0),
+                                          ("bottleneck_bias", None)])
+    def test_rejects_a_flag_that_is_not_a_bool(self, name, bad):
+        # a truthy non-bool would otherwise read as true and build latent sites
+        with pytest.raises(FieldError, match=f"{name} must be a boolean, got {bad!r}") as info:
+            ModelConfig(**{name: bad}).validate()
+        assert info.value.field == name
+        ModelConfig(**{name: False}).validate()
 
     @pytest.mark.parametrize("field_name", ["bottleneck_act"])
     def test_rejects_unknown_activation(self, field_name):

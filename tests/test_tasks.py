@@ -1,6 +1,7 @@
 """Synthetic task, optimizer, and training-loop tests."""
 import collections
 import math
+import re
 import sys
 import weakref
 
@@ -10,7 +11,7 @@ import pytest
 from avfuse import tasks
 from avfuse.autodiff import Rng, ShapeError, Tensor, backward, cross_entropy_logits, derive_seed
 from avfuse.backbone import ImageInput, SpectrogramInput
-from avfuse.model import ModelConfig, TwoStreamModel
+from avfuse.model import FieldError, ModelConfig, TwoStreamModel
 from avfuse.tasks import (
     SQUARE_SAFE,
     Adam,
@@ -397,7 +398,7 @@ class TestTrainLoop:
     def test_config_rejects_bad_learning_rates(self):
         # NaN, infinite, zero or negative rates would train a garbage model
         for name in ("lr_adapter", "lr_head"):
-            for bad in (float("nan"), float("inf"), 0.0, -1.0):
+            for bad in (float("nan"), float("inf"), 0.0, -1.0, 10**400, "x", True):
                 with pytest.raises(ValueError, match=name):
                     TrainConfig(**{name: bad}).validate()
 
@@ -419,6 +420,23 @@ class TestTrainLoop:
             TrainConfig(**{name: bad}).validate()
         # numpy integers are integers
         TrainConfig(**{name: np.int64(3)}).validate()
+
+    @pytest.mark.parametrize("name,bad,why", [
+        ("train_count", 10.5, "must be an integer"), ("test_count", "8", "must be an integer"),
+        ("train_count", True, "must be an integer"), ("train_count", 3, "must be >= 4"),
+        ("test_count", np.int64(3), "must be >= 4"), ("noise", "0.1", "must be a number"),
+        ("noise", None, "must be a number"), ("noise", float("nan"), "must be in [0, 1)"),
+        ("noise", 1.0, "must be in [0, 1)"),
+    ])
+    def test_data_config_rejects_a_bad_count_or_noise(self, name, bad, why):
+        with pytest.raises(FieldError, match=re.escape(f"{name} {why}")) as info:
+            DataConfig(**{name: bad}).validate()
+        assert info.value.field == name
+        DataConfig(**{name: np.int64(4) if name != "noise" else np.float64(0.0)}).validate()
+
+    def test_generate_dataset_names_a_count_that_is_not_an_integer(self):
+        with pytest.raises(FieldError, match=r"count must be an integer, got 10\.5"):
+            generate_dataset(0, 10.5, 0.1)
 
     def _tiny_run(self, mode="bidirectional", steps=3, seed=0, eval_every=0):
         mc = ModelConfig(mode=mode, **SMALL_MODEL)
@@ -605,6 +623,12 @@ class TestRunExperiment:
         monkeypatch.setattr(tasks, "generate_dataset", lambda *a, **k: pytest.fail("generated data"))
         with pytest.raises(ValueError, match=f"{next(iter(bad))} must be "):
             run_experiment(ModelConfig(**{**SMALL_MODEL, **bad}), TrainConfig(), DataConfig())
+
+    def test_refuses_a_small_test_set_before_any_data(self, monkeypatch):
+        # the train set would be drawn in full before the test count failed
+        monkeypatch.setattr(tasks, "generate_dataset", lambda *a, **k: pytest.fail("generated data"))
+        with pytest.raises(ValueError, match="test_count must be >= 4, got 3"):
+            run_experiment(ModelConfig(mode="none", **SMALL_MODEL), TrainConfig(), DataConfig(test_count=3))
 
     def test_train_and_test_data_disjoint_streams(self):
         tr = generate_dataset(derive_seed(0, "train-data"), 8, 0.1)
