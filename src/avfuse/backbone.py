@@ -2,12 +2,13 @@
 
 One set of layer weights serves both streams: images and spectrograms are cut
 into patch tokens of the same width and pushed through the same pre-norm
-attention/MLP blocks; the MLP is GELU, as in ViT. A list of inputs is
-tokenized as one ``(B, N, D)`` batch: the frozen projection and positional
-table run as kernels, and the tokens come out as a leaf that records no
-node. Each block, ``mha`` or ``mlp``, is a whole layer half, ``x + f(LN(x))``
-as in ViT, written as a forward kernel on plain arrays with any leading axes
-(a stack of streams, a batch or one sample's ``(N, D)`` tokens) that records
+attention/MLP blocks; the MLP is GELU, as in ViT. An ``InputBatch``, B
+images and B spectrograms as two arrays, is tokenized as one ``(B, N, D)``
+batch per stream: the frozen projection and positional table run as
+kernels, and the tokens come out as a leaf that records no node. Each
+block, ``mha`` or ``mlp``, is a whole layer half, ``x + f(LN(x))`` as in
+ViT, written as a forward kernel on plain arrays with any leading axes (a
+stack of streams, a batch or one sample's ``(N, D)`` tokens) that records
 nothing and returns its backward; ``fusion.layer_forward`` runs it inside
 the layer half's node, beside the adapter sites that add into the same
 stack. Everything here is frozen at construction; the only trainable state
@@ -54,88 +55,48 @@ INIT_STD = 0.02
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ImageInput:
-    """An RGB image, float64 (H, W, 3) with values in [0, 1]."""
+class InputBatch:
+    """B paired inputs as two float64 arrays: ``images``, (B, H, W, 3) RGB
+    grids with values in [0, 1], and ``specs``, (B, T, F) single-channel
+    spectrograms with finite values.
 
-    pixels: np.ndarray
+    A batch is checked once, when it is built; a shape error names one
+    grid's shape. ``batch[index]`` takes the same rows of every attribute,
+    each an array over the B rows, as a batch of the same class: views for
+    a slice, gathered rows for an index array. A part of a checked batch is
+    not checked again.
+    """
 
-    def __post_init__(self) -> None:
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        self.check(self.pixels)
+    def __init__(self, images, specs):
+        self.images = images = np.asarray(images, dtype=np.float64)
+        self.specs = specs = np.asarray(specs, dtype=np.float64)
+        if images.ndim != 4 or images.shape[3] != 3:
+            raise ShapeError(f"InputBatch: images need (H, W, 3) grids, got shape {images.shape[1:]}")
+        if specs.ndim != 3:
+            raise ShapeError(f"InputBatch: specs need (time, freq) grids, got shape {specs.shape[1:]}")
+        if len(images) != len(specs) or not len(images):
+            raise ShapeError(
+                f"InputBatch: need as many images as specs, at least one, got {len(images)} and {len(specs)}")
+        for name, array in (("images", images), ("specs", specs)):
+            if not math.prod(array.shape[1:]):
+                raise ShapeError(f"InputBatch: {name} need a non-empty grid, got shape {array.shape[1:]}")
+            # both propagate NaN and carry any infinity, and neither pass
+            # allocates an array of the batch's size
+            lo, hi = float(np.minimum.reduce(array, axis=None)), float(np.maximum.reduce(array, axis=None))
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"InputBatch: non-finite values in {name}")
+            if name == "images" and (lo < 0.0 or hi > 1.0):
+                raise ValueError("InputBatch: pixel values must lie in [0, 1]")
 
-    @staticmethod
-    def check(pixels: np.ndarray, lead: int = 0) -> None:
-        """Refuse anything but non-empty (H, W, 3) grids in [0, 1] behind
-        ``lead`` leading axes; a shape error names one grid's shape."""
-        shape = pixels.shape[lead:]
-        if len(shape) != 3 or shape[2] != 3:
-            raise ShapeError(f"ImageInput: need (H, W, 3), got shape {shape}")
-        if not math.prod(shape):
-            raise ShapeError(f"ImageInput: need a non-empty grid, got shape {shape}")
-        lo, hi = _extremes(pixels)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("ImageInput: non-finite pixel values")
-        if lo < 0.0 or hi > 1.0:
-            raise ValueError("ImageInput: pixel values must lie in [0, 1]")
+    def __len__(self) -> int:
+        return len(self.images)
 
-    @classmethod
-    def rows(cls, pixels: np.ndarray) -> list[ImageInput]:
-        """One input per leading row of a (count, H, W, 3) array, each a view
-        of its row; the array is checked once, not row by row."""
-        return _rows(cls, "pixels", pixels)
-
-
-@dataclass
-class SpectrogramInput:
-    """A single-channel spectrogram, float64 (time, freq), finite values."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.check(self.values)
-
-    @staticmethod
-    def check(values: np.ndarray, lead: int = 0) -> None:
-        """Refuse anything but non-empty, finite (time, freq) grids behind
-        ``lead`` leading axes; a shape error names one grid's shape."""
-        shape = values.shape[lead:]
-        if len(shape) != 2:
-            raise ShapeError(f"SpectrogramInput: need (time, freq), got shape {shape}")
-        if not math.prod(shape):
-            raise ShapeError(f"SpectrogramInput: need a non-empty grid, got shape {shape}")
-        lo, hi = _extremes(values)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("SpectrogramInput: non-finite values")
-
-    @classmethod
-    def rows(cls, values: np.ndarray) -> list[SpectrogramInput]:
-        """One input per leading row of a (count, T, F) array, each a view of
-        its row; the array is checked once, not row by row."""
-        return _rows(cls, "values", values)
-
-
-def _extremes(array: np.ndarray) -> tuple[float, float]:
-    """``array``'s min and max, or (0, 0) when it is empty. Both propagate
-    NaN and carry any infinity, so the array is finite exactly when both
-    are, and neither pass allocates an array of ``array``'s size."""
-    if not array.size:
-        return 0.0, 0.0
-    return float(np.minimum.reduce(array, axis=None)), float(np.maximum.reduce(array, axis=None))
-
-
-def _rows(cls, field: str, array) -> list:
-    """``cls`` instances over the rows of ``array``, checked as one stack by
-    ``cls.check`` and built without ``__post_init__``."""
-    array = np.asarray(array, dtype=np.float64)
-    cls.check(array, lead=1)
-    inputs = []
-    for row in array:
-        item = object.__new__(cls)
-        setattr(item, field, row)
-        inputs.append(item)
-    return inputs
+    def __getitem__(self, index) -> InputBatch:
+        if not isinstance(index, slice) and np.ndim(index) != 1:
+            raise IndexError(f"{type(self).__name__}: index with a slice or a 1-D index array, got {index!r}")
+        part = object.__new__(type(self))
+        part.__dict__.update((name, value[index]) for name, value in vars(self).items())
+        return part
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +137,14 @@ def _embed(fn: str, patches: np.ndarray, proj: Tensor, pos: Tensor | None) -> Te
     return Tensor._leaf(linear_fwd(patches, proj.data, None if pos is None else pos.data))
 
 
-def patch_embed(images: list[ImageInput], patch: int, proj: Tensor, pos: Tensor | None = None) -> Tensor:
+def patch_embed(images: np.ndarray, patch: int, proj: Tensor, pos: Tensor | None = None) -> Tensor:
     """Project image patches to backbone width and add positional rows.
 
-    The list of images is tokenized as one (B, N, width) batch, a leaf.
-    ``proj`` is (patch*patch*3, width) and carries no bias, so a zero image
-    with a zero positional table maps to all-zero tokens.
+    The (B, H, W, 3) images are tokenized as one (B, N, width) batch, a
+    leaf. ``proj`` is (patch*patch*3, width) and carries no bias, so a zero
+    image with a zero positional table maps to all-zero tokens.
     """
-    pixels = np.stack([im.pixels for im in images])
-    return _embed("patch_embed", unfold_patches(pixels, patch), proj, pos)
+    return _embed("patch_embed", unfold_patches(images, patch), proj, pos)
 
 
 def pad_to_multiple(values: np.ndarray, patch: int) -> np.ndarray:
@@ -198,18 +158,14 @@ def pad_to_multiple(values: np.ndarray, patch: int) -> np.ndarray:
     return np.pad(values, [(0, 0)] * (values.ndim - 2) + [(0, mp), (0, cp)], mode="constant")
 
 
-def spectrogram_embed(
-    specs: list[SpectrogramInput], patch: int, proj: Tensor, pos: Tensor | None = None
-) -> Tensor:
-    """Tokenize a list of spectrograms as one batch with the image projection.
+def spectrogram_embed(specs: np.ndarray, patch: int, proj: Tensor, pos: Tensor | None = None) -> Tensor:
+    """Tokenize (B, T, F) spectrograms as one batch with the image projection.
 
     The single channel is replicated to three so the shared ``proj``
-    applies; each time/freq grid is zero-padded up to patch multiples first,
-    giving ceil(time/patch) * ceil(freq/patch) tokens per spectrogram, so
-    spectrograms of different shapes that pad to one grid share a batch.
+    applies; the time/freq grids are zero-padded up to patch multiples
+    first, giving ceil(T/patch) * ceil(F/patch) tokens per spectrogram.
     """
-    padded = np.stack([pad_to_multiple(s.values, patch) for s in specs])
-    three = np.repeat(padded[..., None], 3, axis=-1)
+    three = np.repeat(pad_to_multiple(specs, patch)[..., None], 3, axis=-1)
     return _embed("spectrogram_embed", unfold_patches(three, patch), proj, pos)
 
 

@@ -16,8 +16,7 @@ from .autodiff import ACTIVATIONS, Rng, ShapeError, Tensor, _accum, _reduce_to, 
 from .backbone import (
     FreezeRegistry,
     FrozenLayerWeights,
-    ImageInput,
-    SpectrogramInput,
+    InputBatch,
     init_layer_weights,
     patch_embed,
     resize_pos_table,
@@ -66,6 +65,15 @@ def require(field: str, value, kind: str, ok=None, text: str = "") -> None:
         raise FieldError(field, f"must be {text}, got {value!r}")
 
 
+def require_size(field: str, hw) -> None:
+    """Raise ``FieldError`` unless ``hw`` is a grid size: a tuple or list of
+    two integers, each >= 1."""
+    if not (isinstance(hw, (tuple, list)) and len(hw) == 2 and all(map(is_integer, hw))):
+        raise FieldError(field, f"must be two integers, got {hw!r}")
+    if min(hw) < 1:
+        raise FieldError(field, f"entries must be >= 1, got {hw}")
+
+
 @dataclass
 class ModelConfig:
     """Shape and wiring of one two-stream model."""
@@ -89,11 +97,7 @@ class ModelConfig:
         for name in ("layers", "width", "heads", "patch", "latent_count", "ratio", "groups"):
             require(name, getattr(self, name), "an integer", lambda v: v >= 1, ">= 1")
         for name in ("image_hw", "spec_hw"):
-            hw = getattr(self, name)
-            if not (isinstance(hw, (tuple, list)) and len(hw) == 2 and all(map(is_integer, hw))):
-                raise FieldError(name, f"must be two integers, got {hw!r}")
-            if min(hw) < 1:
-                raise FieldError(name, f"entries must be >= 1, got {hw}")
+            require_size(name, getattr(self, name))
         for name in ("use_latents", "bottleneck_bias"):
             require(name, getattr(self, name), "a boolean")
         for name, allowed in (("mode", MODES), ("audio_pos", ("resize", "none")),
@@ -241,30 +245,26 @@ class TwoStreamModel:
 
     # -- forward ------------------------------------------------------------
 
-    def tokenize(self, images: list[ImageInput], specs: list[SpectrogramInput]) -> tuple[Tensor, Tensor]:
-        """The (audio, visual) tokens, in ``STACK_ORDER``, of equal-length
-        lists of spectrograms and images, each a (B, N, width) batch: leaves
-        of the frozen stem."""
-        cfg = self.cfg
-        if len(images) != len(specs) or not images:
-            raise ShapeError(f"tokenize: need equal non-empty input lists, got {len(images)} and {len(specs)}")
-        image_hw, audio_grid, patch = tuple(cfg.image_hw), cfg.audio_grid, cfg.patch
-        for img in images:
-            if img.pixels.shape[:2] != image_hw:
-                raise ShapeError(f"image shape {img.pixels.shape[:2]} does not match config {cfg.image_hw}")
-        for sp in specs:
-            time, freq = sp.values.shape
-            if (-(-time // patch), -(-freq // patch)) != audio_grid:
-                raise ShapeError(f"spectrogram shape {sp.values.shape} does not match config {cfg.spec_hw}")
+    def tokenize(self, batch: InputBatch) -> tuple[Tensor, Tensor]:
+        """The (audio, visual) tokens, in ``STACK_ORDER``, of a non-empty
+        batch, each a (B, N, width) batch: leaves of the frozen stem."""
+        cfg, images, specs = self.cfg, batch.images, batch.specs
+        if not len(images):
+            raise ShapeError("tokenize: need a non-empty batch")
+        if images.shape[1:3] != tuple(cfg.image_hw):
+            raise ShapeError(f"image shape {images.shape[1:3]} does not match config {cfg.image_hw}")
+        time, freq = specs.shape[1:]
+        if (-(-time // cfg.patch), -(-freq // cfg.patch)) != cfg.audio_grid:
+            raise ShapeError(f"spectrogram shape {specs.shape[1:]} does not match config {cfg.spec_hw}")
         xv = patch_embed(images, cfg.patch, self.patch_proj, self.pos_visual)
         xa = spectrogram_embed(specs, cfg.patch, self.patch_proj, self._pos_audio)
         return xa, xv
 
-    def forward(self, images: list[ImageInput], specs: list[SpectrogramInput]) -> list[Tensor]:
-        """The stacks after the last layer, inputs as in ``tokenize``: one
-        (2, B, N, width) stack of both streams when their token counts
-        match, else a one-row stack per stream; rows in ``STACK_ORDER``."""
-        xa, xv = self.tokenize(images, specs)
+    def forward(self, batch: InputBatch) -> list[Tensor]:
+        """The stacks after the last layer of ``batch``: one (2, B, N,
+        width) stack of both streams when their token counts match, else a
+        one-row stack per stream; rows in ``STACK_ORDER``."""
+        xa, xv = self.tokenize(batch)
         # the tokens need no gradient, so each stack is a leaf made by one copy
         shared = xa.data.shape == xv.data.shape
         stacks = [Tensor([xa.data, xv.data])] if shared else [Tensor([xa.data]), Tensor([xv.data])]
@@ -273,15 +273,10 @@ class TwoStreamModel:
             stacks = layer_forward(stacks, w, sites)
         return stacks
 
-    def logits(self, image: ImageInput, spec: SpectrogramInput) -> Tensor:
-        """(1, 2) logits of one sample: a batch of one."""
-        return self.logits_batch([(image, spec)])
-
-    def logits_batch(self, pairs) -> Tensor:
-        """(B, 2) logits of a list of (image, spectrogram) pairs from one
-        batched forward; row i equals ``logits(*pairs[i])`` bit for bit."""
-        stacks = self.forward([img for img, _ in pairs], [spec for _, spec in pairs])
-        return event_head(stacks, self.head_weight, self.head_bias)
+    def logits(self, batch: InputBatch) -> Tensor:
+        """(B, 2) logits of ``batch`` from one batched forward; row i equals
+        the logits of ``batch[i:i + 1]`` bit for bit."""
+        return event_head(self.forward(batch), self.head_weight, self.head_bias)
 
     # -- persistence --------------------------------------------------------
 

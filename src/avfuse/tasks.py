@@ -14,14 +14,13 @@ whether the cross-modal path works.
 from __future__ import annotations
 
 import ctypes
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import NonFiniteError, Rng, ShapeError, Tensor, backward, cross_entropy_logits, derive_seed, no_grad
-from .backbone import ImageInput, SpectrogramInput
-from .model import ModelConfig, TwoStreamModel, require
+from .backbone import InputBatch
+from .model import ModelConfig, TwoStreamModel, require, require_size
 
 PAIR_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -53,13 +52,19 @@ class DivergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SyntheticAvSample:
-    image: ImageInput
-    spectrogram: SpectrogramInput
-    audio_class: int
-    visual_class: int
-    label: int
+class SampleSet(InputBatch):
+    """A labelled set: an ``InputBatch`` plus each sample's int64
+    ``audio_class`` and ``visual_class`` and its ``labels``, their
+    ``xnor_label``. Indexing takes the same rows of all five arrays."""
+
+    def __init__(self, images, specs, audio_class, visual_class):
+        super().__init__(images, specs)
+        self.audio_class = np.asarray(audio_class, dtype=np.int64)
+        self.visual_class = np.asarray(visual_class, dtype=np.int64)
+        if self.audio_class.shape != (len(self),) or self.visual_class.shape != (len(self),):
+            raise ShapeError(f"SampleSet: need one audio and one visual class per sample, got shapes "
+                             f"{self.audio_class.shape} and {self.visual_class.shape} for {len(self)} samples")
+        self.labels = xnor_label(self.audio_class, self.visual_class)
 
 
 def visual_template(cls: int, hw: tuple[int, int]) -> np.ndarray:
@@ -85,8 +90,10 @@ def audio_template(cls: int, hw: tuple[int, int]) -> np.ndarray:
     return base
 
 
-def xnor_label(audio_class: int, visual_class: int) -> int:
-    return 1 if audio_class == visual_class else 0
+def xnor_label(audio_class, visual_class):
+    """1 where the two classes agree, else 0, as int64: of two classes or
+    of two arrays of them."""
+    return np.equal(audio_class, visual_class).astype(np.int64)
 
 
 def _check_sets(noise: float, **counts: int) -> None:
@@ -105,47 +112,41 @@ def generate_dataset(
     noise: float,
     image_hw: tuple[int, int] = (8, 8),
     spec_hw: tuple[int, int] = (8, 8),
-) -> list[SyntheticAvSample]:
-    """Draw ``count`` paired samples.
+) -> SampleSet:
+    """Draw ``count`` paired samples as one ``SampleSet``.
 
     Class pairs cycle through all four combinations, so pair counts never
-    differ by more than one; the final ordering is a seeded shuffle. Sample
-    ``i`` is row ``i`` of two set-wide arrays, ``(count, H, W, 3)`` images
-    and ``(count, T, F)`` spectrograms, which its inputs hold as views: its
-    class templates plus its noise, one draw of ``H*W*3 + T*F`` values from
-    the stream of ``derive_seed(seed, f"sample.{i}")`` (one generator,
-    re-keyed per sample), image part first. So sample ``i`` depends only on
-    ``(seed, i)``, and generation could be sharded by index without
-    changing a single sample. Each array is checked once, by its input
-    class's ``rows``.
+    differ by more than one; the rows are in a seeded shuffled order, drawn
+    first: row ``r`` holds sample ``order[r]``. Sample ``i`` is its class
+    templates plus its noise, one draw of ``H*W*3 + T*F`` values from the
+    stream of ``derive_seed(seed, f"sample.{i}")`` (one generator, re-keyed
+    per sample), image part first, written straight into its row of two
+    set-wide arrays. So sample ``i`` depends only on ``(seed, i)``, and
+    generation could be sharded by index without changing a single sample.
+    The set is checked once, as a whole.
     """
     _check_sets(noise, count=count)
-    for name, hw in (("image_hw", image_hw), ("spec_hw", spec_hw)):
-        if len(hw) != 2 or min(hw) < 1:
-            raise ShapeError(f"generate_dataset: {name} must be two sizes >= 1, got {tuple(hw)}")
+    require_size("image_hw", image_hw)
+    require_size("spec_hw", spec_hw)
+    order = Rng.for_name(seed, "order").permutation(count)
+    audio_class, visual_class = np.asarray(PAIR_ORDER)[order % 4].T
     image_shape, spec_shape = (*image_hw, 3), tuple(spec_hw)
     images, specs = np.empty((count, *image_shape)), np.empty((count, *spec_shape))
     visual = [visual_template(cls, image_hw) for cls in (0, 1)]
     audio = [audio_template(cls, spec_hw) for cls in (0, 1)]
     split, size = images[0].size, images[0].size + specs[0].size
     rng = Rng(0)
-    for i in range(count):
-        a_cls, v_cls = PAIR_ORDER[i % 4]
+    for row, i in enumerate(order):
+        a_cls, v_cls = audio_class[row], visual_class[row]
         if noise > 0.0:
             rng.rekey(derive_seed(seed, f"sample.{i}"))
             draw = rng.normal(size, std=noise)
-            np.add(visual[v_cls], draw[:split].reshape(image_shape), out=images[i])
-            np.add(audio[a_cls], draw[split:].reshape(spec_shape), out=specs[i])
+            np.add(visual[v_cls], draw[:split].reshape(image_shape), out=images[row])
+            np.add(audio[a_cls], draw[split:].reshape(spec_shape), out=specs[row])
         else:
-            images[i], specs[i] = visual[v_cls], audio[a_cls]
+            images[row], specs[row] = visual[v_cls], audio[a_cls]
     np.clip(images, 0.0, 1.0, out=images)
-    samples = [
-        SyntheticAvSample(image, spectrogram, a_cls, v_cls, xnor_label(a_cls, v_cls))
-        for image, spectrogram, (a_cls, v_cls)
-        in zip(ImageInput.rows(images), SpectrogramInput.rows(specs), itertools.cycle(PAIR_ORDER))
-    ]
-    order = Rng.for_name(seed, "order").permutation(count)
-    return [samples[i] for i in order]
+    return SampleSet(images, specs, audio_class, visual_class)
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +254,12 @@ class TrainConfig:
             require(name, getattr(self, name), "a number", lambda v: 0.0 < v <= FLOAT_MAX, "finite and > 0")
 
 
-def evaluate(model: TwoStreamModel, samples: list[SyntheticAvSample]) -> float:
+def evaluate(model: TwoStreamModel, samples: SampleSet) -> float:
     """Fraction of samples whose argmax logit matches the label.
 
-    Scores ``EVAL_CHUNK`` samples per batched forward without recording a
-    tape. Logits rows do not depend on the batch they ride in, so the hits
-    equal those of scoring each sample alone.
+    Scores ``EVAL_CHUNK``-row slices, one batched forward each, without
+    recording a tape. Logits rows do not depend on the batch they ride in,
+    so the hits equal those of scoring each sample alone.
     """
     if not samples:
         raise ValueError("evaluate: samples is empty, so there is no accuracy to report")
@@ -266,9 +267,7 @@ def evaluate(model: TwoStreamModel, samples: list[SyntheticAvSample]) -> float:
     with no_grad():
         for lo in range(0, len(samples), EVAL_CHUNK):
             chunk = samples[lo : lo + EVAL_CHUNK]
-            logits = model.logits_batch([(s.image, s.spectrogram) for s in chunk])
-            labels = np.asarray([s.label for s in chunk])
-            hits += int((np.argmax(logits.data, axis=1) == labels).sum())
+            hits += int((np.argmax(model.logits(chunk).data, axis=1) == chunk.labels).sum())
     return hits / len(samples)
 
 
@@ -320,8 +319,8 @@ def _keep_freed_pages() -> None:
 
 def train(
     model: TwoStreamModel,
-    train_samples: list[SyntheticAvSample],
-    test_samples: list[SyntheticAvSample],
+    train_samples: SampleSet,
+    test_samples: SampleSet,
     cfg: TrainConfig,
 ) -> list[dict]:
     """Optimize the trainable parameters; returns metric rows.
@@ -346,10 +345,9 @@ def train(
 
     for step in range(1, cfg.steps + 1):
         idx = batch_rng.integers(cfg.batch_size, 0, len(train_samples))
-        batch = [train_samples[int(i)] for i in idx]
-        labels = np.asarray([s.label for s in batch], dtype=np.int64)
+        batch = train_samples[idx]
         try:
-            loss = cross_entropy_logits(model.logits_batch([(s.image, s.spectrogram) for s in batch]), labels)
+            loss = cross_entropy_logits(model.logits(batch), batch.labels)
         except NonFiniteError as e:
             raise _divergence(model, step, str(e)) from e
         if not np.isfinite(loss.data):

@@ -61,13 +61,24 @@ def stepper(av, fields: dict):
     model = av["model"].TwoStreamModel(cfg, seed=0)
     tasks, autodiff = av["tasks"], av["autodiff"]
     batch = tasks.generate_dataset(0, 8, 0.1, cfg.image_hw, cfg.spec_hw)
-    pairs = [(s.image, s.spectrogram) for s in batch]
-    labels = np.array([s.label for s in batch])
+    if hasattr(model, "logits_batch"):
+        # a checkout whose sets are lists of per-sample objects, scored as
+        # (image, spectrogram) pairs
+        pairs = [(s.image, s.spectrogram) for s in batch]
+        labels = np.array([s.label for s in batch])
+
+        def logits():
+            return model.logits_batch(pairs)
+    else:
+        labels = batch.labels
+
+        def logits():
+            return model.logits(batch)
     optimizer = tasks.make_optimizer(model, tasks.TrainConfig())
 
     def step() -> dict[str, float]:
         t0 = perf_counter()
-        loss = autodiff.cross_entropy_logits(model.logits_batch(pairs), labels)
+        loss = autodiff.cross_entropy_logits(logits(), labels)
         model.registry.zero_grad()
         autodiff.backward(loss)
         optimizer.step()

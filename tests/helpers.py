@@ -88,9 +88,9 @@ from avfuse.autodiff import (
     linear_fwd,
     relu_fwd,
 )
-from avfuse.backbone import STACK_ORDER, ImageInput, SpectrogramInput
+from avfuse.backbone import STACK_ORDER, InputBatch
 from avfuse.fusion import PARTS, SOURCE, TARGET, BottleneckParams, adapter_forward
-from avfuse.tasks import PAIR_ORDER, SyntheticAvSample, audio_template, visual_template, xnor_label
+from avfuse.tasks import PAIR_ORDER, SampleSet, audio_template, visual_template
 
 
 # ---------------------------------------------------------------------------
@@ -1056,12 +1056,13 @@ def oracle_layer(xa: Tensor, xv: Tensor, w, sites: dict, mode: str) -> tuple[Ten
     return za, zv
 
 
-def oracle_logits(model, image, spec) -> Tensor:
-    """(1, 2) logits of one sample through its own graph."""
+def oracle_logits(model, image: np.ndarray, spec: np.ndarray) -> Tensor:
+    """(1, 2) logits of one (H, W, 3) image and (T, F) spectrogram through
+    their own graph."""
     cfg = model.cfg
-    xv = add(matmul(Tensor(_unfold(image.pixels, cfg.patch)), model.patch_proj), model.pos_visual)
-    t, f = spec.values.shape
-    padded = np.pad(spec.values, ((0, (-t) % cfg.patch), (0, (-f) % cfg.patch)))
+    xv = add(matmul(Tensor(_unfold(image, cfg.patch)), model.patch_proj), model.pos_visual)
+    t, f = spec.shape
+    padded = np.pad(spec, ((0, (-t) % cfg.patch), (0, (-f) % cfg.patch)))
     xa = matmul(Tensor(_unfold(np.repeat(padded[:, :, None], 3, axis=2), cfg.patch)), model.patch_proj)
     if model._pos_audio is not None:
         xa = add(xa, model._pos_audio)
@@ -1071,10 +1072,17 @@ def oracle_logits(model, image, spec) -> Tensor:
     return add(matmul(pooled, model.head_weight), model.head_bias)
 
 
-def oracle_logits_batch(model, pairs) -> Tensor:
-    """Per-sample logits rows stacked into (B, 2)."""
-    rows = [oracle_logits(model, img, spec) for img, spec in pairs]
+def oracle_logits_batch(model, batch: InputBatch) -> Tensor:
+    """Each row's logits through its own graph, stacked into (B, 2)."""
+    rows = [oracle_logits(model, img, spec) for img, spec in zip(batch.images, batch.specs)]
     return rows[0] if len(rows) == 1 else concat_rows(rows)
+
+
+def rand_batch(r, cfg, count: int = 1) -> InputBatch:
+    """``count`` samples for ``cfg`` drawn from ``r`` one at a time, a
+    uniform image then a normal spectrogram each, as one batch."""
+    pairs = [(r.uniform(cfg.image_hw + (3,)), r.normal(cfg.spec_hw)) for _ in range(count)]
+    return InputBatch(np.stack([img for img, _ in pairs]), np.stack([spec for _, spec in pairs]))
 
 
 # ---------------------------------------------------------------------------
@@ -1120,11 +1128,11 @@ class LoopAdam:
 # ---------------------------------------------------------------------------
 
 
-def loop_generate_dataset(seed: int, count: int, noise: float, image_hw=(8, 8), spec_hw=(8, 8)) -> list:
+def loop_generate_dataset(seed: int, count: int, noise: float, image_hw=(8, 8), spec_hw=(8, 8)) -> SampleSet:
     """``tasks.generate_dataset`` as it ran one sample at a time: a fresh
     generator per sample, fresh templates, a copy per noise draw and one
-    clip per image."""
-    samples = []
+    clip per image, then the samples gathered in the shuffled order."""
+    images, specs = [], []
     for i in range(count):
         a_cls, v_cls = PAIR_ORDER[i % 4]
         rng = Rng(derive_seed(seed, f"sample.{i}"))
@@ -1133,15 +1141,9 @@ def loop_generate_dataset(seed: int, count: int, noise: float, image_hw=(8, 8), 
         if noise > 0.0:
             img = img + rng.normal(img.shape, std=noise).astype(np.float64)
             spec = spec + rng.normal(spec.shape, std=noise).astype(np.float64)
-        img = np.clip(img, 0.0, 1.0)
-        samples.append(
-            SyntheticAvSample(
-                image=ImageInput(img),
-                spectrogram=SpectrogramInput(spec),
-                audio_class=a_cls,
-                visual_class=v_cls,
-                label=xnor_label(a_cls, v_cls),
-            )
-        )
+        images.append(np.clip(img, 0.0, 1.0))
+        specs.append(spec)
     order = Rng.for_name(seed, "order").permutation(count)
-    return [samples[i] for i in order]
+    classes = [PAIR_ORDER[i % 4] for i in order]
+    return SampleSet(np.stack([images[i] for i in order]), np.stack([specs[i] for i in order]),
+                     [a for a, _ in classes], [v for _, v in classes])

@@ -112,8 +112,8 @@ def step_line(name: str, fields: dict) -> str:
     Tensor._node = staticmethod(counted)
     try:
         with count_macs() as c:
-            logits = model.logits_batch([(s.image, s.spectrogram) for s in batch])
-            backward(cross_entropy_logits(logits, np.array([s.label for s in batch])))
+            logits = model.logits(batch)
+            backward(cross_entropy_logits(logits, batch.labels))
     finally:
         Tensor._node = staticmethod(node)
     digest = hashlib.sha256(logits.data.tobytes())

@@ -8,14 +8,14 @@ import time
 import numpy as np
 
 from avfuse.autodiff import Rng, count_macs
-from avfuse.backbone import FreezeRegistry, ImageInput, SpectrogramInput
+from avfuse.backbone import FreezeRegistry
 from avfuse.cli import main as cli_main
 from avfuse.costs import count_params, mac_fusion
 from avfuse.fusion import compress_to_latents, fuse_with_latents, gated_attention, init_bottleneck
 from avfuse.model import ModelConfig, TwoStreamModel, frozen_twin
 from avfuse.tasks import DataConfig, TrainConfig, generate_dataset, run_experiment, train
 
-from helpers import check_gradients
+from helpers import check_gradients, rand_batch
 
 
 def test_criterion_1_identity_at_init():
@@ -27,9 +27,8 @@ def test_criterion_1_identity_at_init():
     r = Rng.for_name(0, "acceptance.identity")
     worst = 0.0
     for _ in range(100):
-        img = ImageInput(r.uniform(cfg.image_hw + (3,)))
-        spec = SpectrogramInput(r.normal(cfg.spec_hw))
-        diff = np.max(np.abs(adapted.logits(img, spec).data - frozen.logits(img, spec).data))
+        one = rand_batch(r, cfg)
+        diff = np.max(np.abs(adapted.logits(one).data - frozen.logits(one).data))
         worst = max(worst, float(diff))
     elapsed = time.time() - t0
     assert worst < 1e-12, worst
@@ -43,14 +42,12 @@ def test_criterion_2_gradient_correctness():
     t0 = time.time()
     cfg = ModelConfig(layers=2, width=16, heads=2, latent_count=2, ratio=4, groups=2, mode="bidirectional")
     model = TwoStreamModel(cfg, seed=0)
-    data = generate_dataset(0, 4, 0.1, cfg.image_hw, cfg.spec_hw)
-    pairs = [(s.image, s.spectrogram) for s in data[:2]]
-    labels = np.asarray([s.label for s in data[:2]], dtype=np.int64)
+    batch = generate_dataset(0, 4, 0.1, cfg.image_hw, cfg.spec_hw)[:2]
 
     from avfuse.autodiff import cross_entropy_logits
 
     def make_loss():
-        return cross_entropy_logits(model.logits_batch(pairs), labels)
+        return cross_entropy_logits(model.logits(batch), batch.labels)
 
     params = [t for _, t in model.registry.trainable()]
     n_coords = sum(t.size for t in params)
@@ -83,11 +80,10 @@ def test_criterion_3_freeze_invariance():
     batch_rng = Rng.for_name(tc.seed, "train.batches")
     for _ in range(tc.steps):
         idx = batch_rng.integers(tc.batch_size, 0, len(tr))
-        batch = [tr[int(i)] for i in idx]
-        logits = model.logits_batch([(s.image, s.spectrogram) for s in batch])
-        labels = np.asarray([s.label for s in batch], dtype=np.int64)
+        batch = tr[idx]
+        logits = model.logits(batch)
         model.registry.zero_grad()
-        backward(cross_entropy_logits(logits, labels))
+        backward(cross_entropy_logits(logits, batch.labels))
         opt.step()
 
     after = model.frozen_hash()

@@ -7,8 +7,7 @@ import pytest
 from avfuse.autodiff import GraphError, Rng, ShapeError, Tensor
 from avfuse.backbone import (
     FreezeRegistry,
-    ImageInput,
-    SpectrogramInput,
+    InputBatch,
     init_layer_weights,
     mha,
     mlp,
@@ -19,6 +18,7 @@ from avfuse.backbone import (
     unfold_patches,
 )
 from avfuse.fusion import layer_forward
+from avfuse.tasks import SampleSet
 
 from helpers import (
     add,
@@ -33,79 +33,119 @@ from helpers import (
 )
 
 
+def batch(images=None, specs=None, count=3):
+    """A batch of ``count`` zero images (4, 2, 3) and spectrograms (3, 5),
+    either array replaced by the one given."""
+    return InputBatch(np.zeros((count, 4, 2, 3)) if images is None else images,
+                      np.zeros((count, 3, 5)) if specs is None else specs)
+
+
 class TestInputs:
     def test_image_validation(self):
-        ImageInput(np.zeros((4, 4, 3)))
+        InputBatch(np.zeros((1, 4, 4, 3)), np.zeros((1, 4, 4)))
         with pytest.raises(ShapeError):
-            ImageInput(np.zeros((4, 4)))
+            batch(np.zeros((3, 4, 4)))
         with pytest.raises(ValueError):
-            ImageInput(np.full((4, 4, 3), 1.5))
+            batch(np.full((3, 4, 4, 3), 1.5))
         with pytest.raises(ValueError):
-            bad = np.zeros((4, 4, 3))
-            bad[0, 0, 0] = np.nan
-            ImageInput(bad)
-        with pytest.raises(ShapeError, match=r"ImageInput: need a non-empty grid, got shape \(0, 8, 3\)"):
-            ImageInput(np.zeros((0, 8, 3)))
+            bad = np.zeros((3, 4, 4, 3))
+            bad[0, 0, 0, 0] = np.nan
+            batch(bad)
+        with pytest.raises(ShapeError, match=r"InputBatch: images need a non-empty grid, got shape \(0, 8, 3\)"):
+            batch(np.zeros((3, 0, 8, 3)))
 
     def test_spectrogram_validation(self):
-        SpectrogramInput(np.full((3, 5), -7.0))  # any finite range is legal
+        batch(specs=np.full((3, 3, 5), -7.0))  # any finite range is legal
         with pytest.raises(ShapeError):
-            SpectrogramInput(np.zeros((3, 5, 1)))
+            batch(specs=np.zeros((3, 3, 5, 1)))
         with pytest.raises(ValueError):
-            bad = np.zeros((3, 5))
-            bad[1, 1] = np.inf
-            SpectrogramInput(bad)
-        with pytest.raises(ShapeError, match=r"SpectrogramInput: need a non-empty grid, got shape \(0, 8\)"):
-            SpectrogramInput(np.zeros((0, 8)))
+            bad = np.zeros((3, 3, 5))
+            bad[0, 1, 1] = np.inf
+            batch(specs=bad)
+        with pytest.raises(ShapeError, match=r"InputBatch: specs need a non-empty grid, got shape \(0, 8\)"):
+            batch(specs=np.zeros((3, 0, 8)))
+
+    @pytest.mark.parametrize("images, specs", [(0, 0), (2, 3), (3, 2)])
+    def test_refuses_no_samples_or_unequal_counts(self, images, specs):
+        with pytest.raises(ShapeError, match=f"need as many images as specs, at least one, got {images} and {specs}"):
+            InputBatch(np.zeros((images, 4, 2, 3)), np.zeros((specs, 3, 5)))
+
+    def test_holds_float64_without_a_copy(self):
+        images = np.zeros((2, 4, 2, 3))
+        ints = batch(images, np.zeros((2, 3, 5), dtype=np.int32), count=2)
+        assert ints.images is images and ints.specs.dtype == np.float64
 
 
-INPUTS = {ImageInput: ("pixels", (4, 2, 3)), SpectrogramInput: ("values", (3, 5))}
+# the image input and the spectrogram input of a batch: which argument of
+# ``batch`` each is, and one grid's shape
+STREAMS = {"ImageInput": ("images", (4, 2, 3)), "SpectrogramInput": ("specs", (3, 5))}
 
 
-def _refusal(cls, stack: np.ndarray, bad_row: int, kind: type[Exception]) -> str:
-    """The message ``cls.rows`` refuses ``stack`` with, checked to be the
-    type and message ``cls`` refuses its row ``bad_row`` with."""
+def _refusal(stream: str, stack: np.ndarray, bad_row: int, kind: type[Exception]) -> str:
+    """The message a batch holding ``stack`` as ``stream``'s array is
+    refused with, checked to be the type and message a batch of its row
+    ``bad_row`` alone is refused with."""
+    field = STREAMS[stream][0]
     with pytest.raises(kind) as one:
-        cls(stack[bad_row])
+        batch(**{field: stack[bad_row:bad_row + 1]}, count=1)
     with pytest.raises(kind) as whole:
-        cls.rows(stack)
+        batch(**{field: stack}, count=len(stack))
     assert type(whole.value) is type(one.value) and str(whole.value) == str(one.value)
     return str(whole.value)
 
 
 class TestRows:
     @pytest.mark.parametrize("bad_row", [0, 2])
-    @pytest.mark.parametrize("cls, bad_value", [(ImageInput, v) for v in (np.nan, np.inf, -np.inf, -0.25, 1.5)]
-                             + [(SpectrogramInput, v) for v in (np.nan, np.inf, -np.inf)])
-    def test_refuses_a_bad_value_as_the_constructor_does(self, cls, bad_value, bad_row):
-        stack = np.full((3, *INPUTS[cls][1]), 0.5)
+    @pytest.mark.parametrize("stream, bad_value", [("ImageInput", v) for v in (np.nan, np.inf, -np.inf, -0.25, 1.5)]
+                             + [("SpectrogramInput", v) for v in (np.nan, np.inf, -np.inf)])
+    def test_refuses_a_bad_value_as_the_constructor_does(self, stream, bad_value, bad_row):
+        stack = np.full((3, *STREAMS[stream][1]), 0.5)
         stack[bad_row].flat[-1] = bad_value
-        _refusal(cls, stack, bad_row, ValueError)
+        _refusal(stream, stack, bad_row, ValueError)
 
-    @pytest.mark.parametrize("cls, grid", [(ImageInput, (0, 2, 3)), (ImageInput, (4, 2, 4)), (ImageInput, (4, 2)),
-                                           (SpectrogramInput, (0, 5)), (SpectrogramInput, (3, 5, 1)),
-                                           (SpectrogramInput, (5,))])
-    def test_refuses_a_bad_grid_as_the_constructor_does(self, cls, grid):
-        assert str(grid) in _refusal(cls, np.zeros((3, *grid)), 0, ShapeError)
+    @pytest.mark.parametrize("stream, grid", [("ImageInput", (0, 2, 3)), ("ImageInput", (4, 2, 4)),
+                                              ("ImageInput", (4, 2)), ("SpectrogramInput", (0, 5)),
+                                              ("SpectrogramInput", (3, 5, 1)), ("SpectrogramInput", (5,))])
+    def test_refuses_a_bad_grid_as_the_constructor_does(self, stream, grid):
+        assert str(grid) in _refusal(stream, np.zeros((3, *grid)), 0, ShapeError)
 
-    @pytest.mark.parametrize("cls", INPUTS)
-    def test_rows_are_views_equal_to_checked_inputs(self, cls):
-        field, shape = INPUTS[cls]
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_rows_are_views_equal_to_checked_inputs(self, stream):
+        field, shape = STREAMS[stream]
         stack = np.random.default_rng(0).uniform(size=(4, *shape))
-        rows = cls.rows(stack)
-        assert [type(r) for r in rows] == [cls] * 4
-        for row, grid in zip(rows, stack):
-            value = getattr(row, field)
-            assert np.shares_memory(value, stack)
-            assert value.shape == shape and value.tobytes() == getattr(cls(grid.copy()), field).tobytes()
+        whole = batch(**{field: stack}, count=4)
+        for i in range(4):
+            row = getattr(whole[i:i + 1], field)
+            assert np.shares_memory(row, stack)
+            assert row.tobytes() == getattr(batch(**{field: stack[i:i + 1].copy()}, count=1), field).tobytes()
 
-    @pytest.mark.parametrize("cls", INPUTS)
-    def test_no_rows_give_no_inputs(self, cls):
-        assert cls.rows(np.zeros((0, *INPUTS[cls][1]))) == []
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_no_rows_give_no_inputs(self, stream):
+        # an empty part of a checked batch is a batch of no rows
+        part = batch(count=3)[3:]
+        assert len(part) == 0 and getattr(part, STREAMS[stream][0]).shape == (0, *STREAMS[stream][1])
 
     def test_spectrogram_rows_take_any_finite_range(self):
         stack = np.array([np.full((3, 5), -7.0), np.full((3, 5), 40.0)])
-        assert [r.values.tobytes() for r in SpectrogramInput.rows(stack)] == [g.tobytes() for g in stack]
+        assert batch(specs=stack, count=2).specs.tobytes() == stack.tobytes()
+
+    def test_indexing_takes_the_same_rows_of_every_field(self):
+        data = SampleSet(np.random.default_rng(1).uniform(size=(6, 4, 2, 3)),
+                         np.random.default_rng(2).standard_normal((6, 3, 5)), [0, 0, 1, 1, 0, 1], [0, 1, 0, 1, 1, 1])
+        fields = ("images", "specs", "audio_class", "visual_class", "labels")
+        part = data[1:4]
+        assert type(part) is SampleSet and len(part) == 3
+        for name in fields:
+            assert np.shares_memory(getattr(part, name), getattr(data, name)), name
+            assert getattr(part, name).tobytes() == getattr(data, name)[1:4].tobytes(), name
+        picked = data[np.array([5, 0, 5])]
+        assert type(picked) is SampleSet and len(picked) == 3
+        for name in fields:
+            rows = getattr(data, name)
+            np.testing.assert_array_equal(getattr(picked, name), np.stack([rows[5], rows[0], rows[5]]), err_msg=name)
+            assert not np.shares_memory(getattr(picked, name), rows), name
+        with pytest.raises(IndexError, match="SampleSet: index with a slice or a 1-D index array"):
+            data[2]
 
 
 class TestUnfold:
@@ -139,37 +179,37 @@ class TestUnfold:
 class TestEmbedding:
     def test_patch_embed_is_projection(self):
         r = np.random.default_rng(1)
-        img = ImageInput(r.uniform(size=(4, 4, 3)))
+        img = r.uniform(size=(1, 4, 4, 3))
         proj = r.standard_normal((12, 5))
-        ts = patch_embed([img], 2, Tensor(proj))
+        ts = patch_embed(img, 2, Tensor(proj))
         assert ts.shape == (1, 4, 5)
-        want = loop_matmul(unfold_patches(img.pixels, 2), proj)
+        want = loop_matmul(unfold_patches(img[0], 2), proj)
         np.testing.assert_allclose(ts.data[0], want, rtol=1e-13)
 
     def test_patch_embed_zero_image_zero_tokens(self):
         # bias-free projection: zero input must give exactly zero tokens
-        img = ImageInput(np.zeros((4, 4, 3)))
+        img = np.zeros((1, 4, 4, 3))
         proj = Tensor(np.random.default_rng(2).standard_normal((12, 5)))
-        ts = patch_embed([img], 2, proj)
+        ts = patch_embed(img, 2, proj)
         np.testing.assert_array_equal(ts.data, np.zeros((1, 4, 5)))
 
     def test_patch_embed_adds_positions(self):
         r = np.random.default_rng(3)
-        img = ImageInput(r.uniform(size=(4, 4, 3)))
+        img = r.uniform(size=(1, 4, 4, 3))
         proj = Tensor(r.standard_normal((12, 5)))
         pos = r.standard_normal((4, 5))
-        without = patch_embed([img], 2, proj)
-        with_pos = patch_embed([img], 2, proj, Tensor(pos))
+        without = patch_embed(img, 2, proj)
+        with_pos = patch_embed(img, 2, proj, Tensor(pos))
         np.testing.assert_allclose(with_pos.data, without.data + pos, rtol=1e-14)
         with pytest.raises(ShapeError):
-            patch_embed([img], 2, proj, Tensor(np.zeros((3, 5))))
+            patch_embed(img, 2, proj, Tensor(np.zeros((3, 5))))
 
     def test_spectrogram_embed_replicates_channels_and_pads(self):
         r = np.random.default_rng(4)
-        spec = SpectrogramInput(r.standard_normal((3, 5)))
+        spec = r.standard_normal((1, 3, 5))
         proj = r.standard_normal((12, 6))
-        ts = spectrogram_embed([spec], 2, Tensor(proj))
-        padded = pad_to_multiple(spec.values, 2)
+        ts = spectrogram_embed(spec, 2, Tensor(proj))
+        padded = pad_to_multiple(spec[0], 2)
         three = np.repeat(padded[:, :, None], 3, axis=2)
         want = loop_matmul(unfold_patches(three, 2), proj)
         assert ts.data.shape == (1, 6, 6)  # ceil(3/2)*ceil(5/2) = 2*3
@@ -190,13 +230,12 @@ class TestEmbedding:
 
         monkeypatch.setattr(Tensor, "_node", staticmethod(recorded))
         r = np.random.default_rng(5)
-        images = [ImageInput(r.uniform(size=(4, 6, 3))) for _ in range(2)]
-        specs = [SpectrogramInput(r.standard_normal((3, 5))) for _ in range(2)]
+        images = np.stack([r.uniform(size=(4, 6, 3)) for _ in range(2)])
+        specs = np.stack([r.standard_normal((3, 5)) for _ in range(2)])
         proj = Tensor(r.standard_normal((12, 5)))
-        pixels = np.stack([im.pixels for im in images])
-        padded = np.stack([pad_to_multiple(s.values, 2) for s in specs])
+        padded = np.stack([pad_to_multiple(s, 2) for s in specs])
         cases = (
-            (patch_embed, images, unfold_patches(pixels, 2)),
+            (patch_embed, images, unfold_patches(images, 2)),
             (spectrogram_embed, specs, unfold_patches(np.repeat(padded[..., None], 3, axis=-1), 2)),
         )
         for embed, inputs, patches in cases:
@@ -213,16 +252,16 @@ class TestEmbedding:
             records.clear()
 
     def test_embeds_refuse_a_trainable_or_misshapen_table(self):
-        img, spec = ImageInput(np.zeros((4, 4, 3))), SpectrogramInput(np.zeros((4, 4)))
+        img, spec = np.zeros((1, 4, 4, 3)), np.zeros((1, 4, 4))
         proj = Tensor(np.ones((12, 5)))
         # a leaf would drop the gradient a trainable stem weight asks for
         with pytest.raises(GraphError, match="patch_embed: weight proj "):
-            patch_embed([img], 2, Tensor(np.ones((12, 5)), requires_grad=True))
+            patch_embed(img, 2, Tensor(np.ones((12, 5)), requires_grad=True))
         with pytest.raises(GraphError, match="spectrogram_embed: weight pos "):
-            spectrogram_embed([spec], 2, proj, Tensor(np.zeros((4, 5)), requires_grad=True))
+            spectrogram_embed(spec, 2, proj, Tensor(np.zeros((4, 5)), requires_grad=True))
         for embed, x in ((patch_embed, img), (spectrogram_embed, spec)):
             with pytest.raises(ShapeError, match=f"{embed.__name__}: positional table shape"):
-                embed([x], 2, proj, Tensor(np.zeros((3, 5))))
+                embed(x, 2, proj, Tensor(np.zeros((3, 5))))
 
 
 class TestResizePos:

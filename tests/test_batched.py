@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from avfuse.autodiff import Rng, backward, count_macs, cross_entropy_logits
-from avfuse.backbone import ImageInput, SpectrogramInput
 from avfuse.fusion import MODES
 from avfuse.model import ModelConfig, TwoStreamModel, frozen_twin
 
-from helpers import oracle_logits_batch, site_views
+from helpers import oracle_logits_batch, rand_batch, site_views
 
 CELLS = [(mode, latents) for mode in MODES for latents in (True, False)]
 
@@ -21,10 +20,9 @@ ODD = dict(width=16, heads=2, latent_count=1, spec_hw=(9, 6), bottleneck_act="re
 
 def make_batch(cfg, count, seed):
     r = Rng.for_name(seed, "batched.inputs")
-    pairs = [(ImageInput(r.uniform(cfg.image_hw + (3,))), SpectrogramInput(r.normal(cfg.spec_hw)))
-             for _ in range(count)]
+    batch = rand_batch(r, cfg, count)
     labels = r.integers(count, 0, 2).astype(np.int64)
-    return pairs, labels
+    return batch, labels
 
 
 def perturb(model, seed):
@@ -34,10 +32,10 @@ def perturb(model, seed):
         t.data += 0.3 * r.standard_normal(t.shape)
 
 
-def logits_grads_counts(model, logits_fn, pairs, labels):
+def logits_grads_counts(model, logits_fn, batch, labels):
     model.registry.zero_grad()
     with count_macs() as counter:
-        logits = logits_fn(pairs)
+        logits = logits_fn(batch)
     backward(cross_entropy_logits(logits, labels))
     assert all(t.grad is None for _, t in model.registry.frozen())
     grads = {name: t.grad.copy() for name, t in model.registry.trainable()}
@@ -50,10 +48,10 @@ def test_batched_matches_per_sample_oracle(mode, use_latents, odd):
     cfg = ModelConfig(mode=mode, use_latents=use_latents, **(ODD if odd else {}))
     model = TwoStreamModel(cfg, seed=3)
     perturb(model, 7)
-    pairs, labels = make_batch(cfg, 8, 11)
-    new_logits, new_grads, new_counts = logits_grads_counts(model, model.logits_batch, pairs, labels)
+    batch, labels = make_batch(cfg, 8, 11)
+    new_logits, new_grads, new_counts = logits_grads_counts(model, model.logits, batch, labels)
     old_logits, old_grads, old_counts = logits_grads_counts(
-        model, lambda p: oracle_logits_batch(model, p), pairs, labels)
+        model, lambda b: oracle_logits_batch(model, b), batch, labels)
     if odd:
         assert np.max(np.abs(new_logits - old_logits)) <= 1e-12
     else:
@@ -69,21 +67,8 @@ def test_identity_at_init_stays_bitwise(mode, use_latents):
     cfg = ModelConfig(mode=mode, use_latents=use_latents)
     adapted = TwoStreamModel(cfg, seed=0)
     frozen = frozen_twin(cfg, seed=0)
-    pairs, _ = make_batch(cfg, 8, 12)
-    got = adapted.logits_batch(pairs).data
-    np.testing.assert_array_equal(got, frozen.logits_batch(pairs).data)
-    np.testing.assert_array_equal(got, oracle_logits_batch(frozen, pairs).data)
+    batch, _ = make_batch(cfg, 8, 12)
+    got = adapted.logits(batch).data
+    np.testing.assert_array_equal(got, frozen.logits(batch).data)
+    np.testing.assert_array_equal(got, oracle_logits_batch(frozen, batch).data)
 
-
-def test_mixed_spectrogram_shapes_score_as_alone():
-    # (8, 8) and (7, 8) both pad to a 2 x 2 patch grid at patch 4, so they
-    # share a batch; each row must be the sample scored alone
-    cfg = ModelConfig()
-    model = TwoStreamModel(cfg, seed=3)
-    perturb(model, 8)
-    r = Rng.for_name(13, "batched.mixed")
-    pairs = [(ImageInput(r.uniform(cfg.image_hw + (3,))), SpectrogramInput(r.normal(shape)))
-             for shape in ((8, 8), (7, 8), (7, 8), (8, 8))]
-    logits = model.logits_batch(pairs).data
-    for row, pair in zip(logits, pairs):
-        np.testing.assert_array_equal(row, model.logits(*pair).data[0])

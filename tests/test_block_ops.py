@@ -453,8 +453,8 @@ STEP_CONFIGS = {
 
 def train_step(model, batch):
     model.registry.zero_grad()
-    logits = model.logits_batch([(s.image, s.spectrogram) for s in batch])
-    backward(cross_entropy_logits(logits, np.array([s.label for s in batch])))
+    logits = model.logits(batch)
+    backward(cross_entropy_logits(logits, batch.labels))
     return logits.data, {name: t.grad for name, t in model.registry.trainable()}
 
 

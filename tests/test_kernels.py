@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from avfuse.autodiff import Tensor, backward, count_macs, gelu_fwd, grouped_linear_bwd, grouped_linear_fwd, relu_fwd
-from avfuse.backbone import ImageInput, SpectrogramInput
+from avfuse.backbone import InputBatch
 from avfuse.model import ModelConfig, TwoStreamModel, frozen_twin
 
 from helpers import (
@@ -148,10 +148,10 @@ def test_identity_at_init_stays_bitwise_at_width_128(use_latents):
     cfg = ModelConfig(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4,
                       use_latents=use_latents)
     r = np.random.default_rng(11)
-    pairs = [(ImageInput(r.uniform(size=cfg.image_hw + (3,))), SpectrogramInput(r.standard_normal(cfg.spec_hw)))
-             for _ in range(8)]
-    got = TwoStreamModel(cfg, seed=0).logits_batch(pairs).data
-    np.testing.assert_array_equal(got, frozen_twin(cfg, seed=0).logits_batch(pairs).data)
+    pairs = [(r.uniform(size=cfg.image_hw + (3,)), r.standard_normal(cfg.spec_hw)) for _ in range(8)]
+    batch = InputBatch(np.stack([img for img, _ in pairs]), np.stack([spec for _, spec in pairs]))
+    got = TwoStreamModel(cfg, seed=0).logits(batch).data
+    np.testing.assert_array_equal(got, frozen_twin(cfg, seed=0).logits(batch).data)
 
 
 # train-wide shapes (the MLP's hidden activations, the layer norms' inputs),

@@ -4,18 +4,12 @@ import pytest
 
 from avfuse import model as model_module
 from avfuse.autodiff import Rng, ShapeError, Tensor
-from avfuse.backbone import ImageInput, SpectrogramInput
+from avfuse.backbone import InputBatch
 from avfuse.fusion import MODES
 from avfuse.model import FieldError, ModelConfig, TwoStreamModel, event_head, frozen_twin
 from avfuse.serialization import save_tensors
 
-from helpers import site_row, site_views
-
-
-def rand_inputs(r, cfg):
-    img = ImageInput(r.uniform(cfg.image_hw + (3,)))
-    spec = SpectrogramInput(r.normal(cfg.spec_hw))
-    return img, spec
+from helpers import rand_batch, site_row, site_views
 
 
 class TestConfig:
@@ -81,8 +75,7 @@ class TestWiring:
         cfg = ModelConfig()
         model = TwoStreamModel(cfg, seed=0)
         r = Rng.for_name(0, "wiring")
-        img, spec = rand_inputs(r, cfg)
-        xa, xv = model.tokenize([img], [spec])
+        xa, xv = model.tokenize(rand_batch(r, cfg))
         assert xv.shape == (1, cfg.n_visual_tokens, cfg.width)
         assert xa.shape == (1, cfg.n_audio_tokens, cfg.width)
 
@@ -90,8 +83,7 @@ class TestWiring:
         cfg = ModelConfig()
         model = TwoStreamModel(cfg, seed=0)
         r = Rng.for_name(1, "wiring")
-        img, spec = rand_inputs(r, cfg)
-        stacks = model.forward([img], [spec])
+        stacks = model.forward(rand_batch(r, cfg))
         assert [x.shape for x in stacks] == [(2, 1, cfg.n_visual_tokens, cfg.width)]
 
     @pytest.mark.parametrize("spec_hw, shapes", [((8, 8), [(2, 3, 4, 32)]),
@@ -102,46 +94,42 @@ class TestWiring:
         cfg = ModelConfig(spec_hw=spec_hw)
         model = TwoStreamModel(cfg, seed=0)
         r = Rng.for_name(5, "wiring")
-        pairs = [rand_inputs(r, cfg) for _ in range(3)]
-        images, specs = [p[0] for p in pairs], [p[1] for p in pairs]
+        batch = rand_batch(r, cfg, 3)
         monkeypatch.setattr(model_module, "layer_forward", lambda stacks, w, sites: stacks)
-        stacks = model.forward(images, specs)
+        stacks = model.forward(batch)
         assert [x.shape for x in stacks] == shapes
         rows = [row for x in stacks for row in x.data]
-        for row, tokens in zip(rows, model.tokenize(images, specs), strict=True):
+        for row, tokens in zip(rows, model.tokenize(batch), strict=True):
             np.testing.assert_array_equal(row, tokens.data)
 
     def test_logits_shape(self):
         cfg = ModelConfig()
         model = TwoStreamModel(cfg, seed=0)
         r = Rng.for_name(2, "wiring")
-        out = model.logits(*rand_inputs(r, cfg))
+        out = model.logits(rand_batch(r, cfg))
         assert out.shape == (1, 2)
 
     def test_input_shape_guards(self):
         model = TwoStreamModel(ModelConfig(), seed=0)
-        with pytest.raises(ShapeError):
-            model.tokenize([ImageInput(np.zeros((4, 8, 3)))], [SpectrogramInput(np.zeros((8, 8)))])
-        with pytest.raises(ShapeError):
-            model.tokenize([ImageInput(np.zeros((8, 8, 3)))], [SpectrogramInput(np.zeros((16, 8)))])
+        with pytest.raises(ShapeError, match=r"image shape \(4, 8\) does not match"):
+            model.tokenize(InputBatch(np.zeros((1, 4, 8, 3)), np.zeros((1, 8, 8))))
+        with pytest.raises(ShapeError, match=r"spectrogram shape \(16, 8\) does not match"):
+            model.tokenize(InputBatch(np.zeros((1, 8, 8, 3)), np.zeros((1, 16, 8))))
 
     def test_batched_tokens_and_guards(self):
         cfg = ModelConfig()
         model = TwoStreamModel(cfg, seed=0)
         r = Rng.for_name(4, "wiring")
-        pairs = [rand_inputs(r, cfg) for _ in range(3)]
-        images, specs = [p[0] for p in pairs], [p[1] for p in pairs]
-        xa, xv = model.tokenize(images, specs)
+        batch = rand_batch(r, cfg, 3)
+        xa, xv = model.tokenize(batch)
         assert xv.shape == (3, cfg.n_visual_tokens, cfg.width)
         assert xa.shape == (3, cfg.n_audio_tokens, cfg.width)
-        single_a, _ = model.tokenize(images[1:2], specs[1:2])
+        single_a, _ = model.tokenize(batch[1:2])
         np.testing.assert_array_equal(xa.data[1], single_a.data[0])
-        with pytest.raises(ShapeError):
-            model.tokenize(images, specs[:2])
-        with pytest.raises(ShapeError):
-            model.tokenize([], [])
-        with pytest.raises(ShapeError):
-            model.tokenize(images, specs[:2] + [SpectrogramInput(np.zeros((16, 8)))])
+        with pytest.raises(ShapeError, match="as many images as specs"):
+            InputBatch(batch.images, batch.specs[:2])
+        with pytest.raises(ShapeError, match="tokenize: need a non-empty batch"):
+            model.tokenize(batch[3:])
 
     def test_event_head_guard(self):
         stacks = [Tensor(np.zeros((1, 1, n, 4))) for n in (3, 5)]
@@ -179,9 +167,9 @@ class TestIdentityAtInit:
         frozen = frozen_twin(cfg, seed=0)
         r = Rng.for_name(42, "identity")
         for _ in range(10):
-            img, spec = rand_inputs(r, cfg)
-            a = adapted.logits(img, spec).data
-            b = frozen.logits(img, spec).data
+            one = rand_batch(r, cfg)
+            a = adapted.logits(one).data
+            b = frozen.logits(one).data
             np.testing.assert_array_equal(a, b)
 
     def test_direct_variant_also_identity(self):
@@ -189,8 +177,8 @@ class TestIdentityAtInit:
         adapted = TwoStreamModel(cfg, seed=5)
         frozen = frozen_twin(cfg, seed=5)
         r = Rng.for_name(43, "identity")
-        img, spec = rand_inputs(r, cfg)
-        np.testing.assert_array_equal(adapted.logits(img, spec).data, frozen.logits(img, spec).data)
+        one = rand_batch(r, cfg)
+        np.testing.assert_array_equal(adapted.logits(one).data, frozen.logits(one).data)
 
     def test_shared_components_identical_across_modes(self):
         # per-name RNG streams: the backbone must not depend on which sites exist
@@ -218,10 +206,8 @@ class TestPersistence:
         fresh = TwoStreamModel(cfg, seed=0)
         fresh.load_weights(tmp_path / "w")
         r = Rng.for_name(44, "persist")
-        img, spec = rand_inputs(r, cfg)
-        np.testing.assert_array_equal(
-            model.logits(img, spec).data, fresh.logits(img, spec).data
-        )
+        one = rand_batch(r, cfg)
+        np.testing.assert_array_equal(model.logits(one).data, fresh.logits(one).data)
 
     def test_load_into_another_seed_matches_logits(self, tmp_path):
         # the audio positional table derives from pos_visual, so a load must
@@ -234,8 +220,8 @@ class TestPersistence:
             other.load_weights(tmp_path / "w")
             assert other.registry.state_hash(frozen_only=False) == model.registry.state_hash(frozen_only=False)
             r = Rng.for_name(46, "persist")
-            img, spec = rand_inputs(r, cfg)
-            np.testing.assert_array_equal(model.logits(img, spec).data, other.logits(img, spec).data)
+            one = rand_batch(r, cfg)
+            np.testing.assert_array_equal(model.logits(one).data, other.logits(one).data)
 
     # each container is the seed-1 model's, with head.bias, its last entry,
     # made unloadable: every entry before it passes its checks
@@ -286,8 +272,8 @@ class TestPersistence:
                 for _, t in site_views(model):
                     t.data += 0.3 * noise.standard_normal(t.shape)
                 r = Rng.for_name(45, "batch")
-                pairs = [rand_inputs(r, cfg) for _ in range(8)]
-                batch = model.logits_batch(pairs).data
-                assert batch.shape == (8, 2)
-                for i, (img, spec) in enumerate(pairs):
-                    np.testing.assert_array_equal(batch[i : i + 1], model.logits(img, spec).data)
+                batch = rand_batch(r, cfg, 8)
+                logits = model.logits(batch).data
+                assert logits.shape == (8, 2)
+                for i in range(8):
+                    np.testing.assert_array_equal(logits[i : i + 1], model.logits(batch[i : i + 1]).data)

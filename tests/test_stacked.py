@@ -33,10 +33,10 @@ def arr(seed, *shape):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-def logits_apart(model, pairs):
-    """``model.logits_batch`` with each stream in a stack of its own: the
-    path that unequal token counts take."""
-    xa, xv = model.tokenize([img for img, _ in pairs], [spec for _, spec in pairs])
+def logits_apart(model, batch):
+    """``model.logits`` with each stream in a stack of its own: the path
+    that unequal token counts take."""
+    xa, xv = model.tokenize(batch)
     stacks = [Tensor([x.data]) for x in (xa, xv)]
     for w, sites in zip(model.layers, model.sites):
         stacks = layer_forward(stacks, w, sites)
@@ -48,8 +48,8 @@ def train_step(model, batch, logits_of):
     tallies."""
     model.registry.zero_grad()
     with count_macs() as c:
-        logits = logits_of([(s.image, s.spectrogram) for s in batch])
-        backward(cross_entropy_logits(logits, np.array([s.label for s in batch])))
+        logits = logits_of(batch)
+        backward(cross_entropy_logits(logits, batch.labels))
     return logits.data, {name: t.grad for name, t in model.registry.trainable()}, (c.macs, c.softmax_elems)
 
 
@@ -64,8 +64,8 @@ def test_stacked_step_matches_per_stream(name, mode, use_latents):
     for _, t in site_views(model):
         t.data += 0.1 * noise.standard_normal(t.shape)
     batch = generate_dataset(0, 8, 0.1, cfg.image_hw, cfg.spec_hw)
-    logits, grads, tallies = train_step(model, batch, model.logits_batch)
-    want_logits, want_grads, want_tallies = train_step(model, batch, lambda pairs: logits_apart(model, pairs))
+    logits, grads, tallies = train_step(model, batch, model.logits)
+    want_logits, want_grads, want_tallies = train_step(model, batch, lambda b: logits_apart(model, b))
     np.testing.assert_array_equal(logits, want_logits)
     assert tallies == want_tallies
     assert grads.keys() == want_grads.keys()
@@ -90,7 +90,7 @@ def test_unequal_token_counts_take_the_per_stream_path(monkeypatch):
         cfg = ModelConfig(spec_hw=spec_hw)
         calls.clear()
         batch = generate_dataset(0, 4, 0.1, cfg.image_hw, cfg.spec_hw)
-        logits = TwoStreamModel(cfg, seed=0).logits_batch([(s.image, s.spectrogram) for s in batch])
+        logits = TwoStreamModel(cfg, seed=0).logits(batch)
         assert logits.shape == (4, 2)
         assert calls == [shapes] * cfg.layers
 

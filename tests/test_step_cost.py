@@ -48,24 +48,24 @@ SOURCE = str(Path(avfuse.__file__).resolve().parent)
 # config overrides: (tape nodes, Tensor._node calls, forward MACs, softmax
 # elements, package calls) per step
 PINNED = {
-    "readme": ({}, 6, 6, 1_836_032, 3_072, 318),
+    "readme": ({}, 6, 6, 1_836_032, 3_072, 311),
     # one direction: its sites still run once per attachment, so only MACs
     # and softmax elements fall; its rows of the stack take their gradients
     # through zero-filled arrays
-    "readme-a2v": (dict(mode="a2v"), 6, 6, 1_770_496, 2_560, 321),
+    "readme-a2v": (dict(mode="a2v"), 6, 6, 1_770_496, 2_560, 314),
     # direct sites have no compress step
-    "readme-direct": (dict(use_latents=False), 6, 6, 1_836_032, 3_072, 277),
+    "readme-direct": (dict(use_latents=False), 6, 6, 1_836_032, 3_072, 270),
     "train-wide": (
         dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4), 6, 6, 467_668_992, 557_056,
-        318,
+        311,
     ),
     # 6 audio tokens against 4 visual ones: a stack per stream, so every
     # frozen block and site runs per stream, each site on its rows of the
     # stacked parameters
-    "unequal": (dict(spec_hw=(12, 8)), 10, 10, 2_307_072, 4_608, 636),
+    "unequal": (dict(spec_hw=(12, 8)), 10, 10, 2_307_072, 4_608, 629),
     # no adapter sites: the frozen blocks, the head and the loss; only the
     # head and the loss record a gradient
-    "none": (dict(mode="none"), 2, 6, 1_704_960, 2_048, 103),
+    "none": (dict(mode="none"), 2, 6, 1_704_960, 2_048, 96),
 }
 
 
@@ -94,8 +94,8 @@ def test_train_step_cost_is_pinned(name, monkeypatch):
     with count_macs() as counter:
         sys.setprofile(profile)
         try:
-            logits = model.logits_batch([(s.image, s.spectrogram) for s in batch])
-            backward(cross_entropy_logits(logits, np.array([s.label for s in batch])))
+            logits = model.logits(batch)
+            backward(cross_entropy_logits(logits, batch.labels))
         finally:
             sys.setprofile(None)
     assert (sum(created), len(created), counter.macs, counter.softmax_elems, made) == (

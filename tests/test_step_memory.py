@@ -37,12 +37,10 @@ def test_train_step_memory_is_bounded(name):
     cfg = ModelConfig(**overrides)
     model = TwoStreamModel(cfg, seed=0)
     batch = generate_dataset(0, 8, 0.1, cfg.image_hw, cfg.spec_hw)
-    pairs = [(s.image, s.spectrogram) for s in batch]
-    labels = np.array([s.label for s in batch])
 
     def step():
         model.registry.zero_grad()
-        loss = cross_entropy_logits(model.logits_batch(pairs), labels)
+        loss = cross_entropy_logits(model.logits(batch), batch.labels)
         backward(loss)
         return loss
 

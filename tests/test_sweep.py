@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from avfuse.autodiff import cross_entropy_logits
-from avfuse.backbone import ImageInput, SpectrogramInput
+from avfuse.backbone import InputBatch
 from avfuse.fusion import MODES
 from avfuse.model import ModelConfig, TwoStreamModel, frozen_twin
 
@@ -64,26 +64,24 @@ _draws = np.random.default_rng(2024)
 CONFIGS = EDGES | {f"random-{i}": random_config(_draws) for i in range(40)}
 
 
-def inputs(cfg: ModelConfig, r: np.random.Generator, count: int):
-    return [
-        (ImageInput(r.uniform(size=cfg.image_hw + (3,))), SpectrogramInput(r.standard_normal(cfg.spec_hw)))
-        for _ in range(count)
-    ]
+def inputs(cfg: ModelConfig, r: np.random.Generator, count: int) -> InputBatch:
+    pairs = [(r.uniform(size=cfg.image_hw + (3,)), r.standard_normal(cfg.spec_hw)) for _ in range(count)]
+    return InputBatch(np.stack([img for img, _ in pairs]), np.stack([spec for _, spec in pairs]))
 
 
 @pytest.mark.parametrize("name", CONFIGS)
 def test_config_keeps_identity_batch_rows_and_gradients(name):
     cfg = ModelConfig(**CONFIGS[name])
     r = np.random.default_rng(7)
-    pairs = inputs(cfg, r, 3)
+    batch = inputs(cfg, r, 3)
     model = TwoStreamModel(cfg, seed=0)
-    np.testing.assert_array_equal(model.logits_batch(pairs).data, frozen_twin(cfg, seed=0).logits_batch(pairs).data)
+    np.testing.assert_array_equal(model.logits(batch).data, frozen_twin(cfg, seed=0).logits(batch).data)
 
     for _, t in site_views(model):
         t.data += 0.3 * r.standard_normal(t.shape)
-    logits = model.logits_batch(pairs).data
-    for row, pair in zip(logits, pairs):
-        np.testing.assert_array_equal(row, model.logits(*pair).data[0])
+    logits = model.logits(batch).data
+    for i, row in enumerate(logits):
+        np.testing.assert_array_equal(row, model.logits(batch[i:i + 1]).data[0])
 
     # one coordinate drawn per parameter, in registration order, and checked
     # on the leaf that holds it
@@ -96,7 +94,7 @@ def test_config_keeps_identity_batch_rows_and_gradients(name):
     queue = iter([picks[id(t)] for t in leaves])
     labels = np.array([0, 1])
     check_gradients(
-        lambda: cross_entropy_logits(model.logits_batch(pairs[:2]), labels),
+        lambda: cross_entropy_logits(model.logits(batch[:2]), labels),
         leaves,
         coords=lambda size: next(queue),
     )

@@ -3,6 +3,7 @@ import collections
 import math
 import re
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,13 +11,14 @@ import pytest
 
 from avfuse import tasks
 from avfuse.autodiff import Rng, ShapeError, Tensor, backward, cross_entropy_logits, derive_seed
-from avfuse.backbone import ImageInput, SpectrogramInput
+from avfuse.backbone import InputBatch
 from avfuse.model import FieldError, ModelConfig, TwoStreamModel
 from avfuse.tasks import (
     SQUARE_SAFE,
     Adam,
     DataConfig,
     DivergenceError,
+    SampleSet,
     TrainConfig,
     audio_template,
     evaluate,
@@ -75,23 +77,20 @@ class TestTemplates:
 class TestDataset:
     def test_balanced_pairs_and_labels(self):
         data = generate_dataset(0, 64, 0.1)
-        pairs = [(s.audio_class, s.visual_class) for s in data]
+        pairs = list(zip(data.audio_class.tolist(), data.visual_class.tolist()))
         for combo in ((0, 0), (0, 1), (1, 0), (1, 1)):
             assert pairs.count(combo) == 16
-        assert sum(s.label for s in data) == 32
-        for s in data:
-            assert s.label == xnor_label(s.audio_class, s.visual_class)
+        assert data.labels.sum() == 32 and data.labels.dtype == np.int64
+        for (a_cls, v_cls), label in zip(pairs, data.labels):
+            assert label == xnor_label(a_cls, v_cls)
 
     def test_deterministic_and_seed_sensitive(self):
         a = generate_dataset(3, 8, 0.1)
         b = generate_dataset(3, 8, 0.1)
         c = generate_dataset(4, 8, 0.1)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.image.pixels, y.image.pixels)
-            np.testing.assert_array_equal(x.spectrogram.values, y.spectrogram.values)
-        assert any(
-            not np.array_equal(x.image.pixels, y.image.pixels) for x, y in zip(a, c)
-        )
+        np.testing.assert_array_equal(a.images, b.images)
+        np.testing.assert_array_equal(a.specs, b.specs)
+        assert any(not np.array_equal(x, y) for x, y in zip(a.images, c.images))
 
     @pytest.mark.parametrize("bad", [-1, 2**64, 1.5])
     def test_refuses_a_seed_outside_64_bits(self, bad):
@@ -100,14 +99,13 @@ class TestDataset:
 
     def test_noise_zero_gives_clean_templates(self):
         data = generate_dataset(0, 4, 0.0)
-        for s in data:
-            np.testing.assert_array_equal(s.image.pixels, visual_template(s.visual_class, (8, 8)))
-            np.testing.assert_array_equal(s.spectrogram.values, audio_template(s.audio_class, (8, 8)))
+        for image, spec, a_cls, v_cls in zip(data.images, data.specs, data.audio_class, data.visual_class):
+            np.testing.assert_array_equal(image, visual_template(v_cls, (8, 8)))
+            np.testing.assert_array_equal(spec, audio_template(a_cls, (8, 8)))
 
     def test_images_stay_in_range(self):
         data = generate_dataset(1, 16, 0.5)
-        for s in data:
-            assert s.image.pixels.min() >= 0.0 and s.image.pixels.max() <= 1.0
+        assert data.images.min() >= 0.0 and data.images.max() <= 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -122,51 +120,70 @@ class TestDataset:
     def test_matches_per_sample_loop_bitwise(self, noise, count, image_hw, spec_hw):
         got = generate_dataset(11, count, noise, image_hw, spec_hw)
         want = loop_generate_dataset(11, count, noise, image_hw, spec_hw)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert (g.audio_class, g.visual_class, g.label) == (w.audio_class, w.visual_class, w.label)
-            assert g.image.pixels.tobytes() == w.image.pixels.tobytes()
-            assert g.spectrogram.values.tobytes() == w.spectrogram.values.tobytes()
-            assert g.image.pixels.shape == (*image_hw, 3) and g.spectrogram.values.shape == spec_hw
+        assert type(got) is SampleSet and len(got) == len(want) == count
+        for name in ("audio_class", "visual_class", "labels", "images", "specs"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), name
+        assert got.images.shape == (count, *image_hw, 3) and got.specs.shape == (count, *spec_hw)
 
     def test_samples_are_rows_of_two_set_wide_arrays(self):
-        data = generate_dataset(2, 6, 0.1, (8, 4), (4, 6))
-        images = {id(s.image.pixels.base) for s in data}
-        specs = {id(s.spectrogram.values.base) for s in data}
-        assert len(images) == len(specs) == 1
-        assert data[0].image.pixels.base.shape == (6, 8, 4, 3)
-        assert data[0].spectrogram.values.base.shape == (6, 4, 6)
-        # views, not per-sample copies
-        for s in data:
-            assert np.shares_memory(s.image.pixels, data[0].image.pixels.base)
-            assert np.shares_memory(s.spectrogram.values, data[0].spectrogram.values.base)
+        # written in place: the set is two arrays, and generating it holds
+        # no gathered copy of either beside them
+        tracemalloc.start()
+        try:
+            data = generate_dataset(2, 256, 0.1, (32, 32), (32, 32))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.images.shape == (256, 32, 32, 3) and data.specs.shape == (256, 32, 32)
+        assert data.images.flags.owndata and data.specs.flags.owndata
+        assert peak < data.images.nbytes + data.specs.nbytes + data.specs.nbytes // 2
 
     @pytest.mark.parametrize("count", [4, 64, 1024])
     def test_each_input_class_checks_a_set_once(self, monkeypatch, count):
         calls = collections.Counter()
-        for cls in (ImageInput, SpectrogramInput):
-            def counted(grid, lead=0, cls=cls, check=cls.check):
-                calls[cls.__name__, lead] += 1
-                check(grid, lead)
-            monkeypatch.setattr(cls, "check", staticmethod(counted))
+        init = InputBatch.__init__
+
+        def counted(self, images, specs):
+            calls[type(self).__name__, len(images)] += 1
+            init(self, images, specs)
+
+        monkeypatch.setattr(InputBatch, "__init__", counted)
         generate_dataset(0, count, 0.1)
-        assert calls == {("ImageInput", 1): 1, ("SpectrogramInput", 1): 1}
+        assert calls == {("SampleSet", count): 1}
+
+    def test_sample_set_refuses_a_class_count_unlike_its_samples(self):
+        images, specs = np.zeros((4, 8, 8, 3)), np.zeros((4, 8, 8))
+        with pytest.raises(ShapeError, match=r"one audio and one visual class per sample, got shapes \(3,\) and "
+                                             r"\(4,\) for 4 samples"):
+            SampleSet(images, specs, [0, 1, 0], [0, 1, 0, 1])
+        np.testing.assert_array_equal(SampleSet(images, specs, [0, 1, 0, 1], [0, 0, 1, 1]).labels, [1, 0, 0, 1])
 
     def test_sample_depends_only_on_seed_and_index(self):
-        # row i holds sample i: a 5-sample set is the first 5 rows of a 9-sample one
+        # sample i sits in the row the shuffle gives it, so every sample of
+        # a 5-sample set is a sample of a 9-sample one
         small, big = generate_dataset(4, 5, 0.1), generate_dataset(4, 9, 0.1)
-        for get in (lambda s: s.image.pixels.base, lambda s: s.spectrogram.values.base):
-            assert get(small[0]).tobytes() == get(big[0])[:5].tobytes()
+        for name in ("images", "specs"):
+            rows = {row.tobytes() for row in getattr(big, name)}
+            assert all(row.tobytes() in rows for row in getattr(small, name)), name
 
     @pytest.mark.parametrize("field, image_hw, spec_hw", [
         ("spec_hw", (8, 8), (0, 8)),
         ("image_hw", (8, 0), (8, 8)),
         ("spec_hw", (8, 8), (8, 8, 1)),
+        ("image_hw", (8.0, 8), (8, 8)),
+        ("image_hw", (True, 8), (8, 8)),
+        ("image_hw", ("8", 8), (8, 8)),
     ])
     def test_refuses_empty_or_malformed_grids_before_any_draw(self, monkeypatch, field, image_hw, spec_hw):
+        # the rule ModelConfig.validate applies to its sizes, by the same function
+        monkeypatch.setattr(Rng, "permutation", lambda *a, **k: pytest.fail("drew the order"))
         monkeypatch.setattr(Rng, "normal", lambda *a, **k: pytest.fail("drew noise"))
-        with pytest.raises(ShapeError, match=f"generate_dataset: {field}"):
+        with pytest.raises(FieldError, match=f"^{field} ") as info:
             generate_dataset(0, 4, 0.1, image_hw, spec_hw)
+        assert info.value.field == field
+        with pytest.raises(FieldError, match=re.escape(str(info.value))):
+            ModelConfig(**{field: image_hw if field == "image_hw" else spec_hw}).validate()
 
 
 class TestAdditiveHeadCeiling:
@@ -180,21 +197,19 @@ class TestAdditiveHeadCeiling:
         """
         data = generate_dataset(derive_seed(0, "probe"), 256, 0.1)
         feats = []
-        labels = []
-        for s in data:
-            img = s.image.pixels.reshape(-1, 3).mean(axis=0)
-            spec = s.spectrogram.values.reshape(-1).mean(keepdims=True)
+        for image, spec in zip(data.images, data.specs):
+            img = image.reshape(-1, 3).mean(axis=0)
+            spec_mean = spec.reshape(-1).mean(keepdims=True)
             # include per-class discriminative stats, not just global means:
             # column/row contrast picks the orientation out of each stream
-            vcol = s.image.pixels[:, ::2, :].mean() - s.image.pixels[:, 1::2, :].mean()
-            vrow = s.image.pixels[::2, :, :].mean() - s.image.pixels[1::2, :, :].mean()
-            acol = s.spectrogram.values[:, ::2].mean() - s.spectrogram.values[:, 1::2].mean()
-            arow = s.spectrogram.values[::2, :].mean() - s.spectrogram.values[1::2, :].mean()
-            feats.append(np.concatenate([img, spec, [vcol, vrow, acol, arow]]))
-            labels.append(s.label)
+            vcol = image[:, ::2, :].mean() - image[:, 1::2, :].mean()
+            vrow = image[::2, :, :].mean() - image[1::2, :, :].mean()
+            acol = spec[:, ::2].mean() - spec[:, 1::2].mean()
+            arow = spec[::2, :].mean() - spec[1::2, :].mean()
+            feats.append(np.concatenate([img, spec_mean, [vcol, vrow, acol, arow]]))
         x = np.asarray(feats)
         x = (x - x.mean(axis=0)) / (x.std(axis=0) + 1e-9)
-        y = np.asarray(labels, dtype=float)
+        y = data.labels.astype(float)
         w = np.zeros(x.shape[1])
         b = 0.0
         for _ in range(3000):
@@ -209,16 +224,9 @@ class TestAdditiveHeadCeiling:
         # even with the two pattern classes handed over as one-hot features,
         # the convex logistic optimum over additive inputs cannot fit XNOR
         data = generate_dataset(derive_seed(0, "indicator-probe"), 1024, 0.1)
-        x = np.stack(
-            [
-                np.array(
-                    [s.audio_class == 0, s.audio_class == 1, s.visual_class == 0, s.visual_class == 1],
-                    dtype=float,
-                )
-                for s in data
-            ]
-        )
-        y = np.asarray([s.label for s in data], dtype=float)
+        a_cls, v_cls = data.audio_class, data.visual_class
+        x = np.stack([a_cls == 0, a_cls == 1, v_cls == 0, v_cls == 1], axis=1).astype(float)
+        y = data.labels.astype(float)
         w = np.zeros(4)
         b = 0.0
         for _ in range(5000):
@@ -389,9 +397,9 @@ class TestAdam:
 def _grads_of_one_batch(model: TwoStreamModel) -> None:
     """Leave one 8-sample batch's gradients on the model's trainables."""
     batch = generate_dataset(5, 8, 0.1, model.cfg.image_hw, model.cfg.spec_hw)
-    logits = model.logits_batch([(s.image, s.spectrogram) for s in batch])
+    logits = model.logits(batch)
     model.registry.zero_grad()
-    backward(cross_entropy_logits(logits, np.asarray([s.label for s in batch])))
+    backward(cross_entropy_logits(logits, batch.labels))
 
 
 class TestTrainLoop:
@@ -524,7 +532,7 @@ class TestTrainLoop:
         data = generate_dataset(3, 40, 0.3)
         whole = round(evaluate(model, data) * len(data))
         chunks = sum(round(evaluate(model, data[i : i + 16]) * len(data[i : i + 16])) for i in range(0, 40, 16))
-        singles = sum(int(np.argmax(model.logits(s.image, s.spectrogram).data[0]) == s.label) for s in data)
+        singles = sum(int(np.argmax(model.logits(data[i:i + 1]).data[0]) == data.labels[i]) for i in range(40))
         assert whole == chunks == singles
         assert 0 < whole < len(data)
 
@@ -532,16 +540,16 @@ class TestTrainLoop:
         # backward releases the graph and train names no node of it past the
         # step, so each step's logits node is gone before the next forward
         model = TwoStreamModel(ModelConfig(**SMALL_MODEL), seed=0)
-        real, refs = model.logits_batch, []
+        real, refs = model.logits, []
 
-        def spy(pairs):
+        def spy(batch):
             assert [r() for r in refs] == [None] * len(refs)
-            out = real(pairs)
+            out = real(batch)
             if out.requires_grad:
                 refs.append(weakref.ref(out))
             return out
 
-        monkeypatch.setattr(model, "logits_batch", spy)
+        monkeypatch.setattr(model, "logits", spy)
         train(model, generate_dataset(0, 8, 0.1), generate_dataset(1, 4, 0.1), TrainConfig(steps=3, batch_size=4))
         assert len(refs) == 3
 
@@ -550,9 +558,10 @@ class TestTrainLoop:
         # an empty test set used to train every step, then divide by zero
         model = TwoStreamModel(ModelConfig(**SMALL_MODEL), seed=0)
         calls = []
-        monkeypatch.setattr(model, "logits_batch", lambda pairs: calls.append(pairs))
+        monkeypatch.setattr(model, "logits", lambda batch: calls.append(batch))
         before = {name: t.data.copy() for name, t in model.registry.trainable()}
-        data = {"train_samples": generate_dataset(0, 8, 0.1), "test_samples": generate_dataset(1, 4, 0.1), empty: []}
+        data = {"train_samples": generate_dataset(0, 8, 0.1), "test_samples": generate_dataset(1, 4, 0.1)}
+        data[empty] = data[empty][:0]
         with pytest.raises(ValueError, match=f"train: {empty} is empty"):
             train(model, data["train_samples"], data["test_samples"], TrainConfig(steps=200, batch_size=4))
         assert calls == []
@@ -562,26 +571,25 @@ class TestTrainLoop:
     def test_evaluate_refuses_an_empty_sample_list(self, monkeypatch):
         model = TwoStreamModel(ModelConfig(**SMALL_MODEL), seed=0)
         calls = []
-        monkeypatch.setattr(model, "logits_batch", lambda pairs: calls.append(pairs))
+        monkeypatch.setattr(model, "logits", lambda batch: calls.append(batch))
         with pytest.raises(ValueError, match="evaluate: samples is empty"):
-            evaluate(model, [])
+            evaluate(model, generate_dataset(0, 4, 0.1)[4:])
         assert calls == []
 
     def test_evaluate_records_no_graph(self, monkeypatch):
         model = TwoStreamModel(ModelConfig(**SMALL_MODEL), seed=0)
         seen = []
-        real = model.logits_batch
+        real = model.logits
 
-        def spy(pairs):
-            out = real(pairs)
-            seen.append((len(pairs), out.requires_grad))
+        def spy(batch):
+            out = real(batch)
+            seen.append((len(batch), out.requires_grad))
             return out
 
-        monkeypatch.setattr(model, "logits_batch", spy)
+        monkeypatch.setattr(model, "logits", spy)
         evaluate(model, generate_dataset(4, 20, 0.1))
         assert seen == [(16, False), (4, False)]
-        assert model.logits_batch(
-            [(s.image, s.spectrogram) for s in generate_dataset(5, 4, 0.1)]).requires_grad
+        assert model.logits(generate_dataset(5, 4, 0.1)).requires_grad
 
 
 class TestMetricsCsv:
@@ -633,6 +641,4 @@ class TestRunExperiment:
     def test_train_and_test_data_disjoint_streams(self):
         tr = generate_dataset(derive_seed(0, "train-data"), 8, 0.1)
         te = generate_dataset(derive_seed(0, "test-data"), 8, 0.1)
-        assert not any(
-            np.array_equal(a.image.pixels, b.image.pixels) for a in tr for b in te
-        )
+        assert not any(np.array_equal(a, b) for a in tr.images for b in te.images)
