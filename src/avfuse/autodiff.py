@@ -37,11 +37,12 @@ need; weights, biases and latents get their gradients summed over the
 batch. ``fusion.layer_forward`` records one node per layer half per stack,
 and ``model.event_head`` one node.
 
-Tokens enter the tape as leaves of the frozen tokenizers. Single-op tape
-versions of the kernels, of ``add``, ``matmul``, ``mul``, ``scale``,
-``take``, ``add_rows``, ``mean_rows``, ``concat_cols`` and ``reshape``, and
-the model's per-block layer live in the tests' helpers as the oracle the
-model is checked against.
+Frozen weights and tokens are plain arrays; the tape starts at the token
+stacks, leaves copied from them. Single-op tape versions of the kernels, of
+``add``, ``matmul``, ``mul``, ``scale``, ``take``, ``add_rows``,
+``mean_rows``, ``concat_cols`` and ``reshape``, and the model's per-block
+layer live in the tests' helpers as the oracle the model is checked
+against.
 
 Also here: the deterministic counter-based RNG used for every weight draw and
 data draw in the package, and the multiply-accumulate counter used by the

@@ -5,14 +5,15 @@ into patch tokens of the same width and pushed through the same pre-norm
 attention/MLP blocks; the MLP is GELU, as in ViT. An ``InputBatch``, B
 images and B spectrograms as two arrays, is tokenized as one ``(B, N, D)``
 batch per stream: the frozen projection and positional table run as
-kernels, and the tokens come out as a leaf that records no node. Each
+kernels, and the tokens come out as a plain array. Each
 block, ``mha`` or ``mlp``, is a whole layer half, ``x + f(LN(x))`` as in
 ViT, written as a forward kernel on plain arrays with any leading axes (a
 stack of streams, a batch or one sample's ``(N, D)`` tokens) that records
 nothing and returns its backward; ``fusion.layer_forward`` runs it inside
 the layer half's node, beside the adapter sites that add into the same
-stack. Everything here is frozen at construction; the only trainable state
-in the package lives in the adapter sites and the task head.
+stack. Everything here is frozen, so it is held as plain arrays, never
+as tensors; the only trainable state in the package, the adapter sites and
+the task head, lives in tensors.
 
 ``FreezeRegistry`` holds every parameter by name, with two views: one entry
 per named parameter (what is saved, hashed, loaded and counted), and the
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    GraphError,
     Rng,
     ShapeError,
     Tensor,
@@ -120,29 +120,21 @@ def unfold_patches(grid: np.ndarray, patch: int) -> np.ndarray:
     return np.ascontiguousarray(tiles.reshape(*lead, hp * wp, patch * patch * c))
 
 
-def _check_frozen(op: str, **weights: Tensor | None) -> None:
-    for name, w in weights.items():
-        if w is not None and w.requires_grad:
-            raise GraphError(f"{op}: weight {name} requires a gradient, but {op} is frozen and passes none to its weights")
+def _embed(fn: str, patches: np.ndarray, proj: np.ndarray, pos: np.ndarray | None) -> np.ndarray:
+    """``patches @ proj`` with the positional table added in place into the
+    fresh product: the stem is frozen, so the tape starts after it."""
+    shape = patches.shape[:-1] + proj.shape[1:]
+    if pos is not None and pos.shape != shape[-2:]:
+        raise ShapeError(f"{fn}: positional table shape {pos.shape} does not match tokens {shape}")
+    return linear_fwd(patches, proj, pos)
 
 
-def _embed(fn: str, patches: np.ndarray, proj: Tensor, pos: Tensor | None) -> Tensor:
-    """``patches @ proj`` with the positional table added in place, as a
-    leaf over the fresh product: the stem is frozen, so the tape starts at
-    its output."""
-    _check_frozen(fn, proj=proj, pos=pos)
-    shape = patches.shape[:-1] + proj.data.shape[1:]
-    if pos is not None and pos.data.shape != shape[-2:]:
-        raise ShapeError(f"{fn}: positional table shape {pos.data.shape} does not match tokens {shape}")
-    return Tensor._leaf(linear_fwd(patches, proj.data, None if pos is None else pos.data))
-
-
-def patch_embed(images: np.ndarray, patch: int, proj: Tensor, pos: Tensor | None = None) -> Tensor:
+def patch_embed(images: np.ndarray, patch: int, proj: np.ndarray, pos: np.ndarray | None = None) -> np.ndarray:
     """Project image patches to backbone width and add positional rows.
 
-    The (B, H, W, 3) images are tokenized as one (B, N, width) batch, a
-    leaf. ``proj`` is (patch*patch*3, width) and carries no bias, so a zero
-    image with a zero positional table maps to all-zero tokens.
+    The (B, H, W, 3) images are tokenized as one (B, N, width) array.
+    ``proj`` is (patch*patch*3, width) and carries no bias, so a zero image
+    with a zero positional table maps to all-zero tokens.
     """
     return _embed("patch_embed", unfold_patches(images, patch), proj, pos)
 
@@ -158,7 +150,7 @@ def pad_to_multiple(values: np.ndarray, patch: int) -> np.ndarray:
     return np.pad(values, [(0, 0)] * (values.ndim - 2) + [(0, mp), (0, cp)], mode="constant")
 
 
-def spectrogram_embed(specs: np.ndarray, patch: int, proj: Tensor, pos: Tensor | None = None) -> Tensor:
+def spectrogram_embed(specs: np.ndarray, patch: int, proj: np.ndarray, pos: np.ndarray | None = None) -> np.ndarray:
     """Tokenize (B, T, F) spectrograms as one batch with the image projection.
 
     The single channel is replicated to three so the shared ``proj``
@@ -214,22 +206,23 @@ def resize_pos_table(pos: np.ndarray, src_grid: tuple[int, int], dst_grid: tuple
 
 @dataclass
 class FrozenLayerWeights:
-    """One transformer layer's weights. Attention projections carry no bias;
-    the MLP does. ``heads`` must divide the width."""
+    """One transformer layer's frozen weights, plain arrays. Attention
+    projections carry no bias; the MLP does. ``heads`` must divide the
+    width."""
 
     heads: int
-    ln1_gain: Tensor
-    ln1_shift: Tensor
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor
-    ln2_gain: Tensor
-    ln2_shift: Tensor
-    mlp_w1: Tensor
-    mlp_b1: Tensor
-    mlp_w2: Tensor
-    mlp_b2: Tensor
+    ln1_gain: np.ndarray
+    ln1_shift: np.ndarray
+    wq: np.ndarray
+    wk: np.ndarray
+    wv: np.ndarray
+    wo: np.ndarray
+    ln2_gain: np.ndarray
+    ln2_shift: np.ndarray
+    mlp_w1: np.ndarray
+    mlp_b1: np.ndarray
+    mlp_w2: np.ndarray
+    mlp_b2: np.ndarray
 
     @property
     def width(self) -> int:
@@ -243,23 +236,23 @@ def init_layer_weights(width: int, heads: int, seed: int, name: str) -> FrozenLa
         raise ShapeError(f"head count {heads} does not divide width {width}")
     hidden = 4 * width
 
-    def draw(part: str, shape) -> Tensor:
-        return Tensor(Rng.for_name(seed, f"{name}.{part}").normal(shape, std=INIT_STD))
+    def draw(part: str, shape) -> np.ndarray:
+        return Rng.for_name(seed, f"{name}.{part}").normal(shape, std=INIT_STD)
 
     return FrozenLayerWeights(
         heads=heads,
-        ln1_gain=Tensor(np.ones(width)),
-        ln1_shift=Tensor(np.zeros(width)),
+        ln1_gain=np.ones(width),
+        ln1_shift=np.zeros(width),
         wq=draw("wq", (width, width)),
         wk=draw("wk", (width, width)),
         wv=draw("wv", (width, width)),
         wo=draw("wo", (width, width)),
-        ln2_gain=Tensor(np.ones(width)),
-        ln2_shift=Tensor(np.zeros(width)),
+        ln2_gain=np.ones(width),
+        ln2_shift=np.zeros(width),
         mlp_w1=draw("mlp_w1", (width, hidden)),
-        mlp_b1=Tensor(np.zeros(hidden)),
+        mlp_b1=np.zeros(hidden),
         mlp_w2=draw("mlp_w2", (hidden, width)),
-        mlp_b2=Tensor(np.zeros(width)),
+        mlp_b2=np.zeros(width),
     )
 
 
@@ -272,23 +265,23 @@ def mha(x: np.ndarray, w: FrozenLayerWeights, keep: bool):
     attention (the residual's is the caller's), which keeps xhat, inv, the
     heads and the softmax; else None. The caller checks the operands."""
     heads = w.heads
-    t, xhat, inv = layer_norm_fwd(x, w.ln1_gain.data, w.ln1_shift.data)
-    qkv = _split(linear_fwd(t, np.concatenate((w.wq.data, w.wk.data, w.wv.data), axis=1)), 3 * heads)
+    t, xhat, inv = layer_norm_fwd(x, w.ln1_gain, w.ln1_shift)
+    qkv = _split(linear_fwd(t, np.concatenate((w.wq, w.wk, w.wv), axis=1)), 3 * heads)
     del t
     q, k, v = qkv[..., :heads, :, :], qkv[..., heads:2 * heads, :, :], qkv[..., 2 * heads:, :, :]
     attended, probs = attention_fwd(q, k, v)
-    y = linear_fwd(_merge(attended), w.wo.data)
+    y = linear_fwd(_merge(attended), w.wo)
     y += x
     if not keep:
         return y, None
 
     def back(g: np.ndarray) -> np.ndarray:
-        dq, dk, dv = attention_bwd(_split(g @ w.wo.data.T, heads), q, k, v, probs)
+        dq, dk, dv = attention_bwd(_split(g @ w.wo.T, heads), q, k, v, probs)
         # the order the q, k and v products handed their gradients back
-        dt = _merge(dq) @ w.wq.data.T
-        dt += _merge(dk) @ w.wk.data.T
-        dt += _merge(dv) @ w.wv.data.T
-        return layer_norm_bwd(dt, w.ln1_gain.data, xhat, inv)
+        dt = _merge(dq) @ w.wq.T
+        dt += _merge(dk) @ w.wk.T
+        dt += _merge(dv) @ w.wv.T
+        return layer_norm_bwd(dt, w.ln1_gain, xhat, inv)
     return y, back
 
 
@@ -297,23 +290,23 @@ def mlp(x: np.ndarray, w: FrozenLayerWeights, keep: bool):
     -> width) as a forward kernel like ``mha``: ``x + gelu(t w1 + b1) w2 +
     b2`` for ``t = layer_norm(x)``. Its backward keeps xhat, inv and the
     GELU derivative, which is formed only with ``keep``."""
-    t, xhat, inv = layer_norm_fwd(x, w.ln2_gain.data, w.ln2_shift.data)
-    pre = linear_fwd(t, w.mlp_w1.data, w.mlp_b1.data)
+    t, xhat, inv = layer_norm_fwd(x, w.ln2_gain, w.ln2_shift)
+    pre = linear_fwd(t, w.mlp_w1, w.mlp_b1)
     del t
     hidden, d = gelu_fwd(pre, keep)
-    y = linear_fwd(hidden, w.mlp_w2.data, w.mlp_b2.data)
+    y = linear_fwd(hidden, w.mlp_w2, w.mlp_b2)
     y += x
     if not keep:
         return y, None
 
     def back(g: np.ndarray) -> np.ndarray:
         nonlocal d
-        dh = g @ w.mlp_w2.data.T
+        dh = g @ w.mlp_w2.T
         dh *= d
         d = None  # spent: freed before the next product
-        dt = dh @ w.mlp_w1.data.T
+        dt = dh @ w.mlp_w1.T
         del dh
-        return layer_norm_bwd(dt, w.ln2_gain.data, xhat, inv)
+        return layer_norm_bwd(dt, w.ln2_gain, xhat, inv)
     return y, back
 
 
@@ -333,8 +326,9 @@ def _row_view(leaf: Tensor, row: int) -> Tensor:
 
 
 class FreezeRegistry:
-    """Every parameter in a model, each exactly once, flagged frozen or
-    trainable. Registering a tensor sets its requires_grad to match the flag.
+    """Every parameter in a model, each exactly once: a frozen one is a
+    plain array, a trainable one a tensor. Registering a tensor sets its
+    requires_grad.
 
     A trainable leaf registered with ``register_stack`` holds several
     parameters, one per leading row, each registered by name with
@@ -347,24 +341,24 @@ class FreezeRegistry:
       and stacks, which the optimizer and the gradients work on."""
 
     def __init__(self) -> None:
-        # name -> (tensor, frozen, leading row of the tensor or None)
-        self._entries: dict[str, tuple[Tensor, bool, int | None]] = {}
+        # name -> (frozen array or trainable tensor, leading row of the tensor or None)
+        self._entries: dict[str, tuple[np.ndarray | Tensor, int | None]] = {}
         self._leaves: dict[str, Tensor] = {}  # trainable leaves by name
         self._stacks: set[int] = set()  # ids of the leaves from register_stack
-        self._tensors: list[Tensor] = []  # every distinct tensor
 
     def _claim(self, name: str) -> None:
         if name in self._entries or name in self._leaves:
             raise ValueError(f"parameter {name!r} registered twice")
 
-    def register(self, name: str, tensor: Tensor, frozen: bool) -> Tensor:
+    def register(self, name: str, value: np.ndarray | Tensor) -> np.ndarray | Tensor:
+        """Register an array as a frozen parameter, a tensor as a trainable
+        one."""
         self._claim(name)
-        tensor.requires_grad = not frozen
-        self._entries[name] = (tensor, frozen, None)
-        if not frozen:
-            self._leaves[name] = tensor
-        self._tensors.append(tensor)
-        return tensor
+        self._entries[name] = (value, None)
+        if isinstance(value, Tensor):
+            value.requires_grad = True
+            self._leaves[name] = value
+        return value
 
     def register_stack(self, name: str, leaf: Tensor) -> Tensor:
         """Register a trainable leaf whose leading rows are parameters; each
@@ -373,7 +367,6 @@ class FreezeRegistry:
         leaf.requires_grad = True
         self._leaves[name] = leaf
         self._stacks.add(id(leaf))
-        self._tensors.append(leaf)
         return leaf
 
     def register_row(self, name: str, leaf: Tensor, row: int) -> None:
@@ -382,27 +375,29 @@ class FreezeRegistry:
         self._claim(name)
         if id(leaf) not in self._stacks or not 0 <= row < leaf.data.shape[0]:
             raise ValueError(f"parameter {name!r}: row {row} of a leaf that register_stack did not register")
-        self._entries[name] = (leaf, False, row)
+        self._entries[name] = (leaf, row)
 
     def _value(self, name: str) -> tuple[np.ndarray, bool]:
-        tensor, frozen, row = self._entries[name]
-        return (tensor.data if row is None else tensor.data[row, ...]), frozen
+        value, row = self._entries[name]
+        if not isinstance(value, Tensor):
+            return value, True
+        return (value.data if row is None else value.data[row, ...]), False
 
     def items(self):
-        for name, (tensor, frozen, row) in self._entries.items():
-            yield name, (tensor if row is None else _row_view(tensor, row)), frozen
+        for name, (value, row) in self._entries.items():
+            yield name, (value if row is None else _row_view(value, row)), not isinstance(value, Tensor)
 
     def trainable(self):
         yield from self._leaves.items()
 
     def frozen(self):
-        for name, (tensor, frozen, _row) in self._entries.items():
-            if frozen:
-                yield name, tensor
+        for name, (value, _row) in self._entries.items():
+            if not isinstance(value, Tensor):
+                yield name, value
 
     def zero_grad(self) -> None:
-        for tensor in self._tensors:
-            tensor.grad = None
+        for leaf in self._leaves.values():
+            leaf.grad = None
 
     def state_hash(self, frozen_only: bool = True) -> str:
         """SHA-256 over (name, shape, payload) of the selected parameters,

@@ -282,7 +282,7 @@ def cmd_cost_report(resolved: dict, outdir: Path, quiet: bool) -> None:
     )
     report["ratios"]["grouped_projection_param_fraction"] = (
         grouped_projection_params(d, cfg_latent.ratio, cfg_latent.groups)
-        / (2 * d * (d // cfg_latent.ratio))
+        / grouped_projection_params(d, cfg_latent.ratio, 1)
     )
     report["config"] = {"n": n, "k": k, "latent_count": m, "width": d,
                         "ratio": cfg_latent.ratio, "groups": cfg_latent.groups,

@@ -50,7 +50,7 @@ from .autodiff import (
     grouped_linear_bwd,
     grouped_linear_fwd,
 )
-from .backbone import AUDIO, STACK_ORDER, VISUAL, FreezeRegistry, FrozenLayerWeights, _check_frozen, mha, mlp
+from .backbone import AUDIO, STACK_ORDER, VISUAL, FreezeRegistry, FrozenLayerWeights, mha, mlp
 
 MODE_DIRECTIONS = {"none": (), "a2v": ("a2v",), "v2a": ("v2a",), "bidirectional": ("a2v", "v2a")}
 MODES = tuple(MODE_DIRECTIONS)
@@ -137,56 +137,6 @@ def fuse_with_latents(target: np.ndarray, summary: np.ndarray, gate: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BottleneckParams:
-    """Grouped down/up projection pair around an activation.
-
-    down_w: (groups, width/groups, narrow/groups), up_w mirrors it back.
-    The up projection (and both biases) start at zero, which pins the whole
-    bottleneck output to zero at init. Stacked sites hold leaves whose
-    shapes lead with the direction axis.
-    """
-
-    down_w: Tensor
-    up_w: Tensor
-    act: str = "gelu"
-    down_b: Tensor | None = None
-    up_b: Tensor | None = None
-
-
-def init_bottleneck(
-    width: int,
-    ratio: int,
-    groups: int,
-    seed: int,
-    name: str,
-    act: str = "gelu",
-    bias: bool = True,
-) -> BottleneckParams:
-    """Build bottleneck weights: the down projection draws a fan-in-scaled
-    Gaussian (std 1/sqrt(width/groups), so its outputs match its inputs in
-    scale), the up projection and biases are zero. Width must divide by
-    ratio*groups so both projections split into equal blocks."""
-    if ratio < 1 or groups < 1:
-        raise ValueError(f"init_bottleneck: ratio and groups must be >= 1, got {ratio}, {groups}")
-    if width % (ratio * groups):
-        raise ShapeError(
-            f"init_bottleneck: width {width} is not divisible by ratio*groups = {ratio * groups}"
-        )
-    narrow = width // ratio
-    down = Rng.for_name(seed, f"{name}.down_w").normal(
-        (groups, width // groups, narrow // groups), std=1.0 / np.sqrt(width // groups)
-    )
-    up = np.zeros((groups, narrow // groups, width // groups))
-    return BottleneckParams(
-        down_w=Tensor(down),
-        up_w=Tensor(up),
-        act=act,
-        down_b=Tensor(np.zeros(narrow)) if bias else None,
-        up_b=Tensor(np.zeros(width)) if bias else None,
-    )
-
-
 def bottleneck(x: np.ndarray, down_w: np.ndarray, down_b: np.ndarray | None, up_w: np.ndarray,
                up_b: np.ndarray | None, act: str, want):
     """up(act(down(x))) with grouped maps as a forward kernel; the weights
@@ -221,22 +171,23 @@ def bottleneck(x: np.ndarray, down_w: np.ndarray, down_b: np.ndarray | None, up_
 @dataclass
 class AdapterSites:
     """The adapter sites of one layer attachment, one per direction of
-    ``directions`` (in ``SLOT_ORDER``), their parameters stacked: each part
-    is one leaf whose leading axis runs over the directions. Latent sites
-    have (S, m, width) latents and (S,) compression gates, direct sites
-    neither; all have (S,) fusion gates and a grouped bottleneck of stacked
-    leaves. The sites share no values: each slot is drawn from its own
+    ``directions`` (in ``SLOT_ORDER``), with bottleneck activation ``act``:
+    ``parts`` maps ``PARTS`` in order to stacked leaves, whose leading axis
+    runs over the directions, or to None where the sites lack the part.
+    Latent sites have (S, m, width) latents and (S,) compression gates,
+    direct sites neither; all have (S,) fusion gates and a grouped
+    bottleneck. The sites share no values: each slot is drawn from its own
     site's stream. The parts are checked against each other once, here."""
 
     directions: tuple[str, ...]
-    latents: Tensor | None
-    gate_compress: Tensor | None
-    gate_fuse: Tensor
-    neck: BottleneckParams
+    act: str
+    parts: dict[str, Tensor | None]
     width: int = field(init=False)
 
     def __post_init__(self) -> None:
-        shape = {p: None if t is None else t.data.shape for p, t in self.parts().items()}
+        if tuple(self.parts) != PARTS:
+            raise ValueError(f"AdapterSites: parts must be {PARTS} in order, got {tuple(self.parts)}")
+        shape = {p: None if t is None else t.data.shape for p, t in self.parts.items()}
         s, dw = len(self.directions), shape["down_w"]
         if len(dw) != 4 or dw[0] != s:
             raise ShapeError(f"AdapterSites: down_w of shape {dw} is not grouped over the number of directions, {s}")
@@ -251,30 +202,28 @@ class AdapterSites:
                                  f"grouped as down_w {dw}: expected {want[part]}")
         if (shape["latents"] is None) != (shape["gate_compress"] is None):
             raise ShapeError("AdapterSites: latents need a compression gate, and a compression gate latents")
-        if self.neck.act not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.neck.act!r}")
-
-    def parts(self) -> dict[str, Tensor | None]:
-        """Each part's leaf (None where the sites have none), in ``PARTS``
-        order."""
-        neck = self.neck
-        return {"latents": self.latents, "gate_compress": self.gate_compress, "gate_fuse": self.gate_fuse,
-                "down_w": neck.down_w, "up_w": neck.up_w, "down_b": neck.down_b, "up_b": neck.up_b}
+        if self.act not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.act!r}")
 
 
 def _draw_site(base: str, width: int, latent_count: int, ratio: int, groups: int, seed: int,
-               use_latents: bool, act: str, bias: bool) -> dict[str, np.ndarray | None]:
+               use_latents: bool, bias: bool) -> dict[str, np.ndarray | None]:
     """One site's initial values by part: latents from ``<base>.latents``,
-    the bottleneck from ``init_bottleneck`` under ``base``, open gates."""
-    neck = init_bottleneck(width, ratio, groups, seed, base, act=act, bias=bias)
+    open gates, and a bottleneck whose down projection draws a fan-in-scaled
+    Gaussian from ``<base>.down_w`` (std 1/sqrt(width/groups), so its
+    outputs match its inputs in scale), its up projection and biases zero,
+    which pins the whole site's term to zero at init."""
+    narrow = width // ratio
     return {
         "latents": Rng.for_name(seed, f"{base}.latents").normal((latent_count, width), std=LATENT_INIT_STD)
         if use_latents else None,
         "gate_compress": np.full((), GATE_INIT) if use_latents else None,
         "gate_fuse": np.full((), GATE_INIT),
-        "down_w": neck.down_w.data, "up_w": neck.up_w.data,
-        "down_b": None if neck.down_b is None else neck.down_b.data,
-        "up_b": None if neck.up_b is None else neck.up_b.data,
+        "down_w": Rng.for_name(seed, f"{base}.down_w").normal(
+            (groups, width // groups, narrow // groups), std=1.0 / np.sqrt(width // groups)),
+        "up_w": np.zeros((groups, narrow // groups, width // groups)),
+        "down_b": np.zeros(narrow) if bias else None,
+        "up_b": np.zeros(width) if bias else None,
     }
 
 
@@ -293,32 +242,35 @@ def build_layer_sites(
 ) -> dict[str, AdapterSites]:
     """One layer's sites for ``mode``, keyed by attachment: both attachments
     hold a site for every direction the mode enables, and mode ``none``
-    gives no entry. With a ``registry``, each leaf is registered trainable
-    as ``adapter.layer<i>.<attachment>.<part>``, and each slot of it by its
-    site's name, ``adapter.layer<i>.<direction>_<attachment>.<part>``, in
-    the order direction, attachment, part."""
+    gives no entry. Width must divide by ratio*groups, so both bottleneck
+    projections split into equal blocks. With a ``registry``, each leaf is
+    registered trainable as ``adapter.layer<i>.<attachment>.<part>``, and
+    each slot of it by its site's name,
+    ``adapter.layer<i>.<direction>_<attachment>.<part>``, in the order
+    direction, attachment, part."""
     if mode not in MODE_DIRECTIONS:
         raise ValueError(f"unknown fusion mode {mode!r}")
     if latent_count < 1:
         raise ValueError(f"build_layer_sites: latent count must be >= 1, got {latent_count}")
+    if ratio < 1 or groups < 1:
+        raise ValueError(f"build_layer_sites: ratio and groups must be >= 1, got {ratio}, {groups}")
+    if width % (ratio * groups):
+        raise ShapeError(f"build_layer_sites: width {width} is not divisible by ratio*groups = {ratio * groups}")
     directions = tuple(d for d in SLOT_ORDER if d in MODE_DIRECTIONS[mode])
     sites = {}
     for attachment in ATTACHMENTS if directions else ():
         drawn = [_draw_site(f"adapter.layer{layer}.{d}_{attachment}", width, latent_count, ratio, groups, seed,
-                            use_latents, act, bias) for d in directions]
-        leaf = {p: None if drawn[0][p] is None else Tensor(np.array([site[p] for site in drawn])) for p in PARTS}
-        sites[attachment] = AdapterSites(
-            directions, leaf["latents"], leaf["gate_compress"], leaf["gate_fuse"],
-            BottleneckParams(leaf["down_w"], leaf["up_w"], act, leaf["down_b"], leaf["up_b"]),
-        )
+                            use_latents, bias) for d in directions]
+        sites[attachment] = AdapterSites(directions, act, {
+            p: None if drawn[0][p] is None else Tensor(np.array([site[p] for site in drawn])) for p in PARTS})
     if registry is not None:
         for attachment, s in sites.items():
-            for part, t in s.parts().items():
+            for part, t in s.parts.items():
                 if t is not None:
                     registry.register_stack(f"adapter.layer{layer}.{attachment}.{part}", t)
         for direction in MODE_DIRECTIONS[mode]:
             for attachment, s in sites.items():
-                for part, t in s.parts().items():
+                for part, t in s.parts.items():
                     if t is not None:
                         registry.register_row(f"adapter.layer{layer}.{direction}_{attachment}.{part}", t,
                                               s.directions.index(direction))
@@ -411,12 +363,12 @@ def _site_term(sites: AdapterSites, x: Tensor, stacks: list[Tensor], target: tup
     """The term ``sites`` add into stack ``x`` (``target`` from ``_targets``)
     and what the half's node needs: (term, backward, leaves in ``PARTS``
     order, source stack, slot, source-row and target-row indexes)."""
-    leaves = tuple(sites.parts().values())
+    leaves = tuple(sites.parts.values())
     src_k, slot, src_rows, dst_rows = target
     src = stacks[src_k]
     on = _needs_grad((x, src) + leaves)
     term, back = adapter_forward(
-        src.data[src_rows], x.data[dst_rows], [None if t is None else t.data[slot] for t in leaves], sites.neck.act,
+        src.data[src_rows], x.data[dst_rows], [None if t is None else t.data[slot] for t in leaves], sites.act,
         (on and src.requires_grad, on and x.requires_grad) + tuple(on and t is not None and t.requires_grad
                                                                   for t in leaves))
     return term, back, leaves, src, slot, src_rows, dst_rows
@@ -465,22 +417,19 @@ def layer_forward(stacks: list[Tensor], w: FrozenLayerWeights, sites: dict[str, 
     the stack's streams and one ``adapter_forward`` call for the sites whose
     targets lie in it. Both attention-side terms read the pre-update states,
     and both MLP-side terms the post-attention ones. Every check runs before
-    any kernel: stack ranks and rows, token and site widths, heads, and the
-    frozen weights.
+    any kernel: stack ranks and rows, token and site widths and heads.
     """
     shapes = [x.data.shape for x in stacks]
     # a 3-D stack would be told from one stream's (B, N, D) batch by its row
     # count alone
     if any(len(s) != 4 for s in shapes) or sum(s[0] for s in shapes) != len(STACK_ORDER):
         raise ShapeError(f"layer_forward: need (S, B, N, D) stacks that hold one row per stream, got shapes {shapes}")
-    width = w.wq.data.shape[0]
+    width = w.wq.shape[0]
     widths = {s[-1] for s in shapes} | {at.width for at in sites.values()}
     if widths != {width}:
         raise ShapeError(f"layer_forward: token and site widths {sorted(widths)} do not match layer width {width}")
     if width % w.heads:
         raise ShapeError(f"layer_forward: head count {w.heads} does not divide width {width}")
-    _check_frozen("mha", gain=w.ln1_gain, shift=w.ln1_shift, wq=w.wq, wk=w.wk, wv=w.wv, wo=w.wo)
-    _check_frozen("mlp", gain=w.ln2_gain, shift=w.ln2_shift, w1=w.mlp_w1, b1=w.mlp_b1, w2=w.mlp_w2, b2=w.mlp_b2)
     plans = {d: _targets(d, tuple(s[0] for s in shapes)) for d in {at.directions for at in sites.values()}}
     for block, attachment in ((mha, "mha"), (mlp, "mlp")):
         at = sites.get(attachment)

@@ -74,6 +74,12 @@ def require_size(field: str, hw) -> None:
         raise FieldError(field, f"entries must be >= 1, got {hw}")
 
 
+def require_seed(seed) -> None:
+    """Raise ``FieldError`` naming ``seed`` unless it is an integer in
+    [0, 2**64), the range every RNG stream is keyed by."""
+    require("seed", seed, "an integer", lambda v: 0 <= v < 2**64, "in [0, 2**64)")
+
+
 @dataclass
 class ModelConfig:
     """Shape and wiring of one two-stream model."""
@@ -189,6 +195,7 @@ class TwoStreamModel:
 
     def __init__(self, cfg: ModelConfig, seed: int):
         cfg.validate()
+        require_seed(seed)
         self.cfg = cfg
         self.seed = int(seed)
         self.registry = FreezeRegistry()
@@ -197,13 +204,11 @@ class TwoStreamModel:
         patch_dim = cfg.patch * cfg.patch * 3
         self.patch_proj = self.registry.register(
             "backbone.patch_proj",
-            Tensor(Rng.for_name(seed, "backbone.patch_proj").normal((patch_dim, width), std=INIT_STD)),
-            frozen=True,
+            Rng.for_name(seed, "backbone.patch_proj").normal((patch_dim, width), std=INIT_STD),
         )
         self.pos_visual = self.registry.register(
             "backbone.pos_visual",
-            Tensor(Rng.for_name(seed, "backbone.pos_visual").normal((cfg.n_visual_tokens, width), std=INIT_STD)),
-            frozen=True,
+            Rng.for_name(seed, "backbone.pos_visual").normal((cfg.n_visual_tokens, width), std=INIT_STD),
         )
 
         self.layers: list[FrozenLayerWeights] = []
@@ -212,7 +217,7 @@ class TwoStreamModel:
             self.layers.append(w)
             for part in fields(FrozenLayerWeights):
                 if part.name != "heads":
-                    self.registry.register(f"backbone.layer{i}.{part.name}", getattr(w, part.name), frozen=True)
+                    self.registry.register(f"backbone.layer{i}.{part.name}", getattr(w, part.name))
 
         # one {attachment: stacked sites} dict per layer; registered after
         # every frozen layer, which fixes the weight container's order
@@ -226,11 +231,8 @@ class TwoStreamModel:
         ]
 
         self.head_weight = self.registry.register(
-            "head.weight",
-            Tensor(Rng.for_name(seed, "head.weight").normal((2 * width, 2), std=INIT_STD)),
-            frozen=False,
-        )
-        self.head_bias = self.registry.register("head.bias", Tensor(np.zeros(2)), frozen=False)
+            "head.weight", Tensor(Rng.for_name(seed, "head.weight").normal((2 * width, 2), std=INIT_STD)))
+        self.head_bias = self.registry.register("head.bias", Tensor(np.zeros(2)))
 
         self._resize_audio_pos()
 
@@ -239,15 +241,14 @@ class TwoStreamModel:
         whenever ``pos_visual`` changes."""
         cfg = self.cfg
         self._pos_audio = (
-            Tensor(resize_pos_table(self.pos_visual.data, cfg.visual_grid, cfg.audio_grid))
-            if cfg.audio_pos == "resize" else None
+            resize_pos_table(self.pos_visual, cfg.visual_grid, cfg.audio_grid) if cfg.audio_pos == "resize" else None
         )
 
     # -- forward ------------------------------------------------------------
 
-    def tokenize(self, batch: InputBatch) -> tuple[Tensor, Tensor]:
+    def tokenize(self, batch: InputBatch) -> tuple[np.ndarray, np.ndarray]:
         """The (audio, visual) tokens, in ``STACK_ORDER``, of a non-empty
-        batch, each a (B, N, width) batch: leaves of the frozen stem."""
+        batch, each a (B, N, width) array from the frozen stem."""
         cfg, images, specs = self.cfg, batch.images, batch.specs
         if not len(images):
             raise ShapeError("tokenize: need a non-empty batch")
@@ -266,8 +267,7 @@ class TwoStreamModel:
         one-row stack per stream; rows in ``STACK_ORDER``."""
         xa, xv = self.tokenize(batch)
         # the tokens need no gradient, so each stack is a leaf made by one copy
-        shared = xa.data.shape == xv.data.shape
-        stacks = [Tensor([xa.data, xv.data])] if shared else [Tensor([xa.data]), Tensor([xv.data])]
+        stacks = [Tensor([xa, xv])] if xa.shape == xv.shape else [Tensor([xa]), Tensor([xv])]
         del xa, xv  # copied into the stacks
         for w, sites in zip(self.layers, self.sites):
             stacks = layer_forward(stacks, w, sites)

@@ -39,8 +39,9 @@ class ContainerEntry:
 def save_tensors(base: str | Path, entries, extra: dict | None = None) -> None:
     """Write ``entries`` (iterables of (name, array, frozen)) to <base>.json
     plus <base>.bin. Entry order is preserved; duplicate names and
-    non-finite payloads, which ``load_tensors`` would refuse, are an error
-    raised before either file is written."""
+    non-finite payloads, which ``load_tensors`` would refuse, and a manifest
+    that cannot be encoded are errors raised before either file is
+    written."""
     base = Path(base)
     manifest_entries = []
     blobs = []
@@ -74,10 +75,11 @@ def save_tensors(base: str | Path, entries, extra: dict | None = None) -> None:
         "tensors": manifest_entries,
         "extra": extra if extra is not None else {},
     }
+    text = json_bytes(manifest)
     base.parent.mkdir(parents=True, exist_ok=True)
     # the payload first, so the manifest that describes it lands last
     write_atomic(base.with_suffix(".bin"), b"".join(blobs))
-    write_json(base.with_suffix(".json"), manifest)
+    write_atomic(base.with_suffix(".json"), text)
 
 
 def load_tensors(base: str | Path) -> tuple[list[ContainerEntry], dict]:
@@ -158,9 +160,15 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
+def json_bytes(payload: dict) -> bytes:
+    """``payload`` as indented UTF-8 JSON with sorted keys and a final
+    newline."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 def write_json(path: str | Path, payload: dict) -> None:
-    """``payload`` as indented JSON with sorted keys and a final newline."""
-    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    """Replace ``path`` with ``json_bytes(payload)``."""
+    write_atomic(path, json_bytes(payload))
 
 
 def format_float(x: float) -> str:

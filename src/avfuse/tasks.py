@@ -20,7 +20,7 @@ import numpy as np
 
 from .autodiff import NonFiniteError, Rng, ShapeError, Tensor, backward, cross_entropy_logits, derive_seed, no_grad
 from .backbone import InputBatch
-from .model import ModelConfig, TwoStreamModel, require, require_size
+from .model import ModelConfig, TwoStreamModel, require, require_seed, require_size
 
 PAIR_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -37,10 +37,6 @@ SQUARE_SAFE = float(np.sqrt(np.finfo(np.float64).max))
 # Largest finite float64. A Python int past it compares below inf, yet
 # cannot become a float.
 FLOAT_MAX = float(np.finfo(np.float64).max)
-
-
-class FrozenGradientError(RuntimeError):
-    """A backward pass deposited gradient into a frozen parameter."""
 
 
 class DivergenceError(RuntimeError):
@@ -123,8 +119,10 @@ def generate_dataset(
     per sample), image part first, written straight into its row of two
     set-wide arrays. So sample ``i`` depends only on ``(seed, i)``, and
     generation could be sharded by index without changing a single sample.
-    The set is checked once, as a whole.
+    The arguments are checked before any draw, the seed by the rule of
+    ``TrainConfig.validate``, and the set once, as a whole.
     """
+    require_seed(seed)
     _check_sets(noise, count=count)
     require_size("image_hw", image_hw)
     require_size("spec_hw", spec_hw)
@@ -247,7 +245,7 @@ class TrainConfig:
     eval_every: int = 0  # 0: evaluate only after the last step
 
     def validate(self) -> None:
-        require("seed", self.seed, "an integer", lambda v: 0 <= v < 2**64, "in [0, 2**64)")
+        require_seed(self.seed)
         for name, low in (("steps", 0), ("batch_size", 1), ("eval_every", 0)):
             require(name, getattr(self, name), "an integer", lambda v: v >= low, f">= {low}")
         for name in ("lr_adapter", "lr_head"):
@@ -325,13 +323,14 @@ def train(
 ) -> list[dict]:
     """Optimize the trainable parameters; returns metric rows.
 
-    Each step draws a with-replacement batch from its own seeded stream,
-    writes one loss row, and any gradient that lands on a frozen parameter
-    aborts the run. A non-finite loss or non-finite attention scores raise
-    ``DivergenceError`` naming the step and the first trainable parameter
-    that is out of range. Test accuracy is recorded every ``eval_every``
-    steps and always after the final step (for steps=0 that is the untouched
-    model). ``backward`` frees each step's graph before the next forward.
+    Each step draws a with-replacement batch from its own seeded stream and
+    writes one loss row; the frozen weights are plain arrays, outside the
+    tape, so no gradient reaches them. A non-finite loss or non-finite
+    attention scores raise ``DivergenceError`` naming the step and the first
+    trainable parameter that is out of range. Test accuracy is recorded
+    every ``eval_every`` steps and always after the final step (for steps=0
+    that is the untouched model). ``backward`` frees each step's graph
+    before the next forward.
     """
     if not train_samples or not test_samples:
         raise ValueError(f"train: {'test_samples' if train_samples else 'train_samples'} is empty")
@@ -354,9 +353,6 @@ def train(
             raise _divergence(model, step, f"loss is {loss.item()}")
         model.registry.zero_grad()
         backward(loss)
-        for name, tensor in model.registry.frozen():
-            if tensor.grad is not None:
-                raise FrozenGradientError(f"gradient reached frozen parameter {name!r}")
         optimizer.step()
         rows.append((step, loss.item(), "train", ""))
         if cfg.eval_every and step % cfg.eval_every == 0 and step != cfg.steps:

@@ -19,7 +19,7 @@ live here: the library runs those kernels only inside its kernel pairs
 ``compress_to_latents``, ``fuse_with_latents``, ``bottleneck`` and
 ``adapter_forward``), in the nodes built on them (one per layer half per
 stack in ``fusion.layer_forward``, and ``model.event_head``) and in its
-frozen tokenizers, which return leaves. Built on the library's kernels,
+frozen tokenizers, which return plain arrays. Built on the library's kernels,
 they are the unit under test of the kernel tests and, chained as
 the library chained them before (``chain_mha``, ``chain_mlp``,
 ``chain_cma``, ``chain_bottleneck``), the oracle the kernels must match bit
@@ -89,7 +89,7 @@ from avfuse.autodiff import (
     relu_fwd,
 )
 from avfuse.backbone import STACK_ORDER, InputBatch
-from avfuse.fusion import PARTS, SOURCE, TARGET, BottleneckParams, adapter_forward
+from avfuse.fusion import PARTS, SOURCE, TARGET, _draw_site, adapter_forward
 from avfuse.tasks import PAIR_ORDER, SampleSet, audio_template, visual_template
 
 
@@ -353,11 +353,20 @@ def chain_cma(query: Tensor, key: Tensor, value: Tensor, gate: Tensor) -> Tensor
     return add(query, mul(attention(query, key, value, 1), gate))
 
 
-def chain_bottleneck(x: Tensor, params) -> Tensor:
-    """``fusion.bottleneck`` as single ops: grouped map, activation, grouped
-    map."""
-    narrow = _act(params.act)(grouped_linear(x, params.down_w, params.down_b))
-    return grouped_linear(narrow, params.up_w, params.up_b)
+def chain_bottleneck(x: Tensor, parts, act: str) -> Tensor:
+    """``fusion.bottleneck`` as single ops over the ``down_w``, ``down_b``,
+    ``up_w`` and ``up_b`` of ``parts``: grouped map, activation ``act``,
+    grouped map."""
+    narrow = _act(act)(grouped_linear(x, parts["down_w"], parts["down_b"]))
+    return grouped_linear(narrow, parts["up_w"], parts["up_b"])
+
+
+def bottleneck_parts(width: int, ratio: int, groups: int, seed: int, name: str, bias: bool = True) -> dict:
+    """The initial ``down_w``, ``up_w``, ``down_b`` and ``up_b`` arrays (the
+    biases None without ``bias``) of one bottleneck, drawn as a site named
+    ``name`` draws them."""
+    drawn = _draw_site(name, width, 1, ratio, groups, seed, False, bias)
+    return {part: drawn[part] for part in ("down_w", "up_w", "down_b", "up_b")}
 
 
 def slotwise(chain, lone: bool, *operands) -> Tensor:
@@ -400,13 +409,14 @@ def stacked_chain_cma(query, key, value, gate) -> Tensor:
     return slotwise(chain_cma, gate.data.ndim == 0, query, key, value, gate)
 
 
-def stacked_chain_bottleneck(x, params) -> Tensor:
+def stacked_chain_bottleneck(x, parts, act: str) -> Tensor:
     """``chain_bottleneck`` over the operands ``fusion.bottleneck`` takes,
     one direction at a time."""
     def one(x, down_w, down_b, up_w, up_b):
-        return chain_bottleneck(x, type(params)(down_w, up_w, params.act, down_b, up_b))
+        return chain_bottleneck(x, {"down_w": down_w, "down_b": down_b, "up_w": up_w, "up_b": up_b}, act)
 
-    return slotwise(one, params.down_w.data.ndim == 3, x, params.down_w, params.down_b, params.up_w, params.up_b)
+    return slotwise(one, parts["down_w"].data.ndim == 3, x, parts["down_w"], parts["down_b"], parts["up_w"],
+                    parts["up_b"])
 
 
 # ---------------------------------------------------------------------------
@@ -533,19 +543,15 @@ def chain_adapter_forward(source: Slots, target: Slots, sites, slots) -> Tensor:
     ``sites``, over ``Slots`` rows of the stacks; the stacked leaves go in
     whole when ``slots`` runs every site in order, else as ``Slots`` of
     those rows."""
-    latents, gate_compress, gate_fuse, neck = sites.latents, sites.gate_compress, sites.gate_fuse, sites.neck
+    parts = sites.parts
     if slots != tuple(range(len(sites.directions))):
-        def rows(t):
-            return None if t is None else Slots.rows(t, slots)
-
-        latents, gate_compress, gate_fuse = rows(latents), rows(gate_compress), rows(gate_fuse)
-        neck = BottleneckParams(rows(neck.down_w), rows(neck.up_w), neck.act, rows(neck.down_b), rows(neck.up_b))
-    if latents is not None:
-        summary = stacked_chain_cma(latents, source, source, gate_compress)
-        fused = stacked_chain_cma(target, summary, summary, gate_fuse)
+        parts = {part: None if t is None else Slots.rows(t, slots) for part, t in parts.items()}
+    if parts["latents"] is not None:
+        summary = stacked_chain_cma(parts["latents"], source, source, parts["gate_compress"])
+        fused = stacked_chain_cma(target, summary, summary, parts["gate_fuse"])
     else:
-        fused = stacked_chain_cma(target, source, source, gate_fuse)
-    return stacked_chain_bottleneck(fused, neck)
+        fused = stacked_chain_cma(target, source, source, parts["gate_fuse"])
+    return stacked_chain_bottleneck(fused, parts, sites.act)
 
 
 def chain_layer_forward(stacks, w, sites) -> list:
@@ -590,7 +596,7 @@ def site_row(layer_sites: dict, key: str, part: str) -> np.ndarray:
     in-place write (``site_row(...)[...] = x``) sets the site's values."""
     direction, attachment = key.split("_")
     sites = layer_sites[attachment]
-    return sites.parts()[part].data[sites.directions.index(direction), ...]
+    return sites.parts[part].data[sites.directions.index(direction), ...]
 
 
 def site_term(layer_sites: dict, key: str, source: np.ndarray, target: np.ndarray) -> Tensor:
@@ -601,8 +607,8 @@ def site_term(layer_sites: dict, key: str, source: np.ndarray, target: np.ndarra
     direction, attachment = key.split("_")
     sites = layer_sites[attachment]
     row = sites.directions.index(direction)
-    parts = [None if t is None else t.data[row:row + 1] for t in sites.parts().values()]
-    term, _ = adapter_forward(source[None], target[None], parts, sites.neck.act, (False,) * (2 + len(PARTS)))
+    parts = [None if t is None else t.data[row:row + 1] for t in sites.parts.values()]
+    term, _ = adapter_forward(source[None], target[None], parts, sites.act, (False,) * (2 + len(PARTS)))
     return Tensor(term[0])
 
 
@@ -1019,18 +1025,18 @@ def oracle_adapter(source: Tensor, target: Tensor, sites, direction: str) -> Ten
     parameters taken from its leaf's row with ``take``."""
     row = sites.directions.index(direction)
 
-    def part(t):
+    def part(name):
+        t = sites.parts[name]
         return None if t is None else take(t, row)
 
-    neck = sites.neck
-    gate_fuse = part(sites.gate_fuse)
-    if sites.latents is not None:
-        summary = oracle_cma(part(sites.latents), source, source, part(sites.gate_compress))
+    gate_fuse = part("gate_fuse")
+    if sites.parts["latents"] is not None:
+        summary = oracle_cma(part("latents"), source, source, part("gate_compress"))
         fused = oracle_cma(target, summary, summary, gate_fuse)
     else:
         fused = oracle_cma(target, source, source, gate_fuse)
-    narrow = _act(neck.act)(grouped_linear(fused, part(neck.down_w), part(neck.down_b)))
-    return grouped_linear(narrow, part(neck.up_w), part(neck.up_b))
+    narrow = _act(sites.act)(grouped_linear(fused, part("down_w"), part("down_b")))
+    return grouped_linear(narrow, part("up_w"), part("up_b"))
 
 
 def oracle_layer(xa: Tensor, xv: Tensor, w, sites: dict, mode: str) -> tuple[Tensor, Tensor]:

@@ -11,7 +11,7 @@ from avfuse.autodiff import Rng, count_macs
 from avfuse.backbone import FreezeRegistry
 from avfuse.cli import main as cli_main
 from avfuse.costs import count_params, mac_fusion
-from avfuse.fusion import compress_to_latents, fuse_with_latents, gated_attention, init_bottleneck
+from avfuse.fusion import build_layer_sites, compress_to_latents, fuse_with_latents, gated_attention
 from avfuse.model import ModelConfig, TwoStreamModel, frozen_twin
 from avfuse.tasks import DataConfig, TrainConfig, generate_dataset, run_experiment, train
 
@@ -162,9 +162,9 @@ def test_criterion_5_grouped_accounting():
             sizes = {}
             for groups in (1, 2):
                 reg = FreezeRegistry()
-                p = init_bottleneck(d, rho, groups, 0, "site", bias=False)
-                reg.register("site.down_w", p.down_w, frozen=False)
-                reg.register("site.up_w", p.up_w, frozen=False)
+                p = build_layer_sites(0, d, 1, rho, groups, 0, "a2v", bias=False)["mha"].parts
+                reg.register("site.down_w", p["down_w"])
+                reg.register("site.up_w", p["up_w"])
                 sizes[groups] = count_params(reg).trainable_total
             assert sizes[2] * 2 == sizes[1], (d, rho, sizes)
             checked += 1

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from avfuse.autodiff import GraphError, Rng, ShapeError, Tensor
+from avfuse.autodiff import Rng, ShapeError, Tensor
 from avfuse.backbone import (
     FreezeRegistry,
     InputBatch,
@@ -181,46 +181,46 @@ class TestEmbedding:
         r = np.random.default_rng(1)
         img = r.uniform(size=(1, 4, 4, 3))
         proj = r.standard_normal((12, 5))
-        ts = patch_embed(img, 2, Tensor(proj))
+        ts = patch_embed(img, 2, proj)
         assert ts.shape == (1, 4, 5)
         want = loop_matmul(unfold_patches(img[0], 2), proj)
-        np.testing.assert_allclose(ts.data[0], want, rtol=1e-13)
+        np.testing.assert_allclose(ts[0], want, rtol=1e-13)
 
     def test_patch_embed_zero_image_zero_tokens(self):
         # bias-free projection: zero input must give exactly zero tokens
         img = np.zeros((1, 4, 4, 3))
-        proj = Tensor(np.random.default_rng(2).standard_normal((12, 5)))
+        proj = np.random.default_rng(2).standard_normal((12, 5))
         ts = patch_embed(img, 2, proj)
-        np.testing.assert_array_equal(ts.data, np.zeros((1, 4, 5)))
+        np.testing.assert_array_equal(ts, np.zeros((1, 4, 5)))
 
     def test_patch_embed_adds_positions(self):
         r = np.random.default_rng(3)
         img = r.uniform(size=(1, 4, 4, 3))
-        proj = Tensor(r.standard_normal((12, 5)))
+        proj = r.standard_normal((12, 5))
         pos = r.standard_normal((4, 5))
         without = patch_embed(img, 2, proj)
-        with_pos = patch_embed(img, 2, proj, Tensor(pos))
-        np.testing.assert_allclose(with_pos.data, without.data + pos, rtol=1e-14)
+        with_pos = patch_embed(img, 2, proj, pos)
+        np.testing.assert_allclose(with_pos, without + pos, rtol=1e-14)
         with pytest.raises(ShapeError):
-            patch_embed(img, 2, proj, Tensor(np.zeros((3, 5))))
+            patch_embed(img, 2, proj, np.zeros((3, 5)))
 
     def test_spectrogram_embed_replicates_channels_and_pads(self):
         r = np.random.default_rng(4)
         spec = r.standard_normal((1, 3, 5))
         proj = r.standard_normal((12, 6))
-        ts = spectrogram_embed(spec, 2, Tensor(proj))
+        ts = spectrogram_embed(spec, 2, proj)
         padded = pad_to_multiple(spec[0], 2)
         three = np.repeat(padded[:, :, None], 3, axis=2)
         want = loop_matmul(unfold_patches(three, 2), proj)
-        assert ts.data.shape == (1, 6, 6)  # ceil(3/2)*ceil(5/2) = 2*3
-        np.testing.assert_allclose(ts.data[0], want, rtol=1e-13)
+        assert ts.shape == (1, 6, 6)  # ceil(3/2)*ceil(5/2) = 2*3
+        np.testing.assert_allclose(ts[0], want, rtol=1e-13)
 
     @pytest.mark.parametrize("with_pos", [False, True], ids=["no-pos", "pos"])
     def test_embeds_are_leaves_bitwise_the_tape_chain(self, with_pos, monkeypatch):
         # the frozen stem runs on kernels: its tokens are the tape chain
-        # add(matmul(patches, proj), pos) bit for bit, as leaves that record
-        # no node and need no gradient, and the table is added into the
-        # product, not into itself
+        # add(matmul(patches, proj), pos) bit for bit, as plain arrays that
+        # record no node, and the table is added into the product, not into
+        # itself
         records = []
         node = Tensor._node
 
@@ -232,7 +232,7 @@ class TestEmbedding:
         r = np.random.default_rng(5)
         images = np.stack([r.uniform(size=(4, 6, 3)) for _ in range(2)])
         specs = np.stack([r.standard_normal((3, 5)) for _ in range(2)])
-        proj = Tensor(r.standard_normal((12, 5)))
+        proj = r.standard_normal((12, 5))
         padded = np.stack([pad_to_multiple(s, 2) for s in specs])
         cases = (
             (patch_embed, images, unfold_patches(images, 2)),
@@ -240,28 +240,23 @@ class TestEmbedding:
         )
         for embed, inputs, patches in cases:
             table = r.standard_normal((patches.shape[-2], 5))
-            pos = Tensor(table) if with_pos else None
+            pos = table.copy() if with_pos else None
             tokens = embed(inputs, 2, proj, pos)
             assert records == []
             want = matmul(Tensor(patches), proj)
             if with_pos:
                 want = add(want, pos)
-                np.testing.assert_array_equal(pos.data, table)
-            assert not tokens.requires_grad and tokens._parents == () and tokens._backward is None
-            np.testing.assert_array_equal(tokens.data, want.data)
+                np.testing.assert_array_equal(pos, table)
+            assert type(tokens) is np.ndarray
+            np.testing.assert_array_equal(tokens, want.data)
             records.clear()
 
-    def test_embeds_refuse_a_trainable_or_misshapen_table(self):
+    def test_embeds_refuse_a_misshapen_table(self):
         img, spec = np.zeros((1, 4, 4, 3)), np.zeros((1, 4, 4))
-        proj = Tensor(np.ones((12, 5)))
-        # a leaf would drop the gradient a trainable stem weight asks for
-        with pytest.raises(GraphError, match="patch_embed: weight proj "):
-            patch_embed(img, 2, Tensor(np.ones((12, 5)), requires_grad=True))
-        with pytest.raises(GraphError, match="spectrogram_embed: weight pos "):
-            spectrogram_embed(spec, 2, proj, Tensor(np.zeros((4, 5)), requires_grad=True))
+        proj = np.ones((12, 5))
         for embed, x in ((patch_embed, img), (spectrogram_embed, spec)):
             with pytest.raises(ShapeError, match=f"{embed.__name__}: positional table shape"):
-                embed(x, 2, proj, Tensor(np.zeros((3, 5))))
+                embed(x, 2, proj, np.zeros((3, 5)))
 
 
 class TestResizePos:
@@ -317,11 +312,11 @@ class TestLayerBlocks:
     def test_init_draws_are_name_stable(self):
         a = init_layer_weights(8, 2, 0, "layer0")
         b = init_layer_weights(8, 2, 0, "layer0")
-        np.testing.assert_array_equal(a.wq.data, b.wq.data)
+        np.testing.assert_array_equal(a.wq, b.wq)
         c = init_layer_weights(8, 2, 0, "layer1")
-        assert not np.array_equal(a.wq.data, c.wq.data)
-        np.testing.assert_array_equal(a.ln1_gain.data, np.ones(8))
-        np.testing.assert_array_equal(a.mlp_b1.data, np.zeros(32))
+        assert not np.array_equal(a.wq, c.wq)
+        np.testing.assert_array_equal(a.ln1_gain, np.ones(8))
+        np.testing.assert_array_equal(a.mlp_b1, np.zeros(32))
 
     def test_init_rejects_bad_heads(self):
         with pytest.raises(ShapeError):
@@ -333,16 +328,16 @@ class TestLayerBlocks:
         x = Tensor(r.standard_normal((5, 8)))
         got = term_of(mha, x, w)
 
-        t = scalar_layer_norm(x.data, w.ln1_gain.data, w.ln1_shift.data)
-        q = loop_matmul(t, w.wq.data)
-        k = loop_matmul(t, w.wk.data)
-        v = loop_matmul(t, w.wv.data)
+        t = scalar_layer_norm(x.data, w.ln1_gain, w.ln1_shift)
+        q = loop_matmul(t, w.wq)
+        k = loop_matmul(t, w.wk)
+        v = loop_matmul(t, w.wv)
         heads = []
         for i in range(2):
             sl = slice(i * 4, (i + 1) * 4)
             scores = loop_matmul(q[:, sl], k[:, sl].T) / np.sqrt(4.0)
             heads.append(loop_matmul(scalar_softmax_rows(scores), v[:, sl]))
-        want = loop_matmul(np.hstack(heads), w.wo.data)
+        want = loop_matmul(np.hstack(heads), w.wo)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_single_head_equals_multi_with_same_width(self):
@@ -351,34 +346,34 @@ class TestLayerBlocks:
         w = init_layer_weights(6, 1, 4, "single")
         x = Tensor(r.standard_normal((4, 6)))
         got = term_of(mha, x, w)
-        t = scalar_layer_norm(x.data, w.ln1_gain.data, w.ln1_shift.data)
-        q = t @ w.wq.data
-        k = t @ w.wk.data
-        v = t @ w.wv.data
+        t = scalar_layer_norm(x.data, w.ln1_gain, w.ln1_shift)
+        q = t @ w.wq
+        k = t @ w.wk
+        v = t @ w.wv
         attn = scalar_softmax_rows(q @ k.T / np.sqrt(6.0))
-        np.testing.assert_allclose(got, attn @ v @ w.wo.data, rtol=1e-12)
+        np.testing.assert_allclose(got, attn @ v @ w.wo, rtol=1e-12)
 
     def test_mha_identity_weights_single_token(self):
         # softmax over one key is 1, so identity projections pass the
         # normalized token through
         w = init_layer_weights(4, 2, 0, "ident")
-        for t in (w.wq, w.wk, w.wv, w.wo):
-            t.data = np.eye(4)
+        for name in ("wq", "wk", "wv", "wo"):
+            setattr(w, name, np.eye(4))
         tok = np.array([[0.5, -1.25, 2.0, 3.75]])
         got = term_of(mha, Tensor(tok), w)
-        normed = expr_layer_norm(tok, w.ln1_gain.data, w.ln1_shift.data, np.zeros_like(tok))[0]
+        normed = expr_layer_norm(tok, w.ln1_gain, w.ln1_shift, np.zeros_like(tok))[0]
         np.testing.assert_array_equal(got, normed)
 
     def test_mha_identity_weights_equal_tokens(self):
         # equal keys give uniform attention, so the shared normalized token
         # is returned
         w = init_layer_weights(4, 2, 0, "ident2")
-        for t in (w.wq, w.wk, w.wv, w.wo):
-            t.data = np.eye(4)
+        for name in ("wq", "wk", "wv", "wo"):
+            setattr(w, name, np.eye(4))
         toks = np.stack([np.array([1.0, -2.0, 0.25, 4.0])] * 2)
         x = Tensor(toks)
         got = term_of(mha, x, w)
-        normed = expr_layer_norm(toks, w.ln1_gain.data, w.ln1_shift.data, np.zeros_like(toks))[0]
+        normed = expr_layer_norm(toks, w.ln1_gain, w.ln1_shift, np.zeros_like(toks))[0]
         np.testing.assert_allclose(got, normed, rtol=1e-15)
 
     def test_mha_permutation_equivariance(self):
@@ -392,8 +387,8 @@ class TestLayerBlocks:
 
     def test_mlp_zero_weights_gives_zero(self):
         w = init_layer_weights(4, 2, 0, "zmlp")
-        for t in (w.mlp_w1, w.mlp_b1, w.mlp_w2, w.mlp_b2):
-            t.data = np.zeros_like(t.data)
+        for name in ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
+            setattr(w, name, np.zeros_like(getattr(w, name)))
         x = Tensor(np.random.default_rng(22).standard_normal((3, 4)))
         np.testing.assert_array_equal(term_of(mlp, x, w), np.zeros((3, 4)))
 
@@ -404,10 +399,10 @@ class TestLayerBlocks:
         w = init_layer_weights(4, 2, 5, "mlp")
         x = Tensor(r.standard_normal((3, 4)))
         got = term_of(mlp, x, w)
-        t = scalar_layer_norm(x.data, w.ln2_gain.data, w.ln2_shift.data)
-        hidden = loop_matmul(t, w.mlp_w1.data) + w.mlp_b1.data
+        t = scalar_layer_norm(x.data, w.ln2_gain, w.ln2_shift)
+        hidden = loop_matmul(t, w.mlp_w1) + w.mlp_b1
         hidden = np.vectorize(scalar_gelu)(hidden)
-        want = loop_matmul(hidden, w.mlp_w2.data) + w.mlp_b2.data
+        want = loop_matmul(hidden, w.mlp_w2) + w.mlp_b2
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_width_mismatch_rejected(self):
@@ -421,29 +416,30 @@ class TestLayerBlocks:
 class TestFreezeRegistry:
     def test_register_and_split(self):
         reg = FreezeRegistry()
-        a = Tensor(np.ones(2))
+        a = np.ones(2)
         b = Tensor(np.zeros(3))
-        reg.register("frozen.x", a, frozen=True)
-        reg.register("train.y", b, frozen=False)
+        reg.register("frozen.x", a)
+        reg.register("train.y", b)
+        assert b.requires_grad
         assert dict(reg.trainable()) == {"train.y": b}
         assert dict(reg.frozen()) == {"frozen.x": a}
 
     def test_duplicate_name_rejected(self):
         reg = FreezeRegistry()
-        reg.register("x", Tensor(np.ones(1)), frozen=False)
+        reg.register("x", Tensor(np.ones(1)))
         with pytest.raises(ValueError):
-            reg.register("x", Tensor(np.ones(1)), frozen=False)
+            reg.register("x", Tensor(np.ones(1)))
 
     def test_state_hash_tracks_frozen_only(self):
         reg = FreezeRegistry()
-        fr = Tensor(np.ones(4))
+        fr = np.ones(4)
         tr = Tensor(np.ones(4))
-        reg.register("a.frozen", fr, frozen=True)
-        reg.register("b.train", tr, frozen=False)
+        reg.register("a.frozen", fr)
+        reg.register("b.train", tr)
         h0 = reg.state_hash()
         tr.data = tr.data + 1.0
         assert reg.state_hash() == h0
-        fr.data = fr.data + 1.0
+        fr += 1.0
         assert reg.state_hash() != h0
 
     def test_state_hash_is_order_independent_sha256(self):
@@ -451,11 +447,11 @@ class TestFreezeRegistry:
         x = np.arange(4.0)
         y = np.arange(3.0)
         r1 = FreezeRegistry()
-        r1.register("p", Tensor(x), frozen=True)
-        r1.register("q", Tensor(y), frozen=True)
+        r1.register("p", x.copy())
+        r1.register("q", y.copy())
         r2 = FreezeRegistry()
-        r2.register("q", Tensor(y), frozen=True)
-        r2.register("p", Tensor(x), frozen=True)
+        r2.register("q", y.copy())
+        r2.register("p", x.copy())
         assert r1.state_hash() == r2.state_hash()
         assert len(r1.state_hash()) == len(hashlib.sha256(b"").hexdigest())
 
@@ -465,7 +461,7 @@ class TestFreezeRegistry:
         from avfuse.serialization import ContainerEntry
 
         reg = FreezeRegistry()
-        fr = reg.register("a.frozen", Tensor(np.ones(2)), frozen=True)
+        reg.register("a.frozen", np.ones(2))
         leaf = reg.register_stack("b.stack", Tensor(np.arange(6.0).reshape(2, 3)))
         reg.register_row("b.second", leaf, 1)
         reg.register_row("b.first", leaf, 0)
@@ -483,9 +479,8 @@ class TestFreezeRegistry:
                          ContainerEntry("b.first", np.arange(3.0), False)])
         np.testing.assert_array_equal(leaf.data, [[0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
         assert reg.state_hash(frozen_only=False) != h0
-        fr.grad = np.ones(2)
         reg.zero_grad()
-        assert leaf.grad is None and fr.grad is None
+        assert leaf.grad is None
         with pytest.raises(ValueError, match="register_stack did not register"):
             reg.register_row("c.row", Tensor(np.zeros((2, 3))), 0)
         with pytest.raises(ValueError, match="register_stack did not register"):
@@ -497,7 +492,7 @@ class TestFreezeRegistry:
         # a row of a leaf from register rather than register_stack would be
         # saved twice: once in the whole tensor's entry and once on its own
         reg = FreezeRegistry()
-        w = reg.register("head.weight", Tensor(np.zeros((2, 3))), frozen=False)
+        w = reg.register("head.weight", Tensor(np.zeros((2, 3))))
         with pytest.raises(ValueError, match="register_stack did not register"):
             reg.register_row("head.weight.row0", w, 0)
         assert [n for n, _, _ in reg.entries_for_save()] == ["head.weight"]
@@ -506,6 +501,6 @@ class TestFreezeRegistry:
         reg = FreezeRegistry()
         t = Tensor(np.ones(2), requires_grad=True)
         t.grad = np.ones(2)
-        reg.register("t", t, frozen=False)
+        reg.register("t", t)
         reg.zero_grad()
         assert t.grad is None

@@ -337,6 +337,21 @@ class TestCostReportCommand:
         csv_lines = (out / "cost_report.csv").read_text().strip().split("\n")
         assert csv_lines[0] == "name,frozen,trainable,macs"
 
+    def test_dense_projection_count_comes_from_the_cost_model(self, tmp_path, monkeypatch):
+        # the fraction's denominator is the one-group count of
+        # costs.grouped_projection_params, not a formula of the report's own
+        from avfuse import cli
+
+        calls = []
+        real = cli.grouped_projection_params
+        monkeypatch.setattr(cli, "grouped_projection_params", lambda *a: calls.append(a) or real(*a))
+        cfg = write_config(tmp_path)
+        out = tmp_path / "cr"
+        assert run_cli(["cost-report", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        assert calls == [(8, 2, 2), (8, 2, 1)]
+        report = json.loads((out / "cost_report.json").read_text())
+        assert report["ratios"]["grouped_projection_param_fraction"] == real(8, 2, 2) / real(8, 2, 1)
+
     def test_direct_costs_exceed_latent_at_64_tokens(self, tmp_path):
         # n = k = 64 tokens per stream, m = 2: n*k far above m*(n + 2k)
         cfg = write_config(tmp_path, {"image_hw": [32, 32], "spec_hw": [32, 32]})

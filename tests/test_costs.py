@@ -41,11 +41,11 @@ class TestParamFormulas:
                 assert grouped * 2 == dense, (d, rho)
 
     def test_grouped_projection_matches_built_tensors(self):
-        from avfuse.fusion import init_bottleneck
+        from helpers import bottleneck_parts
 
         for width, rho, groups in ((16, 4, 2), (12, 3, 2), (8, 2, 1)):
-            p = init_bottleneck(width, rho, groups, 0, "chk")
-            built = p.down_w.size + p.up_w.size
+            p = bottleneck_parts(width, rho, groups, 0, "chk")
+            built = p["down_w"].size + p["up_w"].size
             assert built == grouped_projection_params(width, rho, groups)
 
     def test_divisibility_guard(self):
@@ -76,9 +76,9 @@ class TestParamFormulas:
 
     def test_count_params_from_registry(self):
         reg = FreezeRegistry()
-        reg.register("backbone.w", Tensor(np.zeros((4, 4))), frozen=True)
-        reg.register("adapter.g", Tensor(np.zeros(())), frozen=False)
-        reg.register("head.w", Tensor(np.zeros((8, 2))), frozen=False)
+        reg.register("backbone.w", np.zeros((4, 4)))
+        reg.register("adapter.g", Tensor(np.zeros(())))
+        reg.register("head.w", Tensor(np.zeros((8, 2))))
         rep = count_params(reg)
         assert rep.frozen_total == 16
         assert rep.trainable_total == 17

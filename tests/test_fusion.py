@@ -13,18 +13,17 @@ from avfuse.fusion import (
     PARTS,
     SLOT_ORDER,
     AdapterSites,
-    BottleneckParams,
     bottleneck,
     build_layer_sites,
     compress_to_latents,
     fuse_with_latents,
     gated_attention,
-    init_bottleneck,
     layer_forward,
 )
 
 from helpers import (
     block_diag_from_grouped,
+    bottleneck_parts,
     loop_matmul,
     scalar_cma,
     scalar_gelu,
@@ -95,10 +94,10 @@ def compress(latents: Tensor, source: Tensor, gate: float) -> np.ndarray:
     return out
 
 
-def neck(x: np.ndarray, p) -> np.ndarray:
-    """The output of the ``bottleneck`` kernel for bottleneck parameters ``p``."""
-    data = [None if t is None else t.data for t in (p.down_w, p.down_b, p.up_w, p.up_b)]
-    return bottleneck(x, *data, p.act, (False,) * 5)[0]
+def neck(x: np.ndarray, p: dict, act: str = "gelu") -> np.ndarray:
+    """The output of the ``bottleneck`` kernel for the arrays ``p`` by part
+    (``helpers.bottleneck_parts``)."""
+    return bottleneck(x, p["down_w"], p["down_b"], p["up_w"], p["up_b"], act, (False,) * 5)[0]
 
 
 class TestLatents:
@@ -146,32 +145,34 @@ class TestLatents:
 
 class TestBottleneck:
     def test_zero_at_init(self):
-        p = init_bottleneck(8, 2, 2, 0, "b")
+        p = bottleneck_parts(8, 2, 2, 0, "b")
         x = Tensor(np.random.default_rng(6).standard_normal((5, 8)))
         np.testing.assert_array_equal(neck(x.data, p), np.zeros((5, 8)))
 
     def test_matches_dense_block_diagonal_oracle(self):
         r = np.random.default_rng(7)
-        p = init_bottleneck(8, 2, 2, 1, "b2")
+        p = bottleneck_parts(8, 2, 2, 1, "b2")
         # fill the zero-init pieces so the whole path is exercised
-        p.up_w.data = r.standard_normal(p.up_w.shape) * 0.1
-        p.down_b.data = r.standard_normal(p.down_b.shape) * 0.1
-        p.up_b.data = r.standard_normal(p.up_b.shape) * 0.1
+        p["up_w"] = r.standard_normal(p["up_w"].shape) * 0.1
+        p["down_b"] = r.standard_normal(p["down_b"].shape) * 0.1
+        p["up_b"] = r.standard_normal(p["up_b"].shape) * 0.1
         x = r.standard_normal((3, 8))
-        down_dense = block_diag_from_grouped(p.down_w.data)
-        up_dense = block_diag_from_grouped(p.up_w.data)
-        hidden = np.vectorize(scalar_gelu)(loop_matmul(x, down_dense) + p.down_b.data)
-        want = loop_matmul(hidden, up_dense) + p.up_b.data
+        down_dense = block_diag_from_grouped(p["down_w"])
+        up_dense = block_diag_from_grouped(p["up_w"])
+        hidden = np.vectorize(scalar_gelu)(loop_matmul(x, down_dense) + p["down_b"])
+        want = loop_matmul(hidden, up_dense) + p["up_b"]
         np.testing.assert_allclose(neck(x, p), want, rtol=1e-12)
 
     def test_shapes_and_divisibility(self):
-        p = init_bottleneck(16, 4, 2, 0, "b3")
-        assert p.down_w.shape == (2, 8, 2)
-        assert p.up_w.shape == (2, 2, 8)
+        p = bottleneck_parts(16, 4, 2, 0, "b3")
+        assert p["down_w"].shape == (2, 8, 2)
+        assert p["up_w"].shape == (2, 2, 8)
+        # the sites refuse a width the bottleneck cannot split, and a ratio
+        # or group count below 1
         with pytest.raises(ShapeError):
-            init_bottleneck(10, 4, 2, 0, "bad")
+            build_layer_sites(0, 10, 2, 4, 2, 0, "a2v")
         with pytest.raises(ValueError):
-            init_bottleneck(8, 0, 2, 0, "bad")
+            build_layer_sites(0, 8, 2, 0, 2, 0, "a2v")
         # the sites check their bottleneck once, when built, and the layer
         # checks the tokens' width against it on every call
         sites = build_layer_sites(0, 16, 2, 4, 2, 0, "a2v")
@@ -184,28 +185,29 @@ class TestBottleneck:
             layer_forward([Tensor(np.ones((1, 2, 16)))] * 2, w, sites)
         at = sites["mha"]
         with pytest.raises(ValueError, match="unknown activation 'tanh'"):
-            AdapterSites(at.directions, at.latents, at.gate_compress, at.gate_fuse,
-                         BottleneckParams(at.neck.down_w, at.neck.up_w, "tanh", at.neck.down_b, at.neck.up_b))
+            AdapterSites(at.directions, "tanh", at.parts)
         with pytest.raises(ShapeError, match="up_w of shape"):
-            AdapterSites(at.directions, at.latents, at.gate_compress, at.gate_fuse,
-                         BottleneckParams(at.neck.down_w, at.neck.down_w, "gelu", at.neck.down_b, at.neck.up_b))
+            AdapterSites(at.directions, "gelu", dict(at.parts, up_w=at.parts["down_w"]))
         with pytest.raises(ShapeError, match="latents of shape"):
-            AdapterSites(at.directions, Tensor(np.zeros((1, 2, 8))), at.gate_compress, at.gate_fuse, at.neck)
+            AdapterSites(at.directions, "gelu", dict(at.parts, latents=Tensor(np.zeros((1, 2, 8)))))
+        # adapter_forward unpacks the parts by position
+        with pytest.raises(ValueError, match="parts must be"):
+            AdapterSites(at.directions, "gelu", dict(reversed(at.parts.items())))
 
     def test_bias_free_variant(self):
-        p = init_bottleneck(8, 2, 1, 0, "b4", bias=False)
-        assert p.down_b is None and p.up_b is None
+        p = bottleneck_parts(8, 2, 1, 0, "b4", bias=False)
+        assert p["down_b"] is None and p["up_b"] is None
         np.testing.assert_array_equal(neck(np.ones((2, 8)), p), np.zeros((2, 8)))
 
     def test_relu_activation_honored(self):
-        p = init_bottleneck(4, 2, 1, 5, "b5", act="relu")
+        p = bottleneck_parts(4, 2, 1, 5, "b5")
         r = np.random.default_rng(8)
-        p.up_w.data = r.standard_normal(p.up_w.shape)
+        p["up_w"] = r.standard_normal(p["up_w"].shape)
         x = r.standard_normal((2, 4))
-        down_dense = block_diag_from_grouped(p.down_w.data)
+        down_dense = block_diag_from_grouped(p["down_w"])
         hidden = np.maximum(loop_matmul(x, down_dense), 0.0)
-        want = loop_matmul(hidden, block_diag_from_grouped(p.up_w.data))
-        np.testing.assert_allclose(neck(x, p), want, rtol=1e-12)
+        want = loop_matmul(hidden, block_diag_from_grouped(p["up_w"]))
+        np.testing.assert_allclose(neck(x, p, "relu"), want, rtol=1e-12)
 
 
 class TestSites:
@@ -222,14 +224,14 @@ class TestSites:
 
     def test_gate_init_open_up_projection_zero(self):
         sites = build_layer_sites(1, 8, 2, 2, 2, 0, "bidirectional")["mlp"]
-        np.testing.assert_array_equal(sites.gate_fuse.data, [GATE_INIT, GATE_INIT])
-        np.testing.assert_array_equal(sites.gate_compress.data, [GATE_INIT, GATE_INIT])
-        np.testing.assert_array_equal(sites.neck.up_w.data, 0.0)
+        np.testing.assert_array_equal(sites.parts["gate_fuse"].data, [GATE_INIT, GATE_INIT])
+        np.testing.assert_array_equal(sites.parts["gate_compress"].data, [GATE_INIT, GATE_INIT])
+        np.testing.assert_array_equal(sites.parts["up_w"].data, 0.0)
 
     def test_direct_site_has_no_latents(self):
         reg = FreezeRegistry()
         sites = build_layer_sites(0, 8, 2, 2, 2, 0, "a2v", use_latents=False, registry=reg)["mha"]
-        assert sites.latents is None and sites.gate_compress is None
+        assert sites.parts["latents"] is None and sites.parts["gate_compress"] is None
         names = [name for name, _, _ in reg.items()] + [name for name, _ in reg.trainable()]
         assert not any("latents" in n or "gate_compress" in n for n in names)
 
@@ -238,17 +240,18 @@ class TestSites:
         # its own site's stream, so the slots differ
         layer = build_layer_sites(0, 8, 2, 2, 2, 0, "bidirectional")
         mha, mlp = layer["mha"], layer["mlp"]
-        assert mha.latents is not mlp.latents
-        assert mha.gate_fuse is not mlp.gate_fuse
-        assert mha.neck.down_w is not mlp.neck.down_w
+        assert mha.parts["latents"] is not mlp.parts["latents"]
+        assert mha.parts["gate_fuse"] is not mlp.parts["gate_fuse"]
+        assert mha.parts["down_w"] is not mlp.parts["down_w"]
         assert mha.directions == mlp.directions == SLOT_ORDER == ("v2a", "a2v")
         for sites, attachment in ((mha, "mha"), (mlp, "mlp")):
             for row, direction in enumerate(sites.directions):
                 base = f"adapter.layer0.{direction}_{attachment}"
                 want = Rng.for_name(0, f"{base}.latents").normal((2, 8), std=LATENT_INIT_STD)
-                np.testing.assert_array_equal(sites.latents.data[row], want)
-                np.testing.assert_array_equal(sites.neck.down_w.data[row], init_bottleneck(8, 2, 2, 0, base).down_w.data)
-            assert not np.array_equal(sites.latents.data[0], sites.latents.data[1])
+                np.testing.assert_array_equal(sites.parts["latents"].data[row], want)
+                want = bottleneck_parts(8, 2, 2, 0, base)["down_w"]
+                np.testing.assert_array_equal(sites.parts["down_w"].data[row], want)
+            assert not np.array_equal(sites.parts["latents"].data[0], sites.parts["latents"].data[1])
 
     def test_adapter_forward_zero_at_init(self):
         r = np.random.default_rng(9)

@@ -100,7 +100,7 @@ class TestWiring:
         assert [x.shape for x in stacks] == shapes
         rows = [row for x in stacks for row in x.data]
         for row, tokens in zip(rows, model.tokenize(batch), strict=True):
-            np.testing.assert_array_equal(row, tokens.data)
+            np.testing.assert_array_equal(row, tokens)
 
     def test_logits_shape(self):
         cfg = ModelConfig()
@@ -125,7 +125,7 @@ class TestWiring:
         assert xv.shape == (3, cfg.n_visual_tokens, cfg.width)
         assert xa.shape == (3, cfg.n_audio_tokens, cfg.width)
         single_a, _ = model.tokenize(batch[1:2])
-        np.testing.assert_array_equal(xa.data[1], single_a.data[0])
+        np.testing.assert_array_equal(xa[1], single_a[0])
         with pytest.raises(ShapeError, match="as many images as specs"):
             InputBatch(batch.images, batch.specs[:2])
         with pytest.raises(ShapeError, match="tokenize: need a non-empty batch"):
@@ -154,6 +154,25 @@ class TestWiring:
         # weight+bias; per leaf: each attachment's 7 parts stack both sites
         assert len(site_views(model)) == 2 * 4 * 7 + 2
         assert len(trainable) == 2 * 2 * 7 + 2
+
+    @pytest.mark.parametrize("spec_hw", [(8, 8), (12, 8)])
+    def test_frozen_state_is_plain_arrays(self, spec_hw):
+        # what is frozen is a plain array, never a tensor: every frozen
+        # registry value and the tokens the frozen stem returns
+        cfg = ModelConfig(spec_hw=spec_hw)
+        model = TwoStreamModel(cfg, seed=0)
+        frozen = list(model.registry.frozen())
+        assert len(frozen) == 2 + 12 * cfg.layers
+        assert all(type(value) is np.ndarray for _, value in frozen)
+        assert all(type(tokens) is np.ndarray for tokens in model.tokenize(rand_batch(Rng(0), cfg, 2)))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, 2**64, "0"])
+    def test_refuses_a_seed_outside_64_bits(self, seed):
+        # the rule of TrainConfig.validate: 1.5 would build seed 1's
+        # weights, and -1 those of 2**64 - 1 under another saved seed
+        with pytest.raises(FieldError, match="seed must be ") as e:
+            TwoStreamModel(ModelConfig(), seed)
+        assert e.value.field == "seed"
 
     def test_mode_none_has_only_head_trainable(self):
         model = TwoStreamModel(ModelConfig(mode="none"), seed=0)
@@ -184,14 +203,14 @@ class TestIdentityAtInit:
         # per-name RNG streams: the backbone must not depend on which sites exist
         a = TwoStreamModel(ModelConfig(mode="none"), seed=9)
         b = TwoStreamModel(ModelConfig(mode="bidirectional"), seed=9)
-        np.testing.assert_array_equal(a.patch_proj.data, b.patch_proj.data)
-        np.testing.assert_array_equal(a.layers[1].wq.data, b.layers[1].wq.data)
+        np.testing.assert_array_equal(a.patch_proj, b.patch_proj)
+        np.testing.assert_array_equal(a.layers[1].wq, b.layers[1].wq)
         np.testing.assert_array_equal(a.head_weight.data, b.head_weight.data)
 
     def test_different_seeds_differ(self):
         a = TwoStreamModel(ModelConfig(), seed=0)
         b = TwoStreamModel(ModelConfig(), seed=1)
-        assert not np.array_equal(a.patch_proj.data, b.patch_proj.data)
+        assert not np.array_equal(a.patch_proj, b.patch_proj)
 
 
 class TestPersistence:
@@ -258,7 +277,7 @@ class TestPersistence:
         h0 = model.frozen_hash()
         model.head_weight.data = model.head_weight.data + 1.0
         assert model.frozen_hash() == h0
-        model.patch_proj.data = model.patch_proj.data + 1.0
+        model.patch_proj += 1.0
         assert model.frozen_hash() != h0
 
     def test_logits_batch_matches_singles(self):

@@ -192,6 +192,20 @@ def test_failed_rename_keeps_previous_container(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_unencodable_extra_keeps_previous_container(tmp_path):
+    # the manifest is encoded before either file is replaced, so a save
+    # whose extra JSON cannot hold leaves the old pair loadable
+    base = tmp_path / "w"
+    save_tensors(base, [("x", np.ones(2), False)], extra={"seed": 1})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(TypeError):
+        save_tensors(base, [("x", np.zeros(3), False)], extra={"seed": object()})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    entries, extra = load_tensors(base)
+    np.testing.assert_array_equal(entries[0].array, np.ones(2))
+    assert extra == {"seed": 1}
+
+
 class TestFormatFloat:
     def test_exact_small_values(self):
         assert format_float(0.5) == "0.5"

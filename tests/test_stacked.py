@@ -37,7 +37,7 @@ def logits_apart(model, batch):
     """``model.logits`` with each stream in a stack of its own: the path
     that unequal token counts take."""
     xa, xv = model.tokenize(batch)
-    stacks = [Tensor([x.data]) for x in (xa, xv)]
+    stacks = [Tensor([x]) for x in (xa, xv)]
     for w, sites in zip(model.layers, model.sites):
         stacks = layer_forward(stacks, w, sites)
     return event_head(stacks, model.head_weight, model.head_bias)
@@ -104,7 +104,7 @@ def test_stacked_layer_rows_are_the_dual_layer_outputs(mode):
     xa, xv = Tensor(arr(1, 1, 5, 8)), Tensor(arr(2, 1, 5, 8))
     sites = build_layer_sites(0, 8, 2, 2, 2, 3, mode)
     for s in sites.values():
-        s.neck.up_w.data[...] = 0.1 * arr(3, *s.neck.up_w.data.shape[1:])
+        s.parts["up_w"].data[...] = 0.1 * arr(3, *s.parts["up_w"].data.shape[1:])
     za, zv = layer_forward([Tensor([x.data]) for x in (xa, xv)], w, sites)
     (y,) = layer_forward([Tensor([xa.data, xv.data])], w, sites)
     np.testing.assert_array_equal(y.data, np.concatenate([za.data, zv.data]))
@@ -186,4 +186,4 @@ def test_adapter_forward_checks_the_direction_count():
     # when the sites are built, not on every adapter call
     sites = build_layer_sites(0, 8, 2, 2, 2, 0, "bidirectional")["mha"]
     with pytest.raises(ValueError, match="number of directions, 1"):
-        AdapterSites(("a2v",), sites.latents, sites.gate_compress, sites.gate_fuse, sites.neck)
+        AdapterSites(("a2v",), sites.act, sites.parts)

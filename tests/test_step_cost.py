@@ -12,7 +12,8 @@ of every site that writes the stack: compress, fuse and bottleneck for each
 direction), 1 ``event_head`` and 1 ``cross_entropy_logits``. Every
 ``Tensor._node`` call is pinned too, 6 at README, so every node records a
 gradient: tokenization and stacking record no node, since the tokens come
-out of the frozen stem as leaves and each stack is a leaf copied from them,
+out of the frozen stem as plain arrays and each stack is a leaf copied from
+them,
 and layer 0's attention half, whose input needs no gradient, still records
 one for its sites. In mode ``none`` the four half nodes record no gradient.
 
@@ -30,8 +31,11 @@ adapter parameters are one stacked leaf per layer, attachment and part, read
 whole, so one direction (``a2v``) makes as many calls as two. The attention
 kernels take no head count: only ``mha`` splits its operands into heads,
 with Q, K and V from one product, and merges its results back. The site
-parameters are checked when the sites are built; a layer checks its stacks,
-widths, heads and frozen weights once per call."""
+parameters are checked when the sites are built, and a layer checks its
+stacks, widths and heads once per call. The frozen weights are plain arrays
+that no node takes as a parent, so no call checks that they need no
+gradient, and a site's parts are read from its ``parts`` dict, not through
+a call."""
 import sys
 from pathlib import Path
 
@@ -48,24 +52,24 @@ SOURCE = str(Path(avfuse.__file__).resolve().parent)
 # config overrides: (tape nodes, Tensor._node calls, forward MACs, softmax
 # elements, package calls) per step
 PINNED = {
-    "readme": ({}, 6, 6, 1_836_032, 3_072, 311),
+    "readme": ({}, 6, 6, 1_836_032, 3_072, 299),
     # one direction: its sites still run once per attachment, so only MACs
     # and softmax elements fall; its rows of the stack take their gradients
     # through zero-filled arrays
-    "readme-a2v": (dict(mode="a2v"), 6, 6, 1_770_496, 2_560, 314),
+    "readme-a2v": (dict(mode="a2v"), 6, 6, 1_770_496, 2_560, 302),
     # direct sites have no compress step
-    "readme-direct": (dict(use_latents=False), 6, 6, 1_836_032, 3_072, 270),
+    "readme-direct": (dict(use_latents=False), 6, 6, 1_836_032, 3_072, 258),
     "train-wide": (
         dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4), 6, 6, 467_668_992, 557_056,
-        311,
+        299,
     ),
     # 6 audio tokens against 4 visual ones: a stack per stream, so every
     # frozen block and site runs per stream, each site on its rows of the
     # stacked parameters
-    "unequal": (dict(spec_hw=(12, 8)), 10, 10, 2_307_072, 4_608, 629),
+    "unequal": (dict(spec_hw=(12, 8)), 10, 10, 2_307_072, 4_608, 613),
     # no adapter sites: the frozen blocks, the head and the loss; only the
     # head and the loss record a gradient
-    "none": (dict(mode="none"), 2, 6, 1_704_960, 2_048, 96),
+    "none": (dict(mode="none"), 2, 6, 1_704_960, 2_048, 88),
 }
 
 

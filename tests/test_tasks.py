@@ -94,8 +94,18 @@ class TestDataset:
 
     @pytest.mark.parametrize("bad", [-1, 2**64, 1.5])
     def test_refuses_a_seed_outside_64_bits(self, bad):
-        with pytest.raises(ValueError, match=rf"derive_seed: seed must be an integer in \[0, 2\*\*64\), got {bad!r}"):
+        with pytest.raises(FieldError, match=rf"seed must be (an integer|in \[0, 2\*\*64\)), got {bad!r}"):
             generate_dataset(bad, 4, 0.1)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, True])
+    def test_refuses_a_bad_seed_before_any_draw(self, bad, noise, monkeypatch):
+        # by TrainConfig.validate's rule, at every noise level: at noise 0
+        # no sample draw would ever key a stream by the seed
+        monkeypatch.setattr(tasks, "Rng", None)
+        with pytest.raises(FieldError, match="seed must be ") as e:
+            generate_dataset(bad, 4, noise)
+        assert e.value.field == "seed"
 
     def test_noise_zero_gives_clean_templates(self):
         data = generate_dataset(0, 4, 0.0)
@@ -498,7 +508,7 @@ class TestTrainLoop:
         model, rows = self._tiny_run(steps=5)
         fresh = TwoStreamModel(ModelConfig(mode="bidirectional", **SMALL_MODEL), seed=0)
         for (name, a), (_, b) in zip(sorted(model.registry.frozen()), sorted(fresh.registry.frozen())):
-            np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+            np.testing.assert_array_equal(a, b, err_msg=name)
         losses = [r["loss"] for r in rows if r["split"] == "train"]
         assert losses[0] != losses[-1]
 

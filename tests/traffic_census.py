@@ -4,12 +4,13 @@ Runs, in this process, every CLI subcommand in every fusion mode and option
 variant at one-layer shapes, ``train`` in every variant at the README and
 train-wide shapes, each subcommand once more with its progress output (kept
 out of the report), ``train`` once with ``--seed``, and a weight save and
-load, under a ``sys.settrace`` hook that records the lines run in frames of
-``src/avfuse``. Then it prints, per file, every executable statement no
-run reached, leaving out ``raise`` statements: a refusal is reached by bad
-input, which the tests supply. With ``--tests`` it also runs Tier-1 under
-the hook and prints the statements that only tests reach. Work done in a
-subprocess is not traced. ::
+load with both state hashes compared around it, under a ``sys.settrace``
+hook that records the lines run in frames of ``src/avfuse``. Then it
+prints, per file, every executable statement no run reached, leaving out
+``raise`` statements: a refusal is reached by bad input, which the tests
+supply. With ``--tests`` it also runs Tier-1 under the hook and prints the
+statements that only tests reach. Work done in a subprocess is not
+traced. ::
 
     python3 tests/traffic_census.py [--tests]
 
@@ -79,8 +80,13 @@ def run_matrix() -> None:
                 code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / str(i))] + flags)
             if code != 0:
                 raise SystemExit(f"census: {command} {mode} {variant} {shape} {flags} failed")
-        TwoStreamModel(ModelConfig(), 1).save_weights(Path(tmp) / "w")
-        TwoStreamModel(ModelConfig(), 2).load_weights(Path(tmp) / "w")
+        # hashed around the round trip, as the benchmark's gates hash it
+        saved, loaded = TwoStreamModel(ModelConfig(), 1), TwoStreamModel(ModelConfig(), 2)
+        saved.save_weights(Path(tmp) / "w")
+        loaded.load_weights(Path(tmp) / "w")
+        if (loaded.frozen_hash(), loaded.registry.state_hash(frozen_only=False)) != (
+                saved.frozen_hash(), saved.registry.state_hash(frozen_only=False)):
+            raise SystemExit("census: a weight save and load changed the model's state hash")
 
 
 def traced(run) -> set[tuple[str, int]]:
