@@ -251,9 +251,17 @@ class TestEmbedding:
             np.testing.assert_array_equal(tokens, want.data)
             records.clear()
 
-    def test_embeds_refuse_a_misshapen_table(self):
+    def test_embeds_refuse_a_trainable_or_misshapen_table(self):
         img, spec = np.zeros((1, 4, 4, 3)), np.zeros((1, 4, 4))
         proj = np.ones((12, 5))
+        # the stem's weights and tokens are plain arrays: none of them can be
+        # flagged for a gradient
+        for embed, x in ((patch_embed, img), (spectrogram_embed, spec)):
+            pos = np.zeros((4, 5))
+            tokens = embed(x, 2, proj, pos)
+            for value in (proj, pos, tokens):
+                with pytest.raises(AttributeError):
+                    value.requires_grad = True
         for embed, x in ((patch_embed, img), (spectrogram_embed, spec)):
             with pytest.raises(ShapeError, match=f"{embed.__name__}: positional table shape"):
                 embed(x, 2, proj, np.zeros((3, 5)))

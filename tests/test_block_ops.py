@@ -406,6 +406,34 @@ def test_no_grad_records_no_closure(monkeypatch):
     assert derivs == [False] * 3
 
 
+def assert_frozen_weight_takes_no_gradient(field, seed):
+    """A frozen weight is a plain array: it has no ``requires_grad`` flag to
+    set, and a backward through the layer reaches the input alone, leaving
+    the weight bit for bit as drawn."""
+    w = layer("odd")
+    weight = getattr(w, field)
+    assert type(weight) is np.ndarray
+    with pytest.raises(AttributeError):
+        weight.requires_grad = True
+    before = weight.copy()
+    x = Tensor(arr(seed, 2, 3, 6, 16), requires_grad=True)
+    [out] = layer_forward([x], w, {})
+    backward(sum_all(out))
+    assert x.grad is not None
+    assert getattr(w, field) is weight
+    np.testing.assert_array_equal(weight, before)
+
+
+@pytest.mark.parametrize("field", ["ln1_gain", "wq", "wk", "wv", "wo"])
+def test_frozen_attention_refuses_a_trainable_weight(field):
+    assert_frozen_weight_takes_no_gradient(field, 41)
+
+
+@pytest.mark.parametrize("field", ["ln2_shift", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"])
+def test_frozen_mlp_refuses_a_trainable_weight(field):
+    assert_frozen_weight_takes_no_gradient(field, 42)
+
+
 # the final stacks the head reads: one stack of both streams, or one stack
 # per stream at unequal token counts (audio first, as STACK_ORDER puts it)
 HEAD_STACKS = {"one-stack": ((2, 4),), "two-stacks": ((1, 6), (1, 4))}
