@@ -26,16 +26,18 @@ This module is the engine and knows nothing of the model. Two layers:
   ``relu_fwd``, ``attention_fwd``/``_bwd``, ``grouped_linear_fwd``/``_bwd``)
   are plain numpy and record nothing; an activation's forward returns its
   derivative, so its backward is one product with the output gradient;
-  attention is one head per leading index, and the grouped linear maps take
-  zero or one leading direction axes on their weights.
+  attention is one head per leading index; the grouped linear maps take
+  zero or one leading direction axes on their weights, and their backward
+  forms every gradient, the bias's if there is one.
 
 The model's kernels live with their weights: ``backbone.mha`` and ``mlp``,
 ``fusion.gated_attention``, ``compress_to_latents``, ``fuse_with_latents``,
 ``bottleneck`` and ``adapter_forward``. Each records nothing and returns its
 output with its backward, a closure that keeps only what its gradients
-need; weights, biases and latents get their gradients summed over the
-batch. ``fusion.layer_forward`` records one node per layer half per stack,
-and ``model.event_head`` one node.
+need; the adapter kernels always form their parameters' gradients, summed
+over the batch, and flag only which token operands want one.
+``fusion.layer_forward`` records one node per layer half per stack, and
+``model.event_head`` one node.
 
 Frozen weights and tokens are plain arrays; the tape starts at the token
 stacks, leaves copied from them. Single-op tape versions of the kernels, of
@@ -479,25 +481,20 @@ def grouped_linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None
     return y
 
 
-def grouped_linear_bwd(g: np.ndarray, x: np.ndarray, w: np.ndarray, want=(True, True, True)):
-    """Gradients of x, w and the bias (None where ``want`` says no) under the
+def grouped_linear_bwd(g: np.ndarray, x: np.ndarray, w: np.ndarray, bias: bool):
+    """Gradients of x, w and, with ``bias``, the bias (else None) under the
     output gradient ``g``; the w and bias gradients are summed over the rows
     of each leading index."""
     lead = w.ndim - 3
     groups, gin, gout = w.shape[lead:]
-    want_x, want_w, want_b = want
-    dx = dw = db = None
-    if want_x:
-        wt = w.swapaxes(-1, -2)
-        unit = (1,) * (g.ndim - lead - 2)
-        dx = _merge(np.matmul(_split(g, groups), wt.reshape(wt.shape[:lead] + unit + wt.shape[lead:])))
-    if want_w:
-        # (..., G, gin, p) @ (..., G, p, gout): one GEMM per leading index
-        # and group
-        xs = x.reshape(w.shape[:lead] + (-1, groups, gin)).swapaxes(-3, -2).swapaxes(-2, -1)
-        dw = np.matmul(xs, g.reshape(w.shape[:lead] + (-1, groups, gout)).swapaxes(-3, -2))
-    if want_b:
-        db = np.add.reduce(g.reshape(w.shape[:lead] + (-1, groups * gout)), axis=-2)
+    wt = w.swapaxes(-1, -2)
+    unit = (1,) * (g.ndim - lead - 2)
+    dx = _merge(np.matmul(_split(g, groups), wt.reshape(wt.shape[:lead] + unit + wt.shape[lead:])))
+    # (..., G, gin, p) @ (..., G, p, gout): one GEMM per leading index and
+    # group
+    xs = x.reshape(w.shape[:lead] + (-1, groups, gin)).swapaxes(-3, -2).swapaxes(-2, -1)
+    dw = np.matmul(xs, g.reshape(w.shape[:lead] + (-1, groups, gout)).swapaxes(-3, -2))
+    db = np.add.reduce(g.reshape(w.shape[:lead] + (-1, groups * gout)), axis=-2) if bias else None
     return dx, dw, db
 
 

@@ -333,10 +333,10 @@ class FreezeRegistry:
     A trainable leaf registered with ``register_stack`` holds several
     parameters, one per leading row, each registered by name with
     ``register_row``. So the registry has two views:
-    - per parameter: ``items()``, ``frozen()``, the state hash, the saved
-      entries and ``load_arrays`` see one named entry per parameter, in
-      registration order, which is the serialization order; a row comes as a
-      view of its leaf taken when read;
+    - per parameter: ``items()``, the state hash, the saved entries and
+      ``load_arrays`` see one named entry per parameter, in registration
+      order, which is the serialization order; a row comes as a view of its
+      leaf taken when read;
     - per leaf: ``trainable()`` yields the trainable leaves, whole tensors
       and stacks, which the optimizer and the gradients work on."""
 
@@ -389,11 +389,6 @@ class FreezeRegistry:
 
     def trainable(self):
         yield from self._leaves.items()
-
-    def frozen(self):
-        for name, (value, _row) in self._entries.items():
-            if not isinstance(value, Tensor):
-                yield name, value
 
     def zero_grad(self) -> None:
         for leaf in self._leaves.values():

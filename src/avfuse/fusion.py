@@ -30,7 +30,8 @@ streams in ``STACK_ORDER``. ``layer_forward`` records one tape node per
 layer half per stack, which runs the frozen block (``mha`` or ``mlp``) and
 the sites whose targets lie in the stack (``adapter_forward``: compress,
 fuse, bottleneck) as forward kernels on views of the stacks' rows and of
-the stacked leaves.
+the stacked leaves. Every part is a trainable leaf, so the kernels always
+form its gradient and flag only the token operands that want one.
 """
 from __future__ import annotations
 
@@ -76,35 +77,36 @@ GATE_INIT = 1.0
 # ---------------------------------------------------------------------------
 
 
-def gated_attention(query: np.ndarray, key: np.ndarray, value: np.ndarray, gate: np.ndarray, want):
+def gated_attention(query: np.ndarray, source: np.ndarray, gate: np.ndarray, want):
     """Gated single-head cross-attention with a residual on the query side,
-    ``query + gate * softmax(query key^T / sqrt(width)) value``, as a forward
-    kernel. The operands lead with the gate's axes, none or one (a gate per
-    direction); a query with one axis fewer than the key (latent tokens)
-    serves every sample of the key's batch. ``want`` flags (query, key,
-    value, gate); the backward, None without any, maps the output gradient
-    to their gradients (None where not wanted, a key that is the value
-    summed into dvalue), keeping the attention output and what it needs."""
+    ``query + gate * softmax(query source^T / sqrt(width)) source``, as a
+    forward kernel. The operands lead with the gate's axes, none or one (a
+    gate per direction); a query with one axis fewer than the source (latent
+    tokens) serves every sample of the source's batch. ``want`` is None (no
+    backward) or flags (query, source); the backward maps the output
+    gradient to (dquery, dsource, dgate), None where not wanted, and keeps
+    the attention output and, if either is wanted, the source and softmax."""
     lead = gate.ndim
     # a batch axis after the leading axes for a query without one
-    q_low = query.ndim < key.ndim
+    q_low = query.ndim < source.ndim
     if q_low:
         query = query.reshape(query.shape[:lead] + (1,) + query.shape[lead:])
-    gd = gate.reshape(gate.shape + (1,) * (key.ndim - lead))
-    attended, probs = attention_fwd(query, key, value)
+    gd = gate.reshape(gate.shape + (1,) * (source.ndim - lead))
+    attended, probs = attention_fwd(query, source, source)
     y = query + attended * gd
-    want_gate, want = want[3], want[:3]
-    if not (want_gate or any(want)):
+    if want is None:
         return y, None
-    saved = (query, key, value, probs) if any(want) else None
-    shared, gate_shape = key is value, gate.shape
+    want_q, want_s = want
+    saved = (query, source, source, probs) if want_q or want_s else None
+    gate_shape = gate.shape
 
     def back(g: np.ndarray):
-        dgate = dq = dk = dv = None
-        if want_gate:
-            dgate = np.add.reduce(np.multiply(g, attended).reshape(gate_shape + (-1,)), axis=-1)
+        dgate = np.add.reduce(np.multiply(g, attended).reshape(gate_shape + (-1,)), axis=-1)
+        dq = ds = None
         if saved is not None:
-            dq, dk, dv = attention_bwd(g * gd, *saved, want)
+            dq, dk, ds = attention_bwd(g * gd, *saved, (want_q, want_s, want_s))
+            if dk is not None:
+                ds += dk
         # the residual into q after the attention's part; addition commutes,
         # so dq + residual is residual + dq bit for bit
         if dq is not None:
@@ -113,23 +115,20 @@ def gated_attention(query: np.ndarray, key: np.ndarray, value: np.ndarray, gate:
                 dq += np.add.reduce(g, axis=lead)
             else:
                 dq += g
-        if dk is not None and shared:
-            dv += dk
-            dk = None
-        return dq, dk, dv, dgate
+        return dq, ds, dgate
     return y, back
 
 
 def compress_to_latents(latents: np.ndarray, source: np.ndarray, gate: np.ndarray, want):
     """Summarize source tokens into the (m, width) latents with
-    ``gated_attention``; ``want`` flags latents, source and gate."""
-    return gated_attention(latents, source, source, gate, (want[0], want[1], want[1], want[2]))
+    ``gated_attention``; ``want`` flags latents and source."""
+    return gated_attention(latents, source, gate, want)
 
 
 def fuse_with_latents(target: np.ndarray, summary: np.ndarray, gate: np.ndarray, want):
     """Let the target tokens attend to a compressed summary with
-    ``gated_attention``; ``want`` flags target, summary and gate."""
-    return gated_attention(target, summary, summary, gate, (want[0], want[1], want[1], want[2]))
+    ``gated_attention``; ``want`` flags target and summary."""
+    return gated_attention(target, summary, gate, want)
 
 
 # ---------------------------------------------------------------------------
@@ -138,27 +137,22 @@ def fuse_with_latents(target: np.ndarray, summary: np.ndarray, gate: np.ndarray,
 
 
 def bottleneck(x: np.ndarray, down_w: np.ndarray, down_b: np.ndarray | None, up_w: np.ndarray,
-               up_b: np.ndarray | None, act: str, want):
+               up_b: np.ndarray | None, act: str, keep: bool):
     """up(act(down(x))) with grouped maps as a forward kernel; the weights
     and biases (None for none) lead with x's direction axes, zero or one.
-    ``want`` flags (x, down_w, down_b, up_w, up_b); the backward, None
-    without any, maps the output gradient to their gradients, None where not
-    wanted. It keeps the activation and, only when something below it needs
-    a gradient, its derivative."""
-    below = want[:3]
-    deriv = any(below)
-    a, d = ACTIVATIONS[act](grouped_linear_fwd(x, down_w, down_b), deriv)
+    With ``keep``, the backward maps the output gradient to the gradients of
+    (x, down_w, down_b, up_w, up_b), None for an absent bias, keeping the
+    activation and its derivative; without it, the backward is None and no
+    derivative is formed."""
+    a, d = ACTIVATIONS[act](grouped_linear_fwd(x, down_w, down_b), keep)
     y = grouped_linear_fwd(a, up_w, up_b)
-    if not (deriv or want[3] or want[4]):
+    if not keep:
         return y, None
-    above = (deriv, want[3], want[4])
 
     def back(g: np.ndarray):
-        da, duw, dub = grouped_linear_bwd(g, a, up_w, above)
-        dx = ddw = ddb = None
-        if da is not None:
-            da *= d
-            dx, ddw, ddb = grouped_linear_bwd(da, x, down_w, below)
+        da, duw, dub = grouped_linear_bwd(g, a, up_w, up_b is not None)
+        da *= d
+        dx, ddw, ddb = grouped_linear_bwd(da, x, down_w, down_b is not None)
         return dx, ddw, ddb, duw, dub
     return y, back
 
@@ -171,13 +165,13 @@ def bottleneck(x: np.ndarray, down_w: np.ndarray, down_b: np.ndarray | None, up_
 @dataclass
 class AdapterSites:
     """The adapter sites of one layer attachment, one per direction of
-    ``directions`` (in ``SLOT_ORDER``), with bottleneck activation ``act``:
-    ``parts`` maps ``PARTS`` in order to stacked leaves, whose leading axis
-    runs over the directions, or to None where the sites lack the part.
-    Latent sites have (S, m, width) latents and (S,) compression gates,
-    direct sites neither; all have (S,) fusion gates and a grouped
-    bottleneck. The sites share no values: each slot is drawn from its own
-    site's stream. The parts are checked against each other once, here."""
+    ``directions`` (distinct, in ``SLOT_ORDER``), with bottleneck activation
+    ``act``: ``parts`` maps ``PARTS`` in order to stacked trainable leaves,
+    whose leading axis runs over the directions, or to None where the sites
+    lack the part. Latent sites have (S, m, width) latents and (S,)
+    compression gates, direct sites neither; all have (S,) fusion gates and
+    a grouped bottleneck. The sites share no values: each slot is drawn from
+    its own site's stream. The parts are checked once, here."""
 
     directions: tuple[str, ...]
     act: str
@@ -187,6 +181,12 @@ class AdapterSites:
     def __post_init__(self) -> None:
         if tuple(self.parts) != PARTS:
             raise ValueError(f"AdapterSites: parts must be {PARTS} in order, got {tuple(self.parts)}")
+        if self.directions != tuple(d for d in SLOT_ORDER if d in self.directions):
+            raise ValueError(f"AdapterSites: directions must be distinct members of {DIRECTIONS} in the order "
+                             f"{SLOT_ORDER}, got {self.directions}")
+        for part, t in self.parts.items():
+            if t is not None and not (type(t) is Tensor and t.requires_grad and not t._parents):
+                raise ValueError(f"AdapterSites: {part} must be a trainable leaf, got {t!r}")
         shape = {p: None if t is None else t.data.shape for p, t in self.parts.items()}
         s, dw = len(self.directions), shape["down_w"]
         if len(dw) != 4 or dw[0] != s:
@@ -247,7 +247,7 @@ def build_layer_sites(
     registered trainable as ``adapter.layer<i>.<attachment>.<part>``, and
     each slot of it by its site's name,
     ``adapter.layer<i>.<direction>_<attachment>.<part>``, in the order
-    direction, attachment, part."""
+    direction, attachment, part. The leaves are trainable either way."""
     if mode not in MODE_DIRECTIONS:
         raise ValueError(f"unknown fusion mode {mode!r}")
     if latent_count < 1:
@@ -261,8 +261,8 @@ def build_layer_sites(
     for attachment in ATTACHMENTS if directions else ():
         drawn = [_draw_site(f"adapter.layer{layer}.{d}_{attachment}", width, latent_count, ratio, groups, seed,
                             use_latents, bias) for d in directions]
-        sites[attachment] = AdapterSites(directions, act, {
-            p: None if drawn[0][p] is None else Tensor(np.array([site[p] for site in drawn])) for p in PARTS})
+        sites[attachment] = AdapterSites(directions, act, {p: None if drawn[0][p] is None else Tensor(
+            np.array([site[p] for site in drawn]), requires_grad=True) for p in PARTS})
     if registry is not None:
         for attachment, s in sites.items():
             for part, t in s.parts.items():
@@ -284,32 +284,27 @@ def adapter_forward(source: np.ndarray, target: np.ndarray, parts, act: str, wan
     arrays in ``PARTS`` order (None for a part they lack). Latent sites run
     compress -> fuse -> bottleneck; direct sites attend to the source tokens
     themselves. The term is exactly zero while the up projection is zero.
-    ``want`` flags the source, the target and the parts; the backward, None
-    without any, maps the term's gradient to (dsource, dtarget, dparts),
-    None where not wanted."""
+    ``want`` is None (no backward) or flags (source, target); the backward
+    maps the term's gradient to (dsource, dtarget, dparts), None where not
+    wanted, every present part getting its gradient."""
     latents, gate_compress, gate_fuse, down_w, up_w, down_b, up_b = parts
-    want_src, want_dst, want_lat, want_gc, want_gf, want_dw, want_uw, want_db, want_ub = want
     if latents is not None:
-        want_kv = want_lat or want_src or want_gc
-        summary, back_c = compress_to_latents(latents, source, gate_compress, (want_lat, want_src, want_gc))
-        fused, back_f = fuse_with_latents(target, summary, gate_fuse, (want_dst, want_kv, want_gf))
+        # the latents always want their gradient, so the summary does too
+        summary, back_c = compress_to_latents(latents, source, gate_compress, want and (True, want[0]))
+        fused, back_f = fuse_with_latents(target, summary, gate_fuse, want and (want[1], True))
     else:
-        want_kv, back_c = want_src, None
-        fused, back_f = gated_attention(target, source, source, gate_fuse, (want_dst, want_src, want_src, want_gf))
-    want_fused = want_dst or want_kv or want_gf
-    term, back_b = bottleneck(fused, down_w, down_b, up_w, up_b, act, (want_fused, want_dw, want_db, want_uw, want_ub))
-    if back_b is None:
+        back_c = None
+        fused, back_f = gated_attention(target, source, gate_fuse, want and (want[1], want[0]))
+    term, back_b = bottleneck(fused, down_w, down_b, up_w, up_b, act, want is not None)
+    if want is None:
         return term, None
 
     def back(g: np.ndarray):
         dfused, ddw, ddb, duw, dub = back_b(g)
-        dsrc = ddst = dlat = dgc = dgf = None
-        if dfused is not None:
-            ddst, _, dkv, dgf = back_f(dfused)
-            if back_c is None:
-                dsrc = dkv
-            elif dkv is not None:
-                dlat, _, dsrc, dgc = back_c(dkv)
+        ddst, dsrc, dgf = back_f(dfused)
+        dlat = dgc = None
+        if back_c is not None:
+            dlat, dsrc, dgc = back_c(dsrc)
         return dsrc, ddst, (dlat, dgc, dgf, ddw, duw, ddb, dub)
     return term, back
 
@@ -366,11 +361,10 @@ def _site_term(sites: AdapterSites, x: Tensor, stacks: list[Tensor], target: tup
     leaves = tuple(sites.parts.values())
     src_k, slot, src_rows, dst_rows = target
     src = stacks[src_k]
-    on = _needs_grad((x, src) + leaves)
+    # every leaf is trainable, so a backward is wanted whenever the tape is on
     term, back = adapter_forward(
         src.data[src_rows], x.data[dst_rows], [None if t is None else t.data[slot] for t in leaves], sites.act,
-        (on and src.requires_grad, on and x.requires_grad) + tuple(on and t is not None and t.requires_grad
-                                                                  for t in leaves))
+        (src.requires_grad, x.requires_grad) if _needs_grad(leaves) else None)
     return term, back, leaves, src, slot, src_rows, dst_rows
 
 

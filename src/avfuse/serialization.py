@@ -13,6 +13,7 @@ or a failed write leaves the previous file in place.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -123,7 +124,7 @@ def load_tensors(base: str | Path) -> tuple[list[ContainerEntry], dict]:
         shape = tuple(rec["shape"])
         if not all(type(n) is int and n >= 0 for n in shape):
             raise ValueError(f"{what}: field 'shape' must list non-negative integers, got {rec['shape']!r}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         nbytes = count * _ITEMSIZE
         if rec["nbytes"] != nbytes:
             raise ValueError(f"container entry {name!r}: byte count {rec['nbytes']} does not match shape {shape}")

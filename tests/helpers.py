@@ -89,7 +89,7 @@ from avfuse.autodiff import (
     relu_fwd,
 )
 from avfuse.backbone import STACK_ORDER, InputBatch
-from avfuse.fusion import PARTS, SOURCE, TARGET, _draw_site, adapter_forward
+from avfuse.fusion import SOURCE, TARGET, _draw_site, adapter_forward
 from avfuse.tasks import PAIR_ORDER, SampleSet, audio_template, visual_template
 
 
@@ -268,10 +268,9 @@ def grouped_linear(x, weight, bias=None) -> Tensor:
     out = Tensor._node(y, (x, weight) if bias is None else (x, weight, bias))
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
-            want = (x.requires_grad, weight.requires_grad, bias is not None and bias.requires_grad)
-            grads = grouped_linear_bwd(g, x.data, weight.data, want)
+            grads = grouped_linear_bwd(g, x.data, weight.data, bias is not None)
             for t, grad in zip((x, weight, bias), grads):
-                if grad is not None:
+                if t is not None and t.requires_grad:
                     _accum(t, grad)
         out._backward = _bw
     return out
@@ -403,10 +402,10 @@ def slotwise(chain, lone: bool, *operands) -> Tensor:
     return out
 
 
-def stacked_chain_cma(query, key, value, gate) -> Tensor:
+def stacked_chain_cma(query, source, gate) -> Tensor:
     """``chain_cma`` over the operands ``fusion.gated_attention`` takes,
-    one direction at a time."""
-    return slotwise(chain_cma, gate.data.ndim == 0, query, key, value, gate)
+    the source as key and value, one direction at a time."""
+    return slotwise(chain_cma, gate.data.ndim == 0, query, source, source, gate)
 
 
 def stacked_chain_bottleneck(x, parts, act: str) -> Tensor:
@@ -547,10 +546,10 @@ def chain_adapter_forward(source: Slots, target: Slots, sites, slots) -> Tensor:
     if slots != tuple(range(len(sites.directions))):
         parts = {part: None if t is None else Slots.rows(t, slots) for part, t in parts.items()}
     if parts["latents"] is not None:
-        summary = stacked_chain_cma(parts["latents"], source, source, parts["gate_compress"])
-        fused = stacked_chain_cma(target, summary, summary, parts["gate_fuse"])
+        summary = stacked_chain_cma(parts["latents"], source, parts["gate_compress"])
+        fused = stacked_chain_cma(target, summary, parts["gate_fuse"])
     else:
-        fused = stacked_chain_cma(target, source, source, parts["gate_fuse"])
+        fused = stacked_chain_cma(target, source, parts["gate_fuse"])
     return stacked_chain_bottleneck(fused, parts, sites.act)
 
 
@@ -608,7 +607,7 @@ def site_term(layer_sites: dict, key: str, source: np.ndarray, target: np.ndarra
     sites = layer_sites[attachment]
     row = sites.directions.index(direction)
     parts = [None if t is None else t.data[row:row + 1] for t in sites.parts.values()]
-    term, _ = adapter_forward(source[None], target[None], parts, sites.act, (False,) * (2 + len(PARTS)))
+    term, _ = adapter_forward(source[None], target[None], parts, sites.act, None)
     return Tensor(term[0])
 
 

@@ -430,7 +430,17 @@ class TestFreezeRegistry:
         reg.register("train.y", b)
         assert b.requires_grad
         assert dict(reg.trainable()) == {"train.y": b}
-        assert dict(reg.frozen()) == {"frozen.x": a}
+        assert {name: v for name, v, frozen in reg.items() if frozen} == {"frozen.x": a}
+
+    def test_frozen_parameters_are_read_through_items(self):
+        # the per-parameter view is items() alone, each entry with its
+        # frozen flag; there is no separate frozen() view
+        reg = FreezeRegistry()
+        a = reg.register("frozen.x", np.ones(2))
+        reg.register("train.y", Tensor(np.zeros(3)))
+        assert [(name, frozen) for name, _, frozen in reg.items()] == [("frozen.x", True), ("train.y", False)]
+        assert next(reg.items())[1] is a
+        assert not hasattr(reg, "frozen")
 
     def test_duplicate_name_rejected(self):
         reg = FreezeRegistry()

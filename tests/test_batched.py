@@ -37,7 +37,7 @@ def logits_grads_counts(model, logits_fn, batch, labels):
     with count_macs() as counter:
         logits = logits_fn(batch)
     backward(cross_entropy_logits(logits, labels))
-    assert all(type(t) is np.ndarray for _, t in model.registry.frozen())
+    assert all(type(t) is np.ndarray for _, t, frozen in model.registry.items() if frozen)
     grads = {name: t.grad.copy() for name, t in model.registry.trainable()}
     return logits.data, grads, (counter.macs, counter.softmax_elems)
 

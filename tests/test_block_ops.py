@@ -9,7 +9,10 @@ node against ``chain_head``.
 Output, every gradient and the MAC tallies agree bit for bit, at the README
 shapes, the train-wide benchmark shapes and odd ones (2 heads, unequal
 stream lengths, ReLU, no bias, a 2-D latent query broadcast over the batch),
-with partial ``requires_grad`` patterns. Then one whole train step of the
+with every (query, source) gradient pattern of ``gated_attention`` and a
+layer half's input with and without a gradient. The kernels take their
+flags by role: the adapter parameters always get their gradients, so the
+gate and every bottleneck operand need one. Then one whole train step of the
 model against the same step with ``helpers.chain_layer_forward``, the layer
 as it ran when every frozen block and adapter step was its own node, so the
 order in which each layer half's node hands out its gradients is checked
@@ -132,9 +135,8 @@ def test_frozen_mlp_matches_chain(name):
 
 # the directions of the sites that write a stack of both streams, in slot
 # order: none; both, in SLOT_ORDER (their targets are rows 0 and 1, their
-# sources rows 1 and 0) and reversed (targets rows 1 and 0); one stream
-RESIDUAL_ROWS = {"no-term": (), "both": ("v2a", "a2v"), "both-reversed": ("a2v", "v2a"), "audio": ("v2a",),
-                 "visual": ("a2v",)}
+# sources rows 1 and 0); one stream
+RESIDUAL_ROWS = {"no-term": (), "both": ("v2a", "a2v"), "audio": ("v2a",), "visual": ("a2v",)}
 HALVES = {"mha": (mha, chain_mha), "mlp": (mlp, chain_mlp)}
 
 
@@ -226,10 +228,10 @@ def test_layer_forward_refuses_before_any_kernel_runs(monkeypatch):
 
 def kernel_node(kernel, ops, *args) -> Tensor:
     """A kernel pair as one node over the tensors ``ops`` (None where the
-    kernel takes None), the kernel's other arguments ``args`` before its
-    ``want``; each operand gets its gradient with one ``_accum``."""
-    y, back = kernel(*(None if t is None else t.data for t in ops), *args,
-                     tuple(t is not None and t.requires_grad for t in ops))
+    kernel takes None), the kernel's other arguments ``args`` after them,
+    its ``want`` or ``keep`` last; each gradient the backward gives goes to
+    its operand with one ``_accum``."""
+    y, back = kernel(*(None if t is None else t.data for t in ops), *args)
     out = Tensor._node(y, [t for t in ops if t is not None])
     if out.requires_grad:
         def _bw(g):
@@ -241,49 +243,47 @@ def kernel_node(kernel, ops, *args) -> Tensor:
 
 
 def gated_operands(name, site):
-    """(query, key, value) arrays of the three ways an adapter site calls
+    """(query, source) arrays of the three ways an adapter site calls
     ``gated_attention``: compress (the 2-D latents over a batch of source
     tokens), fuse (target tokens over the summary) and direct (target over
     source, whose length differs from the target's)."""
     b, n, d, _, m = SHAPES[name]
     src, dst, summary = arr(20, b, n + 2, d), arr(21, b, n, d), arr(22, b, m, d)
-    return {"compress": (0.5 * arr(23, m, d), src, src),
-            "fuse": (dst, summary, summary),
-            "direct": (dst, src, src)}[site]
+    return {"compress": (0.5 * arr(23, m, d), src),
+            "fuse": (dst, summary),
+            "direct": (dst, src)}[site]
 
 
-# which of (query, key/value, gate) need a gradient: all of them; a query
-# that needs none, as at layer 0; the gate only
-GRAD_PATTERNS = {"all": (True, True, True), "no-query": (False, True, True), "gate-only": (False, False, True)}
+def attention_node(q: Tensor, source: Tensor, gate: Tensor) -> Tensor:
+    """The ``gated_attention`` kernel pair as one node, wanting the
+    gradients of the query and source that need one; the gate's is always
+    formed, so the gate must need one."""
+    return kernel_node(gated_attention, [q, source, gate], (q.requires_grad, source.requires_grad))
+
+
+# which of (query, source) need a gradient, besides the gate: both; a query
+# that needs none, as at layer 0; neither, as at a direct site of layer 0
+GRAD_PATTERNS = {"all": (True, True), "no-query": (False, True), "gate-only": (False, False)}
 
 
 @pytest.mark.parametrize("pattern", GRAD_PATTERNS)
 @pytest.mark.parametrize("site", ["compress", "fuse", "direct"])
 @pytest.mark.parametrize("name", SHAPES)
 def test_gated_attention_matches_chain(name, site, pattern):
-    q_arr, k_arr, v_arr = gated_operands(name, site)
-    q_grad, kv_grad, gate_grad = GRAD_PATTERNS[pattern]
+    q_arr, s_arr = gated_operands(name, site)
+    q_grad, s_grad = GRAD_PATTERNS[pattern]
     q = Tensor(q_arr, requires_grad=q_grad)
-    k = Tensor(k_arr, requires_grad=kv_grad)
-    # compress and direct pass one tensor as key and value, as the sites do
-    v = k if v_arr is k_arr else Tensor(v_arr, requires_grad=kv_grad)
-    gate = Tensor(0.7, requires_grad=gate_grad)
-    g = arr(24, *np.broadcast_shapes(q_arr.shape, k_arr.shape[:-2] + q_arr.shape[-2:]))
-    inputs = [q, k, gate] if v is k else [q, k, v, gate]
-    assert_same(lambda: kernel_node(gated_attention, [q, k, v, gate]), lambda: chain_cma(q, k, v, gate), inputs, g)
-
-
-def test_gated_attention_with_distinct_key_and_value():
-    q, k, v = (Tensor(arr(s, 3, 5, 8), requires_grad=True) for s in (25, 26, 27))
-    gate = Tensor(-0.4, requires_grad=True)
-    assert_same(lambda: kernel_node(gated_attention, [q, k, v, gate]), lambda: chain_cma(q, k, v, gate),
-                [q, k, v, gate], arr(28, 3, 5, 8))
+    s = Tensor(s_arr, requires_grad=s_grad)
+    gate = Tensor(0.7, requires_grad=True)
+    g = arr(24, *np.broadcast_shapes(q_arr.shape, s_arr.shape[:-2] + q_arr.shape[-2:]))
+    assert_same(lambda: attention_node(q, s, gate), lambda: chain_cma(q, s, s, gate), [q, s, gate], g)
 
 
 def neck_node(x: Tensor, p: dict, act: str) -> Tensor:
     """The ``bottleneck`` kernel pair as one node over ``x`` and the
-    tensors ``p`` by part."""
-    return kernel_node(bottleneck, [x, p["down_w"], p["down_b"], p["up_w"], p["up_b"]], act)
+    tensors ``p`` by part, keeping its backward: every operand must need a
+    gradient."""
+    return kernel_node(bottleneck, [x, p["down_w"], p["down_b"], p["up_w"], p["up_b"]], act, True)
 
 
 def neck_leaves(*args, **kwargs) -> dict:
@@ -307,34 +307,12 @@ def test_bottleneck_matches_chain(name, act, bias):
     assert_same(lambda: neck_node(x, p, act), lambda: chain_bottleneck(x, p, act), [x] + params, arr(34, b, n, d))
 
 
-def test_bottleneck_with_frozen_input():
-    # the input needs no gradient, the weights still do
-    p = neck_leaves(16, 4, 2, seed=8, name="test.frozen_x")
-    p["up_w"].data = arr(35, *p["up_w"].shape)
-    params = [p["down_w"], p["up_w"], p["down_b"], p["up_b"]]
-    for t in params:
-        t.requires_grad = True
-    x = Tensor(arr(36, 3, 5, 16))
-    assert_same(lambda: neck_node(x, p, "gelu"), lambda: chain_bottleneck(x, p, "gelu"), [x] + params,
-                arr(37, 3, 5, 16))
-
-
-def one_slot_pair(arrays, grads):
-    """Leaves for the lone form of an adapter op and leaves for its one-slot
-    stacked form, each array given a leading axis of one; a repeated array
-    gives one leaf, as a site passes its source as key and value."""
-    lone, stacked = {}, {}
-    for a, want in zip(arrays, grads, strict=True):
-        if a is not None and id(a) not in lone:
-            lone[id(a)], stacked[id(a)] = Tensor(a, requires_grad=want), Tensor(a[None], requires_grad=want)
-    return [[None if a is None else leaves[id(a)] for a in arrays] for leaves in (lone, stacked)]
-
-
-def assert_lone_is_one_slot(op, arrays, grads, g):
+def assert_lone_is_one_slot(op, arrays, g):
     """The op on one direction's plain tensors against the same op on every
-    operand with a leading axis of one: output, every gradient and the MAC
-    and softmax tallies bit for bit, and no gradient where none is wanted."""
-    lone, stacked = one_slot_pair(arrays, grads)
+    operand with a leading axis of one, every operand needing a gradient:
+    output, every gradient and the MAC and softmax tallies bit for bit."""
+    lone = [None if a is None else Tensor(a, requires_grad=True) for a in arrays]
+    stacked = [None if a is None else Tensor(a[None], requires_grad=True) for a in arrays]
     results = []
     for leaves, upstream in ((lone, g), (stacked, g[None])):
         with count_macs() as c:
@@ -345,32 +323,23 @@ def assert_lone_is_one_slot(op, arrays, grads, g):
     np.testing.assert_array_equal(y, want_y[0])
     assert macs == want_macs
     for t, a, b in zip(lone, got, want, strict=True):
-        if t is None or not t.requires_grad:
+        if t is None:
             assert a is None and b is None
         else:
             assert np.shape(a) == b.shape[1:]
             np.testing.assert_array_equal(a, b[0])
 
 
-# (query, key, value) shapes: 2-D, batched, the 2-D latent query over a
-# batch; "kv" gives the key and value as one tensor or two
+# (query, source) shapes: 2-D, batched, the 2-D latent query over a batch
 LONE_CMA = {"2d": ((5, 8), (7, 8)), "batched": ((3, 5, 8), (3, 7, 8)), "latent": ((2, 8), (3, 7, 8))}
-# which of (query, key, value, gate) need a gradient: all, and a frozen gate
-# with trainable operands, whose attention output the backward never reads
-LONE_GRADS = {"all": (True, True, True, True), "frozen-gate": (True, True, True, False)}
 
 
-@pytest.mark.parametrize("grads", LONE_GRADS)
-@pytest.mark.parametrize("kv", ["shared", "distinct"])
 @pytest.mark.parametrize("shapes", LONE_CMA)
-def test_gated_attention_lone_is_one_slot(shapes, kv, grads):
-    q_shape, k_shape = LONE_CMA[shapes]
-    k = arr(70, *k_shape)
-    v = k if kv == "shared" else arr(71, *k_shape)
-    g = arr(72, *k_shape[:-2] + q_shape[-2:])
-    def op(*operands):
-        return kernel_node(gated_attention, operands)
-    assert_lone_is_one_slot(op, [arr(73, *q_shape), k, v, np.array(0.6)], LONE_GRADS[grads], g)
+def test_gated_attention_lone_is_one_slot(shapes):
+    q_shape, s_shape = LONE_CMA[shapes]
+    s = arr(70, *s_shape)
+    g = arr(72, *s_shape[:-2] + q_shape[-2:])
+    assert_lone_is_one_slot(attention_node, [arr(73, *q_shape), s, np.array(0.6)], g)
 
 
 @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
@@ -382,7 +351,7 @@ def test_grouped_bottleneck_lone_is_one_slot(act, bias):
 
     def op(x, down_w, down_b, up_w, up_b):
         return neck_node(x, {"down_w": down_w, "down_b": down_b, "up_w": up_w, "up_b": up_b}, act)
-    assert_lone_is_one_slot(op, arrays, [True] * 5, arr(79, 3, 5, 16))
+    assert_lone_is_one_slot(op, arrays, arr(79, 3, 5, 16))
 
 
 def test_no_grad_records_no_closure(monkeypatch):

@@ -135,7 +135,7 @@ class TestMacFormulas:
         q = r.standard_normal((n, d))
         kv = r.standard_normal((k, d))
         with count_macs() as c:
-            gated_attention(q, kv, kv, np.array(0.5), (False,) * 4)
+            gated_attention(q, kv, np.array(0.5), None)
         rep = mac_fusion(n, k, 1, d, "direct")
         assert c.macs == rep.total_macs
         assert c.softmax_elems == rep.total_softmax_elems

@@ -1,4 +1,6 @@
 """Cross-modal adapter tests: gated attention, bottleneck, sites."""
+import re
+
 import numpy as np
 import pytest
 
@@ -37,10 +39,10 @@ def tok(arr):
     return Tensor(np.asarray(arr, dtype=float))
 
 
-def gated(q: np.ndarray, k: np.ndarray, v: np.ndarray, gate: float) -> np.ndarray:
+def gated(q: np.ndarray, source: np.ndarray, gate: float) -> np.ndarray:
     """The output ``gated_attention`` gives under a scalar gate, with no
     gradient wanted."""
-    out, back = gated_attention(q, k, v, np.array(gate), (False,) * 4)
+    out, back = gated_attention(q, source, np.array(gate), None)
     assert back is None
     return out
 
@@ -49,27 +51,25 @@ class TestCma:
     def test_matches_scalar_oracle(self):
         r = np.random.default_rng(0)
         q = r.standard_normal((4, 6))
-        k = r.standard_normal((3, 6))
-        v = r.standard_normal((3, 6))
+        source = r.standard_normal((3, 6))
         for gate in (0.0, 0.3, -1.2):
-            np.testing.assert_allclose(gated(q, k, v, gate), scalar_cma(q, k, v, gate), rtol=1e-12)
+            np.testing.assert_allclose(gated(q, source, gate), scalar_cma(q, source, source, gate), rtol=1e-12)
 
     def test_closed_gate_returns_query_exactly(self):
         r = np.random.default_rng(2)
         q = r.standard_normal((3, 5))
-        got = gated(q, r.standard_normal((4, 5)), r.standard_normal((4, 5)), 0.0)
+        got = gated(q, r.standard_normal((4, 5)), 0.0)
         np.testing.assert_array_equal(got, q)
 
     def test_gate_gradient_nonzero_at_closed_gate(self):
         # the gate's gradient flows through the additive term even at g=0
         r = np.random.default_rng(3)
         q = r.standard_normal((3, 5))
-        k = r.standard_normal((4, 5))
-        v = r.standard_normal((4, 5))
-        out, back = gated_attention(q, k, v, np.array(0.0), (False, False, False, True))
+        source = r.standard_normal((4, 5))
+        out, back = gated_attention(q, source, np.array(0.0), (False, False))
         # the gradient of mean(out * out)
-        dq, dk, dv, dgate = back(2.0 * out / out.size)
-        assert dq is None and dk is None and dv is None
+        dq, dsource, dgate = back(2.0 * out / out.size)
+        assert dq is None and dsource is None
         assert abs(float(dgate)) > 1e-8
 
     def test_single_key_adds_gated_value(self):
@@ -77,19 +77,19 @@ class TestCma:
         r = np.random.default_rng(20)
         q = r.standard_normal((4, 6))
         v = r.standard_normal((1, 6))
-        got = gated(q, r.standard_normal((1, 6)), v, 0.8)
+        got = gated(q, v, 0.8)
         np.testing.assert_allclose(got, q + 0.8 * v, rtol=1e-12)
 
     def test_value_row_count_free(self):
-        # key/value length is independent of query length
-        got = gated(np.zeros((2, 3)), np.zeros((7, 3)), np.ones((7, 3)), 1.0)
+        # the source's length is independent of the query's
+        got = gated(np.zeros((2, 3)), np.ones((7, 3)), 1.0)
         assert got.shape == (2, 3)
         np.testing.assert_allclose(got, 1.0, rtol=1e-12)
 
 
 def compress(latents: Tensor, source: Tensor, gate: float) -> np.ndarray:
     """The summary ``compress_to_latents`` gives, with no gradient wanted."""
-    out, back = compress_to_latents(latents.data, source.data, np.array(gate), (False, False, False))
+    out, back = compress_to_latents(latents.data, source.data, np.array(gate), None)
     assert back is None
     return out
 
@@ -97,7 +97,7 @@ def compress(latents: Tensor, source: Tensor, gate: float) -> np.ndarray:
 def neck(x: np.ndarray, p: dict, act: str = "gelu") -> np.ndarray:
     """The output of the ``bottleneck`` kernel for the arrays ``p`` by part
     (``helpers.bottleneck_parts``)."""
-    return bottleneck(x, p["down_w"], p["down_b"], p["up_w"], p["up_b"], act, (False,) * 5)[0]
+    return bottleneck(x, p["down_w"], p["down_b"], p["up_w"], p["up_b"], act, False)[0]
 
 
 class TestLatents:
@@ -130,7 +130,7 @@ class TestLatents:
         r = np.random.default_rng(5)
         target = tok(r.standard_normal((7, 6)))
         summary = Tensor(r.standard_normal((2, 6)))
-        out, back = fuse_with_latents(target.data, summary.data, np.array(0.3), (False, False, False))
+        out, back = fuse_with_latents(target.data, summary.data, np.array(0.3), None)
         assert out.shape == (7, 6) and back is None
         want = scalar_cma(target.data, summary.data, summary.data, 0.3)
         np.testing.assert_allclose(out, want, rtol=1e-12)
@@ -139,7 +139,7 @@ class TestLatents:
         r = np.random.default_rng(23)
         x = r.standard_normal((5, 6))
         s = r.standard_normal((1, 6))
-        out = fuse_with_latents(x, s, np.array(-0.6), (False, False, False))[0]
+        out = fuse_with_latents(x, s, np.array(-0.6), None)[0]
         np.testing.assert_allclose(out, x - 0.6 * s, rtol=1e-12)
 
 
@@ -189,7 +189,7 @@ class TestBottleneck:
         with pytest.raises(ShapeError, match="up_w of shape"):
             AdapterSites(at.directions, "gelu", dict(at.parts, up_w=at.parts["down_w"]))
         with pytest.raises(ShapeError, match="latents of shape"):
-            AdapterSites(at.directions, "gelu", dict(at.parts, latents=Tensor(np.zeros((1, 2, 8)))))
+            AdapterSites(at.directions, "gelu", dict(at.parts, latents=Tensor(np.zeros((1, 2, 8)), requires_grad=True)))
         # adapter_forward unpacks the parts by position
         with pytest.raises(ValueError, match="parts must be"):
             AdapterSites(at.directions, "gelu", dict(reversed(at.parts.items())))
@@ -220,7 +220,28 @@ class TestSites:
             f"adapter.layer0.a2v_{a}.{p}" for a in ATTACHMENTS for p in parts]
         assert sorted(name for name, _ in reg.trainable()) == [
             f"adapter.layer0.{a}.{p}" for a in ATTACHMENTS for p in parts]
-        assert not list(reg.frozen())
+        assert not [name for name, _, frozen in reg.items() if frozen]
+
+    @pytest.mark.parametrize("directions", [("x2y",), ("a2v", "a2v"), ("a2v", "v2a")],
+                             ids=["unknown", "repeated", "reversed"])
+    def test_refuses_directions_outside_slot_order(self, directions):
+        # each is refused when the sites are built, naming the directions,
+        # not later by the layer with a KeyError or a row error
+        parts = build_layer_sites(0, 8, 2, 2, 2, 0, "a2v" if len(directions) == 1 else "bidirectional")["mha"].parts
+        with pytest.raises(ValueError, match=re.escape(f"got {directions}")):
+            AdapterSites(directions, "gelu", parts)
+
+    def test_parts_are_trainable_leaves(self):
+        # built without a registry, every part is already a trainable leaf;
+        # a part that needs no gradient, a plain array or a graph node is
+        # refused, naming the part
+        parts = build_layer_sites(0, 8, 2, 2, 2, 0, "a2v")["mha"].parts
+        assert all(t.requires_grad and not t._parents for t in parts.values())
+        down_w = parts["down_w"]
+        node = Tensor._node(down_w.data.copy(), (down_w,))
+        for bad in (Tensor(down_w.data), down_w.data, node):
+            with pytest.raises(ValueError, match="down_w must be a trainable leaf"):
+                AdapterSites(("a2v",), "gelu", dict(parts, down_w=bad))
 
     def test_gate_init_open_up_projection_zero(self):
         sites = build_layer_sites(1, 8, 2, 2, 2, 0, "bidirectional")["mlp"]

@@ -107,7 +107,7 @@ def test_grouped_linear_kernels_take_no_leading_axis(name, with_bias):
     for one in (lambda a: a, lambda a: None if a is None else a[None]):
         with count_macs() as c:
             y = grouped_linear_fwd(one(x), one(w), one(b))
-        outs.append((y, grouped_linear_bwd(one(g), one(x), one(w), (True, True, with_bias)), c.macs))
+        outs.append((y, grouped_linear_bwd(one(g), one(x), one(w), with_bias), c.macs))
     (y, grads, macs), (want_y, want_grads, want_macs) = outs
     np.testing.assert_array_equal(y, want_y[0])
     assert macs == want_macs

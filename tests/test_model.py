@@ -146,7 +146,7 @@ class TestWiring:
 
     def test_frozen_trainable_split(self):
         model = TwoStreamModel(ModelConfig(mode="bidirectional"), seed=0)
-        frozen = [n for n, _ in model.registry.frozen()]
+        frozen = [n for n, _, is_frozen in model.registry.items() if is_frozen]
         trainable = [n for n, _ in model.registry.trainable()]
         assert all(n.startswith("backbone.") for n in frozen)
         assert all(n.startswith(("adapter.", "head.")) for n in trainable)
@@ -161,7 +161,7 @@ class TestWiring:
         # registry value and the tokens the frozen stem returns
         cfg = ModelConfig(spec_hw=spec_hw)
         model = TwoStreamModel(cfg, seed=0)
-        frozen = list(model.registry.frozen())
+        frozen = [(n, v) for n, v, is_frozen in model.registry.items() if is_frozen]
         assert len(frozen) == 2 + 12 * cfg.layers
         assert all(type(value) is np.ndarray for _, value in frozen)
         assert all(type(tokens) is np.ndarray for tokens in model.tokenize(rand_batch(Rng(0), cfg, 2)))

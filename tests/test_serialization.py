@@ -141,6 +141,17 @@ def test_container_refuses_a_header_it_does_not_honour(tmp_path, case):
         load_tensors(base)
 
 
+def test_container_refuses_a_shape_whose_count_overflows_int64(tmp_path):
+    # 2**62 * 4 elements wrap to 0 in an int64 product, which would match an
+    # empty payload's byte count; counted exactly, the byte count is refused
+    # naming the entry
+    base = tmp_path / "o"
+    save_tensors(base, [("v", np.ones(2), False), ("e", np.ones(0), False)])
+    _edit_manifest(tmp_path / "o.json", lambda m: m["tensors"][1].update(shape=[2**62, 4]))
+    with pytest.raises(ValueError, match=re.escape("container entry 'e': byte count 0 does not match shape")):
+        load_tensors(base)
+
+
 @pytest.mark.parametrize("field", ["name", "shape", "frozen", "offset", "nbytes"])
 def test_container_refuses_an_entry_without_a_field(tmp_path, field):
     base = tmp_path / "k"

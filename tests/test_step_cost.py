@@ -43,9 +43,10 @@ import numpy as np
 import pytest
 
 import avfuse
+from avfuse import fusion
 from avfuse.autodiff import Tensor, backward, count_macs, cross_entropy_logits
 from avfuse.model import ModelConfig, TwoStreamModel
-from avfuse.tasks import generate_dataset
+from avfuse.tasks import TrainConfig, generate_dataset, train
 
 SOURCE = str(Path(avfuse.__file__).resolve().parent)
 
@@ -104,3 +105,37 @@ def test_train_step_cost_is_pinned(name, monkeypatch):
             sys.setprofile(None)
     assert (sum(created), len(created), counter.macs, counter.softmax_elems, made) == (
         nodes, records, macs, softmax_elems, calls)
+
+
+# the (source, target) gradient flags each ``adapter_forward`` call of one
+# train step receives, in call order, by mode and token counts (4+4 or 6+4
+# audio against visual tokens): layer 0's attention half reads the token
+# stacks, which need no gradient, and a stack that no site has written needs
+# none either, so in one direction at unequal counts the source never does
+FF, FT, TT = (False, False), (False, True), (True, True)
+WANTS = {
+    ("a2v", "4+4"): [FF, TT, TT, TT],
+    ("v2a", "4+4"): [FF, TT, TT, TT],
+    ("bidirectional", "4+4"): [FF, TT, TT, TT],
+    ("a2v", "6+4"): [FF, FT, FT, FT],
+    ("v2a", "6+4"): [FF, FT, FT, FT],
+    ("bidirectional", "6+4"): [FF, FF, TT, TT, TT, TT, TT, TT],
+}
+SPEC_HW = {"4+4": (8, 8), "6+4": (12, 8)}
+
+
+@pytest.mark.parametrize("mode,tokens", WANTS)
+def test_adapter_wants_are_pinned(mode, tokens, monkeypatch):
+    # one train step, then one evaluate, which wants no backward at all
+    cfg = ModelConfig(mode=mode, spec_hw=SPEC_HW[tokens])
+    samples = generate_dataset(0, 8, 0.1, cfg.image_hw, cfg.spec_hw)
+    wants = []
+    run = fusion.adapter_forward
+
+    def recorded(source, target, parts, act, want):
+        wants.append(want)
+        return run(source, target, parts, act, want)
+    monkeypatch.setattr(fusion, "adapter_forward", recorded)
+    train(TwoStreamModel(cfg, seed=0), samples, samples, TrainConfig(steps=1))
+    step = WANTS[mode, tokens]
+    assert wants == step + [None] * len(step)
