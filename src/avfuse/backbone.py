@@ -224,10 +224,6 @@ class FrozenLayerWeights:
     mlp_w2: np.ndarray
     mlp_b2: np.ndarray
 
-    @property
-    def width(self) -> int:
-        return self.wq.shape[0]
-
 
 def init_layer_weights(width: int, heads: int, seed: int, name: str) -> FrozenLayerWeights:
     """Draw one layer's weights: matrices Gaussian(0, 0.02), biases zero,

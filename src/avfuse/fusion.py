@@ -25,13 +25,16 @@ drawn from its own site's RNG stream, and the registry names each slot
 it alone.
 
 Latent tokens serve every sample of a batch. The streams travel in stacks,
-``(S, B, N, D)`` tensors, one per token count, whose rows in order are the
-streams in ``STACK_ORDER``. ``layer_forward`` records one tape node per
-layer half per stack, which runs the frozen block (``mha`` or ``mlp``) and
-the sites whose targets lie in the stack (``adapter_forward``: compress,
-fuse, bottleneck) as forward kernels on views of the stacks' rows and of
-the stacked leaves. Every part is a trainable leaf, so the kernels always
-form its gradient and flag only the token operands that want one.
+``(S, B, N, D)`` tensors whose rows in order are the streams in
+``STACK_ORDER``: one stack of both streams, whose sites run in both
+directions, each row reading the other, or a one-row stack per stream,
+whose sites run in any directions. ``layer_forward`` records one tape node
+per layer half per stack, which runs the frozen block (``mha`` or ``mlp``)
+and the sites whose targets lie in the stack (``adapter_forward``: compress,
+fuse, bottleneck) as forward kernels on the stack, a view of the source
+rows and views of the stacked leaves. Every part is a trainable leaf, so the
+kernels always form its gradient and flag only the token operands that want
+one.
 """
 from __future__ import annotations
 
@@ -314,73 +317,58 @@ def adapter_forward(source: np.ndarray, target: np.ndarray, parts, act: str, wan
 # ---------------------------------------------------------------------------
 
 
-def _row_index(rows: tuple[int, ...], n: int):
-    """A view's index of leading rows ``rows`` of n: ``...`` for all in order,
-    else a slice; they must step by +1 or -1, as two rows always do."""
-    if rows == tuple(range(n)):
-        return ...
-    step = rows[1] - rows[0] if len(rows) > 1 else 1
-    if step not in (1, -1) or any(rows[i] - rows[i - 1] != step for i in range(2, len(rows))):
-        raise ShapeError(f"rows {rows} do not step by +1 or -1")
-    stop = rows[-1] + step
-    return slice(rows[0], None if stop < 0 else stop, step)
-
-
 def _accum_rows(t: Tensor, index: slice, g: np.ndarray) -> None:
     """``_accum`` of the gradient that holds ``g`` in leading rows ``index``
     of ``t`` and zeros in its other rows."""
-    if len(range(t.data.shape[0])[index]) == t.data.shape[0]:
-        _accum(t, g[index])  # all rows reversed: a reversal is its own inverse
-    else:
-        full = np.zeros(t.data.shape)
-        full[index] = g
-        _accum(t, full)
+    full = np.zeros(t.data.shape)
+    full[index] = g
+    _accum(t, full)
 
 
-def _targets(directions: tuple[str, ...], rows: tuple[int, ...]) -> dict[int, tuple]:
-    """For each stack the sites in ``directions`` write, given the stacks'
-    row counts: its one source stack, then the slot, source-row and
-    target-row indexes of those sites (``_row_index``)."""
-    where = dict(zip(STACK_ORDER, ((s, i) for s, n in enumerate(rows) for i in range(n))))
-    groups: dict[int, list[tuple[int, int, int, int]]] = {}
-    for slot, d in enumerate(directions):
-        (src, i), (dst, j) = where[SOURCE[d]], where[TARGET[d]]
-        groups.setdefault(dst, []).append((src, slot, i, j))
-    plan = {}
-    for dst, group in groups.items():
-        src, slots, src_rows, dst_rows = zip(*group)
-        plan[dst] = (src[0], _row_index(slots, len(directions)), _row_index(src_rows, rows[src[0]]),
-                     _row_index(dst_rows, rows[dst]))
-    return plan
+def _routes(directions: tuple[str, ...], stack_count: int) -> dict[int, tuple]:
+    """For each stack that the sites in ``directions`` write, given the
+    number of stacks: its source stack, then the slot index of the sites'
+    leaves and the index of the source rows. One stack of both streams takes
+    both directions: the slots are the whole leaves, and each row reads the
+    other. In a one-row stack per stream, each direction reads its source's
+    whole stack, through the whole leaves for one direction, else through
+    its own row of them."""
+    if stack_count == 1:
+        if directions != SLOT_ORDER:
+            raise ShapeError(f"layer_forward: one stack of both streams needs sites in both directions, "
+                             f"got {directions}")
+        return {0: (0, ..., slice(None, None, -1))}
+    one = len(directions) == 1
+    return {STACK_ORDER.index(TARGET[d]): (STACK_ORDER.index(SOURCE[d]), ... if one else slice(i, i + 1), ...)
+            for i, d in enumerate(directions)}
 
 
-def _site_term(sites: AdapterSites, x: Tensor, stacks: list[Tensor], target: tuple) -> tuple:
-    """The term ``sites`` add into stack ``x`` (``target`` from ``_targets``)
+def _site_term(sites: AdapterSites, x: Tensor, stacks: list[Tensor], route: tuple) -> tuple:
+    """The term ``sites`` add into stack ``x`` (``route`` from ``_routes``)
     and what the half's node needs: (term, backward, leaves in ``PARTS``
-    order, source stack, slot, source-row and target-row indexes)."""
+    order, source stack, slot and source-row indexes)."""
     leaves = tuple(sites.parts.values())
-    src_k, slot, src_rows, dst_rows = target
+    src_k, slot, src_rows = route
     src = stacks[src_k]
     # every leaf is trainable, so a backward is wanted whenever the tape is on
     term, back = adapter_forward(
-        src.data[src_rows], x.data[dst_rows], [None if t is None else t.data[slot] for t in leaves], sites.act,
+        src.data[src_rows], x.data, [None if t is None else t.data[slot] for t in leaves], sites.act,
         (src.requires_grad, x.requires_grad) if _needs_grad(leaves) else None)
-    return term, back, leaves, src, slot, src_rows, dst_rows
+    return term, back, leaves, src, slot, src_rows
 
 
 def _half(block, x: Tensor, w: FrozenLayerWeights, site: tuple | None) -> Tensor:
     """One stack's layer half as one tape node: the frozen ``block`` of
-    ``x`` plus the term of a ``site`` from ``_site_term`` in its target rows.
-    The backward hands out gradients in the order separate block and site
-    nodes gave them: ``x`` the output gradient, then the block's input
-    gradient (the block keeps nothing when ``x`` needs none); each site leaf
-    its gradient; ``x`` its target rows'; the source stack its source
-    rows'."""
-    term, back_s, leaves, src, slot, src_rows, dst_rows = site or (None, None, (), None, None, None, None)
+    ``x`` plus the term of a ``site`` from ``_site_term``. The backward
+    hands out gradients in the order separate block and site nodes gave
+    them: ``x`` the output gradient, then the block's input gradient (the
+    block keeps nothing when ``x`` needs none); each site leaf its gradient;
+    ``x`` the term's target gradient; the source stack its source rows'."""
+    term, back_s, leaves, src, slot, src_rows = site or (None, None, (), None, None, None)
     parents = (x,) + (() if src is None or src is x else (src,)) + tuple(t for t in leaves if t is not None)
     y, back_x = block(x.data, w, _needs_grad((x,)))
     if term is not None:
-        y[dst_rows] += term
+        y += term
     out = Tensor._node(y, parents)
     if out.requires_grad:
         def _bw(g: np.ndarray) -> None:
@@ -388,14 +376,14 @@ def _half(block, x: Tensor, w: FrozenLayerWeights, site: tuple | None) -> Tensor
                 _accum(x, g)
                 _accum(x, back_x(g))
             if back_s is not None:
-                dsrc, ddst, dparts = back_s(g[dst_rows])
+                dsrc, ddst, dparts = back_s(g)
                 for t, d in zip(leaves, dparts):
                     if d is not None:
                         _accum(t, d) if slot is ... else _accum_rows(t, slot, d)
                 if ddst is not None:
-                    _accum(x, ddst) if dst_rows is ... else _accum_rows(x, dst_rows, ddst)
+                    _accum(x, ddst)
                 if dsrc is not None:
-                    _accum(src, dsrc) if src_rows is ... else _accum_rows(src, src_rows, dsrc)
+                    _accum(src, dsrc[src_rows])
         out._backward = _bw
     return out
 
@@ -404,14 +392,16 @@ def layer_forward(stacks: list[Tensor], w: FrozenLayerWeights, sites: dict[str, 
     """Advance both streams one layer with cross-modal terms injected beside
     the attention and MLP sub-steps: one term for each site in ``sites``.
 
-    The streams travel in stacks: each is an ``(S, B, N, D)`` tensor of the
-    S streams that share a token count, and the stacks' rows, read in order,
-    are the streams in ``STACK_ORDER``; one sample is a batch of one. Each
-    half records one node per stack, which runs the frozen block once for
-    the stack's streams and one ``adapter_forward`` call for the sites whose
-    targets lie in it. Both attention-side terms read the pre-update states,
-    and both MLP-side terms the post-attention ones. Every check runs before
-    any kernel: stack ranks and rows, token and site widths and heads.
+    The streams travel in stacks, ``(S, B, N, D)`` tensors whose rows, read
+    in order, are the streams in ``STACK_ORDER``: one stack of both streams
+    for sites in both directions or none, else a one-row stack per stream;
+    one sample is a batch of one. Each half records one node per stack,
+    which runs the frozen block once for the stack's streams and one
+    ``adapter_forward`` call for the sites whose targets lie in it. Both
+    attention-side terms read the pre-update states, and both MLP-side terms
+    the post-attention ones. Every check runs before any kernel: stack ranks
+    and rows, the layout against the sites' directions, token and site
+    widths and heads.
     """
     shapes = [x.data.shape for x in stacks]
     # a 3-D stack would be told from one stream's (B, N, D) batch by its row
@@ -424,12 +414,12 @@ def layer_forward(stacks: list[Tensor], w: FrozenLayerWeights, sites: dict[str, 
         raise ShapeError(f"layer_forward: token and site widths {sorted(widths)} do not match layer width {width}")
     if width % w.heads:
         raise ShapeError(f"layer_forward: head count {w.heads} does not divide width {width}")
-    plans = {d: _targets(d, tuple(s[0] for s in shapes)) for d in {at.directions for at in sites.values()}}
+    routes = {d: _routes(d, len(stacks)) for d in {at.directions for at in sites.values()}}
     for block, attachment in ((mha, "mha"), (mlp, "mlp")):
         at = sites.get(attachment)
         # every term of the half before any frozen block, so a term that
         # overflows is refused before a block meets it
-        plan = {} if at is None else plans[at.directions]
-        terms = {k: _site_term(at, stacks[k], stacks, target) for k, target in plan.items()}
+        route = {} if at is None else routes[at.directions]
+        terms = {k: _site_term(at, stacks[k], stacks, r) for k, r in route.items()}
         stacks = [_half(block, x, w, terms.get(k)) for k, x in enumerate(stacks)]
     return stacks

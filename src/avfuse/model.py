@@ -22,7 +22,7 @@ from .backbone import (
     resize_pos_table,
     spectrogram_embed,
 )
-from .fusion import MODES, AdapterSites, build_layer_sites, layer_forward
+from .fusion import MODE_DIRECTIONS, MODES, AdapterSites, build_layer_sites, layer_forward
 from .serialization import load_tensors, save_tensors
 
 INIT_STD = 0.02
@@ -186,11 +186,13 @@ class TwoStreamModel:
     """A frozen backbone shared by both streams, per-layer adapter sites for
     the enabled directions, and a trainable linear event head.
 
-    ``forward`` carries the streams through the layers in stacks, one per
-    token count: with equal counts both streams share one stack, so each
-    frozen block and each attachment's sites run once for both; otherwise
-    each stream has a stack of its own. One layer function serves both, and
-    the streams stay stacked up to the head.
+    ``forward`` carries the streams through the layers in stacks: with equal
+    token counts in mode ``bidirectional`` or ``none`` both streams share
+    one stack, so each frozen block and each attachment's sites run once for
+    both; otherwise each stream has a stack of its own, so in ``a2v`` and
+    ``v2a`` the source stream, which never needs a gradient, runs no
+    backward. One layer function serves both, and the streams stay stacked
+    up to the head.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int):
@@ -263,11 +265,13 @@ class TwoStreamModel:
 
     def forward(self, batch: InputBatch) -> list[Tensor]:
         """The stacks after the last layer of ``batch``: one (2, B, N,
-        width) stack of both streams when their token counts match, else a
-        one-row stack per stream; rows in ``STACK_ORDER``."""
+        width) stack of both streams when their token counts match and the
+        mode enables no direction or both, else a one-row stack per stream;
+        rows in ``STACK_ORDER``."""
         xa, xv = self.tokenize(batch)
         # the tokens need no gradient, so each stack is a leaf made by one copy
-        stacks = [Tensor([xa, xv])] if xa.shape == xv.shape else [Tensor([xa]), Tensor([xv])]
+        one_stack = xa.shape == xv.shape and len(MODE_DIRECTIONS[self.cfg.mode]) != 1
+        stacks = [Tensor([xa, xv])] if one_stack else [Tensor([xa]), Tensor([xv])]
         del xa, xv  # copied into the stacks
         for w, sites in zip(self.layers, self.sites):
             stacks = layer_forward(stacks, w, sites)

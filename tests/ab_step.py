@@ -2,13 +2,15 @@
 
 Copies ``src/avfuse`` of this checkout and of ``<other-checkout>`` into a
 temporary directory as two packages of distinct names, builds the same seed-0
-model in each at one shape, and alternates single train steps (batched
+model in each at one shape and fusion mode (``--mode``, ``bidirectional`` by
+default), and alternates single train steps (batched
 forward, cross-entropy, ``zero_grad``, backward, one Adam step on a fixed
 batch of 8) between them, swapping which side goes first on every
 alternation, so both sides see the same host state. Prints each side's
 step-time quartiles and the share of alternations each side was faster in::
 
-    python3 tests/ab_step.py <other-checkout> [--shape readme|train-wide|unequal] [--pairs N] [--setup]
+    python3 tests/ab_step.py <other-checkout> [--shape readme|train-wide|unequal]
+        [--mode none|a2v|v2a|bidirectional] [--pairs N] [--setup]
 
 ``--pairs`` must be at least 2, since the quartiles need two alternations;
 without it the shape's default count runs.
@@ -122,6 +124,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", type=Path, help="the checkout to compare against")
     parser.add_argument("--shape", choices=SHAPES, default="readme")
+    parser.add_argument("--mode", choices=("none", "a2v", "v2a", "bidirectional"), default="bidirectional")
     parser.add_argument("--pairs", type=at_least_two, help="alternations to time, at least 2 (default by shape)")
     parser.add_argument("--setup", action="store_true", help="time the harness's set-up, not a train step")
     args = parser.parse_args()
@@ -130,7 +133,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         sides = {"this": HERE.parent, "other": args.other.resolve()}
-        timers = {side: make(load(root, f"avfuse_ab_{side}", Path(tmp)), SHAPES[args.shape])
+        fields = dict(SHAPES[args.shape], mode=args.mode)
+        timers = {side: make(load(root, f"avfuse_ab_{side}", Path(tmp)), fields)
                  for side, root in sides.items()}
         times: dict[str, list[dict[str, float]]] = {side: [] for side in sides}
         order = list(sides)
@@ -143,7 +147,7 @@ def main() -> None:
     # the last part is the whole, which decides the faster share
     *parts, what = times["this"][0]
     wins = sum(a[what] < b[what] for a, b in zip(times["this"], times["other"]))
-    print(f"shape {args.shape}, {pairs} alternations; {what} ms q1 / median / q3:")
+    print(f"shape {args.shape}, mode {args.mode}, {pairs} alternations; {what} ms q1 / median / q3:")
     for side, root in sides.items():
         q1, q2, q3 = quartiles_ms(times[side], what)
         won = wins if side == "this" else pairs - wins

@@ -998,7 +998,7 @@ def oracle_mha(x: Tensor, w) -> Tensor:
     """Pre-norm self-attention with one cols/transpose/softmax chain per head."""
     t = layer_norm(x, w.ln1_gain, w.ln1_shift)
     q, k, v = matmul(t, w.wq), matmul(t, w.wk), matmul(t, w.wv)
-    dh = w.width // w.heads
+    dh = w.wq.shape[0] // w.heads
     outs = []
     for i in range(w.heads):
         lo, hi = i * dh, (i + 1) * dh

@@ -44,8 +44,8 @@ from avfuse.fusion import (
     TARGET,
     AdapterSites,
     _half,
+    _routes,
     _site_term,
-    _targets,
     bottleneck,
     gated_attention,
     build_layer_sites,
@@ -133,9 +133,10 @@ def test_frozen_mlp_matches_chain(name):
     assert_same(lambda: _half(mlp, x, w, None), lambda: chain_half(chain_mlp, x, w), [x], arr(13, b, n, d))
 
 
-# the directions of the sites that write a stack of both streams, in slot
-# order: none; both, in SLOT_ORDER (their targets are rows 0 and 1, their
-# sources rows 1 and 0); one stream
+# the directions of the sites that write a stack: none, on one stack of both
+# streams; both, in SLOT_ORDER, on one stack of both streams (their targets
+# are rows 0 and 1, their sources rows 1 and 0); one stream's, on a one-row
+# stack per stream
 RESIDUAL_ROWS = {"no-term": (), "both": ("v2a", "a2v"), "audio": ("v2a",), "visual": ("a2v",)}
 HALVES = {"mha": (mha, chain_mha), "mlp": (mlp, chain_mlp)}
 
@@ -154,37 +155,44 @@ def random_sites(directions, d, m, seed):
         "up_b": leaf(6, d)})
 
 
-def half_pair(block, chain, x, w, sites):
-    """A layer half of the one stack ``x`` as ``layer_forward`` records it,
-    and as the chains ran it when the sites and the block were nodes of
-    their own."""
+def half_pair(block, chain, stacks, w, sites):
+    """A layer half of the stack that ``sites`` write (the one stack when
+    there are none) as ``layer_forward`` records it, and as the chains ran
+    it when the sites and the block were nodes of their own."""
     if sites is None:
+        (x,) = stacks
         return lambda: _half(block, x, w, None), lambda: chain_half(chain, x, w)
-    (target,) = _targets(sites.directions, (2,)).values()
-    dst = tuple(STACK_ORDER.index(TARGET[d]) for d in sites.directions)
-    src = tuple(STACK_ORDER.index(SOURCE[d]) for d in sites.directions)
+    ((k, route),) = _routes(sites.directions, len(stacks)).items()
+    x = stacks[k]
+    # each stream's (stack, row)
+    where = dict(zip(STACK_ORDER, ((s, i) for s, t in enumerate(stacks) for i in range(t.data.shape[0]))))
+    source = stacks[where[SOURCE[sites.directions[0]]][0]]
+    src = tuple(where[SOURCE[d]][1] for d in sites.directions)
+    dst = tuple(where[TARGET[d]][1] for d in sites.directions)
 
     def chained():
-        term = chain_adapter_forward(Slots.rows(x, src), Slots.rows(x, dst), sites, tuple(range(len(dst))))
+        term = chain_adapter_forward(Slots.rows(source, src), Slots.rows(x, dst), sites, tuple(range(len(dst))))
         return chain_half(chain, x, w, term, dst)
-    return lambda: _half(block, x, w, _site_term(sites, x, [x], target)), chained
+    return lambda: _half(block, x, w, _site_term(sites, x, stacks, route)), chained
 
 
 @pytest.mark.parametrize("x_grad", [True, False], ids=["x-grad", "x-frozen"])
 @pytest.mark.parametrize("rows", RESIDUAL_ROWS)
 @pytest.mark.parametrize("name", ["readme", "wide"])
 def test_residual_matches_chain(name, rows, x_grad):
-    # each layer half of a stack of two streams as one node: the frozen
-    # block, its residual and the term of the sites that write the stack;
-    # the input needs no gradient at layer 0's attention half, where only
-    # the sites do
+    # each layer half of a stack as one node: the frozen block, its residual
+    # and the term of the sites that write the stack; the stacks need no
+    # gradient at layer 0's attention half, where only the sites do
     b, n, d, _, m = SHAPES[name]
     w = layer(name)
-    x = Tensor(arr(60, 2, b, n, d), requires_grad=x_grad)
-    sites = random_sites(RESIDUAL_ROWS[rows], d, m, 61) if RESIDUAL_ROWS[rows] else None
-    inputs = [x] + ([] if sites is None else [t for t in sites.parts.values()])
+    directions = RESIDUAL_ROWS[rows]
+    xs = arr(60, 2, b, n, d)
+    stacks = [Tensor(x, requires_grad=x_grad) for x in ([xs] if len(directions) != 1 else [xs[:1], xs[1:]])]
+    sites = random_sites(directions, d, m, 61) if directions else None
+    inputs = stacks + ([] if sites is None else [t for t in sites.parts.values()])
+    g = arr(63, 2 // len(stacks), b, n, d)  # the target stack's shape
     for block, chain in HALVES.values():
-        assert_same(*half_pair(block, chain, x, w, sites), inputs, arr(63, 2, b, n, d))
+        assert_same(*half_pair(block, chain, stacks, w, sites), inputs, g)
 
 
 @pytest.mark.parametrize("half", HALVES)
@@ -197,8 +205,8 @@ def test_frozen_block_keeps_nothing_for_an_input_without_gradient(half):
     x = Tensor(arr(64, 2, 3, 6, 16))
     assert block(x.data, w, False)[1] is None
     sites = random_sites(("v2a", "a2v"), 16, 1, 65)
-    (target,) = _targets(sites.directions, (2,)).values()
-    out = _half(block, x, w, _site_term(sites, x, [x], target))
+    (route,) = _routes(sites.directions, 1).values()
+    out = _half(block, x, w, _site_term(sites, x, [x], route))
     assert out.requires_grad
     cells = dict(zip(out._backward.__code__.co_freevars, (c.cell_contents for c in out._backward.__closure__)))
     assert cells["back_x"] is None and callable(cells["back_s"])
@@ -218,6 +226,8 @@ def test_layer_forward_refuses_before_any_kernel_runs(monkeypatch):
         (ShapeError, r"need \(S, B, N, D\) stacks", [Tensor(arr(67, 2, 6, 16))], sites),
         (ShapeError, r"widths \[8, 16\] do not match layer width 16", [Tensor(arr(68, 2, 3, 6, 8))], sites),
         (ShapeError, r"widths \[8, 16\] do not match layer width 16", good, wrong_width),
+        (ShapeError, r"one stack of both streams needs sites in both directions", good,
+         build_layer_sites(0, 16, 1, 4, 2, 0, "a2v")),
     ]
     for error, match, stacks, at in cases:
         with count_macs() as c, pytest.raises(error, match=match):

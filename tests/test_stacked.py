@@ -1,32 +1,35 @@
 """Differential tests of one stack of both streams against a stack per stream.
 
 ``TwoStreamModel.forward`` carries the streams through the layers in stacks,
-one per token count, and one layer function runs them: with equal counts both
-streams share a stack, so each frozen block and each attachment's sites run
-once for both. The reference runs the same layer function with each stream in
-a stack of its own, as unequal counts run. Over 4 modes x {latent, direct}, at
-the README config and the train-wide benchmark config, one train step must
-give bitwise equal logits, gradients within 1e-12 and equal MAC and softmax
-tallies. The gradients cannot be bitwise equal: the contributions to a
-stream's tokens arrive in a different order when one node serves both
-streams. Then the row pieces: the ``take`` and ``add_rows`` oracles of the
-rows the stacks hand out and take back, the ``Slots`` operands of the
-oracle's per-block layer, the row indexes of ``fusion._row_index``, which
-refuse rows that do not step by +1 or -1, and the sites' check of their
-direction count at construction."""
+and one layer function runs them: with equal token counts in mode
+``bidirectional`` or ``none`` both streams share a stack, so each frozen
+block and each attachment's sites run once for both. The reference runs the
+same layer function with each stream in a stack of its own, as unequal
+counts and the one-direction modes run. Over those two modes x {latent,
+direct}, at the README config and the train-wide benchmark config, one train
+step must give bitwise equal logits, gradients within 1e-12 and equal MAC
+and softmax tallies. The gradients cannot be bitwise equal: the
+contributions to a stream's tokens arrive in a different order when one node
+serves both streams. Then the row pieces: the ``take`` and ``add_rows``
+oracles of the rows the stacks hand out and take back, the ``Slots``
+operands of the oracle's per-block layer, the refusal of one stack of both
+streams for sites in one direction, and the sites' check of their direction
+count at construction."""
 import numpy as np
 import pytest
 
 from avfuse import model as model_module
 from avfuse.autodiff import ShapeError, Tensor, backward, count_macs, cross_entropy_logits
 from avfuse.backbone import init_layer_weights
-from avfuse.fusion import MODES, AdapterSites, _row_index, build_layer_sites, layer_forward
+from avfuse.fusion import MODE_DIRECTIONS, MODES, AdapterSites, build_layer_sites, layer_forward
 from avfuse.model import ModelConfig, TwoStreamModel, event_head
 from avfuse.tasks import generate_dataset
 
 from helpers import Slots, add_rows, mul, site_views, sum_all, take
 
 CONFIGS = {"readme": {}, "wide": dict(width=128, image_hw=(32, 32), spec_hw=(32, 32), latent_count=4)}
+# the modes whose streams share one stack at equal token counts
+STACKED_MODES = [m for m in MODES if len(MODE_DIRECTIONS[m]) != 1]
 
 
 def arr(seed, *shape):
@@ -54,7 +57,7 @@ def train_step(model, batch, logits_of):
 
 
 @pytest.mark.parametrize("use_latents", [True, False], ids=["latent", "direct"])
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", STACKED_MODES)
 @pytest.mark.parametrize("name", CONFIGS)
 def test_stacked_step_matches_per_stream(name, mode, use_latents):
     cfg = ModelConfig(**CONFIGS[name], mode=mode, use_latents=use_latents)
@@ -74,8 +77,9 @@ def test_stacked_step_matches_per_stream(name, mode, use_latents):
 
 
 def test_unequal_token_counts_take_the_per_stream_path(monkeypatch):
-    # one layer function for every token count: unequal counts give each
-    # stream a stack of its own, equal counts one stack of both
+    # one layer function for every token count and mode: unequal counts and
+    # one-direction modes give each stream a stack of its own, equal counts
+    # in the other modes one stack of both
     calls = []
 
     def spy(stacks, w, sites):
@@ -83,11 +87,12 @@ def test_unequal_token_counts_take_the_per_stream_path(monkeypatch):
         return layer_forward(stacks, w, sites)
 
     monkeypatch.setattr(model_module, "layer_forward", spy)
-    for spec_hw, shapes in (
-        ((9, 6), [(1, 4, 6), (1, 4, 4)]),  # 6 audio tokens against 4 visual ones
-        ((8, 8), [(2, 4, 4)]),
+    for spec_hw, mode, shapes in (
+        ((9, 6), "bidirectional", [(1, 4, 6), (1, 4, 4)]),  # 6 audio tokens against 4 visual ones
+        ((8, 8), "bidirectional", [(2, 4, 4)]),
+        ((8, 8), "a2v", [(1, 4, 4), (1, 4, 4)]),
     ):
-        cfg = ModelConfig(spec_hw=spec_hw)
+        cfg = ModelConfig(spec_hw=spec_hw, mode=mode)
         calls.clear()
         batch = generate_dataset(0, 4, 0.1, cfg.image_hw, cfg.spec_hw)
         logits = TwoStreamModel(cfg, seed=0).logits(batch)
@@ -99,15 +104,19 @@ def test_unequal_token_counts_take_the_per_stream_path(monkeypatch):
 def test_stacked_layer_rows_are_the_dual_layer_outputs(mode):
     # one layer at single-sample shapes, a batch of one: the rows of one
     # stack of both streams are the two stacks' outputs, one stream each,
-    # bit for bit
+    # bit for bit; sites in one direction refuse one stack of both streams
     w = init_layer_weights(8, 2, 4, "L4")
     xa, xv = Tensor(arr(1, 1, 5, 8)), Tensor(arr(2, 1, 5, 8))
     sites = build_layer_sites(0, 8, 2, 2, 2, 3, mode)
     for s in sites.values():
         s.parts["up_w"].data[...] = 0.1 * arr(3, *s.parts["up_w"].data.shape[1:])
     za, zv = layer_forward([Tensor([x.data]) for x in (xa, xv)], w, sites)
-    (y,) = layer_forward([Tensor([xa.data, xv.data])], w, sites)
-    np.testing.assert_array_equal(y.data, np.concatenate([za.data, zv.data]))
+    if mode in STACKED_MODES:
+        (y,) = layer_forward([Tensor([xa.data, xv.data])], w, sites)
+        np.testing.assert_array_equal(y.data, np.concatenate([za.data, zv.data]))
+    else:
+        with pytest.raises(ShapeError, match="one stack of both streams needs sites in both directions"):
+            layer_forward([Tensor([xa.data, xv.data])], w, sites)
     # unstacked tokens, three streams, one stream, too few or too many axes,
     # and one stream's (2, N, D) batch, which a 3-D stack would read as a
     # one-sample stack of both streams
@@ -167,18 +176,6 @@ def test_slots_read_and_route():
     frozen = Tensor(arr(21, 2, 3))
     Slots.rows(frozen, (0,)).route(np.ones((1, 3)))
     assert frozen.grad is None
-
-
-def test_rows_that_skip_a_row_are_refused():
-    # a direction axis holds at most two rows, so rows always step by +1 or
-    # -1; rows that skip one would be a copy, not a view, and are refused;
-    # all rows in order are indexed by ``...``
-    x = arr(23, 3, 2, 4, 8)
-    with pytest.raises(ShapeError, match=r"rows \(0, 2\) do not step by \+1 or -1"):
-        _row_index((0, 2), 3)
-    assert _row_index((0, 1), 2) is ...
-    for rows in ((1, 0), (1,), (2, 1, 0)):
-        np.testing.assert_array_equal(x[_row_index(rows, 3)], x[list(rows)])
 
 
 def test_adapter_forward_checks_the_direction_count():
